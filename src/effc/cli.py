@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 type error, 2 runtime or fuel failure,
-3 metatheory violation.
+Exit codes: 0 success, 1 rejected input (unreadable file, lexical, parse or
+type error), 2 runtime or fuel failure, 3 metatheory violation, 4 internal
+error or input too deep.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from .core import EffError, FuelExhausted, StuckTerm
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise EffError(f"cannot read {path}: {e}") from None
 
 
 def cmd_check(args) -> int:
@@ -49,13 +53,13 @@ def cmd_run(args) -> int:
 
 def cmd_dump(args) -> int:
     stage = args.stage if args.stage != "constraints" else "infer"
-    art = pipeline.compile_path(args.file, stage)
+    art = pipeline.compile_text(_read(args.file), stage)
     sys.stdout.write(pipeline.dump_stage(art, args.stage))
     return 0
 
 
 def cmd_diff(args) -> int:
-    report = pipeline.differential_check(args.file, args.fuel)
+    report = pipeline.differential_check_text(_read(args.file), args.file, args.fuel)
     for backend in sorted(report.observations):
         print(f"{backend}: {report.observations[backend]} ({report.steps[backend]} steps)")
     if not report.agreement:
@@ -73,9 +77,13 @@ def cmd_corpus(args) -> int:
     failures = 0
     for f in files:
         try:
-            report = pipeline.differential_check(str(f), args.fuel)
+            report = pipeline.differential_check_text(_read(str(f)), str(f), args.fuel)
         except EffError as e:
             print(f"{f.name}: error: {e}")
+            failures += 1
+            continue
+        except Exception as e:
+            print(f"{f.name}: {_internal(e)}")
             failures += 1
             continue
         if report.agreement:
@@ -85,6 +93,12 @@ def cmd_corpus(args) -> int:
             print(f"{f.name}: FAIL: {report.failure}")
             failures += 1
     return 3 if failures else 0
+
+
+def _internal(e: Exception) -> str:
+    if isinstance(e, RecursionError):
+        return "internal error: input too deep (Python recursion limit reached)"
+    return f"internal error: {type(e).__name__}: {e}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +151,9 @@ def main(argv=None) -> int:
     except EffError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        print(_internal(e), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -390,174 +390,3 @@ class Signature:
 
     def names(self) -> list:
         return sorted(self.ops)
-
-
-# ---------------------------------------------------------------------------
-# Free variables
-
-
-def free_skel_vars_skel(s: Skeleton) -> set:
-    if isinstance(s, SkelVar):
-        return {s}
-    if isinstance(s, SkelBase):
-        return set()
-    if isinstance(s, (SkelArrow, SkelHandler)):
-        return free_skel_vars_skel(s.dom) | free_skel_vars_skel(s.cod)
-    if isinstance(s, SkelForall):
-        return free_skel_vars_skel(s.body) - {s.var}
-    raise TypeError(s)
-
-
-def _fv(t, sort: str) -> set:
-    """Free variables of the given sort in a type/dirt/constraint."""
-    if isinstance(t, TyVar):
-        return {t} if sort == "ty" else set()
-    if isinstance(t, (TBase, SkelBase)):
-        return set()
-    if isinstance(t, SkelVar):
-        return {t} if sort == "skel" else set()
-    if isinstance(t, (SkelArrow, SkelHandler)):
-        return _fv(t.dom, sort) | _fv(t.cod, sort)
-    if isinstance(t, SkelForall):
-        out = _fv(t.body, sort)
-        return out - {t.var} if sort == "skel" else out
-    if isinstance(t, Dirt):
-        return {t.tail} if sort == "dirt" and t.tail is not None else set()
-    if isinstance(t, TArrow):
-        return _fv(t.dom, sort) | _fv(t.cod, sort)
-    if isinstance(t, THandler):
-        return _fv(t.dom, sort) | _fv(t.cod, sort)
-    if isinstance(t, CompType):
-        return _fv(t.val, sort) | _fv(t.dirt, sort)
-    if isinstance(t, TForallSkel):
-        out = _fv(t.body, sort)
-        return out - {t.var} if sort == "skel" else out
-    if isinstance(t, TForallTy):
-        out = _fv(t.body, sort) | _fv(t.skel, sort)
-        return out - {t.var} if sort == "ty" else out
-    if isinstance(t, TForallDirt):
-        out = _fv(t.body, sort)
-        return out - {t.var} if sort == "dirt" else out
-    if isinstance(t, TQual):
-        return _fv(t.constraint, sort) | _fv(t.body, sort)
-    if isinstance(t, (TySub, DirtSub, CompSub)):
-        return _fv(t.lhs, sort) | _fv(t.rhs, sort)
-    if isinstance(t, Scheme):
-        out = _fv(t.body, sort)
-        for _, ct in t.qualifiers:
-            out |= _fv(ct, sort)
-        for _, sk in t.ty_vars:
-            out |= _fv(sk, sort)
-        if sort == "skel":
-            out -= set(t.skel_vars)
-        elif sort == "ty":
-            out -= {tv for tv, _ in t.ty_vars}
-        elif sort == "dirt":
-            out -= set(t.dirt_vars)
-        return out
-    raise TypeError(f"free variables: unhandled {t!r}")
-
-
-def free_ty_vars(t) -> set:
-    return _fv(t, "ty")
-
-
-def free_dirt_vars(t) -> set:
-    return _fv(t, "dirt")
-
-
-def free_skel_vars(t) -> set:
-    return _fv(t, "skel")
-
-
-# ---------------------------------------------------------------------------
-# Alpha equality of types
-
-# Binders carry globally unique ids; alpha equality compares structurally
-# while treating paired binders as equal.
-
-
-class _AlphaEnv:
-    def __init__(self) -> None:
-        self.pairs: dict = {}
-
-    def bind(self, a, b) -> "_AlphaEnv":
-        out = _AlphaEnv()
-        out.pairs = dict(self.pairs)
-        out.pairs[("bind", type(a).__name__, a.id)] = b.id
-        return out
-
-    def same(self, a, b) -> bool:
-        key = ("bind", type(a).__name__, a.id)
-        if key in self.pairs:
-            return self.pairs[key] == b.id
-        return a.id == b.id
-
-
-def alpha_eq_skel(s1: Skeleton, s2: Skeleton, env: Optional[_AlphaEnv] = None) -> bool:
-    env = env or _AlphaEnv()
-    if isinstance(s1, SkelVar) and isinstance(s2, SkelVar):
-        return env.same(s1, s2)
-    if isinstance(s1, SkelBase) and isinstance(s2, SkelBase):
-        return s1.base == s2.base
-    if type(s1) is not type(s2):
-        return False
-    if isinstance(s1, (SkelArrow, SkelHandler)):
-        return alpha_eq_skel(s1.dom, s2.dom, env) and alpha_eq_skel(s1.cod, s2.cod, env)
-    if isinstance(s1, SkelForall):
-        return alpha_eq_skel(s1.body, s2.body, env.bind(s1.var, s2.var))
-    return False
-
-
-def alpha_eq_dirt(d1: Dirt, d2: Dirt, env: Optional[_AlphaEnv] = None) -> bool:
-    env = env or _AlphaEnv()
-    if d1.ops != d2.ops:
-        return False
-    if (d1.tail is None) != (d2.tail is None):
-        return False
-    return d1.tail is None or env.same(d1.tail, d2.tail)
-
-
-def alpha_eq_vty(t1: ValueType, t2: ValueType, env: Optional[_AlphaEnv] = None) -> bool:
-    env = env or _AlphaEnv()
-    if isinstance(t1, TyVar) and isinstance(t2, TyVar):
-        return env.same(t1, t2)
-    if type(t1) is not type(t2):
-        return False
-    if isinstance(t1, TBase):
-        return t1.base == t2.base
-    if isinstance(t1, TArrow):
-        return alpha_eq_vty(t1.dom, t2.dom, env) and alpha_eq_cty(t1.cod, t2.cod, env)
-    if isinstance(t1, THandler):
-        return alpha_eq_cty(t1.dom, t2.dom, env) and alpha_eq_cty(t1.cod, t2.cod, env)
-    if isinstance(t1, TForallSkel):
-        return alpha_eq_vty(t1.body, t2.body, env.bind(t1.var, t2.var))
-    if isinstance(t1, TForallTy):
-        if not alpha_eq_skel(t1.skel, t2.skel, env):
-            return False
-        return alpha_eq_vty(t1.body, t2.body, env.bind(t1.var, t2.var))
-    if isinstance(t1, TForallDirt):
-        return alpha_eq_vty(t1.body, t2.body, env.bind(t1.var, t2.var))
-    if isinstance(t1, TQual):
-        return alpha_eq_constraint(t1.constraint, t2.constraint, env) and alpha_eq_vty(t1.body, t2.body, env)
-    return False
-
-
-def alpha_eq_cty(c1: CompType, c2: CompType, env: Optional[_AlphaEnv] = None) -> bool:
-    env = env or _AlphaEnv()
-    return alpha_eq_vty(c1.val, c2.val, env) and alpha_eq_dirt(c1.dirt, c2.dirt, env)
-
-
-def alpha_eq_constraint(p1, p2, env: Optional[_AlphaEnv] = None) -> bool:
-    env = env or _AlphaEnv()
-    if isinstance(p1, TySub) and isinstance(p2, TySub):
-        return alpha_eq_vty(p1.lhs, p2.lhs, env) and alpha_eq_vty(p1.rhs, p2.rhs, env)
-    if isinstance(p1, DirtSub) and isinstance(p2, DirtSub):
-        return alpha_eq_dirt(p1.lhs, p2.lhs, env) and alpha_eq_dirt(p1.rhs, p2.rhs, env)
-    if isinstance(p1, CompSub) and isinstance(p2, CompSub):
-        return alpha_eq_cty(p1.lhs, p2.lhs, env) and alpha_eq_cty(p1.rhs, p2.rhs, env)
-    return False
-
-
-def alpha_eq_scheme(s1: Scheme, s2: Scheme) -> bool:
-    return alpha_eq_vty(scheme_type(s1), scheme_type(s2))

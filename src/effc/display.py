@@ -7,11 +7,8 @@ deterministic and stable under alpha-equivalence.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import exeff, noeff, skeleff
 from .core import (
-    Base,
     CompSub,
     CompType,
     CoVar,
@@ -35,6 +32,7 @@ from .core import (
     TyVar,
     TySub,
 )
+from .traverse import rename
 
 # ---------------------------------------------------------------------------
 # Canonical renaming
@@ -71,17 +69,7 @@ class _Canon:
         return table[v.id]
 
     def walk(self, x):
-        if isinstance(x, (SkelVar, TyVar, DirtVar, CoVar, TermVar)):
-            return self.var(x)
-        if isinstance(x, Dirt):
-            return Dirt(x.ops, self.var(x.tail) if x.tail is not None else None)
-        if isinstance(x, tuple):
-            return tuple(self.walk(e) for e in x)
-        if isinstance(x, (str, int, bool, Base, frozenset)) or x is None:
-            return x
-        if dataclasses.is_dataclass(x):
-            return type(x)(*(self.walk(getattr(x, f.name)) for f in dataclasses.fields(x)))
-        raise TypeError(f"canonicalize: unhandled {x!r}")
+        return rename(x, self.var)
 
 
 def canonicalize(x):

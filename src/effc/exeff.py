@@ -45,13 +45,9 @@ from .core import (
     UnboundVariable,
     ValueType,
     WfError,
-    alpha_eq_cty,
-    alpha_eq_dirt,
-    alpha_eq_skel,
-    alpha_eq_vty,
-    alpha_eq_constraint,
     dirt_add,
 )
+from .traverse import alpha_eq, subst_hook, subst_term, substitute
 
 # ---------------------------------------------------------------------------
 # Coercions
@@ -177,6 +173,8 @@ class EHandler:
     ret_ty: ValueType
     ret_body: "Comp"
     clauses: tuple = ()
+
+    scope = "ret_body"  # the return binder does not reach the operation clauses
 
     def clause_for(self, op: str) -> Optional[OpClause]:
         for cl in self.clauses:
@@ -408,7 +406,7 @@ def wf_constraint(env: TypeEnv, ct) -> None:
     if isinstance(ct, TySub):
         s1 = wf_vty(env, ct.lhs)
         s2 = wf_vty(env, ct.rhs)
-        if not alpha_eq_skel(s1, s2):
+        if not alpha_eq(s1, s2):
             raise WfError("subtyping constraint relates types with different skeletons")
     elif isinstance(ct, DirtSub):
         wf_dirt(env, ct.lhs)
@@ -416,7 +414,7 @@ def wf_constraint(env: TypeEnv, ct) -> None:
     elif isinstance(ct, CompSub):
         s1 = wf_cty(env, ct.lhs)
         s2 = wf_cty(env, ct.rhs)
-        if not alpha_eq_skel(s1, s2):
+        if not alpha_eq(s1, s2):
             raise WfError("subtyping constraint relates types with different skeletons")
     else:
         raise TypeError(ct)
@@ -465,8 +463,9 @@ def refl_of(t) -> Coercion:
 # Substitution
 
 # A four-sorted substitution instantiating skeleton, type, dirt and coercion
-# variables.  Replacing a type variable under a reflexivity coercion rewrites
-# the coercion via refl_of, so coercions stay well-formed.
+# variables, applied by `traverse.substitute`.  Replacing a type or dirt
+# variable under a reflexivity coercion rewrites the coercion via refl_of, so
+# coercions stay well-formed.
 
 
 class Subst:
@@ -511,6 +510,7 @@ class Subst:
         return Subst(co={v.id: c})
 
 
+@subst_hook(Dirt)
 def subst_dirt(s: Subst, d: Dirt) -> Dirt:
     if d.tail is not None and d.tail.id in s.dirt:
         repl = s.dirt[d.tail.id]
@@ -518,187 +518,14 @@ def subst_dirt(s: Subst, d: Dirt) -> Dirt:
     return d
 
 
-def substitute(s: Subst, subject):
-    """Apply a substitution to any core-language entity, capture-avoidingly.
-
-    Binders carry globally unique identities, so no renaming is needed.
-    """
-    if s.is_empty():
-        return subject
-    return _subst(s, subject)
+@subst_hook(CoTyRefl)
+def _subst_co_ty_refl(s: Subst, co: CoTyRefl) -> Coercion:
+    return refl_of(s.ty[co.var.id]) if co.var.id in s.ty else co
 
 
-def _subst(s: Subst, t):
-    # Skeletons
-    if isinstance(t, SkelVar):
-        return s.skel.get(t.id, t)
-    if isinstance(t, SkelBase):
-        return t
-    if isinstance(t, SkelArrow):
-        return SkelArrow(_subst(s, t.dom), _subst(s, t.cod))
-    if isinstance(t, SkelHandler):
-        return SkelHandler(_subst(s, t.dom), _subst(s, t.cod))
-    if isinstance(t, SkelForall):
-        return SkelForall(t.var, _subst(s, t.body))
-    # Dirts
-    if isinstance(t, Dirt):
-        return subst_dirt(s, t)
-    # Value/computation types
-    if isinstance(t, TyVar):
-        return s.ty.get(t.id, t)
-    if isinstance(t, TBase):
-        return t
-    if isinstance(t, TArrow):
-        return TArrow(_subst(s, t.dom), _subst(s, t.cod))
-    if isinstance(t, THandler):
-        return THandler(_subst(s, t.dom), _subst(s, t.cod))
-    if isinstance(t, CompType):
-        return CompType(_subst(s, t.val), subst_dirt(s, t.dirt))
-    if isinstance(t, TForallSkel):
-        return TForallSkel(t.var, _subst(s, t.body))
-    if isinstance(t, TForallTy):
-        return TForallTy(t.var, _subst(s, t.skel), _subst(s, t.body))
-    if isinstance(t, TForallDirt):
-        return TForallDirt(t.var, _subst(s, t.body))
-    if isinstance(t, TQual):
-        return TQual(_subst(s, t.constraint), _subst(s, t.body))
-    # Constraints
-    if isinstance(t, TySub):
-        return TySub(_subst(s, t.lhs), _subst(s, t.rhs))
-    if isinstance(t, DirtSub):
-        return DirtSub(subst_dirt(s, t.lhs), subst_dirt(s, t.rhs))
-    if isinstance(t, CompSub):
-        return CompSub(_subst(s, t.lhs), _subst(s, t.rhs))
-    # Coercions
-    if isinstance(t, CoVarRef):
-        return s.co.get(t.var.id, t)
-    if isinstance(t, CoBaseRefl):
-        return t
-    if isinstance(t, CoTyRefl):
-        if t.var.id in s.ty:
-            return refl_of(s.ty[t.var.id])
-        return t
-    if isinstance(t, CoDirtRefl):
-        return refl_of_dirt(subst_dirt(s, t.dirt))
-    if isinstance(t, CoArrow):
-        return CoArrow(_subst(s, t.dom), _subst(s, t.cod))
-    if isinstance(t, CoHandler):
-        return CoHandler(_subst(s, t.dom), _subst(s, t.cod))
-    if isinstance(t, CoEmpty):
-        return CoEmpty(subst_dirt(s, t.dirt))
-    if isinstance(t, CoOpUnion):
-        return CoOpUnion(t.op, _subst(s, t.rest))
-    if isinstance(t, CoForallSkel):
-        return CoForallSkel(t.var, _subst(s, t.body))
-    if isinstance(t, CoForallTy):
-        return CoForallTy(t.var, _subst(s, t.skel), _subst(s, t.body))
-    if isinstance(t, CoForallDirt):
-        return CoForallDirt(t.var, _subst(s, t.body))
-    if isinstance(t, CoQual):
-        return CoQual(_subst(s, t.constraint), _subst(s, t.body))
-    if isinstance(t, CoComp):
-        return CoComp(_subst(s, t.val), _subst(s, t.dirt))
-    # Values
-    if isinstance(t, (EVar, EUnit, EInt)):
-        return t
-    if isinstance(t, EAbs):
-        return EAbs(t.var, _subst(s, t.ty), _subst(s, t.body))
-    if isinstance(t, EHandler):
-        return EHandler(
-            t.ret_var, _subst(s, t.ret_ty), _subst(s, t.ret_body),
-            tuple(OpClause(c.op, c.param, c.kont, _subst(s, c.body)) for c in t.clauses),
-        )
-    if isinstance(t, ESkelAbs):
-        return ESkelAbs(t.var, _subst(s, t.body))
-    if isinstance(t, ESkelApp):
-        return ESkelApp(_subst(s, t.val), _subst(s, t.skel))
-    if isinstance(t, ETyAbs):
-        return ETyAbs(t.var, _subst(s, t.skel), _subst(s, t.body))
-    if isinstance(t, ETyApp):
-        return ETyApp(_subst(s, t.val), _subst(s, t.ty))
-    if isinstance(t, EDirtAbs):
-        return EDirtAbs(t.var, _subst(s, t.body))
-    if isinstance(t, EDirtApp):
-        return EDirtApp(_subst(s, t.val), subst_dirt(s, t.dirt))
-    if isinstance(t, ECoAbs):
-        return ECoAbs(t.var, _subst(s, t.constraint), _subst(s, t.body))
-    if isinstance(t, ECoApp):
-        return ECoApp(_subst(s, t.val), _subst(s, t.co))
-    if isinstance(t, ECast):
-        return ECast(_subst(s, t.val), _subst(s, t.co))
-    # Computations
-    if isinstance(t, CReturn):
-        return CReturn(_subst(s, t.val))
-    if isinstance(t, COp):
-        return COp(t.op, _subst(s, t.arg), t.var, _subst(s, t.var_ty), _subst(s, t.body))
-    if isinstance(t, CDo):
-        return CDo(t.var, _subst(s, t.first), _subst(s, t.second))
-    if isinstance(t, CHandle):
-        return CHandle(_subst(s, t.handler), _subst(s, t.body))
-    if isinstance(t, CApp):
-        return CApp(_subst(s, t.fn), _subst(s, t.arg))
-    if isinstance(t, CLet):
-        return CLet(t.var, _subst(s, t.val), _subst(s, t.body))
-    if isinstance(t, CCast):
-        return CCast(_subst(s, t.comp), _subst(s, t.co))
-    raise TypeError(f"substitute: unhandled {t!r}")
-
-
-def subst_term(value: Value, var: TermVar, subject):
-    """Substitute `value` for occurrences of the term variable `var`."""
-    def go(t):
-        if isinstance(t, EVar):
-            return value if t.var.id == var.id else t
-        if isinstance(t, (EUnit, EInt)):
-            return t
-        if isinstance(t, EAbs):
-            return t if t.var.id == var.id else EAbs(t.var, t.ty, go(t.body))
-        if isinstance(t, EHandler):
-            ret_body = t.ret_body if t.ret_var.id == var.id else go(t.ret_body)
-            clauses = tuple(
-                cl if var.id in (cl.param.id, cl.kont.id)
-                else OpClause(cl.op, cl.param, cl.kont, go(cl.body))
-                for cl in t.clauses
-            )
-            return EHandler(t.ret_var, t.ret_ty, ret_body, clauses)
-        if isinstance(t, ESkelAbs):
-            return ESkelAbs(t.var, go(t.body))
-        if isinstance(t, ESkelApp):
-            return ESkelApp(go(t.val), t.skel)
-        if isinstance(t, ETyAbs):
-            return ETyAbs(t.var, t.skel, go(t.body))
-        if isinstance(t, ETyApp):
-            return ETyApp(go(t.val), t.ty)
-        if isinstance(t, EDirtAbs):
-            return EDirtAbs(t.var, go(t.body))
-        if isinstance(t, EDirtApp):
-            return EDirtApp(go(t.val), t.dirt)
-        if isinstance(t, ECoAbs):
-            return ECoAbs(t.var, t.constraint, go(t.body))
-        if isinstance(t, ECoApp):
-            return ECoApp(go(t.val), t.co)
-        if isinstance(t, ECast):
-            return ECast(go(t.val), t.co)
-        if isinstance(t, CReturn):
-            return CReturn(go(t.val))
-        if isinstance(t, COp):
-            body = t.body if t.var.id == var.id else go(t.body)
-            return COp(t.op, go(t.arg), t.var, t.var_ty, body)
-        if isinstance(t, CDo):
-            second = t.second if t.var.id == var.id else go(t.second)
-            return CDo(t.var, go(t.first), second)
-        if isinstance(t, CHandle):
-            return CHandle(go(t.handler), go(t.body))
-        if isinstance(t, CApp):
-            return CApp(go(t.fn), go(t.arg))
-        if isinstance(t, CLet):
-            body = t.body if t.var.id == var.id else go(t.body)
-            return CLet(t.var, go(t.val), body)
-        if isinstance(t, CCast):
-            return CCast(go(t.comp), t.co)
-        raise TypeError(f"subst_term: unhandled {t!r}")
-
-    return go(subject)
+@subst_hook(CoDirtRefl)
+def _subst_co_dirt_refl(s: Subst, co: CoDirtRefl) -> Coercion:
+    return refl_of_dirt(subst_dirt(s, co.dirt))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +559,7 @@ def typecheck_value(env: TypeEnv, v: Value) -> ValueType:
                 cl.kont, TArrow(sig.result, out_cty)
             )
             got = typecheck_comp(cl_env, cl.body)
-            if not alpha_eq_cty(got, out_cty):
+            if not alpha_eq(got, out_cty):
                 raise TypecheckError(
                     f"handler clause for {cl.op} has a different type than the return clause"
                 )
@@ -754,7 +581,7 @@ def typecheck_value(env: TypeEnv, v: Value) -> ValueType:
         if not isinstance(fn_ty, TForallTy):
             raise TypecheckError("type application of a non-type-polymorphic value")
         arg_skel = wf_vty(env, v.ty)
-        if not alpha_eq_skel(arg_skel, fn_ty.skel):
+        if not alpha_eq(arg_skel, fn_ty.skel):
             raise TypecheckError("type application instantiates at the wrong skeleton")
         return substitute(Subst.one_ty(fn_ty.var, v.ty), fn_ty.body)
     if isinstance(v, EDirtAbs):
@@ -774,7 +601,7 @@ def typecheck_value(env: TypeEnv, v: Value) -> ValueType:
         if not isinstance(fn_ty, TQual):
             raise TypecheckError("coercion application of a non-qualified value")
         got = typecheck_coercion(env, v.co)
-        if not alpha_eq_constraint(got, fn_ty.constraint):
+        if not alpha_eq(got, fn_ty.constraint):
             raise TypecheckError("coercion application witnesses the wrong constraint")
         return fn_ty.body
     if isinstance(v, ECast):
@@ -782,7 +609,7 @@ def typecheck_value(env: TypeEnv, v: Value) -> ValueType:
         ct = typecheck_coercion(env, v.co)
         if not isinstance(ct, TySub):
             raise TypecheckError("value cast by a non-value coercion")
-        if not alpha_eq_vty(ct.lhs, subj_ty):
+        if not alpha_eq(ct.lhs, subj_ty):
             raise TypecheckError("cast coercion's source type differs from the subject's type")
         return ct.rhs
     raise TypeError(v)
@@ -794,7 +621,7 @@ def typecheck_comp(env: TypeEnv, c: Comp) -> CompType:
         if not isinstance(fn_ty, TArrow):
             raise TypecheckError("application of a non-function value")
         arg_ty = typecheck_value(env, c.arg)
-        if not alpha_eq_vty(arg_ty, fn_ty.dom):
+        if not alpha_eq(arg_ty, fn_ty.dom):
             raise TypecheckError("function applied to an argument of the wrong type")
         return fn_ty.cod
     if isinstance(c, CLet):
@@ -805,15 +632,15 @@ def typecheck_comp(env: TypeEnv, c: Comp) -> CompType:
     if isinstance(c, CDo):
         first = typecheck_comp(env, c.first)
         second = typecheck_comp(env.with_term(c.var, first.val), c.second)
-        if not alpha_eq_dirt(first.dirt, second.dirt):
+        if not alpha_eq(first.dirt, second.dirt):
             raise TypecheckError("do-sequence branches draw from different dirts")
         return second
     if isinstance(c, COp):
         sig = env.sig.lookup(c.op)
         arg_ty = typecheck_value(env, c.arg)
-        if not alpha_eq_vty(arg_ty, sig.param):
+        if not alpha_eq(arg_ty, sig.param):
             raise TypecheckError(f"operation {c.op} applied to an argument of the wrong type")
-        if not alpha_eq_vty(c.var_ty, sig.result):
+        if not alpha_eq(c.var_ty, sig.result):
             raise TypecheckError(f"operation {c.op} continuation binder annotation mismatch")
         body_ty = typecheck_comp(env.with_term(c.var, c.var_ty), c.body)
         if c.op not in body_ty.dirt.ops:
@@ -824,7 +651,7 @@ def typecheck_comp(env: TypeEnv, c: Comp) -> CompType:
         if not isinstance(h_ty, THandler):
             raise TypecheckError("with-handle applied to a non-handler value")
         body_ty = typecheck_comp(env, c.body)
-        if not alpha_eq_cty(body_ty, h_ty.dom):
+        if not alpha_eq(body_ty, h_ty.dom):
             raise TypecheckError("handled computation does not match the handler's input type")
         return h_ty.cod
     if isinstance(c, CCast):
@@ -832,7 +659,7 @@ def typecheck_comp(env: TypeEnv, c: Comp) -> CompType:
         ct = typecheck_coercion(env, c.co)
         if not isinstance(ct, CompSub):
             raise TypecheckError("computation cast by a non-computation coercion")
-        if not alpha_eq_cty(ct.lhs, subj):
+        if not alpha_eq(ct.lhs, subj):
             raise TypecheckError("cast coercion's source type differs from the subject's type")
         return ct.rhs
     raise TypeError(c)

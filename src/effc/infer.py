@@ -19,6 +19,7 @@ from .core import (
     CoVar,
     Dirt,
     DirtSub,
+    DirtVar,
     EMPTY_DIRT,
     DirtClash,
     OccursCheck,
@@ -36,7 +37,6 @@ from .core import (
     TArrow,
     TBase,
     THandler,
-    TQual,
     TermVar,
     TyVar,
     TySub,
@@ -55,8 +55,8 @@ from .exeff import (
     CoVarRef,
     Subst,
     refl_of,
-    substitute,
 )
+from .traverse import free_vars, rename, subst_term, substitute
 
 # ---------------------------------------------------------------------------
 # Constraint items
@@ -82,15 +82,13 @@ class SubCt:
 
 
 def subst_item(s: Subst, item):
-    if isinstance(item, SkelEq):
-        return SkelEq(substitute(s, item.lhs), substitute(s, item.rhs))
-    if isinstance(item, SkelAnn):
-        assert item.var.id not in s.ty, "annotation subject must never be substituted"
-        return SkelAnn(item.var, substitute(s, item.skel))
-    if isinstance(item, SubCt):
-        assert item.co.id not in s.co, "pending coercion variable must never be substituted"
-        return SubCt(item.co, substitute(s, item.constraint), item.span)
-    raise TypeError(item)
+    assert not (isinstance(item, SkelAnn) and item.var.id in s.ty), (
+        "annotation subject must never be substituted"
+    )
+    assert not (isinstance(item, SubCt) and item.co.id in s.co), (
+        "pending coercion variable must never be substituted"
+    )
+    return substitute(s, item)
 
 
 # ---------------------------------------------------------------------------
@@ -154,64 +152,6 @@ def elaborate_env(env: dict, sig: Signature) -> exeff.TypeEnv:
 
 
 # ---------------------------------------------------------------------------
-# Ordered free-variable collection (for reproducible generalization)
-
-
-def _walk_vars(obj, out_ty: list, out_dirt: list, seen_ty: set, seen_dirt: set) -> None:
-    if isinstance(obj, TyVar):
-        if obj.id not in seen_ty:
-            seen_ty.add(obj.id)
-            out_ty.append(obj)
-        return
-    if isinstance(obj, TBase):
-        return
-    if isinstance(obj, Dirt):
-        if obj.tail is not None and obj.tail.id not in seen_dirt:
-            seen_dirt.add(obj.tail.id)
-            out_dirt.append(obj.tail)
-        return
-    if isinstance(obj, TArrow):
-        _walk_vars(obj.dom, out_ty, out_dirt, seen_ty, seen_dirt)
-        _walk_vars(obj.cod, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    if isinstance(obj, THandler):
-        _walk_vars(obj.dom, out_ty, out_dirt, seen_ty, seen_dirt)
-        _walk_vars(obj.cod, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    if isinstance(obj, CompType):
-        _walk_vars(obj.val, out_ty, out_dirt, seen_ty, seen_dirt)
-        _walk_vars(obj.dirt, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    if isinstance(obj, (TySub, DirtSub)):
-        _walk_vars(obj.lhs, out_ty, out_dirt, seen_ty, seen_dirt)
-        _walk_vars(obj.rhs, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    if isinstance(obj, SkelAnn):
-        _walk_vars(obj.var, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    if isinstance(obj, SubCt):
-        _walk_vars(obj.constraint, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    if isinstance(obj, TQual):
-        _walk_vars(obj.constraint, out_ty, out_dirt, seen_ty, seen_dirt)
-        _walk_vars(obj.body, out_ty, out_dirt, seen_ty, seen_dirt)
-        return
-    raise TypeError(f"free-variable walk: unhandled {obj!r}")
-
-
-def ordered_free_vars(objs) -> tuple:
-    out_ty: list = []
-    out_dirt: list = []
-    _walk_vars_list(objs, out_ty, out_dirt, set(), set())
-    return out_ty, out_dirt
-
-
-def _walk_vars_list(objs, out_ty, out_dirt, seen_ty, seen_dirt):
-    for obj in objs:
-        _walk_vars(obj, out_ty, out_dirt, seen_ty, seen_dirt)
-
-
-# ---------------------------------------------------------------------------
 # Generalization: split
 
 
@@ -222,16 +162,16 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
     (skel_vars, [(ty_var, skeleton)], dirt_vars, generalized [(co, ct)],
     floated queue items).
     """
-    from .core import free_dirt_vars, free_ty_vars
-
     env_ty: set = set()
     env_dirt: set = set()
     for _, (_, scheme) in env.items():
-        env_ty |= {v.id for v in free_ty_vars(scheme)}
-        env_dirt |= {v.id for v in free_dirt_vars(scheme)}
+        env_ty |= {v.id for v in free_vars(scheme, TyVar)}
+        env_dirt |= {v.id for v in free_vars(scheme, DirtVar)}
 
-    q_objs = [it for it in Q]
-    free_ty_ordered, free_dirt_ordered = ordered_free_vars(q_objs + [a])
+    # An annotation's subject counts as an occurrence of its type variable.
+    q_objs = [it.var if isinstance(it, SkelAnn) else it.constraint for it in Q]
+    free_ty_ordered = free_vars(q_objs + [a], TyVar)
+    free_dirt_ordered = free_vars(q_objs + [a], DirtVar)
     gen_ty = [v for v in free_ty_ordered if v.id not in env_ty]
     gen_dirt = [v for v in free_dirt_ordered if v.id not in env_dirt]
     gen_ty_ids = {v.id for v in gen_ty}
@@ -266,8 +206,8 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
     floated = []
     for it in Q:
         if isinstance(it, SubCt):
-            c_ty, c_dirt = ordered_free_vars([it.constraint])
-            fv = {("t", v.id) for v in c_ty} | {("d", v.id) for v in c_dirt}
+            fv = {("t", v.id) for v in free_vars(it.constraint, TyVar)}
+            fv |= {("d", v.id) for v in free_vars(it.constraint, DirtVar)}
             env_fv = {("t", i) for i in env_ty} | {("d", i) for i in env_dirt}
             if not fv <= env_fv:
                 generalized.append((it.co, it.constraint))
@@ -331,9 +271,7 @@ def solve(session: Session, sigma: Subst, processed: list, queue: list) -> tuple
 
 
 def _occurs(v: SkelVar, s: Skeleton) -> bool:
-    from .core import free_skel_vars_skel
-
-    return v in free_skel_vars_skel(s)
+    return v in free_vars(s, SkelVar)
 
 
 def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
@@ -653,7 +591,7 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
         )
         fresh_k = sup.term(cl.kont.name)
         body = substitute(s_n, cl_body)
-        body = exeff.subst_term(exeff.ECast(exeff.EVar(fresh_k), CoVarRef(w5)), cl.kont, body)
+        body = subst_term(exeff.ECast(exeff.EVar(fresh_k), CoVarRef(w5)), cl.kont, body)
         body = exeff.CCast(body, CoComp(CoVarRef(w3), CoVarRef(w4)))
         clause_terms.append(exeff.OpClause(cl.op, cl.param, fresh_k, body))
     new_items.append(SubCt(w6, TySub(a_in, substitute(s_n, substitute(s_r, a_r))), v.span))
@@ -663,7 +601,7 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
 
     fresh_y = sup.term(v.ret_var.name)
     ret = substitute(s_n, ret_body)
-    ret = exeff.subst_term(exeff.ECast(exeff.EVar(fresh_y), CoVarRef(w6)), v.ret_var, ret)
+    ret = subst_term(exeff.ECast(exeff.EVar(fresh_y), CoVarRef(w6)), v.ret_var, ret)
     ret = exeff.CCast(ret, CoComp(CoVarRef(w1), CoVarRef(w2)))
 
     handler = exeff.EHandler(fresh_y, a_in, ret, tuple(clause_terms))
@@ -801,48 +739,14 @@ class InferOutcome:
 
 
 def _max_term_id(c) -> int:
-    worst = -1
+    ids = [-1]
 
-    def bump(v: TermVar):
-        nonlocal worst
-        worst = max(worst, v.id)
+    def note(v: TermVar) -> TermVar:
+        ids.append(v.id)
+        return v
 
-    def walk(t):
-        if isinstance(t, source.SrcVar):
-            bump(t.var)
-        elif isinstance(t, (source.SrcUnit, source.SrcInt)):
-            pass
-        elif isinstance(t, source.SrcFun):
-            bump(t.var)
-            walk(t.body)
-        elif isinstance(t, source.SrcHandler):
-            bump(t.ret_var)
-            walk(t.ret_body)
-            for cl in t.clauses:
-                bump(cl.param)
-                bump(cl.kont)
-                walk(cl.body)
-        elif isinstance(t, source.SrcReturn):
-            walk(t.val)
-        elif isinstance(t, source.SrcOpCall):
-            walk(t.arg)
-            bump(t.var)
-            walk(t.body)
-        elif isinstance(t, (source.SrcDo, source.SrcLet)):
-            bump(t.var)
-            walk(t.first if isinstance(t, source.SrcDo) else t.val)
-            walk(t.second if isinstance(t, source.SrcDo) else t.body)
-        elif isinstance(t, source.SrcHandle):
-            walk(t.handler)
-            walk(t.body)
-        elif isinstance(t, source.SrcApp):
-            walk(t.fn)
-            walk(t.arg)
-        else:
-            raise TypeError(t)
-
-    walk(c)
-    return worst
+    rename(c, note)
+    return max(ids)
 
 
 def infer_top(sig: Signature, comp, supply: Optional[Supply] = None) -> InferOutcome:
@@ -898,9 +802,8 @@ def default_residual(outcome: InferOutcome) -> Subst:
     s = Subst(skel=s.skel, ty=ty_map)
 
     objs = [it.constraint for it in outcome.residual if isinstance(it, SubCt)]
-    _, dirt_vars = ordered_free_vars(objs + [outcome.cty])
-    dirt_ids = {v.id for v in dirt_vars}
-    dirt_ids |= {v.id for v in _term_dirt_vars(outcome.term)}
+    dirt_ids = {v.id for v in free_vars(objs + [outcome.cty], DirtVar)}
+    dirt_ids |= {v.id for v in free_vars(outcome.term, DirtVar)}
     s = Subst(skel=s.skel, ty=s.ty, dirt={vid: EMPTY_DIRT for vid in dirt_ids})
 
     ground_items = [
@@ -911,157 +814,6 @@ def default_residual(outcome: InferOutcome) -> Subst:
     s_rest, leftover = solve(session, Subst(), [], ground_items)
     assert not leftover, "defaulted residual constraints must solve completely"
     return s.then(s_rest)
-
-
-def _term_dirt_vars(term) -> list:
-    """Free dirt variables occurring anywhere in an elaborated term."""
-    out = []
-    seen = set()
-
-    def add(d: Dirt, bound: frozenset):
-        if d.tail is not None and d.tail.id not in bound and d.tail.id not in seen:
-            seen.add(d.tail.id)
-            out.append(d.tail)
-
-    def walk(t, bound: frozenset):
-        if isinstance(t, (exeff.EVar, exeff.EUnit, exeff.EInt)):
-            return
-        if isinstance(t, Dirt):
-            add(t, bound)
-            return
-        if isinstance(t, (SkelVar, SkelBase, SkelArrow, SkelHandler)):
-            return
-        if isinstance(t, (TyVar, TBase)):
-            return
-        if isinstance(t, (TArrow, THandler)):
-            walk(t.dom, bound)
-            walk(t.cod, bound)
-            return
-        if isinstance(t, CompType):
-            walk(t.val, bound)
-            add(t.dirt, bound)
-            return
-        if isinstance(t, (TySub, DirtSub)):
-            for side in (t.lhs, t.rhs):
-                if isinstance(side, Dirt):
-                    add(side, bound)
-                else:
-                    walk(side, bound)
-            return
-        if isinstance(t, TQual):
-            walk(t.constraint, bound)
-            walk(t.body, bound)
-            return
-        from .core import TForallDirt, TForallSkel, TForallTy
-
-        if isinstance(t, (TForallSkel, TForallTy)):
-            walk(t.body, bound)
-            return
-        if isinstance(t, TForallDirt):
-            walk(t.body, bound | {t.var.id})
-            return
-        if isinstance(t, exeff.EAbs):
-            walk(t.ty, bound)
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.EHandler):
-            walk(t.ret_ty, bound)
-            walk(t.ret_body, bound)
-            for cl in t.clauses:
-                walk(cl.body, bound)
-            return
-        if isinstance(t, exeff.ESkelAbs):
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.EDirtAbs):
-            walk(t.body, bound | {t.var.id})
-            return
-        if isinstance(t, exeff.ESkelApp):
-            walk(t.val, bound)
-            return
-        if isinstance(t, exeff.ETyAbs):
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.ETyApp):
-            walk(t.val, bound)
-            walk(t.ty, bound)
-            return
-        if isinstance(t, exeff.EDirtApp):
-            walk(t.val, bound)
-            add(t.dirt, bound)
-            return
-        if isinstance(t, exeff.ECoAbs):
-            walk(t.constraint, bound)
-            walk(t.body, bound)
-            return
-        if isinstance(t, (exeff.ECoApp, exeff.ECast)):
-            walk(t.val, bound)
-            walk(t.co, bound)
-            return
-        if isinstance(t, exeff.CReturn):
-            walk(t.val, bound)
-            return
-        if isinstance(t, exeff.COp):
-            walk(t.arg, bound)
-            walk(t.var_ty, bound)
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.CDo):
-            walk(t.first, bound)
-            walk(t.second, bound)
-            return
-        if isinstance(t, exeff.CHandle):
-            walk(t.handler, bound)
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.CApp):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
-            return
-        if isinstance(t, exeff.CLet):
-            walk(t.val, bound)
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.CCast):
-            walk(t.comp, bound)
-            walk(t.co, bound)
-            return
-        if isinstance(t, (CoVarRef, exeff.CoBaseRefl, CoTyRefl)):
-            return
-        if isinstance(t, CoDirtRefl):
-            add(t.dirt, bound)
-            return
-        if isinstance(t, (exeff.CoArrow, exeff.CoHandler)):
-            walk(t.dom, bound)
-            walk(t.cod, bound)
-            return
-        if isinstance(t, CoEmpty):
-            add(t.dirt, bound)
-            return
-        if isinstance(t, CoOpUnion):
-            walk(t.rest, bound)
-            return
-        if isinstance(t, exeff.CoForallSkel):
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.CoForallDirt):
-            walk(t.body, bound | {t.var.id})
-            return
-        if isinstance(t, exeff.CoForallTy):
-            walk(t.body, bound)
-            return
-        if isinstance(t, exeff.CoQual):
-            walk(t.constraint, bound)
-            walk(t.body, bound)
-            return
-        if isinstance(t, CoComp):
-            walk(t.val, bound)
-            walk(t.dirt, bound)
-            return
-        raise TypeError(f"dirt-variable walk: unhandled {t!r}")
-
-    walk(term, frozenset())
-    return out
 
 
 def infer_and_default(sig: Signature, comp, supply: Optional[Supply] = None) -> tuple:

@@ -20,6 +20,7 @@ from .core import (
     CoVar,
     Dirt,
     DirtSub,
+    DirtVar,
     ElaborationError,
     FuelExhausted,
     Signature,
@@ -41,7 +42,6 @@ from .core import (
     TypecheckError,
     UnboundVariable,
     ValueType,
-    free_dirt_vars,
 )
 from .exeff import (
     CoArrow,
@@ -59,6 +59,7 @@ from .exeff import (
     CoVarRef,
     Subst,
 )
+from .traverse import alpha_eq, free_vars, subst_hook, subst_term, substitute
 
 
 def nonempty_dirt(d: Dirt) -> bool:
@@ -275,6 +276,8 @@ class MHandler:
     ret_body: "NTerm"
     clauses: tuple = ()
 
+    scope = "ret_body"  # the return binder does not reach the operation clauses
+
     def clause_for(self, op: str):
         for cl in self.clauses:
             if cl.op == op:
@@ -318,39 +321,7 @@ NTerm = Union[
 
 
 # ---------------------------------------------------------------------------
-# Alpha equality
-
-
-def alpha_eq_nty(a: NType, b: NType, pairs: Optional[dict] = None) -> bool:
-    pairs = pairs if pairs is not None else {}
-    if isinstance(a, TyVar) and isinstance(b, TyVar):
-        return pairs.get(a.id, a.id) == b.id
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, NBase):
-        return a.base == b.base
-    if isinstance(a, (NArrow, NHandler)):
-        return alpha_eq_nty(a.dom, b.dom, pairs) and alpha_eq_nty(a.cod, b.cod, pairs)
-    if isinstance(a, NQual):
-        return (
-            alpha_eq_nty(a.constraint.lhs, b.constraint.lhs, pairs)
-            and alpha_eq_nty(a.constraint.rhs, b.constraint.rhs, pairs)
-            and alpha_eq_nty(a.body, b.body, pairs)
-        )
-    if isinstance(a, NComp):
-        return alpha_eq_nty(a.body, b.body, pairs)
-    if isinstance(a, NForall):
-        return alpha_eq_nty(a.body, b.body, {**pairs, a.var.id: b.var.id})
-    return False
-
-
-def alpha_eq_nsub(a: NSub, b: NSub, pairs: Optional[dict] = None) -> bool:
-    pairs = pairs if pairs is not None else {}
-    return alpha_eq_nty(a.lhs, b.lhs, pairs) and alpha_eq_nty(a.rhs, b.rhs, pairs)
-
-
-# ---------------------------------------------------------------------------
-# Reflexivity and substitution
+# Reflexivity
 
 
 def refl_nty(a: NType) -> NCoercion:
@@ -371,139 +342,9 @@ def refl_nty(a: NType) -> NCoercion:
     raise TypeError(a)
 
 
-class NSubst:
-    def __init__(self, ty=None, co=None):
-        self.ty: dict = dict(ty or {})
-        self.co: dict = dict(co or {})
-
-    @staticmethod
-    def one_ty(v: TyVar, a: NType) -> "NSubst":
-        return NSubst(ty={v.id: a})
-
-    @staticmethod
-    def one_co(v: CoVar, c: NCoercion) -> "NSubst":
-        return NSubst(co={v.id: c})
-
-
-def nsubst(s: NSubst, t):
-    if isinstance(t, TyVar):
-        return s.ty.get(t.id, t)
-    if isinstance(t, (NBase, MUnit, MInt, MVar)):
-        return t
-    if isinstance(t, NArrow):
-        return NArrow(nsubst(s, t.dom), nsubst(s, t.cod))
-    if isinstance(t, NHandler):
-        return NHandler(nsubst(s, t.dom), nsubst(s, t.cod))
-    if isinstance(t, NQual):
-        return NQual(nsubst(s, t.constraint), nsubst(s, t.body))
-    if isinstance(t, NComp):
-        return NComp(nsubst(s, t.body))
-    if isinstance(t, NForall):
-        return NForall(t.var, nsubst(s, t.body))
-    if isinstance(t, NSub):
-        return NSub(nsubst(s, t.lhs), nsubst(s, t.rhs))
-    if isinstance(t, NCoVar):
-        return s.co.get(t.var.id, t)
-    if isinstance(t, NCoBaseRefl):
-        return t
-    if isinstance(t, NCoTyRefl):
-        if t.var.id in s.ty:
-            return refl_nty(s.ty[t.var.id])
-        return t
-    if isinstance(t, NCoArrow):
-        return NCoArrow(nsubst(s, t.dom), nsubst(s, t.cod))
-    if isinstance(t, NCoHandler):
-        return NCoHandler(nsubst(s, t.dom), nsubst(s, t.cod))
-    if isinstance(t, NCoHandToFun):
-        return NCoHandToFun(nsubst(s, t.dom), nsubst(s, t.cod))
-    if isinstance(t, NCoFunToHand):
-        return NCoFunToHand(nsubst(s, t.dom), nsubst(s, t.cod))
-    if isinstance(t, NCoForall):
-        return NCoForall(t.var, nsubst(s, t.body))
-    if isinstance(t, NCoQual):
-        return NCoQual(nsubst(s, t.constraint), nsubst(s, t.body))
-    if isinstance(t, NCoComp):
-        return NCoComp(nsubst(s, t.body))
-    if isinstance(t, NCoReturn):
-        return NCoReturn(nsubst(s, t.body))
-    if isinstance(t, NCoUnsafe):
-        return NCoUnsafe(nsubst(s, t.body))
-    if isinstance(t, MAbs):
-        return MAbs(t.var, nsubst(s, t.ty), nsubst(s, t.body))
-    if isinstance(t, MApp):
-        return MApp(nsubst(s, t.fn), nsubst(s, t.arg))
-    if isinstance(t, MTyAbs):
-        return MTyAbs(t.var, nsubst(s, t.body))
-    if isinstance(t, MTyApp):
-        return MTyApp(nsubst(s, t.fn), nsubst(s, t.ty))
-    if isinstance(t, MCoAbs):
-        return MCoAbs(t.var, nsubst(s, t.constraint), nsubst(s, t.body))
-    if isinstance(t, MCoApp):
-        return MCoApp(nsubst(s, t.fn), nsubst(s, t.co))
-    if isinstance(t, MCast):
-        return MCast(nsubst(s, t.term), nsubst(s, t.co))
-    if isinstance(t, MReturn):
-        return MReturn(nsubst(s, t.term))
-    if isinstance(t, MHandler):
-        return MHandler(
-            t.ret_var, nsubst(s, t.ret_ty), nsubst(s, t.ret_body),
-            tuple(MOpClause(c.op, c.param, c.kont, nsubst(s, c.body)) for c in t.clauses),
-        )
-    if isinstance(t, MLet):
-        return MLet(t.var, nsubst(s, t.val), nsubst(s, t.body))
-    if isinstance(t, MOp):
-        return MOp(t.op, nsubst(s, t.arg), t.var, nsubst(s, t.var_ty), nsubst(s, t.body))
-    if isinstance(t, MDo):
-        return MDo(t.var, nsubst(s, t.first), nsubst(s, t.second))
-    if isinstance(t, MHandle):
-        return MHandle(nsubst(s, t.handler), nsubst(s, t.body))
-    raise TypeError(t)
-
-
-def subst_term_noeff(value: NTerm, var: TermVar, term: NTerm) -> NTerm:
-    def go(t):
-        if isinstance(t, MVar):
-            return value if t.var.id == var.id else t
-        if isinstance(t, (MUnit, MInt)):
-            return t
-        if isinstance(t, MAbs):
-            return t if t.var.id == var.id else MAbs(t.var, t.ty, go(t.body))
-        if isinstance(t, MApp):
-            return MApp(go(t.fn), go(t.arg))
-        if isinstance(t, MTyAbs):
-            return MTyAbs(t.var, go(t.body))
-        if isinstance(t, MTyApp):
-            return MTyApp(go(t.fn), t.ty)
-        if isinstance(t, MCoAbs):
-            return MCoAbs(t.var, t.constraint, go(t.body))
-        if isinstance(t, MCoApp):
-            return MCoApp(go(t.fn), t.co)
-        if isinstance(t, MCast):
-            return MCast(go(t.term), t.co)
-        if isinstance(t, MReturn):
-            return MReturn(go(t.term))
-        if isinstance(t, MHandler):
-            ret_body = t.ret_body if t.ret_var.id == var.id else go(t.ret_body)
-            clauses = tuple(
-                cl if var.id in (cl.param.id, cl.kont.id)
-                else MOpClause(cl.op, cl.param, cl.kont, go(cl.body))
-                for cl in t.clauses
-            )
-            return MHandler(t.ret_var, t.ret_ty, ret_body, clauses)
-        if isinstance(t, MLet):
-            body = t.body if t.var.id == var.id else go(t.body)
-            return MLet(t.var, go(t.val), body)
-        if isinstance(t, MOp):
-            body = t.body if t.var.id == var.id else go(t.body)
-            return MOp(t.op, go(t.arg), t.var, t.var_ty, body)
-        if isinstance(t, MDo):
-            second = t.second if t.var.id == var.id else go(t.second)
-            return MDo(t.var, go(t.first), second)
-        if isinstance(t, MHandle):
-            return MHandle(go(t.handler), go(t.body))
-        raise TypeError(t)
-
-    return go(term)
+@subst_hook(NCoTyRefl)
+def _subst_nco_ty_refl(s: Subst, co: NCoTyRefl) -> NCoercion:
+    return refl_nty(s.ty[co.var.id]) if co.var.id in s.ty else co
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +435,7 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
         if not isinstance(fn, NArrow):
             raise TypecheckError("application of a non-function term")
         arg = typecheck_noeff(env, t.arg)
-        if not alpha_eq_nty(arg, fn.dom):
+        if not alpha_eq(arg, fn.dom):
             raise TypecheckError("argument type mismatch")
         return fn.cod
     if isinstance(t, MTyAbs):
@@ -604,7 +445,7 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
         if not isinstance(fn, NForall):
             raise TypecheckError("type application of a non-polymorphic term")
         wf_nty(env, t.ty)
-        return nsubst(NSubst.one_ty(fn.var, t.ty), fn.body)
+        return substitute(Subst.one_ty(fn.var, t.ty), fn.body)
     if isinstance(t, MCoAbs):
         wf_nty(env, t.constraint.lhs)
         wf_nty(env, t.constraint.rhs)
@@ -615,13 +456,13 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
         if not isinstance(fn, NQual):
             raise TypecheckError("coercion application of a non-qualified term")
         got = typecheck_noeff_coercion(env, t.co)
-        if not alpha_eq_nsub(got, fn.constraint):
+        if not alpha_eq(got, fn.constraint):
             raise TypecheckError("coercion application witnesses the wrong constraint")
         return fn.body
     if isinstance(t, MCast):
         subj = typecheck_noeff(env, t.term)
         ct = typecheck_noeff_coercion(env, t.co)
-        if not alpha_eq_nty(ct.lhs, subj):
+        if not alpha_eq(ct.lhs, subj):
             raise TypecheckError("cast coercion's source type differs from the subject's type")
         return ct.rhs
     if isinstance(t, MReturn):
@@ -635,7 +476,7 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
             p, r = env.op_sig(cl.op)
             cl_env = env.with_term(cl.param, p).with_term(cl.kont, NArrow(r, out))
             got = typecheck_noeff(cl_env, cl.body)
-            if not alpha_eq_nty(got, out):
+            if not alpha_eq(got, out):
                 raise TypecheckError(f"handler clause for {cl.op} disagrees with the return clause")
         return NHandler(t.ret_ty, out.body)
     if isinstance(t, MLet):
@@ -644,9 +485,9 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
     if isinstance(t, MOp):
         p, r = env.op_sig(t.op)
         arg = typecheck_noeff(env, t.arg)
-        if not alpha_eq_nty(arg, p):
+        if not alpha_eq(arg, p):
             raise TypecheckError(f"operation {t.op} argument type mismatch")
-        if not alpha_eq_nty(t.var_ty, r):
+        if not alpha_eq(t.var_ty, r):
             raise TypecheckError(f"operation {t.op} continuation annotation mismatch")
         body = typecheck_noeff(env.with_term(t.var, r), t.body)
         if not isinstance(body, NComp):
@@ -665,7 +506,7 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
         if not isinstance(h, NHandler):
             raise TypecheckError("with-handle applied to a non-handler term")
         body = typecheck_noeff(env, t.body)
-        if not alpha_eq_nty(body, NComp(h.dom)):
+        if not alpha_eq(body, NComp(h.dom)):
             raise TypecheckError("handled term does not match the handler input type")
         return NComp(h.cod)
     raise TypeError(t)
@@ -848,7 +689,7 @@ def from_impure_vty(env: exeff.TypeEnv, t: ValueType, delta, inst: Dirt) -> NCoe
         ct = t.constraint
         if isinstance(ct, DirtSub):
             return from_impure_vty(env, t.body, delta, inst)
-        if delta in free_dirt_vars(ct):
+        if delta in free_vars(ct, DirtVar):
             raise ElaborationError(
                 "constraint qualifier mentions the instantiated dirt variable"
             )
@@ -904,7 +745,7 @@ def to_impure_vty(env: exeff.TypeEnv, t: ValueType, delta, inst: Dirt) -> NCoerc
         ct = t.constraint
         if isinstance(ct, DirtSub):
             return to_impure_vty(env, t.body, delta, inst)
-        if delta in free_dirt_vars(ct):
+        if delta in free_vars(ct, DirtVar):
             raise ElaborationError(
                 "constraint qualifier mentions the instantiated dirt variable"
             )
@@ -1061,7 +902,7 @@ def elab_value(env: exeff.TypeEnv, v: exeff.Value) -> tuple:
         t, body = elab_value(env, v.val)
         if not isinstance(t, TForallSkel):
             raise ElaborationError("skeleton application of a non-polymorphic value")
-        return exeff.substitute(Subst.one_skel(t.var, v.skel), t.body), body
+        return substitute(Subst.one_skel(t.var, v.skel), t.body), body
     if isinstance(v, exeff.ETyAbs):
         t, body = elab_value(env.with_ty(v.var, v.skel), v.body)
         return TForallTy(v.var, v.skel, t), MTyAbs(v.var, body)
@@ -1070,7 +911,7 @@ def elab_value(env: exeff.TypeEnv, v: exeff.Value) -> tuple:
         if not isinstance(t, TForallTy):
             raise ElaborationError("type application of a non-polymorphic value")
         _, a = elab_vty(env, v.ty)
-        return exeff.substitute(Subst.one_ty(t.var, v.ty), t.body), MTyApp(body, a)
+        return substitute(Subst.one_ty(t.var, v.ty), t.body), MTyApp(body, a)
     if isinstance(v, exeff.EDirtAbs):
         t, body = elab_value(env.with_dirt(v.var), v.body)
         return TForallDirt(v.var, t), body
@@ -1079,7 +920,7 @@ def elab_value(env: exeff.TypeEnv, v: exeff.Value) -> tuple:
         if not isinstance(t, TForallDirt):
             raise ElaborationError("dirt application of a non-polymorphic value")
         co = from_impure_vty(env.with_dirt(t.var), t.body, t.var, v.dirt)
-        out_ty = exeff.substitute(Subst.one_dirt(t.var, v.dirt), t.body)
+        out_ty = substitute(Subst.one_dirt(t.var, v.dirt), t.body)
         return out_ty, MCast(body, co)
     if isinstance(v, exeff.ECoAbs):
         t, body = elab_value(env.with_co(v.var, v.constraint), v.body)
@@ -1131,7 +972,7 @@ def _elab_handler(env: exeff.TypeEnv, v: exeff.EHandler) -> tuple:
             cl_env = env.with_term(cl.param, sig.param).with_term(cl.kont, k_ty)
             _, t_op = elab_comp(cl_env, cl.body)
             bridge = MCast(MVar(cl.kont), NCoArrow(refl_nty(a2), NCoUnsafe(refl_nty(b_out))))
-            t_op = subst_term_noeff(bridge, cl.kont, t_op)
+            t_op = subst_term(bridge, cl.kont, t_op)
             clauses.append(MOpClause(cl.op, cl.param, cl.kont, MReturn(t_op)))
         return h_ty, MHandler(v.ret_var, a_in, MReturn(t_r), tuple(clauses))
 
@@ -1225,7 +1066,7 @@ def step_noeff(t: NTerm) -> Optional[NTerm]:
             if not is_value_noeff(t.arg):
                 return None
             if isinstance(t.fn, MAbs):
-                return subst_term_noeff(t.arg, t.fn.var, t.fn.body)
+                return subst_term(t.arg, t.fn.var, t.fn.body)
             if isinstance(t.fn, MCast) and isinstance(t.fn.co, NCoArrow):
                 co = t.fn.co
                 return MCast(MApp(t.fn.term, MCast(t.arg, co.dom)), co.cod)
@@ -1240,10 +1081,10 @@ def step_noeff(t: NTerm) -> Optional[NTerm]:
         if fn is not None:
             return MTyApp(fn, t.ty)
         if isinstance(t.fn, MTyAbs):
-            return nsubst(NSubst.one_ty(t.fn.var, t.ty), t.fn.body)
+            return substitute(Subst.one_ty(t.fn.var, t.ty), t.fn.body)
         if isinstance(t.fn, MCast) and is_value_noeff(t.fn) and isinstance(t.fn.co, NCoForall):
             co = t.fn.co
-            pushed = nsubst(NSubst.one_ty(co.var, t.ty), co.body)
+            pushed = substitute(Subst.one_ty(co.var, t.ty), co.body)
             return MCast(MTyApp(t.fn.term, t.ty), pushed)
         return None
     if isinstance(t, MCoApp):
@@ -1251,7 +1092,7 @@ def step_noeff(t: NTerm) -> Optional[NTerm]:
         if fn is not None:
             return MCoApp(fn, t.co)
         if isinstance(t.fn, MCoAbs):
-            return nsubst(NSubst.one_co(t.fn.var, t.co), t.fn.body)
+            return substitute(Subst.one_co(t.fn.var, t.co), t.fn.body)
         if isinstance(t.fn, MCast) and is_value_noeff(t.fn) and isinstance(t.fn.co, NCoQual):
             return MCast(MCoApp(t.fn.term, t.co), t.fn.co.body)
         return None
@@ -1260,7 +1101,7 @@ def step_noeff(t: NTerm) -> Optional[NTerm]:
         if val is not None:
             return MLet(t.var, val, t.body)
         if is_value_noeff(t.val):
-            return subst_term_noeff(t.val, t.var, t.body)
+            return subst_term(t.val, t.var, t.body)
         return None
     if isinstance(t, MReturn):
         inner = step_noeff(t.term)
@@ -1273,7 +1114,7 @@ def step_noeff(t: NTerm) -> Optional[NTerm]:
         if first is not None:
             return MDo(t.var, first, t.second)
         if isinstance(t.first, MReturn) and is_value_noeff(t.first):
-            return subst_term_noeff(t.first.term, t.var, t.second)
+            return subst_term(t.first.term, t.var, t.second)
         if isinstance(t.first, MOp) and is_value_noeff(t.first):
             op = t.first
             return MOp(op.op, op.arg, op.var, op.var_ty, MDo(t.var, op.body, t.second))
@@ -1292,15 +1133,15 @@ def step_noeff(t: NTerm) -> Optional[NTerm]:
         if isinstance(t.handler, MHandler):
             hd = t.handler
             if isinstance(t.body, MReturn):
-                return subst_term_noeff(t.body.term, hd.ret_var, hd.ret_body)
+                return subst_term(t.body.term, hd.ret_var, hd.ret_body)
             if isinstance(t.body, MOp):
                 op = t.body
                 clause = hd.clause_for(op.op)
                 if clause is None:
                     return MOp(op.op, op.arg, op.var, op.var_ty, MHandle(t.handler, op.body))
                 kont = MAbs(op.var, op.var_ty, MHandle(t.handler, op.body))
-                out = subst_term_noeff(op.arg, clause.param, clause.body)
-                return subst_term_noeff(kont, clause.kont, out)
+                out = subst_term(op.arg, clause.param, clause.body)
+                return subst_term(kont, clause.kont, out)
             return None
         if isinstance(t.handler, MCast) and isinstance(t.handler.co, NCoHandler):
             co = t.handler.co

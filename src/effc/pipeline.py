@@ -16,9 +16,8 @@ from .core import (
     Signature,
     StuckTerm,
     TypecheckError,
-    alpha_eq_cty,
-    alpha_eq_skel,
 )
+from .traverse import alpha_eq
 
 STAGES = ("infer", "exeff", "skeleff", "noeff")
 BACKENDS = ("exeff", "skeleff", "noeff")
@@ -70,7 +69,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     art.exeff_term = term
     env = exeff.TypeEnv(sig)
     checked = exeff.typecheck_comp(env, term)
-    if not alpha_eq_cty(checked, cty):
+    if not alpha_eq(checked, cty):
         raise TypecheckError("elaborated term does not re-typecheck at the inferred type")
     if stage in ("infer", "exeff"):
         return art
@@ -78,7 +77,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     if stage in ("skeleff", "noeff"):
         sk = skeleff.erase_comp({}, term)
         sk_ty = skeleff.typecheck_sk(skeleff.SkEnv(sig), sk)
-        if not alpha_eq_skel(sk_ty, skeleff.erase_cty({}, cty)):
+        if not alpha_eq(sk_ty, skeleff.erase_cty({}, cty)):
             raise TypecheckError("erased term does not re-typecheck at the erased type")
         art.skeleff_term = sk
         art.skeleff_type = sk_ty
@@ -87,7 +86,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         nenv = noeff.NEnv(noeff.elab_signature(sig))
         nty = noeff.typecheck_noeff(nenv, nterm)
         want = noeff.elab_cty(env, cty)[1]
-        if not noeff.alpha_eq_nty(nty, want):
+        if not alpha_eq(nty, want):
             raise TypecheckError("elaborated pure term does not re-typecheck at the elaborated type")
         art.noeff_term = nterm
         art.noeff_type = nty
@@ -199,7 +198,7 @@ def differential_check_text(
             return report
         if check_each_step:
             ty2 = exeff.typecheck_comp(env, nxt)
-            if not alpha_eq_cty(ty2, ty):
+            if not alpha_eq(ty2, ty):
                 report.agreement = False
                 report.failure = "metatheory: a step changed the subject's type"
                 return report

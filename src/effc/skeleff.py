@@ -8,7 +8,7 @@ skeleton binders and applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import exeff
 from .core import (
@@ -24,9 +24,9 @@ from .core import (
     TypecheckError,
     UnboundVariable,
     ValueType,
-    alpha_eq_skel,
 )
 from .exeff import Subst
+from .traverse import alpha_eq, subst_term, substitute
 
 # ---------------------------------------------------------------------------
 # Syntax
@@ -68,6 +68,8 @@ class SHandler:
     ret_ty: Skeleton
     ret_body: "SkComp"
     clauses: tuple = ()
+
+    scope = "ret_body"  # the return binder does not reach the operation clauses
 
     def clause_for(self, op: str):
         for cl in self.clauses:
@@ -310,7 +312,7 @@ def _typecheck_sk_value(env: SkEnv, v: SkValue) -> Skeleton:
             p, r = env.op_sig(cl.op)
             cl_env = env.with_term(cl.param, p).with_term(cl.kont, SkelArrow(r, out))
             got = _typecheck_sk_comp(cl_env, cl.body)
-            if not alpha_eq_skel(got, out):
+            if not alpha_eq(got, out):
                 raise TypecheckError(f"handler clause for {cl.op} disagrees with the return clause")
         return SkelHandler(v.ret_ty, out)
     if isinstance(v, SSkelAbs):
@@ -319,7 +321,7 @@ def _typecheck_sk_value(env: SkEnv, v: SkValue) -> Skeleton:
         fn = _typecheck_sk_value(env, v.val)
         if not isinstance(fn, SkelForall):
             raise TypecheckError("type application of a non-polymorphic value")
-        return exeff.substitute(Subst.one_skel(fn.var, v.skel), fn.body)
+        return substitute(Subst.one_skel(fn.var, v.skel), fn.body)
     raise TypeError(v)
 
 
@@ -331,7 +333,7 @@ def _typecheck_sk_comp(env: SkEnv, c: SkComp) -> Skeleton:
         if not isinstance(fn, SkelArrow):
             raise TypecheckError("application of a non-function")
         arg = _typecheck_sk_value(env, c.arg)
-        if not alpha_eq_skel(arg, fn.dom):
+        if not alpha_eq(arg, fn.dom):
             raise TypecheckError("argument type mismatch")
         return fn.cod
     if isinstance(c, SLet):
@@ -342,9 +344,9 @@ def _typecheck_sk_comp(env: SkEnv, c: SkComp) -> Skeleton:
     if isinstance(c, SOp):
         p, r = env.op_sig(c.op)
         arg = _typecheck_sk_value(env, c.arg)
-        if not alpha_eq_skel(arg, p):
+        if not alpha_eq(arg, p):
             raise TypecheckError(f"operation {c.op} argument type mismatch")
-        if not alpha_eq_skel(c.var_ty, r):
+        if not alpha_eq(c.var_ty, r):
             raise TypecheckError(f"operation {c.op} continuation annotation mismatch")
         return _typecheck_sk_comp(env.with_term(c.var, r), c.body)
     if isinstance(c, SDo):
@@ -355,87 +357,10 @@ def _typecheck_sk_comp(env: SkEnv, c: SkComp) -> Skeleton:
         if not isinstance(h, SkelHandler):
             raise TypecheckError("with-handle applied to a non-handler")
         body = _typecheck_sk_comp(env, c.body)
-        if not alpha_eq_skel(body, h.dom):
+        if not alpha_eq(body, h.dom):
             raise TypecheckError("handled computation type mismatch")
         return h.cod
     raise TypeError(c)
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def subst_skel(s: Subst, term):
-    """Apply a skeleton substitution to a term."""
-    def go(t):
-        if isinstance(t, (SVar, SUnit, SInt)):
-            return t
-        if isinstance(t, SAbs):
-            return SAbs(t.var, exeff.substitute(s, t.ty), go(t.body))
-        if isinstance(t, SHandler):
-            return SHandler(
-                t.ret_var, exeff.substitute(s, t.ret_ty), go(t.ret_body),
-                tuple(SOpClause(c.op, c.param, c.kont, go(c.body)) for c in t.clauses),
-            )
-        if isinstance(t, SSkelAbs):
-            return SSkelAbs(t.var, go(t.body))
-        if isinstance(t, SSkelApp):
-            return SSkelApp(go(t.val), exeff.substitute(s, t.skel))
-        if isinstance(t, SApp):
-            return SApp(go(t.fn), go(t.arg))
-        if isinstance(t, SLet):
-            return SLet(t.var, go(t.val), go(t.body))
-        if isinstance(t, SReturn):
-            return SReturn(go(t.val))
-        if isinstance(t, SOp):
-            return SOp(t.op, go(t.arg), t.var, exeff.substitute(s, t.var_ty), go(t.body))
-        if isinstance(t, SDo):
-            return SDo(t.var, go(t.first), go(t.second))
-        if isinstance(t, SHandle):
-            return SHandle(go(t.handler), go(t.body))
-        raise TypeError(t)
-
-    return go(term)
-
-
-def subst_term_sk(value: SkValue, var: TermVar, term):
-    def go(t):
-        if isinstance(t, SVar):
-            return value if t.var.id == var.id else t
-        if isinstance(t, (SUnit, SInt)):
-            return t
-        if isinstance(t, SAbs):
-            return t if t.var.id == var.id else SAbs(t.var, t.ty, go(t.body))
-        if isinstance(t, SHandler):
-            ret_body = t.ret_body if t.ret_var.id == var.id else go(t.ret_body)
-            clauses = tuple(
-                cl if var.id in (cl.param.id, cl.kont.id)
-                else SOpClause(cl.op, cl.param, cl.kont, go(cl.body))
-                for cl in t.clauses
-            )
-            return SHandler(t.ret_var, t.ret_ty, ret_body, clauses)
-        if isinstance(t, SSkelAbs):
-            return SSkelAbs(t.var, go(t.body))
-        if isinstance(t, SSkelApp):
-            return SSkelApp(go(t.val), t.skel)
-        if isinstance(t, SApp):
-            return SApp(go(t.fn), go(t.arg))
-        if isinstance(t, SLet):
-            body = t.body if t.var.id == var.id else go(t.body)
-            return SLet(t.var, go(t.val), body)
-        if isinstance(t, SReturn):
-            return SReturn(go(t.val))
-        if isinstance(t, SOp):
-            body = t.body if t.var.id == var.id else go(t.body)
-            return SOp(t.op, go(t.arg), t.var, t.var_ty, body)
-        if isinstance(t, SDo):
-            second = t.second if t.var.id == var.id else go(t.second)
-            return SDo(t.var, go(t.first), second)
-        if isinstance(t, SHandle):
-            return SHandle(go(t.handler), go(t.body))
-        raise TypeError(t)
-
-    return go(term)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +390,7 @@ def _step_sk_value(v: SkValue):
         if inner is not None:
             return SSkelApp(inner, v.skel)
         if isinstance(v.val, SSkelAbs):
-            return subst_skel(Subst.one_skel(v.val.var, v.skel), v.val.body)
+            return substitute(Subst.one_skel(v.val.var, v.skel), v.val.body)
     return None
 
 
@@ -479,14 +404,14 @@ def _step_sk_comp(c: SkComp):
             if arg is not None:
                 return SApp(c.fn, arg)
             if isinstance(c.fn, SAbs) and is_value_result_sk(c.arg):
-                return subst_term_sk(c.arg, c.fn.var, c.fn.body)
+                return subst_term(c.arg, c.fn.var, c.fn.body)
         return None
     if isinstance(c, SLet):
         val = _step_sk_value(c.val)
         if val is not None:
             return SLet(c.var, val, c.body)
         if is_value_result_sk(c.val):
-            return subst_term_sk(c.val, c.var, c.body)
+            return subst_term(c.val, c.var, c.body)
         return None
     if isinstance(c, SReturn):
         val = _step_sk_value(c.val)
@@ -499,7 +424,7 @@ def _step_sk_comp(c: SkComp):
         if first is not None:
             return SDo(c.var, first, c.second)
         if isinstance(c.first, SReturn) and is_value_result_sk(c.first.val):
-            return subst_term_sk(c.first.val, c.var, c.second)
+            return subst_term(c.first.val, c.var, c.second)
         if isinstance(c.first, SOp) and is_value_result_sk(c.first.arg):
             op = c.first
             return SOp(op.op, op.arg, op.var, op.var_ty, SDo(c.var, op.body, c.second))
@@ -516,15 +441,15 @@ def _step_sk_comp(c: SkComp):
                 return None
             hd = c.handler
             if isinstance(c.body, SReturn) and is_value_result_sk(c.body.val):
-                return subst_term_sk(c.body.val, hd.ret_var, hd.ret_body)
+                return subst_term(c.body.val, hd.ret_var, hd.ret_body)
             if isinstance(c.body, SOp) and is_value_result_sk(c.body.arg):
                 op = c.body
                 clause = hd.clause_for(op.op)
                 if clause is None:
                     return SOp(op.op, op.arg, op.var, op.var_ty, SHandle(c.handler, op.body))
                 kont = SAbs(op.var, op.var_ty, SHandle(c.handler, op.body))
-                out = subst_term_sk(op.arg, clause.param, clause.body)
-                return subst_term_sk(kont, clause.kont, out)
+                out = subst_term(op.arg, clause.param, clause.body)
+                return subst_term(kont, clause.kont, out)
         return None
     raise TypeError(c)
 
@@ -599,28 +524,28 @@ def _successors(term) -> list:
 
     def contract(t):
         if isinstance(t, SSkelApp) and isinstance(t.val, SSkelAbs):
-            return subst_skel(Subst.one_skel(t.val.var, t.skel), t.val.body)
+            return substitute(Subst.one_skel(t.val.var, t.skel), t.val.body)
         if isinstance(t, SApp) and isinstance(t.fn, SAbs) and value_ok(t.arg):
-            return subst_term_sk(t.arg, t.fn.var, t.fn.body)
+            return subst_term(t.arg, t.fn.var, t.fn.body)
         if isinstance(t, SLet) and value_ok(t.val):
-            return subst_term_sk(t.val, t.var, t.body)
+            return subst_term(t.val, t.var, t.body)
         if isinstance(t, SDo) and isinstance(t.first, SReturn) and value_ok(t.first.val):
-            return subst_term_sk(t.first.val, t.var, t.second)
+            return subst_term(t.first.val, t.var, t.second)
         if isinstance(t, SDo) and isinstance(t.first, SOp) and value_ok(t.first.arg):
             op = t.first
             return SOp(op.op, op.arg, op.var, op.var_ty, SDo(t.var, op.body, t.second))
         if isinstance(t, SHandle) and isinstance(t.handler, SHandler):
             hd = t.handler
             if isinstance(t.body, SReturn) and value_ok(t.body.val):
-                return subst_term_sk(t.body.val, hd.ret_var, hd.ret_body)
+                return subst_term(t.body.val, hd.ret_var, hd.ret_body)
             if isinstance(t.body, SOp) and value_ok(t.body.arg):
                 op = t.body
                 clause = hd.clause_for(op.op)
                 if clause is None:
                     return SOp(op.op, op.arg, op.var, op.var_ty, SHandle(t.handler, op.body))
                 kont = SAbs(op.var, op.var_ty, SHandle(t.handler, op.body))
-                out = subst_term_sk(op.arg, clause.param, clause.body)
-                return subst_term_sk(kont, clause.kont, out)
+                out = subst_term(op.arg, clause.param, clause.body)
+                return subst_term(kont, clause.kont, out)
         return None
 
     def walk(t, wrap):
@@ -646,86 +571,8 @@ def normalize_full(term, fuel: int = 100_000, rng=None):
             raise FuelExhausted(f"normalization exceeded {fuel} steps")
 
 
-def alpha_eq_sk(a, b, pairs: Optional[dict] = None) -> bool:
-    pairs = pairs if pairs is not None else {}
-
-    def bind(p, x, y):
-        q = dict(p)
-        q[("t", x.id)] = y.id
-        return q
-
-    def bind_sk(p, x, y):
-        q = dict(p)
-        q[("s", x.id)] = y.id
-        return q
-
-    def same(p, x, y):
-        return p.get(("t", x.id), x.id) == y.id
-
-    def skel_eq(p, s1, s2):
-        from .core import SkelArrow, SkelForall, SkelHandler
-
-        if isinstance(s1, SkelVar) and isinstance(s2, SkelVar):
-            return p.get(("s", s1.id), s1.id) == s2.id
-        if type(s1) is not type(s2):
-            return False
-        if isinstance(s1, SkelBase):
-            return s1.base == s2.base
-        if isinstance(s1, (SkelArrow, SkelHandler)):
-            return skel_eq(p, s1.dom, s2.dom) and skel_eq(p, s1.cod, s2.cod)
-        if isinstance(s1, SkelForall):
-            return skel_eq(bind_sk(p, s1.var, s2.var), s1.body, s2.body)
-        return False
-
-    def go(p, a, b):
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, SVar):
-            return same(p, a.var, b.var)
-        if isinstance(a, SUnit):
-            return True
-        if isinstance(a, SInt):
-            return a.value == b.value
-        if isinstance(a, SAbs):
-            return skel_eq(p, a.ty, b.ty) and go(bind(p, a.var, b.var), a.body, b.body)
-        if isinstance(a, SHandler):
-            if len(a.clauses) != len(b.clauses):
-                return False
-            if not skel_eq(p, a.ret_ty, b.ret_ty):
-                return False
-            if not go(bind(p, a.ret_var, b.ret_var), a.ret_body, b.ret_body):
-                return False
-            for ca, cb in zip(a.clauses, b.clauses):
-                if ca.op != cb.op:
-                    return False
-                q = bind(bind(p, ca.param, cb.param), ca.kont, cb.kont)
-                if not go(q, ca.body, cb.body):
-                    return False
-            return True
-        if isinstance(a, SSkelAbs):
-            return go(bind_sk(p, a.var, b.var), a.body, b.body)
-        if isinstance(a, SSkelApp):
-            return go(p, a.val, b.val) and skel_eq(p, a.skel, b.skel)
-        if isinstance(a, SApp):
-            return go(p, a.fn, b.fn) and go(p, a.arg, b.arg)
-        if isinstance(a, SLet):
-            return go(p, a.val, b.val) and go(bind(p, a.var, b.var), a.body, b.body)
-        if isinstance(a, SReturn):
-            return go(p, a.val, b.val)
-        if isinstance(a, SOp):
-            return (
-                a.op == b.op
-                and go(p, a.arg, b.arg)
-                and skel_eq(p, a.var_ty, b.var_ty)
-                and go(bind(p, a.var, b.var), a.body, b.body)
-            )
-        if isinstance(a, SDo):
-            return go(p, a.first, b.first) and go(bind(p, a.var, b.var), a.second, b.second)
-        if isinstance(a, SHandle):
-            return go(p, a.handler, b.handler) and go(p, a.body, b.body)
-        raise TypeError(a)
-
-    return go(pairs, a, b)
+# The benchmark's harness reads this name.
+alpha_eq_sk = alpha_eq
 
 
 def congruent(a, b, fuel: int = 100_000) -> bool:
@@ -734,4 +581,4 @@ def congruent(a, b, fuel: int = 100_000) -> bool:
     Decided by full normalization; sound because the calculus terminates.
     Fuel exhaustion propagates as an error (indeterminate), never as False.
     """
-    return alpha_eq_sk(normalize_full(a, fuel), normalize_full(b, fuel))
+    return alpha_eq(normalize_full(a, fuel), normalize_full(b, fuel))

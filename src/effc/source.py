@@ -30,6 +30,7 @@ from .core import (
     dirt,
 )
 from .lex import TokenStream, tokenize
+from .traverse import rename
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,8 @@ class SrcHandler:
     ret_body: "SrcComp"
     clauses: tuple = ()
     span: Optional[Span] = field(default=None, compare=False)
+
+    scope = "ret_body"  # the return binder does not reach the operation clauses
 
 
 SrcValue = Union[SrcVar, SrcUnit, SrcInt, SrcFun, SrcHandler]
@@ -433,38 +436,7 @@ def uniquify_names(c: SrcComp) -> SrcComp:
             renamed[v.id] = TermVar(v.id, name)
         return renamed[v.id]
 
-    def walk(t):
-        if isinstance(t, SrcVar):
-            return SrcVar(var(t.var), t.span)
-        if isinstance(t, (SrcUnit, SrcInt)):
-            return t
-        if isinstance(t, SrcFun):
-            return SrcFun(var(t.var), walk(t.body), t.span)
-        if isinstance(t, SrcHandler):
-            return SrcHandler(
-                var(t.ret_var),
-                walk(t.ret_body),
-                tuple(
-                    SrcOpClause(cl.op, var(cl.param), var(cl.kont), walk(cl.body))
-                    for cl in t.clauses
-                ),
-                t.span,
-            )
-        if isinstance(t, SrcReturn):
-            return SrcReturn(walk(t.val), t.span)
-        if isinstance(t, SrcOpCall):
-            return SrcOpCall(t.op, walk(t.arg), var(t.var), walk(t.body), t.span)
-        if isinstance(t, SrcDo):
-            return SrcDo(var(t.var), walk(t.first), walk(t.second), t.span)
-        if isinstance(t, SrcHandle):
-            return SrcHandle(walk(t.handler), walk(t.body), t.span)
-        if isinstance(t, SrcApp):
-            return SrcApp(walk(t.fn), walk(t.arg), t.span)
-        if isinstance(t, SrcLet):
-            return SrcLet(var(t.var), walk(t.val), walk(t.body), t.span)
-        raise TypeError(t)
-
-    return walk(c)
+    return rename(c, var)
 
 
 def show_program(sig: Signature, c: SrcComp) -> str:
@@ -474,63 +446,6 @@ def show_program(sig: Signature, c: SrcComp) -> str:
         lines.append(f"effect {name} : {show_src_type(op.param)} -> {show_src_type(op.result)}")
     lines.append(show_comp(uniquify_names(c)))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Alpha equality of source terms
-
-
-def alpha_eq_src(a, b, pairs: Optional[dict] = None) -> bool:
-    pairs = pairs if pairs is not None else {}
-
-    def same(x: TermVar, y: TermVar) -> bool:
-        return pairs.get(x.id, x.id) == y.id
-
-    def bind(x: TermVar, y: TermVar) -> dict:
-        return {**pairs, x.id: y.id}
-
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, SrcVar):
-        return same(a.var, b.var)
-    if isinstance(a, SrcUnit):
-        return True
-    if isinstance(a, SrcInt):
-        return a.value == b.value
-    if isinstance(a, SrcFun):
-        return alpha_eq_src(a.body, b.body, bind(a.var, b.var))
-    if isinstance(a, SrcHandler):
-        if len(a.clauses) != len(b.clauses):
-            return False
-        if not alpha_eq_src(a.ret_body, b.ret_body, bind(a.ret_var, b.ret_var)):
-            return False
-        for ca, cb in zip(a.clauses, b.clauses):
-            if ca.op != cb.op:
-                return False
-            inner = bind(ca.param, cb.param)
-            inner[ca.kont.id] = cb.kont.id
-            if not alpha_eq_src(ca.body, cb.body, inner):
-                return False
-        return True
-    if isinstance(a, SrcReturn):
-        return alpha_eq_src(a.val, b.val, pairs)
-    if isinstance(a, SrcOpCall):
-        return (
-            a.op == b.op
-            and alpha_eq_src(a.arg, b.arg, pairs)
-            and alpha_eq_src(a.body, b.body, bind(a.var, b.var))
-        )
-    if isinstance(a, SrcDo):
-        return alpha_eq_src(a.first, b.first, pairs) and alpha_eq_src(
-            a.second, b.second, bind(a.var, b.var)
-        )
-    if isinstance(a, SrcHandle):
-        return alpha_eq_src(a.handler, b.handler, pairs) and alpha_eq_src(a.body, b.body, pairs)
-    if isinstance(a, SrcApp):
-        return alpha_eq_src(a.fn, b.fn, pairs) and alpha_eq_src(a.arg, b.arg, pairs)
-    if isinstance(a, SrcLet):
-        return alpha_eq_src(a.val, b.val, pairs) and alpha_eq_src(a.body, b.body, bind(a.var, b.var))
-    raise TypeError(a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,428 @@
+"""One traversal engine for every calculus, driven by per-class shapes.
+
+All calculi (source, ExEff, SkelEff, NoEff) share one binding structure, so
+substitution, term substitution, free variables, alpha-equality and renaming
+are each written once here.  A node class's *shape* is read once from its
+dataclass fields and gives every field a role:
+
+- BIND: a variable that binds over one sibling field (its scope);
+- USE:  a variable occurrence (the variable field of a node with no children);
+- TERM: a term child;  TYPE: a type-level child (skeleton, type, dirt,
+  constraint or coercion);  MANY: a tuple of children;
+- ATOM: an operation name, literal, base type, op set or source span.
+
+A binder scopes over the class's last child field, unless the class names
+another field in its `scope` attribute (handlers: the return binder scopes
+over the return clause only).  Binders carry globally unique identities, so
+type-level substitution never renames and never stops at a binder; binder
+checks compare sort and identity, since ids are per-sort counters.
+
+Each operation keeps a table of per-class functions, built on first use and
+dispatched on `type(t)`.  Children are visited from inside the parent's
+function, so every level of a tree (and every tuple of children) costs one
+stack frame, and a rebuild returns the input node itself when no child
+changed.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from operator import is_
+
+from .core import CoVar, DirtVar, Scheme, SkelVar, TermVar, TyVar, scheme_type
+
+BIND, USE, TERM, TYPE, MANY, ATOM = "bind", "use", "term", "type", "many", "atom"
+
+VAR_CLASSES = (SkelVar, TyVar, DirtVar, CoVar, TermVar)
+_VARS = {cls.__name__: cls for cls in VAR_CLASSES}
+_VARS["Optional[DirtVar]"] = DirtVar
+_TERMS = {"Value", "Comp", "SkValue", "SkComp", "NTerm", "SrcValue", "SrcComp"}
+_TYPES = {
+    "Skeleton", "ValueType", "CompType", "Dirt", "SimpleConstraint", "Union[TySub, DirtSub]",
+    "Coercion", "NType", "NSub", "NCoercion", "object",
+}
+_ATOMS = {"str", "int", "Base", "frozenset", "Optional[Span]"}
+
+@dataclasses.dataclass(frozen=True)
+class Field:
+    name: str
+    role: str
+    sort: type = None  # the variable class of a BIND or USE field
+    compare: bool = True  # whether alpha-equality compares the field
+    binders: tuple = ()  # (name, sort) of each BIND field whose scope is this field
+
+
+class Shape:
+    """The roles of one node class's fields, in declaration order."""
+
+    def __init__(self, cls: type):
+        if not dataclasses.is_dataclass(cls):
+            raise TypeError(f"no traversal shape for {cls.__name__}")
+        fields = dataclasses.fields(cls)
+        roles = [_role(cls, f) for f in fields]
+        kids = [f.name for f, r in zip(fields, roles) if r in (TERM, TYPE, MANY)]
+        scope = getattr(cls, "scope", kids[-1] if kids else None)
+        sorts = {f.name: _VARS.get(_annotation(f)) for f in fields}
+        binders = tuple((f.name, sorts[f.name]) for f, r in zip(fields, roles) if r == BIND)
+        self.names = tuple(f.name for f in fields)
+        self.fields = tuple(
+            Field(
+                f.name,
+                USE if r == BIND and not kids else r,
+                sorts[f.name],
+                f.compare,
+                binders if f.name == scope else (),
+            )
+            for f, r in zip(fields, roles)
+        )
+        self.uses = tuple(f for f in self.fields if f.role == USE)
+        self.kids = tuple(f for f in self.fields if f.role in (TERM, TYPE, MANY))
+
+
+def _annotation(f: dataclasses.Field) -> str:
+    ann = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
+    return ann.strip("'\"")
+
+
+def _role(cls: type, f: dataclasses.Field) -> str:
+    ann = _annotation(f)
+    if ann in _VARS:
+        return BIND  # a USE when the class has nothing to scope over
+    if ann in _TERMS:
+        return TERM
+    if ann in _TYPES:
+        return TYPE
+    if ann == "tuple":
+        return MANY
+    if ann in _ATOMS:
+        return ATOM
+    raise TypeError(f"{cls.__name__}.{f.name}: no traversal role for annotation {ann!r}")
+
+
+class _Table(dict):
+    """Per-class functions of one operation, built on first use."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, cls):
+        fn = self[cls] = self.build(cls)
+        return fn
+
+
+_SHAPES = _Table(Shape)
+
+
+def shape(cls: type) -> Shape:
+    return _SHAPES[cls]
+
+
+def _unchanged(*args):
+    return args[-1]
+
+
+def _rebuild(t, names, i, new, vals):
+    if vals is None:
+        vals = [getattr(t, n) for n in names]
+    vals[i] = new
+    return vals
+
+
+def _tuple_map(table):
+    """The tuple entry of a rebuilding table: map every element, share the
+    tuple when no element changed."""
+
+    def many(*args):
+        t = args[-1]
+        items = []
+        for e in t:
+            items.append(table[type(e)](*args[:-1], e))
+        return t if all(map(is_, items, t)) else tuple(items)
+
+    return many
+
+
+# ---------------------------------------------------------------------------
+# Substitution of skeleton, type, dirt and coercion variables
+
+
+def substitute(s, t):
+    """Apply a substitution to any entity of any calculus.
+
+    `s` maps variable ids per sort (`s.skel`, `s.ty`, `s.dirt`, `s.co`).
+    Binders carry globally unique identities, so no renaming is needed.
+    """
+    if s.is_empty():
+        return t
+    return _SUBST[type(t)](s, t)
+
+
+def subst_hook(cls: type):
+    """Register `fn(s, t)` as the substitution of `cls` nodes."""
+
+    def register(fn):
+        _SUBST[cls] = fn
+        return fn
+
+    return register
+
+
+def _build_subst(cls):
+    if cls is SkelVar:
+        return lambda s, t: s.skel.get(t.id, t)
+    if cls is TyVar:
+        return lambda s, t: s.ty.get(t.id, t)
+    sh = shape(cls)
+    if sh.uses:
+        (use,) = sh.uses
+        if use.sort is TermVar:
+            return _unchanged
+        if use.sort is not CoVar:
+            raise TypeError(f"{cls.__name__}: {use.sort.__name__} uses need a substitution hook")
+        return lambda s, t: s.co.get(getattr(t, use.name).id, t)
+    table = _SUBST
+    kids = [(sh.names.index(f.name), f.name) for f in sh.kids]
+    names = sh.names
+
+    def go(s, t):
+        vals = None
+        for i, name in kids:
+            old = getattr(t, name)
+            new = table[type(old)](s, old)
+            if new is not old:
+                vals = _rebuild(t, names, i, new, vals)
+        return t if vals is None else cls(*vals)
+
+    return go
+
+
+_SUBST = _Table(_build_subst)
+_SUBST[tuple] = _tuple_map(_SUBST)
+
+
+# ---------------------------------------------------------------------------
+# Substitution of a value for a term variable
+
+
+def subst_term(value, var: TermVar, subject):
+    """Substitute `value` for the free occurrences of the term variable `var`."""
+    return _TSUBST[type(subject)](value, var.id, subject)
+
+
+def _build_subst_term(cls):
+    sh = shape(cls)
+    if sh.uses:
+        use = sh.uses[0]
+        if use.sort is TermVar:
+            return lambda v, vid, t: v if getattr(t, use.name).id == vid else t
+        return _unchanged
+    table = _TSUBST
+    # Only term binders shadow: skeleton, type, dirt and coercion ids come
+    # from counters of their own and may equal a term variable's id.
+    kids = [
+        (sh.names.index(f.name), f.name, tuple(b for b, sort in f.binders if sort is TermVar))
+        for f in sh.kids
+        if f.role in (TERM, MANY)
+    ]
+    if not kids:
+        return _unchanged
+    names = sh.names
+
+    def go(v, vid, t):
+        vals = None
+        for i, name, binders in kids:
+            if binders and any(getattr(t, b).id == vid for b in binders):
+                continue
+            old = getattr(t, name)
+            new = table[type(old)](v, vid, old)
+            if new is not old:
+                vals = _rebuild(t, names, i, new, vals)
+        return t if vals is None else cls(*vals)
+
+    return go
+
+
+_TSUBST = _Table(_build_subst_term)
+_TSUBST[tuple] = _tuple_map(_TSUBST)
+
+
+# ---------------------------------------------------------------------------
+# Free variables
+
+
+def free_vars(t, sort: type) -> list:
+    """Free variables of class `sort` in `t` (or in a list of entities),
+    without repeats, in order of first occurrence."""
+    out: list = []
+    _FV[type(t)](t, sort, frozenset(), set(), out)
+    return out
+
+
+def _build_fv(cls):
+    if cls in (SkelVar, TyVar):
+
+        def var(t, sort, bound, seen, out):
+            if cls is sort and t.id not in bound and t.id not in seen:
+                seen.add(t.id)
+                out.append(t)
+
+        return var
+    if cls in (tuple, list):
+
+        def many(t, sort, bound, seen, out):
+            for e in t:
+                _FV[type(e)](e, sort, bound, seen, out)
+
+        return many
+    if cls is Scheme:
+        # A scheme binds through tuples of variables: read it as the
+        # quantified type it stands for.
+
+        def scheme(t, sort, bound, seen, out):
+            ty = scheme_type(t)
+            _FV[type(ty)](ty, sort, bound, seen, out)
+
+        return scheme
+    sh = shape(cls)
+    if sh.uses:
+        use = sh.uses[0]
+
+        def occurrence(t, sort, bound, seen, out):
+            v = getattr(t, use.name)
+            if use.sort is sort and v is not None and v.id not in bound and v.id not in seen:
+                seen.add(v.id)
+                out.append(v)
+
+        return occurrence
+    table = _FV
+    kids = [(f.name, f.binders) for f in sh.kids]
+
+    def go(t, sort, bound, seen, out):
+        for name, binders in kids:
+            inner = bound
+            for b, b_sort in binders:
+                if b_sort is sort:
+                    inner = inner | {getattr(t, b).id}
+            x = getattr(t, name)
+            table[type(x)](x, sort, inner, seen, out)
+
+    return go
+
+
+_FV = _Table(_build_fv)
+
+
+# ---------------------------------------------------------------------------
+# Alpha-equality
+
+
+def alpha_eq(a, b) -> bool:
+    """Structural equality up to a renaming of bound variables."""
+    return a == b or (type(a) is type(b) and _ALPHA[type(a)](a, b, {}))
+
+
+# The alpha environment maps (variable class, id, side) to a marker shared by
+# the two binders of one pair; side 0 is the left entity, side 1 the right.
+
+
+def _same_var(x, y, env) -> bool:
+    mx = env.get((type(x), x.id, 0))
+    my = env.get((type(y), y.id, 1))
+    if mx is None and my is None:
+        return x.id == y.id
+    return mx is my
+
+
+def _build_alpha(cls):
+    if cls in (SkelVar, TyVar):
+        return _same_var
+    if cls is tuple:
+        return _alpha_many
+    if cls is Scheme:
+        return lambda a, b, env: _alpha_many((scheme_type(a),), (scheme_type(b),), env)
+    sh = shape(cls)
+    table = _ALPHA
+    steps = [
+        (f.name, f.role, tuple(b for b, _ in f.binders))
+        for f in sh.fields
+        if f.role in (USE, TERM, TYPE, MANY) or (f.role == ATOM and f.compare)
+    ]
+
+    def go(a, b, env):
+        for name, role, binders in steps:
+            x = getattr(a, name)
+            y = getattr(b, name)
+            if role == ATOM:
+                if x != y:
+                    return False
+            elif role == USE:
+                if x is None or y is None:
+                    if x is not y:
+                        return False
+                elif type(x) is not type(y) or not _same_var(x, y, env):
+                    return False
+            else:
+                inner = env
+                if binders:
+                    inner = dict(env)
+                    for bn in binders:
+                        bx, by = getattr(a, bn), getattr(b, bn)
+                        inner[(type(bx), bx.id, 0)] = inner[(type(by), by.id, 1)] = object()
+                if type(x) is not type(y) or not table[type(x)](x, y, inner):
+                    return False
+        return True
+
+    return go
+
+
+def _alpha_many(xs, ys, env) -> bool:
+    if len(xs) != len(ys):
+        return False
+    for x, y in zip(xs, ys):
+        if type(x) is not type(y) or not _ALPHA[type(x)](x, y, env):
+            return False
+    return True
+
+
+_ALPHA = _Table(_build_alpha)
+
+
+# ---------------------------------------------------------------------------
+# Renaming
+
+
+def rename(t, f):
+    """Replace every variable in `t`, bound or free, by `f(v)`.
+
+    `f` sees the variables in traversal order: fields in declaration order,
+    parents before children.
+    """
+    return _RENAME[type(t)](f, t)
+
+
+def _build_rename(cls):
+    if cls in VAR_CLASSES:
+        return lambda f, t: f(t)
+    sh = shape(cls)
+    table = _RENAME
+    steps = [(i, f.name, f.role in (BIND, USE)) for i, f in enumerate(sh.fields) if f.role != ATOM]
+    names = sh.names
+
+    def go(f, t):
+        vals = None
+        for i, name, is_var in steps:
+            old = getattr(t, name)
+            if is_var:
+                new = old if old is None else f(old)
+            else:
+                new = table[type(old)](f, old)
+            if new is not old:
+                vals = _rebuild(t, names, i, new, vals)
+        return t if vals is None else cls(*vals)
+
+    return go
+
+
+_RENAME = _Table(_build_rename)
+_RENAME[tuple] = _tuple_map(_RENAME)

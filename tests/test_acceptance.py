@@ -17,11 +17,9 @@ from effc.core import (
     Supply,
     TBase,
     TySub,
-    alpha_eq_cty,
-    alpha_eq_scheme,
-    alpha_eq_skel,
     dirt,
 )
+from effc.traverse import alpha_eq
 from conftest import CORPUS, GOLDEN
 from gen_helpers import (
     make_signature,
@@ -75,7 +73,7 @@ def test_criterion_1_golden_scheme():
     outcome = infer.infer_top(sig, comp)
     (_, scheme), = outcome.session.let_schemes
     want = RunningExample().scheme
-    assert alpha_eq_scheme(scheme, want)
+    assert alpha_eq(scheme, want)
     canon = display.show_scheme(display.canonicalize(scheme))
     assert canon == display.show_scheme(display.canonicalize(want))
     report(1, f"inference yields the golden polymorphic scheme {canon}")
@@ -85,7 +83,7 @@ def test_criterion_2_elaboration_soundness(elaborated):
     checked = 0
     for name, sig, cty, term in elaborated:
         got = exeff.typecheck_comp(exeff.TypeEnv(sig), term)
-        assert alpha_eq_cty(got, cty), name
+        assert alpha_eq(got, cty), name
         checked += 1
     assert checked >= 1030
     report(2, f"core checker accepts all {checked} elaborated programs at their types")
@@ -104,7 +102,7 @@ def test_criterion_3_type_safety_along_traces(elaborated):
             nxt = exeff.step_comp(t)
             assert nxt is not None, f"{name}: well-typed non-result failed to step"
             got = exeff.typecheck_comp(env, nxt)
-            assert alpha_eq_cty(got, ty), f"{name}: a step changed the type"
+            assert alpha_eq(got, ty), f"{name}: a step changed the type"
             t = nxt
             steps += 1
             assert steps <= fuel
@@ -118,7 +116,7 @@ def test_criterion_4_erasure(elaborated):
     for name, sig, cty, term in elaborated:
         erased = skeleff.erase_comp({}, term)
         got = skeleff.typecheck_sk(skeleff.SkEnv(sig), erased)
-        assert alpha_eq_skel(got, skeleff.erase_cty({}, cty)), name
+        assert alpha_eq(got, skeleff.erase_cty({}, cty)), name
     traced = 0
     for name, sig, cty, term in elaborated[:34] + elaborated[34 : 34 + 120]:
         t = term
@@ -170,7 +168,7 @@ def test_criterion_6_noeff_elaboration_typing(elaborated):
         nenv = noeff.NEnv(noeff.elab_signature(sig))
         got = noeff.typecheck_noeff(nenv, nterm)
         want = noeff.elab_cty(env, cty)[1]
-        assert noeff.alpha_eq_nty(got, want), name
+        assert alpha_eq(got, want), name
     # The bridging coercions of dirt instantiation obey their typing lemma.
     rng = random.Random(66)
     sup = Supply()
@@ -188,8 +186,8 @@ def test_criterion_6_noeff_elaboration_typing(elaborated):
         inst_ty = exeff.substitute(exeff.Subst.one_dirt(d, inst), ty)
         _, after = noeff.elab_vty(base_env, inst_ty)
         got = noeff.typecheck_noeff_coercion(nenv, co)
-        assert noeff.alpha_eq_nty(got.lhs, before)
-        assert noeff.alpha_eq_nty(got.rhs, after)
+        assert alpha_eq(got.lhs, before)
+        assert alpha_eq(got.rhs, after)
         lemma_checked += 1
     report(
         6,

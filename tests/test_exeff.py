@@ -18,11 +18,10 @@ from effc.core import (
     TForallTy,
     TypecheckError,
     TySub,
-    alpha_eq_cty,
-    alpha_eq_vty,
     dirt,
     dirt_var,
 )
+from effc.traverse import alpha_eq
 from gen_helpers import make_signature, random_ty_pair
 from paper_examples import RunningExample, erasure_discussion_pair, tick_tock_signature
 
@@ -52,7 +51,7 @@ def test_typecheck_identity_abstraction():
 def test_typecheck_running_target_polymorphic_value():
     ex = RunningExample()
     got = exeff.typecheck_value(exeff.TypeEnv(ex.sig), ex.poly_value)
-    assert alpha_eq_vty(got, ex.poly_type)
+    assert alpha_eq(got, ex.poly_type)
 
 
 def test_typecheck_cast_source_mismatch():
@@ -294,7 +293,7 @@ def test_step_determinism_and_subject_reduction():
     while not exeff.is_comp_result(t):
         nxt = exeff.step_comp(t)
         assert nxt is not None
-        assert alpha_eq_cty(exeff.typecheck_comp(env0, nxt), ty)
+        assert alpha_eq(exeff.typecheck_comp(env0, nxt), ty)
         t = nxt
         seen += 1
         assert seen < 500

@@ -8,6 +8,7 @@ from effc.core import (
     CompType,
     DirtClash,
     DirtSub,
+    DirtVar,
     EMPTY_DIRT,
     OccursCheck,
     SkelBase,
@@ -15,12 +16,13 @@ from effc.core import (
     Supply,
     TArrow,
     TBase,
+    TyVar,
     TySub,
-    alpha_eq_scheme,
     dirt,
     dirt_var,
     monoscheme,
 )
+from effc.traverse import alpha_eq, free_vars
 from gen_helpers import make_signature, signature_header
 from paper_examples import RunningExample, tick_tock_signature
 
@@ -298,9 +300,8 @@ def test_elaborate_type_identity():
     arrow = TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))
     assert infer.elaborate_type(arrow) == arrow
     ex = RunningExample()
-    from effc.core import alpha_eq_vty
 
-    assert alpha_eq_vty(infer.elaborate_type(ex.scheme), ex.poly_type)
+    assert alpha_eq(infer.elaborate_type(ex.scheme), ex.poly_type)
 
 
 # -- whole-program inference ----------------------------------------------------------
@@ -312,7 +313,7 @@ def test_infer_running_example_scheme():
     assert len(outcome.session.let_schemes) == 1
     _, scheme = outcome.session.let_schemes[0]
     ex = RunningExample()
-    assert alpha_eq_scheme(scheme, ex.scheme)
+    assert alpha_eq(scheme, ex.scheme)
 
 
 def test_infer_f_id_defaults_to_pure_unit():
@@ -342,9 +343,8 @@ def test_elaboration_preserves_types_on_corpus(corpus_paths):
         sig, comp = source.parse_program(path.read_text())
         cty, term, _ = infer.infer_and_default(sig, comp)
         got = exeff.typecheck_comp(exeff.TypeEnv(sig), term)
-        from effc.core import alpha_eq_cty
 
-        assert alpha_eq_cty(got, cty), path.name
+        assert alpha_eq(got, cty), path.name
 
 
 def test_dump_constraints_is_deterministic():
@@ -361,7 +361,6 @@ def test_dump_constraints_is_deterministic():
 
 def test_split_postconditions_extensionally_random():
     import random as _random
-    from effc.core import free_dirt_vars, free_ty_vars
 
     rng = _random.Random(31)
     sig = make_signature()
@@ -390,27 +389,27 @@ def test_split_postconditions_extensionally_random():
         env_ty = set()
         env_dirt = set()
         for _, (_, sch) in env.items():
-            env_ty |= {v.id for v in free_ty_vars(sch)}
-            env_dirt |= {v.id for v in free_dirt_vars(sch)}
+            env_ty |= {v.id for v in free_vars(sch, TyVar)}
+            env_dirt |= {v.id for v in free_vars(sch, DirtVar)}
         # Direct evaluation of the set formulas.
         q_ty = {it.var.id for it in q if isinstance(it, infer.SkelAnn)}
         for it in q:
             if isinstance(it, infer.SubCt):
-                q_ty |= {v.id for v in free_ty_vars(it.constraint)}
-        want_gen_ty = (q_ty | {v.id for v in free_ty_vars(a_res)}) - env_ty
+                q_ty |= {v.id for v in free_vars(it.constraint, TyVar)}
+        want_gen_ty = (q_ty | {v.id for v in free_vars(a_res, TyVar)}) - env_ty
         assert {v.id for v, _ in ty_binders} == want_gen_ty
         ann = {it.var.id: it.skel for it in q if isinstance(it, infer.SkelAnn)}
         for sv in gen_skel:
             annotated = [aid for aid, sk in ann.items() if sk == sv]
             assert annotated and all(aid in want_gen_ty for aid in annotated)
         for w, ct in generalized:
-            fv = {("t", v.id) for v in free_ty_vars(ct)} | {("d", v.id) for v in free_dirt_vars(ct)}
+            fv = {("t", v.id) for v in free_vars(ct, TyVar)} | {("d", v.id) for v in free_vars(ct, DirtVar)}
             envv = {("t", i) for i in env_ty} | {("d", i) for i in env_dirt}
             assert not fv <= envv
         for it in floated:
             if isinstance(it, infer.SubCt):
-                fv = {("t", v.id) for v in free_ty_vars(it.constraint)} | {
-                    ("d", v.id) for v in free_dirt_vars(it.constraint)
+                fv = {("t", v.id) for v in free_vars(it.constraint, TyVar)} | {
+                    ("d", v.id) for v in free_vars(it.constraint, DirtVar)
                 }
                 envv = {("t", i) for i in env_ty} | {("d", i) for i in env_dirt}
                 assert fv <= envv
@@ -435,8 +434,7 @@ def test_elaborate_env_embeds_schemes():
     ex = __import__("paper_examples").RunningExample()
     env = {ex.f_var.id: (ex.f_var, ex.scheme)}
     core_env = infer.elaborate_env(env, ex.sig)
-    from effc.core import alpha_eq_vty
 
-    assert alpha_eq_vty(core_env.term_vars[ex.f_var.id], ex.poly_type)
+    assert alpha_eq(core_env.term_vars[ex.f_var.id], ex.poly_type)
     mono = {ex.x.id: (ex.x, monoscheme(T_UNIT))}
     assert infer.elaborate_env(mono, ex.sig).term_vars[ex.x.id] == T_UNIT

@@ -17,6 +17,7 @@ from effc.core import (
     dirt,
     dirt_var,
 )
+from effc.traverse import alpha_eq
 from paper_examples import RunningExample, tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
@@ -131,8 +132,8 @@ def test_from_impure_coercion_typing_lemma_instance():
     inst = exeff.substitute(exeff.Subst.one_dirt(d, EMPTY_DIRT), ty)
     _, after = noeff.elab_vty(exeff.TypeEnv(sig), inst)
     got = noeff.typecheck_noeff_coercion(_nenv(), co)
-    assert noeff.alpha_eq_nty(got.lhs, before)
-    assert noeff.alpha_eq_nty(got.rhs, after)
+    assert alpha_eq(got.lhs, before)
+    assert alpha_eq(got.rhs, after)
 
 
 def test_to_impure_is_the_dual():
@@ -344,7 +345,7 @@ def test_preservation_along_noeff_traces():
             assert trichotomy
             assert nxt is not None, name  # elaborated programs never stick
             got = noeff.typecheck_noeff(nenv, nxt)
-            assert noeff.alpha_eq_nty(got, ty), name
+            assert alpha_eq(got, ty), name
             t = nxt
             steps += 1
             assert steps < 10000
@@ -369,8 +370,8 @@ def test_elab_handler_coercion_all_dirt_combinations():
         want_lhs = noeff.elab_vty(env, ct.lhs)[1]
         want_rhs = noeff.elab_vty(env, ct.rhs)[1]
         got = noeff.typecheck_noeff_coercion(nenv, out)
-        assert noeff.alpha_eq_nty(got.lhs, want_lhs)
-        assert noeff.alpha_eq_nty(got.rhs, want_rhs)
+        assert alpha_eq(got.lhs, want_lhs)
+        assert alpha_eq(got.rhs, want_rhs)
         return out
 
     # Both inputs pure: a function coercion.
@@ -419,8 +420,8 @@ def test_from_impure_handler_input_stays_impure():
     _, before = noeff.elab_vty(env, h)
     inst = exeff.substitute(exeff.Subst.one_dirt(d, EMPTY_DIRT), h)
     _, after = noeff.elab_vty(exeff.TypeEnv(sig), inst)
-    assert noeff.alpha_eq_nty(got.lhs, before)
-    assert noeff.alpha_eq_nty(got.rhs, after)
+    assert alpha_eq(got.lhs, before)
+    assert alpha_eq(got.rhs, after)
 
 
 def test_fun_to_hand_semantics():

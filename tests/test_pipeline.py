@@ -27,9 +27,9 @@ def test_compile_reports_polymorphic_scheme():
     schemes = art.inferred.session.let_schemes
     assert len(schemes) == 1
     from paper_examples import RunningExample
-    from effc.core import alpha_eq_scheme
+    from effc.traverse import alpha_eq
 
-    assert alpha_eq_scheme(schemes[0][1], RunningExample().scheme)
+    assert alpha_eq(schemes[0][1], RunningExample().scheme)
 
 
 def test_ill_typed_programs_fail_with_expected_classes():
@@ -133,13 +133,38 @@ def test_cli_run_trace(capsys):
     assert "[0]" in out and "return unit" in out
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     assert run_cli("check", str(CORPUS_BAD / "b01_dirtclash.eff")) == 1
     capsys.readouterr()
     assert run_cli("run", str(CORPUS / "p28_apply_twice.eff"), "--fuel", "1") == 2
     capsys.readouterr()
     assert run_cli("diff", str(CORPUS / "p15_get_constant.eff")) == 0
     capsys.readouterr()
+
+    assert run_cli("check", str(tmp_path / "missing.eff")) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+
+    # Input nested past the recursion limit: exit 4, one line, no traceback.
+    deep = tmp_path / "deep.eff"
+    deep.write_text("return " + "(" * 3000 + "unit" + ")" * 3000 + "\n")
+    assert run_cli("check", str(deep)) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "input too deep" in err and "Traceback" not in err
+
+    # The corpus command counts the deep file as a failure and goes on.
+    (tmp_path / "ok.eff").write_text((CORPUS / "p02_return_int.eff").read_text())
+    assert run_cli("corpus", str(tmp_path)) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("deep.eff: internal error: input too deep")
+    assert out[1].startswith("ok.eff: ok")
+
+    # Any other exception that is not a diagnostic is an internal error too.
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(pipeline, "compile_text", broken)
+    assert run_cli("check", str(CORPUS / "p02_return_int.eff")) == 4
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
 
 
 def test_cli_dump_stages(capsys):

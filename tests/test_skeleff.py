@@ -11,9 +11,9 @@ from effc.core import (
     SkelHandler,
     Supply,
     TBase,
-    alpha_eq_skel,
     dirt,
 )
+from effc.traverse import alpha_eq
 from gen_helpers import random_program
 from paper_examples import RunningExample, erasure_discussion_pair, tick_tock_signature
 
@@ -31,7 +31,7 @@ def test_erase_running_example_value():
     assert fn.ty == SkelArrow(SK_UNIT, erased.var)
     assert isinstance(fn.body, skeleff.SApp)
     erased_ty = skeleff.erase_vty({}, ex.poly_type)
-    assert alpha_eq_skel(erased_ty, SkelForall(erased.var, SkelArrow(SkelArrow(SK_UNIT, erased.var), erased.var)))
+    assert alpha_eq(erased_ty, SkelForall(erased.var, SkelArrow(SkelArrow(SK_UNIT, erased.var), erased.var)))
 
 
 def test_erase_applications_keep_only_skeletons():
@@ -55,7 +55,7 @@ def test_typecheck_erased_running_example():
     ex = RunningExample()
     erased = skeleff.erase_value({}, ex.poly_value)
     got = skeleff.typecheck_sk(skeleff.SkEnv(ex.sig), erased)
-    assert alpha_eq_skel(got, skeleff.erase_vty({}, ex.poly_type))
+    assert alpha_eq(got, skeleff.erase_vty({}, ex.poly_type))
 
 
 def test_typecheck_sk_unit():
@@ -183,4 +183,4 @@ def test_erasure_type_preservation_random():
             continue
         erased = skeleff.erase_comp({}, term)
         got = skeleff.typecheck_sk(skeleff.SkEnv(sig), erased)
-        assert alpha_eq_skel(got, skeleff.erase_cty({}, cty))
+        assert alpha_eq(got, skeleff.erase_cty({}, cty))

@@ -24,6 +24,7 @@ from effc.core import (
     dirt_add,
     dirt_var,
 )
+from effc.traverse import alpha_eq
 from gen_helpers import random_program
 
 T_UNIT = TBase(Base.UNIT)
@@ -43,7 +44,7 @@ def test_parse_tick_program():
         source.SrcOpCall("Tick", source.SrcUnit(), y, source.SrcReturn(source.SrcVar(y))),
         source.SrcReturn(source.SrcVar(x)),
     )
-    assert source.alpha_eq_src(comp, expected)
+    assert alpha_eq(comp, expected)
 
 
 def test_parse_fun_in_let():
@@ -188,10 +189,10 @@ def test_parse_print_parse_roundtrip_random():
         sig, comp = random_program(rng, depth=3)
         text = source.show_program(sig, comp)
         sig2, comp2 = source.parse_program(text)
-        assert source.alpha_eq_src(comp, comp2)
+        assert alpha_eq(comp, comp2)
         text2 = source.show_program(sig2, comp2)
         sig3, comp3 = source.parse_program(text2)
-        assert source.alpha_eq_src(comp2, comp3)
+        assert alpha_eq(comp2, comp3)
 
 
 def test_parenthesized_computations():
