@@ -214,9 +214,6 @@ class Dirt:
     def is_empty(self) -> bool:
         return not self.ops and self.tail is None
 
-    def is_closed(self) -> bool:
-        return self.tail is None
-
     def sorted_ops(self) -> list:
         return sorted(self.ops)
 

@@ -68,18 +68,10 @@ class _Canon:
             table[v.id] = cls(len(table))
         return table[v.id]
 
-    def walk(self, x):
-        return rename(x, self.var)
-
 
 def canonicalize(x):
     """Rename every variable in `x` to sequential per-sort names."""
-    return _Canon().walk(x)
-
-
-def canonicalize_many(xs):
-    c = _Canon()
-    return [c.walk(x) for x in xs]
+    return rename(x, _Canon().var)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +295,6 @@ def show_comp(c, prec: int = 0) -> str:
     raise TypeError(c)
 
 
-def show_exeff(term) -> str:
-    if isinstance(term, exeff._COMP_NODES):
-        return show_comp(term)
-    return show_value(term)
-
-
 # ---------------------------------------------------------------------------
 # Effect-erased terms
 
@@ -362,12 +348,6 @@ def show_sk_comp(c, prec: int = 0) -> str:
     if isinstance(c, skeleff.SApp):
         return _paren(f"{show_sk_value(c.fn, 2)} {show_sk_value(c.arg, 3)}", prec > 2)
     raise TypeError(c)
-
-
-def show_skeleff(term) -> str:
-    if isinstance(term, skeleff._VALUE_NODES):
-        return show_sk_value(term)
-    return show_sk_comp(term)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     DirtSub,
     DirtVar,
     EMPTY_DIRT,
-    FuelExhausted,
     Signature,
     SkelArrow,
     SkelBase,
@@ -30,7 +29,6 @@ from .core import (
     SkelHandler,
     SkelVar,
     Skeleton,
-    StuckTerm,
     TArrow,
     TBase,
     TForallDirt,
@@ -47,7 +45,15 @@ from .core import (
     WfError,
     dirt_add,
 )
-from .traverse import alpha_eq, subst_hook, subst_term, substitute
+from .traverse import (
+    Reduction,
+    alpha_eq,
+    handle_op,
+    shape,
+    subst_hook,
+    subst_term,
+    substitute,
+)
 
 # ---------------------------------------------------------------------------
 # Coercions
@@ -770,28 +776,24 @@ def is_terminal_value(v: Value) -> bool:
     return isinstance(v, _TERMINAL_HEADS)
 
 
-def _cast_head_ok(head: Value, co: Coercion) -> bool:
-    expect = _COMPATIBLE_CAST.get(type(head))
-    return expect is not None and isinstance(co, expect)
-
-
 def is_value_result(v: Value) -> bool:
-    if is_terminal_value(v):
-        return True
-    if isinstance(v, ECast):
-        head = v.val
-        while isinstance(head, ECast):
-            head = head.val
-        return is_value_result(v.val) and _cast_head_ok(head, v.co)
-    return False
+    """A terminal value under casts of the one sort its shape admits."""
+    cos = []
+    while type(v) is ECast:
+        cos.append(v.co)
+        v = v.val
+    if not is_terminal_value(v):
+        return False
+    expect = _COMPATIBLE_CAST.get(type(v))
+    return not cos or (expect is not None and all(type(co) is expect for co in cos))
 
 
 def is_terminal_comp(c: Comp) -> bool:
-    if isinstance(c, CReturn):
-        return is_value_result(c.val)
-    if isinstance(c, CCast):
-        return is_terminal_comp(c.comp) and isinstance(c.co, CoComp)
-    return False
+    while type(c) is CCast:
+        if type(c.co) is not CoComp:
+            return False
+        c = c.comp
+    return type(c) is CReturn and is_value_result(c.val)
 
 
 def is_comp_result(c: Comp) -> bool:
@@ -818,161 +820,108 @@ def classify_result(term) -> ResultClass:
 
 
 # ---------------------------------------------------------------------------
-# Small-step operational semantics
+# Small-step operational semantics: per class, the evaluation positions and
+# head rules in the order `traverse.Reduction` tries them.
 
 
-def _peel_return_casts(c: Comp):
-    """Split a terminal computation into (value-result, pure coercion parts).
-
-    The pure parts are returned innermost-first, matching the order in which
-    the cast chain is peeled off.
-    """
+def _returned(c: Comp) -> Value:
+    """The value a terminal computation returns, under the value parts of its
+    casts."""
     cos = []
-    while isinstance(c, CCast):
-        assert isinstance(c.co, CoComp)
+    while type(c) is CCast:
         cos.append(c.co.val)
         c = c.comp
-    assert isinstance(c, CReturn)
-    cos.reverse()
-    return c.val, cos
-
-
-def _cast_chain(v: Value, cos) -> Value:
-    for co in cos:
+    v = c.val
+    for co in reversed(cos):
         v = ECast(v, co)
     return v
 
 
-def step_value(v: Value) -> Optional[Value]:
-    """One step of the value relation; None when `v` is a result."""
-    if isinstance(v, ECast):
-        inner = step_value(v.val)
-        if inner is not None:
-            return ECast(inner, v.co)
-        if is_value_result(v.val) and isinstance(v.co, CoBaseRefl):
-            return v.val
+def _cast_refl(v: ECast):
+    if type(v.co) is CoBaseRefl and is_value_result(v.val):
+        return v.val
+
+
+def _type_app(app, abs_, forall, one) -> tuple:
+    """The rules of an application to a skeleton, type, dirt or coercion:
+    push it through a cast, or beta-reduce."""
+    arg = shape(app).names[1]
+
+    def head(t):
+        f = t.val
+        if type(f) is ECast and type(f.co) is forall and is_value_result(f):
+            a = getattr(t, arg)
+            co = f.co.body if forall is CoQual else substitute(one(f.co.var, a), f.co.body)
+            return ECast(app(f.val, a), co)
+        if type(f) is abs_:
+            return substitute(one(f.var, getattr(t, arg)), f.body)
         return None
-    if isinstance(v, ESkelApp):
-        inner = step_value(v.val)
-        if inner is not None:
-            return ESkelApp(inner, v.skel)
-        f = v.val
-        if isinstance(f, ECast) and is_value_result(f) and isinstance(f.co, CoForallSkel):
-            pushed = substitute(Subst.one_skel(f.co.var, v.skel), f.co.body)
-            return ECast(ESkelApp(f.val, v.skel), pushed)
-        if isinstance(f, ESkelAbs):
-            return substitute(Subst.one_skel(f.var, v.skel), f.body)
-        return None
-    if isinstance(v, ETyApp):
-        inner = step_value(v.val)
-        if inner is not None:
-            return ETyApp(inner, v.ty)
-        f = v.val
-        if isinstance(f, ECast) and is_value_result(f) and isinstance(f.co, CoForallTy):
-            pushed = substitute(Subst.one_ty(f.co.var, v.ty), f.co.body)
-            return ECast(ETyApp(f.val, v.ty), pushed)
-        if isinstance(f, ETyAbs):
-            return substitute(Subst.one_ty(f.var, v.ty), f.body)
-        return None
-    if isinstance(v, EDirtApp):
-        inner = step_value(v.val)
-        if inner is not None:
-            return EDirtApp(inner, v.dirt)
-        f = v.val
-        if isinstance(f, ECast) and is_value_result(f) and isinstance(f.co, CoForallDirt):
-            pushed = substitute(Subst.one_dirt(f.co.var, v.dirt), f.co.body)
-            return ECast(EDirtApp(f.val, v.dirt), pushed)
-        if isinstance(f, EDirtAbs):
-            return substitute(Subst.one_dirt(f.var, v.dirt), f.body)
-        return None
-    if isinstance(v, ECoApp):
-        inner = step_value(v.val)
-        if inner is not None:
-            return ECoApp(inner, v.co)
-        f = v.val
-        if isinstance(f, ECast) and is_value_result(f) and isinstance(f.co, CoQual):
-            return ECast(ECoApp(f.val, v.co), f.co.body)
-        if isinstance(f, ECoAbs):
-            return substitute(Subst.one_co(f.var, v.co), f.body)
-        return None
+
+    return "val", head
+
+
+def _cast_op(c: CCast):
+    op = c.comp
+    if type(op) is COp and is_value_result(op.arg):
+        return COp(op.op, op.arg, op.var, op.var_ty, CCast(op.body, c.co))
+
+
+def _app(c: CApp):
+    f = c.fn
+    if type(f) is ECast and type(f.co) is CoArrow and is_value_result(f):
+        return CCast(CApp(f.val, ECast(c.arg, f.co.dom)), f.co.cod)
+    if type(f) is EAbs and is_value_result(c.arg):
+        return subst_term(c.arg, f.var, f.body)
     return None
 
 
-def step_comp(c: Comp) -> Optional[Comp]:
-    """One step of the computation relation; None when `c` is a result."""
-    if isinstance(c, CCast):
-        inner = step_comp(c.comp)
-        if inner is not None:
-            return CCast(inner, c.co)
-        if isinstance(c.comp, COp) and is_comp_result(c.comp):
-            op = c.comp
-            return COp(op.op, op.arg, op.var, op.var_ty, CCast(op.body, c.co))
+def _let_beta(c: CLet):
+    if is_value_result(c.val):
+        return subst_term(c.val, c.var, c.body)
+
+
+def _do(c: CDo):
+    if is_terminal_comp(c.first):
+        return subst_term(_returned(c.first), c.var, c.second)
+    op = c.first
+    if type(op) is COp and is_value_result(op.arg):
+        return COp(op.op, op.arg, op.var, op.var_ty, CDo(c.var, op.body, c.second))
+
+
+def _handle(c: CHandle):
+    h = c.handler
+    if type(h) is ECast and type(h.co) is CoHandler and is_value_result(h):
+        return CCast(CHandle(h.val, CCast(c.body, h.co.dom)), h.co.cod)
+    if type(h) is not EHandler:
         return None
-    if isinstance(c, CApp):
-        fn = step_value(c.fn)
-        if fn is not None:
-            return CApp(fn, c.arg)
-        if isinstance(c.fn, ECast) and is_value_result(c.fn) and isinstance(c.fn.co, CoArrow):
-            co = c.fn.co
-            return CCast(CApp(c.fn.val, ECast(c.arg, co.dom)), co.cod)
-        if is_terminal_value(c.fn):
-            arg = step_value(c.arg)
-            if arg is not None:
-                return CApp(c.fn, arg)
-            if isinstance(c.fn, EAbs) and is_value_result(c.arg):
-                return subst_term(c.arg, c.fn.var, c.fn.body)
-        return None
-    if isinstance(c, CLet):
-        val = step_value(c.val)
-        if val is not None:
-            return CLet(c.var, val, c.body)
-        if is_value_result(c.val):
-            return subst_term(c.val, c.var, c.body)
-        return None
-    if isinstance(c, CReturn):
-        val = step_value(c.val)
-        return None if val is None else CReturn(val)
-    if isinstance(c, COp):
-        arg = step_value(c.arg)
-        return None if arg is None else COp(c.op, arg, c.var, c.var_ty, c.body)
-    if isinstance(c, CDo):
-        first = step_comp(c.first)
-        if first is not None:
-            return CDo(c.var, first, c.second)
-        if is_terminal_comp(c.first):
-            v, cos = _peel_return_casts(c.first)
-            return subst_term(_cast_chain(v, cos), c.var, c.second)
-        if isinstance(c.first, COp) and is_comp_result(c.first):
-            op = c.first
-            return COp(op.op, op.arg, op.var, op.var_ty, CDo(c.var, op.body, c.second))
-        return None
-    if isinstance(c, CHandle):
-        h = step_value(c.handler)
-        if h is not None:
-            return CHandle(h, c.body)
-        if isinstance(c.handler, ECast) and is_value_result(c.handler) and isinstance(c.handler.co, CoHandler):
-            co = c.handler.co
-            return CCast(CHandle(c.handler.val, CCast(c.body, co.dom)), co.cod)
-        if is_terminal_value(c.handler):
-            body = step_comp(c.body)
-            if body is not None:
-                return CHandle(c.handler, body)
-            if not isinstance(c.handler, EHandler):
-                return None
-            h = c.handler
-            if is_terminal_comp(c.body):
-                v, cos = _peel_return_casts(c.body)
-                return subst_term(_cast_chain(v, cos), h.ret_var, h.ret_body)
-            if isinstance(c.body, COp) and is_comp_result(c.body):
-                op = c.body
-                clause = h.clause_for(op.op)
-                if clause is None:
-                    return COp(op.op, op.arg, op.var, op.var_ty, CHandle(c.handler, op.body))
-                kont = EAbs(op.var, op.var_ty, CHandle(c.handler, op.body))
-                out = subst_term(op.arg, clause.param, clause.body)
-                return subst_term(kont, clause.kont, out)
-        return None
-    raise TypeError(c)
+    if is_terminal_comp(c.body):
+        return subst_term(_returned(c.body), h.ret_var, h.ret_body)
+    op = c.body
+    if type(op) is COp and is_value_result(op.arg):
+        return handle_op(h, op, CHandle, EAbs)
+
+
+RULES = {
+    **{cls: () for cls in (EVar, OpClause, *_TERMINAL_HEADS)},
+    ECast: ("val", _cast_refl),
+    ESkelApp: _type_app(ESkelApp, ESkelAbs, CoForallSkel, Subst.one_skel),
+    ETyApp: _type_app(ETyApp, ETyAbs, CoForallTy, Subst.one_ty),
+    EDirtApp: _type_app(EDirtApp, EDirtAbs, CoForallDirt, Subst.one_dirt),
+    ECoApp: _type_app(ECoApp, ECoAbs, CoQual, Subst.one_co),
+    CReturn: ("val",),
+    COp: ("arg",),
+    CCast: ("comp", _cast_op),
+    CApp: ("fn", ("arg", "fn", is_terminal_value), _app),
+    CLet: ("val", _let_beta),
+    CDo: ("first", _do),
+    CHandle: ("handler", ("body", "handler", is_terminal_value), _handle),
+}
+
+REDUCTION = Reduction(RULES, is_comp_result, lambda c: "stuck computation (metatheory violation)")
+VALUE_REDUCTION = Reduction(RULES, is_value_result, lambda v: "stuck value (metatheory violation)")
+
+# One relation steps values and computations; None when the term is a result.
+step_comp = step_value = REDUCTION.step
 
 
 @dataclass
@@ -983,32 +932,9 @@ class EvalOutcome:
 
 
 def eval_comp(c: Comp, fuel: int = 100_000, keep_trace: bool = False) -> EvalOutcome:
-    """Iterate step_comp until a computation result is reached."""
-    trace = [c] if keep_trace else None
-    steps = 0
-    while True:
-        if is_comp_result(c):
-            return EvalOutcome(c, steps, trace)
-        nxt = step_comp(c)
-        if nxt is None:
-            raise StuckTerm("stuck computation (metatheory violation)", c)
-        c = nxt
-        steps += 1
-        if keep_trace:
-            trace.append(c)
-        if steps > fuel:
-            raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+    """Step until a computation result is reached."""
+    return EvalOutcome(*REDUCTION.run(c, fuel, keep_trace))
 
 
 def eval_value(v: Value, fuel: int = 100_000) -> EvalOutcome:
-    steps = 0
-    while True:
-        if is_value_result(v):
-            return EvalOutcome(v, steps)
-        nxt = step_value(v)
-        if nxt is None:
-            raise StuckTerm("stuck value (metatheory violation)", v)
-        v = nxt
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+    return EvalOutcome(*VALUE_REDUCTION.run(v, fuel))

@@ -10,7 +10,7 @@ coercion is the single source of stuckness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import exeff
 from .core import (
@@ -22,13 +22,11 @@ from .core import (
     DirtSub,
     DirtVar,
     ElaborationError,
-    FuelExhausted,
     Signature,
     SkelArrow,
     SkelBase,
     SkelForall,
     SkelHandler,
-    StuckTerm,
     TArrow,
     TBase,
     THandler,
@@ -59,7 +57,15 @@ from .exeff import (
     CoVarRef,
     Subst,
 )
-from .traverse import alpha_eq, free_vars, subst_hook, subst_term, substitute
+from .traverse import (
+    Reduction,
+    alpha_eq,
+    free_vars,
+    handle_op,
+    subst_hook,
+    subst_term,
+    substitute,
+)
 
 
 def nonempty_dirt(d: Dirt) -> bool:
@@ -628,29 +634,6 @@ def elab_cty(env: exeff.TypeEnv, c: CompType) -> tuple:
     return sk, a
 
 
-def elab_env(env: exeff.TypeEnv) -> NEnv:
-    out = NEnv(elab_signature(env.sig))
-    out.ty_vars = frozenset(env.ty_vars.keys())
-    out.term_vars = {vid: elab_vty(env, t)[1] for vid, t in env.term_vars.items()}
-    cos = {}
-    for vid, ct in env.co_vars.items():
-        if isinstance(ct, TySub):
-            cos[vid] = NSub(elab_vty(env, ct.lhs)[1], elab_vty(env, ct.rhs)[1])
-        elif isinstance(ct, CompSub):
-            cos[vid] = NSub(elab_cty(env, ct.lhs)[1], elab_cty(env, ct.rhs)[1])
-        # dirt inequalities are dropped
-    out.co_vars = cos
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Coercions bridging pure and impure dirt instantiations
-
-# When a dirt abstraction (elaborated under the conservative assumption that
-# its variable is non-empty) is applied to a concrete dirt, these judgments
-# synthesize the coercion between the two elaborations of the body type.
-
-
 def from_impure_vty(env: exeff.TypeEnv, t: ValueType, delta, inst: Dirt) -> NCoercion:
     if isinstance(t, TBase):
         return NCoBaseRefl(t.base)
@@ -763,18 +746,6 @@ def to_impure_cty(env: exeff.TypeEnv, c: CompType, delta, inst: Dirt) -> NCoerci
     if nonempty_dirt(inst_d):
         return NCoComp(to_impure_vty(env, c.val, delta, inst))
     return NCoReturn(to_impure_vty(env, c.val, delta, inst))
-
-
-def from_impure(env: exeff.TypeEnv, subject, delta, inst: Dirt) -> NCoercion:
-    if isinstance(subject, CompType):
-        return from_impure_cty(env, subject, delta, inst)
-    return from_impure_vty(env, subject, delta, inst)
-
-
-def to_impure(env: exeff.TypeEnv, subject, delta, inst: Dirt) -> NCoercion:
-    if isinstance(subject, CompType):
-        return to_impure_cty(env, subject, delta, inst)
-    return to_impure_vty(env, subject, delta, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,143 +1012,126 @@ def elab_comp(env: exeff.TypeEnv, c: exeff.Comp) -> tuple:
 _VALUE_CAST_HEADS = (NCoArrow, NCoHandler, NCoHandToFun, NCoFunToHand, NCoForall, NCoQual)
 
 
+_VALUES = (MUnit, MInt, MAbs, MTyAbs, MCoAbs, MHandler)
+
+
 def is_value_noeff(t: NTerm) -> bool:
-    if isinstance(t, (MUnit, MInt, MAbs, MTyAbs, MCoAbs, MHandler)):
-        return True
-    if isinstance(t, MCast):
-        return is_value_noeff(t.term) and isinstance(t.co, _VALUE_CAST_HEADS)
-    if isinstance(t, MReturn):
-        return is_value_noeff(t.term)
-    if isinstance(t, MOp):
-        return is_value_noeff(t.arg)
-    return False
+    while True:
+        cls = type(t)
+        if cls in _VALUES:
+            return True
+        if cls is MCast:
+            if not isinstance(t.co, _VALUE_CAST_HEADS):
+                return False
+            t = t.term
+        elif cls is MReturn:
+            t = t.term
+        elif cls is MOp:
+            t = t.arg
+        else:
+            return False
 
 
-def step_noeff(t: NTerm) -> Optional[NTerm]:
-    """One deterministic step; None when `t` is a value or stuck."""
-    if isinstance(t, MApp):
-        fn = step_noeff(t.fn)
-        if fn is not None:
-            return MApp(fn, t.arg)
-        if is_value_noeff(t.fn):
-            arg = step_noeff(t.arg)
-            if arg is not None:
-                return MApp(t.fn, arg)
-            if not is_value_noeff(t.arg):
-                return None
-            if isinstance(t.fn, MAbs):
-                return subst_term(t.arg, t.fn.var, t.fn.body)
-            if isinstance(t.fn, MCast) and isinstance(t.fn.co, NCoArrow):
-                co = t.fn.co
-                return MCast(MApp(t.fn.term, MCast(t.arg, co.dom)), co.cod)
-            if isinstance(t.fn, MCast) and isinstance(t.fn.co, NCoHandToFun):
-                co = t.fn.co
-                return MCast(
-                    MHandle(t.fn.term, MReturn(MCast(t.arg, co.dom))), co.cod
-                )
+# Per class, the evaluation positions and head rules in the order
+# `traverse.Reduction` tries them.
+
+
+def _app(t: MApp):
+    fn, arg = t.fn, t.arg
+    if not (is_value_noeff(fn) and is_value_noeff(arg)):
         return None
-    if isinstance(t, MTyApp):
-        fn = step_noeff(t.fn)
-        if fn is not None:
-            return MTyApp(fn, t.ty)
-        if isinstance(t.fn, MTyAbs):
-            return substitute(Subst.one_ty(t.fn.var, t.ty), t.fn.body)
-        if isinstance(t.fn, MCast) and is_value_noeff(t.fn) and isinstance(t.fn.co, NCoForall):
-            co = t.fn.co
-            pushed = substitute(Subst.one_ty(co.var, t.ty), co.body)
-            return MCast(MTyApp(t.fn.term, t.ty), pushed)
-        return None
-    if isinstance(t, MCoApp):
-        fn = step_noeff(t.fn)
-        if fn is not None:
-            return MCoApp(fn, t.co)
-        if isinstance(t.fn, MCoAbs):
-            return substitute(Subst.one_co(t.fn.var, t.co), t.fn.body)
-        if isinstance(t.fn, MCast) and is_value_noeff(t.fn) and isinstance(t.fn.co, NCoQual):
-            return MCast(MCoApp(t.fn.term, t.co), t.fn.co.body)
-        return None
-    if isinstance(t, MLet):
-        val = step_noeff(t.val)
-        if val is not None:
-            return MLet(t.var, val, t.body)
-        if is_value_noeff(t.val):
-            return subst_term(t.val, t.var, t.body)
-        return None
-    if isinstance(t, MReturn):
-        inner = step_noeff(t.term)
-        return None if inner is None else MReturn(inner)
-    if isinstance(t, MOp):
-        arg = step_noeff(t.arg)
-        return None if arg is None else MOp(t.op, arg, t.var, t.var_ty, t.body)
-    if isinstance(t, MDo):
-        first = step_noeff(t.first)
-        if first is not None:
-            return MDo(t.var, first, t.second)
-        if isinstance(t.first, MReturn) and is_value_noeff(t.first):
-            return subst_term(t.first.term, t.var, t.second)
-        if isinstance(t.first, MOp) and is_value_noeff(t.first):
-            op = t.first
-            return MOp(op.op, op.arg, op.var, op.var_ty, MDo(t.var, op.body, t.second))
-        return None
-    if isinstance(t, MHandle):
-        h = step_noeff(t.handler)
-        if h is not None:
-            return MHandle(h, t.body)
-        if not is_value_noeff(t.handler):
-            return None
-        body = step_noeff(t.body)
-        if body is not None:
-            return MHandle(t.handler, body)
-        if not is_value_noeff(t.body):
-            return None
-        if isinstance(t.handler, MHandler):
-            hd = t.handler
-            if isinstance(t.body, MReturn):
-                return subst_term(t.body.term, hd.ret_var, hd.ret_body)
-            if isinstance(t.body, MOp):
-                op = t.body
-                clause = hd.clause_for(op.op)
-                if clause is None:
-                    return MOp(op.op, op.arg, op.var, op.var_ty, MHandle(t.handler, op.body))
-                kont = MAbs(op.var, op.var_ty, MHandle(t.handler, op.body))
-                out = subst_term(op.arg, clause.param, clause.body)
-                return subst_term(kont, clause.kont, out)
-            return None
-        if isinstance(t.handler, MCast) and isinstance(t.handler.co, NCoHandler):
-            co = t.handler.co
-            return MCast(MHandle(t.handler.term, MCast(t.body, co.dom)), co.cod)
-        if isinstance(t.handler, MCast) and isinstance(t.handler.co, NCoFunToHand):
-            co = t.handler.co
-            if isinstance(t.body, MReturn):
-                return MCast(MApp(t.handler.term, MCast(t.body.term, co.dom)), co.cod)
-            if isinstance(t.body, MOp):
-                op = t.body
-                return MOp(op.op, op.arg, op.var, op.var_ty, MHandle(t.handler, op.body))
-        return None
-    if isinstance(t, MCast):
-        inner = step_noeff(t.term)
-        if inner is not None:
-            return MCast(inner, t.co)
-        if not is_value_noeff(t.term):
-            return None
-        if isinstance(t.co, NCoBaseRefl):
-            return t.term
-        if isinstance(t.co, NCoComp):
-            if isinstance(t.term, MReturn):
-                return MReturn(MCast(t.term.term, t.co.body))
-            if isinstance(t.term, MOp):
-                op = t.term
-                return MOp(op.op, op.arg, op.var, op.var_ty, MCast(op.body, t.co))
-            return None
-        if isinstance(t.co, NCoReturn):
-            return MReturn(MCast(t.term, t.co.body))
-        if isinstance(t.co, NCoUnsafe):
-            if isinstance(t.term, MReturn):
-                return MCast(t.term.term, t.co.body)
-            return None  # unsafe over an operation call: stuck
-        return None
+    if type(fn) is MAbs:
+        return subst_term(arg, fn.var, fn.body)
+    if type(fn) is MCast and type(fn.co) is NCoArrow:
+        return MCast(MApp(fn.term, MCast(arg, fn.co.dom)), fn.co.cod)
+    if type(fn) is MCast and type(fn.co) is NCoHandToFun:
+        return MCast(MHandle(fn.term, MReturn(MCast(arg, fn.co.dom))), fn.co.cod)
     return None
 
+
+def _ty_app(t: MTyApp):
+    f = t.fn
+    if type(f) is MTyAbs:
+        return substitute(Subst.one_ty(f.var, t.ty), f.body)
+    if type(f) is MCast and type(f.co) is NCoForall and is_value_noeff(f):
+        return MCast(MTyApp(f.term, t.ty), substitute(Subst.one_ty(f.co.var, t.ty), f.co.body))
+    return None
+
+
+def _co_app(t: MCoApp):
+    f = t.fn
+    if type(f) is MCoAbs:
+        return substitute(Subst.one_co(f.var, t.co), f.body)
+    if type(f) is MCast and type(f.co) is NCoQual and is_value_noeff(f):
+        return MCast(MCoApp(f.term, t.co), f.co.body)
+    return None
+
+
+def _let(t: MLet):
+    if is_value_noeff(t.val):
+        return subst_term(t.val, t.var, t.body)
+
+
+def _do(t: MDo):
+    first = t.first
+    if type(first) is MReturn and is_value_noeff(first):
+        return subst_term(first.term, t.var, t.second)
+    if type(first) is MOp and is_value_noeff(first):
+        return MOp(first.op, first.arg, first.var, first.var_ty, MDo(t.var, first.body, t.second))
+    return None
+
+
+def _handle(t: MHandle):
+    h, body = t.handler, t.body
+    if not (is_value_noeff(h) and is_value_noeff(body)):
+        return None
+    if type(h) is MHandler:
+        if type(body) is MReturn:
+            return subst_term(body.term, h.ret_var, h.ret_body)
+        if type(body) is MOp:
+            return handle_op(h, body, MHandle, MAbs)
+        return None
+    if type(h) is MCast and type(h.co) is NCoHandler:
+        return MCast(MHandle(h.term, MCast(body, h.co.dom)), h.co.cod)
+    if type(h) is MCast and type(h.co) is NCoFunToHand:
+        if type(body) is MReturn:
+            return MCast(MApp(h.term, MCast(body.term, h.co.dom)), h.co.cod)
+        if type(body) is MOp:
+            return MOp(body.op, body.arg, body.var, body.var_ty, MHandle(h, body.body))
+    return None
+
+
+def _cast(t: MCast):
+    term, co = t.term, t.co
+    if not is_value_noeff(term):
+        return None
+    if type(co) is NCoBaseRefl:
+        return term
+    if type(co) is NCoComp:
+        if type(term) is MReturn:
+            return MReturn(MCast(term.term, co.body))
+        if type(term) is MOp:
+            return MOp(term.op, term.arg, term.var, term.var_ty, MCast(term.body, co))
+        return None
+    if type(co) is NCoReturn:
+        return MReturn(MCast(term, co.body))
+    if type(co) is NCoUnsafe and type(term) is MReturn:
+        return MCast(term.term, co.body)
+    return None  # unsafe over an operation call: stuck
+
+
+RULES = {
+    **{cls: () for cls in (MVar, MOpClause, *_VALUES)},
+    MApp: ("fn", ("arg", "fn", is_value_noeff), _app),
+    MTyApp: ("fn", _ty_app),
+    MCoApp: ("fn", _co_app),
+    MLet: ("val", _let),
+    MReturn: ("term",),
+    MOp: ("arg",),
+    MDo: ("first", _do),
+    MHandle: ("handler", ("body", "handler", is_value_noeff), _handle),
+    MCast: ("term", _cast),
+}
 
 # ---------------------------------------------------------------------------
 # Stuck-term classification
@@ -1190,57 +1144,24 @@ class StuckClass:
 
 
 def classify_stuck(t: NTerm) -> str:
-    """Match the stuck-term grammar literally."""
-    if (
-        isinstance(t, MCast)
-        and isinstance(t.co, NCoUnsafe)
-        and isinstance(t.term, MOp)
-        and is_value_noeff(t.term)
-    ):
-        return StuckClass.HEAD
-
-    def in_context(t: NTerm) -> bool:
-        if classify_stuck(t) != StuckClass.NOT_STUCK:
-            return True
-        return False
-
-    if isinstance(t, MTyApp) and in_context(t.fn):
-        return StuckClass.CONTEXT
-    if isinstance(t, MCast) and in_context(t.term):
-        return StuckClass.CONTEXT
-    if isinstance(t, MCoApp) and in_context(t.fn):
-        return StuckClass.CONTEXT
-    if isinstance(t, MApp):
-        if in_context(t.fn):
-            return StuckClass.CONTEXT
-        if is_value_noeff(t.fn) and in_context(t.arg):
-            return StuckClass.CONTEXT
-    if isinstance(t, MLet) and in_context(t.val):
-        return StuckClass.CONTEXT
-    if isinstance(t, MReturn) and in_context(t.term):
-        return StuckClass.CONTEXT
-    if isinstance(t, MOp) and in_context(t.arg):
-        return StuckClass.CONTEXT
-    if isinstance(t, MDo) and in_context(t.first):
-        return StuckClass.CONTEXT
-    if isinstance(t, MHandle):
-        if in_context(t.handler):
-            return StuckClass.CONTEXT
-        if is_value_noeff(t.handler) and in_context(t.body):
-            return StuckClass.CONTEXT
+    """Match the stuck-term grammar: an unsafe coercion over an operation
+    call, at the top or in an evaluation position."""
+    todo = [(t, StuckClass.HEAD)]
+    while todo:
+        u, found = todo.pop()
+        if type(u) is MCast and type(u.co) is NCoUnsafe and type(u.term) is MOp and is_value_noeff(u.term):
+            return found
+        todo.extend((kid, StuckClass.CONTEXT) for kid in REDUCTION.positions(u))
     return StuckClass.NOT_STUCK
+
+
+REDUCTION = Reduction(RULES, is_value_noeff, lambda t: f"stuck term: {classify_stuck(t)}")
+
+# One deterministic step; None when `t` is a value or stuck.
+step_noeff = REDUCTION.step
 
 
 def eval_noeff(t: NTerm, fuel: int = 100_000):
     """Evaluate to a value; raises StuckTerm with a classification if stuck."""
-    steps = 0
-    while True:
-        if is_value_noeff(t):
-            return t, steps
-        nxt = step_noeff(t)
-        if nxt is None:
-            raise StuckTerm(f"stuck term: {classify_stuck(t)}", t)
-        t = nxt
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+    result, steps, _ = REDUCTION.run(t, fuel)
+    return result, steps

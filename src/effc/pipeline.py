@@ -102,42 +102,34 @@ def compile_path(path: str, stage: str = "noeff") -> PipelineArtifacts:
 # Observations
 
 
-def observe_exeff(result) -> Observation:
-    if isinstance(result, exeff.COp):
+def _observe(result, op_cls, unit_cls, int_cls) -> Observation:
+    if isinstance(result, op_cls):
         return Observation("operation", result.op)
-    v, _ = exeff._peel_return_casts(result)
-    return Observation("returned", _ground_value_exeff(v))
-
-
-def _ground_value_exeff(v) -> str:
-    if isinstance(v, exeff.EUnit):
-        return "unit"
-    if isinstance(v, exeff.EInt):
-        return str(v.value)
+    if isinstance(result, unit_cls):
+        return Observation("returned", "unit")
+    if isinstance(result, int_cls):
+        return Observation("returned", str(result.value))
     raise EffError("observation requires a ground result type")
+
+
+def observe_exeff(result) -> Observation:
+    while isinstance(result, exeff.CCast):
+        result = result.comp
+    if isinstance(result, exeff.CReturn):
+        result = result.val
+    return _observe(result, exeff.COp, exeff.EUnit, exeff.EInt)
 
 
 def observe_skeleff(result) -> Observation:
-    if isinstance(result, skeleff.SOp):
-        return Observation("operation", result.op)
-    v = result.val
-    if isinstance(v, skeleff.SUnit):
-        return Observation("returned", "unit")
-    if isinstance(v, skeleff.SInt):
-        return Observation("returned", str(v.value))
-    raise EffError("observation requires a ground result type")
+    if isinstance(result, skeleff.SReturn):
+        result = result.val
+    return _observe(result, skeleff.SOp, skeleff.SUnit, skeleff.SInt)
 
 
 def observe_noeff(result) -> Observation:
     while isinstance(result, noeff.MReturn):
         result = result.term
-    if isinstance(result, noeff.MOp):
-        return Observation("operation", result.op)
-    if isinstance(result, noeff.MUnit):
-        return Observation("returned", "unit")
-    if isinstance(result, noeff.MInt):
-        return Observation("returned", str(result.value))
-    raise EffError("observation requires a ground result type")
+    return _observe(result, noeff.MOp, noeff.MUnit, noeff.MInt)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +143,21 @@ class RunOutcome:
     trace: Optional[list] = None
 
 
+# backend -> (artefact field of its term, its reduction, its observation)
+_RUNNERS = {
+    "exeff": ("exeff_term", exeff.REDUCTION, observe_exeff),
+    "skeleff": ("skeleff_term", skeleff.REDUCTION, observe_skeleff),
+    "noeff": ("noeff_term", noeff.REDUCTION, observe_noeff),
+}
+
+
 def run_text(text: str, backend: str = "exeff", fuel: int = 100_000, keep_trace: bool = False) -> RunOutcome:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     art = compile_text(text, stage=backend)
-    if backend == "exeff":
-        out = exeff.eval_comp(art.exeff_term, fuel, keep_trace=keep_trace)
-        return RunOutcome(observe_exeff(out.result), out.steps, out.trace)
-    if backend == "skeleff":
-        res, steps = skeleff.eval_sk(art.skeleff_term, fuel)
-        return RunOutcome(observe_skeleff(res), steps)
-    res, steps = noeff.eval_noeff(art.noeff_term, fuel)
-    return RunOutcome(observe_noeff(res), steps)
+    term, reduction, observe = _RUNNERS[backend]
+    result, steps, trace = reduction.run(getattr(art, term), fuel, keep_trace)
+    return RunOutcome(observe(result), steps, trace)
 
 
 def run_path(path: str, backend: str = "exeff", fuel: int = 100_000, keep_trace: bool = False) -> RunOutcome:

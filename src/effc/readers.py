@@ -14,7 +14,6 @@ from . import exeff, noeff, skeleff
 from .core import (
     Base,
     CompType,
-    CoVar,
     Dirt,
     DirtSub,
     ParseError,
@@ -209,12 +208,6 @@ class _Reader:
         kind, t = self.type_any()
         if kind != "v":
             raise self.ts.error("expected a value type")
-        return t
-
-    def cty_only(self) -> CompType:
-        kind, t = self.type_any()
-        if kind != "c":
-            raise self.ts.error("expected a computation type")
         return t
 
     def vty_atom(self):
@@ -510,13 +503,6 @@ def read_exeff_comp(text: str, supply: Optional[Supply] = None):
     return out
 
 
-def read_exeff_value(text: str, supply: Optional[Supply] = None):
-    r = _Reader(text, supply)
-    out = r.evalue(0)
-    r.ts.expect_eof()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Effect-erased reader
 
@@ -651,13 +637,6 @@ class _SkReader(_Reader):
 def read_skeleff_comp(text: str, supply: Optional[Supply] = None):
     r = _SkReader(text, supply)
     out = r.skcomp(0)
-    r.ts.expect_eof()
-    return out
-
-
-def read_skeleff_value(text: str, supply: Optional[Supply] = None):
-    r = _SkReader(text, supply)
-    out = r.skvalue(0)
     r.ts.expect_eof()
     return out
 

@@ -19,14 +19,20 @@ from .core import (
     SkelBase,
     SkelVar,
     Skeleton,
-    StuckTerm,
     TermVar,
     TypecheckError,
     UnboundVariable,
     ValueType,
 )
 from .exeff import Subst
-from .traverse import alpha_eq, subst_term, substitute
+from .traverse import (
+    Reduction,
+    alpha_eq,
+    contractions,
+    handle_op,
+    subst_term,
+    substitute,
+)
 
 # ---------------------------------------------------------------------------
 # Syntax
@@ -227,34 +233,6 @@ def erase_comp(sub: dict, c: exeff.Comp) -> SkComp:
     raise TypeError(c)
 
 
-def erase_env(env: exeff.TypeEnv) -> "SkEnv":
-    out = SkEnv(env.sig)
-    out.skel_vars = frozenset(env.skel_vars)
-    sub = dict(env.ty_vars)
-    out.term_vars = {vid: erase_vty(sub, t) for vid, t in env.term_vars.items()}
-    return out
-
-
-_EX_VALUE_NODES = (
-    exeff.EVar, exeff.EUnit, exeff.EInt, exeff.EAbs, exeff.EHandler,
-    exeff.ESkelAbs, exeff.ESkelApp, exeff.ETyAbs, exeff.ETyApp,
-    exeff.EDirtAbs, exeff.EDirtApp, exeff.ECoAbs, exeff.ECoApp, exeff.ECast,
-)
-
-
-def erase(sub: dict, subject):
-    """Erase any core entity to its effect-free counterpart."""
-    if isinstance(subject, exeff.TypeEnv):
-        return erase_env(subject)
-    if isinstance(subject, CompType):
-        return erase_cty(sub, subject)
-    if isinstance(subject, exeff._COMP_NODES):
-        return erase_comp(sub, subject)
-    if isinstance(subject, _EX_VALUE_NODES):
-        return erase_value(sub, subject)
-    return erase_vty(sub, subject)
-
-
 # ---------------------------------------------------------------------------
 # Typing
 
@@ -377,95 +355,71 @@ def is_comp_result_sk(c) -> bool:
     return isinstance(c, SOp) and is_value_result_sk(c.arg)
 
 
-def step_sk(term):
-    """One deterministic head step; None when the term is a result."""
-    if isinstance(term, _VALUE_NODES):
-        return _step_sk_value(term)
-    return _step_sk_comp(term)
+def _heads(value) -> dict:
+    """The head rule of each class, for a notion of value: results when
+    stepping, results or variables when normalizing open terms."""
 
-
-def _step_sk_value(v: SkValue):
-    if isinstance(v, SSkelApp):
-        inner = _step_sk_value(v.val)
-        if inner is not None:
-            return SSkelApp(inner, v.skel)
-        if isinstance(v.val, SSkelAbs):
+    def skel_beta(v: SSkelApp):
+        if type(v.val) is SSkelAbs:
             return substitute(Subst.one_skel(v.val.var, v.skel), v.val.body)
-    return None
 
+    def app_beta(c: SApp):
+        if type(c.fn) is SAbs and value(c.arg):
+            return subst_term(c.arg, c.fn.var, c.fn.body)
 
-def _step_sk_comp(c: SkComp):
-    if isinstance(c, SApp):
-        fn = _step_sk_value(c.fn)
-        if fn is not None:
-            return SApp(fn, c.arg)
-        if is_value_result_sk(c.fn):
-            arg = _step_sk_value(c.arg)
-            if arg is not None:
-                return SApp(c.fn, arg)
-            if isinstance(c.fn, SAbs) and is_value_result_sk(c.arg):
-                return subst_term(c.arg, c.fn.var, c.fn.body)
-        return None
-    if isinstance(c, SLet):
-        val = _step_sk_value(c.val)
-        if val is not None:
-            return SLet(c.var, val, c.body)
-        if is_value_result_sk(c.val):
+    def let_beta(c: SLet):
+        if value(c.val):
             return subst_term(c.val, c.var, c.body)
-        return None
-    if isinstance(c, SReturn):
-        val = _step_sk_value(c.val)
-        return None if val is None else SReturn(val)
-    if isinstance(c, SOp):
-        arg = _step_sk_value(c.arg)
-        return None if arg is None else SOp(c.op, arg, c.var, c.var_ty, c.body)
-    if isinstance(c, SDo):
-        first = _step_sk_comp(c.first)
-        if first is not None:
-            return SDo(c.var, first, c.second)
-        if isinstance(c.first, SReturn) and is_value_result_sk(c.first.val):
-            return subst_term(c.first.val, c.var, c.second)
-        if isinstance(c.first, SOp) and is_value_result_sk(c.first.arg):
-            op = c.first
-            return SOp(op.op, op.arg, op.var, op.var_ty, SDo(c.var, op.body, c.second))
-        return None
-    if isinstance(c, SHandle):
-        h = _step_sk_value(c.handler)
-        if h is not None:
-            return SHandle(h, c.body)
-        if is_value_result_sk(c.handler):
-            body = _step_sk_comp(c.body)
-            if body is not None:
-                return SHandle(c.handler, body)
-            if not isinstance(c.handler, SHandler):
-                return None
-            hd = c.handler
-            if isinstance(c.body, SReturn) and is_value_result_sk(c.body.val):
-                return subst_term(c.body.val, hd.ret_var, hd.ret_body)
-            if isinstance(c.body, SOp) and is_value_result_sk(c.body.arg):
-                op = c.body
-                clause = hd.clause_for(op.op)
-                if clause is None:
-                    return SOp(op.op, op.arg, op.var, op.var_ty, SHandle(c.handler, op.body))
-                kont = SAbs(op.var, op.var_ty, SHandle(c.handler, op.body))
-                out = subst_term(op.arg, clause.param, clause.body)
-                return subst_term(kont, clause.kont, out)
-        return None
-    raise TypeError(c)
+
+    def do(c: SDo):
+        first = c.first
+        if type(first) is SReturn and value(first.val):
+            return subst_term(first.val, c.var, c.second)
+        if type(first) is SOp and value(first.arg):
+            return SOp(first.op, first.arg, first.var, first.var_ty, SDo(c.var, first.body, c.second))
+
+    def handle(c: SHandle):
+        h, body = c.handler, c.body
+        if type(h) is not SHandler:
+            return None
+        if type(body) is SReturn and value(body.val):
+            return subst_term(body.val, h.ret_var, h.ret_body)
+        if type(body) is SOp and value(body.arg):
+            return handle_op(h, body, SHandle, SAbs)
+
+    return {
+        SSkelApp: skel_beta,
+        SApp: app_beta,
+        SLet: let_beta,
+        SDo: do,
+        SHandle: handle,
+    }
+
+
+_STEP_HEADS = _heads(is_value_result_sk)
+
+RULES = {
+    **{cls: () for cls in (SVar, SUnit, SInt, SAbs, SHandler, SOpClause, SSkelAbs)},
+    SSkelApp: ("val", _STEP_HEADS[SSkelApp]),
+    SApp: ("fn", ("arg", "fn", is_value_result_sk), _STEP_HEADS[SApp]),
+    SLet: ("val", _STEP_HEADS[SLet]),
+    SReturn: ("val",),
+    SOp: ("arg",),
+    SDo: ("first", _STEP_HEADS[SDo]),
+    SHandle: ("handler", ("body", "handler", is_value_result_sk), _STEP_HEADS[SHandle]),
+}
+
+REDUCTION = Reduction(
+    RULES, is_comp_result_sk, lambda c: "stuck erased computation (metatheory violation)"
+)
+
+# One deterministic step; None when the term is a result.
+step_sk = REDUCTION.step
 
 
 def eval_sk(c: SkComp, fuel: int = 100_000):
-    steps = 0
-    while True:
-        if is_comp_result_sk(c):
-            return c, steps
-        nxt = _step_sk_comp(c)
-        if nxt is None:
-            raise StuckTerm("stuck erased computation (metatheory violation)", c)
-        c = nxt
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+    result, steps, _ = REDUCTION.run(c, fuel)
+    return result, steps
 
 
 # ---------------------------------------------------------------------------
@@ -476,96 +430,30 @@ def eval_sk(c: SkComp, fuel: int = 100_000):
 # terminates, and values are effect-free, so contracting a redex under a
 # binder or with an unreduced value argument preserves meaning.
 
+# Open normalization: variables stand for values.
+_OPEN_HEADS = _heads(lambda v: is_value_result_sk(v) or type(v) is SVar)
 
-def _successors(term) -> list:
-    """All single-redex contractions of `term`, anywhere in the tree."""
-    out = []
 
-    def value_ok(v) -> bool:
-        # Open normalization: variables stand for values.
-        return is_value_result_sk(v) or isinstance(v, SVar)
-
-    def rebuild_children(t, rec):
-        if isinstance(t, (SVar, SUnit, SInt)):
-            return
-        if isinstance(t, SAbs):
-            rec(t.body, lambda b: SAbs(t.var, t.ty, b))
-        elif isinstance(t, SHandler):
-            rec(t.ret_body, lambda b: SHandler(t.ret_var, t.ret_ty, b, t.clauses))
-            for i, cl in enumerate(t.clauses):
-                def mk(b, i=i, cl=cl):
-                    cls = list(t.clauses)
-                    cls[i] = SOpClause(cl.op, cl.param, cl.kont, b)
-                    return SHandler(t.ret_var, t.ret_ty, t.ret_body, tuple(cls))
-                rec(cl.body, mk)
-        elif isinstance(t, SSkelAbs):
-            rec(t.body, lambda b: SSkelAbs(t.var, b))
-        elif isinstance(t, SSkelApp):
-            rec(t.val, lambda b: SSkelApp(b, t.skel))
-        elif isinstance(t, SApp):
-            rec(t.fn, lambda b: SApp(b, t.arg))
-            rec(t.arg, lambda b: SApp(t.fn, b))
-        elif isinstance(t, SLet):
-            rec(t.val, lambda b: SLet(t.var, b, t.body))
-            rec(t.body, lambda b: SLet(t.var, t.val, b))
-        elif isinstance(t, SReturn):
-            rec(t.val, lambda b: SReturn(b))
-        elif isinstance(t, SOp):
-            rec(t.arg, lambda b: SOp(t.op, b, t.var, t.var_ty, t.body))
-            rec(t.body, lambda b: SOp(t.op, t.arg, t.var, t.var_ty, b))
-        elif isinstance(t, SDo):
-            rec(t.first, lambda b: SDo(t.var, b, t.second))
-            rec(t.second, lambda b: SDo(t.var, t.first, b))
-        elif isinstance(t, SHandle):
-            rec(t.handler, lambda b: SHandle(b, t.body))
-            rec(t.body, lambda b: SHandle(t.handler, b))
-        else:
-            raise TypeError(t)
-
-    def contract(t):
-        if isinstance(t, SSkelApp) and isinstance(t.val, SSkelAbs):
-            return substitute(Subst.one_skel(t.val.var, t.skel), t.val.body)
-        if isinstance(t, SApp) and isinstance(t.fn, SAbs) and value_ok(t.arg):
-            return subst_term(t.arg, t.fn.var, t.fn.body)
-        if isinstance(t, SLet) and value_ok(t.val):
-            return subst_term(t.val, t.var, t.body)
-        if isinstance(t, SDo) and isinstance(t.first, SReturn) and value_ok(t.first.val):
-            return subst_term(t.first.val, t.var, t.second)
-        if isinstance(t, SDo) and isinstance(t.first, SOp) and value_ok(t.first.arg):
-            op = t.first
-            return SOp(op.op, op.arg, op.var, op.var_ty, SDo(t.var, op.body, t.second))
-        if isinstance(t, SHandle) and isinstance(t.handler, SHandler):
-            hd = t.handler
-            if isinstance(t.body, SReturn) and value_ok(t.body.val):
-                return subst_term(t.body.val, hd.ret_var, hd.ret_body)
-            if isinstance(t.body, SOp) and value_ok(t.body.arg):
-                op = t.body
-                clause = hd.clause_for(op.op)
-                if clause is None:
-                    return SOp(op.op, op.arg, op.var, op.var_ty, SHandle(t.handler, op.body))
-                kont = SAbs(op.var, op.var_ty, SHandle(t.handler, op.body))
-                out = subst_term(op.arg, clause.param, clause.body)
-                return subst_term(kont, clause.kont, out)
-        return None
-
-    def walk(t, wrap):
-        c = contract(t)
-        if c is not None:
-            out.append(wrap(c))
-        rebuild_children(t, lambda sub, mk: walk(sub, lambda b: wrap(mk(b))))
-
-    walk(term, lambda b: b)
-    return out
+def _contract(t):
+    head = _OPEN_HEADS.get(type(t))
+    return None if head is None else head(t)
 
 
 def normalize_full(term, fuel: int = 100_000, rng=None):
-    """Reduce until no redex remains anywhere, including under binders."""
+    """Reduce until no redex remains anywhere, including under binders.
+
+    Contracts the first redex in pre-order, or one that `rng` picks among all
+    of them."""
     steps = 0
     while True:
-        succ = _successors(term)
-        if not succ:
+        if rng is None:
+            nxt = next(contractions(term, _contract), None)
+        else:
+            succ = list(contractions(term, _contract))
+            nxt = rng.choice(succ) if succ else None
+        if nxt is None:
             return term
-        term = rng.choice(succ) if rng is not None else succ[0]
+        term = nxt
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"normalization exceeded {fuel} steps")

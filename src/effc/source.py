@@ -355,14 +355,6 @@ def parse_program(text: str, supply: Optional[Supply] = None, allow_int: bool = 
     return _Parser(text, supply, allow_int).parse_program()
 
 
-def parse_computation(text: str, sig: Signature, supply: Optional[Supply] = None) -> SrcComp:
-    p = _Parser(text, supply)
-    p.sig = sig
-    c = p.parse_comp({})
-    p.ts.expect_eof()
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Pretty-printing (emits the surface grammar)
 

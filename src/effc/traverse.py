@@ -22,6 +22,11 @@ dispatched on `type(t)`.  Children are visited from inside the parent's
 function, so every level of a tree (and every tuple of children) costs one
 stack frame, and a rebuild returns the input node itself when no child
 changed.
+
+The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
+ordered rule list per node class, interpreted by one decompose, contract and
+plug loop that keeps its evaluation context on an explicit stack.  The same
+shapes let `contractions` enumerate the redexes of a term anywhere in it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,17 @@ from __future__ import annotations
 import dataclasses
 from operator import is_
 
-from .core import CoVar, DirtVar, Scheme, SkelVar, TermVar, TyVar, scheme_type
+from .core import (
+    CoVar,
+    DirtVar,
+    FuelExhausted,
+    Scheme,
+    SkelVar,
+    StuckTerm,
+    TermVar,
+    TyVar,
+    scheme_type,
+)
 
 BIND, USE, TERM, TYPE, MANY, ATOM = "bind", "use", "term", "type", "many", "atom"
 
@@ -77,6 +92,7 @@ class Shape:
         )
         self.uses = tuple(f for f in self.fields if f.role == USE)
         self.kids = tuple(f for f in self.fields if f.role in (TERM, TYPE, MANY))
+        self.terms = tuple(f for f in self.kids if f.role != TYPE)
 
 
 def _annotation(f: dataclasses.Field) -> str:
@@ -426,3 +442,153 @@ def _build_rename(cls):
 
 _RENAME = _Table(_build_rename)
 _RENAME[tuple] = _tuple_map(_RENAME)
+
+
+# ---------------------------------------------------------------------------
+# Small-step reduction: decompose, contract, plug
+
+
+class Reduction:
+    """A small-step relation, given as an ordered rule list per node class.
+
+    An entry is an evaluation position, named by a field or by a
+    `(field, other, pred)` triple that takes the position only when
+    `pred(node.other)` holds, or a head rule: a function from the node to its
+    contractum, or None.  A step tries the entries of the term's class in
+    order.  A head rule that fires is the step; a position descends into its
+    child, and a child that cannot step resumes its parent at the next entry.
+    The contractum is plugged back up the path.  A class that never steps
+    lists no entries; an unlisted class raises TypeError.  `result(t)` tells
+    results from the rest, and `stuck(t)` words the error for a non-result
+    that cannot step.
+    """
+
+    def __init__(self, rules: dict, result, stuck):
+        self.rules = rules
+        self.result = result
+        self.stuck = stuck
+        self._entries = _Table(self._compile)
+
+    def _compile(self, cls) -> tuple:
+        if cls not in self.rules:
+            raise TypeError(f"no reduction rules for {cls.__name__}")
+        return tuple(
+            (e, None, None, None) if callable(e)
+            else (None, e, None, None) if isinstance(e, str)
+            else (None, *e)
+            for e in self.rules[cls]
+        )
+
+    def step(self, t):
+        """One step of `t`, or None when no entry fires along its evaluation
+        positions."""
+        entries = self._entries
+        path = None  # the evaluation context: (outer path, node, field, next entry)
+        node, rules, i = t, entries[type(t)], 0
+        n = len(rules)
+        while True:
+            if i == n:
+                if path is None:
+                    return None
+                path, node, _, i = path
+                rules = entries[type(node)]
+                n = len(rules)
+                continue
+            head, name, other, guard = rules[i]
+            i += 1
+            if head is not None:
+                out = head(node)
+                if out is not None:
+                    # `_plug`, inlined: a call per step is measurable on
+                    # programs of a few steps.
+                    new = object.__new__
+                    while path is not None:
+                        path, node, name, _ = path
+                        up = new(type(node))
+                        fields = up.__dict__
+                        fields.update(node.__dict__)
+                        fields[name] = out
+                        out = up
+                    return out
+            elif guard is None or guard(getattr(node, other)):
+                child = getattr(node, name)
+                inner = entries[type(child)]
+                if inner:  # a class without rules never steps: skip it
+                    path = (path, node, name, i)
+                    node, rules, i, n = child, inner, 0, len(inner)
+
+    def positions(self, t) -> list:
+        """The children of `t` in evaluation positions whose guards hold."""
+        return [
+            getattr(t, name)
+            for head, name, other, guard in self._entries[type(t)]
+            if head is None and (guard is None or guard(getattr(t, other)))
+        ]
+
+    def run(self, t, fuel: int = 100_000, keep_trace: bool = False) -> tuple:
+        """Step `t` until it is a result: (the result, the number of steps,
+        every term from `t` on if `keep_trace`, else None)."""
+        result, step = self.result, self.step
+        trace = [t] if keep_trace else None
+        steps = 0
+        while not result(t):
+            nxt = step(t)
+            if nxt is None:
+                raise StuckTerm(self.stuck(t), t)
+            t = nxt
+            steps += 1
+            if keep_trace:
+                trace.append(t)
+            if steps > fuel:
+                raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+        return t, steps, trace
+
+
+def handle_op(h, op, handle, abs_):
+    """The operation call `op` handled by `h`, a handler value of any
+    calculus: its clause for the operation, given the argument and the
+    handled rest of the computation as the continuation, or else the call
+    forwarded outward.  `handle` and `abs_` build handling and abstraction
+    nodes of the calculus."""
+    rest = handle(h, op.body)
+    clause = h.clause_for(op.op)
+    if clause is None:
+        return type(op)(op.op, op.arg, op.var, op.var_ty, rest)
+    out = subst_term(op.arg, clause.param, clause.body)
+    return subst_term(abs_(op.var, op.var_ty, rest), clause.kont, out)
+
+
+def contractions(t, contract):
+    """Every term made from `t` by contracting one redex, anywhere in it and
+    under binders too, enumerated lazily: a node before its children, and
+    children in field order.  `contract(node)` is the contractum of a redex
+    node, or None."""
+    stack = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        out = contract(node)
+        if out is not None:
+            yield _plug(path, out)
+        if type(node) is tuple:
+            kids = [(e, (path, node, j, None)) for j, e in enumerate(node)]
+        else:
+            kids = [(getattr(node, f.name), (path, node, f.name, None)) for f in shape(type(node)).terms]
+        stack.extend(reversed(kids))
+
+
+def _plug(path, t):
+    """Rebuild the nodes along `path` around `t`, innermost first."""
+    new = object.__new__
+    while path is not None:
+        path, node, slot, _ = path
+        if type(node) is tuple:
+            t = node[:slot] + (t,) + node[slot + 1 :]
+        else:
+            # No node class has a `__post_init__`, so copying the field dict
+            # rebuilds a frozen node exactly, and faster than its constructor.
+            out = new(type(node))
+            fields = out.__dict__
+            fields.update(node.__dict__)
+            fields[slot] = t
+            t = out
+    return t

@@ -202,6 +202,34 @@ def test_classify_terminal_computation():
     assert exeff.classify_result(c) is exeff.ResultClass.TERMINAL_COMP
 
 
+def test_classify_long_cast_chains():
+    # Thousands of casts deep: classified in one pass, without recursion.
+    sup = Supply()
+    x = sup.term("x")
+    unit_co = exeff.CoBaseRefl(Base.UNIT)
+    pure_co = exeff.CoComp(unit_co, exeff.CoEmpty(EMPTY_DIRT))
+    arrow = exeff.CoArrow(unit_co, pure_co)
+    lam = exeff.EAbs(x, T_UNIT, exeff.CReturn(exeff.EVar(x)))
+
+    def chain(v, cos):
+        for co in cos:
+            v = exeff.ECast(v, co)
+        return v
+
+    depth = 3000
+    assert exeff.classify_result(chain(lam, [arrow] * depth)) is exeff.ResultClass.VALUE_RESULT
+    # One cast of another sort anywhere in the chain breaks it.
+    handler_co = exeff.CoHandler(pure_co, pure_co)
+    mixed = chain(lam, [arrow] * 5 + [handler_co] + [arrow] * depth)
+    assert exeff.classify_result(mixed) is exeff.ResultClass.NON_RESULT
+    assert exeff.classify_result(chain(exeff.EUnit(), [arrow] * depth)) is exeff.ResultClass.NON_RESULT
+    c = exeff.CReturn(chain(lam, [arrow] * depth))
+    for _ in range(depth):
+        c = exeff.CCast(c, exeff.CoComp(arrow, exeff.CoEmpty(EMPTY_DIRT)))
+    assert exeff.classify_result(c) is exeff.ResultClass.TERMINAL_COMP
+    assert exeff.classify_result(exeff.CCast(c, arrow)) is exeff.ResultClass.NON_RESULT
+
+
 # -- stepping ----------------------------------------------------------------------
 
 

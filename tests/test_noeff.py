@@ -300,6 +300,24 @@ def test_stuck_head_and_contexts():
     ctx = noeff.MLet(sup.term("x"), stuck, noeff.MUnit())
     assert noeff.classify_stuck(ctx) == noeff.StuckClass.CONTEXT
     assert noeff.step_noeff(stuck) is None
+    # Under thousands of casts the context is found without recursion.
+    refl = noeff.NCoBaseRefl(Base.UNIT)
+    deep = stuck
+    for _ in range(3000):
+        deep = noeff.MCast(deep, refl)
+    assert noeff.classify_stuck(deep) == noeff.StuckClass.CONTEXT
+    assert noeff.step_noeff(deep) is None
+
+
+def test_value_under_a_long_cast_chain():
+    sup = Supply()
+    x = sup.term("x")
+    v = noeff.MAbs(x, N_UNIT, noeff.MReturn(noeff.MVar(x)))
+    arrow = noeff.NCoArrow(noeff.NCoBaseRefl(Base.UNIT), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT)))
+    for _ in range(3000):
+        v = noeff.MCast(v, arrow)
+    assert noeff.is_value_noeff(noeff.MReturn(v))
+    assert not noeff.is_value_noeff(noeff.MCast(v, noeff.NCoBaseRefl(Base.UNIT)))
 
 
 def test_partial_progress_trichotomy():

@@ -1,6 +1,7 @@
 """Pipeline orchestration, CLI, dumps and their round-trips."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -131,6 +132,20 @@ def test_cli_run_trace(capsys):
     assert run_cli("run", str(CORPUS / "p03_id_app.eff"), "--trace") == 0
     out = capsys.readouterr().out
     assert "[0]" in out and "return unit" in out
+
+
+def test_cli_run_trace_every_backend(capsys):
+    # Each backend prints its own trace, starting from its dumped term.
+    path = str(CORPUS / "p11_handle_tick_resume.eff")
+    for backend in pipeline.BACKENDS:
+        assert run_cli("dump", path, "--stage", backend) == 0
+        dumped = capsys.readouterr().out
+        assert run_cli("run", path, "--backend", backend, "--trace") == 0
+        *trace, last = capsys.readouterr().out.splitlines()
+        steps = int(re.fullmatch(r"return unit \((\d+) steps\)", last).group(1))
+        assert steps > 0
+        assert [line.split(" ", 1)[0] for line in trace] == [f"[{i}]" for i in range(steps + 1)]
+        assert trace[0] == f"[0] {dumped.rstrip()}", backend
 
 
 def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
