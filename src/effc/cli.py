@@ -42,15 +42,11 @@ def cmd_infer(args) -> int:
     return 0
 
 
-_SHOW = {"exeff": display.show_comp, "skeleff": display.show_sk_comp, "noeff": display.show_nterm}
-
-
 def cmd_run(args) -> int:
     out = pipeline.run_text(_read(args.file), args.backend, args.fuel, keep_trace=args.trace)
     if args.trace:
-        show = _SHOW[args.backend]
         for i, step in enumerate(out.trace):
-            print(f"[{i}] {show(display.canonicalize(step))}")
+            print(f"[{i}] {display.show(display.canonicalize(step))}")
     print(f"{out.observation} ({out.steps} steps)")
     return 0
 

@@ -1,26 +1,45 @@
-"""Canonical renaming and pretty-printing for every intermediate language.
+"""Canonical renaming and the one notation of every intermediate language.
 
 Canonicalization renames all variables (free first, then binders, in
 traversal order) to per-sort sequential names, so printed artifacts are
 deterministic and stable under alpha-equivalence.
+
+`NOTATION` states the concrete syntax of the dumps once.  Every node class
+of the skeletons, core types and constraints, ExEff coercions, values and
+computations, SkelEff terms, and NoEff types, coercions and terms has one
+entry: the precedence level of its form and a template of literal text and
+fields.  A field `{name:p}` prints its child at precedence `p` (0 when
+omitted), and a form prints in parentheses when it is asked for a
+precedence above its level.  `show` prints any node from the table, and
+`read_exeff_comp`, `read_skeleff_comp` and `read_noeff_term` read the same
+table back.  Dirts keep a hand-written form: a sorted set of operations with
+an optional variable tail.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import re
+from typing import Optional, Union, get_args, get_origin, get_type_hints
+
 from . import exeff, noeff, skeleff
 from .core import (
+    Base,
     CompSub,
     CompType,
     CoVar,
     Dirt,
     DirtSub,
     DirtVar,
+    ParseError,
     Scheme,
     SkelArrow,
     SkelBase,
     SkelForall,
     SkelHandler,
     SkelVar,
+    Supply,
     TArrow,
     TBase,
     TForallDirt,
@@ -31,14 +50,178 @@ from .core import (
     TermVar,
     TyVar,
     TySub,
+    scheme_type,
 )
-from .traverse import rename
+from .lex import TokenStream, tokenize
+from .traverse import BIND, VAR_CLASSES, _Table, rename, shape
+
+# ---------------------------------------------------------------------------
+# The notation
+
+ATOM = 3  # the tightest level: the form prints bare at every precedence
+ALL = "all"  # a binder, merged with the binders under it into one group:
+# `all b1 .. bn. body`, of level 0, where the body is the innermost `body`
+
+# The statement forms the three calculi share.
+_FUN = "fun ({var} : {ty}) -> {body}"
+_HANDLER = "handler {{ return ({ret_var} : {ret_ty}) -> {ret_body}{clauses} }}"
+_CLAUSE = "{op}({param}; {kont}) -> {body}"
+# The binder annotation prints at atom level so its dot cannot be mistaken
+# for the continuation separator.
+_OP = "{op}({arg}; {var} : {var_ty:2}. {body})"
+_DO = "do {var} <- {first} in {second}"
+_LET = "let {var} = {val} in {body}"
+_WITH = "with {handler:2} handle {body}"
+_APP = "{fn:2} {arg:3}"
+
+NOTATION = {
+    # Variables: the first letter of a name tells its sort.
+    SkelVar: (ATOM, "s{id}"),
+    TyVar: (ATOM, "a{id}"),
+    DirtVar: (ATOM, "d{id}"),
+    CoVar: (ATOM, "w{id}"),
+    TermVar: (ATOM, "{name}"),
+    # Skeletons
+    SkelBase: (ATOM, "{base}"),
+    SkelArrow: (1, "{dom:2} -> {cod:1}"),
+    SkelHandler: (1, "{dom:2} => {cod:1}"),
+    SkelForall: (ALL, "{var}"),
+    # Core types and constraints
+    TBase: (ATOM, "{base}"),
+    TArrow: (1, "{dom:2} -> {cod:1}"),
+    THandler: (1, "{dom:1} => {cod:1}"),
+    TForallSkel: (ALL, "{var}"),
+    TForallTy: (ALL, "({var} : {skel})"),
+    TForallDirt: (ALL, "{var}"),
+    TQual: (ALL, "[{constraint}]"),
+    CompType: (1, "{val:2} ! {dirt}"),
+    TySub: (0, "{lhs:1} <= {rhs:1}"),
+    DirtSub: (0, "{lhs} <= {rhs}"),
+    CompSub: (0, "{lhs} <= {rhs}"),
+    # ExEff coercions
+    exeff.CoVarRef: (ATOM, "{var}"),
+    exeff.CoBaseRefl: (ATOM, "<{base}>"),
+    exeff.CoTyRefl: (ATOM, "<{var}>"),
+    exeff.CoDirtRefl: (ATOM, "<{dirt}>"),
+    exeff.CoEmpty: (ATOM, "empty({dirt})"),
+    exeff.CoOpUnion: (2, "{{{op}}} + {rest:2}"),
+    exeff.CoArrow: (1, "{dom:2} -> {cod:1}"),
+    exeff.CoHandler: (1, "{dom:2} => {cod:1}"),
+    exeff.CoComp: (2, "{val:3} ! {dirt:3}"),
+    exeff.CoForallSkel: (ALL, "{var}"),
+    exeff.CoForallTy: (ALL, "({var} : {skel})"),
+    exeff.CoForallDirt: (ALL, "{var}"),
+    exeff.CoQual: (ALL, "[{constraint}]"),
+    # ExEff values
+    exeff.EVar: (ATOM, "{var}"),
+    exeff.EUnit: (ATOM, "unit"),
+    exeff.EInt: (ATOM, "{value}"),
+    exeff.EAbs: (0, _FUN),
+    exeff.EHandler: (ATOM, _HANDLER),
+    exeff.OpClause: (ATOM, _CLAUSE),
+    exeff.ESkelAbs: (0, "skfun {var}. {body}"),
+    exeff.ETyAbs: (0, "tyfun ({var} : {skel}). {body}"),
+    exeff.EDirtAbs: (0, "difun {var}. {body}"),
+    exeff.ECoAbs: (0, "cofun ({var} : {constraint}). {body}"),
+    exeff.ESkelApp: (2, "{val:2} @sk[{skel}]"),
+    exeff.ETyApp: (2, "{val:2} @ty[{ty}]"),
+    exeff.EDirtApp: (2, "{val:2} @di[{dirt}]"),
+    exeff.ECoApp: (2, "{val:2} @co[{co}]"),
+    exeff.ECast: (1, "{val:1} |> {co}"),
+    # ExEff computations
+    exeff.CReturn: (2, "return {val:2}"),
+    exeff.COp: (2, _OP),
+    exeff.CDo: (0, _DO),
+    exeff.CLet: (0, _LET),
+    exeff.CHandle: (0, _WITH),
+    exeff.CApp: (2, _APP),
+    exeff.CCast: (1, "{comp:1} |> {co}"),
+    # SkelEff terms
+    skeleff.SVar: (ATOM, "{var}"),
+    skeleff.SUnit: (ATOM, "unit"),
+    skeleff.SInt: (ATOM, "{value}"),
+    skeleff.SAbs: (0, _FUN),
+    skeleff.SHandler: (ATOM, _HANDLER),
+    skeleff.SOpClause: (ATOM, _CLAUSE),
+    skeleff.SSkelAbs: (0, "skfun {var}. {body}"),
+    skeleff.SSkelApp: (2, "{val:2} @sk[{skel}]"),
+    skeleff.SReturn: (2, "return {val:2}"),
+    skeleff.SOp: (2, _OP),
+    skeleff.SDo: (0, _DO),
+    skeleff.SLet: (0, _LET),
+    skeleff.SHandle: (0, _WITH),
+    skeleff.SApp: (2, _APP),
+    # NoEff types
+    noeff.NBase: (ATOM, "{base}"),
+    noeff.NArrow: (1, "{dom:2} -> {cod:1}"),
+    noeff.NHandler: (1, "{dom:2} => {cod:1}"),
+    noeff.NComp: (2, "Comp {body:3}"),
+    noeff.NForall: (ALL, "{var}"),
+    noeff.NQual: (ALL, "[{constraint}]"),
+    noeff.NSub: (0, "{lhs:1} <= {rhs:1}"),
+    # NoEff coercions
+    noeff.NCoVar: (ATOM, "{var}"),
+    noeff.NCoBaseRefl: (ATOM, "<{base}>"),
+    noeff.NCoTyRefl: (ATOM, "<{var}>"),
+    noeff.NCoArrow: (1, "{dom:2} -> {cod:1}"),
+    noeff.NCoHandler: (1, "{dom:2} => {cod:1}"),
+    noeff.NCoHandToFun: (ATOM, "hand2fun({dom}, {cod})"),
+    noeff.NCoFunToHand: (ATOM, "fun2hand({dom}, {cod})"),
+    noeff.NCoComp: (ATOM, "comp({body})"),
+    noeff.NCoReturn: (ATOM, "return({body})"),
+    noeff.NCoUnsafe: (ATOM, "unsafe({body})"),
+    noeff.NCoForall: (ALL, "{var}"),
+    noeff.NCoQual: (ALL, "[{constraint}]"),
+    # NoEff terms.  Terms are one syntactic sort, so `return` parenthesizes
+    # as an application operand to keep the grammar unambiguous.
+    noeff.MVar: (ATOM, "{var}"),
+    noeff.MUnit: (ATOM, "unit"),
+    noeff.MInt: (ATOM, "{value}"),
+    noeff.MAbs: (0, _FUN),
+    noeff.MTyAbs: (0, "tyfun {var}. {body}"),
+    noeff.MCoAbs: (0, "cofun ({var} : {constraint}). {body}"),
+    noeff.MHandler: (ATOM, _HANDLER),
+    noeff.MOpClause: (ATOM, _CLAUSE),
+    noeff.MApp: (2, _APP),
+    noeff.MTyApp: (2, "{fn:2} @ty[{ty}]"),
+    noeff.MCoApp: (2, "{fn:2} @co[{co}]"),
+    noeff.MCast: (1, "{term:1} |> {co}"),
+    noeff.MReturn: (1, "return {term:3}"),
+    noeff.MLet: (0, _LET),
+    noeff.MOp: (2, _OP),
+    noeff.MDo: (0, _DO),
+    noeff.MHandle: (0, _WITH),
+}
+
+_BINDERS = {cls for cls, (level, _) in NOTATION.items() if level is ALL}
+
+# The letter a variable's name starts with in a dump, per sort.
+_LETTERS = {cls: NOTATION[cls][1][0] for cls in (SkelVar, TyVar, DirtVar, CoVar)}
+_SORTED_NAME = re.compile(f"([{''.join(_LETTERS.values())}])\\d+")
+_LETTERS[TermVar] = "x"  # any other name
+
+
+def _template(template: str) -> list:
+    """(literal text, field name or None, precedence) for each piece of a
+    template."""
+    from string import Formatter  # imported here: `string` is slow to import
+
+    return [(lit, name, int(spec or 0)) for lit, name, spec, _ in Formatter().parse(template)]
+
+
+@functools.lru_cache(maxsize=None)
+def _keywords() -> frozenset:
+    """Every word the notation spells out; no variable may be printed as one."""
+    words = {ALL}
+    for cls, (_, template) in NOTATION.items():
+        if cls not in VAR_CLASSES:
+            for lit, _, _ in _template(template):
+                words.update(t.text for t in tokenize(lit) if t.kind == "ident")
+    return frozenset(words)
+
 
 # ---------------------------------------------------------------------------
 # Canonical renaming
-
-
-_RESERVED_TERM_NAME = __import__("re").compile(r"[sadw]\d+")
 
 
 class _Canon:
@@ -52,8 +235,8 @@ class _Canon:
         if cls is TermVar:
             if v.id not in self.term_map:
                 base = v.name or "x"
-                if _RESERVED_TERM_NAME.fullmatch(base):
-                    # Names of this shape denote type-level variables in dumps.
+                if _SORTED_NAME.fullmatch(base) or base in _keywords():
+                    # Such names denote type-level variables or keywords in dumps.
                     base += "_v"
                 name = base
                 n = 1
@@ -75,394 +258,436 @@ def canonicalize(x):
 
 
 # ---------------------------------------------------------------------------
-# Names
+# Printing
 
 
-def _s(v: SkelVar) -> str:
-    return f"s{v.id}"
+def show(node, prec: int = 0) -> str:
+    """The text of any node of any IR (or of a scheme) at precedence `prec`."""
+    return _PRINT[type(node)](node, prec)
 
 
-def _a(v: TyVar) -> str:
-    return f"a{v.id}"
+show_skeleton = show_dirt = show_constraint = show_cty = show_vty = show_scheme = show
+show_coercion = show_value = show_comp = show_sk_value = show_sk_comp = show
+show_nty = show_nsub = show_ncoercion = show_nterm = show
 
 
-def _d(v: DirtVar) -> str:
-    return f"d{v.id}"
+def _fill(pieces: list, t) -> str:
+    parts = []
+    for lit, name, prec in pieces:
+        parts.append(lit)
+        if name is not None:
+            x = getattr(t, name)
+            parts.append(_PRINT[type(x)](x, prec))
+    return "".join(parts)
 
 
-def _w(v: CoVar) -> str:
-    return f"w{v.id}"
+def _build_printer(cls):
+    if cls not in NOTATION:
+        raise TypeError(f"no notation for {cls.__name__}")
+    if cls in _BINDERS:
+        return _show_binders
+    level, pieces = NOTATION[cls][0], _PIECES[cls]
+
+    def go(t, prec):
+        out = _fill(pieces, t)
+        return f"({out})" if prec > level else out
+
+    return go
 
 
-def _x(v: TermVar) -> str:
-    return v.name
+_PIECES = _Table(lambda cls: _template(NOTATION[cls][1]))
 
 
-def _paren(s: str, need: bool) -> str:
-    return f"({s})" if need else s
+def _show_binders(t, prec):
+    binders = []
+    while type(t) in _BINDERS:
+        binders.append(_fill(_PIECES[type(t)], t))
+        t = t.body
+    out = f"all {' '.join(binders)}. {show(t)}"
+    return f"({out})" if prec > 0 else out
 
 
-# ---------------------------------------------------------------------------
-# Skeletons, dirts, core types
-
-
-def show_skeleton(s, prec: int = 0) -> str:
-    if isinstance(s, SkelVar):
-        return _s(s)
-    if isinstance(s, SkelBase):
-        return str(s.base)
-    if isinstance(s, SkelArrow):
-        return _paren(f"{show_skeleton(s.dom, 2)} -> {show_skeleton(s.cod, 1)}", prec > 1)
-    if isinstance(s, SkelHandler):
-        return _paren(f"{show_skeleton(s.dom, 2)} => {show_skeleton(s.cod, 1)}", prec > 1)
-    if isinstance(s, SkelForall):
-        binders = []
-        while isinstance(s, SkelForall):
-            binders.append(_s(s.var))
-            s = s.body
-        return _paren(f"all {' '.join(binders)}. {show_skeleton(s, 0)}", prec > 0)
-    raise TypeError(s)
-
-
-def show_dirt(d: Dirt) -> str:
+def _show_dirt(d: Dirt, prec: int = 0) -> str:
+    ops = ", ".join(d.sorted_ops())
     if d.tail is None:
-        return "{" + ", ".join(d.sorted_ops()) + "}"
+        return f"{{{ops}}}"
     if not d.ops:
-        return _d(d.tail)
-    return "{" + ", ".join(d.sorted_ops()) + " | " + _d(d.tail) + "}"
+        return show(d.tail)
+    return f"{{{ops} | {show(d.tail)}}}"
 
 
-def show_constraint(ct) -> str:
-    if isinstance(ct, TySub):
-        return f"{show_vty(ct.lhs, 1)} <= {show_vty(ct.rhs, 1)}"
-    if isinstance(ct, DirtSub):
-        return f"{show_dirt(ct.lhs)} <= {show_dirt(ct.rhs)}"
-    if isinstance(ct, CompSub):
-        return f"{show_cty(ct.lhs)} <= {show_cty(ct.rhs)}"
-    raise TypeError(ct)
-
-
-def show_cty(c: CompType) -> str:
-    return f"{show_vty(c.val, 2)} ! {show_dirt(c.dirt)}"
-
-
-def show_vty(t, prec: int = 0) -> str:
-    if isinstance(t, TyVar):
-        return _a(t)
-    if isinstance(t, TBase):
-        return str(t.base)
-    if isinstance(t, TArrow):
-        return _paren(f"{show_vty(t.dom, 2)} -> {show_cty(t.cod)}", prec > 1)
-    if isinstance(t, THandler):
-        return _paren(f"{show_cty(t.dom)} => {show_cty(t.cod)}", prec > 1)
-    if isinstance(t, (TForallSkel, TForallTy, TForallDirt, TQual)):
-        binders = []
-        while True:
-            if isinstance(t, TForallSkel):
-                binders.append(_s(t.var))
-            elif isinstance(t, TForallTy):
-                binders.append(f"({_a(t.var)} : {show_skeleton(t.skel)})")
-            elif isinstance(t, TForallDirt):
-                binders.append(_d(t.var))
-            elif isinstance(t, TQual):
-                binders.append(f"[{show_constraint(t.constraint)}]")
-            else:
-                break
-            t = t.body
-        return _paren(f"all {' '.join(binders)}. {show_vty(t, 0)}", prec > 0)
-    raise TypeError(t)
-
-
-def show_scheme(s: Scheme) -> str:
-    from .core import scheme_type
-
-    return show_vty(scheme_type(s))
+_PRINT = _Table(_build_printer)
+_PRINT.update(
+    {
+        str: lambda t, prec: t,
+        int: lambda t, prec: str(t),
+        Base: lambda t, prec: str(t),
+        tuple: lambda t, prec: "".join(", " + show(e) for e in t),  # handler clauses
+        Dirt: _show_dirt,
+        Scheme: lambda s, prec: show(scheme_type(s), prec),
+    }
+)
 
 
 # ---------------------------------------------------------------------------
-# Core coercions
+# Reading
+#
+# The reader reads each field in the syntactic category of its dataclass
+# annotation: a variable, an atom (operation name, integer or base type), a
+# tuple of handler clauses, or a category of nodes (a class, such as `Dirt`,
+# or a Union, such as `Comp`).  A category's forms are keyed by the token
+# they start with: a literal, or the lexical class of a variable or atom.
+# Forms that start with a child are read by precedence climbing, over the
+# category and every category that leads one of its forms (a computation
+# can start with the value that heads an application).  A binder scopes over
+# its scope field in the class's traversal shape only.
 
 
-def show_coercion(co, prec: int = 0) -> str:
-    if isinstance(co, exeff.CoVarRef):
-        return _w(co.var)
-    if isinstance(co, exeff.CoBaseRefl):
-        return f"<{co.base}>"
-    if isinstance(co, exeff.CoTyRefl):
-        return f"<{_a(co.var)}>"
-    if isinstance(co, exeff.CoDirtRefl):
-        return f"<{show_dirt(co.dirt)}>"
-    if isinstance(co, exeff.CoEmpty):
-        return f"empty({show_dirt(co.dirt)})"
-    if isinstance(co, exeff.CoOpUnion):
-        return _paren(f"{{{co.op}}} + {show_coercion(co.rest, 2)}", prec > 2)
-    if isinstance(co, exeff.CoArrow):
-        return _paren(f"{show_coercion(co.dom, 2)} -> {show_coercion(co.cod, 1)}", prec > 1)
-    if isinstance(co, exeff.CoHandler):
-        return _paren(f"{show_coercion(co.dom, 2)} => {show_coercion(co.cod, 1)}", prec > 1)
-    if isinstance(co, exeff.CoComp):
-        return _paren(f"{show_coercion(co.val, 3)} ! {show_coercion(co.dirt, 3)}", prec > 2)
-    if isinstance(co, (exeff.CoForallSkel, exeff.CoForallTy, exeff.CoForallDirt, exeff.CoQual)):
-        binders = []
-        while True:
-            if isinstance(co, exeff.CoForallSkel):
-                binders.append(_s(co.var))
-            elif isinstance(co, exeff.CoForallTy):
-                binders.append(f"({_a(co.var)} : {show_skeleton(co.skel)})")
-            elif isinstance(co, exeff.CoForallDirt):
-                binders.append(_d(co.var))
-            elif isinstance(co, exeff.CoQual):
-                binders.append(f"[{show_constraint(co.constraint)}]")
+def _kind(tok) -> Optional[str]:
+    """The lexical class a token is looked up by when no form is keyed by
+    its text: "op", "int", or the sort letter of a variable's name."""
+    if tok.kind == "uident":
+        return "op"
+    if tok.kind == "int":
+        return "int"
+    if tok.kind != "ident" or tok.text in _keywords():
+        return None
+    m = _SORTED_NAME.fullmatch(tok.text)
+    return m.group(1) if m else _LETTERS[TermVar]
+
+
+def _keys(item) -> set:
+    """The keys of the tokens a template item starts with."""
+    return {item} if type(item) is str else item.first
+
+
+def _starts(item, tok) -> bool:
+    keys = _keys(item)
+    return tok.text in keys or _kind(tok) in keys
+
+
+_ATOM_FIRST = {str: {"op"}, int: {"int"}, Base: {b.value for b in Base}}
+
+
+class _Field:
+    """One field of a template: its category and the tokens it starts with."""
+
+    def __init__(self, f, hint, ann: str, prec: int):
+        self.name, self.prec, self.ann = f.name, prec, ann
+        self.bind = f.role == BIND
+        self.binders = [b for b, _ in f.binders]  # the binder fields it is the scope of
+        self.cat = hint
+        if hint in VAR_CLASSES:
+            self.kind, self.first = "var", {_LETTERS[hint]}
+        elif hint in _ATOM_FIRST:
+            self.kind, self.first = "atom", _ATOM_FIRST[hint]
+        elif get_origin(hint) is tuple:
+            self.kind, self.first = "many", {","}
+            self.cat = get_args(hint)[0]
+        else:
+            self.kind, self.first = "node", None  # set by `_grammar`
+
+
+class _Form:
+    """A node class's template as the reader reads it: literal tokens and
+    fields, in order."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.level, template = NOTATION[cls]
+        hints = get_type_hints(cls)
+        anns = {f.name: str(f.type).strip("'\"") for f in dataclasses.fields(cls)}
+        fields = {f.name: f for f in shape(cls).fields}
+        self.items = []
+        for lit, name, prec in _template(template):
+            self.items += [t.text for t in tokenize(lit)[:-1]]
+            if name is not None:
+                self.items.append(_Field(fields[name], hints[name], anns[name], prec))
+        lead = self.items[0]
+        self.lead = lead if type(lead) is _Field and lead.kind == "node" else None
+        self.rest = self.items[1:]
+        # An `all` group binder's own binders scope over the group's body.
+        self.body_binders = [b for b, _ in fields["body"].binders] if cls in _BINDERS else []
+
+    def read(self, r, left=None):
+        vals, names = {}, {}
+        if left is None:
+            r.items(self.items, vals, names)
+        else:
+            vals[self.lead.name] = left
+            r.items(self.rest, vals, names)
+        return self.cls(**vals)
+
+
+class _Leaf:
+    """A form read by hand: a variable or a dirt."""
+
+    level = ATOM
+
+    def __init__(self, read):
+        self.read = read
+
+
+class _Group:
+    """The `all b1 .. bn. body` group of a category's binder classes."""
+
+    level = 0
+
+    def __init__(self, cat, binders: dict):
+        self.cat = cat
+        self.binders = binders  # first token -> binder form
+
+    def read(self, r):
+        r.expect(ALL)
+        return self.rest(r)
+
+    def rest(self, r):
+        tok = r.ts.peek()
+        if tok.text == ".":
+            r.ts.next()
+            return r.read(self.cat)
+        form = self.binders.get(tok.text) or self.binders.get(_kind(tok))
+        if form is None:
+            raise r.ts.error("expected a binder")
+        vals, names = {}, {}
+        r.items(form.items, vals, names)
+        body = r.scoped([(names[b], vals[b]) for b in form.body_binders], self.rest, r)
+        return form.cls(**vals, body=body)
+
+
+class _Category:
+    """The forms of one category: those its own members start, and those
+    that start with a child (precedence climbing)."""
+
+    def __init__(self, cat, name: str, forms: dict):
+        self.cat, self.name = cat, name
+        self.members = get_args(cat) if get_origin(cat) is Union else (cat,)
+        self.own_prefix: dict = {}
+        self.own_led: list = []
+        binders = {}
+        for m in self.members:
+            if m in VAR_CLASSES:
+                self._add(_Leaf(lambda r, sort=m: r.use(sort)), {_LETTERS[m]})
+            elif m is Dirt:
+                self._add(_Leaf(lambda r: r.dirt()), {"{", _LETTERS[DirtVar]})
+            elif m in _BINDERS:
+                binders.update(dict.fromkeys(_keys(forms[m].items[0]), forms[m]))
+            elif forms[m].lead is not None:
+                self.own_led.append(forms[m])
             else:
-                break
-            co = co.body
-        return _paren(f"all {' '.join(binders)}. {show_coercion(co, 0)}", prec > 0)
-    raise TypeError(co)
+                self._add(forms[m], _keys(forms[m].items[0]))
+        if binders:
+            self._add(_Group(cat, binders), {ALL})
+        self.nests = False
+
+    def _add(self, form, keys):
+        for key in keys:
+            self.own_prefix.setdefault(key, []).append(form)
+
+    def first(self, prec: int) -> set:
+        """The keys of the tokens a node of the category starts with when it
+        is read at precedence `prec` (once `_grammar` has linked it)."""
+        keys = {k for k, forms in self.prefix.items() if any(f.level >= prec for f in forms)}
+        return keys | {"("} if self.parens else keys
 
 
-# ---------------------------------------------------------------------------
-# Core terms
+@functools.lru_cache(maxsize=None)
+def _grammar() -> dict:
+    """Every category's reading tables, built on first use so that importing
+    this module stays cheap."""
+    forms = {cls: _Form(cls) for cls in NOTATION if cls not in VAR_CLASSES}
+    fields = [i for f in forms.values() for i in f.items if type(i) is _Field]
+    cats = {}
+    for i in fields:
+        if i.kind in ("node", "many") and i.cat not in cats:
+            name = i.ann if i.kind == "node" else i.cat.__name__
+            cats[i.cat] = _Category(i.cat, name, forms)
+    # Parentheses group the nodes of a category whose forms nest, one in
+    # another: the printer adds them where a field asks for a precedence
+    # above the level of the form in it.
+    for f in forms.values():
+        for i in f.items:
+            if type(i) is _Field and i.kind == "node" and f.cls in cats[i.cat].members:
+                cats[i.cat].nests = True
+    for g in cats.values():
+        g.family = [g]
+        for h in g.family:
+            for f in h.own_led:
+                if cats[f.lead.cat] not in g.family:
+                    g.family.append(cats[f.lead.cat])
+        g.prefix = {}
+        for h in g.family:
+            for key, fs in h.own_prefix.items():
+                g.prefix.setdefault(key, []).extend(fs)
+        # A parenthesized leading child is tried before the category itself:
+        # an application headed by a parenthesized value, then a
+        # parenthesized computation.
+        g.parens = [h.cat for h in reversed(g.family) if h.nests]
+    for i in fields:
+        if i.kind == "node":
+            i.first = cats[i.cat].first(i.prec)
+            i.members = set(cats[i.cat].members)
+    for g in cats.values():
+        g.led = {}
+        for h in g.family:
+            for f in h.own_led:
+                for key in _keys(f.items[1]):
+                    g.led.setdefault(key, []).append(f)
+    return cats
 
 
-def show_value(v, prec: int = 0) -> str:
-    if isinstance(v, exeff.EVar):
-        return _x(v.var)
-    if isinstance(v, exeff.EUnit):
-        return "unit"
-    if isinstance(v, exeff.EInt):
-        return str(v.value)
-    if isinstance(v, exeff.EAbs):
-        return _paren(
-            f"fun ({_x(v.var)} : {show_vty(v.ty)}) -> {show_comp(v.body)}", prec > 0
-        )
-    if isinstance(v, exeff.EHandler):
-        parts = [f"return ({_x(v.ret_var)} : {show_vty(v.ret_ty)}) -> {show_comp(v.ret_body)}"]
-        for cl in v.clauses:
-            parts.append(f"{cl.op}({_x(cl.param)}; {_x(cl.kont)}) -> {show_comp(cl.body)}")
-        return "handler { " + ", ".join(parts) + " }"
-    if isinstance(v, exeff.ESkelAbs):
-        return _paren(f"skfun {_s(v.var)}. {show_value(v.body)}", prec > 0)
-    if isinstance(v, exeff.ETyAbs):
-        return _paren(
-            f"tyfun ({_a(v.var)} : {show_skeleton(v.skel)}). {show_value(v.body)}", prec > 0
-        )
-    if isinstance(v, exeff.EDirtAbs):
-        return _paren(f"difun {_d(v.var)}. {show_value(v.body)}", prec > 0)
-    if isinstance(v, exeff.ECoAbs):
-        return _paren(
-            f"cofun ({_w(v.var)} : {show_constraint(v.constraint)}). {show_value(v.body)}",
-            prec > 0,
-        )
-    if isinstance(v, exeff.ESkelApp):
-        return _paren(f"{show_value(v.val, 2)} @sk[{show_skeleton(v.skel)}]", prec > 2)
-    if isinstance(v, exeff.ETyApp):
-        return _paren(f"{show_value(v.val, 2)} @ty[{show_vty(v.ty)}]", prec > 2)
-    if isinstance(v, exeff.EDirtApp):
-        return _paren(f"{show_value(v.val, 2)} @di[{show_dirt(v.dirt)}]", prec > 2)
-    if isinstance(v, exeff.ECoApp):
-        return _paren(f"{show_value(v.val, 2)} @co[{show_coercion(v.co)}]", prec > 2)
-    if isinstance(v, exeff.ECast):
-        return _paren(f"{show_value(v.val, 1)} |> {show_coercion(v.co)}", prec > 1)
-    raise TypeError(v)
+_FRESH = {SkelVar: Supply.skel, TyVar: Supply.ty, DirtVar: Supply.dirt, CoVar: Supply.co}
 
 
-def show_comp(c, prec: int = 0) -> str:
-    if isinstance(c, exeff.CReturn):
-        return _paren(f"return {show_value(c.val, 2)}", prec > 2)
-    if isinstance(c, exeff.COp):
-        # The binder annotation prints at atom level so its dot cannot be
-        # mistaken for the continuation separator.
-        return _paren(
-            f"{c.op}({show_value(c.arg)}; {_x(c.var)} : {show_vty(c.var_ty, 2)}. {show_comp(c.body)})",
-            prec > 2,
-        )
-    if isinstance(c, exeff.CDo):
-        return _paren(
-            f"do {_x(c.var)} <- {show_comp(c.first)} in {show_comp(c.second)}", prec > 0
-        )
-    if isinstance(c, exeff.CLet):
-        return _paren(
-            f"let {_x(c.var)} = {show_value(c.val)} in {show_comp(c.body)}", prec > 0
-        )
-    if isinstance(c, exeff.CHandle):
-        return _paren(
-            f"with {show_value(c.handler, 2)} handle {show_comp(c.body)}", prec > 0
-        )
-    if isinstance(c, exeff.CApp):
-        return _paren(f"{show_value(c.fn, 2)} {show_value(c.arg, 3)}", prec > 2)
-    if isinstance(c, exeff.CCast):
-        return _paren(f"{show_comp(c.comp, 1)} |> {show_coercion(c.co)}", prec > 1)
-    raise TypeError(c)
+class _Reader:
+    def __init__(self, text: str, supply: Optional[Supply]):
+        self.ts = TokenStream(tokenize(text))
+        self.supply = supply or Supply()
+        self.grammar = _grammar()
+        self.env: dict = {}  # name -> the innermost binder of that name in scope
 
-
-# ---------------------------------------------------------------------------
-# Effect-erased terms
-
-
-def show_sk_value(v, prec: int = 0) -> str:
-    if isinstance(v, skeleff.SVar):
-        return _x(v.var)
-    if isinstance(v, skeleff.SUnit):
-        return "unit"
-    if isinstance(v, skeleff.SInt):
-        return str(v.value)
-    if isinstance(v, skeleff.SAbs):
-        return _paren(
-            f"fun ({_x(v.var)} : {show_skeleton(v.ty)}) -> {show_sk_comp(v.body)}", prec > 0
-        )
-    if isinstance(v, skeleff.SHandler):
-        parts = [
-            f"return ({_x(v.ret_var)} : {show_skeleton(v.ret_ty)}) -> {show_sk_comp(v.ret_body)}"
-        ]
-        for cl in v.clauses:
-            parts.append(f"{cl.op}({_x(cl.param)}; {_x(cl.kont)}) -> {show_sk_comp(cl.body)}")
-        return "handler { " + ", ".join(parts) + " }"
-    if isinstance(v, skeleff.SSkelAbs):
-        return _paren(f"skfun {_s(v.var)}. {show_sk_value(v.body)}", prec > 0)
-    if isinstance(v, skeleff.SSkelApp):
-        return _paren(f"{show_sk_value(v.val, 2)} @sk[{show_skeleton(v.skel)}]", prec > 2)
-    raise TypeError(v)
-
-
-def show_sk_comp(c, prec: int = 0) -> str:
-    if isinstance(c, skeleff.SReturn):
-        return _paren(f"return {show_sk_value(c.val, 2)}", prec > 2)
-    if isinstance(c, skeleff.SOp):
-        return _paren(
-            f"{c.op}({show_sk_value(c.arg)}; {_x(c.var)} : {show_skeleton(c.var_ty, 2)}. "
-            f"{show_sk_comp(c.body)})",
-            prec > 2,
-        )
-    if isinstance(c, skeleff.SDo):
-        return _paren(
-            f"do {_x(c.var)} <- {show_sk_comp(c.first)} in {show_sk_comp(c.second)}", prec > 0
-        )
-    if isinstance(c, skeleff.SLet):
-        return _paren(
-            f"let {_x(c.var)} = {show_sk_value(c.val)} in {show_sk_comp(c.body)}", prec > 0
-        )
-    if isinstance(c, skeleff.SHandle):
-        return _paren(
-            f"with {show_sk_value(c.handler, 2)} handle {show_sk_comp(c.body)}", prec > 0
-        )
-    if isinstance(c, skeleff.SApp):
-        return _paren(f"{show_sk_value(c.fn, 2)} {show_sk_value(c.arg, 3)}", prec > 2)
-    raise TypeError(c)
-
-
-# ---------------------------------------------------------------------------
-# Pure-backend types, coercions and terms
-
-
-def show_nty(t, prec: int = 0) -> str:
-    if isinstance(t, TyVar):
-        return _a(t)
-    if isinstance(t, noeff.NBase):
-        return str(t.base)
-    if isinstance(t, noeff.NArrow):
-        return _paren(f"{show_nty(t.dom, 2)} -> {show_nty(t.cod, 1)}", prec > 1)
-    if isinstance(t, noeff.NHandler):
-        return _paren(f"{show_nty(t.dom, 2)} => {show_nty(t.cod, 1)}", prec > 1)
-    if isinstance(t, noeff.NComp):
-        return _paren(f"Comp {show_nty(t.body, 3)}", prec > 2)
-    if isinstance(t, (noeff.NForall, noeff.NQual)):
-        binders = []
+    def read(self, cat, prec: int = 0):
+        g = self.grammar[cat]
+        ts = self.ts
+        tok = ts.peek()
+        forms = [f for f in g.prefix.get(tok.text) or g.prefix.get(_kind(tok), ()) if f.level >= prec]
+        if len(forms) > 1:
+            forms = [f for f in forms if _starts(f.items[1], ts.peek(1))]
+        if forms:
+            node, level = forms[0].read(self), forms[0].level
+        elif tok.text == "(" and g.parens:
+            node, level = self.parenthesized(g.parens), ATOM
+        else:
+            raise ts.error(f"expected {g.name}")
         while True:
-            if isinstance(t, noeff.NForall):
-                binders.append(_a(t.var))
-            elif isinstance(t, noeff.NQual):
-                binders.append(f"[{show_nsub(t.constraint)}]")
-            else:
+            tok = ts.peek()
+            forms = [
+                f
+                for f in g.led.get(tok.text) or g.led.get(_kind(tok), ())
+                if f.level >= prec and level >= f.lead.prec and type(node) in f.lead.members
+            ]
+            if len(forms) > 1:
+                forms = [f for f in forms if _starts(f.items[2], ts.peek(1))]
+            if not forms:
                 break
-            t = t.body
-        return _paren(f"all {' '.join(binders)}. {show_nty(t, 0)}", prec > 0)
-    raise TypeError(t)
+            node, level = forms[0].read(self, node), forms[0].level
+        if type(node) not in g.members:
+            raise ts.error(f"expected {g.name}")
+        return node
 
+    def parenthesized(self, cats: list):
+        """A parenthesized node of the first of `cats` it reads as."""
+        mark = self.ts.pos
+        for cat in cats[:-1]:
+            try:
+                return self.enclosed(cat)
+            except ParseError:
+                self.ts.pos = mark
+        return self.enclosed(cats[-1])
 
-def show_nsub(ct: noeff.NSub) -> str:
-    return f"{show_nty(ct.lhs, 1)} <= {show_nty(ct.rhs, 1)}"
+    def enclosed(self, cat):
+        self.ts.eat_sym("(")
+        node = self.read(cat)
+        self.ts.eat_sym(")")
+        return node
 
-
-def show_ncoercion(co, prec: int = 0) -> str:
-    if isinstance(co, noeff.NCoVar):
-        return _w(co.var)
-    if isinstance(co, noeff.NCoBaseRefl):
-        return f"<{co.base}>"
-    if isinstance(co, noeff.NCoTyRefl):
-        return f"<{_a(co.var)}>"
-    if isinstance(co, noeff.NCoArrow):
-        return _paren(f"{show_ncoercion(co.dom, 2)} -> {show_ncoercion(co.cod, 1)}", prec > 1)
-    if isinstance(co, noeff.NCoHandler):
-        return _paren(f"{show_ncoercion(co.dom, 2)} => {show_ncoercion(co.cod, 1)}", prec > 1)
-    if isinstance(co, noeff.NCoHandToFun):
-        return f"hand2fun({show_ncoercion(co.dom)}, {show_ncoercion(co.cod)})"
-    if isinstance(co, noeff.NCoFunToHand):
-        return f"fun2hand({show_ncoercion(co.dom)}, {show_ncoercion(co.cod)})"
-    if isinstance(co, noeff.NCoComp):
-        return f"comp({show_ncoercion(co.body)})"
-    if isinstance(co, noeff.NCoReturn):
-        return f"return({show_ncoercion(co.body)})"
-    if isinstance(co, noeff.NCoUnsafe):
-        return f"unsafe({show_ncoercion(co.body)})"
-    if isinstance(co, (noeff.NCoForall, noeff.NCoQual)):
-        binders = []
-        while True:
-            if isinstance(co, noeff.NCoForall):
-                binders.append(_a(co.var))
-            elif isinstance(co, noeff.NCoQual):
-                binders.append(f"[{show_nsub(co.constraint)}]")
+    def items(self, items: list, vals: dict, names: dict) -> None:
+        """Read a template's items into `vals`; `names` records the name
+        each binder field was read as."""
+        for item in items:
+            if type(item) is str:
+                self.expect(item)
+            elif item.binders:
+                binds = [(names[b], vals[b]) for b in item.binders]
+                vals[item.name] = self.scoped(binds, self.field, item, names)
             else:
+                vals[item.name] = self.field(item, names)
+
+    def field(self, item: _Field, names: dict):
+        ts = self.ts
+        if item.kind == "node":
+            return self.read(item.cat, item.prec)
+        if item.kind == "many":
+            out = []
+            while ts.at_sym(","):
+                ts.next()
+                out.append(self.read(item.cat))
+            return tuple(out)
+        if item.kind == "atom":
+            if not _starts(item, ts.peek()):
+                raise ts.error(f"expected {item.ann}")
+            return item.cat(ts.next().text)
+        if not item.bind:
+            return self.use(item.cat)
+        tok = self.var_token(item.cat)
+        names[item.name] = tok.text
+        if item.cat is TermVar:
+            return self.supply.term(tok.text)
+        return _FRESH[item.cat](self.supply)
+
+    def var_token(self, sort):
+        if _kind(self.ts.peek()) != _LETTERS[sort]:
+            raise self.ts.error(f"expected a {sort.__name__} name")
+        return self.ts.next()
+
+    def use(self, sort):
+        tok = self.var_token(sort)
+        try:
+            return self.env[tok.text]
+        except KeyError:
+            raise ParseError(f"unbound {tok.text!r} in dump", tok.span) from None
+
+    def scoped(self, binds: list, read, *args):
+        """`read(*args)` with each (name, binder) of `binds` in scope."""
+        env = self.env
+        saved = [(name, env.get(name)) for name, _ in binds]
+        env.update(binds)
+        try:
+            return read(*args)
+        finally:
+            for name, old in reversed(saved):
+                if old is None:
+                    env.pop(name, None)
+                else:
+                    env[name] = old
+
+    def expect(self, text: str) -> None:
+        if self.ts.peek().text != text:
+            raise self.ts.error(f"expected {text!r}")
+        self.ts.next()
+
+    def dirt(self) -> Dirt:
+        ts = self.ts
+        if not ts.at_sym("{"):
+            return Dirt(frozenset(), self.use(DirtVar))
+        ts.next()
+        ops, tail = [], None
+        while not ts.at_sym("}"):
+            if ts.at_sym("|"):
+                ts.next()
+                tail = self.use(DirtVar)
                 break
-            co = co.body
-        return _paren(f"all {' '.join(binders)}. {show_ncoercion(co, 0)}", prec > 0)
-    raise TypeError(co)
+            ops.append(ts.eat_kind("uident").text)
+            if ts.at_sym(","):
+                ts.next()
+        ts.eat_sym("}")
+        return Dirt(frozenset(ops), tail)
 
 
-def show_nterm(t, prec: int = 0) -> str:
-    if isinstance(t, noeff.MVar):
-        return _x(t.var)
-    if isinstance(t, noeff.MUnit):
-        return "unit"
-    if isinstance(t, noeff.MInt):
-        return str(t.value)
-    if isinstance(t, noeff.MAbs):
-        return _paren(f"fun ({_x(t.var)} : {show_nty(t.ty)}) -> {show_nterm(t.body)}", prec > 0)
-    if isinstance(t, noeff.MTyAbs):
-        return _paren(f"tyfun {_a(t.var)}. {show_nterm(t.body)}", prec > 0)
-    if isinstance(t, noeff.MCoAbs):
-        return _paren(
-            f"cofun ({_w(t.var)} : {show_nsub(t.constraint)}). {show_nterm(t.body)}", prec > 0
-        )
-    if isinstance(t, noeff.MHandler):
-        parts = [f"return ({_x(t.ret_var)} : {show_nty(t.ret_ty)}) -> {show_nterm(t.ret_body)}"]
-        for cl in t.clauses:
-            parts.append(f"{cl.op}({_x(cl.param)}; {_x(cl.kont)}) -> {show_nterm(cl.body)}")
-        return "handler { " + ", ".join(parts) + " }"
-    if isinstance(t, noeff.MApp):
-        return _paren(f"{show_nterm(t.fn, 2)} {show_nterm(t.arg, 3)}", prec > 2)
-    if isinstance(t, noeff.MTyApp):
-        return _paren(f"{show_nterm(t.fn, 2)} @ty[{show_nty(t.ty)}]", prec > 2)
-    if isinstance(t, noeff.MCoApp):
-        return _paren(f"{show_nterm(t.fn, 2)} @co[{show_ncoercion(t.co)}]", prec > 2)
-    if isinstance(t, noeff.MCast):
-        return _paren(f"{show_nterm(t.term, 1)} |> {show_ncoercion(t.co)}", prec > 1)
-    if isinstance(t, noeff.MReturn):
-        # Terms are one syntactic sort, so `return` must parenthesize in
-        # application-operand position to keep the grammar unambiguous.
-        return _paren(f"return {show_nterm(t.term, 3)}", prec > 1)
-    if isinstance(t, noeff.MLet):
-        return _paren(f"let {_x(t.var)} = {show_nterm(t.val)} in {show_nterm(t.body)}", prec > 0)
-    if isinstance(t, noeff.MOp):
-        return _paren(
-            f"{t.op}({show_nterm(t.arg)}; {_x(t.var)} : {show_nty(t.var_ty, 2)}. {show_nterm(t.body)})",
-            prec > 2,
-        )
-    if isinstance(t, noeff.MDo):
-        return _paren(
-            f"do {_x(t.var)} <- {show_nterm(t.first)} in {show_nterm(t.second)}", prec > 0
-        )
-    if isinstance(t, noeff.MHandle):
-        return _paren(
-            f"with {show_nterm(t.handler, 2)} handle {show_nterm(t.body)}", prec > 0
-        )
-    raise TypeError(t)
+def _read(text: str, cat, supply: Optional[Supply]):
+    r = _Reader(text, supply)
+    out = r.read(cat)
+    r.ts.expect_eof()
+    return out
+
+
+def read_exeff_comp(text: str, supply: Optional[Supply] = None):
+    return _read(text, exeff.Comp, supply)
+
+
+def read_skeleff_comp(text: str, supply: Optional[Supply] = None):
+    return _read(text, skeleff.SkComp, supply)
+
+
+def read_noeff_term(text: str, supply: Optional[Supply] = None):
+    return _read(text, noeff.NTerm, supply)

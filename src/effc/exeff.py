@@ -178,7 +178,7 @@ class EHandler:
     ret_var: TermVar
     ret_ty: ValueType
     ret_body: "Comp"
-    clauses: tuple = ()
+    clauses: tuple[OpClause, ...] = ()
 
     scope = "ret_body"  # the return binder does not reach the operation clauses
 

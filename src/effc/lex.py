@@ -1,4 +1,5 @@
-"""Tokenizer shared by the source parser and the debug-IR readers."""
+"""Tokenizer shared by the source parser and the dump notation in `display`,
+which tokenizes both its templates and the dumps it reads back."""
 
 from __future__ import annotations
 

@@ -280,7 +280,7 @@ class MHandler:
     ret_var: TermVar
     ret_ty: NType
     ret_body: "NTerm"
-    clauses: tuple = ()
+    clauses: tuple[MOpClause, ...] = ()
 
     scope = "ret_body"  # the return binder does not reach the operation clauses
 

@@ -12,9 +12,13 @@ from typing import Optional
 from . import display, exeff, infer, noeff, skeleff, source
 from .core import (
     CompType,
+    CoVar,
+    DirtVar,
     EffError,
     Signature,
+    SkelVar,
     StuckTerm,
+    TyVar,
     TypecheckError,
 )
 from .traverse import alpha_eq
@@ -242,6 +246,7 @@ def differential_check(path: str, fuel: int = 100_000, check_each_step: bool = T
 
 
 def dump_constraints(outcome: infer.InferOutcome) -> str:
+    show = display.show
     lines = []
     anns = sorted(
         (it for it in outcome.generated if isinstance(it, infer.SkelAnn)), key=lambda it: it.var.id
@@ -250,29 +255,20 @@ def dump_constraints(outcome: infer.InferOutcome) -> str:
         (it for it in outcome.generated if isinstance(it, infer.SubCt)), key=lambda it: it.co.id
     )
     for it in anns:
-        lines.append(f"a{it.var.id} : {display.show_skeleton(it.skel)}")
+        lines.append(f"{show(it.var)} : {show(it.skel)}")
     for it in subs:
-        lines.append(f"w{it.co.id} : {display.show_constraint(it.constraint)}")
+        lines.append(f"{show(it.co)} : {show(it.constraint)}")
     lines.append("--- substitution ---")
     s = outcome.subst
-    for sid in sorted(s.skel):
-        lines.append(f"s{sid} := {display.show_skeleton(s.skel[sid])}")
-    for tid in sorted(s.ty):
-        lines.append(f"a{tid} := {display.show_vty(s.ty[tid])}")
-    for did in sorted(s.dirt):
-        lines.append(f"d{did} := {display.show_dirt(s.dirt[did])}")
-    for wid in sorted(s.co):
-        lines.append(f"w{wid} := {display.show_coercion(s.co[wid])}")
+    for sort, solved in ((SkelVar, s.skel), (TyVar, s.ty), (DirtVar, s.dirt), (CoVar, s.co)):
+        for vid in sorted(solved):
+            lines.append(f"{show(sort(vid))} := {show(solved[vid])}")
     return "\n".join(lines) + "\n"
 
 
 def dump_stage(art: PipelineArtifacts, stage: str) -> str:
     if stage == "constraints":
         return dump_constraints(art.inferred)
-    if stage == "exeff":
-        return display.show_comp(display.canonicalize(art.exeff_term)) + "\n"
-    if stage == "skeleff":
-        return display.show_sk_comp(display.canonicalize(art.skeleff_term)) + "\n"
-    if stage == "noeff":
-        return display.show_nterm(display.canonicalize(art.noeff_term)) + "\n"
-    raise ValueError(f"unknown dump stage {stage!r}")
+    if stage not in _RUNNERS:
+        raise ValueError(f"unknown dump stage {stage!r}")
+    return display.show(display.canonicalize(getattr(art, _RUNNERS[stage][0]))) + "\n"

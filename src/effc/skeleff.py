@@ -73,7 +73,7 @@ class SHandler:
     ret_var: TermVar
     ret_ty: Skeleton
     ret_body: "SkComp"
-    clauses: tuple = ()
+    clauses: tuple[SOpClause, ...] = ()
 
     scope = "ret_body"  # the return binder does not reach the operation clauses
 

@@ -108,7 +108,7 @@ def _role(cls: type, f: dataclasses.Field) -> str:
         return TERM
     if ann in _TYPES:
         return TYPE
-    if ann == "tuple":
+    if ann == "tuple" or ann.startswith("tuple["):
         return MANY
     if ann in _ATOMS:
         return ATOM

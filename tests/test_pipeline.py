@@ -1,15 +1,25 @@
 """Pipeline orchestration, CLI, dumps and their round-trips."""
 
+import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from effc import cli, display, pipeline, readers
+from effc import cli, core, display, exeff, noeff, pipeline, skeleff, source
 from effc.core import DirtClash, EffError, SkeletonClash
+from effc.traverse import VAR_CLASSES, alpha_eq
 from conftest import CORPUS, CORPUS_BAD
+from gen_helpers import random_program
+
+READERS = {
+    "exeff": display.read_exeff_comp,
+    "skeleff": display.read_skeleff_comp,
+    "noeff": display.read_noeff_term,
+}
 
 
 def test_compile_stages_re_typecheck(tmp_path):
@@ -76,20 +86,87 @@ def test_corpus_expectations(corpus_paths):
         assert str(rep.observations["exeff"]) == want["observation"], path.name
 
 
+def _dump_inputs(corpus_paths):
+    """The corpus, then 200 generated programs."""
+    for path in corpus_paths:
+        yield path.name, path.read_text()
+    rng = random.Random(20261018)
+    for i in range(200):
+        sig, comp = random_program(rng, rng.randint(2, 5))
+        yield f"random-{i}", source.show_program(sig, comp)
+
+
 def test_dump_roundtrips_alpha_equal(corpus_paths):
     # Dumping and re-reading any stage's representation is alpha-stable on
-    # the whole corpus.
+    # the whole corpus and on generated programs.
+    for name, text in _dump_inputs(corpus_paths):
+        art = pipeline.compile_text(text, "noeff")
+        for stage, read in READERS.items():
+            dumped = pipeline.dump_stage(art, stage)
+            back = read(dumped)
+            assert display.show(display.canonicalize(back)) == dumped.strip(), (name, stage)
+
+
+def test_trace_steps_read_back_alpha_equal(corpus_paths):
+    # Substitution duplicates binders, so a step can bind one name twice: each
+    # binder must reach over its own scope only.
+    c = display.read_skeleff_comp("do a <- (do a <- return 1 in return a) in return a")
+    assert c.second.val.var is c.var
     for path in corpus_paths:
-        art = pipeline.compile_path(str(path), "noeff")
-        ex_text = pipeline.dump_stage(art, "exeff")
-        back = readers.read_exeff_comp(ex_text)
-        assert display.show_comp(display.canonicalize(back)) == ex_text.strip(), path.name
-        sk_text = pipeline.dump_stage(art, "skeleff")
-        back_sk = readers.read_skeleff_comp(sk_text)
-        assert display.show_sk_comp(display.canonicalize(back_sk)) == sk_text.strip(), path.name
-        n_text = pipeline.dump_stage(art, "noeff")
-        back_n = readers.read_noeff_term(n_text)
-        assert display.show_nterm(display.canonicalize(back_n)) == n_text.strip(), path.name
+        for backend, read in READERS.items():
+            trace = pipeline.run_path(str(path), backend, keep_trace=True).trace
+            for i, step in enumerate(trace[:60]):
+                back = read(display.show(display.canonicalize(step)))
+                assert alpha_eq(back, step), (path.name, backend, i)
+
+
+def test_keyword_named_variables_round_trip():
+    # Words of the dump notation are legal surface variable names; canonical
+    # renaming keeps them apart from the keywords.
+    words = ("empty", "skfun", "tyfun", "difun", "cofun", "all", "sk", "ty", "di", "co")
+    words += ("comp", "unsafe", "hand2fun", "fun2hand")
+    for word in words:
+        text = f"let {word} = fun y -> return y in do r <- {word} {word} in (fun {word} -> return {word}) r"
+        art = pipeline.compile_text(text, "noeff")
+        for stage, read in READERS.items():
+            back = read(pipeline.dump_stage(art, stage))
+            assert alpha_eq(back, getattr(art, f"{stage}_term")), (word, stage)
+
+
+def test_every_node_class_has_a_notation_entry():
+    hand_written = {core.Dirt, core.Scheme}
+    classes = [
+        cls
+        for mod in (core, exeff, skeleff, noeff)
+        for cls in vars(mod).values()
+        if isinstance(cls, type)
+        and cls.__module__ == mod.__name__
+        and dataclasses.is_dataclass(cls)
+        and cls.__dataclass_params__.frozen
+        and cls not in (core.Span, core.OpSig)  # not part of any dump
+    ]
+    assert len(classes) > 90
+    for cls in classes:
+        assert cls in display.NOTATION or cls in hand_written, cls.__name__
+        if cls in display.NOTATION and cls not in VAR_CLASSES:  # variables print their names
+            level, template = display.NOTATION[cls]
+            named = {name for _, name, _ in display._template(template) if name is not None}
+            fields = {f.name for f in dataclasses.fields(cls)}
+            # An `all` group binder's body is the rest of the group.
+            assert named == fields - ({"body"} if level is display.ALL else set()), cls.__name__
+
+
+def test_show_rejects_unregistered_classes():
+    class Opaque:
+        pass
+
+    @dataclasses.dataclass(frozen=True)
+    class Unknown:
+        weight: float
+
+    for node in (Opaque(), Unknown(1.0), 1.5, exeff.CReturn(Unknown(1.0))):
+        with pytest.raises(TypeError):
+            display.show(node)
 
 
 def test_deterministic_diagnostics():
