@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
+from string import Formatter
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import exeff, noeff, skeleff
@@ -53,7 +54,7 @@ from .core import (
     scheme_type,
 )
 from .lex import TokenStream, tokenize
-from .traverse import BIND, VAR_CLASSES, _Table, rename, shape
+from .traverse import BIND, VAR_CLASSES, _annotation, _Table, rename, shape
 
 # ---------------------------------------------------------------------------
 # The notation
@@ -198,14 +199,11 @@ _BINDERS = {cls for cls, (level, _) in NOTATION.items() if level is ALL}
 # The letter a variable's name starts with in a dump, per sort.
 _LETTERS = {cls: NOTATION[cls][1][0] for cls in (SkelVar, TyVar, DirtVar, CoVar)}
 _SORTED_NAME = re.compile(f"([{''.join(_LETTERS.values())}])\\d+")
-_LETTERS[TermVar] = "x"  # any other name
 
 
 def _template(template: str) -> list:
     """(literal text, field name or None, precedence) for each piece of a
     template."""
-    from string import Formatter  # imported here: `string` is slow to import
-
     return [(lit, name, int(spec or 0)) for lit, name, spec, _ in Formatter().parse(template)]
 
 
@@ -266,9 +264,8 @@ def show(node, prec: int = 0) -> str:
     return _PRINT[type(node)](node, prec)
 
 
-show_skeleton = show_dirt = show_constraint = show_cty = show_vty = show_scheme = show
-show_coercion = show_value = show_comp = show_sk_value = show_sk_comp = show
-show_nty = show_nsub = show_ncoercion = show_nterm = show
+show_skeleton = show_cty = show_vty = show_scheme = show_value = show_comp = show
+show_sk_value = show_sk_comp = show_nty = show_nterm = show
 
 
 def _fill(pieces: list, t) -> str:
@@ -337,23 +334,29 @@ _PRINT.update(
 # tuple of handler clauses, or a category of nodes (a class, such as `Dirt`,
 # or a Union, such as `Comp`).  A category's forms are keyed by the token
 # they start with: a literal, or the lexical class of a variable or atom.
+# A class key is written in angle brackets, so that no token's text is one
+# and a variable named `int` or `op` is not read as a literal or an atom.
 # Forms that start with a child are read by precedence climbing, over the
 # category and every category that leads one of its forms (a computation
 # can start with the value that heads an application).  A binder scopes over
 # its scope field in the class's traversal shape only.
 
 
+_VAR_KEY = {cls: f"<{letter}>" for cls, letter in _LETTERS.items()}
+_VAR_KEY[TermVar] = "<x>"  # any other name
+
+
 def _kind(tok) -> Optional[str]:
     """The lexical class a token is looked up by when no form is keyed by
-    its text: "op", "int", or the sort letter of a variable's name."""
+    its text: "<op>", "<int>", or the sort of a variable's name."""
     if tok.kind == "uident":
-        return "op"
+        return "<op>"
     if tok.kind == "int":
-        return "int"
+        return "<int>"
     if tok.kind != "ident" or tok.text in _keywords():
         return None
     m = _SORTED_NAME.fullmatch(tok.text)
-    return m.group(1) if m else _LETTERS[TermVar]
+    return f"<{m.group(1)}>" if m else _VAR_KEY[TermVar]
 
 
 def _keys(item) -> set:
@@ -366,7 +369,7 @@ def _starts(item, tok) -> bool:
     return tok.text in keys or _kind(tok) in keys
 
 
-_ATOM_FIRST = {str: {"op"}, int: {"int"}, Base: {b.value for b in Base}}
+_ATOM_FIRST = {str: {"<op>"}, int: {"<int>"}, Base: {b.value for b in Base}}
 
 
 class _Field:
@@ -378,7 +381,7 @@ class _Field:
         self.binders = [b for b, _ in f.binders]  # the binder fields it is the scope of
         self.cat = hint
         if hint in VAR_CLASSES:
-            self.kind, self.first = "var", {_LETTERS[hint]}
+            self.kind, self.first = "var", {_VAR_KEY[hint]}
         elif hint in _ATOM_FIRST:
             self.kind, self.first = "atom", _ATOM_FIRST[hint]
         elif get_origin(hint) is tuple:
@@ -396,7 +399,7 @@ class _Form:
         self.cls = cls
         self.level, template = NOTATION[cls]
         hints = get_type_hints(cls)
-        anns = {f.name: str(f.type).strip("'\"") for f in dataclasses.fields(cls)}
+        anns = {f.name: _annotation(f) for f in dataclasses.fields(cls)}
         fields = {f.name: f for f in shape(cls).fields}
         self.items = []
         for lit, name, prec in _template(template):
@@ -467,9 +470,9 @@ class _Category:
         binders = {}
         for m in self.members:
             if m in VAR_CLASSES:
-                self._add(_Leaf(lambda r, sort=m: r.use(sort)), {_LETTERS[m]})
+                self._add(_Leaf(lambda r, sort=m: r.use(sort)), {_VAR_KEY[m]})
             elif m is Dirt:
-                self._add(_Leaf(lambda r: r.dirt()), {"{", _LETTERS[DirtVar]})
+                self._add(_Leaf(lambda r: r.dirt()), {"{", _VAR_KEY[DirtVar]})
             elif m in _BINDERS:
                 binders.update(dict.fromkeys(_keys(forms[m].items[0]), forms[m]))
             elif forms[m].lead is not None:
@@ -626,7 +629,7 @@ class _Reader:
         return _FRESH[item.cat](self.supply)
 
     def var_token(self, sort):
-        if _kind(self.ts.peek()) != _LETTERS[sort]:
+        if _kind(self.ts.peek()) != _VAR_KEY[sort]:
             raise self.ts.error(f"expected a {sort.__name__} name")
         return self.ts.next()
 

@@ -125,6 +125,9 @@ def test_keyword_named_variables_round_trip():
     # renaming keeps them apart from the keywords.
     words = ("empty", "skfun", "tyfun", "difun", "cofun", "all", "sk", "ty", "di", "co")
     words += ("comp", "unsafe", "hand2fun", "fun2hand")
+    # Names spelled like a token class of the reader: an integer, an
+    # operation, or a variable of each sort.
+    words += ("int", "op", "s", "a", "d", "w", "x")
     for word in words:
         text = f"let {word} = fun y -> return y in do r <- {word} {word} in (fun {word} -> return {word}) r"
         art = pipeline.compile_text(text, "noeff")
