@@ -9,6 +9,7 @@ constraints into a generalized and a floated part.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,12 +83,12 @@ class SubCt:
 
 
 def subst_item(s: Subst, item):
-    assert not (isinstance(item, SkelAnn) and item.var.id in s.ty), (
-        "annotation subject must never be substituted"
-    )
-    assert not (isinstance(item, SubCt) and item.co.id in s.co), (
-        "pending coercion variable must never be substituted"
-    )
+    # Raised, not asserted: the solver runs this on every item it pops, and
+    # the checks must hold under `python -O` too.
+    if isinstance(item, SkelAnn) and item.var.id in s.ty:
+        raise AssertionError("annotation subject must never be substituted")
+    if isinstance(item, SubCt) and item.co.id in s.co:
+        raise AssertionError("pending coercion variable must never be substituted")
     return substitute(s, item)
 
 
@@ -102,15 +103,25 @@ class Session:
         self.sig = sig
         self.supply = supply or Supply()
         self.ann: dict = {}  # type-variable id -> current skeleton annotation
+        self._ann_uses: dict = {}  # skeleton-variable id -> {type-variable id: None}
         self.let_schemes: list = []  # (name, Scheme) in elaboration order
 
     def fresh_ty(self, skel: Skeleton) -> TyVar:
         v = self.supply.ty()
         self.ann[v.id] = skel
+        self._index_ann(skel, v.id)
         return v
 
+    def _index_ann(self, skel: Skeleton, vid: int) -> None:
+        for sv in free_vars(skel, SkelVar):
+            self._ann_uses.setdefault(sv.id, {})[vid] = None
+
     def apply_subst_to_ann(self, s: Subst) -> None:
-        self.ann = {k: substitute(s, v) for k, v in self.ann.items()}
+        """Apply `s` to the annotations that mention its skeleton variables."""
+        for sid, skel in s.skel.items():
+            for vid in self._ann_uses.pop(sid, ()):
+                self.ann[vid] = substitute(s, self.ann[vid])
+                self._index_ann(skel, vid)
 
     def skeleton_of(self, t: ValueType) -> Skeleton:
         """The skeleton of an inference-annotated monotype."""
@@ -225,38 +236,91 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
 # The solver
 
 
-class _SolveState:
-    """Mutable solver state: accumulated substitution, processed, and queue."""
+_SORT = {"skel": SkelVar, "ty": TyVar, "dirt": DirtVar}
+# The sorts of the variables that a solution of each sort can mention.
+_MENTIONS = {"skel": ("skel",), "ty": ("ty", "dirt"), "dirt": ("dirt",)}
 
-    def __init__(self, session: Session, sigma: Subst, processed: list, queue: list):
+
+class _SolveState:
+    """Mutable solver state: the solutions so far, the processed items `P`
+    and the queue `Q`.  Three invariants keep the cost of a step independent
+    of the work already done:
+
+    1. `sigma` holds the skeleton, type and dirt solutions, each already
+       applied to the others, so no solution mentions a solved variable.
+       `uses` indexes, per variable, the solutions that mention it: binding
+       the variable rewrites those and no other.
+    2. Items are brought up to date when popped, not when a variable is
+       bound: a queued or processed item may mention variables solved since
+       it was queued, and `pop` applies `sigma` to it.  `P` holds the items
+       processed since the last binding, so they are up to date.
+    3. `co` is triangular: each coercion solution is kept as recorded.  It
+       names only coercion variables made in the same step, which are solved
+       later or stay pending, so `resolved` settles the map in one backward
+       walk.
+    """
+
+    def __init__(self, session: Session, processed: list, queue: list):
         self.session = session
-        self.sigma = sigma
+        self.sigma = Subst()
+        self.uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
+        self.co: dict = {}
         self.P = list(processed)
-        self.Q = list(queue)
+        self.Q = deque(queue)
+
+    def pop(self):
+        return subst_item(self.sigma, self.Q.popleft())
 
     def record(self, s: Subst) -> None:
-        self.sigma = self.sigma.then(s)
+        """Keep a coercion solution as given; `resolved` substitutes it."""
+        for wid, co in s.co.items():
+            if wid in self.co:
+                raise AssertionError(f"coercion variable w{wid} solved twice")
+            self.co[wid] = co
 
     def apply_all(self, s: Subst) -> None:
-        """Accumulate a substitution and re-enqueue all processed constraints."""
-        self.sigma = self.sigma.then(s)
-        self.session.apply_subst_to_ann(s)
-        self.Q = [subst_item(s, it) for it in self.Q] + [subst_item(s, it) for it in self.P]
+        """Compose a binding into sigma and re-enqueue the processed items."""
+        for sort, mentionable in _MENTIONS.items():
+            for vid, val in getattr(s, sort).items():
+                mentioned = [(m, v.id) for m in mentionable for v in free_vars(val, _SORT[m])]
+                for owner, key in self.uses.pop((sort, vid), ()):
+                    solved = getattr(self.sigma, owner)
+                    solved[key] = substitute(s, solved[key])
+                    self._index(mentioned, owner, key)
+                getattr(self.sigma, sort)[vid] = val
+                self._index(mentioned, sort, vid)
+        if s.skel:
+            self.session.apply_subst_to_ann(s)
+        self.Q.extend(self.P)
         self.P = []
 
+    def _index(self, mentioned, owner, key) -> None:
+        for var in mentioned:
+            self.uses.setdefault(var, {})[owner, key] = None
+
     def prepend(self, items) -> None:
-        self.Q[0:0] = items
+        self.Q.extendleft(reversed(items))
+
+    def resolved(self) -> Subst:
+        """The solutions, with every coercion solution fully substituted."""
+        out = Subst(self.sigma.skel, self.sigma.ty, self.sigma.dirt)
+        for wid in reversed(self.co):
+            out.co[wid] = substitute(out, self.co[wid])
+        out.co = dict(reversed(out.co.items()))  # back in recording order
+        return out
 
 
 def solve(session: Session, sigma: Subst, processed: list, queue: list) -> tuple:
     """Process the constraint queue; returns (substitution, residual items).
 
     Queue discipline is FIFO; whenever a substitution can affect already
-    processed constraints, they are re-enqueued.
+    processed constraints, they are re-enqueued.  The state keeps the
+    invariants stated on `_SolveState`: solutions composed incrementally,
+    items substituted when popped, coercion solutions resolved once here.
     """
-    st = _SolveState(session, sigma, processed, queue)
+    st = _SolveState(session, processed, queue)
     while st.Q:
-        item = st.Q.pop(0)
+        item = st.pop()
         if isinstance(item, SkelEq):
             _solve_skel_eq(st, item)
         elif isinstance(item, SkelAnn):
@@ -267,7 +331,9 @@ def solve(session: Session, sigma: Subst, processed: list, queue: list) -> tuple
             _solve_dirt_sub(st, item)
         else:
             raise TypeError(item)
-    return st.sigma, st.P
+    solved = st.resolved()
+    residual = [subst_item(st.sigma, it) for it in st.P]
+    return (solved if sigma.is_empty() else sigma.then(solved)), residual
 
 
 def _occurs(v: SkelVar, s: Skeleton) -> bool:
