@@ -289,8 +289,7 @@ class _SolveState:
                     self._index(mentioned, owner, key)
                 getattr(self.sigma, sort)[vid] = val
                 self._index(mentioned, sort, vid)
-        if s.skel:
-            self.session.apply_subst_to_ann(s)
+        self.session.apply_subst_to_ann(s)
         self.Q.extend(self.P)
         self.P = []
 
@@ -331,9 +330,8 @@ def solve(session: Session, sigma: Subst, processed: list, queue: list) -> tuple
             _solve_dirt_sub(st, item)
         else:
             raise TypeError(item)
-    solved = st.resolved()
     residual = [subst_item(st.sigma, it) for it in st.P]
-    return (solved if sigma.is_empty() else sigma.then(solved)), residual
+    return sigma.then(st.resolved()), residual
 
 
 def _occurs(v: SkelVar, s: Skeleton) -> bool:
