@@ -24,9 +24,14 @@ stack frame, and a rebuild returns the input node itself when no child
 changed.
 
 The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
-ordered rule list per node class, interpreted by one decompose, contract and
-plug loop that keeps its evaluation context on an explicit stack.  The same
-shapes let `contractions` enumerate the redexes of a term anywhere in it.
+ordered rule list per node class, interpreted by one decomposition loop that
+keeps its evaluation context on an explicit stack.  Evaluation is refocused:
+after each step the loop resumes at the contractum inside the context it
+kept, and rebuilds a parent only when it pops back up to it, so a step costs
+the work near its redex, not the depth of its context.  This is exact
+because head rules come after all evaluation positions (checked per rule
+list) and results never step.  The same shapes let `contractions` enumerate
+the redexes of a term anywhere in it.
 """
 
 from __future__ import annotations
@@ -454,13 +459,28 @@ class Reduction:
     An entry is an evaluation position, named by a field or by a
     `(field, other, pred)` triple that takes the position only when
     `pred(node.other)` holds, or a head rule: a function from the node to its
-    contractum, or None.  A step tries the entries of the term's class in
-    order.  A head rule that fires is the step; a position descends into its
+    contractum, or None.  Decomposition tries the entries of the term's class
+    in order.  A head rule that fires is a step; a position descends into its
     child, and a child that cannot step resumes its parent at the next entry.
-    The contractum is plugged back up the path.  A class that never steps
-    lists no entries; an unlisted class raises TypeError.  `result(t)` tells
-    results from the rest, and `stuck(t)` words the error for a non-result
-    that cannot step.
+    A class that never steps lists no entries; an unlisted class raises
+    TypeError.  `result(t)` tells results from the rest, and `stuck(t)` words
+    the error for a non-result that cannot step.
+
+    Evaluation is refocused (Danvy & Nielsen, *Refocusing in Reduction
+    Semantics*, BRICS RS-04-26, 2004): after a step, decomposition resumes at
+    the contractum, inside the evaluation context it kept, instead of
+    plugging the contractum back and starting again at the root.  A parent is
+    rebuilt when decomposition pops back up to it, and the whole term only
+    for a trace, the result or the stuck term.  This finds the redex a fresh
+    descent from the root would find because of two conditions:
+
+    1. in every rule list the head rules come after all evaluation
+       positions, and no guard reads the field of a position at or after its
+       own entry, so the entries an ancestor tried before descending read
+       nothing the step changed (`_compile` raises TypeError otherwise);
+    2. results never step: `result(t)` implies `step(t) is None`, so
+       stopping when no redex is left at the root stops where stepping until
+       a result would.
     """
 
     def __init__(self, rules: dict, result, stuck):
@@ -472,26 +492,36 @@ class Reduction:
     def _compile(self, cls) -> tuple:
         if cls not in self.rules:
             raise TypeError(f"no reduction rules for {cls.__name__}")
-        return tuple(
+        entries = tuple(
             (e, None, None, None) if callable(e)
             else (None, e, None, None) if isinstance(e, str)
             else (None, *e)
             for e in self.rules[cls]
         )
+        for j, (head, name, other, guard) in enumerate(entries):
+            later = [e[1] for e in entries[j:] if e[0] is None]
+            if head is not None and later:
+                raise TypeError(f"{cls.__name__}: head rule before the evaluation position {later[0]!r}")
+            if guard is not None and other in later:
+                raise TypeError(f"{cls.__name__}: the guard of {name!r} reads the evaluation position {other!r}")
+        return entries
 
-    def step(self, t):
-        """One step of `t`, or None when no entry fires along its evaluation
-        positions."""
+    def _walk(self, t):
+        """The decomposition loop: yields (evaluation context, contractum) at
+        each step and resumes at the contractum; returns the whole term once
+        no redex is left."""
         entries = self._entries
-        path = None  # the evaluation context: (outer path, node, field, next entry)
+        path = None  # the evaluation context: (outer path, parent, field, next entry)
         node, rules, i = t, entries[type(t)], 0
         n = len(rules)
         while True:
             if i == n:
                 if path is None:
-                    return None
-                path, node, _, i = path
-                rules = entries[type(node)]
+                    return node
+                path, parent, name, i = path
+                if getattr(parent, name) is not node:
+                    parent = _replace(parent, name, node)
+                node, rules = parent, entries[type(parent)]
                 n = len(rules)
                 continue
             head, name, other, guard = rules[i]
@@ -499,23 +529,21 @@ class Reduction:
             if head is not None:
                 out = head(node)
                 if out is not None:
-                    # `_plug`, inlined: a call per step is measurable on
-                    # programs of a few steps.
-                    new = object.__new__
-                    while path is not None:
-                        path, node, name, _ = path
-                        up = new(type(node))
-                        fields = up.__dict__
-                        fields.update(node.__dict__)
-                        fields[name] = out
-                        out = up
-                    return out
+                    yield path, out
+                    node, rules, i = out, entries[type(out)], 0
+                    n = len(rules)
             elif guard is None or guard(getattr(node, other)):
                 child = getattr(node, name)
                 inner = entries[type(child)]
                 if inner:  # a class without rules never steps: skip it
                     path = (path, node, name, i)
                     node, rules, i, n = child, inner, 0, len(inner)
+
+    def step(self, t):
+        """One step of `t`, or None when no entry fires along its evaluation
+        positions."""
+        found = next(self._walk(t), None)
+        return None if found is None else _plug(*found)
 
     def positions(self, t) -> list:
         """The children of `t` in evaluation positions whose guards hold."""
@@ -526,21 +554,25 @@ class Reduction:
         ]
 
     def run(self, t, fuel: int = 100_000, keep_trace: bool = False) -> tuple:
-        """Step `t` until it is a result: (the result, the number of steps,
-        every term from `t` on if `keep_trace`, else None)."""
-        result, step = self.result, self.step
+        """Step `t` until no redex is left: (the result, the number of steps,
+        every term from `t` on if `keep_trace`, else None).  Raises
+        StuckTerm, carrying the whole term, when that term is not a result,
+        and FuelExhausted on the step after the `fuel`-th."""
         trace = [t] if keep_trace else None
         steps = 0
-        while not result(t):
-            nxt = step(t)
-            if nxt is None:
-                raise StuckTerm(self.stuck(t), t)
-            t = nxt
-            steps += 1
-            if keep_trace:
-                trace.append(t)
-            if steps > fuel:
-                raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+        walk = self._walk(t)
+        try:
+            while True:
+                path, out = next(walk)
+                steps += 1
+                if keep_trace:
+                    trace.append(_plug(path, out))
+                if steps > fuel:
+                    raise FuelExhausted(f"evaluation exceeded {fuel} steps")
+        except StopIteration as done:
+            t = done.value
+        if not self.result(t):
+            raise StuckTerm(self.stuck(t), t)
         return t, steps, trace
 
 
@@ -578,17 +610,21 @@ def contractions(t, contract):
 
 def _plug(path, t):
     """Rebuild the nodes along `path` around `t`, innermost first."""
-    new = object.__new__
     while path is not None:
         path, node, slot, _ = path
         if type(node) is tuple:
             t = node[:slot] + (t,) + node[slot + 1 :]
         else:
-            # No node class has a `__post_init__`, so copying the field dict
-            # rebuilds a frozen node exactly, and faster than its constructor.
-            out = new(type(node))
-            fields = out.__dict__
-            fields.update(node.__dict__)
-            fields[slot] = t
-            t = out
+            t = _replace(node, slot, t)
     return t
+
+
+def _replace(node, name, t):
+    """`node` with `t` in its field `name`.  No node class has a
+    `__post_init__`, so copying the field dict rebuilds a frozen node
+    exactly, and faster than its constructor."""
+    out = object.__new__(type(node))
+    fields = out.__dict__
+    fields.update(node.__dict__)
+    fields[name] = t
+    return out

@@ -176,6 +176,17 @@ def random_program(rng: random.Random, depth: int = 4):
     return make_signature(), comp
 
 
+def program_texts(corpus_paths, count: int = 200):
+    """(name, source text) of each corpus program, then of `count` generated
+    programs."""
+    for path in corpus_paths:
+        yield path.name, path.read_text()
+    rng = random.Random(20261018)
+    for i in range(count):
+        sig, comp = random_program(rng, rng.randint(2, 5))
+        yield f"random-{i}", source.show_program(sig, comp)
+
+
 # ---------------------------------------------------------------------------
 # Generated subtyping pairs: (narrow type, wide type, witnessing coercion)
 

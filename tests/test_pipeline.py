@@ -2,18 +2,17 @@
 
 import dataclasses
 import json
-import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from effc import cli, core, display, exeff, noeff, pipeline, skeleff, source
+from effc import cli, core, display, exeff, noeff, pipeline, skeleff
 from effc.core import DirtClash, EffError, SkeletonClash
 from effc.traverse import VAR_CLASSES, alpha_eq
 from conftest import CORPUS, CORPUS_BAD
-from gen_helpers import random_program
+from gen_helpers import program_texts
 
 READERS = {
     "exeff": display.read_exeff_comp,
@@ -74,6 +73,9 @@ def test_differential_corpus_agreement(corpus_paths):
     for path in corpus_paths:
         report = pipeline.differential_check(str(path))
         assert report.agreement, (path.name, report.failure)
+        # The harness steps from the root; the evaluator refocuses.
+        art = pipeline.compile_path(str(path), "exeff")
+        assert report.steps["exeff"] == exeff.eval_comp(art.exeff_term).steps, path.name
 
 
 def test_corpus_expectations(corpus_paths):
@@ -86,20 +88,10 @@ def test_corpus_expectations(corpus_paths):
         assert str(rep.observations["exeff"]) == want["observation"], path.name
 
 
-def _dump_inputs(corpus_paths):
-    """The corpus, then 200 generated programs."""
-    for path in corpus_paths:
-        yield path.name, path.read_text()
-    rng = random.Random(20261018)
-    for i in range(200):
-        sig, comp = random_program(rng, rng.randint(2, 5))
-        yield f"random-{i}", source.show_program(sig, comp)
-
-
 def test_dump_roundtrips_alpha_equal(corpus_paths):
     # Dumping and re-reading any stage's representation is alpha-stable on
     # the whole corpus and on generated programs.
-    for name, text in _dump_inputs(corpus_paths):
+    for name, text in program_texts(corpus_paths):
         art = pipeline.compile_text(text, "noeff")
         for stage, read in READERS.items():
             dumped = pipeline.dump_stage(art, stage)

@@ -1,14 +1,18 @@
-"""The evaluation-context engine: golden step counts, deep contexts, rule coverage."""
+"""The evaluation-context engine: golden step counts and traces, refocusing,
+fuel and stuck terms, deep contexts, rule coverage."""
 
+import hashlib
 import json
 import sys
+import time
 import typing
 
 import pytest
 
-from effc import exeff, noeff, pipeline, skeleff, traverse
-from effc.core import Base, Supply, TBase
+from effc import cli, exeff, noeff, pipeline, skeleff, traverse
+from effc.core import Base, FuelExhausted, StuckTerm, Supply, TBase
 from conftest import CORPUS, GOLDEN
+from gen_helpers import program_texts
 
 # Per calculus: its reduction, and every class of its term syntax.
 CALCULI = {
@@ -22,6 +26,9 @@ CALCULI = {
     ),
     "noeff": (noeff.REDUCTION, typing.get_args(noeff.NTerm) + (noeff.MOpClause,)),
 }
+
+# Per backend: the artefact field holding the term it evaluates.
+TERMS = {"exeff": "exeff_term", "skeleff": "skeleff_term", "noeff": "noeff_term"}
 
 
 def test_corpus_step_counts_match_golden():
@@ -38,6 +45,108 @@ def test_corpus_step_counts_match_golden():
         assert got == want, name
 
 
+def test_corpus_traces_match_golden(corpus_paths, capsys):
+    # One digest of `run --backend B --trace` per corpus file and backend,
+    # recorded before evaluation was refocused: every term of every
+    # reduction sequence, not only its length.
+    want = {}
+    for line in (GOLDEN / "traces.sha256").read_text().splitlines():
+        digest, name, backend = line.split()
+        want[name, backend] = digest
+    got = {}
+    for path in corpus_paths:
+        for backend in pipeline.BACKENDS:
+            assert cli.main(["run", str(path), "--backend", backend, "--trace"]) == 0
+            got[path.name, backend] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == want
+
+
+@pytest.fixture(scope="module")
+def traces(corpus_paths):
+    """(program, backend, reduction, the term, its trace) for the corpus and
+    200 generated programs on every backend."""
+    out = []
+    for name, text in program_texts(corpus_paths):
+        art = pipeline.compile_text(text, "noeff")
+        for backend, (reduction, _) in CALCULI.items():
+            term = getattr(art, TERMS[backend])
+            out.append((name, backend, reduction, term, reduction.run(term, keep_trace=True)[2]))
+    return out
+
+
+def test_stepping_from_the_root_takes_the_refocused_sequence(traces):
+    # `step` descends from the root each time; `run` resumes at each
+    # contractum.  Both must take the same sequence of terms.
+    for name, backend, reduction, term, trace in traces:
+        seq = [term]
+        while (nxt := reduction.step(seq[-1])) is not None:
+            seq.append(nxt)
+        assert seq == trace, (name, backend)
+
+
+def _subterms(roots):
+    """Every node of term syntax in or under `roots`, each distinct one once."""
+    seen, todo = set(), list(roots)
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if type(u) is tuple:
+            todo.extend(u)
+        else:
+            yield u
+            todo.extend(getattr(u, f.name) for f in traverse.shape(type(u)).terms)
+
+
+def test_results_never_step(traces):
+    # Refocusing stops when no redex is left at the root, where stepping
+    # stopped at the first result: the two agree because no result steps.
+    # Checked on every term of every trace and on everything under it.
+    checked = 0
+    for name, backend, reduction, _, trace in traces:
+        relations = (reduction, exeff.VALUE_REDUCTION) if backend == "exeff" else (reduction,)
+        for u in _subterms(trace):
+            for rel in relations:
+                if rel.result(u):
+                    checked += 1
+                    assert rel.step(u) is None, (name, backend, u)
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("name", list(CALCULI))
+def test_fuel_bounds_the_number_of_steps(name):
+    reduction, _ = CALCULI[name]
+    art = pipeline.compile_path(str(CORPUS / "p14_handle_nested.eff"), "noeff")
+    term = getattr(art, TERMS[name])
+    k = reduction.run(term)[1]
+    assert k > 1
+    assert reduction.run(term, fuel=k)[1] == k
+    with pytest.raises(FuelExhausted):
+        reduction.run(term, fuel=k - 1)
+
+
+def test_a_stuck_term_is_reported_whole():
+    # After one step, an unsafe coercion over an operation call sits two
+    # evaluation contexts deep: the error carries the whole term and the
+    # stuck-term class.
+    sup = Supply()
+    x, y, z, w = (sup.term(v) for v in "xyzw")
+    unit = noeff.NBase(Base.UNIT)
+    op = noeff.MOp("Tick", noeff.MUnit(), y, unit, noeff.MReturn(noeff.MVar(y)))
+    stuck = noeff.MCast(op, noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT)))
+
+    def program(inner):
+        let = noeff.MLet(w, inner, noeff.MReturn(noeff.MVar(w)))
+        return noeff.MDo(z, let, noeff.MReturn(noeff.MVar(z)))
+
+    t = program(noeff.MApp(noeff.MAbs(x, unit, stuck), noeff.MUnit()))
+    with pytest.raises(StuckTerm) as err:
+        noeff.eval_noeff(t)
+    assert err.value.term == program(stuck)
+    assert str(err.value) == f"stuck term: {noeff.StuckClass.CONTEXT}"
+
+
 def _eval_comp(c):
     out = exeff.eval_comp(c)
     return out.result, out.steps
@@ -51,25 +160,52 @@ DEEP = {
 }
 
 
-@pytest.mark.parametrize("name", list(DEEP))
-def test_contexts_deeper_than_the_recursion_limit(name):
+def _do_chain(name, depth):
     # do x <- (do x <- (... return unit ...) in return x) in return x
-    do, ret, var, unit, evaluate = DEEP[name]
-    depth = 2000
-    assert depth > sys.getrecursionlimit()
+    do, ret, var, unit, _ = DEEP[name]
     sup = Supply()
     c = ret(unit)
     for _ in range(depth):
         x = sup.term("x")
         c = do(x, c, ret(var(x)))
-    assert evaluate(c) == (ret(unit), depth)
+    return c
+
+
+def _thread_time(name, depth):
+    """The least thread time of three evaluations of a `depth`-deep chain."""
+    evaluate = DEEP[name][4]
+    times = []
+    for _ in range(3):
+        c = _do_chain(name, depth)
+        start = time.thread_time()
+        evaluate(c)
+        times.append(time.thread_time() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [pytest.param(name, 2000, id=name) for name in DEEP]
+    + [pytest.param(name, 20_000, id=f"{name}-20000") for name in DEEP],
+)
+def test_contexts_deeper_than_the_recursion_limit(name, depth):
+    _, ret, _, unit, evaluate = DEEP[name]
+    assert depth > sys.getrecursionlimit()
+    assert evaluate(_do_chain(name, depth)) == (ret(unit), depth)
+    if depth == 20_000:
+        # Each step resumes where the last one fired, so evaluation is
+        # linear in the depth: about 4x the time for 4x the depth, where a
+        # step that re-descends from the root would make it about 16x.
+        assert _thread_time(name, depth) < 8 * _thread_time(name, depth // 4)
 
 
 @pytest.mark.parametrize("name", list(CALCULI))
 def test_every_term_class_has_a_rule_list(name):
     reduction, classes = CALCULI[name]
     assert set(reduction.rules) == set(classes)
+    broken = []
     for cls, entries in reduction.rules.items():
+        reduction._compile(cls)  # raises TypeError where refocusing would be inexact
         # Plugging copies a node's fields without calling its constructor.
         assert not hasattr(cls, "__post_init__"), cls.__name__
         fields = {f.name: f.role for f in traverse.shape(cls).fields}
@@ -77,6 +213,19 @@ def test_every_term_class_has_a_rule_list(name):
             if not callable(e):
                 field = e if isinstance(e, str) else e[0]
                 assert fields.get(field) == traverse.TERM, (cls.__name__, field)
+        # Lists refocusing cannot follow: a head rule before an evaluation
+        # position, or a guard that reads a position after its own entry.
+        heads = tuple(e for e in entries if callable(e))
+        positions = tuple(e for e in entries if not callable(e))
+        if heads and positions:
+            broken.append((cls, heads + positions))
+        for field, other, pred in (e for e in positions if not isinstance(e, str)):
+            broken.append((cls, ((other, field, pred), field) + heads))
+    assert broken
+    for cls, entries in broken:
+        bad = traverse.Reduction({**reduction.rules, cls: entries}, reduction.result, reduction.stuck)
+        with pytest.raises(TypeError):
+            bad._compile(cls)
     with pytest.raises(TypeError):
         reduction.step(TBase(Base.UNIT))
 
