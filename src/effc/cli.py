@@ -31,13 +31,14 @@ def cmd_check(args) -> int:
 def cmd_infer(args) -> int:
     sig, comp = source.parse_program(_read(args.file))
     source.check_signature(sig)
-    outcome = infer.infer_top(sig, comp)
-    canon = display.canonicalize(outcome.cty)
-    print(f"type: {display.show_cty(canon)}")
+    if args.defaulted:
+        cty, _, outcome = infer.infer_and_default(sig, comp)
+    else:
+        outcome = infer.infer_top(sig, comp)
+    print(f"type: {display.show_cty(display.canonicalize(outcome.cty))}")
     for name, scheme in outcome.session.let_schemes:
         print(f"let {name} : {display.show_scheme(display.canonicalize(scheme))}")
     if args.defaulted:
-        cty, _, _ = infer.infer_and_default(sig, comp)
         print(f"defaulted: {display.show_cty(display.canonicalize(cty))}")
     return 0
 

@@ -166,6 +166,11 @@ def elaborate_env(env: dict, sig: Signature) -> exeff.TypeEnv:
 # Generalization: split
 
 
+def _var_keys(obj) -> set:
+    """The type and dirt variables free in `obj`, as ("t" | "d", id) keys."""
+    return {("t", v.id) for v in free_vars(obj, TyVar)} | {("d", v.id) for v in free_vars(obj, DirtVar)}
+
+
 def split(env: dict, Q: list, a: ValueType) -> tuple:
     """Partition residual constraints for let-generalization.
 
@@ -173,18 +178,14 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
     (skel_vars, [(ty_var, skeleton)], dirt_vars, generalized [(co, ct)],
     floated queue items).
     """
-    env_ty: set = set()
-    env_dirt: set = set()
-    for _, (_, scheme) in env.items():
-        env_ty |= {v.id for v in free_vars(scheme, TyVar)}
-        env_dirt |= {v.id for v in free_vars(scheme, DirtVar)}
+    env_fv = _var_keys([scheme for _, scheme in env.values()])
 
     # An annotation's subject counts as an occurrence of its type variable.
     q_objs = [it.var if isinstance(it, SkelAnn) else it.constraint for it in Q]
     free_ty_ordered = free_vars(q_objs + [a], TyVar)
     free_dirt_ordered = free_vars(q_objs + [a], DirtVar)
-    gen_ty = [v for v in free_ty_ordered if v.id not in env_ty]
-    gen_dirt = [v for v in free_dirt_ordered if v.id not in env_dirt]
+    gen_ty = [v for v in free_ty_ordered if ("t", v.id) not in env_fv]
+    gen_dirt = [v for v in free_dirt_ordered if ("d", v.id) not in env_fv]
     gen_ty_ids = {v.id for v in gen_ty}
 
     ann: dict = {}
@@ -217,10 +218,7 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
     floated = []
     for it in Q:
         if isinstance(it, SubCt):
-            fv = {("t", v.id) for v in free_vars(it.constraint, TyVar)}
-            fv |= {("d", v.id) for v in free_vars(it.constraint, DirtVar)}
-            env_fv = {("t", i) for i in env_ty} | {("d", i) for i in env_dirt}
-            if not fv <= env_fv:
+            if not _var_keys(it.constraint) <= env_fv:
                 generalized.append((it.co, it.constraint))
             else:
                 floated.append(it)
@@ -230,6 +228,77 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
         else:
             floated.append(it)
     return gen_skel, ty_binders, gen_dirt, generalized, floated
+
+
+# ---------------------------------------------------------------------------
+# Generalization: collapsing variables that occur only in constraints
+
+
+def _whole_var(side) -> Optional[tuple]:
+    """The key of a constraint side that is a bare type or dirt variable."""
+    if isinstance(side, TyVar):
+        return ("t", side.id)
+    if isinstance(side, Dirt) and not side.ops and side.tail is not None:
+        return ("d", side.tail.id)
+    return None
+
+
+def _collapsible(pinned: set, Q: list) -> Optional[tuple]:
+    """The first variable outside `pinned` that occurs in `Q` only as a whole
+    side of subtyping constraints and has exactly one lower bound, or else
+    exactly one upper bound; returns (its key, that bound) or None."""
+    pinned = set(pinned)
+    bounds: dict = {}  # key -> ([lower bounds], [upper bounds])
+    for it in Q:
+        if isinstance(it, SubCt):
+            ct = it.constraint
+            for side, other, pos in ((ct.rhs, ct.lhs, 0), (ct.lhs, ct.rhs, 1)):
+                key = _whole_var(side)
+                if key is None:
+                    pinned |= _var_keys(side)
+                else:
+                    bounds.setdefault(key, ([], []))[pos].append(other)
+    for key, sides in bounds.items():
+        if key not in pinned:
+            for found in sides:
+                if len(found) == 1 and _whole_var(found[0]) != key:
+                    return key, found[0]
+    return None
+
+
+def collapse(session: Session, sigma: Subst, env: dict, a: ValueType, Q: list) -> tuple:
+    """Instantiate each variable that occurs only in constraints at its one bound.
+
+    A variable that occurs in neither `env` nor `a`, and in `Q` only as a
+    whole side of subtyping constraints, with exactly one lower bound (or
+    else exactly one upper bound) is set to that bound.  The constraint the
+    bound came from closes by reflexivity, the variable's annotation goes,
+    and the other constraints are re-solved.  The scheme generalized from
+    the result is equivalent to the one generalized from `Q`, by reflexivity
+    and transitivity of subtyping: the chain collapsing of Pottier,
+    *Simplifying subtyping constraints: a theory* (I&C 2001).  Re-solving
+    residual constraints binds no further variable, so `env` and `a` stay
+    as they are.  Returns (`sigma` then the instantiations, residual items).
+    """
+    pinned = _var_keys([scheme for _, scheme in env.values()] + [a])
+    s = Subst()
+    while (pick := _collapsible(pinned, Q)) is not None:
+        (sort, vid), bound = pick
+        step = Subst(ty={vid: bound}) if sort == "t" else Subst(dirt={vid: bound})
+        rest = []
+        for it in Q:
+            if sort == "t" and isinstance(it, SkelAnn) and it.var.id == vid:
+                continue
+            it = subst_item(step, it)
+            if isinstance(it, SubCt) and it.constraint.lhs == it.constraint.rhs:
+                step.co[it.co.id] = refl_of(it.constraint.lhs)
+            else:
+                rest.append(it)
+        s_round, Q = solve(session, step, [], rest)
+        if len(s_round.skel) + len(s_round.ty) + len(s_round.dirt) != 1:
+            raise AssertionError("re-solving a collapsed residual bound a variable")
+        s = s.then(s_round)
+    return (sigma if s.is_empty() else sigma.then(s)), Q
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +771,11 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         # enclosing terms can never be captured by this scheme.
         a, Qv, s1, v1 = gen_value(session, [], env, c.val)
         s1p, Qv_res = solve(session, Subst(), [], Qv)
-        s_pre = s1.then(s1p)
-        inherited = [subst_item(s_pre, it) for it in Q]
         env1 = _subst_env(s1p, _subst_env(s1, env))
         a1 = substitute(s1p, a)
+        s1p, Qv_res = collapse(session, s1p, env1, a1, Qv_res)
+        s_pre = s1.then(s1p)
+        inherited = [subst_item(s_pre, it) for it in Q]
         gen_skel, ty_binders, gen_dirt, generalized, floated = split(env1, Qv_res, a1)
         scheme = Scheme(
             tuple(gen_skel), tuple(ty_binders), tuple(gen_dirt), tuple(generalized), a1
@@ -724,7 +794,7 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         for sv in reversed(gen_skel):
             bound = exeff.ESkelAbs(sv, bound)
         term = exeff.CLet(c.var, substitute(s2, bound), body)
-        return cty, Q2, s1.then(s1p).then(s2), term
+        return cty, Q2, s_pre.then(s2), term
     if isinstance(c, source.SrcOpCall):
         sig_op = session.sig.lookup(c.op, c.span)
         a1, Q1, s1, v1 = gen_value(session, Q, env, c.arg)

@@ -196,8 +196,11 @@ def differential_check_text(
             report.failure = "metatheory: well-typed non-result failed to step"
             return report
         if check_each_step:
-            ty2 = exeff.typecheck_comp(env, nxt)
-            if not alpha_eq(ty2, ty):
+            try:
+                preserved = alpha_eq(exeff.typecheck_comp(env, nxt), ty)
+            except EffError:  # an ill-typed step has no type to preserve
+                preserved = False
+            if not preserved:
                 report.agreement = False
                 report.failure = "metatheory: a step changed the subject's type"
                 return report

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from effc import cli, core, display, exeff, noeff, pipeline, skeleff
+from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff
 from effc.core import DirtClash, EffError, SkeletonClash
 from effc.traverse import VAR_CLASSES, alpha_eq
 from conftest import CORPUS, CORPUS_BAD
@@ -192,6 +192,27 @@ def test_cli_infer_prints_scheme(capsys):
     out = capsys.readouterr().out
     assert "let f : all s0 (a0 : s0) (a1 : s0) d0 d1 [a0 <= a1] [d0 <= d1]." in out
     assert "defaulted: Unit ! {}" in out
+
+
+def test_cli_infer_defaulted_infers_once(corpus_paths, capsys, monkeypatch):
+    # `--defaulted` prints what `infer` prints, from the same single
+    # inference, then the defaulted type.
+    expected = json.loads((CORPUS / "expected.json").read_text())
+    calls = []
+    infer_top = infer.infer_top
+
+    def counted(*args):
+        calls.append(args)
+        return infer_top(*args)
+
+    monkeypatch.setattr(infer, "infer_top", counted)
+    for path in corpus_paths:
+        assert run_cli("infer", str(path)) == 0
+        plain = capsys.readouterr().out
+        calls.clear()
+        assert run_cli("infer", str(path), "--defaulted") == 0
+        assert len(calls) == 1, path.name
+        assert capsys.readouterr().out == plain + f"defaulted: {expected[path.name]['type']}\n"
 
 
 def test_cli_run_backends(capsys):

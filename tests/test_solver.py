@@ -1,12 +1,25 @@
 """The solver's state: pinned dumps of long queues, the checks that guard its
-invariants, and a deterministic bound on its work."""
+invariants, a deterministic bound on its work, and the collapsing of
+variables that occur only in constraints at generalization."""
 
 import cProfile
 
 import pytest
 
 from effc import exeff, infer, pipeline, source, traverse
-from effc.core import Base, CoVar, DirtSub, EMPTY_DIRT, SkelBase, dirt_var
+from effc.core import (
+    Base,
+    CompType,
+    CoVar,
+    DirtSub,
+    EMPTY_DIRT,
+    SkelBase,
+    TArrow,
+    TyVar,
+    TySub,
+    dirt,
+    dirt_var,
+)
 from gen_helpers import make_signature
 
 from conftest import CORPUS, TESTS
@@ -133,3 +146,79 @@ def test_solver_substitution_count_stays_bounded():
     # Re-substituting the queue and every solution on each binding made
     # 178,309 calls here; an incremental solver makes far fewer.
     assert _substitutions_inside_solve(nested_handlers(12)) <= 45_000
+
+
+# -- collapsing variables that occur only in constraints ------------------------
+
+
+def _let_schemes(text: str) -> list:
+    sig, comp = source.parse_program(text)
+    return infer.infer_top(sig, comp).session.let_schemes
+
+
+def test_let_poly_schemes_stay_small():
+    # f_i carried 4i+2 qualifiers before: chains through variables that
+    # occur in no type and no environment.
+    for n in range(3, 21):
+        assert [len(scheme.qualifiers) for _, scheme in _let_schemes(let_poly(n))] == [2] * n, n
+
+
+def test_let_poly_20_runs_on_every_backend():
+    text = let_poly(20)
+    for backend in pipeline.BACKENDS:
+        assert str(pipeline.run_text(text, backend).observation) == "return unit", backend
+
+
+def test_a_variable_in_the_environment_keeps_its_qualifier():
+    # y's type variable has one upper bound in f's residual, but it is
+    # free in the environment, so f's scheme still constrains it.
+    text = HEADER + "do k <- return (fun y -> let f = fun g -> g y in f (fun z -> return z)) in k unit\n"
+    [(_, scheme)] = _let_schemes(text)
+    bound = {v.id for v, _ in scheme.ty_vars}
+    assert len(scheme.qualifiers) == 3
+    assert any(v.id not in bound for _, ct in scheme.qualifiers for v in traverse.free_vars(ct, TyVar))
+
+
+def _session_vars(n: int):
+    session = infer.Session(make_signature())
+    sk = session.supply.skel()
+    tys = [session.fresh_ty(sk) for _ in range(n)]
+    return session, [infer.SkelAnn(a, sk) for a in tys], tys
+
+
+def _sub(session, lhs, rhs):
+    ct = TySub(lhs, rhs) if isinstance(lhs, TyVar) else DirtSub(lhs, rhs)
+    return infer.SubCt(session.supply.co(), ct)
+
+
+def _arrow(*tys):
+    out = tys[-1]
+    for t in reversed(tys[:-1]):
+        out = TArrow(t, CompType(out, EMPTY_DIRT))
+    return out
+
+
+def test_a_variable_with_two_lower_bounds_keeps_its_qualifiers():
+    session, anns, (lo1, lo2, v, hi) = _session_vars(4)
+    lower = [_sub(session, lo1, v), _sub(session, lo2, v)]
+    s, rest = infer.collapse(session, exeff.Subst(), {}, _arrow(lo1, lo2, hi), anns + lower)
+    assert s.is_empty() and rest == anns + lower
+    # One upper bound as well: v becomes it, and the two lower bounds move.
+    upper = _sub(session, v, hi)
+    s, rest = infer.collapse(session, exeff.Subst(), {}, _arrow(lo1, lo2, hi), anns + lower + [upper])
+    assert s.ty == {v.id: hi} and s.co == {upper.co.id: exeff.CoTyRefl(hi)}
+    assert [it.constraint for it in rest if isinstance(it, infer.SubCt)] == [TySub(lo1, hi), TySub(lo2, hi)]
+    assert v not in [it.var for it in rest if isinstance(it, infer.SkelAnn)]
+
+
+def test_a_variable_nested_in_a_constraint_keeps_its_qualifiers():
+    session, anns, (lo, v, f) = _session_vars(3)
+    nested = [_sub(session, lo, v), _sub(session, f, _arrow(v, lo))]
+    s, rest = infer.collapse(session, exeff.Subst(), {}, _arrow(lo, f, lo), anns + nested)
+    assert s.is_empty() and rest == anns + nested
+    # A dirt variable as the tail of a dirt with operations.
+    d_lo, d, d_hi = (session.supply.dirt() for _ in range(3))
+    nested = [_sub(session, dirt_var(d_lo), dirt_var(d)), _sub(session, dirt_var(d_hi), dirt(["Tick"], d))]
+    ty = TArrow(lo, CompType(lo, dirt_var(d_lo)))
+    s, rest = infer.collapse(session, exeff.Subst(), {}, TArrow(ty, CompType(lo, dirt_var(d_hi))), nested)
+    assert s.is_empty() and rest == nested
