@@ -1,6 +1,7 @@
 """Pipeline orchestration, CLI, dumps and their round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff
 from effc.core import DirtClash, EffError, SkeletonClash
 from effc.traverse import VAR_CLASSES, alpha_eq
-from conftest import CORPUS, CORPUS_BAD
+from conftest import CORPUS, CORPUS_BAD, GOLDEN
 from gen_helpers import program_texts
 
 READERS = {
@@ -19,6 +20,7 @@ READERS = {
     "skeleff": display.read_skeleff_comp,
     "noeff": display.read_noeff_term,
 }
+GENERATED_DUMPS = GOLDEN / "generated_dumps.sha256"
 
 
 def test_compile_stages_re_typecheck(tmp_path):
@@ -97,6 +99,34 @@ def test_dump_roundtrips_alpha_equal(corpus_paths):
             dumped = pipeline.dump_stage(art, stage)
             back = read(dumped)
             assert display.show(display.canonicalize(back)) == dumped.strip(), (name, stage)
+
+
+def generated_dump_digests(count: int = 300) -> dict:
+    """sha256 of `dump --stage S`, for S in exeff and noeff, of each of
+    `count` generated programs, keyed by (program, stage)."""
+    out = {}
+    for name, text in program_texts([], count):
+        art = pipeline.compile_text(text, "noeff")
+        for stage in ("exeff", "noeff"):
+            out[name, stage] = hashlib.sha256(pipeline.dump_stage(art, stage).encode()).hexdigest()
+    return out
+
+
+def test_generated_dumps_match_golden():
+    # Generated programs reach dirt application, qualified coercions and
+    # handler bridging more often than the corpus, whose NoEff terms are
+    # pinned by the trace digests.  Rewrite the file with
+    # `write_generated_dump_digests()` only when a change to the terms is meant.
+    want = {}
+    for line in GENERATED_DUMPS.read_text().splitlines():
+        digest, name, stage = line.split()
+        want[name, stage] = digest
+    assert generated_dump_digests() == want
+
+
+def write_generated_dump_digests() -> None:
+    lines = [f"{d}  {name} {stage}\n" for (name, stage), d in generated_dump_digests().items()]
+    GENERATED_DUMPS.write_text("".join(lines))
 
 
 def test_trace_steps_read_back_alpha_equal(corpus_paths):
