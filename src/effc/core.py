@@ -291,10 +291,6 @@ T_UNIT = TBase(Base.UNIT)
 T_INT = TBase(Base.INT)
 
 
-def pure(t: ValueType) -> CompType:
-    return CompType(t, EMPTY_DIRT)
-
-
 # ---------------------------------------------------------------------------
 # Subtyping constraints
 

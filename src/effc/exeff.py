@@ -537,24 +537,72 @@ def _subst_co_dirt_refl(s: Subst, co: CoDirtRefl) -> Coercion:
 # ---------------------------------------------------------------------------
 # Type checking
 
+# The checker records what it derives for every node of the term it checks:
+# the type of each value and computation and the constraint of each
+# coercion.  A call from outside starts a fresh record; `derive` returns it,
+# so that later passes read the derivation instead of re-deriving it.
 
-def typecheck_value(env: TypeEnv, v: Value) -> ValueType:
+
+class Derivation(dict):
+    """id(node) -> what the checker derived for the node, for every value,
+    computation and coercion node of one term, valid while the term is alive
+    (`derive` keeps it alive in `root`); `sig` is the signature the term was
+    checked under.
+
+    A node object shared between positions has one entry.  Evaluation shares
+    nodes whose free variables are bound differently at each position (a
+    type application rebuilds only the nodes that mention the type
+    variable), so positions that give a node types that are not alpha-equal
+    leave its entry ambiguous, and reading it is an internal error."""
+
+    def __init__(self, sig: Signature, root=None):
+        super().__init__()
+        self.sig = sig
+        self.root = root
+
+    def of(self, node):
+        t = self[id(node)]
+        if t is _AMBIGUOUS:
+            raise AssertionError(
+                f"one {type(node).__name__} node is checked at two different types"
+            )
+        return t
+
+
+_AMBIGUOUS = object()
+
+
+def _met_twice(derived: Derivation, node, prev, t) -> None:
+    if prev is not _AMBIGUOUS and not alpha_eq(prev, t):
+        derived[id(node)] = _AMBIGUOUS
+
+
+def derive(env: TypeEnv, c: Comp) -> Derivation:
+    """Check `c` and return its derivation; `typecheck_comp` is its root type."""
+    derived = Derivation(env.sig, c)
+    typecheck_comp(env, c, derived)
+    return derived
+
+
+def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None) -> ValueType:
+    if derived is None:
+        derived = Derivation(env.sig)
     if isinstance(v, EVar):
         try:
-            return env.term_vars[v.var.id]
+            t = env.term_vars[v.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {v.var.name}") from None
-    if isinstance(v, EUnit):
-        return TBase(Base.UNIT)
-    if isinstance(v, EInt):
-        return TBase(Base.INT)
-    if isinstance(v, EAbs):
+    elif isinstance(v, EUnit):
+        t = TBase(Base.UNIT)
+    elif isinstance(v, EInt):
+        t = TBase(Base.INT)
+    elif isinstance(v, EAbs):
         wf_vty(env, v.ty)
-        body_ty = typecheck_comp(env.with_term(v.var, v.ty), v.body)
-        return TArrow(v.ty, body_ty)
-    if isinstance(v, EHandler):
+        body_ty = typecheck_comp(env.with_term(v.var, v.ty), v.body, derived)
+        t = TArrow(v.ty, body_ty)
+    elif isinstance(v, EHandler):
         wf_vty(env, v.ret_ty)
-        out_cty = typecheck_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body)
+        out_cty = typecheck_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body, derived)
         seen = set()
         for cl in v.clauses:
             if cl.op in seen:
@@ -564,180 +612,198 @@ def typecheck_value(env: TypeEnv, v: Value) -> ValueType:
             cl_env = env.with_term(cl.param, sig.param).with_term(
                 cl.kont, TArrow(sig.result, out_cty)
             )
-            got = typecheck_comp(cl_env, cl.body)
+            got = typecheck_comp(cl_env, cl.body, derived)
             if not alpha_eq(got, out_cty):
                 raise TypecheckError(
                     f"handler clause for {cl.op} has a different type than the return clause"
                 )
         in_dirt = dirt_add(seen, out_cty.dirt)
-        return THandler(CompType(v.ret_ty, in_dirt), out_cty)
-    if isinstance(v, ESkelAbs):
-        return TForallSkel(v.var, typecheck_value(env.with_skel(v.var), v.body))
-    if isinstance(v, ESkelApp):
-        fn_ty = typecheck_value(env, v.val)
+        t = THandler(CompType(v.ret_ty, in_dirt), out_cty)
+    elif isinstance(v, ESkelAbs):
+        t = TForallSkel(v.var, typecheck_value(env.with_skel(v.var), v.body, derived))
+    elif isinstance(v, ESkelApp):
+        fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TForallSkel):
             raise TypecheckError("skeleton application of a non-skeleton-polymorphic value")
         wf_skeleton(env, v.skel)
-        return substitute(Subst.one_skel(fn_ty.var, v.skel), fn_ty.body)
-    if isinstance(v, ETyAbs):
+        t = substitute(Subst.one_skel(fn_ty.var, v.skel), fn_ty.body)
+    elif isinstance(v, ETyAbs):
         wf_skeleton(env, v.skel)
-        return TForallTy(v.var, v.skel, typecheck_value(env.with_ty(v.var, v.skel), v.body))
-    if isinstance(v, ETyApp):
-        fn_ty = typecheck_value(env, v.val)
+        t = TForallTy(v.var, v.skel, typecheck_value(env.with_ty(v.var, v.skel), v.body, derived))
+    elif isinstance(v, ETyApp):
+        fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TForallTy):
             raise TypecheckError("type application of a non-type-polymorphic value")
         arg_skel = wf_vty(env, v.ty)
         if not alpha_eq(arg_skel, fn_ty.skel):
             raise TypecheckError("type application instantiates at the wrong skeleton")
-        return substitute(Subst.one_ty(fn_ty.var, v.ty), fn_ty.body)
-    if isinstance(v, EDirtAbs):
-        return TForallDirt(v.var, typecheck_value(env.with_dirt(v.var), v.body))
-    if isinstance(v, EDirtApp):
-        fn_ty = typecheck_value(env, v.val)
+        t = substitute(Subst.one_ty(fn_ty.var, v.ty), fn_ty.body)
+    elif isinstance(v, EDirtAbs):
+        t = TForallDirt(v.var, typecheck_value(env.with_dirt(v.var), v.body, derived))
+    elif isinstance(v, EDirtApp):
+        fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TForallDirt):
             raise TypecheckError("dirt application of a non-dirt-polymorphic value")
         wf_dirt(env, v.dirt)
-        return substitute(Subst.one_dirt(fn_ty.var, v.dirt), fn_ty.body)
-    if isinstance(v, ECoAbs):
+        t = substitute(Subst.one_dirt(fn_ty.var, v.dirt), fn_ty.body)
+    elif isinstance(v, ECoAbs):
         wf_constraint(env, v.constraint)
-        body_ty = typecheck_value(env.with_co(v.var, v.constraint), v.body)
-        return TQual(v.constraint, body_ty)
-    if isinstance(v, ECoApp):
-        fn_ty = typecheck_value(env, v.val)
+        body_ty = typecheck_value(env.with_co(v.var, v.constraint), v.body, derived)
+        t = TQual(v.constraint, body_ty)
+    elif isinstance(v, ECoApp):
+        fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TQual):
             raise TypecheckError("coercion application of a non-qualified value")
-        got = typecheck_coercion(env, v.co)
+        got = typecheck_coercion(env, v.co, derived)
         if not alpha_eq(got, fn_ty.constraint):
             raise TypecheckError("coercion application witnesses the wrong constraint")
-        return fn_ty.body
-    if isinstance(v, ECast):
-        subj_ty = typecheck_value(env, v.val)
-        ct = typecheck_coercion(env, v.co)
+        t = fn_ty.body
+    elif isinstance(v, ECast):
+        subj_ty = typecheck_value(env, v.val, derived)
+        ct = typecheck_coercion(env, v.co, derived)
         if not isinstance(ct, TySub):
             raise TypecheckError("value cast by a non-value coercion")
         if not alpha_eq(ct.lhs, subj_ty):
             raise TypecheckError("cast coercion's source type differs from the subject's type")
-        return ct.rhs
-    raise TypeError(v)
+        t = ct.rhs
+    else:
+        raise TypeError(v)
+    prev = derived.setdefault(id(v), t)
+    if prev is not t:
+        _met_twice(derived, v, prev, t)
+    return t
 
 
-def typecheck_comp(env: TypeEnv, c: Comp) -> CompType:
+def typecheck_comp(env: TypeEnv, c: Comp, derived: Optional[Derivation] = None) -> CompType:
+    if derived is None:
+        derived = Derivation(env.sig)
     if isinstance(c, CApp):
-        fn_ty = typecheck_value(env, c.fn)
+        fn_ty = typecheck_value(env, c.fn, derived)
         if not isinstance(fn_ty, TArrow):
             raise TypecheckError("application of a non-function value")
-        arg_ty = typecheck_value(env, c.arg)
+        arg_ty = typecheck_value(env, c.arg, derived)
         if not alpha_eq(arg_ty, fn_ty.dom):
             raise TypecheckError("function applied to an argument of the wrong type")
-        return fn_ty.cod
-    if isinstance(c, CLet):
-        val_ty = typecheck_value(env, c.val)
-        return typecheck_comp(env.with_term(c.var, val_ty), c.body)
-    if isinstance(c, CReturn):
-        return CompType(typecheck_value(env, c.val), EMPTY_DIRT)
-    if isinstance(c, CDo):
-        first = typecheck_comp(env, c.first)
-        second = typecheck_comp(env.with_term(c.var, first.val), c.second)
+        t = fn_ty.cod
+    elif isinstance(c, CLet):
+        val_ty = typecheck_value(env, c.val, derived)
+        t = typecheck_comp(env.with_term(c.var, val_ty), c.body, derived)
+    elif isinstance(c, CReturn):
+        t = CompType(typecheck_value(env, c.val, derived), EMPTY_DIRT)
+    elif isinstance(c, CDo):
+        first = typecheck_comp(env, c.first, derived)
+        second = typecheck_comp(env.with_term(c.var, first.val), c.second, derived)
         if not alpha_eq(first.dirt, second.dirt):
             raise TypecheckError("do-sequence branches draw from different dirts")
-        return second
-    if isinstance(c, COp):
+        t = second
+    elif isinstance(c, COp):
         sig = env.sig.lookup(c.op)
-        arg_ty = typecheck_value(env, c.arg)
+        arg_ty = typecheck_value(env, c.arg, derived)
         if not alpha_eq(arg_ty, sig.param):
             raise TypecheckError(f"operation {c.op} applied to an argument of the wrong type")
         if not alpha_eq(c.var_ty, sig.result):
             raise TypecheckError(f"operation {c.op} continuation binder annotation mismatch")
-        body_ty = typecheck_comp(env.with_term(c.var, c.var_ty), c.body)
-        if c.op not in body_ty.dirt.ops:
+        t = typecheck_comp(env.with_term(c.var, c.var_ty), c.body, derived)
+        if c.op not in t.dirt.ops:
             raise TypecheckError(f"operation {c.op} missing from the computation's dirt")
-        return body_ty
-    if isinstance(c, CHandle):
-        h_ty = typecheck_value(env, c.handler)
+    elif isinstance(c, CHandle):
+        h_ty = typecheck_value(env, c.handler, derived)
         if not isinstance(h_ty, THandler):
             raise TypecheckError("with-handle applied to a non-handler value")
-        body_ty = typecheck_comp(env, c.body)
+        body_ty = typecheck_comp(env, c.body, derived)
         if not alpha_eq(body_ty, h_ty.dom):
             raise TypecheckError("handled computation does not match the handler's input type")
-        return h_ty.cod
-    if isinstance(c, CCast):
-        subj = typecheck_comp(env, c.comp)
-        ct = typecheck_coercion(env, c.co)
+        t = h_ty.cod
+    elif isinstance(c, CCast):
+        subj = typecheck_comp(env, c.comp, derived)
+        ct = typecheck_coercion(env, c.co, derived)
         if not isinstance(ct, CompSub):
             raise TypecheckError("computation cast by a non-computation coercion")
         if not alpha_eq(ct.lhs, subj):
             raise TypecheckError("cast coercion's source type differs from the subject's type")
-        return ct.rhs
-    raise TypeError(c)
+        t = ct.rhs
+    else:
+        raise TypeError(c)
+    prev = derived.setdefault(id(c), t)
+    if prev is not t:
+        _met_twice(derived, c, prev, t)
+    return t
 
 
-def typecheck_coercion(env: TypeEnv, co: Coercion):
+def typecheck_coercion(env: TypeEnv, co: Coercion, derived: Optional[Derivation] = None):
     """Return the coercion's constraint type: TySub, DirtSub or CompSub."""
+    if derived is None:
+        derived = Derivation(env.sig)
     if isinstance(co, CoVarRef):
         try:
-            return env.co_vars[co.var.id]
+            ct = env.co_vars[co.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound coercion variable w{co.var.id}") from None
-    if isinstance(co, CoBaseRefl):
+    elif isinstance(co, CoBaseRefl):
         t = TBase(co.base)
-        return TySub(t, t)
-    if isinstance(co, CoTyRefl):
+        ct = TySub(t, t)
+    elif isinstance(co, CoTyRefl):
         if co.var.id not in env.ty_vars:
             raise WfError(f"unbound type variable a{co.var.id}")
-        return TySub(co.var, co.var)
-    if isinstance(co, CoDirtRefl):
+        ct = TySub(co.var, co.var)
+    elif isinstance(co, CoDirtRefl):
         wf_dirt(env, co.dirt)
-        return DirtSub(co.dirt, co.dirt)
-    if isinstance(co, CoArrow):
-        dom = typecheck_coercion(env, co.dom)
-        cod = typecheck_coercion(env, co.cod)
+        ct = DirtSub(co.dirt, co.dirt)
+    elif isinstance(co, CoArrow):
+        dom = typecheck_coercion(env, co.dom, derived)
+        cod = typecheck_coercion(env, co.cod, derived)
         if not (isinstance(dom, TySub) and isinstance(cod, CompSub)):
             raise TypecheckError("ill-kinded arrow coercion")
-        return TySub(TArrow(dom.rhs, cod.lhs), TArrow(dom.lhs, cod.rhs))
-    if isinstance(co, CoHandler):
-        dom = typecheck_coercion(env, co.dom)
-        cod = typecheck_coercion(env, co.cod)
+        ct = TySub(TArrow(dom.rhs, cod.lhs), TArrow(dom.lhs, cod.rhs))
+    elif isinstance(co, CoHandler):
+        dom = typecheck_coercion(env, co.dom, derived)
+        cod = typecheck_coercion(env, co.cod, derived)
         if not (isinstance(dom, CompSub) and isinstance(cod, CompSub)):
             raise TypecheckError("ill-kinded handler coercion")
-        return TySub(THandler(dom.rhs, cod.lhs), THandler(dom.lhs, cod.rhs))
-    if isinstance(co, CoEmpty):
+        ct = TySub(THandler(dom.rhs, cod.lhs), THandler(dom.lhs, cod.rhs))
+    elif isinstance(co, CoEmpty):
         wf_dirt(env, co.dirt)
-        return DirtSub(EMPTY_DIRT, co.dirt)
-    if isinstance(co, CoOpUnion):
+        ct = DirtSub(EMPTY_DIRT, co.dirt)
+    elif isinstance(co, CoOpUnion):
         env.sig.lookup(co.op)
-        rest = typecheck_coercion(env, co.rest)
+        rest = typecheck_coercion(env, co.rest, derived)
         if not isinstance(rest, DirtSub):
             raise TypecheckError("ill-kinded dirt-extension coercion")
-        return DirtSub(dirt_add([co.op], rest.lhs), dirt_add([co.op], rest.rhs))
-    if isinstance(co, CoForallSkel):
-        body = typecheck_coercion(env.with_skel(co.var), co.body)
+        ct = DirtSub(dirt_add([co.op], rest.lhs), dirt_add([co.op], rest.rhs))
+    elif isinstance(co, CoForallSkel):
+        body = typecheck_coercion(env.with_skel(co.var), co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded skeleton-forall coercion")
-        return TySub(TForallSkel(co.var, body.lhs), TForallSkel(co.var, body.rhs))
-    if isinstance(co, CoForallTy):
+        ct = TySub(TForallSkel(co.var, body.lhs), TForallSkel(co.var, body.rhs))
+    elif isinstance(co, CoForallTy):
         wf_skeleton(env, co.skel)
-        body = typecheck_coercion(env.with_ty(co.var, co.skel), co.body)
+        body = typecheck_coercion(env.with_ty(co.var, co.skel), co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded type-forall coercion")
-        return TySub(TForallTy(co.var, co.skel, body.lhs), TForallTy(co.var, co.skel, body.rhs))
-    if isinstance(co, CoForallDirt):
-        body = typecheck_coercion(env.with_dirt(co.var), co.body)
+        ct = TySub(TForallTy(co.var, co.skel, body.lhs), TForallTy(co.var, co.skel, body.rhs))
+    elif isinstance(co, CoForallDirt):
+        body = typecheck_coercion(env.with_dirt(co.var), co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded dirt-forall coercion")
-        return TySub(TForallDirt(co.var, body.lhs), TForallDirt(co.var, body.rhs))
-    if isinstance(co, CoQual):
+        ct = TySub(TForallDirt(co.var, body.lhs), TForallDirt(co.var, body.rhs))
+    elif isinstance(co, CoQual):
         wf_constraint(env, co.constraint)
-        body = typecheck_coercion(env, co.body)
+        body = typecheck_coercion(env, co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded qualified coercion")
-        return TySub(TQual(co.constraint, body.lhs), TQual(co.constraint, body.rhs))
-    if isinstance(co, CoComp):
-        val = typecheck_coercion(env, co.val)
-        d = typecheck_coercion(env, co.dirt)
+        ct = TySub(TQual(co.constraint, body.lhs), TQual(co.constraint, body.rhs))
+    elif isinstance(co, CoComp):
+        val = typecheck_coercion(env, co.val, derived)
+        d = typecheck_coercion(env, co.dirt, derived)
         if not (isinstance(val, TySub) and isinstance(d, DirtSub)):
             raise TypecheckError("ill-kinded computation coercion")
-        return CompSub(CompType(val.lhs, d.lhs), CompType(val.rhs, d.rhs))
-    raise TypeError(co)
+        ct = CompSub(CompType(val.lhs, d.lhs), CompType(val.rhs, d.rhs))
+    else:
+        raise TypeError(co)
+    prev = derived.setdefault(id(co), ct)
+    if prev is not ct:
+        _met_twice(derived, co, prev, ct)
+    return ct
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Union
 from . import exeff
 from .core import (
     Base,
-    CompSub,
     CompType,
     CoVar,
     Dirt,
@@ -23,10 +22,6 @@ from .core import (
     DirtVar,
     ElaborationError,
     Signature,
-    SkelArrow,
-    SkelBase,
-    SkelForall,
-    SkelHandler,
     TArrow,
     TBase,
     THandler,
@@ -45,13 +40,10 @@ from .exeff import (
     CoArrow,
     CoBaseRefl,
     CoComp,
-    CoDirtRefl,
-    CoEmpty,
     CoForallDirt,
     CoForallSkel,
     CoForallTy,
     CoHandler,
-    CoOpUnion,
     CoQual,
     CoTyRefl,
     CoVarRef,
@@ -394,11 +386,10 @@ class NEnv:
 
 
 def elab_signature(sig: Signature) -> dict:
-    env = exeff.TypeEnv(sig)
     out = {}
     for name in sig.names():
         op = sig.ops[name]
-        out[name] = (elab_vty(env, op.param)[1], elab_vty(env, op.result)[1])
+        out[name] = (elab_vty(op.param), elab_vty(op.result))
     return out
 
 
@@ -581,186 +572,110 @@ def typecheck_noeff_coercion(env: NEnv, co: NCoercion) -> NSub:
 # Type elaboration from the explicitly-typed core
 
 
-def elab_vty(env: exeff.TypeEnv, t: ValueType) -> tuple:
-    """Elaborate a core value type; returns (skeleton, NoEff type)."""
+def elab_vty(t: ValueType) -> NType:
+    """The NoEff type of a core value type: skeleton and dirt binders and
+    dirt qualifiers vanish, and a dirt only says whether a computation type
+    is impure."""
     if isinstance(t, TyVar):
-        try:
-            return env.ty_vars[t.id], t
-        except KeyError:
-            raise ElaborationError(f"unbound type variable a{t.id}") from None
+        return t
     if isinstance(t, TBase):
-        return SkelBase(t.base), NBase(t.base)
+        return NBase(t.base)
     if isinstance(t, TArrow):
-        sk1, a = elab_vty(env, t.dom)
-        sk2, b = elab_cty(env, t.cod)
-        return SkelArrow(sk1, sk2), NArrow(a, b)
+        return NArrow(elab_vty(t.dom), elab_cty(t.cod))
     if isinstance(t, THandler):
-        sk1, a = elab_cty_parts(env, t.dom)
-        sk2, b = elab_cty(env, t.cod)
         if not nonempty_dirt(t.dom.dirt):
             # Handlers whose input is pure elaborate to functions.
-            return SkelHandler(sk1, sk2), NArrow(a, b)
-        _, bval = elab_vty(env, t.cod.val)
-        return SkelHandler(sk1, sk2), NHandler(a, bval)
-    if isinstance(t, TForallSkel):
-        sk, a = elab_vty(env.with_skel(t.var), t.body)
-        return SkelForall(t.var, sk), a
+            return NArrow(elab_vty(t.dom.val), elab_cty(t.cod))
+        return NHandler(elab_vty(t.dom.val), elab_vty(t.cod.val))
+    if isinstance(t, (TForallSkel, TForallDirt)):
+        return elab_vty(t.body)
     if isinstance(t, TForallTy):
-        sk, a = elab_vty(env.with_ty(t.var, t.skel), t.body)
-        return sk, NForall(t.var, a)
-    if isinstance(t, TForallDirt):
-        sk, a = elab_vty(env.with_dirt(t.var), t.body)
-        return sk, a
+        return NForall(t.var, elab_vty(t.body))
     if isinstance(t, TQual):
-        ct = t.constraint
-        if isinstance(ct, DirtSub):
-            return elab_vty(env, t.body)
-        sk1, b1 = elab_vty(env, ct.lhs)
-        sk2, b2 = elab_vty(env, ct.rhs)
-        sk, a = elab_vty(env, t.body)
-        return sk, NQual(NSub(b1, b2), a)
+        if isinstance(t.constraint, DirtSub):
+            return elab_vty(t.body)
+        return NQual(elab_constraint(t.constraint), elab_vty(t.body))
     raise TypeError(t)
 
 
-def elab_cty_parts(env: exeff.TypeEnv, c: CompType) -> tuple:
-    """(skeleton, value-part elaboration) of a computation type."""
-    return elab_vty(env, c.val)
+def elab_cty(c: CompType) -> NType:
+    a = elab_vty(c.val)
+    return NComp(a) if nonempty_dirt(c.dirt) else a
 
 
-def elab_cty(env: exeff.TypeEnv, c: CompType) -> tuple:
-    sk, a = elab_vty(env, c.val)
-    if nonempty_dirt(c.dirt):
-        return sk, NComp(a)
-    return sk, a
+def elab_constraint(ct: TySub) -> NSub:
+    return NSub(elab_vty(ct.lhs), elab_vty(ct.rhs))
 
 
-def from_impure_vty(env: exeff.TypeEnv, t: ValueType, delta, inst: Dirt) -> NCoercion:
+def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impure: bool) -> NCoercion:
+    """The coercion between the elaboration of `t`, where the dirt variable
+    `delta` counts as impure, and that of `t` with `delta` instantiated to
+    `inst`: from the first to the second when `from_impure`, else back.  The
+    direction flips at arrow and handler domains, and picks the bridge out of
+    an instantiated-pure computation: unsafe going in, return coming back."""
+
+    def comp(d: Dirt, val: NCoercion) -> NCoercion:
+        # The value part's bridge inside a computation of impure dirt `d`.
+        if nonempty_dirt(exeff.subst_dirt(Subst.one_dirt(delta, inst), d)):
+            return NCoComp(val)
+        return NCoUnsafe(val) if from_impure else NCoReturn(val)
+
+    if isinstance(t, CompType):
+        val = bridge(t.val, delta, inst, from_impure)
+        return comp(t.dirt, val) if nonempty_dirt(t.dirt) else val
     if isinstance(t, TBase):
         return NCoBaseRefl(t.base)
     if isinstance(t, TyVar):
         return NCoTyRefl(t)
     if isinstance(t, TArrow):
-        return NCoArrow(to_impure_vty(env, t.dom, delta, inst), from_impure_cty(env, t.cod, delta, inst))
+        return NCoArrow(
+            bridge(t.dom, delta, inst, not from_impure),
+            bridge(t.cod, delta, inst, from_impure),
+        )
     if isinstance(t, THandler):
-        d_in = t.dom.dirt
-        inst_in = exeff.subst_dirt(Subst.one_dirt(delta, inst), d_in)
-        if not nonempty_dirt(d_in):
+        if not nonempty_dirt(t.dom.dirt):
             return NCoArrow(
-                to_impure_vty(env, t.dom.val, delta, inst),
-                from_impure_cty(env, t.cod, delta, inst),
+                bridge(t.dom.val, delta, inst, not from_impure),
+                bridge(t.cod, delta, inst, from_impure),
             )
-        if nonempty_dirt(inst_in):
+        if nonempty_dirt(exeff.subst_dirt(Subst.one_dirt(delta, inst), t.dom.dirt)):
             return NCoHandler(
-                to_impure_cty(env, t.dom, delta, inst),
-                NCoComp(from_impure_vty(env, t.cod.val, delta, inst)),
+                bridge(t.dom, delta, inst, not from_impure),
+                NCoComp(bridge(t.cod.val, delta, inst, from_impure)),
             )
         # The input dirt was exactly the instantiated variable and the
-        # instantiation is empty: bridge handler to function.
-        d_out = exeff.subst_dirt(Subst.one_dirt(delta, inst), t.cod.dirt)
-        arg = to_impure_vty(env, t.dom.val, delta, inst)
-        res = from_impure_vty(env, t.cod.val, delta, inst)
-        if nonempty_dirt(d_out):
-            return NCoHandToFun(arg, NCoComp(res))
-        return NCoHandToFun(arg, NCoUnsafe(res))
-    if isinstance(t, TForallSkel):
-        return from_impure_vty(env.with_skel(t.var), t.body, delta, inst)
+        # instantiation is empty: bridge between handler and function.
+        arg = bridge(t.dom.val, delta, inst, not from_impure)
+        res = comp(t.cod.dirt, bridge(t.cod.val, delta, inst, from_impure))
+        return NCoHandToFun(arg, res) if from_impure else NCoFunToHand(arg, res)
+    if isinstance(t, (TForallSkel, TForallDirt)):
+        return bridge(t.body, delta, inst, from_impure)
     if isinstance(t, TForallTy):
-        return NCoForall(t.var, from_impure_vty(env.with_ty(t.var, t.skel), t.body, delta, inst))
-    if isinstance(t, TForallDirt):
-        return from_impure_vty(env.with_dirt(t.var), t.body, delta, inst)
+        return NCoForall(t.var, bridge(t.body, delta, inst, from_impure))
     if isinstance(t, TQual):
         ct = t.constraint
         if isinstance(ct, DirtSub):
-            return from_impure_vty(env, t.body, delta, inst)
+            return bridge(t.body, delta, inst, from_impure)
         if delta in free_vars(ct, DirtVar):
             raise ElaborationError(
                 "constraint qualifier mentions the instantiated dirt variable"
             )
-        _, b1 = elab_vty(env, ct.lhs)
-        _, b2 = elab_vty(env, ct.rhs)
-        return NCoQual(NSub(b1, b2), from_impure_vty(env, t.body, delta, inst))
+        return NCoQual(elab_constraint(ct), bridge(t.body, delta, inst, from_impure))
     raise TypeError(t)
-
-
-def from_impure_cty(env: exeff.TypeEnv, c: CompType, delta, inst: Dirt) -> NCoercion:
-    d = c.dirt
-    if not nonempty_dirt(d):
-        return from_impure_vty(env, c.val, delta, inst)
-    inst_d = exeff.subst_dirt(Subst.one_dirt(delta, inst), d)
-    if nonempty_dirt(inst_d):
-        return NCoComp(from_impure_vty(env, c.val, delta, inst))
-    return NCoUnsafe(from_impure_vty(env, c.val, delta, inst))
-
-
-def to_impure_vty(env: exeff.TypeEnv, t: ValueType, delta, inst: Dirt) -> NCoercion:
-    if isinstance(t, TBase):
-        return NCoBaseRefl(t.base)
-    if isinstance(t, TyVar):
-        return NCoTyRefl(t)
-    if isinstance(t, TArrow):
-        return NCoArrow(from_impure_vty(env, t.dom, delta, inst), to_impure_cty(env, t.cod, delta, inst))
-    if isinstance(t, THandler):
-        d_in = t.dom.dirt
-        inst_in = exeff.subst_dirt(Subst.one_dirt(delta, inst), d_in)
-        if not nonempty_dirt(d_in):
-            return NCoArrow(
-                from_impure_vty(env, t.dom.val, delta, inst),
-                to_impure_cty(env, t.cod, delta, inst),
-            )
-        if nonempty_dirt(inst_in):
-            return NCoHandler(
-                from_impure_cty(env, t.dom, delta, inst),
-                NCoComp(to_impure_vty(env, t.cod.val, delta, inst)),
-            )
-        d_out = exeff.subst_dirt(Subst.one_dirt(delta, inst), t.cod.dirt)
-        arg = from_impure_vty(env, t.dom.val, delta, inst)
-        res = to_impure_vty(env, t.cod.val, delta, inst)
-        if nonempty_dirt(d_out):
-            return NCoFunToHand(arg, NCoComp(res))
-        return NCoFunToHand(arg, NCoReturn(res))
-    if isinstance(t, TForallSkel):
-        return to_impure_vty(env.with_skel(t.var), t.body, delta, inst)
-    if isinstance(t, TForallTy):
-        return NCoForall(t.var, to_impure_vty(env.with_ty(t.var, t.skel), t.body, delta, inst))
-    if isinstance(t, TForallDirt):
-        return to_impure_vty(env.with_dirt(t.var), t.body, delta, inst)
-    if isinstance(t, TQual):
-        ct = t.constraint
-        if isinstance(ct, DirtSub):
-            return to_impure_vty(env, t.body, delta, inst)
-        if delta in free_vars(ct, DirtVar):
-            raise ElaborationError(
-                "constraint qualifier mentions the instantiated dirt variable"
-            )
-        _, b1 = elab_vty(env, ct.lhs)
-        _, b2 = elab_vty(env, ct.rhs)
-        return NCoQual(NSub(b1, b2), to_impure_vty(env, t.body, delta, inst))
-    raise TypeError(t)
-
-
-def to_impure_cty(env: exeff.TypeEnv, c: CompType, delta, inst: Dirt) -> NCoercion:
-    d = c.dirt
-    if not nonempty_dirt(d):
-        return to_impure_vty(env, c.val, delta, inst)
-    inst_d = exeff.subst_dirt(Subst.one_dirt(delta, inst), d)
-    if nonempty_dirt(inst_d):
-        return NCoComp(to_impure_vty(env, c.val, delta, inst))
-    return NCoReturn(to_impure_vty(env, c.val, delta, inst))
 
 
 # ---------------------------------------------------------------------------
-# Coercion elaboration
+# Elaboration on the ExEff typing derivation
+
+# The elaboration is type-directed, and several rules branch on dirt
+# emptiness that is invisible in the term itself.  It reads the types it
+# branches on from the derivation the ExEff checker recorded for the term
+# (`exeff.derive`), keyed by node identity.
 
 
-def elab_coercion(env: exeff.TypeEnv, co: exeff.Coercion) -> tuple:
-    """Elaborate a core coercion; returns (its core constraint type, NoEff coercion)."""
-    ct = exeff.typecheck_coercion(env, co)
-    return ct, _elab_co(env, co, ct)
-
-
-def _elab_co(env: exeff.TypeEnv, co: exeff.Coercion, ct) -> NCoercion:
+def elab_co(derived: exeff.Derivation, co: exeff.Coercion) -> NCoercion:
     if isinstance(co, CoVarRef):
-        if not isinstance(ct, TySub):
+        if not isinstance(derived.of(co), TySub):
             raise ElaborationError("dirt coercion variable has no pure-language counterpart")
         return NCoVar(co.var)
     if isinstance(co, CoBaseRefl):
@@ -768,35 +683,22 @@ def _elab_co(env: exeff.TypeEnv, co: exeff.Coercion, ct) -> NCoercion:
     if isinstance(co, CoTyRefl):
         return NCoTyRefl(co.var)
     if isinstance(co, CoArrow):
-        dom_ct = exeff.typecheck_coercion(env, co.dom)
-        cod_ct = exeff.typecheck_coercion(env, co.cod)
-        return NCoArrow(_elab_co(env, co.dom, dom_ct), _elab_co(env, co.cod, cod_ct))
+        return NCoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
     if isinstance(co, CoHandler):
-        return _elab_handler_co(env, co, ct)
-    if isinstance(co, CoForallSkel):
-        body_ct = exeff.typecheck_coercion(env.with_skel(co.var), co.body)
-        return _elab_co(env.with_skel(co.var), co.body, body_ct)
+        return _elab_handler_co(derived, co)
+    if isinstance(co, (CoForallSkel, CoForallDirt)):
+        return elab_co(derived, co.body)
     if isinstance(co, CoForallTy):
-        inner_env = env.with_ty(co.var, co.skel)
-        body_ct = exeff.typecheck_coercion(inner_env, co.body)
-        return NCoForall(co.var, _elab_co(inner_env, co.body, body_ct))
-    if isinstance(co, CoForallDirt):
-        inner_env = env.with_dirt(co.var)
-        body_ct = exeff.typecheck_coercion(inner_env, co.body)
-        return _elab_co(inner_env, co.body, body_ct)
+        return NCoForall(co.var, elab_co(derived, co.body))
     if isinstance(co, CoQual):
-        body_ct = exeff.typecheck_coercion(env, co.body)
-        body = _elab_co(env, co.body, body_ct)
+        body = elab_co(derived, co.body)
         if isinstance(co.constraint, DirtSub):
             return body
-        _, b1 = elab_vty(env, co.constraint.lhs)
-        _, b2 = elab_vty(env, co.constraint.rhs)
-        return NCoQual(NSub(b1, b2), body)
+        return NCoQual(elab_constraint(co.constraint), body)
     if isinstance(co, CoComp):
-        assert isinstance(ct, CompSub)
+        ct = derived.of(co)
         d1, d2 = ct.lhs.dirt, ct.rhs.dirt
-        val_ct = exeff.typecheck_coercion(env, co.val)
-        val = _elab_co(env, co.val, val_ct)
+        val = elab_co(derived, co.val)
         if not nonempty_dirt(d1) and not nonempty_dirt(d2):
             return val
         if not nonempty_dirt(d1):
@@ -804,36 +706,25 @@ def _elab_co(env: exeff.TypeEnv, co: exeff.Coercion, ct) -> NCoercion:
         if nonempty_dirt(d2):
             return NCoComp(val)
         raise ElaborationError("computation coercion from impure to pure dirt")
-    if isinstance(co, (CoDirtRefl, CoEmpty, CoOpUnion)):
-        raise ElaborationError("dirt coercion in a value position cannot be elaborated")
     raise TypeError(co)
 
 
-def _elab_handler_co(env: exeff.TypeEnv, co: CoHandler, ct: TySub) -> NCoercion:
-    src, tgt = ct.lhs, ct.rhs
-    assert isinstance(src, THandler) and isinstance(tgt, THandler)
-    d_src_in, d_tgt_in = src.dom.dirt, tgt.dom.dirt
-    dom_ct = exeff.typecheck_coercion(env, co.dom)
-    cod_ct = exeff.typecheck_coercion(env, co.cod)
+def _elab_handler_co(derived: exeff.Derivation, co: CoHandler) -> NCoercion:
+    ct = derived.of(co)
+    d_src_in, d_tgt_in = ct.lhs.dom.dirt, ct.rhs.dom.dirt
     if not nonempty_dirt(d_src_in) and not nonempty_dirt(d_tgt_in):
-        return NCoArrow(_elab_co(env, co.dom, dom_ct), _elab_co(env, co.cod, cod_ct))
+        return NCoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
     if nonempty_dirt(d_src_in) and nonempty_dirt(d_tgt_in):
         if not isinstance(co.cod, CoComp):
             raise ElaborationError("handler coercion codomain must be a computation coercion")
-        val_ct = exeff.typecheck_coercion(env, co.cod.val)
-        return NCoHandler(
-            _elab_co(env, co.dom, dom_ct),
-            NCoComp(_elab_co(env, co.cod.val, val_ct)),
-        )
+        return NCoHandler(elab_co(derived, co.dom), NCoComp(elab_co(derived, co.cod.val)))
     if nonempty_dirt(d_src_in) and not nonempty_dirt(d_tgt_in):
         # Handler-typed source, function-typed target.
         if not (isinstance(co.dom, CoComp) and isinstance(co.cod, CoComp)):
             raise ElaborationError("handler coercion components must be computation coercions")
-        arg_ct = exeff.typecheck_coercion(env, co.dom.val)
-        res_ct = exeff.typecheck_coercion(env, co.cod.val)
-        arg = _elab_co(env, co.dom.val, arg_ct)
-        res = _elab_co(env, co.cod.val, res_ct)
-        if nonempty_dirt(tgt.cod.dirt):
+        arg = elab_co(derived, co.dom.val)
+        res = elab_co(derived, co.cod.val)
+        if nonempty_dirt(ct.rhs.cod.dirt):
             return NCoHandToFun(arg, NCoComp(res))
         return NCoHandToFun(arg, NCoUnsafe(res))
     raise ElaborationError(
@@ -841,168 +732,98 @@ def _elab_handler_co(env: exeff.TypeEnv, co: CoHandler, ct: TySub) -> NCoercion:
     )
 
 
-# ---------------------------------------------------------------------------
-# Value and computation elaboration
-
-# The elaboration is type-directed; each function re-derives the subject's
-# core type because several rules branch on dirt emptiness that is invisible
-# in the term itself.
-
-
-def elab_value(env: exeff.TypeEnv, v: exeff.Value) -> tuple:
-    """Elaborate a core value; returns (its core type, NoEff term)."""
+def elab_value(derived: exeff.Derivation, v: exeff.Value) -> NTerm:
     if isinstance(v, exeff.EVar):
-        try:
-            return env.term_vars[v.var.id], MVar(v.var)
-        except KeyError:
-            raise UnboundVariable(f"unbound variable {v.var.name}") from None
+        return MVar(v.var)
     if isinstance(v, exeff.EUnit):
-        return TBase(Base.UNIT), MUnit()
+        return MUnit()
     if isinstance(v, exeff.EInt):
-        return TBase(Base.INT), MInt(v.value)
+        return MInt(v.value)
     if isinstance(v, exeff.EAbs):
-        _, a = elab_vty(env, v.ty)
-        cty, body = elab_comp(env.with_term(v.var, v.ty), v.body)
-        return TArrow(v.ty, cty), MAbs(v.var, a, body)
+        return MAbs(v.var, elab_vty(v.ty), elab_comp(derived, v.body))
     if isinstance(v, exeff.EHandler):
-        return _elab_handler(env, v)
-    if isinstance(v, exeff.ESkelAbs):
-        t, body = elab_value(env.with_skel(v.var), v.body)
-        return TForallSkel(v.var, t), body
+        return _elab_handler(derived, v)
+    if isinstance(v, (exeff.ESkelAbs, exeff.EDirtAbs)):
+        return elab_value(derived, v.body)
     if isinstance(v, exeff.ESkelApp):
-        t, body = elab_value(env, v.val)
-        if not isinstance(t, TForallSkel):
-            raise ElaborationError("skeleton application of a non-polymorphic value")
-        return substitute(Subst.one_skel(t.var, v.skel), t.body), body
+        return elab_value(derived, v.val)
     if isinstance(v, exeff.ETyAbs):
-        t, body = elab_value(env.with_ty(v.var, v.skel), v.body)
-        return TForallTy(v.var, v.skel, t), MTyAbs(v.var, body)
+        return MTyAbs(v.var, elab_value(derived, v.body))
     if isinstance(v, exeff.ETyApp):
-        t, body = elab_value(env, v.val)
-        if not isinstance(t, TForallTy):
-            raise ElaborationError("type application of a non-polymorphic value")
-        _, a = elab_vty(env, v.ty)
-        return substitute(Subst.one_ty(t.var, v.ty), t.body), MTyApp(body, a)
-    if isinstance(v, exeff.EDirtAbs):
-        t, body = elab_value(env.with_dirt(v.var), v.body)
-        return TForallDirt(v.var, t), body
+        return MTyApp(elab_value(derived, v.val), elab_vty(v.ty))
     if isinstance(v, exeff.EDirtApp):
-        t, body = elab_value(env, v.val)
-        if not isinstance(t, TForallDirt):
-            raise ElaborationError("dirt application of a non-polymorphic value")
-        co = from_impure_vty(env.with_dirt(t.var), t.body, t.var, v.dirt)
-        out_ty = substitute(Subst.one_dirt(t.var, v.dirt), t.body)
-        return out_ty, MCast(body, co)
+        t = derived.of(v.val)
+        return MCast(elab_value(derived, v.val), bridge(t.body, t.var, v.dirt, True))
     if isinstance(v, exeff.ECoAbs):
-        t, body = elab_value(env.with_co(v.var, v.constraint), v.body)
+        body = elab_value(derived, v.body)
         if isinstance(v.constraint, DirtSub):
-            return TQual(v.constraint, t), body
-        _, b1 = elab_vty(env, v.constraint.lhs)
-        _, b2 = elab_vty(env, v.constraint.rhs)
-        return TQual(v.constraint, t), MCoAbs(v.var, NSub(b1, b2), body)
+            return body
+        return MCoAbs(v.var, elab_constraint(v.constraint), body)
     if isinstance(v, exeff.ECoApp):
-        t, body = elab_value(env, v.val)
-        if not isinstance(t, TQual):
-            raise ElaborationError("coercion application of a non-qualified value")
-        if isinstance(t.constraint, DirtSub):
-            exeff.typecheck_coercion(env, v.co)
-            return t.body, body
-        _, nco = elab_coercion(env, v.co)
-        return t.body, MCoApp(body, nco)
+        body = elab_value(derived, v.val)
+        if isinstance(derived.of(v.co), DirtSub):
+            return body
+        return MCoApp(body, elab_co(derived, v.co))
     if isinstance(v, exeff.ECast):
-        t, body = elab_value(env, v.val)
-        ct, nco = elab_coercion(env, v.co)
-        if not isinstance(ct, TySub):
-            raise ElaborationError("value cast by a non-value coercion")
-        return ct.rhs, MCast(body, nco)
+        return MCast(elab_value(derived, v.val), elab_co(derived, v.co))
     raise TypeError(v)
 
 
-def _elab_handler(env: exeff.TypeEnv, v: exeff.EHandler) -> tuple:
-    out_cty = exeff.typecheck_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body)
-    ops = frozenset(cl.op for cl in v.clauses)
-    in_dirt = Dirt(out_cty.dirt.ops | ops, out_cty.dirt.tail)
-    h_ty = THandler(CompType(v.ret_ty, in_dirt), out_cty)
-    _, a_in = elab_vty(env, v.ret_ty)
-    _, b_out = elab_vty(env, out_cty.val)
-
-    if not nonempty_dirt(in_dirt):
+def _elab_handler(derived: exeff.Derivation, v: exeff.EHandler) -> NTerm:
+    h_ty = derived.of(v)
+    a_in = elab_vty(v.ret_ty)
+    t_r = elab_comp(derived, v.ret_body)
+    if not nonempty_dirt(h_ty.dom.dirt):
         # Pure input: the handler becomes a plain function on the return value.
-        _, t_r = elab_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body)
-        return h_ty, MAbs(v.ret_var, a_in, t_r)
+        return MAbs(v.ret_var, a_in, t_r)
 
-    if not nonempty_dirt(out_cty.dirt):
+    if not nonempty_dirt(h_ty.cod.dirt):
         # Impure input but pure output: clause bodies elaborate pure, so wrap
         # them in return and strip the spurious return from continuations.
-        _, t_r = elab_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body)
+        b_out = elab_vty(h_ty.cod.val)
         clauses = []
         for cl in v.clauses:
-            sig = env.sig.lookup(cl.op)
-            _, a2 = elab_vty(env, sig.result)
-            k_ty = TArrow(sig.result, out_cty)
-            cl_env = env.with_term(cl.param, sig.param).with_term(cl.kont, k_ty)
-            _, t_op = elab_comp(cl_env, cl.body)
-            bridge = MCast(MVar(cl.kont), NCoArrow(refl_nty(a2), NCoUnsafe(refl_nty(b_out))))
-            t_op = subst_term(bridge, cl.kont, t_op)
+            a2 = elab_vty(derived.sig.lookup(cl.op).result)
+            t_op = elab_comp(derived, cl.body)
+            bridge_k = MCast(MVar(cl.kont), NCoArrow(refl_nty(a2), NCoUnsafe(refl_nty(b_out))))
+            t_op = subst_term(bridge_k, cl.kont, t_op)
             clauses.append(MOpClause(cl.op, cl.param, cl.kont, MReturn(t_op)))
-        return h_ty, MHandler(v.ret_var, a_in, MReturn(t_r), tuple(clauses))
+        return MHandler(v.ret_var, a_in, MReturn(t_r), tuple(clauses))
 
     # Impure input and output: structural elaboration.
-    _, t_r = elab_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body)
     clauses = []
     for cl in v.clauses:
-        sig = env.sig.lookup(cl.op)
-        k_ty = TArrow(sig.result, out_cty)
-        cl_env = env.with_term(cl.param, sig.param).with_term(cl.kont, k_ty)
-        _, t_op = elab_comp(cl_env, cl.body)
-        clauses.append(MOpClause(cl.op, cl.param, cl.kont, t_op))
-    return h_ty, MHandler(v.ret_var, a_in, t_r, tuple(clauses))
+        clauses.append(MOpClause(cl.op, cl.param, cl.kont, elab_comp(derived, cl.body)))
+    return MHandler(v.ret_var, a_in, t_r, tuple(clauses))
 
 
-def elab_comp(env: exeff.TypeEnv, c: exeff.Comp) -> tuple:
-    """Elaborate a core computation; returns (its core type, NoEff term)."""
+def elab_comp(derived: exeff.Derivation, c: exeff.Comp) -> NTerm:
     if isinstance(c, exeff.CApp):
-        fn_ty, t1 = elab_value(env, c.fn)
-        if not isinstance(fn_ty, TArrow):
-            raise ElaborationError("application of a non-function value")
-        _, t2 = elab_value(env, c.arg)
-        return fn_ty.cod, MApp(t1, t2)
+        return MApp(elab_value(derived, c.fn), elab_value(derived, c.arg))
     if isinstance(c, exeff.CLet):
-        val_ty, t1 = elab_value(env, c.val)
-        cty, t2 = elab_comp(env.with_term(c.var, val_ty), c.body)
-        return cty, MLet(c.var, t1, t2)
+        return MLet(c.var, elab_value(derived, c.val), elab_comp(derived, c.body))
     if isinstance(c, exeff.CReturn):
-        t, body = elab_value(env, c.val)
-        return CompType(t, exeff.EMPTY_DIRT), body
+        return elab_value(derived, c.val)
     if isinstance(c, exeff.COp):
-        sig = env.sig.lookup(c.op)
-        _, t_v = elab_value(env, c.arg)
-        _, b = elab_vty(env, sig.result)
-        cty, t_c = elab_comp(env.with_term(c.var, c.var_ty), c.body)
-        return cty, MOp(c.op, t_v, c.var, b, t_c)
+        t_v = elab_value(derived, c.arg)
+        return MOp(c.op, t_v, c.var, elab_vty(c.var_ty), elab_comp(derived, c.body))
     if isinstance(c, exeff.CDo):
-        first_ty, t1 = elab_comp(env, c.first)
-        cty, t2 = elab_comp(env.with_term(c.var, first_ty.val), c.second)
-        if nonempty_dirt(first_ty.dirt):
-            return cty, MDo(c.var, t1, t2)
-        return cty, MLet(c.var, t1, t2)
+        t1 = elab_comp(derived, c.first)
+        t2 = elab_comp(derived, c.second)
+        if nonempty_dirt(derived.of(c.first).dirt):
+            return MDo(c.var, t1, t2)
+        return MLet(c.var, t1, t2)
     if isinstance(c, exeff.CHandle):
-        h_ty, t_v = elab_value(env, c.handler)
-        if not isinstance(h_ty, THandler):
-            raise ElaborationError("with-handle applied to a non-handler value")
-        _, t_c = elab_comp(env, c.body)
+        h_ty = derived.of(c.handler)
+        t_v = elab_value(derived, c.handler)
+        t_c = elab_comp(derived, c.body)
         if not nonempty_dirt(h_ty.dom.dirt):
-            return h_ty.cod, MApp(t_v, t_c)
+            return MApp(t_v, t_c)
         if nonempty_dirt(h_ty.cod.dirt):
-            return h_ty.cod, MHandle(t_v, t_c)
-        _, b = elab_vty(env, h_ty.cod.val)
-        return h_ty.cod, MCast(MHandle(t_v, t_c), NCoUnsafe(refl_nty(b)))
+            return MHandle(t_v, t_c)
+        return MCast(MHandle(t_v, t_c), NCoUnsafe(refl_nty(elab_vty(h_ty.cod.val))))
     if isinstance(c, exeff.CCast):
-        _, t = elab_comp(env, c.comp)
-        ct, nco = elab_coercion(env, c.co)
-        if not isinstance(ct, CompSub):
-            raise ElaborationError("computation cast by a non-computation coercion")
-        return ct.rhs, MCast(t, nco)
+        return MCast(elab_comp(derived, c.comp), elab_co(derived, c.co))
     raise TypeError(c)
 
 

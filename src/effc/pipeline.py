@@ -71,9 +71,8 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     art.inferred = outcome
     art.cty = cty
     art.exeff_term = term
-    env = exeff.TypeEnv(sig)
-    checked = exeff.typecheck_comp(env, term)
-    if not alpha_eq(checked, cty):
+    derived = exeff.derive(exeff.TypeEnv(sig), term)
+    if not alpha_eq(derived.of(term), cty):
         raise TypecheckError("elaborated term does not re-typecheck at the inferred type")
     if stage in ("infer", "exeff"):
         return art
@@ -86,10 +85,10 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         art.skeleff_term = sk
         art.skeleff_type = sk_ty
     if stage == "noeff":
-        _, nterm = noeff.elab_comp(env, term)
+        nterm = noeff.elab_comp(derived, term)
         nenv = noeff.NEnv(noeff.elab_signature(sig))
         nty = noeff.typecheck_noeff(nenv, nterm)
-        want = noeff.elab_cty(env, cty)[1]
+        want = noeff.elab_cty(cty)
         if not alpha_eq(nty, want):
             raise TypecheckError("elaborated pure term does not re-typecheck at the elaborated type")
         art.noeff_term = nterm

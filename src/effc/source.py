@@ -18,7 +18,6 @@ from .core import (
     EMPTY_DIRT,
     ParseError,
     Signature,
-    Skeleton,
     Span,
     Supply,
     TArrow,
@@ -441,34 +440,7 @@ def show_program(sig: Signature, c: SrcComp) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Well-formedness of types, dirts, skeletons and constraints
-
-# Elaboration of well-formed surface types into core types is the identity on
-# structure, since the surface monotype grammar is a fragment of the core
-# grammar; the judgments below return the skeleton alongside the checked type.
-
-
-def wf_value_type(env: exeff.TypeEnv, t: ValueType) -> tuple:
-    skel = exeff.wf_vty(env, t)
-    return skel, t
-
-
-def wf_comp_type(env: exeff.TypeEnv, c: CompType) -> tuple:
-    skel = exeff.wf_cty(env, c)
-    return skel, c
-
-
-def wf_dirt(env: exeff.TypeEnv, d: Dirt) -> None:
-    exeff.wf_dirt(env, d)
-
-
-def wf_skeleton(env: exeff.TypeEnv, s: Skeleton) -> None:
-    exeff.wf_skeleton(env, s)
-
-
-def wf_constraint(env: exeff.TypeEnv, ct):
-    exeff.wf_constraint(env, ct)
-    return ct
+# Well-formedness of the signature
 
 
 def check_signature(sig: Signature) -> None:

@@ -163,11 +163,10 @@ def test_criterion_5_coercion_irrelevance():
 
 def test_criterion_6_noeff_elaboration_typing(elaborated):
     for name, sig, cty, term in elaborated:
-        env = exeff.TypeEnv(sig)
-        _, nterm = noeff.elab_comp(env, term)
+        nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(sig), term), term)
         nenv = noeff.NEnv(noeff.elab_signature(sig))
         got = noeff.typecheck_noeff(nenv, nterm)
-        want = noeff.elab_cty(env, cty)[1]
+        want = noeff.elab_cty(cty)
         assert alpha_eq(got, want), name
     # The bridging coercions of dirt instantiation obey their typing lemma.
     rng = random.Random(66)
@@ -176,15 +175,13 @@ def test_criterion_6_noeff_elaboration_typing(elaborated):
     nenv = noeff.NEnv(noeff.elab_signature(sig))
     lemma_checked = 0
     for _ in range(200):
-        base_env = exeff.TypeEnv(sig)
         d = sup.dirt()
-        env_d = base_env.with_dirt(d)
         ty = _random_delta_type(rng, sup, d, depth=3)
         inst = Dirt(frozenset(op for op in ("Tick", "Tock") if rng.random() < 0.4))
-        co = noeff.from_impure_vty(env_d, ty, d, inst)
-        _, before = noeff.elab_vty(env_d, ty)
+        co = noeff.bridge(ty, d, inst, from_impure=True)
+        before = noeff.elab_vty(ty)
         inst_ty = exeff.substitute(exeff.Subst.one_dirt(d, inst), ty)
-        _, after = noeff.elab_vty(base_env, inst_ty)
+        after = noeff.elab_vty(inst_ty)
         got = noeff.typecheck_noeff_coercion(nenv, co)
         assert alpha_eq(got.lhs, before)
         assert alpha_eq(got.rhs, after)
@@ -232,7 +229,7 @@ def test_criterion_7_noeff_no_stuck_and_differential(corpus_programs):
         whole = exeff.CLet(ex.f_var, ex.poly_value, app)
         out = exeff.eval_comp(whole)
         assert str(pipeline.observe_exeff(out.result)) == want
-        _, nterm = noeff.elab_comp(exeff.TypeEnv(ex.sig), whole)
+        nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(ex.sig), whole), whole)
         nres, _ = noeff.eval_noeff(nterm)
         assert str(pipeline.observe_noeff(nres)) == want
     report(7, f"no stuck terms and full observation agreement on {checked} programs + worked examples")
@@ -312,10 +309,13 @@ def test_criterion_9_golden_displays():
         )
         + "\n",
     }
-    _, npoly = noeff.elab_value(exeff.TypeEnv(ex.sig), ex.poly_value)
-    _, na = noeff.elab_vty(exeff.TypeEnv(ex.sig), ex.poly_type)
-    _, napp_id = noeff.elab_comp(env, ex.app_id())
-    _, napp_tick = noeff.elab_comp(env, ex.app_tick())
+    poly_derived = exeff.Derivation(ex.sig)
+    exeff.typecheck_value(exeff.TypeEnv(ex.sig), ex.poly_value, poly_derived)
+    npoly = noeff.elab_value(poly_derived, ex.poly_value)
+    na = noeff.elab_vty(ex.poly_type)
+    app_id, app_tick = ex.app_id(), ex.app_tick()
+    napp_id = noeff.elab_comp(exeff.derive(env, app_id), app_id)
+    napp_tick = noeff.elab_comp(exeff.derive(env, app_tick), app_tick)
     got["running_noeff.txt"] = (
         "\n".join(
             [

@@ -33,6 +33,23 @@ def _nenv(sig=None):
     return noeff.NEnv(noeff.elab_signature(sig))
 
 
+def _derived(check, env, node):
+    """The derivation the ExEff checker `check` records for `node`."""
+    derived = exeff.Derivation(env.sig)
+    check(env, node, derived)
+    return derived
+
+
+def _elab_co(env, co):
+    """(the checked constraint of `co`, its NoEff coercion)."""
+    derived = _derived(exeff.typecheck_coercion, env, co)
+    return derived.of(co), noeff.elab_co(derived, co)
+
+
+def _elab_value(env, v):
+    return noeff.elab_value(_derived(exeff.typecheck_value, env, v), v)
+
+
 # -- dirt emptiness and type elaboration ------------------------------------------
 
 
@@ -45,18 +62,16 @@ def test_nonempty_dirt():
 
 
 def test_elab_cty_pure_and_impure():
-    env = _env()
-    assert noeff.elab_cty(env, CompType(T_UNIT, EMPTY_DIRT))[1] == N_UNIT
-    assert noeff.elab_cty(env, CompType(T_UNIT, dirt(["Tick"])))[1] == noeff.NComp(N_UNIT)
+    assert noeff.elab_cty(CompType(T_UNIT, EMPTY_DIRT)) == N_UNIT
+    assert noeff.elab_cty(CompType(T_UNIT, dirt(["Tick"]))) == noeff.NComp(N_UNIT)
 
 
 def test_elab_handler_type_with_pure_input_is_function():
-    env = _env()
     h = THandler(CompType(T_UNIT, EMPTY_DIRT), CompType(T_UNIT, dirt(["Tick"])))
-    _, a = noeff.elab_vty(env, h)
+    a = noeff.elab_vty(h)
     assert a == noeff.NArrow(N_UNIT, noeff.NComp(N_UNIT))
     h2 = THandler(CompType(T_UNIT, dirt(["Tick"])), CompType(T_UNIT, dirt(["Tick"])))
-    _, a2 = noeff.elab_vty(env, h2)
+    a2 = noeff.elab_vty(h2)
     assert a2 == noeff.NHandler(N_UNIT, N_UNIT)
 
 
@@ -66,14 +81,14 @@ def test_elab_handler_type_with_pure_input_is_function():
 def test_elab_comp_coercion_both_pure():
     env = _env()
     co = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT))
-    ct, out = noeff.elab_coercion(env, co)
+    ct, out = _elab_co(env, co)
     assert out == noeff.NCoBaseRefl(Base.UNIT)
 
 
 def test_elab_comp_coercion_pure_to_impure_is_return():
     env = _env()
     co = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"])))
-    _, out = noeff.elab_coercion(env, co)
+    _, out = _elab_co(env, co)
     assert out == noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
 
 
@@ -83,7 +98,7 @@ def test_elab_comp_coercion_impure_to_impure_is_comp():
         exeff.CoBaseRefl(Base.UNIT),
         exeff.CoOpUnion("Tick", exeff.CoEmpty(dirt(["Tock"]))),
     )
-    ct, out = noeff.elab_coercion(env, co)
+    ct, out = _elab_co(env, co)
     assert ct.lhs == CompType(T_UNIT, dirt(["Tick"]))
     assert ct.rhs == CompType(T_UNIT, dirt(["Tick", "Tock"]))
     assert out == noeff.NCoComp(noeff.NCoBaseRefl(Base.UNIT))
@@ -95,25 +110,22 @@ def test_elab_comp_coercion_impure_to_impure_is_comp():
 def test_from_impure_base():
     sup = Supply()
     d = sup.dirt()
-    env = _env().with_dirt(d)
-    got = noeff.from_impure_vty(env, T_UNIT, d, dirt(["Tick"]))
+    got = noeff.bridge(T_UNIT, d, dirt(["Tick"]), from_impure=True)
     assert got == noeff.NCoBaseRefl(Base.UNIT)
 
 
 def test_from_impure_computation_at_empty_is_unsafe():
     sup = Supply()
     d = sup.dirt()
-    env = _env().with_dirt(d)
-    got = noeff.from_impure_cty(env, CompType(T_UNIT, dirt_var(d)), d, EMPTY_DIRT)
+    got = noeff.bridge(CompType(T_UNIT, dirt_var(d)), d, EMPTY_DIRT, from_impure=True)
     assert got == noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
 
 
 def test_from_impure_arrow_example():
     sup = Supply()
     d = sup.dirt()
-    env = _env().with_dirt(d)
     ty = TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d)))
-    got = noeff.from_impure_vty(env, ty, d, EMPTY_DIRT)
+    got = noeff.bridge(ty, d, EMPTY_DIRT, from_impure=True)
     assert got == noeff.NCoArrow(
         noeff.NCoBaseRefl(Base.UNIT), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
     )
@@ -124,13 +136,11 @@ def test_from_impure_coercion_typing_lemma_instance():
     # instantiated elaboration.
     sup = Supply()
     d = sup.dirt()
-    sig = tick_tock_signature()
-    env = exeff.TypeEnv(sig).with_dirt(d)
     ty = TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d)))
-    co = noeff.from_impure_vty(env, ty, d, EMPTY_DIRT)
-    _, before = noeff.elab_vty(env, ty)
+    co = noeff.bridge(ty, d, EMPTY_DIRT, from_impure=True)
+    before = noeff.elab_vty(ty)
     inst = exeff.substitute(exeff.Subst.one_dirt(d, EMPTY_DIRT), ty)
-    _, after = noeff.elab_vty(exeff.TypeEnv(sig), inst)
+    after = noeff.elab_vty(inst)
     got = noeff.typecheck_noeff_coercion(_nenv(), co)
     assert alpha_eq(got.lhs, before)
     assert alpha_eq(got.rhs, after)
@@ -139,15 +149,14 @@ def test_from_impure_coercion_typing_lemma_instance():
 def test_to_impure_is_the_dual():
     sup = Supply()
     d = sup.dirt()
-    env = _env().with_dirt(d)
-    got = noeff.to_impure_cty(env, CompType(T_UNIT, dirt_var(d)), d, EMPTY_DIRT)
+    got = noeff.bridge(CompType(T_UNIT, dirt_var(d)), d, EMPTY_DIRT, from_impure=False)
     assert got == noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
     h = THandler(CompType(T_UNIT, dirt_var(d)), CompType(T_UNIT, EMPTY_DIRT))
-    got2 = noeff.to_impure_vty(env, h, d, EMPTY_DIRT)
+    got2 = noeff.bridge(h, d, EMPTY_DIRT, from_impure=False)
     assert got2 == noeff.NCoFunToHand(
         noeff.NCoBaseRefl(Base.UNIT), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
     )
-    got3 = noeff.from_impure_vty(env, h, d, EMPTY_DIRT)
+    got3 = noeff.bridge(h, d, EMPTY_DIRT, from_impure=True)
     assert got3 == noeff.NCoHandToFun(
         noeff.NCoBaseRefl(Base.UNIT), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
     )
@@ -156,7 +165,6 @@ def test_to_impure_is_the_dual():
 def test_restriction_on_qualifiers_mentioning_delta():
     sup = Supply()
     d = sup.dirt()
-    env = _env().with_dirt(d)
     bad = TQual(
         TySub(
             TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d))),
@@ -167,17 +175,17 @@ def test_restriction_on_qualifiers_mentioning_delta():
     from effc.core import ElaborationError
 
     with pytest.raises(ElaborationError):
-        noeff.from_impure_vty(env, bad, d, EMPTY_DIRT)
+        noeff.bridge(bad, d, EMPTY_DIRT, from_impure=True)
 
 
 # -- value/computation elaboration -------------------------------------------------------
 
 
 def test_elab_return_drops_to_value():
-    env = _env()
-    cty, t = noeff.elab_comp(env, exeff.CReturn(exeff.EUnit()))
-    assert t == noeff.MUnit()
-    assert cty == CompType(T_UNIT, EMPTY_DIRT)
+    c = exeff.CReturn(exeff.EUnit())
+    derived = exeff.derive(_env(), c)
+    assert noeff.elab_comp(derived, c) == noeff.MUnit()
+    assert derived.of(c) == CompType(T_UNIT, EMPTY_DIRT)
 
 
 def test_elab_running_monomorphic_function():
@@ -186,7 +194,7 @@ def test_elab_running_monomorphic_function():
     fn = exeff.EAbs(
         g, TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT)), exeff.CApp(exeff.EVar(g), exeff.EUnit())
     )
-    _, t = noeff.elab_value(_env(), fn)
+    t = _elab_value(_env(), fn)
     assert t == noeff.MAbs(
         g, noeff.NArrow(N_UNIT, N_UNIT), noeff.MApp(noeff.MVar(g), noeff.MUnit())
     )
@@ -194,7 +202,7 @@ def test_elab_running_monomorphic_function():
 
 def test_elab_running_polymorphic_function(golden_dir):
     ex = RunningExample()
-    _, t = noeff.elab_value(exeff.TypeEnv(ex.sig), ex.poly_value)
+    t = _elab_value(exeff.TypeEnv(ex.sig), ex.poly_value)
     text = display.show_nterm(display.canonicalize(t))
     assert text == (
         "tyfun a0. tyfun a1. cofun (w0 : a0 <= a1). "
@@ -204,7 +212,8 @@ def test_elab_running_polymorphic_function(golden_dir):
 
 def test_elab_app_id_produces_paper_coercions():
     ex = RunningExample()
-    _, t = noeff.elab_comp(ex.env(), ex.app_id())
+    app = ex.app_id()
+    t = noeff.elab_comp(exeff.derive(ex.env(), app), app)
     text = display.show_nterm(display.canonicalize(t))
     assert "(<Unit> -> return(<Unit>)) -> comp(<Unit>)" in text
     assert "(<Unit> -> <Unit>) -> unsafe(<Unit>)" in text
@@ -220,7 +229,7 @@ def test_elab_handler_with_pure_output_wraps_returns():
         x, T_UNIT, exeff.CReturn(exeff.EVar(x)),
         (exeff.OpClause("Tick", p, k, exeff.CApp(exeff.EVar(k), exeff.EVar(p))),),
     )
-    h_ty, t = noeff.elab_value(exeff.TypeEnv(sig), h)
+    t = _elab_value(exeff.TypeEnv(sig), h)
     assert isinstance(t, noeff.MHandler)
     assert isinstance(t.ret_body, noeff.MReturn)
     clause = t.clauses[0]
@@ -234,6 +243,55 @@ def test_elab_handler_with_pure_output_wraps_returns():
     assert isinstance(cast.co.cod, noeff.NCoUnsafe)
     got = noeff.typecheck_noeff(_nenv(sig), t)
     assert got == noeff.NHandler(N_UNIT, N_UNIT)
+
+
+def test_elaboration_makes_no_exeff_checker_call(corpus_paths, monkeypatch):
+    # Elaboration reads the derivation the checker recorded; it never runs
+    # the checker again.
+    from effc import infer, source
+
+    checked = []
+    for path in corpus_paths:
+        sig, comp = source.parse_program(path.read_text())
+        _, term, _ = infer.infer_and_default(sig, comp)
+        checked.append((term, exeff.derive(exeff.TypeEnv(sig), term)))
+
+    def refuse(*args):
+        raise AssertionError("the ExEff checker ran during elaboration")
+
+    for name in ("typecheck_value", "typecheck_comp", "typecheck_coercion"):
+        monkeypatch.setattr(exeff, name, refuse)
+    for term, derived in checked:
+        noeff.elab_comp(derived, term)
+
+
+def test_shared_node_at_two_types_is_reported_not_mis_elaborated():
+    # `f unit` is one node at two positions: under the first `f` it has type
+    # Unit ! {Tick}, under the second Unit ! {}.  The term is well-typed, but
+    # the derivation has one entry for the node, so elaborating the inner
+    # `do` (a let if its head is pure, a do if not) must not read either type.
+    sig = tick_tock_signature()
+    sup = Supply()
+    f, u, r, y, z = (sup.term(n) for n in "furyz")
+    tick = dirt(["Tick"])
+    to_tick = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(tick))
+    ticks = exeff.EAbs(u, T_UNIT, exeff.COp(
+        "Tick", exeff.EUnit(), r, T_UNIT, exeff.CCast(exeff.CReturn(exeff.EVar(r)), to_tick)
+    ))
+    pure = exeff.EAbs(u, T_UNIT, exeff.CReturn(exeff.EUnit()))
+    shared = exeff.CApp(exeff.EVar(f), exeff.EUnit())
+    inner = exeff.CCast(exeff.CDo(z, shared, exeff.CReturn(exeff.EVar(z))), to_tick)
+    term = exeff.CLet(f, ticks, exeff.CDo(y, shared, exeff.CLet(f, pure, inner)))
+    derived = exeff.derive(exeff.TypeEnv(sig), term)
+    assert derived.of(term) == CompType(T_UNIT, tick)
+    with pytest.raises(AssertionError, match="CApp node is checked at two different types"):
+        noeff.elab_comp(derived, term)
+    # Unshared, the same term elaborates and re-checks.
+    copy = exeff.CApp(exeff.EVar(f), exeff.EUnit())
+    inner = exeff.CCast(exeff.CDo(z, copy, exeff.CReturn(exeff.EVar(z))), to_tick)
+    term = exeff.CLet(f, ticks, exeff.CDo(y, shared, exeff.CLet(f, pure, inner)))
+    nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(sig), term), term)
+    assert noeff.typecheck_noeff(_nenv(sig), nterm) == noeff.NComp(N_UNIT)
 
 
 # -- typing of the new coercion forms ----------------------------------------------------
@@ -348,7 +406,7 @@ def test_preservation_along_noeff_traces():
     for name in ("p11_handle_tick_resume.eff", "p17_tick_tock_stop.eff", "p29_handler_result_fun.eff"):
         sig, comp = source.parse_program((CORPUS / name).read_text())
         _, term, _ = infer.infer_and_default(sig, comp)
-        _, nterm = noeff.elab_comp(exeff.TypeEnv(sig), term)
+        nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(sig), term), term)
         nenv = noeff.NEnv(noeff.elab_signature(sig))
         ty = noeff.typecheck_noeff(nenv, nterm)
         t = nterm
@@ -384,9 +442,9 @@ def test_elab_handler_coercion_all_dirt_combinations():
     tick = dirt(["Tick"])
 
     def check(co):
-        ct, out = noeff.elab_coercion(env, co)
-        want_lhs = noeff.elab_vty(env, ct.lhs)[1]
-        want_rhs = noeff.elab_vty(env, ct.rhs)[1]
+        ct, out = _elab_co(env, co)
+        want_lhs = noeff.elab_vty(ct.lhs)
+        want_rhs = noeff.elab_vty(ct.rhs)
         got = noeff.typecheck_noeff_coercion(nenv, out)
         assert alpha_eq(got.lhs, want_lhs)
         assert alpha_eq(got.rhs, want_rhs)
@@ -429,15 +487,13 @@ def test_elab_handler_coercion_all_dirt_combinations():
 def test_from_impure_handler_input_stays_impure():
     sup = Supply()
     d = sup.dirt()
-    sig = tick_tock_signature()
-    env = exeff.TypeEnv(sig).with_dirt(d)
     h = THandler(CompType(T_UNIT, dirt(["Tick"], d)), CompType(T_UNIT, dirt_var(d)))
-    co = noeff.from_impure_vty(env, h, d, EMPTY_DIRT)
+    co = noeff.bridge(h, d, EMPTY_DIRT, from_impure=True)
     assert isinstance(co, noeff.NCoHandler)
-    got = noeff.typecheck_noeff_coercion(_nenv(sig), co)
-    _, before = noeff.elab_vty(env, h)
+    got = noeff.typecheck_noeff_coercion(_nenv(), co)
+    before = noeff.elab_vty(h)
     inst = exeff.substitute(exeff.Subst.one_dirt(d, EMPTY_DIRT), h)
-    _, after = noeff.elab_vty(exeff.TypeEnv(sig), inst)
+    after = noeff.elab_vty(inst)
     assert alpha_eq(got.lhs, before)
     assert alpha_eq(got.rhs, after)
 

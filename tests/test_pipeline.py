@@ -58,6 +58,28 @@ def test_ill_typed_programs_fail_with_expected_classes():
             pipeline.compile_path(str(CORPUS_BAD / name), "noeff")
 
 
+def test_compile_runs_the_exeff_checker_once(corpus_paths, monkeypatch):
+    # The one check at compile time records the derivation that NoEff
+    # elaboration reads.
+    outer, depth = [], [0]
+    for name in ("typecheck_value", "typecheck_comp", "typecheck_coercion"):
+
+        def counted(*args, _check=getattr(exeff, name), _name=name):
+            if not depth[0]:
+                outer.append(_name)
+            depth[0] += 1
+            try:
+                return _check(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(exeff, name, counted)
+    for path in corpus_paths:
+        outer.clear()
+        pipeline.compile_text(path.read_text(), "noeff")
+        assert outer == ["typecheck_comp"], path.name
+
+
 def test_run_return_unit_zero_steps():
     out = pipeline.run_path(str(CORPUS / "p01_return_unit.eff"), "exeff")
     assert str(out.observation) == "return unit"

@@ -102,21 +102,18 @@ def test_wf_type_variable():
     sk = sup.skel()
     a = sup.ty()
     env = _env().with_skel(sk).with_ty(a, sk)
-    skel, elab = source.wf_value_type(env, a)
-    assert skel == sk
-    assert elab == a
+    assert exeff.wf_vty(env, a) == sk
 
 
 def test_wf_unit():
-    skel, elab = source.wf_value_type(_env(), T_UNIT)
-    assert skel == SK_UNIT and elab == T_UNIT
+    assert exeff.wf_vty(_env(), T_UNIT) == SK_UNIT
 
 
 def test_wf_arrow_against_skeleton_oracle():
     sig = Signature()
     sig.declare("Tick", T_UNIT, T_UNIT)
     ty = TArrow(T_UNIT, CompType(T_UNIT, dirt(["Tick"])))
-    skel, elab = source.wf_value_type(_env(sig), ty)
+    skel = exeff.wf_vty(_env(sig), ty)
 
     def skeleton_oracle(t):
         # Independent structural recursion over closed types.
@@ -127,7 +124,6 @@ def test_wf_arrow_against_skeleton_oracle():
         raise TypeError(t)
 
     assert skel == skeleton_oracle(ty) == SkelArrow(SK_UNIT, SK_UNIT)
-    assert elab == ty
 
 
 def test_wf_dirt_cases():
@@ -136,12 +132,12 @@ def test_wf_dirt_cases():
     sup = Supply()
     d = sup.dirt()
     env = _env(sig).with_dirt(d)
-    source.wf_dirt(env, EMPTY_DIRT)
-    source.wf_dirt(env, dirt_add(["Tick"], dirt_var(d)))
+    exeff.wf_dirt(env, EMPTY_DIRT)
+    exeff.wf_dirt(env, dirt_add(["Tick"], dirt_var(d)))
     with pytest.raises(UnknownOperation):
-        source.wf_dirt(env, dirt(["Bogus"]))
+        exeff.wf_dirt(env, dirt(["Bogus"]))
     with pytest.raises(WfError):
-        source.wf_dirt(_env(sig), dirt_var(sup.dirt()))
+        exeff.wf_dirt(_env(sig), dirt_var(sup.dirt()))
 
 
 def test_wf_constraint_rejects_skeleton_mismatch():
@@ -149,7 +145,7 @@ def test_wf_constraint_rejects_skeleton_mismatch():
     from effc.core import TySub
 
     with pytest.raises(WfError):
-        source.wf_constraint(_env(sig), TySub(T_UNIT, TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))))
+        exeff.wf_constraint(_env(sig), TySub(T_UNIT, TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))))
 
 
 def test_signature_types_must_be_closed():
@@ -214,5 +210,4 @@ def test_wf_comp_type_companion():
     sig = Signature()
     sig.declare("Tick", T_UNIT, T_UNIT)
     cty = CompType(T_UNIT, dirt(["Tick"]))
-    skel, elab = source.wf_comp_type(exeff.TypeEnv(sig), cty)
-    assert skel == SK_UNIT and elab == cty
+    assert exeff.wf_cty(exeff.TypeEnv(sig), cty) == SK_UNIT

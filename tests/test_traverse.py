@@ -20,7 +20,6 @@ from effc.core import (
     TermVar,
     TyVar,
     dirt_var,
-    pure,
 )
 from effc.exeff import Subst
 from effc.traverse import alpha_eq, free_vars, rename, shape, subst_term, substitute
@@ -232,4 +231,4 @@ def test_unregistered_classes_are_rejected():
             rename(node, lambda v: v)
     # A wrapped node is rejected as well, not passed through.
     with pytest.raises(TypeError):
-        substitute(s, TArrow(Unknown(1.0), pure(TyVar(0))))
+        substitute(s, TArrow(Unknown(1.0), core.CompType(TyVar(0), core.EMPTY_DIRT)))
