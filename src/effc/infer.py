@@ -176,7 +176,9 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
 
     env maps term-variable ids to (TermVar, Scheme).  Returns
     (skel_vars, [(ty_var, skeleton)], dirt_vars, generalized [(co, ct)],
-    floated queue items).
+    floated queue items, merged).  A generalized constraint equal to an
+    earlier one is not a second qualifier: `merged` maps its coercion
+    variable to the earlier one's, for the bound value.
     """
     env_fv = _var_keys([scheme for _, scheme in env.values()])
 
@@ -216,10 +218,15 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
 
     generalized = []
     floated = []
+    merged = Subst()
     for it in Q:
         if isinstance(it, SubCt):
             if not _var_keys(it.constraint) <= env_fv:
-                generalized.append((it.co, it.constraint))
+                same = [w for w, ct in generalized if ct == it.constraint]
+                if same:
+                    merged.co[it.co.id] = CoVarRef(same[0])
+                else:
+                    generalized.append((it.co, it.constraint))
             else:
                 floated.append(it)
         elif isinstance(it, SkelAnn):
@@ -227,7 +234,7 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
                 floated.append(it)
         else:
             floated.append(it)
-    return gen_skel, ty_binders, gen_dirt, generalized, floated
+    return gen_skel, ty_binders, gen_dirt, generalized, floated, merged
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +783,7 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         s1p, Qv_res = collapse(session, s1p, env1, a1, Qv_res)
         s_pre = s1.then(s1p)
         inherited = [subst_item(s_pre, it) for it in Q]
-        gen_skel, ty_binders, gen_dirt, generalized, floated = split(env1, Qv_res, a1)
+        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = split(env1, Qv_res, a1)
         scheme = Scheme(
             tuple(gen_skel), tuple(ty_binders), tuple(gen_dirt), tuple(generalized), a1
         )
@@ -784,7 +791,7 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         cty, Q2, s2, body = gen_comp(
             session, floated + inherited, _env_bind(env1, c.var, scheme), c.body
         )
-        bound = substitute(s1p, v1)
+        bound = substitute(merged, substitute(s1p, v1))
         for w, ct in reversed(generalized):
             bound = exeff.ECoAbs(w, ct, bound)
         for dv in reversed(gen_dirt):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from effc import exeff, infer, source
+from effc import exeff, infer, pipeline, source
 from effc.core import (
     Base,
     CompType,
@@ -24,7 +24,7 @@ from effc.core import (
 )
 from effc.traverse import alpha_eq, free_vars
 from conftest import CORPUS
-from gen_helpers import make_signature, signature_header
+from gen_helpers import make_signature, program_texts, signature_header
 from paper_examples import RunningExample, tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
@@ -94,8 +94,9 @@ def test_gen_variable_instantiates_scheme():
 
 
 def test_split_empty():
-    out = infer.split({}, [], T_UNIT)
-    assert out == ([], [], [], [], [])
+    *out, merged = infer.split({}, [], T_UNIT)
+    assert out == [[], [], [], [], []]
+    assert merged.is_empty()
 
 
 def test_split_running_example_instance():
@@ -114,12 +115,39 @@ def test_split_running_example_instance():
         infer.SubCt(w2, DirtSub(dirt_var(d), dirt_var(d2))),
     ]
     ty = TArrow(TArrow(T_UNIT, CompType(a, dirt_var(d))), CompType(a2, dirt_var(d2)))
-    gen_skel, ty_binders, gen_dirt, generalized, floated = infer.split({}, q, ty)
+    gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split({}, q, ty)
     assert gen_skel == [sk]
     assert [v for v, _ in ty_binders] == [a, a2]
     assert gen_dirt == [d, d2]
     assert [wv for wv, _ in generalized] == [w, w2]
     assert floated == []
+
+
+def test_split_merges_a_repeated_qualifier():
+    sig = tick_tock_signature()
+    session = infer.Session(sig)
+    sup = session.supply
+    d, d2 = sup.dirt(), sup.dirt()
+    w, w2, w3 = sup.co(), sup.co(), sup.co()
+    q = [
+        infer.SubCt(w, DirtSub(dirt_var(d), dirt_var(d2))),
+        infer.SubCt(w2, DirtSub(dirt_var(d2), dirt_var(d))),
+        infer.SubCt(w3, DirtSub(dirt_var(d), dirt_var(d2))),
+    ]
+    ty = TArrow(TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d))), CompType(T_UNIT, dirt_var(d2)))
+    _, _, _, generalized, _, merged = infer.split({}, q, ty)
+    assert [wv for wv, _ in generalized] == [w, w2]
+    assert merged.co == {w3.id: exeff.CoVarRef(w)}
+
+
+def test_let_schemes_repeat_no_qualifier(corpus_paths):
+    # `twice` in p28 used to carry [d0 <= d1] twice.  Every program still
+    # re-typechecks with the repeats merged.
+    for name, text in program_texts(corpus_paths):
+        art = pipeline.compile_text(text, "noeff")
+        for _, scheme in art.inferred.session.let_schemes:
+            cts = [ct for _, ct in scheme.qualifiers]
+            assert len(cts) == len(set(cts)), name
 
 
 def test_split_env_keeps_variable_free():
@@ -133,7 +161,7 @@ def test_split_env_keeps_variable_free():
     q = [infer.SkelAnn(a, sk), infer.SkelAnn(a2, sk), infer.SubCt(w, TySub(a, a2))]
     xv = sup.term("x")
     env = {xv.id: (xv, monoscheme(a))}  # the environment mentions a
-    gen_skel, ty_binders, gen_dirt, generalized, floated = infer.split(env, q, a2)
+    gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split(env, q, a2)
     assert [v for v, _ in ty_binders] == [a2]
     # The constraint still generalizes: its free variables are not all in the env.
     assert [wv for wv, _ in generalized] == [w]
@@ -392,7 +420,7 @@ def test_split_postconditions_extensionally_random():
         if rng.random() < 0.5:
             xv = sup.term("x")
             env = {xv.id: (xv, monoscheme(rng.choice(tys)))}
-        gen_skel, ty_binders, gen_dirt, generalized, floated = infer.split(env, q, a_res)
+        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = infer.split(env, q, a_res)
         env_ty = set()
         env_dirt = set()
         for _, (_, sch) in env.items():
@@ -413,6 +441,14 @@ def test_split_postconditions_extensionally_random():
             fv = {("t", v.id) for v in free_vars(ct, TyVar)} | {("d", v.id) for v in free_vars(ct, DirtVar)}
             envv = {("t", i) for i in env_ty} | {("d", i) for i in env_dirt}
             assert not fv <= envv
+        # No two qualifiers repeat a constraint; a repeat is merged into the
+        # first qualifier with its constraint.
+        cts = [ct for _, ct in generalized]
+        assert len(cts) == len(set(cts))
+        first = {ct: w for w, ct in reversed(generalized)}
+        for it in q:
+            if isinstance(it, infer.SubCt) and it.co.id in merged.co:
+                assert merged.co[it.co.id] == exeff.CoVarRef(first[it.constraint])
         for it in floated:
             if isinstance(it, infer.SubCt):
                 fv = {("t", v.id) for v in free_vars(it.constraint, TyVar)} | {
