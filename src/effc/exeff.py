@@ -549,32 +549,27 @@ class Derivation(dict):
     (`derive` keeps it alive in `root`); `sig` is the signature the term was
     checked under.
 
-    A node object shared between positions has one entry.  Evaluation shares
-    nodes whose free variables are bound differently at each position (a
-    type application rebuilds only the nodes that mention the type
-    variable), so positions that give a node types that are not alpha-equal
-    leave its entry ambiguous, and reading it is an internal error."""
+    A node object shared between positions has one entry, and `again` keeps
+    what the other positions derived for it.  Evaluation shares nodes whose
+    free variables are bound differently at each position (a type
+    application rebuilds only the nodes that mention the type variable), so
+    the checker accepts such a node, and `of` refuses to read one whose
+    positions disagree."""
 
     def __init__(self, sig: Signature, root=None):
         super().__init__()
         self.sig = sig
         self.root = root
+        self.again: dict = {}
 
     def of(self, node):
         t = self[id(node)]
-        if t is _AMBIGUOUS:
-            raise AssertionError(
-                f"one {type(node).__name__} node is checked at two different types"
-            )
+        for other in self.again.get(id(node), ()):
+            if not alpha_eq(t, other):
+                raise AssertionError(
+                    f"one {type(node).__name__} node is checked at two different types"
+                )
         return t
-
-
-_AMBIGUOUS = object()
-
-
-def _met_twice(derived: Derivation, node, prev, t) -> None:
-    if prev is not _AMBIGUOUS and not alpha_eq(prev, t):
-        derived[id(node)] = _AMBIGUOUS
 
 
 def derive(env: TypeEnv, c: Comp) -> Derivation:
@@ -668,9 +663,8 @@ def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None
         t = ct.rhs
     else:
         raise TypeError(v)
-    prev = derived.setdefault(id(v), t)
-    if prev is not t:
-        _met_twice(derived, v, prev, t)
+    if derived.setdefault(id(v), t) is not t:
+        derived.again.setdefault(id(v), []).append(t)
     return t
 
 
@@ -724,9 +718,8 @@ def typecheck_comp(env: TypeEnv, c: Comp, derived: Optional[Derivation] = None) 
         t = ct.rhs
     else:
         raise TypeError(c)
-    prev = derived.setdefault(id(c), t)
-    if prev is not t:
-        _met_twice(derived, c, prev, t)
+    if derived.setdefault(id(c), t) is not t:
+        derived.again.setdefault(id(c), []).append(t)
     return t
 
 
@@ -800,9 +793,8 @@ def typecheck_coercion(env: TypeEnv, co: Coercion, derived: Optional[Derivation]
         ct = CompSub(CompType(val.lhs, d.lhs), CompType(val.rhs, d.rhs))
     else:
         raise TypeError(co)
-    prev = derived.setdefault(id(co), ct)
-    if prev is not ct:
-        _met_twice(derived, co, prev, ct)
+    if derived.setdefault(id(co), ct) is not ct:
+        derived.again.setdefault(id(co), []).append(ct)
     return ct
 
 

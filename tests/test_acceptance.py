@@ -168,7 +168,8 @@ def test_criterion_6_noeff_elaboration_typing(elaborated):
         got = noeff.typecheck_noeff(nenv, nterm)
         want = noeff.elab_cty(cty)
         assert alpha_eq(got, want), name
-    # The bridging coercions of dirt instantiation obey their typing lemma.
+    # The bridging coercions of dirt instantiation obey their typing lemma,
+    # in both directions.
     rng = random.Random(66)
     sup = Supply()
     sig = make_signature()
@@ -185,6 +186,9 @@ def test_criterion_6_noeff_elaboration_typing(elaborated):
         got = noeff.typecheck_noeff_coercion(nenv, co)
         assert alpha_eq(got.lhs, before)
         assert alpha_eq(got.rhs, after)
+        back = noeff.typecheck_noeff_coercion(nenv, noeff.bridge(ty, d, inst, from_impure=False))
+        assert alpha_eq(back.lhs, after)
+        assert alpha_eq(back.rhs, before)
         lemma_checked += 1
     report(
         6,
