@@ -124,12 +124,12 @@ def test_dump_roundtrips_alpha_equal(corpus_paths):
 
 
 def generated_dump_digests(count: int = 300) -> dict:
-    """sha256 of `dump --stage S`, for S in exeff and noeff, of each of
-    `count` generated programs, keyed by (program, stage)."""
+    """sha256 of `dump --stage S`, for S in exeff, noeff and skeleff, of each
+    of `count` generated programs, keyed by (program, stage)."""
     out = {}
     for name, text in program_texts([], count):
         art = pipeline.compile_text(text, "noeff")
-        for stage in ("exeff", "noeff"):
+        for stage in ("exeff", "noeff", "skeleff"):
             out[name, stage] = hashlib.sha256(pipeline.dump_stage(art, stage).encode()).hexdigest()
     return out
 
