@@ -333,6 +333,32 @@ class Scheme:
         return not (self.skel_vars or self.ty_vars or self.dirt_vars or self.qualifiers)
 
 
+def skeleton(tys: dict, t: Union[ValueType, CompType]) -> Skeleton:
+    """The skeleton of a value type, or of a computation type's value part:
+    its effect-erased shape.  `tys` maps the id of each type variable in scope
+    to its skeleton."""
+    if isinstance(t, CompType):
+        return skeleton(tys, t.val)
+    if isinstance(t, TyVar):
+        try:
+            return tys[t.id]
+        except KeyError:
+            raise WfError(f"unbound type variable a{t.id}") from None
+    if isinstance(t, TBase):
+        return SkelBase(t.base)
+    if isinstance(t, TArrow):
+        return SkelArrow(skeleton(tys, t.dom), skeleton(tys, t.cod))
+    if isinstance(t, THandler):
+        return SkelHandler(skeleton(tys, t.dom), skeleton(tys, t.cod))
+    if isinstance(t, TForallSkel):
+        return SkelForall(t.var, skeleton(tys, t.body))
+    if isinstance(t, TForallTy):
+        return skeleton({**tys, t.var.id: t.skel}, t.body)
+    if isinstance(t, (TForallDirt, TQual)):
+        return skeleton(tys, t.body)
+    raise TypeError(t)
+
+
 def monoscheme(t: ValueType) -> Scheme:
     return Scheme(body=t)
 
@@ -383,3 +409,33 @@ class Signature:
 
     def names(self) -> list:
         return sorted(self.ops)
+
+    def map(self, f) -> "Signature":
+        """The signature with `f` applied to every parameter and result type:
+        the signature of another calculus, by its translation of types."""
+        return Signature({name: OpSig(f(op.param), f(op.result)) for name, op in self.ops.items()})
+
+
+# ---------------------------------------------------------------------------
+# Typing contexts
+
+
+class Context:
+    """The typing context of ExEff, SkelEff and NoEff: per sort, the ids of
+    the variables in scope and what each binds (a type variable its skeleton,
+    a coercion variable its constraint, a term variable its type, a skeleton
+    or dirt variable nothing), under one calculus's operation signature.  A
+    calculus leaves the sorts it lacks empty."""
+
+    SORTS = {SkelVar: "skel", TyVar: "ty", DirtVar: "dirt", CoVar: "co", TermVar: "term"}
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.skel, self.ty, self.dirt, self.co, self.term = {}, {}, {}, {}, {}
+
+    def bind(self, v, what=None) -> "Context":
+        """The context with `v` in scope, bound to `what`."""
+        sort = self.SORTS[type(v)]
+        out = object.__new__(Context)
+        out.__dict__ = {**self.__dict__, sort: {**self.__dict__[sort], v.id: what}}
+        return out

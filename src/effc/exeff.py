@@ -17,16 +17,13 @@ from .core import (
     Base,
     CompSub,
     CompType,
+    Context,
     CoVar,
     Dirt,
     DirtSub,
     DirtVar,
     EMPTY_DIRT,
     Signature,
-    SkelArrow,
-    SkelBase,
-    SkelForall,
-    SkelHandler,
     SkelVar,
     Skeleton,
     TArrow,
@@ -44,10 +41,12 @@ from .core import (
     ValueType,
     WfError,
     dirt_add,
+    skeleton,
 )
 from .traverse import (
     Reduction,
     alpha_eq,
+    free_vars,
     handle_op,
     shape,
     subst_hook,
@@ -301,129 +300,56 @@ Comp = Union[CReturn, COp, CDo, CHandle, CApp, CLet, CCast]
 
 
 # ---------------------------------------------------------------------------
-# Typing environments
-
-
-class TypeEnv:
-    """Binding telescope for all five variable sorts plus the signature."""
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.skel_vars: frozenset = frozenset()
-        self.ty_vars: dict = {}
-        self.dirt_vars: frozenset = frozenset()
-        self.term_vars: dict = {}
-        self.co_vars: dict = {}
-
-    def _copy(self) -> "TypeEnv":
-        out = TypeEnv(self.sig)
-        out.skel_vars = self.skel_vars
-        out.ty_vars = self.ty_vars
-        out.dirt_vars = self.dirt_vars
-        out.term_vars = self.term_vars
-        out.co_vars = self.co_vars
-        return out
-
-    def with_skel(self, v: SkelVar) -> "TypeEnv":
-        out = self._copy()
-        out.skel_vars = self.skel_vars | {v.id}
-        return out
-
-    def with_ty(self, v: TyVar, skel: Skeleton) -> "TypeEnv":
-        out = self._copy()
-        out.ty_vars = {**self.ty_vars, v.id: skel}
-        return out
-
-    def with_dirt(self, v: DirtVar) -> "TypeEnv":
-        out = self._copy()
-        out.dirt_vars = self.dirt_vars | {v.id}
-        return out
-
-    def with_term(self, v: TermVar, t: ValueType) -> "TypeEnv":
-        out = self._copy()
-        out.term_vars = {**self.term_vars, v.id: t}
-        return out
-
-    def with_co(self, v: CoVar, ct: Union[TySub, DirtSub]) -> "TypeEnv":
-        out = self._copy()
-        out.co_vars = {**self.co_vars, v.id: ct}
-        return out
-
-
-# ---------------------------------------------------------------------------
 # Well-formedness
 
-
-def wf_skeleton(env: TypeEnv, s: Skeleton) -> None:
-    if isinstance(s, SkelVar):
-        if s.id not in env.skel_vars:
-            raise WfError(f"unbound skeleton variable s{s.id}")
-    elif isinstance(s, SkelBase):
-        pass
-    elif isinstance(s, (SkelArrow, SkelHandler)):
-        wf_skeleton(env, s.dom)
-        wf_skeleton(env, s.cod)
-    elif isinstance(s, SkelForall):
-        wf_skeleton(env.with_skel(s.var), s.body)
-    else:
-        raise TypeError(s)
+_UNBOUND = {SkelVar: "skeleton variable s", TyVar: "type variable a"}
 
 
-def wf_dirt(env: TypeEnv, d: Dirt) -> None:
+def wf_bound(env: Context, t) -> None:
+    """Raise WfError unless `env` binds every skeleton and type variable free
+    in `t`, a type-level object of any calculus.  `wf_dirt` checks dirt
+    variables, together with the operations of their dirt."""
+    for sort, what in _UNBOUND.items():
+        scope = getattr(env, Context.SORTS[sort])
+        for v in free_vars(t, sort):
+            if v.id not in scope:
+                raise WfError(f"unbound {what}{v.id}")
+
+
+def wf_dirt(env: Context, d: Dirt) -> None:
     for op in d.sorted_ops():
         env.sig.lookup(op)
-    if d.tail is not None and d.tail.id not in env.dirt_vars:
+    if d.tail is not None and d.tail.id not in env.dirt:
         raise WfError(f"unbound dirt variable d{d.tail.id}")
 
 
-def wf_vty(env: TypeEnv, t: ValueType) -> Skeleton:
+def wf(env: Context, t) -> None:
+    """Check that a type or constraint is well-formed: its variables are
+    bound, its dirts well-formed, and each constraint in it relates types of
+    one skeleton."""
+    wf_bound(env, t)
+    _wf_parts(env, t)
+
+
+def _wf_parts(env: Context, t) -> None:
+    cls = type(t)
+    if cls is Dirt:
+        wf_dirt(env, t)
+        return
+    if cls is TForallTy:
+        env = env.bind(t.var, t.skel)
+    elif cls is TForallDirt:
+        env = env.bind(t.var)
+    elif cls in (TySub, CompSub) and not alpha_eq(skeleton(env.ty, t.lhs), skeleton(env.ty, t.rhs)):
+        raise WfError("subtyping constraint relates types with different skeletons")
+    for f in shape(cls).kids:
+        _wf_parts(env, getattr(t, f.name))
+
+
+def wf_vty(env: Context, t: Union[ValueType, CompType]) -> Skeleton:
     """Check well-formedness and return the type's skeleton."""
-    if isinstance(t, TyVar):
-        try:
-            return env.ty_vars[t.id]
-        except KeyError:
-            raise WfError(f"unbound type variable a{t.id}") from None
-    if isinstance(t, TBase):
-        return SkelBase(t.base)
-    if isinstance(t, TArrow):
-        return SkelArrow(wf_vty(env, t.dom), wf_cty(env, t.cod))
-    if isinstance(t, THandler):
-        return SkelHandler(wf_cty(env, t.dom), wf_cty(env, t.cod))
-    if isinstance(t, TForallSkel):
-        return SkelForall(t.var, wf_vty(env.with_skel(t.var), t.body))
-    if isinstance(t, TForallTy):
-        wf_skeleton(env, t.skel)
-        return wf_vty(env.with_ty(t.var, t.skel), t.body)
-    if isinstance(t, TForallDirt):
-        return wf_vty(env.with_dirt(t.var), t.body)
-    if isinstance(t, TQual):
-        wf_constraint(env, t.constraint)
-        return wf_vty(env, t.body)
-    raise TypeError(t)
-
-
-def wf_cty(env: TypeEnv, c: CompType) -> Skeleton:
-    sk = wf_vty(env, c.val)
-    wf_dirt(env, c.dirt)
-    return sk
-
-
-def wf_constraint(env: TypeEnv, ct) -> None:
-    if isinstance(ct, TySub):
-        s1 = wf_vty(env, ct.lhs)
-        s2 = wf_vty(env, ct.rhs)
-        if not alpha_eq(s1, s2):
-            raise WfError("subtyping constraint relates types with different skeletons")
-    elif isinstance(ct, DirtSub):
-        wf_dirt(env, ct.lhs)
-        wf_dirt(env, ct.rhs)
-    elif isinstance(ct, CompSub):
-        s1 = wf_cty(env, ct.lhs)
-        s2 = wf_cty(env, ct.rhs)
-        if not alpha_eq(s1, s2):
-            raise WfError("subtyping constraint relates types with different skeletons")
-    else:
-        raise TypeError(ct)
+    wf(env, t)
+    return skeleton(env.ty, t)
 
 
 # ---------------------------------------------------------------------------
@@ -572,19 +498,19 @@ class Derivation(dict):
         return t
 
 
-def derive(env: TypeEnv, c: Comp) -> Derivation:
+def derive(env: Context, c: Comp) -> Derivation:
     """Check `c` and return its derivation; `typecheck_comp` is its root type."""
     derived = Derivation(env.sig, c)
     typecheck_comp(env, c, derived)
     return derived
 
 
-def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None) -> ValueType:
+def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None) -> ValueType:
     if derived is None:
         derived = Derivation(env.sig)
     if isinstance(v, EVar):
         try:
-            t = env.term_vars[v.var.id]
+            t = env.term[v.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {v.var.name}") from None
     elif isinstance(v, EUnit):
@@ -592,21 +518,19 @@ def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None
     elif isinstance(v, EInt):
         t = TBase(Base.INT)
     elif isinstance(v, EAbs):
-        wf_vty(env, v.ty)
-        body_ty = typecheck_comp(env.with_term(v.var, v.ty), v.body, derived)
+        wf(env, v.ty)
+        body_ty = typecheck_comp(env.bind(v.var, v.ty), v.body, derived)
         t = TArrow(v.ty, body_ty)
     elif isinstance(v, EHandler):
-        wf_vty(env, v.ret_ty)
-        out_cty = typecheck_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body, derived)
+        wf(env, v.ret_ty)
+        out_cty = typecheck_comp(env.bind(v.ret_var, v.ret_ty), v.ret_body, derived)
         seen = set()
         for cl in v.clauses:
             if cl.op in seen:
                 raise TypecheckError(f"handler lists operation {cl.op} twice")
             seen.add(cl.op)
             sig = env.sig.lookup(cl.op)
-            cl_env = env.with_term(cl.param, sig.param).with_term(
-                cl.kont, TArrow(sig.result, out_cty)
-            )
+            cl_env = env.bind(cl.param, sig.param).bind(cl.kont, TArrow(sig.result, out_cty))
             got = typecheck_comp(cl_env, cl.body, derived)
             if not alpha_eq(got, out_cty):
                 raise TypecheckError(
@@ -615,16 +539,16 @@ def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None
         in_dirt = dirt_add(seen, out_cty.dirt)
         t = THandler(CompType(v.ret_ty, in_dirt), out_cty)
     elif isinstance(v, ESkelAbs):
-        t = TForallSkel(v.var, typecheck_value(env.with_skel(v.var), v.body, derived))
+        t = TForallSkel(v.var, typecheck_value(env.bind(v.var), v.body, derived))
     elif isinstance(v, ESkelApp):
         fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TForallSkel):
             raise TypecheckError("skeleton application of a non-skeleton-polymorphic value")
-        wf_skeleton(env, v.skel)
+        wf_bound(env, v.skel)
         t = substitute(Subst.one_skel(fn_ty.var, v.skel), fn_ty.body)
     elif isinstance(v, ETyAbs):
-        wf_skeleton(env, v.skel)
-        t = TForallTy(v.var, v.skel, typecheck_value(env.with_ty(v.var, v.skel), v.body, derived))
+        wf_bound(env, v.skel)
+        t = TForallTy(v.var, v.skel, typecheck_value(env.bind(v.var, v.skel), v.body, derived))
     elif isinstance(v, ETyApp):
         fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TForallTy):
@@ -634,7 +558,7 @@ def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None
             raise TypecheckError("type application instantiates at the wrong skeleton")
         t = substitute(Subst.one_ty(fn_ty.var, v.ty), fn_ty.body)
     elif isinstance(v, EDirtAbs):
-        t = TForallDirt(v.var, typecheck_value(env.with_dirt(v.var), v.body, derived))
+        t = TForallDirt(v.var, typecheck_value(env.bind(v.var), v.body, derived))
     elif isinstance(v, EDirtApp):
         fn_ty = typecheck_value(env, v.val, derived)
         if not isinstance(fn_ty, TForallDirt):
@@ -642,8 +566,8 @@ def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None
         wf_dirt(env, v.dirt)
         t = substitute(Subst.one_dirt(fn_ty.var, v.dirt), fn_ty.body)
     elif isinstance(v, ECoAbs):
-        wf_constraint(env, v.constraint)
-        body_ty = typecheck_value(env.with_co(v.var, v.constraint), v.body, derived)
+        wf(env, v.constraint)
+        body_ty = typecheck_value(env.bind(v.var, v.constraint), v.body, derived)
         t = TQual(v.constraint, body_ty)
     elif isinstance(v, ECoApp):
         fn_ty = typecheck_value(env, v.val, derived)
@@ -668,7 +592,7 @@ def typecheck_value(env: TypeEnv, v: Value, derived: Optional[Derivation] = None
     return t
 
 
-def typecheck_comp(env: TypeEnv, c: Comp, derived: Optional[Derivation] = None) -> CompType:
+def typecheck_comp(env: Context, c: Comp, derived: Optional[Derivation] = None) -> CompType:
     if derived is None:
         derived = Derivation(env.sig)
     if isinstance(c, CApp):
@@ -681,12 +605,12 @@ def typecheck_comp(env: TypeEnv, c: Comp, derived: Optional[Derivation] = None) 
         t = fn_ty.cod
     elif isinstance(c, CLet):
         val_ty = typecheck_value(env, c.val, derived)
-        t = typecheck_comp(env.with_term(c.var, val_ty), c.body, derived)
+        t = typecheck_comp(env.bind(c.var, val_ty), c.body, derived)
     elif isinstance(c, CReturn):
         t = CompType(typecheck_value(env, c.val, derived), EMPTY_DIRT)
     elif isinstance(c, CDo):
         first = typecheck_comp(env, c.first, derived)
-        second = typecheck_comp(env.with_term(c.var, first.val), c.second, derived)
+        second = typecheck_comp(env.bind(c.var, first.val), c.second, derived)
         if not alpha_eq(first.dirt, second.dirt):
             raise TypecheckError("do-sequence branches draw from different dirts")
         t = second
@@ -697,7 +621,7 @@ def typecheck_comp(env: TypeEnv, c: Comp, derived: Optional[Derivation] = None) 
             raise TypecheckError(f"operation {c.op} applied to an argument of the wrong type")
         if not alpha_eq(c.var_ty, sig.result):
             raise TypecheckError(f"operation {c.op} continuation binder annotation mismatch")
-        t = typecheck_comp(env.with_term(c.var, c.var_ty), c.body, derived)
+        t = typecheck_comp(env.bind(c.var, c.var_ty), c.body, derived)
         if c.op not in t.dirt.ops:
             raise TypecheckError(f"operation {c.op} missing from the computation's dirt")
     elif isinstance(c, CHandle):
@@ -723,21 +647,20 @@ def typecheck_comp(env: TypeEnv, c: Comp, derived: Optional[Derivation] = None) 
     return t
 
 
-def typecheck_coercion(env: TypeEnv, co: Coercion, derived: Optional[Derivation] = None):
+def typecheck_coercion(env: Context, co: Coercion, derived: Optional[Derivation] = None):
     """Return the coercion's constraint type: TySub, DirtSub or CompSub."""
     if derived is None:
         derived = Derivation(env.sig)
     if isinstance(co, CoVarRef):
         try:
-            ct = env.co_vars[co.var.id]
+            ct = env.co[co.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound coercion variable w{co.var.id}") from None
     elif isinstance(co, CoBaseRefl):
         t = TBase(co.base)
         ct = TySub(t, t)
     elif isinstance(co, CoTyRefl):
-        if co.var.id not in env.ty_vars:
-            raise WfError(f"unbound type variable a{co.var.id}")
+        wf_bound(env, co.var)
         ct = TySub(co.var, co.var)
     elif isinstance(co, CoDirtRefl):
         wf_dirt(env, co.dirt)
@@ -764,23 +687,23 @@ def typecheck_coercion(env: TypeEnv, co: Coercion, derived: Optional[Derivation]
             raise TypecheckError("ill-kinded dirt-extension coercion")
         ct = DirtSub(dirt_add([co.op], rest.lhs), dirt_add([co.op], rest.rhs))
     elif isinstance(co, CoForallSkel):
-        body = typecheck_coercion(env.with_skel(co.var), co.body, derived)
+        body = typecheck_coercion(env.bind(co.var), co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded skeleton-forall coercion")
         ct = TySub(TForallSkel(co.var, body.lhs), TForallSkel(co.var, body.rhs))
     elif isinstance(co, CoForallTy):
-        wf_skeleton(env, co.skel)
-        body = typecheck_coercion(env.with_ty(co.var, co.skel), co.body, derived)
+        wf_bound(env, co.skel)
+        body = typecheck_coercion(env.bind(co.var, co.skel), co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded type-forall coercion")
         ct = TySub(TForallTy(co.var, co.skel, body.lhs), TForallTy(co.var, co.skel, body.rhs))
     elif isinstance(co, CoForallDirt):
-        body = typecheck_coercion(env.with_dirt(co.var), co.body, derived)
+        body = typecheck_coercion(env.bind(co.var), co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded dirt-forall coercion")
         ct = TySub(TForallDirt(co.var, body.lhs), TForallDirt(co.var, body.rhs))
     elif isinstance(co, CoQual):
-        wf_constraint(env, co.constraint)
+        wf(env, co.constraint)
         body = typecheck_coercion(env, co.body, derived)
         if not isinstance(body, TySub):
             raise TypecheckError("ill-kinded qualified coercion")

@@ -46,6 +46,7 @@ from .core import (
     dirt_add,
     dirt_var,
     monoscheme,
+    skeleton,
 )
 from .exeff import (
     CoComp,
@@ -122,44 +123,6 @@ class Session:
             for vid in self._ann_uses.pop(sid, ()):
                 self.ann[vid] = substitute(s, self.ann[vid])
                 self._index_ann(skel, vid)
-
-    def skeleton_of(self, t: ValueType) -> Skeleton:
-        """The skeleton of an inference-annotated monotype."""
-        if isinstance(t, TyVar):
-            return self.ann[t.id]
-        if isinstance(t, TBase):
-            return SkelBase(t.base)
-        if isinstance(t, TArrow):
-            return SkelArrow(self.skeleton_of(t.dom), self.skeleton_of(t.cod.val))
-        if isinstance(t, THandler):
-            return SkelHandler(self.skeleton_of(t.dom.val), self.skeleton_of(t.cod.val))
-        raise TypeError(f"skeleton_of: not a monotype: {t!r}")
-
-
-def skeleton_of(session: Session, t: ValueType) -> Skeleton:
-    return session.skeleton_of(t)
-
-
-# ---------------------------------------------------------------------------
-# Elaboration of schemes, types and environments into the core language
-
-# Core types are a superset of source types, so elaboration is the identity
-# on structure; schemes become nested quantifiers.
-
-
-def elaborate_type(s) -> ValueType:
-    if isinstance(s, Scheme):
-        from .core import scheme_type
-
-        return scheme_type(s)
-    return s
-
-
-def elaborate_env(env: dict, sig: Signature) -> exeff.TypeEnv:
-    out = exeff.TypeEnv(sig)
-    for vid, (var, scheme) in env.items():
-        out = out.with_term(var, elaborate_type(scheme))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +440,11 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
         return
     if isinstance(a1, TyVar):
         st.P.append(item)
-        st.prepend([SkelEq(session.ann[a1.id], session.skeleton_of(a2))])
+        st.prepend([SkelEq(session.ann[a1.id], skeleton(session.ann, a2))])
         return
     if isinstance(a2, TyVar):
         st.P.append(item)
-        st.prepend([SkelEq(session.skeleton_of(a1), session.ann[a2.id])])
+        st.prepend([SkelEq(skeleton(session.ann, a1), session.ann[a2.id])])
         return
     if isinstance(a1, TArrow) and isinstance(a2, TArrow):
         w1 = session.supply.co()

@@ -16,12 +16,12 @@ from . import exeff
 from .core import (
     Base,
     CompType,
+    Context,
     CoVar,
     Dirt,
     DirtSub,
     DirtVar,
     ElaborationError,
-    Signature,
     TArrow,
     TBase,
     THandler,
@@ -48,6 +48,7 @@ from .exeff import (
     CoTyRefl,
     CoVarRef,
     Subst,
+    wf_bound,
 )
 from .traverse import (
     Reduction,
@@ -349,75 +350,10 @@ def _subst_nco_ty_refl(s: Subst, co: NCoTyRefl) -> NCoercion:
 # Typing
 
 
-class NEnv:
-    def __init__(self, sig: dict):
-        self.sig = sig  # op name -> (param NType, result NType)
-        self.ty_vars: frozenset = frozenset()
-        self.term_vars: dict = {}
-        self.co_vars: dict = {}
-
-    def _copy(self) -> "NEnv":
-        out = NEnv(self.sig)
-        out.ty_vars = self.ty_vars
-        out.term_vars = self.term_vars
-        out.co_vars = self.co_vars
-        return out
-
-    def with_ty(self, v: TyVar) -> "NEnv":
-        out = self._copy()
-        out.ty_vars = self.ty_vars | {v.id}
-        return out
-
-    def with_term(self, v: TermVar, t: NType) -> "NEnv":
-        out = self._copy()
-        out.term_vars = {**self.term_vars, v.id: t}
-        return out
-
-    def with_co(self, v: CoVar, ct: NSub) -> "NEnv":
-        out = self._copy()
-        out.co_vars = {**self.co_vars, v.id: ct}
-        return out
-
-    def op_sig(self, op: str):
-        try:
-            return self.sig[op]
-        except KeyError:
-            raise TypecheckError(f"unknown operation: {op}") from None
-
-
-def elab_signature(sig: Signature) -> dict:
-    out = {}
-    for name in sig.names():
-        op = sig.ops[name]
-        out[name] = (elab_vty(op.param), elab_vty(op.result))
-    return out
-
-
-def wf_nty(env: NEnv, a: NType) -> None:
-    if isinstance(a, TyVar):
-        if a.id not in env.ty_vars:
-            raise TypecheckError(f"unbound type variable a{a.id}")
-    elif isinstance(a, NBase):
-        pass
-    elif isinstance(a, (NArrow, NHandler)):
-        wf_nty(env, a.dom)
-        wf_nty(env, a.cod)
-    elif isinstance(a, NQual):
-        wf_nty(env, a.constraint.lhs)
-        wf_nty(env, a.constraint.rhs)
-        wf_nty(env, a.body)
-    elif isinstance(a, NComp):
-        wf_nty(env, a.body)
-    elif isinstance(a, NForall):
-        wf_nty(env.with_ty(a.var), a.body)
-    else:
-        raise TypeError(a)
-
-
-def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
+def typecheck_noeff(env: Context, t: NTerm) -> NType:
     if isinstance(t, MVar):
         try:
-            return env.term_vars[t.var.id]
+            return env.term[t.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {t.var.name}") from None
     if isinstance(t, MUnit):
@@ -425,8 +361,8 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
     if isinstance(t, MInt):
         return NBase(Base.INT)
     if isinstance(t, MAbs):
-        wf_nty(env, t.ty)
-        return NArrow(t.ty, typecheck_noeff(env.with_term(t.var, t.ty), t.body))
+        wf_bound(env, t.ty)
+        return NArrow(t.ty, typecheck_noeff(env.bind(t.var, t.ty), t.body))
     if isinstance(t, MApp):
         fn = typecheck_noeff(env, t.fn)
         if not isinstance(fn, NArrow):
@@ -436,17 +372,16 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
             raise TypecheckError("argument type mismatch")
         return fn.cod
     if isinstance(t, MTyAbs):
-        return NForall(t.var, typecheck_noeff(env.with_ty(t.var), t.body))
+        return NForall(t.var, typecheck_noeff(env.bind(t.var), t.body))
     if isinstance(t, MTyApp):
         fn = typecheck_noeff(env, t.fn)
         if not isinstance(fn, NForall):
             raise TypecheckError("type application of a non-polymorphic term")
-        wf_nty(env, t.ty)
+        wf_bound(env, t.ty)
         return substitute(Subst.one_ty(fn.var, t.ty), fn.body)
     if isinstance(t, MCoAbs):
-        wf_nty(env, t.constraint.lhs)
-        wf_nty(env, t.constraint.rhs)
-        body = typecheck_noeff(env.with_co(t.var, t.constraint), t.body)
+        wf_bound(env, t.constraint)
+        body = typecheck_noeff(env.bind(t.var, t.constraint), t.body)
         return NQual(t.constraint, body)
     if isinstance(t, MCoApp):
         fn = typecheck_noeff(env, t.fn)
@@ -465,28 +400,28 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
     if isinstance(t, MReturn):
         return NComp(typecheck_noeff(env, t.term))
     if isinstance(t, MHandler):
-        wf_nty(env, t.ret_ty)
-        out = typecheck_noeff(env.with_term(t.ret_var, t.ret_ty), t.ret_body)
+        wf_bound(env, t.ret_ty)
+        out = typecheck_noeff(env.bind(t.ret_var, t.ret_ty), t.ret_body)
         if not isinstance(out, NComp):
             raise TypecheckError("handler return clause must produce a computation")
         for cl in t.clauses:
-            p, r = env.op_sig(cl.op)
-            cl_env = env.with_term(cl.param, p).with_term(cl.kont, NArrow(r, out))
+            op = env.sig.lookup(cl.op)
+            cl_env = env.bind(cl.param, op.param).bind(cl.kont, NArrow(op.result, out))
             got = typecheck_noeff(cl_env, cl.body)
             if not alpha_eq(got, out):
                 raise TypecheckError(f"handler clause for {cl.op} disagrees with the return clause")
         return NHandler(t.ret_ty, out.body)
     if isinstance(t, MLet):
         a = typecheck_noeff(env, t.val)
-        return typecheck_noeff(env.with_term(t.var, a), t.body)
+        return typecheck_noeff(env.bind(t.var, a), t.body)
     if isinstance(t, MOp):
-        p, r = env.op_sig(t.op)
+        op = env.sig.lookup(t.op)
         arg = typecheck_noeff(env, t.arg)
-        if not alpha_eq(arg, p):
+        if not alpha_eq(arg, op.param):
             raise TypecheckError(f"operation {t.op} argument type mismatch")
-        if not alpha_eq(t.var_ty, r):
+        if not alpha_eq(t.var_ty, op.result):
             raise TypecheckError(f"operation {t.op} continuation annotation mismatch")
-        body = typecheck_noeff(env.with_term(t.var, r), t.body)
+        body = typecheck_noeff(env.bind(t.var, op.result), t.body)
         if not isinstance(body, NComp):
             raise TypecheckError("operation continuation must produce a computation")
         return body
@@ -494,7 +429,7 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
         first = typecheck_noeff(env, t.first)
         if not isinstance(first, NComp):
             raise TypecheckError("do-sequence head must be a computation")
-        second = typecheck_noeff(env.with_term(t.var, first.body), t.second)
+        second = typecheck_noeff(env.bind(t.var, first.body), t.second)
         if not isinstance(second, NComp):
             raise TypecheckError("do-sequence body must be a computation")
         return second
@@ -509,18 +444,17 @@ def typecheck_noeff(env: NEnv, t: NTerm) -> NType:
     raise TypeError(t)
 
 
-def typecheck_noeff_coercion(env: NEnv, co: NCoercion) -> NSub:
+def typecheck_noeff_coercion(env: Context, co: NCoercion) -> NSub:
     if isinstance(co, NCoVar):
         try:
-            return env.co_vars[co.var.id]
+            return env.co[co.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound coercion variable w{co.var.id}") from None
     if isinstance(co, NCoBaseRefl):
         t = NBase(co.base)
         return NSub(t, t)
     if isinstance(co, NCoTyRefl):
-        if co.var.id not in env.ty_vars:
-            raise TypecheckError(f"unbound type variable a{co.var.id}")
+        wf_bound(env, co.var)
         return NSub(co.var, co.var)
     if isinstance(co, NCoArrow):
         dom = typecheck_noeff_coercion(env, co.dom)
@@ -549,11 +483,10 @@ def typecheck_noeff_coercion(env: NEnv, co: NCoercion) -> NSub:
             raise TypecheckError("function-to-handler coercion codomain must produce a computation")
         return NSub(NArrow(dom.rhs, cod.lhs), NHandler(dom.lhs, cod.rhs.body))
     if isinstance(co, NCoForall):
-        body = typecheck_noeff_coercion(env.with_ty(co.var), co.body)
+        body = typecheck_noeff_coercion(env.bind(co.var), co.body)
         return NSub(NForall(co.var, body.lhs), NForall(co.var, body.rhs))
     if isinstance(co, NCoQual):
-        wf_nty(env, co.constraint.lhs)
-        wf_nty(env, co.constraint.rhs)
+        wf_bound(env, co.constraint)
         body = typecheck_noeff_coercion(env, co.body)
         return NSub(NQual(co.constraint, body.lhs), NQual(co.constraint, body.rhs))
     if isinstance(co, NCoComp):

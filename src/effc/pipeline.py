@@ -7,11 +7,13 @@ so a report of success certifies the metatheoretic contracts at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import display, exeff, infer, noeff, skeleff, source
 from .core import (
     CompType,
+    Context,
     CoVar,
     DirtVar,
     EffError,
@@ -20,6 +22,7 @@ from .core import (
     StuckTerm,
     TyVar,
     TypecheckError,
+    skeleton,
 )
 from .traverse import alpha_eq
 
@@ -71,7 +74,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     art.inferred = outcome
     art.cty = cty
     art.exeff_term = term
-    derived = exeff.derive(exeff.TypeEnv(sig), term)
+    derived = exeff.derive(Context(sig), term)
     if not alpha_eq(derived.of(term), cty):
         raise TypecheckError("elaborated term does not re-typecheck at the inferred type")
     if stage in ("infer", "exeff"):
@@ -79,15 +82,14 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
 
     if stage in ("skeleff", "noeff"):
         sk = skeleff.erase_comp({}, term)
-        sk_ty = skeleff.typecheck_sk(skeleff.SkEnv(sig), sk)
-        if not alpha_eq(sk_ty, skeleff.erase_cty({}, cty)):
+        sk_ty = skeleff.typecheck_sk(Context(sig.map(partial(skeleton, {}))), sk)
+        if not alpha_eq(sk_ty, skeleton({}, cty)):
             raise TypecheckError("erased term does not re-typecheck at the erased type")
         art.skeleff_term = sk
         art.skeleff_type = sk_ty
     if stage == "noeff":
         nterm = noeff.elab_comp(derived, term)
-        nenv = noeff.NEnv(noeff.elab_signature(sig))
-        nty = noeff.typecheck_noeff(nenv, nterm)
+        nty = noeff.typecheck_noeff(Context(sig.map(noeff.elab_vty)), nterm)
         want = noeff.elab_cty(cty)
         if not alpha_eq(nty, want):
             raise TypecheckError("elaborated pure term does not re-typecheck at the elaborated type")
@@ -183,9 +185,9 @@ def differential_check_text(
     """
     report = DiffReport(program_id)
     art = compile_text(text, stage="noeff")
-    env = exeff.TypeEnv(art.source_sig)
+    env = Context(art.source_sig)
 
-    term = art.exeff_term
+    term, erased = art.exeff_term, art.skeleff_term
     ty = exeff.typecheck_comp(env, term)
     steps = 0
     while not exeff.is_comp_result(term):
@@ -203,10 +205,12 @@ def differential_check_text(
                 report.agreement = False
                 report.failure = "metatheory: a step changed the subject's type"
                 return report
-            if not skeleff.congruent(skeleff.erase_comp({}, term), skeleff.erase_comp({}, nxt), fuel):
+            erased_nxt = skeleff.erase_comp({}, nxt)
+            if not skeleff.congruent(erased, erased_nxt, fuel):
                 report.agreement = False
                 report.failure = "metatheory: erasure of a step is not congruent"
                 return report
+            erased = erased_nxt
         term = nxt
         steps += 1
         if steps > fuel:

@@ -13,18 +13,20 @@ from typing import Union
 from . import exeff
 from .core import (
     Base,
-    CompType,
+    Context,
     FuelExhausted,
-    Signature,
+    SkelArrow,
     SkelBase,
+    SkelForall,
+    SkelHandler,
     SkelVar,
     Skeleton,
     TermVar,
     TypecheckError,
     UnboundVariable,
-    ValueType,
+    skeleton,
 )
-from .exeff import Subst
+from .exeff import Subst, wf_bound
 from .traverse import (
     Reduction,
     alpha_eq,
@@ -148,36 +150,6 @@ _VALUE_NODES = (SVar, SUnit, SInt, SAbs, SHandler, SSkelAbs, SSkelApp)
 # Erasure
 
 
-def erase_vty(sub: dict, t: ValueType) -> Skeleton:
-    from .core import TArrow, TBase, THandler, TForallDirt, TForallSkel, TForallTy, TQual, TyVar
-    from .core import SkelArrow, SkelForall, SkelHandler
-
-    if isinstance(t, TyVar):
-        try:
-            return sub[t.id]
-        except KeyError:
-            raise TypecheckError(f"erasure: free type variable a{t.id} not covered") from None
-    if isinstance(t, TBase):
-        return SkelBase(t.base)
-    if isinstance(t, TArrow):
-        return SkelArrow(erase_vty(sub, t.dom), erase_cty(sub, t.cod))
-    if isinstance(t, THandler):
-        return SkelHandler(erase_cty(sub, t.dom), erase_cty(sub, t.cod))
-    if isinstance(t, TForallSkel):
-        return SkelForall(t.var, erase_vty(sub, t.body))
-    if isinstance(t, TForallTy):
-        return erase_vty({**sub, t.var.id: t.skel}, t.body)
-    if isinstance(t, TForallDirt):
-        return erase_vty(sub, t.body)
-    if isinstance(t, TQual):
-        return erase_vty(sub, t.body)
-    raise TypeError(t)
-
-
-def erase_cty(sub: dict, c: CompType) -> Skeleton:
-    return erase_vty(sub, c.val)
-
-
 def erase_value(sub: dict, v: exeff.Value) -> SkValue:
     if isinstance(v, exeff.EVar):
         return SVar(v.var)
@@ -188,11 +160,11 @@ def erase_value(sub: dict, v: exeff.Value) -> SkValue:
     if isinstance(v, exeff.ECast):
         return erase_value(sub, v.val)
     if isinstance(v, exeff.EAbs):
-        return SAbs(v.var, erase_vty(sub, v.ty), erase_comp(sub, v.body))
+        return SAbs(v.var, skeleton(sub, v.ty), erase_comp(sub, v.body))
     if isinstance(v, exeff.EHandler):
         return SHandler(
             v.ret_var,
-            erase_vty(sub, v.ret_ty),
+            skeleton(sub, v.ret_ty),
             erase_comp(sub, v.ret_body),
             tuple(SOpClause(c.op, c.param, c.kont, erase_comp(sub, c.body)) for c in v.clauses),
         )
@@ -223,7 +195,7 @@ def erase_comp(sub: dict, c: exeff.Comp) -> SkComp:
     if isinstance(c, exeff.CReturn):
         return SReturn(erase_value(sub, c.val))
     if isinstance(c, exeff.COp):
-        return SOp(c.op, erase_value(sub, c.arg), c.var, erase_vty(sub, c.var_ty), erase_comp(sub, c.body))
+        return SOp(c.op, erase_value(sub, c.arg), c.var, skeleton(sub, c.var_ty), erase_comp(sub, c.body))
     if isinstance(c, exeff.CDo):
         return SDo(c.var, erase_comp(sub, c.first), erase_comp(sub, c.second))
     if isinstance(c, exeff.CHandle):
@@ -237,45 +209,16 @@ def erase_comp(sub: dict, c: exeff.Comp) -> SkComp:
 # Typing
 
 
-class SkEnv:
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.skel_vars: frozenset = frozenset()
-        self.term_vars: dict = {}
-
-    def _copy(self) -> "SkEnv":
-        out = SkEnv(self.sig)
-        out.skel_vars = self.skel_vars
-        out.term_vars = self.term_vars
-        return out
-
-    def with_skel(self, v: SkelVar) -> "SkEnv":
-        out = self._copy()
-        out.skel_vars = self.skel_vars | {v.id}
-        return out
-
-    def with_term(self, v: TermVar, t: Skeleton) -> "SkEnv":
-        out = self._copy()
-        out.term_vars = {**self.term_vars, v.id: t}
-        return out
-
-    def op_sig(self, op: str):
-        sig = self.sig.lookup(op)
-        return erase_vty({}, sig.param), erase_vty({}, sig.result)
-
-
-def typecheck_sk(env: SkEnv, term) -> Skeleton:
+def typecheck_sk(env: Context, term) -> Skeleton:
     if isinstance(term, _VALUE_NODES):
         return _typecheck_sk_value(env, term)
     return _typecheck_sk_comp(env, term)
 
 
-def _typecheck_sk_value(env: SkEnv, v: SkValue) -> Skeleton:
-    from .core import SkelArrow, SkelForall, SkelHandler
-
+def _typecheck_sk_value(env: Context, v: SkValue) -> Skeleton:
     if isinstance(v, SVar):
         try:
-            return env.term_vars[v.var.id]
+            return env.term[v.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {v.var.name}") from None
     if isinstance(v, SUnit):
@@ -283,29 +226,30 @@ def _typecheck_sk_value(env: SkEnv, v: SkValue) -> Skeleton:
     if isinstance(v, SInt):
         return SkelBase(Base.INT)
     if isinstance(v, SAbs):
-        return SkelArrow(v.ty, _typecheck_sk_comp(env.with_term(v.var, v.ty), v.body))
+        wf_bound(env, v.ty)
+        return SkelArrow(v.ty, _typecheck_sk_comp(env.bind(v.var, v.ty), v.body))
     if isinstance(v, SHandler):
-        out = _typecheck_sk_comp(env.with_term(v.ret_var, v.ret_ty), v.ret_body)
+        wf_bound(env, v.ret_ty)
+        out = _typecheck_sk_comp(env.bind(v.ret_var, v.ret_ty), v.ret_body)
         for cl in v.clauses:
-            p, r = env.op_sig(cl.op)
-            cl_env = env.with_term(cl.param, p).with_term(cl.kont, SkelArrow(r, out))
+            op = env.sig.lookup(cl.op)
+            cl_env = env.bind(cl.param, op.param).bind(cl.kont, SkelArrow(op.result, out))
             got = _typecheck_sk_comp(cl_env, cl.body)
             if not alpha_eq(got, out):
                 raise TypecheckError(f"handler clause for {cl.op} disagrees with the return clause")
         return SkelHandler(v.ret_ty, out)
     if isinstance(v, SSkelAbs):
-        return SkelForall(v.var, _typecheck_sk_value(env.with_skel(v.var), v.body))
+        return SkelForall(v.var, _typecheck_sk_value(env.bind(v.var), v.body))
     if isinstance(v, SSkelApp):
         fn = _typecheck_sk_value(env, v.val)
         if not isinstance(fn, SkelForall):
             raise TypecheckError("type application of a non-polymorphic value")
+        wf_bound(env, v.skel)
         return substitute(Subst.one_skel(fn.var, v.skel), fn.body)
     raise TypeError(v)
 
 
-def _typecheck_sk_comp(env: SkEnv, c: SkComp) -> Skeleton:
-    from .core import SkelArrow, SkelHandler
-
+def _typecheck_sk_comp(env: Context, c: SkComp) -> Skeleton:
     if isinstance(c, SApp):
         fn = _typecheck_sk_value(env, c.fn)
         if not isinstance(fn, SkelArrow):
@@ -316,20 +260,20 @@ def _typecheck_sk_comp(env: SkEnv, c: SkComp) -> Skeleton:
         return fn.cod
     if isinstance(c, SLet):
         t = _typecheck_sk_value(env, c.val)
-        return _typecheck_sk_comp(env.with_term(c.var, t), c.body)
+        return _typecheck_sk_comp(env.bind(c.var, t), c.body)
     if isinstance(c, SReturn):
         return _typecheck_sk_value(env, c.val)
     if isinstance(c, SOp):
-        p, r = env.op_sig(c.op)
+        op = env.sig.lookup(c.op)
         arg = _typecheck_sk_value(env, c.arg)
-        if not alpha_eq(arg, p):
+        if not alpha_eq(arg, op.param):
             raise TypecheckError(f"operation {c.op} argument type mismatch")
-        if not alpha_eq(c.var_ty, r):
+        if not alpha_eq(c.var_ty, op.result):
             raise TypecheckError(f"operation {c.op} continuation annotation mismatch")
-        return _typecheck_sk_comp(env.with_term(c.var, r), c.body)
+        return _typecheck_sk_comp(env.bind(c.var, op.result), c.body)
     if isinstance(c, SDo):
         t1 = _typecheck_sk_comp(env, c.first)
-        return _typecheck_sk_comp(env.with_term(c.var, t1), c.second)
+        return _typecheck_sk_comp(env.bind(c.var, t1), c.second)
     if isinstance(c, SHandle):
         h = _typecheck_sk_value(env, c.handler)
         if not isinstance(h, SkelHandler):

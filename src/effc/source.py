@@ -14,6 +14,7 @@ from . import exeff
 from .core import (
     Base,
     CompType,
+    Context,
     Dirt,
     EMPTY_DIRT,
     ParseError,
@@ -445,7 +446,7 @@ def show_program(sig: Signature, c: SrcComp) -> str:
 
 def check_signature(sig: Signature) -> None:
     """Every operation's parameter and result type must be closed and well-formed."""
-    env = exeff.TypeEnv(sig)
+    env = Context(sig)
     for name in sig.names():
         op = sig.ops[name]
         exeff.wf_vty(env, op.param)

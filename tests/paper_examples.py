@@ -11,6 +11,7 @@ from effc import exeff
 from effc.core import (
     Base,
     CompType,
+    Context,
     DirtSub,
     EMPTY_DIRT,
     Scheme,
@@ -161,8 +162,8 @@ class RunningExample:
         )
         return exeff.CApp(inst, self.tick_fun())
 
-    def env(self) -> exeff.TypeEnv:
-        return exeff.TypeEnv(self.sig).with_term(self.f_var, self.poly_type)
+    def env(self) -> Context:
+        return Context(self.sig).bind(self.f_var, self.poly_type)
 
 
 def SK_UNIT():

@@ -5,6 +5,7 @@ to canonical renaming) since the checked claims are all type-theoretic.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -12,12 +13,14 @@ from effc import display, exeff, infer, noeff, oracle, pipeline, skeleff, source
 from effc.core import (
     Base,
     CompType,
+    Context,
     DirtSub,
     Dirt,
     Supply,
     TBase,
     TySub,
     dirt,
+    skeleton,
 )
 from effc.traverse import alpha_eq
 from conftest import CORPUS, GOLDEN
@@ -82,7 +85,7 @@ def test_criterion_1_golden_scheme():
 def test_criterion_2_elaboration_soundness(elaborated):
     checked = 0
     for name, sig, cty, term in elaborated:
-        got = exeff.typecheck_comp(exeff.TypeEnv(sig), term)
+        got = exeff.typecheck_comp(Context(sig), term)
         assert alpha_eq(got, cty), name
         checked += 1
     assert checked >= 1030
@@ -94,7 +97,7 @@ def test_criterion_3_type_safety_along_traces(elaborated):
     programs = elaborated[:34] + elaborated[34 : 34 + 300]
     steps_total = 0
     for name, sig, cty, term in programs:
-        env = exeff.TypeEnv(sig)
+        env = Context(sig)
         ty = exeff.typecheck_comp(env, term)
         t = term
         steps = 0
@@ -115,8 +118,8 @@ def test_criterion_4_erasure(elaborated):
     # via the congruence closure is checked along traces for a subset.
     for name, sig, cty, term in elaborated:
         erased = skeleff.erase_comp({}, term)
-        got = skeleff.typecheck_sk(skeleff.SkEnv(sig), erased)
-        assert alpha_eq(got, skeleff.erase_cty({}, cty)), name
+        got = skeleff.typecheck_sk(Context(sig.map(partial(skeleton, {}))), erased)
+        assert alpha_eq(got, skeleton({}, cty)), name
     traced = 0
     for name, sig, cty, term in elaborated[:34] + elaborated[34 : 34 + 120]:
         t = term
@@ -142,7 +145,7 @@ def test_criterion_5_coercion_irrelevance():
     rng = random.Random(5150)
     sup = Supply()
     sig = make_signature()
-    env = exeff.TypeEnv(sig)
+    env = Context(sig)
     pairs = 0
     while pairs < 200:
         small, big, co = random_ty_pair(rng, sup, 3)
@@ -163,8 +166,8 @@ def test_criterion_5_coercion_irrelevance():
 
 def test_criterion_6_noeff_elaboration_typing(elaborated):
     for name, sig, cty, term in elaborated:
-        nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(sig), term), term)
-        nenv = noeff.NEnv(noeff.elab_signature(sig))
+        nterm = noeff.elab_comp(exeff.derive(Context(sig), term), term)
+        nenv = Context(sig.map(noeff.elab_vty))
         got = noeff.typecheck_noeff(nenv, nterm)
         want = noeff.elab_cty(cty)
         assert alpha_eq(got, want), name
@@ -173,7 +176,7 @@ def test_criterion_6_noeff_elaboration_typing(elaborated):
     rng = random.Random(66)
     sup = Supply()
     sig = make_signature()
-    nenv = noeff.NEnv(noeff.elab_signature(sig))
+    nenv = Context(sig.map(noeff.elab_vty))
     lemma_checked = 0
     for _ in range(200):
         d = sup.dirt()
@@ -233,7 +236,7 @@ def test_criterion_7_noeff_no_stuck_and_differential(corpus_programs):
         whole = exeff.CLet(ex.f_var, ex.poly_value, app)
         out = exeff.eval_comp(whole)
         assert str(pipeline.observe_exeff(out.result)) == want
-        nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(ex.sig), whole), whole)
+        nterm = noeff.elab_comp(exeff.derive(Context(ex.sig), whole), whole)
         nres, _ = noeff.eval_noeff(nterm)
         assert str(pipeline.observe_noeff(nres)) == want
     report(7, f"no stuck terms and full observation agreement on {checked} programs + worked examples")
@@ -293,7 +296,7 @@ def test_criterion_8_solver_correctness():
 def test_criterion_9_golden_displays():
     ex = RunningExample()
     env = ex.env()
-    sub = dict(env.ty_vars)
+    sub = dict(env.ty)
 
     def C(x):
         return display.canonicalize(x)
@@ -306,7 +309,7 @@ def test_criterion_9_golden_displays():
         "running_erasure.txt": "\n".join(
             [
                 display.show_sk_value(C(skeleff.erase_value(sub, ex.poly_value))),
-                display.show_skeleton(C(skeleff.erase_vty({}, ex.poly_type))),
+                display.show_skeleton(C(skeleton({}, ex.poly_type))),
                 display.show_sk_comp(C(skeleff.erase_comp(dict(sub), ex.app_id()))),
                 display.show_sk_comp(C(skeleff.erase_comp(dict(sub), ex.app_tick()))),
             ]
@@ -314,7 +317,7 @@ def test_criterion_9_golden_displays():
         + "\n",
     }
     poly_derived = exeff.Derivation(ex.sig)
-    exeff.typecheck_value(exeff.TypeEnv(ex.sig), ex.poly_value, poly_derived)
+    exeff.typecheck_value(Context(ex.sig), ex.poly_value, poly_derived)
     npoly = noeff.elab_value(poly_derived, ex.poly_value)
     na = noeff.elab_vty(ex.poly_type)
     app_id, app_tick = ex.app_id(), ex.app_tick()

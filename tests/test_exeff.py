@@ -8,6 +8,7 @@ from effc import display, exeff
 from effc.core import (
     Base,
     CompType,
+    Context,
     DirtSub,
     EMPTY_DIRT,
     Signature,
@@ -30,7 +31,7 @@ SK_UNIT = SkelBase(Base.UNIT)
 
 
 def _env(sig=None):
-    return exeff.TypeEnv(sig or Signature())
+    return Context(sig or Signature())
 
 
 # -- value and computation typing ---------------------------------------------
@@ -50,7 +51,7 @@ def test_typecheck_identity_abstraction():
 
 def test_typecheck_running_target_polymorphic_value():
     ex = RunningExample()
-    got = exeff.typecheck_value(exeff.TypeEnv(ex.sig), ex.poly_value)
+    got = exeff.typecheck_value(Context(ex.sig), ex.poly_value)
     assert alpha_eq(got, ex.poly_type)
 
 
@@ -314,7 +315,7 @@ def test_step_determinism_and_subject_reduction():
     env = ex.env()
     sup = ex.supply
     f_def = exeff.CLet(ex.f_var, ex.poly_value, ex.app_tick())
-    env0 = exeff.TypeEnv(ex.sig)
+    env0 = Context(ex.sig)
     ty = exeff.typecheck_comp(env0, f_def)
     t = f_def
     seen = 0

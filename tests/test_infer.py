@@ -6,6 +6,7 @@ from effc import exeff, infer, pipeline, source
 from effc.core import (
     Base,
     CompType,
+    Context,
     DirtClash,
     DirtSub,
     DirtVar,
@@ -21,6 +22,8 @@ from effc.core import (
     dirt,
     dirt_var,
     monoscheme,
+    scheme_type,
+    skeleton,
 )
 from effc.traverse import alpha_eq, free_vars
 from conftest import CORPUS
@@ -229,16 +232,16 @@ def test_solve_closed_dirt_clash():
 def residual_env(sig, outcome_or_residual, extra_dirts=()):
     """A core environment binding all variables left free by solving."""
     residual = getattr(outcome_or_residual, "residual", outcome_or_residual)
-    env = exeff.TypeEnv(sig)
+    env = Context(sig)
     skels = set()
     for it in residual:
         if isinstance(it, infer.SkelAnn):
             skels.add(it.skel)
     for sk in skels:
-        env = env.with_skel(sk)
+        env = env.bind(sk)
     for it in residual:
         if isinstance(it, infer.SkelAnn):
-            env = env.with_ty(it.var, it.skel)
+            env = env.bind(it.var, it.skel)
     dirts = set(extra_dirts)
     for it in residual:
         if isinstance(it, infer.SubCt):
@@ -246,10 +249,10 @@ def residual_env(sig, outcome_or_residual, extra_dirts=()):
                 if hasattr(side, "tail") and side.tail is not None:
                     dirts.add(side.tail)
     for d in dirts:
-        env = env.with_dirt(d)
+        env = env.bind(d)
     for it in residual:
         if isinstance(it, infer.SubCt):
-            env = env.with_co(it.co, it.constraint)
+            env = env.bind(it.co, it.constraint)
     return env
 
 
@@ -265,7 +268,7 @@ def _check_solved_coercions(text) -> int:
     # Dirt variables can occur in coercion ranges without a residual constraint.
     for wid, co in s2.co.items():
         for d in free_dirt_vars_of_coercion(co):
-            env = env.with_dirt(d)
+            env = env.bind(d)
     checked = 0
     for wid, ct in originals.items():
         want = exeff.substitute(s2, ct)
@@ -322,21 +325,21 @@ def test_skeleton_of_clauses():
     session = infer.Session(tick_tock_signature())
     sk = session.supply.skel()
     a = session.fresh_ty(sk)
-    assert infer.skeleton_of(session, a) == sk
-    assert infer.skeleton_of(session, T_UNIT) == SkelBase(Base.UNIT)
+    assert skeleton(session.ann, a) == sk
+    assert skeleton(session.ann, T_UNIT) == SkelBase(Base.UNIT)
     from effc.core import SkelHandler, THandler
 
     h = THandler(CompType(a, EMPTY_DIRT), CompType(T_UNIT, dirt(["Tick"])))
-    assert infer.skeleton_of(session, h) == SkelHandler(sk, SkelBase(Base.UNIT))
+    assert skeleton(session.ann, h) == SkelHandler(sk, SkelBase(Base.UNIT))
 
 
 def test_elaborate_type_identity():
-    assert infer.elaborate_type(T_UNIT) == T_UNIT
+    assert scheme_type(monoscheme(T_UNIT)) == T_UNIT
     arrow = TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))
-    assert infer.elaborate_type(arrow) == arrow
+    assert scheme_type(monoscheme(arrow)) == arrow
     ex = RunningExample()
 
-    assert alpha_eq(infer.elaborate_type(ex.scheme), ex.poly_type)
+    assert alpha_eq(scheme_type(ex.scheme), ex.poly_type)
 
 
 # -- whole-program inference ----------------------------------------------------------
@@ -377,7 +380,7 @@ def test_elaboration_preserves_types_on_corpus(corpus_paths):
     for path in corpus_paths:
         sig, comp = source.parse_program(path.read_text())
         cty, term, _ = infer.infer_and_default(sig, comp)
-        got = exeff.typecheck_comp(exeff.TypeEnv(sig), term)
+        got = exeff.typecheck_comp(Context(sig), term)
 
         assert alpha_eq(got, cty), path.name
 
@@ -475,9 +478,7 @@ def test_solver_skeleton_discipline():
 
 def test_elaborate_env_embeds_schemes():
     ex = __import__("paper_examples").RunningExample()
-    env = {ex.f_var.id: (ex.f_var, ex.scheme)}
-    core_env = infer.elaborate_env(env, ex.sig)
+    core_env = Context(ex.sig).bind(ex.f_var, scheme_type(ex.scheme))
 
-    assert alpha_eq(core_env.term_vars[ex.f_var.id], ex.poly_type)
-    mono = {ex.x.id: (ex.x, monoscheme(T_UNIT))}
-    assert infer.elaborate_env(mono, ex.sig).term_vars[ex.x.id] == T_UNIT
+    assert alpha_eq(core_env.term[ex.f_var.id], ex.poly_type)
+    assert Context(ex.sig).bind(ex.x, scheme_type(monoscheme(T_UNIT))).term[ex.x.id] == T_UNIT

@@ -6,6 +6,7 @@ from effc import display, exeff, noeff
 from effc.core import (
     Base,
     CompType,
+    Context,
     DirtSub,
     EMPTY_DIRT,
     Supply,
@@ -25,12 +26,12 @@ N_UNIT = noeff.NBase(Base.UNIT)
 
 
 def _env(sig=None):
-    return exeff.TypeEnv(sig or tick_tock_signature())
+    return Context(sig or tick_tock_signature())
 
 
 def _nenv(sig=None):
     sig = sig or tick_tock_signature()
-    return noeff.NEnv(noeff.elab_signature(sig))
+    return Context(sig.map(noeff.elab_vty))
 
 
 def _derived(check, env, node):
@@ -202,7 +203,7 @@ def test_elab_running_monomorphic_function():
 
 def test_elab_running_polymorphic_function(golden_dir):
     ex = RunningExample()
-    t = _elab_value(exeff.TypeEnv(ex.sig), ex.poly_value)
+    t = _elab_value(Context(ex.sig), ex.poly_value)
     text = display.show_nterm(display.canonicalize(t))
     assert text == (
         "tyfun a0. tyfun a1. cofun (w0 : a0 <= a1). "
@@ -229,7 +230,7 @@ def test_elab_handler_with_pure_output_wraps_returns():
         x, T_UNIT, exeff.CReturn(exeff.EVar(x)),
         (exeff.OpClause("Tick", p, k, exeff.CApp(exeff.EVar(k), exeff.EVar(p))),),
     )
-    t = _elab_value(exeff.TypeEnv(sig), h)
+    t = _elab_value(Context(sig), h)
     assert isinstance(t, noeff.MHandler)
     assert isinstance(t.ret_body, noeff.MReturn)
     clause = t.clauses[0]
@@ -254,7 +255,7 @@ def test_elaboration_makes_no_exeff_checker_call(corpus_paths, monkeypatch):
     for path in corpus_paths:
         sig, comp = source.parse_program(path.read_text())
         _, term, _ = infer.infer_and_default(sig, comp)
-        checked.append((term, exeff.derive(exeff.TypeEnv(sig), term)))
+        checked.append((term, exeff.derive(Context(sig), term)))
 
     def refuse(*args):
         raise AssertionError("the ExEff checker ran during elaboration")
@@ -282,7 +283,7 @@ def test_shared_node_at_two_types_is_reported_not_mis_elaborated():
     shared = exeff.CApp(exeff.EVar(f), exeff.EUnit())
     inner = exeff.CCast(exeff.CDo(z, shared, exeff.CReturn(exeff.EVar(z))), to_tick)
     term = exeff.CLet(f, ticks, exeff.CDo(y, shared, exeff.CLet(f, pure, inner)))
-    derived = exeff.derive(exeff.TypeEnv(sig), term)
+    derived = exeff.derive(Context(sig), term)
     assert derived.of(term) == CompType(T_UNIT, tick)
     with pytest.raises(AssertionError, match="CApp node is checked at two different types"):
         noeff.elab_comp(derived, term)
@@ -290,7 +291,7 @@ def test_shared_node_at_two_types_is_reported_not_mis_elaborated():
     copy = exeff.CApp(exeff.EVar(f), exeff.EUnit())
     inner = exeff.CCast(exeff.CDo(z, copy, exeff.CReturn(exeff.EVar(z))), to_tick)
     term = exeff.CLet(f, ticks, exeff.CDo(y, shared, exeff.CLet(f, pure, inner)))
-    nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(sig), term), term)
+    nterm = noeff.elab_comp(exeff.derive(Context(sig), term), term)
     assert noeff.typecheck_noeff(_nenv(sig), nterm) == noeff.NComp(N_UNIT)
 
 
@@ -406,8 +407,8 @@ def test_preservation_along_noeff_traces():
     for name in ("p11_handle_tick_resume.eff", "p17_tick_tock_stop.eff", "p29_handler_result_fun.eff"):
         sig, comp = source.parse_program((CORPUS / name).read_text())
         _, term, _ = infer.infer_and_default(sig, comp)
-        nterm = noeff.elab_comp(exeff.derive(exeff.TypeEnv(sig), term), term)
-        nenv = noeff.NEnv(noeff.elab_signature(sig))
+        nterm = noeff.elab_comp(exeff.derive(Context(sig), term), term)
+        nenv = Context(sig.map(noeff.elab_vty))
         ty = noeff.typecheck_noeff(nenv, nterm)
         t = nterm
         steps = 0

@@ -1,17 +1,23 @@
 """Effect erasure: type preservation, semantics, congruence checking."""
 
 import random
+from functools import partial
+
+import pytest
 
 from effc import exeff, infer, skeleff, source
 from effc.core import (
     Base,
+    Context,
     SkelArrow,
     SkelBase,
     SkelForall,
     SkelHandler,
     Supply,
     TBase,
+    WfError,
     dirt,
+    skeleton,
 )
 from effc.traverse import alpha_eq
 from gen_helpers import random_program
@@ -19,6 +25,11 @@ from paper_examples import RunningExample, erasure_discussion_pair, tick_tock_si
 
 T_UNIT = TBase(Base.UNIT)
 SK_UNIT = SkelBase(Base.UNIT)
+
+
+def _context(sig):
+    """The SkelEff context over `sig`'s erased signature."""
+    return Context(sig.map(partial(skeleton, {})))
 
 
 def test_erase_running_example_value():
@@ -30,7 +41,7 @@ def test_erase_running_example_value():
     assert isinstance(fn, skeleff.SAbs)
     assert fn.ty == SkelArrow(SK_UNIT, erased.var)
     assert isinstance(fn.body, skeleff.SApp)
-    erased_ty = skeleff.erase_vty({}, ex.poly_type)
+    erased_ty = skeleton({}, ex.poly_type)
     assert alpha_eq(erased_ty, SkelForall(erased.var, SkelArrow(SkelArrow(SK_UNIT, erased.var), erased.var)))
 
 
@@ -38,7 +49,7 @@ def test_erase_applications_keep_only_skeletons():
     ex = RunningExample()
     env = ex.env()
     for app in (ex.app_id(), ex.app_tick()):
-        erased = skeleff.erase_comp(dict(env.ty_vars), app)
+        erased = skeleff.erase_comp(dict(env.ty), app)
         assert isinstance(erased, skeleff.SApp)
         fn = erased.fn
         assert isinstance(fn, skeleff.SSkelApp)
@@ -54,12 +65,32 @@ def test_erase_drops_casts():
 def test_typecheck_erased_running_example():
     ex = RunningExample()
     erased = skeleff.erase_value({}, ex.poly_value)
-    got = skeleff.typecheck_sk(skeleff.SkEnv(ex.sig), erased)
-    assert alpha_eq(got, skeleff.erase_vty({}, ex.poly_type))
+    got = skeleff.typecheck_sk(_context(ex.sig), erased)
+    assert alpha_eq(got, skeleton({}, ex.poly_type))
 
 
 def test_typecheck_sk_unit():
-    assert skeleff.typecheck_sk(skeleff.SkEnv(tick_tock_signature()), skeleff.SUnit()) == SK_UNIT
+    assert skeleff.typecheck_sk(_context(tick_tock_signature()), skeleff.SUnit()) == SK_UNIT
+
+
+def test_unbound_skeleton_variables_are_rejected():
+    sup = Supply()
+    x, s, free = sup.term("x"), sup.skel(), sup.skel()
+    ret_x = skeleff.SReturn(skeleff.SVar(x))
+    env = _context(tick_tock_signature())
+    # Each position that names a skeleton: an abstraction's binder, a
+    # handler's return binder, a skeleton application's argument.
+    for bad in (
+        skeleff.SAbs(x, free, ret_x),
+        skeleff.SHandler(x, free, ret_x),
+        skeleff.SSkelApp(skeleff.SSkelAbs(s, skeleff.SUnit()), free),
+    ):
+        with pytest.raises(WfError, match=f"unbound skeleton variable s{free.id}"):
+            skeleff.typecheck_sk(env, skeleff.SReturn(bad))
+    # The same positions with the variable in scope are accepted.
+    assert skeleff.typecheck_sk(env, skeleff.SSkelAbs(s, skeleff.SAbs(x, s, ret_x))) == SkelForall(
+        s, SkelArrow(s, s)
+    )
 
 
 def test_typecheck_sk_handler_matches_erased_core_handler():
@@ -67,11 +98,11 @@ def test_typecheck_sk_handler_matches_erased_core_handler():
     sup = Supply()
     x = sup.term("x")
     core = exeff.EHandler(x, T_UNIT, exeff.CReturn(exeff.EVar(x)))
-    core_ty = exeff.typecheck_value(exeff.TypeEnv(sig), core)
+    core_ty = exeff.typecheck_value(Context(sig), core)
     erased = skeleff.erase_value({}, core)
-    got = skeleff.typecheck_sk(skeleff.SkEnv(sig), erased)
+    got = skeleff.typecheck_sk(_context(sig), erased)
     assert got == SkelHandler(SK_UNIT, SK_UNIT)
-    assert got == skeleff.erase_vty({}, core_ty)
+    assert got == skeleton({}, core_ty)
 
 
 def test_step_skeleton_beta():
@@ -182,5 +213,5 @@ def test_erasure_type_preservation_random():
         except Exception:
             continue
         erased = skeleff.erase_comp({}, term)
-        got = skeleff.typecheck_sk(skeleff.SkEnv(sig), erased)
-        assert alpha_eq(got, skeleff.erase_cty({}, cty))
+        got = skeleff.typecheck_sk(_context(sig), erased)
+        assert alpha_eq(got, skeleton({}, cty))

@@ -9,6 +9,7 @@ from effc import exeff, source
 from effc.core import (
     Base,
     CompType,
+    Context,
     EMPTY_DIRT,
     ParseError,
     Signature,
@@ -94,14 +95,14 @@ def test_lex_error_position():
 
 
 def _env(sig=None):
-    return exeff.TypeEnv(sig or Signature())
+    return Context(sig or Signature())
 
 
 def test_wf_type_variable():
     sup = Supply()
     sk = sup.skel()
     a = sup.ty()
-    env = _env().with_skel(sk).with_ty(a, sk)
+    env = _env().bind(sk).bind(a, sk)
     assert exeff.wf_vty(env, a) == sk
 
 
@@ -131,7 +132,7 @@ def test_wf_dirt_cases():
     sig.declare("Tick", T_UNIT, T_UNIT)
     sup = Supply()
     d = sup.dirt()
-    env = _env(sig).with_dirt(d)
+    env = _env(sig).bind(d)
     exeff.wf_dirt(env, EMPTY_DIRT)
     exeff.wf_dirt(env, dirt_add(["Tick"], dirt_var(d)))
     with pytest.raises(UnknownOperation):
@@ -145,7 +146,7 @@ def test_wf_constraint_rejects_skeleton_mismatch():
     from effc.core import TySub
 
     with pytest.raises(WfError):
-        exeff.wf_constraint(_env(sig), TySub(T_UNIT, TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))))
+        exeff.wf(_env(sig), TySub(T_UNIT, TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))))
 
 
 def test_signature_types_must_be_closed():
@@ -210,4 +211,4 @@ def test_wf_comp_type_companion():
     sig = Signature()
     sig.declare("Tick", T_UNIT, T_UNIT)
     cty = CompType(T_UNIT, dirt(["Tick"]))
-    assert exeff.wf_cty(exeff.TypeEnv(sig), cty) == SK_UNIT
+    assert exeff.wf_vty(Context(sig), cty) == SK_UNIT
