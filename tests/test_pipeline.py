@@ -123,31 +123,41 @@ def test_dump_roundtrips_alpha_equal(corpus_paths):
             assert display.show(display.canonicalize(back)) == dumped.strip(), (name, stage)
 
 
-def generated_dump_digests(count: int = 300) -> dict:
-    """sha256 of `dump --stage S`, for S in exeff, noeff and skeleff, of each
-    of `count` generated programs, keyed by (program, stage)."""
+def generated_dump_digests(corpus_paths, count: int = 300) -> dict:
+    """sha256 of `dump --stage S`, for S in exeff, noeff, skeleff and
+    constraints, and of the let schemes as `effc infer` prints them, of each
+    corpus program and of `count` generated programs, keyed by (program, S)."""
     out = {}
-    for name, text in program_texts([], count):
+    for name, text in program_texts(corpus_paths, count):
         art = pipeline.compile_text(text, "noeff")
-        for stage in ("exeff", "noeff", "skeleff"):
-            out[name, stage] = hashlib.sha256(pipeline.dump_stage(art, stage).encode()).hexdigest()
+        stages = ("exeff", "noeff", "skeleff", "constraints")
+        dumps = {stage: pipeline.dump_stage(art, stage) for stage in stages}
+        dumps["schemes"] = "".join(
+            f"let {var} : {display.show_scheme(display.canonicalize(scheme))}\n"
+            for var, scheme in art.inferred.session.let_schemes
+        )
+        for stage, dump in dumps.items():
+            out[name, stage] = hashlib.sha256(dump.encode()).hexdigest()
     return out
 
 
-def test_generated_dumps_match_golden():
+def test_generated_dumps_match_golden(corpus_paths):
     # Generated programs reach dirt application, qualified coercions and
     # handler bridging more often than the corpus, whose NoEff terms are
-    # pinned by the trace digests.  Rewrite the file with
-    # `write_generated_dump_digests()` only when a change to the terms is meant.
+    # pinned by the trace digests.  The constraint dumps and let schemes pin
+    # inference itself: its fresh variables, its solution and what each let
+    # generalizes.  Rewrite the file with `write_generated_dump_digests()`
+    # only when a change to the terms is meant.
     want = {}
     for line in GENERATED_DUMPS.read_text().splitlines():
         digest, name, stage = line.split()
         want[name, stage] = digest
-    assert generated_dump_digests() == want
+    assert generated_dump_digests(corpus_paths) == want
 
 
 def write_generated_dump_digests() -> None:
-    lines = [f"{d}  {name} {stage}\n" for (name, stage), d in generated_dump_digests().items()]
+    digests = generated_dump_digests(sorted(CORPUS.glob("*.eff")))
+    lines = [f"{d}  {name} {stage}\n" for (name, stage), d in digests.items()]
     GENERATED_DUMPS.write_text("".join(lines))
 
 
