@@ -439,3 +439,14 @@ class Context:
         out = object.__new__(Context)
         out.__dict__ = {**self.__dict__, sort: {**self.__dict__[sort], v.id: what}}
         return out
+
+
+def clause_ops(clauses) -> set:
+    """The operations that a handler's clauses handle, in any calculus.  A
+    handler lists each operation once."""
+    ops = set()
+    for cl in clauses:
+        if cl.op in ops:
+            raise TypecheckError(f"handler lists operation {cl.op} twice")
+        ops.add(cl.op)
+    return ops

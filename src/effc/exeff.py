@@ -40,6 +40,7 @@ from .core import (
     UnboundVariable,
     ValueType,
     WfError,
+    clause_ops,
     dirt_add,
     skeleton,
 )
@@ -180,12 +181,6 @@ class EHandler:
     clauses: tuple[OpClause, ...] = ()
 
     scope = "ret_body"  # the return binder does not reach the operation clauses
-
-    def clause_for(self, op: str) -> Optional[OpClause]:
-        for cl in self.clauses:
-            if cl.op == op:
-                return cl
-        return None
 
 
 @dataclass(frozen=True)
@@ -524,11 +519,8 @@ def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None
     elif isinstance(v, EHandler):
         wf(env, v.ret_ty)
         out_cty = typecheck_comp(env.bind(v.ret_var, v.ret_ty), v.ret_body, derived)
-        seen = set()
+        ops = clause_ops(v.clauses)
         for cl in v.clauses:
-            if cl.op in seen:
-                raise TypecheckError(f"handler lists operation {cl.op} twice")
-            seen.add(cl.op)
             sig = env.sig.lookup(cl.op)
             cl_env = env.bind(cl.param, sig.param).bind(cl.kont, TArrow(sig.result, out_cty))
             got = typecheck_comp(cl_env, cl.body, derived)
@@ -536,7 +528,7 @@ def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None
                 raise TypecheckError(
                     f"handler clause for {cl.op} has a different type than the return clause"
                 )
-        in_dirt = dirt_add(seen, out_cty.dirt)
+        in_dirt = dirt_add(ops, out_cty.dirt)
         t = THandler(CompType(v.ret_ty, in_dirt), out_cty)
     elif isinstance(v, ESkelAbs):
         t = TForallSkel(v.var, typecheck_value(env.bind(v.var), v.body, derived))

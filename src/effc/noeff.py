@@ -35,6 +35,7 @@ from .core import (
     TypecheckError,
     UnboundVariable,
     ValueType,
+    clause_ops,
 )
 from .exeff import (
     CoArrow,
@@ -277,12 +278,6 @@ class MHandler:
 
     scope = "ret_body"  # the return binder does not reach the operation clauses
 
-    def clause_for(self, op: str):
-        for cl in self.clauses:
-            if cl.op == op:
-                return cl
-        return None
-
 
 @dataclass(frozen=True)
 class MLet:
@@ -404,6 +399,7 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
         out = typecheck_noeff(env.bind(t.ret_var, t.ret_ty), t.ret_body)
         if not isinstance(out, NComp):
             raise TypecheckError("handler return clause must produce a computation")
+        clause_ops(t.clauses)
         for cl in t.clauses:
             op = env.sig.lookup(cl.op)
             cl_env = env.bind(cl.param, op.param).bind(cl.kont, NArrow(op.result, out))

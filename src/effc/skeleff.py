@@ -24,6 +24,7 @@ from .core import (
     TermVar,
     TypecheckError,
     UnboundVariable,
+    clause_ops,
     skeleton,
 )
 from .exeff import Subst, wf_bound
@@ -78,12 +79,6 @@ class SHandler:
     clauses: tuple[SOpClause, ...] = ()
 
     scope = "ret_body"  # the return binder does not reach the operation clauses
-
-    def clause_for(self, op: str):
-        for cl in self.clauses:
-            if cl.op == op:
-                return cl
-        return None
 
 
 @dataclass(frozen=True)
@@ -231,6 +226,7 @@ def _typecheck_sk_value(env: Context, v: SkValue) -> Skeleton:
     if isinstance(v, SHandler):
         wf_bound(env, v.ret_ty)
         out = _typecheck_sk_comp(env.bind(v.ret_var, v.ret_ty), v.ret_body)
+        clause_ops(v.clauses)
         for cl in v.clauses:
             op = env.sig.lookup(cl.op)
             cl_env = env.bind(cl.param, op.param).bind(cl.kont, SkelArrow(op.result, out))

@@ -583,7 +583,7 @@ def handle_op(h, op, handle, abs_):
     forwarded outward.  `handle` and `abs_` build handling and abstraction
     nodes of the calculus."""
     rest = handle(h, op.body)
-    clause = h.clause_for(op.op)
+    clause = next((cl for cl in h.clauses if cl.op == op.op), None)
     if clause is None:
         return type(op)(op.op, op.arg, op.var, op.var_ty, rest)
     out = subst_term(op.arg, clause.param, clause.body)

@@ -1,6 +1,7 @@
 """The typing context the ExEff, SkelEff and NoEff checkers share: each
-checker rejects a variable of every sort it binds that is not in scope, and
-an operation the signature does not declare."""
+checker rejects a variable of every sort it binds that is not in scope, an
+operation the signature does not declare, and a handler that lists an
+operation twice."""
 
 import re
 from functools import partial
@@ -87,3 +88,21 @@ def test_unknown_operation_is_one_error_in_every_calculus():
             check, context = CHECKERS[calculus]
             with pytest.raises(UnknownOperation):
                 check(context(tick_tock_signature()), term)
+
+
+def test_checkers_reject_a_handler_listing_an_operation_twice():
+    k = TermVar(2, "k")
+    ticks = {
+        "exeff": E.OpClause("Tick", z, k, E.CReturn(E.EUnit())),
+        "skeleff": S.SOpClause("Tick", z, k, S.SReturn(S.SUnit())),
+        "noeff": M.MOpClause("Tick", z, k, M.MReturn(M.MUnit())),
+    }
+    handlers = {
+        "exeff": E.CReturn(E.EHandler(x, T_UNIT, E.CReturn(E.EVar(x)), (ticks["exeff"],) * 2)),
+        "skeleff": S.SReturn(S.SHandler(x, SK_UNIT, S.SReturn(S.SVar(x)), (ticks["skeleff"],) * 2)),
+        "noeff": M.MHandler(x, N_UNIT, M.MReturn(M.MVar(x)), (ticks["noeff"],) * 2),
+    }
+    for calculus, term in handlers.items():
+        check, context = CHECKERS[calculus]
+        with pytest.raises(EffError, match="handler lists operation Tick twice"):
+            check(context(tick_tock_signature()), term)
