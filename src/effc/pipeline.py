@@ -187,8 +187,8 @@ def differential_check_text(
     art = compile_text(text, stage="noeff")
     env = Context(art.source_sig)
 
-    term, erased = art.exeff_term, art.skeleff_term
-    ty = exeff.typecheck_comp(env, term)
+    # `compile_text` checked that the term derives `art.cty`.
+    term, erased, ty = art.exeff_term, art.skeleff_term, art.cty
     steps = 0
     while not exeff.is_comp_result(term):
         nxt = exeff.step_comp(term)

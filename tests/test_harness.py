@@ -104,3 +104,21 @@ def test_cli_diff_exits_3_on_a_wrongly_typed_step(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL: metatheory: a step changed the subject's type" in captured.out
     assert captured.err == ""
+
+
+def test_harness_typechecks_each_core_term_once(monkeypatch):
+    # Compilation checks the initial term; the harness checks each step's.
+    outer, depth = [0], [0]
+
+    def counted(*args, _check=exeff.typecheck_comp):
+        outer[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return _check(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exeff, "typecheck_comp", counted)
+    report = pipeline.differential_check(str(CORPUS / "p09_do_tick_tock.eff"))
+    assert report.agreement and report.steps["exeff"] == 3
+    assert outer[0] == report.steps["exeff"] + 1
