@@ -138,10 +138,9 @@ _VALUE_START_WORDS = ("unit", "fun", "handler")
 
 
 class _Parser:
-    def __init__(self, text: str, supply: Optional[Supply] = None, allow_int: bool = True):
+    def __init__(self, text: str, supply: Optional[Supply] = None):
         self.ts = TokenStream(tokenize(text))
         self.supply = supply or Supply()
-        self.allow_int = allow_int
         self.sig = Signature()
 
     # -- programs ----------------------------------------------------------
@@ -170,8 +169,6 @@ class _Parser:
             self.ts.next()
             return TBase(Base.UNIT)
         if t.kind == "uident" and t.text == "Int":
-            if not self.allow_int:
-                raise ParseError("integer base type is disabled", t.span)
             self.ts.next()
             return TBase(Base.INT)
         if self.ts.at_sym("("):
@@ -233,7 +230,7 @@ class _Parser:
             return True
         if t.kind == "ident" and t.text in _VALUE_START_WORDS:
             return True
-        if t.kind == "int" and self.allow_int:
+        if t.kind == "int":
             return True
         return self.ts.at_sym("(")
 
@@ -296,8 +293,6 @@ class _Parser:
     def parse_value(self, scope: dict) -> SrcValue:
         t = self.ts.peek()
         if t.kind == "int":
-            if not self.allow_int:
-                raise ParseError("integer literals are disabled", t.span)
             self.ts.next()
             return SrcInt(int(t.text), span=t.span)
         if self.ts.at_word("unit"):
@@ -350,9 +345,9 @@ class _Parser:
         return SrcHandler(ret_var, ret_body, tuple(clauses), span=span)
 
 
-def parse_program(text: str, supply: Optional[Supply] = None, allow_int: bool = True) -> tuple:
+def parse_program(text: str, supply: Optional[Supply] = None) -> tuple:
     """Parse a whole program: effect declarations, then one computation."""
-    return _Parser(text, supply, allow_int).parse_program()
+    return _Parser(text, supply).parse_program()
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,6 @@ def test_parenthesized_computations():
 
 def test_int_literal_switch():
     source.parse_program("return 5")
-    with pytest.raises(ParseError):
-        source.parse_program("return 5", allow_int=False)
-    with pytest.raises(ParseError):
-        source.parse_program("effect Nat : Int -> Int\nreturn unit", allow_int=False)
 
 
 def test_wf_comp_type_companion():
