@@ -1,4 +1,4 @@
-"""Shared syntax: variables, skeletons, dirts, types, constraints, schemes.
+"""Shared syntax: variables, skeletons, dirts, types, constraints.
 
 The core-language type grammar is shared by the whole pipeline: the source
 language uses its monotype fragment, inference decorates its type variables
@@ -318,19 +318,7 @@ ConstraintType = Union[TySub, DirtSub, CompSub]
 
 
 # ---------------------------------------------------------------------------
-# Polytypes (type schemes) for the implicitly-typed language
-
-
-@dataclass(frozen=True)
-class Scheme:
-    skel_vars: tuple = ()
-    ty_vars: tuple = ()  # of (TyVar, Skeleton)
-    dirt_vars: tuple = ()
-    qualifiers: tuple = ()  # of (CoVar, SimpleConstraint)
-    body: ValueType = T_UNIT
-
-    def is_mono(self) -> bool:
-        return not (self.skel_vars or self.ty_vars or self.dirt_vars or self.qualifiers)
+# Skeletons of types
 
 
 def skeleton(tys: dict, t: Union[ValueType, CompType]) -> Skeleton:
@@ -357,24 +345,6 @@ def skeleton(tys: dict, t: Union[ValueType, CompType]) -> Skeleton:
     if isinstance(t, (TForallDirt, TQual)):
         return skeleton(tys, t.body)
     raise TypeError(t)
-
-
-def monoscheme(t: ValueType) -> Scheme:
-    return Scheme(body=t)
-
-
-def scheme_type(s: Scheme) -> ValueType:
-    """The scheme viewed as a single (rank-1) core-language value type."""
-    t = s.body
-    for _, ct in reversed(s.qualifiers):
-        t = TQual(ct, t)
-    for dv in reversed(s.dirt_vars):
-        t = TForallDirt(dv, t)
-    for tv, sk in reversed(s.ty_vars):
-        t = TForallTy(tv, sk, t)
-    for sv in reversed(s.skel_vars):
-        t = TForallSkel(sv, t)
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .core import (
     DirtSub,
     DirtVar,
     ParseError,
-    Scheme,
     SkelArrow,
     SkelBase,
     SkelForall,
@@ -51,7 +50,6 @@ from .core import (
     TermVar,
     TyVar,
     TySub,
-    scheme_type,
 )
 from .lex import TokenStream, tokenize
 from .traverse import BIND, VAR_CLASSES, _annotation, _Table, rename, shape
@@ -260,7 +258,7 @@ def canonicalize(x):
 
 
 def show(node, prec: int = 0) -> str:
-    """The text of any node of any IR (or of a scheme) at precedence `prec`."""
+    """The text of any node of any IR at precedence `prec`."""
     return _PRINT[type(node)](node, prec)
 
 
@@ -321,7 +319,6 @@ _PRINT.update(
         Base: lambda t, prec: str(t),
         tuple: lambda t, prec: "".join(", " + show(e) for e in t),  # handler clauses
         Dirt: _show_dirt,
-        Scheme: lambda s, prec: show(scheme_type(s), prec),
     }
 )
 

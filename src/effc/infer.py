@@ -2,9 +2,12 @@
 
 Constraint generation walks the implicitly-typed source term, threading a
 queue of skeleton equalities, skeleton annotations and subtyping constraints,
-and producing the explicitly-typed core term as it goes.  Let-generalization
-interleaves solving (for simplification) with a split of the residual
-constraints into a generalized and a floated part.
+and producing the explicitly-typed core term as it goes.  Each let solves its
+bound value's constraints, composes the solution into the session's, and
+splits the residual constraints into a generalized and a floated part; its
+scheme is the value's quantified ExEff type.  Generation threads no
+substitution: what it built before a let may mention variables the let
+solved, and the session's solution is applied where that is read.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .core import (
     EMPTY_DIRT,
     DirtClash,
     OccursCheck,
-    Scheme,
     Signature,
     SkeletonClash,
     SkelArrow,
@@ -37,7 +39,11 @@ from .core import (
     Supply,
     TArrow,
     TBase,
+    TForallDirt,
+    TForallSkel,
+    TForallTy,
     THandler,
+    TQual,
     TermVar,
     TyVar,
     TySub,
@@ -45,7 +51,6 @@ from .core import (
     ValueType,
     dirt_add,
     dirt_var,
-    monoscheme,
     skeleton,
 )
 from .exeff import (
@@ -98,14 +103,17 @@ def subst_item(s: Subst, item):
 
 
 class Session:
-    """One inference run: owns the fresh supply and the skeleton annotations."""
+    """One inference run: owns the fresh supply, the skeleton annotations and
+    `solved`, the solutions of the lets solved so far, composed in the order
+    they were solved."""
 
     def __init__(self, sig: Signature, supply: Optional[Supply] = None):
         self.sig = sig
         self.supply = supply or Supply()
         self.ann: dict = {}  # type-variable id -> current skeleton annotation
         self._ann_uses: dict = {}  # skeleton-variable id -> {type-variable id: None}
-        self.let_schemes: list = []  # (name, Scheme) in elaboration order
+        self.solved = Subst()
+        self.let_schemes: list = []  # (name, quantified value type) in elaboration order
 
     def fresh_ty(self, skel: Skeleton) -> TyVar:
         v = self.supply.ty()
@@ -137,13 +145,13 @@ def _var_keys(obj) -> set:
 def split(env: dict, Q: list, a: ValueType) -> tuple:
     """Partition residual constraints for let-generalization.
 
-    env maps term-variable ids to (TermVar, Scheme).  Returns
+    env maps term-variable ids to (TermVar, value type).  Returns
     (skel_vars, [(ty_var, skeleton)], dirt_vars, generalized [(co, ct)],
     floated queue items, merged).  A generalized constraint equal to an
     earlier one is not a second qualifier: `merged` maps its coercion
     variable to the earlier one's, for the bound value.
     """
-    env_fv = _var_keys([scheme for _, scheme in env.values()])
+    env_fv = _var_keys([t for _, t in env.values()])
 
     # An annotation's subject counts as an occurrence of its type variable.
     q_objs = [it.var if isinstance(it, SkelAnn) else it.constraint for it in Q]
@@ -250,7 +258,7 @@ def collapse(session: Session, sigma: Subst, env: dict, a: ValueType, Q: list) -
     residual constraints binds no further variable, so `env` and `a` stay
     as they are.  Returns (`sigma` then the instantiations, residual items).
     """
-    pinned = _var_keys([scheme for _, scheme in env.values()] + [a])
+    pinned = _var_keys([t for _, t in env.values()] + [a])
     s = Subst()
     while (pick := _collapsible(pinned, Q)) is not None:
         (sort, vid), bound = pick
@@ -559,78 +567,55 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
 # Constraint generation with elaboration
 
 
-def _subst_scheme(s: Subst, scheme: Scheme) -> Scheme:
-    return Scheme(
-        scheme.skel_vars,
-        tuple((v, substitute(s, sk)) for v, sk in scheme.ty_vars),
-        scheme.dirt_vars,
-        tuple((w, substitute(s, ct)) for w, ct in scheme.qualifiers),
-        substitute(s, scheme.body),
-    )
+def _env_bind(env: dict, var: TermVar, t: ValueType) -> dict:
+    return {**env, var.id: (var, t)}
 
 
-def _subst_env(s: Subst, env: dict) -> dict:
-    if s.is_empty():
-        return env
-    return {vid: (var, _subst_scheme(s, sch)) for vid, (var, sch) in env.items()}
-
-
-def _env_bind(env: dict, var: TermVar, scheme: Scheme) -> dict:
-    return {**env, var.id: (var, scheme)}
+_QUANTIFIED = (TForallSkel, TForallTy, TForallDirt, TQual)
 
 
 def gen_value(session: Session, Q: list, env: dict, v) -> tuple:
-    """Returns (value type, new queue, substitution, elaborated core value)."""
+    """Returns (value type, new queue, elaborated core value)."""
     if isinstance(v, source.SrcVar):
         try:
-            var, scheme = env[v.var.id]
+            var, t = env[v.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {v.var.name}", v.span) from None
-        if scheme.is_mono():
-            return scheme.body, Q, Subst(), exeff.EVar(var)
-        inst = Subst()
-        skels = []
-        for sv in scheme.skel_vars:
-            fresh_sv = session.supply.skel()
-            inst = inst.then(Subst.one_skel(sv, fresh_sv))
-            skels.append(fresh_sv)
-        tys = []
-        anns = []
-        for tv, sk in scheme.ty_vars:
-            fresh_tv = session.fresh_ty(substitute(inst, sk))
-            inst = inst.then(Subst.one_ty(tv, fresh_tv))
-            tys.append(fresh_tv)
-            anns.append(SkelAnn(fresh_tv, substitute(inst, sk)))
-        dirts = []
-        for dv in scheme.dirt_vars:
-            fresh_dv = session.supply.dirt()
-            inst = inst.then(Subst.one_dirt(dv, dirt_var(fresh_dv)))
-            dirts.append(fresh_dv)
-        subs = []
         term: exeff.Value = exeff.EVar(var)
-        for sv in skels:
-            term = exeff.ESkelApp(term, sv)
-        for tv in tys:
-            term = exeff.ETyApp(term, tv)
-        for dv in dirts:
-            term = exeff.EDirtApp(term, dirt_var(dv))
-        for _, ct in scheme.qualifiers:
-            w = session.supply.co()
-            subs.append(SubCt(w, substitute(inst, ct), v.span))
-            term = exeff.ECoApp(term, CoVarRef(w))
-        return substitute(inst, scheme.body), subs + anns + Q, Subst(), term
+        if not isinstance(t, _QUANTIFIED):
+            return t, Q, term
+        # Apply a let-bound variable to a fresh variable per quantifier and a
+        # fresh coercion variable per qualifier, peeled into one substitution.
+        inst = Subst()
+        anns, subs = [], []
+        while isinstance(t, _QUANTIFIED):
+            if isinstance(t, TForallSkel):
+                sv = inst.skel[t.var.id] = session.supply.skel()
+                term = exeff.ESkelApp(term, sv)
+            elif isinstance(t, TForallTy):
+                # The fresh variable's annotation must not name a solved skeleton.
+                sk = substitute(inst, substitute(session.solved, t.skel))
+                tv = inst.ty[t.var.id] = session.fresh_ty(sk)
+                anns.append(SkelAnn(tv, sk))
+                term = exeff.ETyApp(term, tv)
+            elif isinstance(t, TForallDirt):
+                d = inst.dirt[t.var.id] = dirt_var(session.supply.dirt())
+                term = exeff.EDirtApp(term, d)
+            else:
+                w = session.supply.co()
+                subs.append(SubCt(w, substitute(inst, t.constraint), v.span))
+                term = exeff.ECoApp(term, CoVarRef(w))
+            t = t.body
+        return substitute(inst, t), subs + anns + Q, term
     if isinstance(v, source.SrcUnit):
-        return TBase(Base.UNIT), Q, Subst(), exeff.EUnit()
+        return TBase(Base.UNIT), Q, exeff.EUnit()
     if isinstance(v, source.SrcInt):
-        return TBase(Base.INT), Q, Subst(), exeff.EInt(v.value)
+        return TBase(Base.INT), Q, exeff.EInt(v.value)
     if isinstance(v, source.SrcFun):
         sv = session.supply.skel()
         a = session.fresh_ty(sv)
-        cty, Q1, s, body = gen_comp(
-            session, [SkelAnn(a, sv)] + Q, _env_bind(env, v.var, monoscheme(a)), v.body
-        )
-        dom = substitute(s, a)
-        return TArrow(dom, cty), Q1, s, exeff.EAbs(v.var, dom, body)
+        cty, Q1, body = gen_comp(session, [SkelAnn(a, sv)] + Q, _env_bind(env, v.var, a), v.body)
+        return TArrow(a, cty), Q1, exeff.EAbs(v.var, a, body)
     if isinstance(v, source.SrcHandler):
         return _gen_handler(session, Q, env, v)
     raise TypeError(v)
@@ -640,24 +625,19 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
     sup = session.supply
     sv_r = sup.skel()
     a_r = session.fresh_ty(sv_r)
-    ret_cty, Q0, s_r, ret_body = gen_comp(
-        session, [SkelAnn(a_r, sv_r)] + Q, _env_bind(env, v.ret_var, monoscheme(a_r)), v.ret_body
+    ret_cty, Qi, ret_body = gen_comp(
+        session, [SkelAnn(a_r, sv_r)] + Q, _env_bind(env, v.ret_var, a_r), v.ret_body
     )
 
-    s_n = Subst()
-    Qi = Q0
     clause_infos = []
     for cl in v.clauses:
         sig_op = session.sig.lookup(cl.op)
         sv_i = sup.skel()
         a_i = session.fresh_ty(sv_i)
         d_i = sup.dirt()
-        env_i = _subst_env(s_n, _subst_env(s_r, env))
-        env_i = _env_bind(env_i, cl.param, monoscheme(sig_op.param))
         k_ty = TArrow(sig_op.result, CompType(a_i, dirt_var(d_i)))
-        env_i = _env_bind(env_i, cl.kont, monoscheme(k_ty))
-        cl_cty, Qi, s_i, cl_body = gen_comp(session, [SkelAnn(a_i, sv_i)] + Qi, env_i, cl.body)
-        s_n = s_n.then(s_i)
+        env_i = _env_bind(_env_bind(env, cl.param, sig_op.param), cl.kont, k_ty)
+        cl_cty, Qi, cl_body = gen_comp(session, [SkelAnn(a_i, sv_i)] + Qi, env_i, cl.body)
         clause_infos.append((cl, sig_op, a_i, d_i, cl_cty, cl_body))
 
     a_in = session.fresh_ty(sup.skel())
@@ -671,40 +651,37 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
     new_items = [
         SkelAnn(a_in, session.ann[a_in.id]),
         SkelAnn(a_out, session.ann[a_out.id]),
-        SubCt(w1, TySub(substitute(s_n, ret_cty.val), a_out), v.span),
-        SubCt(w2, DirtSub(substitute(s_n, ret_cty.dirt), dirt_var(d_out)), v.span),
+        SubCt(w1, TySub(ret_cty.val, a_out), v.span),
+        SubCt(w2, DirtSub(ret_cty.dirt, dirt_var(d_out)), v.span),
     ]
     clause_terms = []
     for cl, sig_op, a_i, d_i, cl_cty, cl_body in clause_infos:
         w3 = sup.co()
         w4 = sup.co()
         w5 = sup.co()
-        new_items.append(SubCt(w3, TySub(substitute(s_n, cl_cty.val), a_out), v.span))
-        new_items.append(SubCt(w4, DirtSub(substitute(s_n, cl_cty.dirt), dirt_var(d_out)), v.span))
-        inner = substitute(s_n, CompType(a_i, dirt_var(d_i)))
+        new_items.append(SubCt(w3, TySub(cl_cty.val, a_out), v.span))
+        new_items.append(SubCt(w4, DirtSub(cl_cty.dirt, dirt_var(d_out)), v.span))
         new_items.append(
             SubCt(
                 w5,
                 TySub(
                     TArrow(sig_op.result, CompType(a_out, dirt_var(d_out))),
-                    TArrow(sig_op.result, inner),
+                    TArrow(sig_op.result, CompType(a_i, dirt_var(d_i))),
                 ),
                 v.span,
             )
         )
         fresh_k = sup.term(cl.kont.name)
-        body = substitute(s_n, cl_body)
-        body = subst_term(exeff.ECast(exeff.EVar(fresh_k), CoVarRef(w5)), cl.kont, body)
+        body = subst_term(exeff.ECast(exeff.EVar(fresh_k), CoVarRef(w5)), cl.kont, cl_body)
         body = exeff.CCast(body, CoComp(CoVarRef(w3), CoVarRef(w4)))
         clause_terms.append(exeff.OpClause(cl.op, cl.param, fresh_k, body))
-    new_items.append(SubCt(w6, TySub(a_in, substitute(s_n, substitute(s_r, a_r))), v.span))
+    new_items.append(SubCt(w6, TySub(a_in, a_r), v.span))
     new_items.append(
         SubCt(w7, DirtSub(dirt_var(d_in), dirt_add(ops, dirt_var(d_out))), v.span)
     )
 
     fresh_y = sup.term(v.ret_var.name)
-    ret = substitute(s_n, ret_body)
-    ret = subst_term(exeff.ECast(exeff.EVar(fresh_y), CoVarRef(w6)), v.ret_var, ret)
+    ret = subst_term(exeff.ECast(exeff.EVar(fresh_y), CoVarRef(w6)), v.ret_var, ret_body)
     ret = exeff.CCast(ret, CoComp(CoVarRef(w1), CoVarRef(w2)))
 
     handler = exeff.EHandler(fresh_y, a_in, ret, tuple(clause_terms))
@@ -714,99 +691,84 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
     )
     result = exeff.ECast(handler, cast)
     h_ty = THandler(CompType(a_in, dirt_var(d_in)), CompType(a_out, dirt_var(d_out)))
-    return h_ty, new_items + Qi, s_r.then(s_n), result
+    return h_ty, new_items + Qi, result
 
 
 def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
-    """Returns (computation type, new queue, substitution, elaborated core term)."""
+    """Returns (computation type, new queue, elaborated core term)."""
     sup = session.supply
     if isinstance(c, source.SrcApp):
-        a1, Q1, s1, v1 = gen_value(session, Q, env, c.fn)
-        a2, Q2, s2, v2 = gen_value(session, Q1, _subst_env(s1, env), c.arg)
+        a1, Q1, v1 = gen_value(session, Q, env, c.fn)
+        a2, Q2, v2 = gen_value(session, Q1, env, c.arg)
         sv = sup.skel()
         a = session.fresh_ty(sv)
         d = sup.dirt()
         w = sup.co()
         cty = CompType(a, dirt_var(d))
-        items = [SkelAnn(a, sv), SubCt(w, TySub(substitute(s2, a1), TArrow(a2, cty)), c.span)]
-        term = exeff.CApp(exeff.ECast(substitute(s2, v1), CoVarRef(w)), v2)
-        return cty, items + Q2, s1.then(s2), term
+        items = [SkelAnn(a, sv), SubCt(w, TySub(a1, TArrow(a2, cty)), c.span)]
+        return cty, items + Q2, exeff.CApp(exeff.ECast(v1, CoVarRef(w)), v2)
     if isinstance(c, source.SrcReturn):
-        a, Q1, s, v = gen_value(session, Q, env, c.val)
-        return CompType(a, EMPTY_DIRT), Q1, s, exeff.CReturn(v)
+        a, Q1, v = gen_value(session, Q, env, c.val)
+        return CompType(a, EMPTY_DIRT), Q1, exeff.CReturn(v)
     if isinstance(c, source.SrcLet):
         # Solve and generalize over the bound value's own constraints only;
-        # constraints inherited from the enclosing context are held aside (and
-        # re-joined after substitution) so that in-flight variables of
-        # enclosing terms can never be captured by this scheme.
-        a, Qv, s1, v1 = gen_value(session, [], env, c.val)
-        s1p, Qv_res = solve(session, Subst(), [], Qv)
-        env1 = _subst_env(s1p, _subst_env(s1, env))
-        a1 = substitute(s1p, a)
-        s1p, Qv_res = collapse(session, s1p, env1, a1, Qv_res)
-        s_pre = s1.then(s1p)
-        inherited = [subst_item(s_pre, it) for it in Q]
-        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = split(env1, Qv_res, a1)
-        scheme = Scheme(
-            tuple(gen_skel), tuple(ty_binders), tuple(gen_dirt), tuple(generalized), a1
-        )
-        session.let_schemes.append((c.var.name, scheme))
-        cty, Q2, s2, body = gen_comp(
-            session, floated + inherited, _env_bind(env1, c.var, scheme), c.body
-        )
-        bound = substitute(merged, substitute(s1p, v1))
+        # constraints inherited from the enclosing context are held aside so
+        # that in-flight variables of enclosing terms can never be captured
+        # by this scheme.
+        a, Qv, v1 = gen_value(session, [], env, c.val)
+        solved = session.solved
+        local, Qv = solve(session, Subst(), [], [subst_item(solved, it) for it in Qv])
+        env1 = {vid: (var, substitute(local, substitute(solved, t))) for vid, (var, t) in env.items()}
+        a1 = substitute(local, substitute(solved, a))
+        local, Qv = collapse(session, local, env1, a1, Qv)
+        session.solved = solved.then(local)
+        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = split(env1, Qv, a1)
+        # The scheme is the value's quantified type, and the bound value
+        # abstracts over the same variables and qualifiers.
+        scheme, bound = a1, substitute(merged, substitute(local, v1))
         for w, ct in reversed(generalized):
-            bound = exeff.ECoAbs(w, ct, bound)
+            scheme, bound = TQual(ct, scheme), exeff.ECoAbs(w, ct, bound)
         for dv in reversed(gen_dirt):
-            bound = exeff.EDirtAbs(dv, bound)
+            scheme, bound = TForallDirt(dv, scheme), exeff.EDirtAbs(dv, bound)
         for tv, sk in reversed(ty_binders):
-            bound = exeff.ETyAbs(tv, sk, bound)
+            scheme, bound = TForallTy(tv, sk, scheme), exeff.ETyAbs(tv, sk, bound)
         for sv in reversed(gen_skel):
-            bound = exeff.ESkelAbs(sv, bound)
-        term = exeff.CLet(c.var, substitute(s2, bound), body)
-        return cty, Q2, s_pre.then(s2), term
+            scheme, bound = TForallSkel(sv, scheme), exeff.ESkelAbs(sv, bound)
+        session.let_schemes.append((c.var.name, scheme))
+        cty, Q2, body = gen_comp(session, floated + Q, _env_bind(env1, c.var, scheme), c.body)
+        return cty, Q2, exeff.CLet(c.var, bound, body)
     if isinstance(c, source.SrcOpCall):
         sig_op = session.sig.lookup(c.op, c.span)
-        a1, Q1, s1, v1 = gen_value(session, Q, env, c.arg)
-        env2 = _env_bind(_subst_env(s1, env), c.var, monoscheme(sig_op.result))
-        cty2, Q2, s2, body = gen_comp(session, Q1, env2, c.body)
+        a1, Q1, v1 = gen_value(session, Q, env, c.arg)
+        cty2, Q2, body = gen_comp(session, Q1, _env_bind(env, c.var, sig_op.result), c.body)
         w = sup.co()
         # The continuation is cast so the called operation shows up in its
         # dirt, as the syntax-directed core typing rule demands.
         w_k = sup.co()
         out_dirt = dirt_add([c.op], cty2.dirt)
         items = [
-            SubCt(w, TySub(substitute(s2, a1), sig_op.param), c.span),
+            SubCt(w, TySub(a1, sig_op.param), c.span),
             SubCt(w_k, DirtSub(cty2.dirt, out_dirt), c.span),
         ]
-        body = exeff.CCast(body, CoComp(refl_of(cty2.val), CoVarRef(w_k)))
-        term = exeff.COp(
-            c.op, exeff.ECast(substitute(s2, v1), CoVarRef(w)), c.var, sig_op.result, body
-        )
-        return (
-            CompType(cty2.val, out_dirt),
-            items + Q2,
-            s1.then(s2),
-            term,
-        )
+        body = exeff.CCast(body, CoComp(_refl(session, cty2.val), CoVarRef(w_k)))
+        term = exeff.COp(c.op, exeff.ECast(v1, CoVarRef(w)), c.var, sig_op.result, body)
+        return CompType(cty2.val, out_dirt), items + Q2, term
     if isinstance(c, source.SrcDo):
-        cty1, Q1, s1, c1 = gen_comp(session, Q, env, c.first)
-        env2 = _env_bind(_subst_env(s1, env), c.var, monoscheme(cty1.val))
-        cty2, Q2, s2, c2 = gen_comp(session, Q1, env2, c.second)
+        cty1, Q1, c1 = gen_comp(session, Q, env, c.first)
+        cty2, Q2, c2 = gen_comp(session, Q1, _env_bind(env, c.var, cty1.val), c.second)
         d = sup.dirt()
         w1 = sup.co()
         w2 = sup.co()
         items = [
-            SubCt(w1, DirtSub(substitute(s2, cty1.dirt), dirt_var(d)), c.span),
+            SubCt(w1, DirtSub(cty1.dirt, dirt_var(d)), c.span),
             SubCt(w2, DirtSub(cty2.dirt, dirt_var(d)), c.span),
         ]
-        a1 = substitute(s2, cty1.val)
-        first = exeff.CCast(substitute(s2, c1), CoComp(refl_of(a1), CoVarRef(w1)))
-        second = exeff.CCast(c2, CoComp(refl_of(cty2.val), CoVarRef(w2)))
-        return CompType(cty2.val, dirt_var(d)), items + Q2, s1.then(s2), exeff.CDo(c.var, first, second)
+        first = exeff.CCast(c1, CoComp(_refl(session, cty1.val), CoVarRef(w1)))
+        second = exeff.CCast(c2, CoComp(_refl(session, cty2.val), CoVarRef(w2)))
+        return CompType(cty2.val, dirt_var(d)), items + Q2, exeff.CDo(c.var, first, second)
     if isinstance(c, source.SrcHandle):
-        a1, Q1, s1, v1 = gen_value(session, Q, env, c.handler)
-        cty2, Q2, s2, body = gen_comp(session, Q1, _subst_env(s1, env), c.body)
+        a1, Q1, v1 = gen_value(session, Q, env, c.handler)
+        cty2, Q2, body = gen_comp(session, Q1, env, c.body)
         al1 = session.fresh_ty(sup.skel())
         al2 = session.fresh_ty(sup.skel())
         d1 = sup.dirt()
@@ -816,16 +778,24 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         items = [
             SkelAnn(al1, session.ann[al1.id]),
             SkelAnn(al2, session.ann[al2.id]),
-            SubCt(w1, TySub(substitute(s2, a1), want), c.span),
+            SubCt(w1, TySub(a1, want), c.span),
             SubCt(w2, TySub(cty2.val, al1), c.span),
             SubCt(w3, DirtSub(cty2.dirt, dirt_var(d1)), c.span),
         ]
         term = exeff.CHandle(
-            exeff.ECast(substitute(s2, v1), CoVarRef(w1)),
+            exeff.ECast(v1, CoVarRef(w1)),
             exeff.CCast(body, CoComp(CoVarRef(w2), CoVarRef(w3))),
         )
-        return CompType(al2, dirt_var(d2)), items + Q2, s1.then(s2), term
+        return CompType(al2, dirt_var(d2)), items + Q2, term
     raise TypeError(c)
+
+
+def _refl(session: Session, t: ValueType):
+    """The reflexivity coercion of `t` as solved so far.  It is built from the
+    solved type: substituting a solution into a reflexive dirt coercion puts
+    the solution's operations after the ones already there, where `refl_of`
+    of the solved type sorts them all."""
+    return refl_of(substitute(session.solved, t))
 
 
 # ---------------------------------------------------------------------------
@@ -859,14 +829,15 @@ def infer_top(sig: Signature, comp, supply: Optional[Supply] = None) -> InferOut
     # The source term carries binder identities from its own supply; fresh
     # term variables must not collide with them.
     session.supply.reserve_terms(_max_term_id(comp))
-    cty, Q, s, term = gen_comp(session, [], {}, comp)
-    generated = list(Q)
-    s2, residual = solve(session, Subst(), [], Q)
+    cty, Q, term = gen_comp(session, [], {}, comp)
+    generated = [subst_item(session.solved, it) for it in Q]
+    s2, residual = solve(session, Subst(), [], generated)
+    s = session.solved.then(s2)
     return InferOutcome(
-        cty=substitute(s2, cty),
+        cty=substitute(s, cty),
         residual=residual,
-        subst=s.then(s2),
-        term=substitute(s2, term),
+        subst=s,
+        term=substitute(s, term),
         session=session,
         generated=generated,
     )

@@ -43,12 +43,10 @@ from .core import (
     CoVar,
     DirtVar,
     FuelExhausted,
-    Scheme,
     SkelVar,
     StuckTerm,
     TermVar,
     TyVar,
-    scheme_type,
 )
 
 BIND, USE, TERM, TYPE, MANY, ATOM = "bind", "use", "term", "type", "many", "atom"
@@ -296,15 +294,6 @@ def _build_fv(cls):
                 _FV[type(e)](e, sort, bound, seen, out)
 
         return many
-    if cls is Scheme:
-        # A scheme binds through tuples of variables: read it as the
-        # quantified type it stands for.
-
-        def scheme(t, sort, bound, seen, out):
-            ty = scheme_type(t)
-            _FV[type(ty)](ty, sort, bound, seen, out)
-
-        return scheme
     sh = shape(cls)
     if sh.uses:
         use = sh.uses[0]
@@ -360,8 +349,6 @@ def _build_alpha(cls):
         return _same_var
     if cls is tuple:
         return _alpha_many
-    if cls is Scheme:
-        return lambda a, b, env: _alpha_many((scheme_type(a),), (scheme_type(b),), env)
     sh = shape(cls)
     table = _ALPHA
     steps = [

@@ -14,7 +14,6 @@ from effc.core import (
     Context,
     DirtSub,
     EMPTY_DIRT,
-    Scheme,
     Signature,
     Supply,
     TArrow,
@@ -109,13 +108,6 @@ class RunningExample:
                     ),
                 ),
             ),
-        )
-        self.scheme = Scheme(
-            (sk,),
-            ((a, sk), (a2, sk)),
-            (d, d2),
-            ((w, TySub(a, a2)), (w2, DirtSub(dirt_var(d), dirt_var(d2)))),
-            TArrow(TArrow(T_UNIT, CompType(a, dirt_var(d))), CompType(a2, dirt_var(d2))),
         )
         self.f_var = sup.term("f")
         self.x = x

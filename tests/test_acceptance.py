@@ -75,7 +75,7 @@ def test_criterion_1_golden_scheme():
     )
     outcome = infer.infer_top(sig, comp)
     (_, scheme), = outcome.session.let_schemes
-    want = RunningExample().scheme
+    want = RunningExample().poly_type
     assert alpha_eq(scheme, want)
     canon = display.show_scheme(display.canonicalize(scheme))
     assert canon == display.show_scheme(display.canonicalize(want))

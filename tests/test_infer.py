@@ -21,12 +21,10 @@ from effc.core import (
     TySub,
     dirt,
     dirt_var,
-    monoscheme,
-    scheme_type,
     skeleton,
 )
 from effc.traverse import alpha_eq, free_vars
-from conftest import CORPUS
+from conftest import CORPUS, qualifiers
 from gen_helpers import make_signature, program_texts, signature_header
 from paper_examples import RunningExample, tick_tock_signature
 
@@ -45,10 +43,10 @@ def test_gen_return_unit_is_pure_and_identity():
     sig = tick_tock_signature()
     session = infer.Session(sig)
     _, comp = source.parse_program("return unit")
-    cty, q, s, term = infer.gen_comp(session, [], {}, comp)
+    cty, q, term = infer.gen_comp(session, [], {}, comp)
     assert cty == CompType(T_UNIT, EMPTY_DIRT)
     assert q == []
-    assert s.is_empty()
+    assert session.solved.is_empty()
     assert term == exeff.CReturn(exeff.EUnit())
 
 
@@ -56,7 +54,7 @@ def test_gen_do_introduces_fresh_dirt_and_casts():
     sig = tick_tock_signature()
     session = infer.Session(sig)
     _, comp = source.parse_program("do x <- return unit in return unit")
-    cty, q, s, term = infer.gen_comp(session, [], {}, comp)
+    cty, q, term = infer.gen_comp(session, [], {}, comp)
     subs = [it for it in q if isinstance(it, infer.SubCt)]
     assert len(subs) == 2
     assert all(isinstance(it.constraint, DirtSub) for it in subs)
@@ -71,9 +69,9 @@ def test_gen_do_introduces_fresh_dirt_and_casts():
 def test_gen_variable_instantiates_scheme():
     ex = RunningExample()
     session = infer.Session(ex.sig)
-    env = {ex.f_var.id: (ex.f_var, ex.scheme)}
+    env = {ex.f_var.id: (ex.f_var, ex.poly_type)}
     v = source.SrcVar(ex.f_var)
-    a, q, s, term = infer.gen_value(session, [], env, v)
+    a, q, term = infer.gen_value(session, [], env, v)
     # One skeleton application, two type, two dirt, two coercion applications.
     count = {"sk": 0, "ty": 0, "di": 0, "co": 0}
     t = term
@@ -149,7 +147,7 @@ def test_let_schemes_repeat_no_qualifier(corpus_paths):
     for name, text in program_texts(corpus_paths):
         art = pipeline.compile_text(text, "noeff")
         for _, scheme in art.inferred.session.let_schemes:
-            cts = [ct for _, ct in scheme.qualifiers]
+            cts = qualifiers(scheme)
             assert len(cts) == len(set(cts)), name
 
 
@@ -163,7 +161,7 @@ def test_split_env_keeps_variable_free():
     w = sup.co()
     q = [infer.SkelAnn(a, sk), infer.SkelAnn(a2, sk), infer.SubCt(w, TySub(a, a2))]
     xv = sup.term("x")
-    env = {xv.id: (xv, monoscheme(a))}  # the environment mentions a
+    env = {xv.id: (xv, a)}  # the environment mentions a
     gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split(env, q, a2)
     assert [v for v, _ in ty_binders] == [a2]
     # The constraint still generalizes: its free variables are not all in the env.
@@ -259,12 +257,10 @@ def residual_env(sig, outcome_or_residual, extra_dirts=()):
 def _check_solved_coercions(text) -> int:
     """Typecheck every solved coercion of the final solve; returns how many."""
     sig, comp = source.parse_program(text)
-    session = infer.Session(sig)
-    session.supply.reserve_terms(infer._max_term_id(comp))
-    cty, q, s, term = infer.gen_comp(session, [], {}, comp)
-    originals = {it.co.id: it.constraint for it in q if isinstance(it, infer.SubCt)}
-    s2, residual = infer.solve(session, exeff.Subst(), [], q)
-    env = residual_env(sig, residual)
+    outcome = infer.infer_top(sig, comp)
+    originals = {it.co.id: it.constraint for it in outcome.generated if isinstance(it, infer.SubCt)}
+    s2 = outcome.subst
+    env = residual_env(sig, outcome.residual)
     # Dirt variables can occur in coercion ranges without a residual constraint.
     for wid, co in s2.co.items():
         for d in free_dirt_vars_of_coercion(co):
@@ -334,12 +330,15 @@ def test_skeleton_of_clauses():
 
 
 def test_elaborate_type_identity():
-    assert scheme_type(monoscheme(T_UNIT)) == T_UNIT
-    arrow = TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))
-    assert scheme_type(monoscheme(arrow)) == arrow
-    ex = RunningExample()
-
-    assert alpha_eq(scheme_type(ex.scheme), ex.poly_type)
+    # A let scheme is the bound value's ExEff type: a monomorphic one is the
+    # type itself, a polymorphic one its quantified type.
+    for text, want in (
+        ("let x = unit in return x", T_UNIT),
+        ("let f = fun g -> g unit in return unit", RunningExample().poly_type),
+    ):
+        _, _, outcome = _infer_text("effect Tick : Unit -> Unit\n" + text)
+        [(_, scheme)] = outcome.session.let_schemes
+        assert alpha_eq(scheme, want), text
 
 
 # -- whole-program inference ----------------------------------------------------------
@@ -351,7 +350,7 @@ def test_infer_running_example_scheme():
     assert len(outcome.session.let_schemes) == 1
     _, scheme = outcome.session.let_schemes[0]
     ex = RunningExample()
-    assert alpha_eq(scheme, ex.scheme)
+    assert alpha_eq(scheme, ex.poly_type)
 
 
 def test_infer_f_id_defaults_to_pure_unit():
@@ -422,7 +421,7 @@ def test_split_postconditions_extensionally_random():
         env = {}
         if rng.random() < 0.5:
             xv = sup.term("x")
-            env = {xv.id: (xv, monoscheme(rng.choice(tys)))}
+            env = {xv.id: (xv, rng.choice(tys))}
         gen_skel, ty_binders, gen_dirt, generalized, floated, merged = infer.split(env, q, a_res)
         env_ty = set()
         env_dirt = set()
@@ -477,8 +476,9 @@ def test_solver_skeleton_discipline():
 
 
 def test_elaborate_env_embeds_schemes():
-    ex = __import__("paper_examples").RunningExample()
-    core_env = Context(ex.sig).bind(ex.f_var, scheme_type(ex.scheme))
-
-    assert alpha_eq(core_env.term[ex.f_var.id], ex.poly_type)
-    assert Context(ex.sig).bind(ex.x, scheme_type(monoscheme(T_UNIT))).term[ex.x.id] == T_UNIT
+    # The elaborated let binds a value whose ExEff type is its scheme.
+    text = "effect Tick : Unit -> Unit\nlet f = fun g -> g unit in f (fun x -> return x)"
+    sig, comp = source.parse_program(text)
+    _, term, outcome = infer.infer_and_default(sig, comp)
+    [(_, scheme)] = outcome.session.let_schemes
+    assert alpha_eq(exeff.derive(Context(sig), term).of(term.val), scheme)

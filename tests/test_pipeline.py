@@ -41,7 +41,7 @@ def test_compile_reports_polymorphic_scheme():
     from paper_examples import RunningExample
     from effc.traverse import alpha_eq
 
-    assert alpha_eq(schemes[0][1], RunningExample().scheme)
+    assert alpha_eq(schemes[0][1], RunningExample().poly_type)
 
 
 def test_ill_typed_programs_fail_with_expected_classes():
@@ -191,7 +191,7 @@ def test_keyword_named_variables_round_trip():
 
 
 def test_every_node_class_has_a_notation_entry():
-    hand_written = {core.Dirt, core.Scheme}
+    hand_written = {core.Dirt}
     classes = [
         cls
         for mod in (core, exeff, skeleff, noeff)

@@ -22,7 +22,7 @@ from effc.core import (
 )
 from gen_helpers import make_signature
 
-from conftest import CORPUS, TESTS
+from conftest import CORPUS, TESTS, qualifiers
 
 HEADER = (
     "effect Tick : Unit -> Unit\n"
@@ -160,7 +160,7 @@ def test_let_poly_schemes_stay_small():
     # f_i carried 4i+2 qualifiers before: chains through variables that
     # occur in no type and no environment.
     for n in range(3, 21):
-        assert [len(scheme.qualifiers) for _, scheme in _let_schemes(let_poly(n))] == [2] * n, n
+        assert [len(qualifiers(scheme)) for _, scheme in _let_schemes(let_poly(n))] == [2] * n, n
 
 
 def test_let_poly_20_runs_on_every_backend():
@@ -174,9 +174,9 @@ def test_a_variable_in_the_environment_keeps_its_qualifier():
     # free in the environment, so f's scheme still constrains it.
     text = HEADER + "do k <- return (fun y -> let f = fun g -> g y in f (fun z -> return z)) in k unit\n"
     [(_, scheme)] = _let_schemes(text)
-    bound = {v.id for v, _ in scheme.ty_vars}
-    assert len(scheme.qualifiers) == 3
-    assert any(v.id not in bound for _, ct in scheme.qualifiers for v in traverse.free_vars(ct, TyVar))
+    free = traverse.free_vars(scheme, TyVar)
+    assert len(qualifiers(scheme)) == 3
+    assert any(v in free for ct in qualifiers(scheme) for v in traverse.free_vars(ct, TyVar))
 
 
 def _session_vars(n: int):
