@@ -35,11 +35,11 @@ def cmd_infer(args) -> int:
         cty, _, outcome = infer.infer_and_default(sig, comp)
     else:
         outcome = infer.infer_top(sig, comp)
-    print(f"type: {display.show_cty(display.canonicalize(outcome.cty))}")
+    print(f"type: {display.show(display.canonicalize(outcome.cty))}")
     for name, scheme in outcome.session.let_schemes:
-        print(f"let {name} : {display.show_scheme(display.canonicalize(scheme))}")
+        print(f"let {name} : {display.show(display.canonicalize(scheme))}")
     if args.defaulted:
-        print(f"defaulted: {display.show_cty(display.canonicalize(cty))}")
+        print(f"defaulted: {display.show(display.canonicalize(cty))}")
     return 0
 
 

@@ -152,10 +152,6 @@ class Supply:
     def term(self, name: str = "x") -> TermVar:
         return TermVar(self._take("term"), name)
 
-    def reserve_terms(self, above: int) -> None:
-        """Never issue term ids at or below `above` (for merging id spaces)."""
-        self._next["term"] = max(self._next["term"], above + 1)
-
 
 # ---------------------------------------------------------------------------
 # Base types and skeletons
@@ -314,7 +310,6 @@ class CompSub:
 
 
 SimpleConstraint = Union[TySub, DirtSub]
-ConstraintType = Union[TySub, DirtSub, CompSub]
 
 
 # ---------------------------------------------------------------------------

@@ -262,10 +262,6 @@ def show(node, prec: int = 0) -> str:
     return _PRINT[type(node)](node, prec)
 
 
-show_skeleton = show_cty = show_vty = show_scheme = show_value = show_comp = show
-show_sk_value = show_sk_comp = show_nty = show_nterm = show
-
-
 def _fill(pieces: list, t) -> str:
     parts = []
     for lit, name, prec in pieces:
@@ -540,9 +536,9 @@ _FRESH = {SkelVar: Supply.skel, TyVar: Supply.ty, DirtVar: Supply.dirt, CoVar: S
 
 
 class _Reader:
-    def __init__(self, text: str, supply: Optional[Supply]):
+    def __init__(self, text: str):
         self.ts = TokenStream(tokenize(text))
-        self.supply = supply or Supply()
+        self.supply = Supply()
         self.grammar = _grammar()
         self.env: dict = {}  # name -> the innermost binder of that name in scope
 
@@ -674,20 +670,20 @@ class _Reader:
         return Dirt(frozenset(ops), tail)
 
 
-def _read(text: str, cat, supply: Optional[Supply]):
-    r = _Reader(text, supply)
+def _read(text: str, cat):
+    r = _Reader(text)
     out = r.read(cat)
     r.ts.expect_eof()
     return out
 
 
-def read_exeff_comp(text: str, supply: Optional[Supply] = None):
-    return _read(text, exeff.Comp, supply)
+def read_exeff_comp(text: str):
+    return _read(text, exeff.Comp)
 
 
-def read_skeleff_comp(text: str, supply: Optional[Supply] = None):
-    return _read(text, skeleff.SkComp, supply)
+def read_skeleff_comp(text: str):
+    return _read(text, skeleff.SkComp)
 
 
-def read_noeff_term(text: str, supply: Optional[Supply] = None):
-    return _read(text, noeff.NTerm, supply)
+def read_noeff_term(text: str):
+    return _read(text, noeff.NTerm)

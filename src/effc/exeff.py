@@ -351,22 +351,13 @@ def wf_vty(env: Context, t: Union[ValueType, CompType]) -> Skeleton:
 # Reflexivity coercions
 
 
-def refl_of_dirt(d: Dirt) -> Coercion:
-    if d.tail is None:
-        co: Coercion = CoEmpty(EMPTY_DIRT)
-    else:
-        co = CoDirtRefl(Dirt(frozenset(), d.tail))
-    for op in sorted(d.ops, reverse=True):
-        co = CoOpUnion(op, co)
-    return co
-
-
 def refl_of(t) -> Coercion:
-    """A coercion witnessing t <= t, built by traversing the structure of t."""
+    """A coercion witnessing t <= t, built by traversing the structure of t.
+    A dirt's is one `CoDirtRefl`, so substitution commutes with it."""
     if isinstance(t, Dirt):
-        return refl_of_dirt(t)
+        return CoDirtRefl(t)
     if isinstance(t, CompType):
-        return CoComp(refl_of(t.val), refl_of_dirt(t.dirt))
+        return CoComp(refl_of(t.val), CoDirtRefl(t.dirt))
     if isinstance(t, TyVar):
         return CoTyRefl(t)
     if isinstance(t, TBase):
@@ -390,9 +381,9 @@ def refl_of(t) -> Coercion:
 # Substitution
 
 # A four-sorted substitution instantiating skeleton, type, dirt and coercion
-# variables, applied by `traverse.substitute`.  Replacing a type or dirt
-# variable under a reflexivity coercion rewrites the coercion via refl_of, so
-# coercions stay well-formed.
+# variables, applied by `traverse.substitute`.  Replacing a type variable
+# under a `CoTyRefl` rewrites the coercion via refl_of, so coercions stay
+# well-formed; a `CoDirtRefl` holds a whole dirt and substitutes it in place.
 
 
 class Subst:
@@ -448,11 +439,6 @@ def subst_dirt(s: Subst, d: Dirt) -> Dirt:
 @subst_hook(CoTyRefl)
 def _subst_co_ty_refl(s: Subst, co: CoTyRefl) -> Coercion:
     return refl_of(s.ty[co.var.id]) if co.var.id in s.ty else co
-
-
-@subst_hook(CoDirtRefl)
-def _subst_co_dirt_refl(s: Subst, co: CoDirtRefl) -> Coercion:
-    return refl_of_dirt(subst_dirt(s, co.dirt))
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +880,7 @@ REDUCTION = Reduction(RULES, is_comp_result, lambda c: "stuck computation (metat
 VALUE_REDUCTION = Reduction(RULES, is_value_result, lambda v: "stuck value (metatheory violation)")
 
 # One relation steps values and computations; None when the term is a result.
-step_comp = step_value = REDUCTION.step
+step_comp = REDUCTION.step
 
 
 @dataclass

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import exeff, source
+from . import display, exeff, source
 from .core import (
     Base,
     CompType,
@@ -55,15 +55,13 @@ from .core import (
 )
 from .exeff import (
     CoComp,
-    CoDirtRefl,
     CoEmpty,
     CoOpUnion,
-    CoTyRefl,
     CoVarRef,
     Subst,
     refl_of,
 )
-from .traverse import free_vars, rename, subst_term, substitute
+from .traverse import free_vars, subst_term, substitute
 
 # ---------------------------------------------------------------------------
 # Constraint items
@@ -103,13 +101,15 @@ def subst_item(s: Subst, item):
 
 
 class Session:
-    """One inference run: owns the fresh supply, the skeleton annotations and
-    `solved`, the solutions of the lets solved so far, composed in the order
-    they were solved."""
+    """One inference run: owns the supply of fresh skeleton, type, dirt and
+    coercion variables (term variables are the parser's: elaboration reuses
+    the source binders), the skeleton annotations and `solved`, the
+    solutions of the lets solved so far, composed in the order they were
+    solved."""
 
-    def __init__(self, sig: Signature, supply: Optional[Supply] = None):
+    def __init__(self, sig: Signature):
         self.sig = sig
-        self.supply = supply or Supply()
+        self.supply = Supply()
         self.ann: dict = {}  # type-variable id -> current skeleton annotation
         self._ann_uses: dict = {}  # skeleton-variable id -> {type-variable id: None}
         self.solved = Subst()
@@ -272,7 +272,7 @@ def collapse(session: Session, sigma: Subst, env: dict, a: ValueType, Q: list) -
                 step.co[it.co.id] = refl_of(it.constraint.lhs)
             else:
                 rest.append(it)
-        s_round, Q = solve(session, step, [], rest)
+        s_round, Q = solve(session, step, rest)
         if len(s_round.skel) + len(s_round.ty) + len(s_round.dirt) != 1:
             raise AssertionError("re-solving a collapsed residual bound a variable")
         s = s.then(s_round)
@@ -307,12 +307,12 @@ class _SolveState:
        walk.
     """
 
-    def __init__(self, session: Session, processed: list, queue: list):
+    def __init__(self, session: Session, queue: list):
         self.session = session
         self.sigma = Subst()
         self.uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
         self.co: dict = {}
-        self.P = list(processed)
+        self.P: list = []
         self.Q = deque(queue)
 
     def pop(self):
@@ -356,7 +356,7 @@ class _SolveState:
         return out
 
 
-def solve(session: Session, sigma: Subst, processed: list, queue: list) -> tuple:
+def solve(session: Session, sigma: Subst, queue: list) -> tuple:
     """Process the constraint queue; returns (substitution, residual items).
 
     Queue discipline is FIFO; whenever a substitution can affect already
@@ -364,7 +364,7 @@ def solve(session: Session, sigma: Subst, processed: list, queue: list) -> tuple
     invariants stated on `_SolveState`: solutions composed incrementally,
     items substituted when popped, coercion solutions resolved once here.
     """
-    st = _SolveState(session, processed, queue)
+    st = _SolveState(session, queue)
     while st.Q:
         item = st.pop()
         if isinstance(item, SkelEq):
@@ -407,7 +407,7 @@ def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
     if isinstance(t1, SkelHandler) and isinstance(t2, SkelHandler):
         st.prepend([SkelEq(t1.dom, t2.dom), SkelEq(t1.cod, t2.cod)])
         return
-    raise SkeletonClash(f"skeletons do not unify: {t1!r} vs {t2!r}", item)
+    raise SkeletonClash(f"skeletons do not unify: {display.show(t1)} vs {display.show(t2)}", item)
 
 
 def _solve_skel_ann(st: _SolveState, item: SkelAnn) -> None:
@@ -436,7 +436,7 @@ def _solve_skel_ann(st: _SolveState, item: SkelAnn) -> None:
         st.apply_all(Subst.one_ty(a, repl))
         st.prepend([SkelAnn(a1, sk.dom), SkelAnn(a2, sk.cod)])
         return
-    raise SolveError(f"cannot instantiate a type variable at skeleton {sk!r}", item)
+    raise SolveError(f"cannot instantiate a type variable at skeleton {display.show(sk)}", item)
 
 
 def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
@@ -491,7 +491,9 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
             ]
         )
         return
-    raise SkeletonClash(f"value types have incompatible shapes: {a1!r} vs {a2!r}", item, item.span)
+    raise SkeletonClash(
+        f"value types have incompatible shapes: {display.show(a1)} vs {display.show(a2)}", item, item.span
+    )
 
 
 def _fold_ops(ops, co):
@@ -671,23 +673,23 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
                 v.span,
             )
         )
-        fresh_k = sup.term(cl.kont.name)
-        body = subst_term(exeff.ECast(exeff.EVar(fresh_k), CoVarRef(w5)), cl.kont, cl_body)
+        # The clause's own binder names the uncast continuation: `subst_term`
+        # leaves the value it inserts as it is.
+        body = subst_term(exeff.ECast(exeff.EVar(cl.kont), CoVarRef(w5)), cl.kont, cl_body)
         body = exeff.CCast(body, CoComp(CoVarRef(w3), CoVarRef(w4)))
-        clause_terms.append(exeff.OpClause(cl.op, cl.param, fresh_k, body))
+        clause_terms.append(exeff.OpClause(cl.op, cl.param, cl.kont, body))
     new_items.append(SubCt(w6, TySub(a_in, a_r), v.span))
     new_items.append(
         SubCt(w7, DirtSub(dirt_var(d_in), dirt_add(ops, dirt_var(d_out))), v.span)
     )
 
-    fresh_y = sup.term(v.ret_var.name)
-    ret = subst_term(exeff.ECast(exeff.EVar(fresh_y), CoVarRef(w6)), v.ret_var, ret_body)
+    ret = subst_term(exeff.ECast(exeff.EVar(v.ret_var), CoVarRef(w6)), v.ret_var, ret_body)
     ret = exeff.CCast(ret, CoComp(CoVarRef(w1), CoVarRef(w2)))
 
-    handler = exeff.EHandler(fresh_y, a_in, ret, tuple(clause_terms))
+    handler = exeff.EHandler(v.ret_var, a_in, ret, tuple(clause_terms))
     cast = exeff.CoHandler(
-        CoComp(CoTyRefl(a_in), CoVarRef(w7)),
-        CoComp(CoTyRefl(a_out), CoDirtRefl(dirt_var(d_out))),
+        CoComp(refl_of(a_in), CoVarRef(w7)),
+        refl_of(CompType(a_out, dirt_var(d_out))),
     )
     result = exeff.ECast(handler, cast)
     h_ty = THandler(CompType(a_in, dirt_var(d_in)), CompType(a_out, dirt_var(d_out)))
@@ -717,7 +719,7 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         # by this scheme.
         a, Qv, v1 = gen_value(session, [], env, c.val)
         solved = session.solved
-        local, Qv = solve(session, Subst(), [], [subst_item(solved, it) for it in Qv])
+        local, Qv = solve(session, Subst(), [subst_item(solved, it) for it in Qv])
         env1 = {vid: (var, substitute(local, substitute(solved, t))) for vid, (var, t) in env.items()}
         a1 = substitute(local, substitute(solved, a))
         local, Qv = collapse(session, local, env1, a1, Qv)
@@ -750,7 +752,7 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
             SubCt(w, TySub(a1, sig_op.param), c.span),
             SubCt(w_k, DirtSub(cty2.dirt, out_dirt), c.span),
         ]
-        body = exeff.CCast(body, CoComp(_refl(session, cty2.val), CoVarRef(w_k)))
+        body = exeff.CCast(body, CoComp(refl_of(cty2.val), CoVarRef(w_k)))
         term = exeff.COp(c.op, exeff.ECast(v1, CoVarRef(w)), c.var, sig_op.result, body)
         return CompType(cty2.val, out_dirt), items + Q2, term
     if isinstance(c, source.SrcDo):
@@ -763,8 +765,8 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
             SubCt(w1, DirtSub(cty1.dirt, dirt_var(d)), c.span),
             SubCt(w2, DirtSub(cty2.dirt, dirt_var(d)), c.span),
         ]
-        first = exeff.CCast(c1, CoComp(_refl(session, cty1.val), CoVarRef(w1)))
-        second = exeff.CCast(c2, CoComp(_refl(session, cty2.val), CoVarRef(w2)))
+        first = exeff.CCast(c1, CoComp(refl_of(cty1.val), CoVarRef(w1)))
+        second = exeff.CCast(c2, CoComp(refl_of(cty2.val), CoVarRef(w2)))
         return CompType(cty2.val, dirt_var(d)), items + Q2, exeff.CDo(c.var, first, second)
     if isinstance(c, source.SrcHandle):
         a1, Q1, v1 = gen_value(session, Q, env, c.handler)
@@ -790,14 +792,6 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
     raise TypeError(c)
 
 
-def _refl(session: Session, t: ValueType):
-    """The reflexivity coercion of `t` as solved so far.  It is built from the
-    solved type: substituting a solution into a reflexive dirt coercion puts
-    the solution's operations after the ones already there, where `refl_of`
-    of the solved type sorts them all."""
-    return refl_of(substitute(session.solved, t))
-
-
 # ---------------------------------------------------------------------------
 # Top-level driver: inference, then defaulting of residual constraints
 
@@ -812,26 +806,12 @@ class InferOutcome:
     generated: list  # constraint queue as handed to the final solve
 
 
-def _max_term_id(c) -> int:
-    ids = [-1]
-
-    def note(v: TermVar) -> TermVar:
-        ids.append(v.id)
-        return v
-
-    rename(c, note)
-    return max(ids)
-
-
-def infer_top(sig: Signature, comp, supply: Optional[Supply] = None) -> InferOutcome:
+def infer_top(sig: Signature, comp) -> InferOutcome:
     """Infer a type for the main computation and elaborate it."""
-    session = Session(sig, supply)
-    # The source term carries binder identities from its own supply; fresh
-    # term variables must not collide with them.
-    session.supply.reserve_terms(_max_term_id(comp))
+    session = Session(sig)
     cty, Q, term = gen_comp(session, [], {}, comp)
     generated = [subst_item(session.solved, it) for it in Q]
-    s2, residual = solve(session, Subst(), [], generated)
+    s2, residual = solve(session, Subst(), generated)
     s = session.solved.then(s2)
     return InferOutcome(
         cty=substitute(s, cty),
@@ -854,7 +834,7 @@ def _fill_skeleton(sk: Skeleton) -> ValueType:
             CompType(_fill_skeleton(sk.dom), EMPTY_DIRT),
             CompType(_fill_skeleton(sk.cod), EMPTY_DIRT),
         )
-    raise TypeError(f"cannot fill non-ground skeleton {sk!r}")
+    raise TypeError(f"cannot fill non-ground skeleton {display.show(sk)}")
 
 
 def default_residual(outcome: InferOutcome) -> Subst:
@@ -886,14 +866,14 @@ def default_residual(outcome: InferOutcome) -> Subst:
         for it in outcome.residual
         if isinstance(it, SubCt)
     ]
-    s_rest, leftover = solve(session, Subst(), [], ground_items)
+    s_rest, leftover = solve(session, Subst(), ground_items)
     assert not leftover, "defaulted residual constraints must solve completely"
     return s.then(s_rest)
 
 
-def infer_and_default(sig: Signature, comp, supply: Optional[Supply] = None) -> tuple:
+def infer_and_default(sig: Signature, comp) -> tuple:
     """Infer, then ground all residual variables; returns (CompType, core term, outcome)."""
-    outcome = infer_top(sig, comp, supply)
+    outcome = infer_top(sig, comp)
     d = default_residual(outcome)
     cty = substitute(d, outcome.cty)
     term = substitute(d, outcome.term)

@@ -62,11 +62,6 @@ from .traverse import (
 )
 
 
-def nonempty_dirt(d: Dirt) -> bool:
-    """Conservative non-emptiness: dirt variables count as non-empty."""
-    return bool(d.ops) or d.tail is not None
-
-
 # ---------------------------------------------------------------------------
 # Types and coercion types
 
@@ -512,7 +507,7 @@ def elab_vty(t: ValueType) -> NType:
     if isinstance(t, TArrow):
         return NArrow(elab_vty(t.dom), elab_cty(t.cod))
     if isinstance(t, THandler):
-        if not nonempty_dirt(t.dom.dirt):
+        if t.dom.dirt.is_empty():
             # Handlers whose input is pure elaborate to functions.
             return NArrow(elab_vty(t.dom.val), elab_cty(t.cod))
         return NHandler(elab_vty(t.dom.val), elab_vty(t.cod.val))
@@ -529,7 +524,7 @@ def elab_vty(t: ValueType) -> NType:
 
 def elab_cty(c: CompType) -> NType:
     a = elab_vty(c.val)
-    return NComp(a) if nonempty_dirt(c.dirt) else a
+    return a if c.dirt.is_empty() else NComp(a)
 
 
 def elab_constraint(ct: TySub) -> NSub:
@@ -545,13 +540,13 @@ def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impur
 
     def comp(d: Dirt, val: NCoercion) -> NCoercion:
         # The value part's bridge inside a computation of impure dirt `d`.
-        if nonempty_dirt(exeff.subst_dirt(Subst.one_dirt(delta, inst), d)):
+        if not exeff.subst_dirt(Subst.one_dirt(delta, inst), d).is_empty():
             return NCoComp(val)
         return NCoUnsafe(val) if from_impure else NCoReturn(val)
 
     if isinstance(t, CompType):
         val = bridge(t.val, delta, inst, from_impure)
-        return comp(t.dirt, val) if nonempty_dirt(t.dirt) else val
+        return val if t.dirt.is_empty() else comp(t.dirt, val)
     if isinstance(t, TBase):
         return NCoBaseRefl(t.base)
     if isinstance(t, TyVar):
@@ -562,12 +557,12 @@ def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impur
             bridge(t.cod, delta, inst, from_impure),
         )
     if isinstance(t, THandler):
-        if not nonempty_dirt(t.dom.dirt):
+        if t.dom.dirt.is_empty():
             return NCoArrow(
                 bridge(t.dom.val, delta, inst, not from_impure),
                 bridge(t.cod, delta, inst, from_impure),
             )
-        if nonempty_dirt(exeff.subst_dirt(Subst.one_dirt(delta, inst), t.dom.dirt)):
+        if not exeff.subst_dirt(Subst.one_dirt(delta, inst), t.dom.dirt).is_empty():
             return NCoHandler(
                 bridge(t.dom, delta, inst, not from_impure),
                 NCoComp(bridge(t.cod.val, delta, inst, from_impure)),
@@ -628,11 +623,11 @@ def elab_co(derived: exeff.Derivation, co: exeff.Coercion) -> NCoercion:
         ct = derived.of(co)
         d1, d2 = ct.lhs.dirt, ct.rhs.dirt
         val = elab_co(derived, co.val)
-        if not nonempty_dirt(d1) and not nonempty_dirt(d2):
+        if d1.is_empty() and d2.is_empty():
             return val
-        if not nonempty_dirt(d1):
+        if d1.is_empty():
             return NCoReturn(val)
-        if nonempty_dirt(d2):
+        if not d2.is_empty():
             return NCoComp(val)
         raise ElaborationError("computation coercion from impure to pure dirt")
     raise TypeError(co)
@@ -641,19 +636,19 @@ def elab_co(derived: exeff.Derivation, co: exeff.Coercion) -> NCoercion:
 def _elab_handler_co(derived: exeff.Derivation, co: CoHandler) -> NCoercion:
     ct = derived.of(co)
     d_src_in, d_tgt_in = ct.lhs.dom.dirt, ct.rhs.dom.dirt
-    if not nonempty_dirt(d_src_in) and not nonempty_dirt(d_tgt_in):
+    if d_src_in.is_empty() and d_tgt_in.is_empty():
         return NCoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
-    if nonempty_dirt(d_src_in) and nonempty_dirt(d_tgt_in):
+    if not d_src_in.is_empty() and not d_tgt_in.is_empty():
         if not isinstance(co.cod, CoComp):
             raise ElaborationError("handler coercion codomain must be a computation coercion")
         return NCoHandler(elab_co(derived, co.dom), NCoComp(elab_co(derived, co.cod.val)))
-    if nonempty_dirt(d_src_in) and not nonempty_dirt(d_tgt_in):
+    if not d_src_in.is_empty() and d_tgt_in.is_empty():
         # Handler-typed source, function-typed target.
         if not (isinstance(co.dom, CoComp) and isinstance(co.cod, CoComp)):
             raise ElaborationError("handler coercion components must be computation coercions")
         arg = elab_co(derived, co.dom.val)
         res = elab_co(derived, co.cod.val)
-        if nonempty_dirt(ct.rhs.cod.dirt):
+        if not ct.rhs.cod.dirt.is_empty():
             return NCoHandToFun(arg, NCoComp(res))
         return NCoHandToFun(arg, NCoUnsafe(res))
     raise ElaborationError(
@@ -702,11 +697,11 @@ def _elab_handler(derived: exeff.Derivation, v: exeff.EHandler) -> NTerm:
     h_ty = derived.of(v)
     a_in = elab_vty(v.ret_ty)
     t_r = elab_comp(derived, v.ret_body)
-    if not nonempty_dirt(h_ty.dom.dirt):
+    if h_ty.dom.dirt.is_empty():
         # Pure input: the handler becomes a plain function on the return value.
         return MAbs(v.ret_var, a_in, t_r)
 
-    if not nonempty_dirt(h_ty.cod.dirt):
+    if h_ty.cod.dirt.is_empty():
         # Impure input but pure output: clause bodies elaborate pure, so wrap
         # them in return and strip the spurious return from continuations.
         b_out = elab_vty(h_ty.cod.val)
@@ -739,16 +734,16 @@ def elab_comp(derived: exeff.Derivation, c: exeff.Comp) -> NTerm:
     if isinstance(c, exeff.CDo):
         t1 = elab_comp(derived, c.first)
         t2 = elab_comp(derived, c.second)
-        if nonempty_dirt(derived.of(c.first).dirt):
+        if not derived.of(c.first).dirt.is_empty():
             return MDo(c.var, t1, t2)
         return MLet(c.var, t1, t2)
     if isinstance(c, exeff.CHandle):
         h_ty = derived.of(c.handler)
         t_v = elab_value(derived, c.handler)
         t_c = elab_comp(derived, c.body)
-        if not nonempty_dirt(h_ty.dom.dirt):
+        if h_ty.dom.dirt.is_empty():
             return MApp(t_v, t_c)
-        if nonempty_dirt(h_ty.cod.dirt):
+        if not h_ty.cod.dirt.is_empty():
             return MHandle(t_v, t_c)
         return MCast(MHandle(t_v, t_c), NCoUnsafe(refl_nty(elab_vty(h_ty.cod.val))))
     if isinstance(c, exeff.CCast):

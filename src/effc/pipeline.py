@@ -33,14 +33,11 @@ BACKENDS = ("exeff", "skeleff", "noeff")
 @dataclass
 class PipelineArtifacts:
     source_sig: Signature
-    source_comp: object
     inferred: Optional[infer.InferOutcome] = None
     cty: Optional[CompType] = None
     exeff_term: Optional[object] = None
     skeleff_term: Optional[object] = None
-    skeleff_type: Optional[object] = None
     noeff_term: Optional[object] = None
-    noeff_type: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         raise ValueError(f"unknown stage {stage!r}")
     sig, comp = source.parse_program(text)
     source.check_signature(sig)
-    art = PipelineArtifacts(sig, comp)
+    art = PipelineArtifacts(sig)
 
     cty, term, outcome = infer.infer_and_default(sig, comp)
     art.inferred = outcome
@@ -86,7 +83,6 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         if not alpha_eq(sk_ty, skeleton({}, cty)):
             raise TypecheckError("erased term does not re-typecheck at the erased type")
         art.skeleff_term = sk
-        art.skeleff_type = sk_ty
     if stage == "noeff":
         nterm = noeff.elab_comp(derived, term)
         nty = noeff.typecheck_noeff(Context(sig.map(noeff.elab_vty)), nterm)
@@ -94,7 +90,6 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         if not alpha_eq(nty, want):
             raise TypecheckError("elaborated pure term does not re-typecheck at the elaborated type")
         art.noeff_term = nterm
-        art.noeff_type = nty
     return art
 
 

@@ -138,9 +138,9 @@ _VALUE_START_WORDS = ("unit", "fun", "handler")
 
 
 class _Parser:
-    def __init__(self, text: str, supply: Optional[Supply] = None):
+    def __init__(self, text: str):
         self.ts = TokenStream(tokenize(text))
-        self.supply = supply or Supply()
+        self.supply = Supply()
         self.sig = Signature()
 
     # -- programs ----------------------------------------------------------
@@ -345,9 +345,9 @@ class _Parser:
         return SrcHandler(ret_var, ret_body, tuple(clauses), span=span)
 
 
-def parse_program(text: str, supply: Optional[Supply] = None) -> tuple:
+def parse_program(text: str) -> tuple:
     """Parse a whole program: effect declarations, then one computation."""
-    return _Parser(text, supply).parse_program()
+    return _Parser(text).parse_program()
 
 
 # ---------------------------------------------------------------------------

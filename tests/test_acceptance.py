@@ -77,8 +77,8 @@ def test_criterion_1_golden_scheme():
     (_, scheme), = outcome.session.let_schemes
     want = RunningExample().poly_type
     assert alpha_eq(scheme, want)
-    canon = display.show_scheme(display.canonicalize(scheme))
-    assert canon == display.show_scheme(display.canonicalize(want))
+    canon = display.show(display.canonicalize(scheme))
+    assert canon == display.show(display.canonicalize(want))
     report(1, f"inference yields the golden polymorphic scheme {canon}")
 
 
@@ -303,15 +303,15 @@ def test_criterion_9_golden_displays():
 
     got = {
         "running_target.txt": "\n".join(
-            [display.show_value(C(ex.poly_value)), display.show_vty(C(ex.poly_type))]
+            [display.show(C(ex.poly_value)), display.show(C(ex.poly_type))]
         )
         + "\n",
         "running_erasure.txt": "\n".join(
             [
-                display.show_sk_value(C(skeleff.erase_value(sub, ex.poly_value))),
-                display.show_skeleton(C(skeleton({}, ex.poly_type))),
-                display.show_sk_comp(C(skeleff.erase_comp(dict(sub), ex.app_id()))),
-                display.show_sk_comp(C(skeleff.erase_comp(dict(sub), ex.app_tick()))),
+                display.show(C(skeleff.erase_value(sub, ex.poly_value))),
+                display.show(C(skeleton({}, ex.poly_type))),
+                display.show(C(skeleff.erase_comp(dict(sub), ex.app_id()))),
+                display.show(C(skeleff.erase_comp(dict(sub), ex.app_tick()))),
             ]
         )
         + "\n",
@@ -326,10 +326,10 @@ def test_criterion_9_golden_displays():
     got["running_noeff.txt"] = (
         "\n".join(
             [
-                display.show_nterm(C(npoly)),
-                display.show_nty(C(na)),
-                display.show_nterm(C(napp_id)),
-                display.show_nterm(C(napp_tick)),
+                display.show(C(npoly)),
+                display.show(C(na)),
+                display.show(C(napp_id)),
+                display.show(C(napp_tick)),
             ]
         )
         + "\n"
@@ -338,9 +338,9 @@ def test_criterion_9_golden_displays():
     got["erasure_discussion.txt"] = (
         "\n".join(
             [
-                display.show_comp(C(c1)),
-                display.show_comp(C(c2)),
-                display.show_sk_comp(C(skeleff.normalize_full(skeleff.erase_comp({}, c1)))),
+                display.show(C(c1)),
+                display.show(C(c2)),
+                display.show(C(skeleff.normalize_full(skeleff.erase_comp({}, c1)))),
             ]
         )
         + "\n"

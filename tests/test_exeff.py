@@ -9,6 +9,7 @@ from effc.core import (
     Base,
     CompType,
     Context,
+    Dirt,
     DirtSub,
     EMPTY_DIRT,
     Signature,
@@ -23,7 +24,7 @@ from effc.core import (
     dirt_var,
 )
 from effc.traverse import alpha_eq
-from gen_helpers import make_signature, random_ty_pair
+from gen_helpers import make_signature, random_cty, random_dirt, random_ty_pair, random_vty
 from paper_examples import RunningExample, erasure_discussion_pair, tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
@@ -123,12 +124,12 @@ def test_refl_table():
     arrow = TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT))
     assert exeff.refl_of(arrow) == exeff.CoArrow(
         exeff.CoBaseRefl(Base.UNIT),
-        exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT)),
+        exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoDirtRefl(EMPTY_DIRT)),
     )
     sup = Supply()
     d = sup.dirt()
     got = exeff.refl_of(dirt(["Tick"], d))
-    assert got == exeff.CoOpUnion("Tick", exeff.CoDirtRefl(dirt_var(d)))
+    assert got == exeff.CoDirtRefl(dirt(["Tick"], d))
 
 
 def test_refl_typechecks_at_identity():
@@ -157,7 +158,33 @@ def test_subst_dirt_refl_normalizes():
     sup = Supply()
     d = sup.dirt()
     got = exeff.substitute(exeff.Subst.one_dirt(d, EMPTY_DIRT), exeff.CoDirtRefl(dirt_var(d)))
-    assert got == exeff.CoEmpty(EMPTY_DIRT)
+    assert got == exeff.CoDirtRefl(EMPTY_DIRT)
+
+
+def _open_dirts(rng, t, tails):
+    """`t` with a tail drawn from `tails` put on each of its dirts."""
+    if isinstance(t, TArrow):
+        return TArrow(_open_dirts(rng, t.dom, tails), _open_dirts(rng, t.cod, tails))
+    if isinstance(t, CompType):
+        return CompType(_open_dirts(rng, t.val, tails), Dirt(t.dirt.ops, rng.choice(tails)))
+    return t
+
+
+def test_refl_commutes_with_substitution():
+    sup = Supply()
+    d0, d1 = sup.dirt(), sup.dirt()
+    s = exeff.Subst.one_dirt(d0, dirt(["Get"], d1))
+    got = exeff.substitute(s, exeff.refl_of(dirt(["Tick"], d0)))
+    assert got == exeff.refl_of(dirt(["Get", "Tick"], d1))
+
+    rng = random.Random(11)
+    tails = [None] + [sup.dirt() for _ in range(3)]
+    for _ in range(300):
+        t = random_vty(rng, 4) if rng.random() < 0.5 else random_cty(rng, 4)
+        t = _open_dirts(rng, t, tails)
+        picked = [v for v in tails[1:] if rng.random() < 0.6]
+        s = exeff.Subst(dirt={v.id: Dirt(random_dirt(rng).ops, rng.choice(tails)) for v in picked})
+        assert exeff.substitute(s, exeff.refl_of(t)) == exeff.refl_of(exeff.substitute(s, t)), t
 
 
 def test_subst_skeleton_under_type_binder():
@@ -278,7 +305,7 @@ def test_push_application_rule():
 def test_section_6_2_beta_step():
     c1, c2 = erasure_discussion_pair()
     stepped = exeff.step_comp(c1)
-    assert display.show_comp(display.canonicalize(stepped)) == display.show_comp(
+    assert display.show(display.canonicalize(stepped)) == display.show(
         display.canonicalize(c2)
     )
 
@@ -355,7 +382,7 @@ def test_value_push_rules():
     lam = exeff.ESkelAbs(sk, exeff.EAbs(x, T_UNIT, exeff.CReturn(exeff.EVar(x))))
     co = exeff.CoForallSkel(sk, _arrow_co())
     v = exeff.ESkelApp(exeff.ECast(lam, co), SK_UNIT)
-    stepped = exeff.step_value(v)
+    stepped = exeff.step_comp(v)
     assert stepped == exeff.ECast(exeff.ESkelApp(lam, SK_UNIT), _arrow_co())
 
     # Push a type-forall cast; the coercion is instantiated alongside.
@@ -363,7 +390,7 @@ def test_value_push_rules():
     lam2 = exeff.ETyAbs(a, SK_UNIT, exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT)))
     co2 = exeff.CoForallTy(a, SK_UNIT, exeff.CoTyRefl(a))
     v2 = exeff.ETyApp(exeff.ECast(lam2, co2), T_UNIT)
-    stepped2 = exeff.step_value(v2)
+    stepped2 = exeff.step_comp(v2)
     assert stepped2 == exeff.ECast(exeff.ETyApp(lam2, T_UNIT), exeff.CoBaseRefl(Base.UNIT))
 
     # Push a dirt-forall cast.
@@ -371,7 +398,7 @@ def test_value_push_rules():
     lam3 = exeff.EDirtAbs(d, exeff.EUnit())
     co3 = exeff.CoForallDirt(d, exeff.CoBaseRefl(Base.UNIT))
     v3 = exeff.EDirtApp(exeff.ECast(lam3, co3), EMPTY_DIRT)
-    assert exeff.step_value(v3) == exeff.ECast(
+    assert exeff.step_comp(v3) == exeff.ECast(
         exeff.EDirtApp(lam3, EMPTY_DIRT), exeff.CoBaseRefl(Base.UNIT)
     )
 
@@ -381,7 +408,7 @@ def test_value_push_rules():
     lam4 = exeff.ECoAbs(w, pi, exeff.EUnit())
     co4 = exeff.CoQual(pi, exeff.CoBaseRefl(Base.UNIT))
     v4 = exeff.ECoApp(exeff.ECast(lam4, co4), exeff.CoBaseRefl(Base.UNIT))
-    assert exeff.step_value(v4) == exeff.ECast(
+    assert exeff.step_comp(v4) == exeff.ECast(
         exeff.ECoApp(lam4, exeff.CoBaseRefl(Base.UNIT)), exeff.CoBaseRefl(Base.UNIT)
     )
 

@@ -176,7 +176,7 @@ def test_split_env_keeps_variable_free():
 
 def _solve_items(items, sig=None):
     session = infer.Session(sig or make_signature())
-    return session, *infer.solve(session, exeff.Subst(), [], items)
+    return session, *infer.solve(session, exeff.Subst(), items)
 
 
 def test_solve_open_open_dirt_instantiates_tail():
@@ -185,7 +185,7 @@ def test_solve_open_open_dirt_instantiates_tail():
     d1, d2 = sup.dirt(), sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(dirt(["Tick"], d1), dirt(["Tock"], d2)))]
-    s, residual = infer.solve(session, exeff.Subst(), [], items)
+    s, residual = infer.solve(session, exeff.Subst(), items)
     repl = s.dirt[d2.id]
     assert repl.ops == frozenset(["Tick"]) and repl.tail is not None
     co = s.co[w.id]
@@ -202,7 +202,7 @@ def test_solve_empty_below_anything():
     d = sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(EMPTY_DIRT, dirt(["Tick"], d)))]
-    s, residual = infer.solve(session, exeff.Subst(), [], items)
+    s, residual = infer.solve(session, exeff.Subst(), items)
     assert residual == []
     assert s.co[w.id] == exeff.CoEmpty(dirt(["Tick"], d))
 
@@ -213,7 +213,7 @@ def test_solve_var_below_empty():
     d = sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(dirt_var(d), EMPTY_DIRT))]
-    s, residual = infer.solve(session, exeff.Subst(), [], items)
+    s, residual = infer.solve(session, exeff.Subst(), items)
     assert residual == []
     assert s.dirt[d.id] == EMPTY_DIRT
     assert s.co[w.id] == exeff.CoEmpty(EMPTY_DIRT)
@@ -224,7 +224,7 @@ def test_solve_closed_dirt_clash():
     w = session.supply.co()
     items = [infer.SubCt(w, DirtSub(dirt(["Tick"]), dirt(["Tock"])))]
     with pytest.raises(DirtClash):
-        infer.solve(session, exeff.Subst(), [], items)
+        infer.solve(session, exeff.Subst(), items)
 
 
 def residual_env(sig, outcome_or_residual, extra_dirts=()):
@@ -468,7 +468,7 @@ def test_solver_skeleton_discipline():
     a = session.fresh_ty(sk)
     w = session.supply.co()
     items = [infer.SkelAnn(a, sk), infer.SubCt(w, TySub(a, T_UNIT))]
-    s, residual = infer.solve(session, exeff.Subst(), [], items)
+    s, residual = infer.solve(session, exeff.Subst(), items)
     assert s.skel[sk.id] == SkelBase(Base.UNIT)
     assert s.ty[a.id] == T_UNIT
     assert residual == []

@@ -55,11 +55,12 @@ def _elab_value(env, v):
 
 
 def test_nonempty_dirt():
+    # NoEff reads a dirt variable as possibly non-empty.
     sup = Supply()
-    assert not noeff.nonempty_dirt(EMPTY_DIRT)
-    assert noeff.nonempty_dirt(dirt_var(sup.dirt()))
-    assert noeff.nonempty_dirt(dirt(["Tick"], sup.dirt()))
-    assert noeff.nonempty_dirt(dirt(["Tick"]))
+    assert EMPTY_DIRT.is_empty()
+    assert not dirt_var(sup.dirt()).is_empty()
+    assert not dirt(["Tick"], sup.dirt()).is_empty()
+    assert not dirt(["Tick"]).is_empty()
 
 
 def test_elab_cty_pure_and_impure():
@@ -204,7 +205,7 @@ def test_elab_running_monomorphic_function():
 def test_elab_running_polymorphic_function(golden_dir):
     ex = RunningExample()
     t = _elab_value(Context(ex.sig), ex.poly_value)
-    text = display.show_nterm(display.canonicalize(t))
+    text = display.show(display.canonicalize(t))
     assert text == (
         "tyfun a0. tyfun a1. cofun (w0 : a0 <= a1). "
         "fun (g : Unit -> Comp a0) -> g unit |> comp(w0)"
@@ -215,7 +216,7 @@ def test_elab_app_id_produces_paper_coercions():
     ex = RunningExample()
     app = ex.app_id()
     t = noeff.elab_comp(exeff.derive(ex.env(), app), app)
-    text = display.show_nterm(display.canonicalize(t))
+    text = display.show(display.canonicalize(t))
     assert "(<Unit> -> return(<Unit>)) -> comp(<Unit>)" in text
     assert "(<Unit> -> <Unit>) -> unsafe(<Unit>)" in text
     # The pure identity loses its return.

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -108,7 +109,7 @@ def test_corpus_expectations(corpus_paths):
         rep = pipeline.differential_check(str(path), check_each_step=False)
         art = pipeline.compile_path(str(path), "infer")
         want = expected[path.name]
-        assert display.show_cty(display.canonicalize(art.cty)) == want["type"], path.name
+        assert display.show(display.canonicalize(art.cty)) == want["type"], path.name
         assert str(rep.observations["exeff"]) == want["observation"], path.name
 
 
@@ -133,7 +134,7 @@ def generated_dump_digests(corpus_paths, count: int = 300) -> dict:
         stages = ("exeff", "noeff", "skeleff", "constraints")
         dumps = {stage: pipeline.dump_stage(art, stage) for stage in stages}
         dumps["schemes"] = "".join(
-            f"let {var} : {display.show_scheme(display.canonicalize(scheme))}\n"
+            f"let {var} : {display.show(display.canonicalize(scheme))}\n"
             for var, scheme in art.inferred.session.let_schemes
         )
         for stage, dump in dumps.items():
@@ -235,6 +236,30 @@ def test_deterministic_diagnostics():
         except EffError as e:
             msgs.add(str(e))
     assert len(msgs) == 1
+
+
+def test_solver_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):
+    # The clashing types print in dump notation, not as Python reprs, whose
+    # operation sets iterate in an order the hash seed picks.
+    path = tmp_path / "clash.eff"
+    path.write_text(
+        "effect Tick : Unit -> Unit\n"
+        "effect Tock : Unit -> Unit\n"
+        "effect Use2 : (Unit -> Unit!{Tick, Tock}) -> Unit\n"
+        "Use2 (handler { return x -> return x })\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "effc.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "3")
+    ]
+    assert [p.returncode for p in runs] == [1, 1]
+    assert runs[0].stderr == runs[1].stderr
+    assert "frozenset" not in runs[0].stderr
 
 
 # -- command-line interface ----------------------------------------------------------

@@ -93,7 +93,7 @@ def test_double_solve_trips_the_guard():
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(EMPTY_DIRT, dirt_var(d1))), infer.SubCt(w, DirtSub(EMPTY_DIRT, dirt_var(d2)))]
     with pytest.raises(AssertionError, match="solved twice"):
-        infer.solve(session, exeff.Subst(), [], items)
+        infer.solve(session, exeff.Subst(), items)
 
 
 def test_substituted_annotation_subject_still_fires():
@@ -104,7 +104,7 @@ def test_substituted_annotation_subject_still_fires():
     a = session.fresh_ty(sk)
     items = [infer.SkelAnn(a, SkelBase(Base.INT)), infer.SkelAnn(a, sk)]
     with pytest.raises(AssertionError, match="annotation subject"):
-        infer.solve(session, exeff.Subst(), [], items)
+        infer.solve(session, exeff.Subst(), items)
 
 
 # -- the coercion map comes back resolved --------------------------------------
