@@ -31,3 +31,22 @@ def corpus_paths():
 @pytest.fixture(scope="session")
 def golden_dir():
     return GOLDEN
+
+
+def read_digests(path) -> dict:
+    """A digest file's lines `<sha256>  <program> <key>`, as {(program, key): sha256}."""
+    out = {}
+    for line in path.read_text().splitlines():
+        digest, name, key = line.split()
+        out[name, key] = digest
+    return out
+
+
+def write_digests(path, digests: dict) -> None:
+    """Rewrite a digest file with `digests` in the file's own line order, new
+    keys last, so that a regeneration diff shows only the digests that
+    changed."""
+    order = list(read_digests(path)) if path.exists() else []
+    kept = [k for k in order if k in digests]
+    keys = kept + [k for k in digests if k not in set(kept)]
+    path.write_text("".join(f"{digests[k]}  {k[0]} {k[1]}\n" for k in keys))

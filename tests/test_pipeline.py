@@ -13,7 +13,7 @@ import pytest
 from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff
 from effc.core import DirtClash, EffError, SkeletonClash
 from effc.traverse import VAR_CLASSES, alpha_eq
-from conftest import CORPUS, CORPUS_BAD, GOLDEN
+from conftest import CORPUS, CORPUS_BAD, GOLDEN, read_digests, write_digests
 from gen_helpers import program_texts
 
 READERS = {
@@ -149,17 +149,11 @@ def test_generated_dumps_match_golden(corpus_paths):
     # inference itself: its fresh variables, its solution and what each let
     # generalizes.  Rewrite the file with `write_generated_dump_digests()`
     # only when a change to the terms is meant.
-    want = {}
-    for line in GENERATED_DUMPS.read_text().splitlines():
-        digest, name, stage = line.split()
-        want[name, stage] = digest
-    assert generated_dump_digests(corpus_paths) == want
+    assert generated_dump_digests(corpus_paths) == read_digests(GENERATED_DUMPS)
 
 
 def write_generated_dump_digests() -> None:
-    digests = generated_dump_digests(sorted(CORPUS.glob("*.eff")))
-    lines = [f"{d}  {name} {stage}\n" for (name, stage), d in digests.items()]
-    GENERATED_DUMPS.write_text("".join(lines))
+    write_digests(GENERATED_DUMPS, generated_dump_digests(sorted(CORPUS.glob("*.eff"))))
 
 
 def test_trace_steps_read_back_alpha_equal(corpus_paths):

@@ -1,7 +1,9 @@
 """The evaluation-context engine: golden step counts and traces, refocusing,
 fuel and stuck terms, deep contexts, rule coverage."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
@@ -11,7 +13,7 @@ import pytest
 
 from effc import cli, exeff, noeff, pipeline, skeleff, traverse
 from effc.core import Base, FuelExhausted, StuckTerm, Supply, TBase
-from conftest import CORPUS, GOLDEN
+from conftest import CORPUS, GOLDEN, read_digests, write_digests
 from gen_helpers import program_texts
 
 # Per calculus: its reduction, and every class of its term syntax.
@@ -31,34 +33,55 @@ CALCULI = {
 TERMS = {"exeff": "exeff_term", "skeleff": "skeleff_term", "noeff": "noeff_term"}
 
 
-def test_corpus_step_counts_match_golden():
-    # Recorded before the three step relations moved onto the engine.
-    golden = json.loads((GOLDEN / "steps.json").read_text())
-    assert sorted(golden) == sorted(p.name for p in CORPUS.glob("*.eff"))
-    for name, want in sorted(golden.items()):
-        art = pipeline.compile_text((CORPUS / name).read_text(), "noeff")
-        got = {
+STEPS = GOLDEN / "steps.json"
+TRACES = GOLDEN / "traces.sha256"
+
+
+def corpus_step_counts(corpus_paths) -> dict:
+    """{program: {backend: steps}} for each corpus program."""
+    out = {}
+    for path in corpus_paths:
+        art = pipeline.compile_text(path.read_text(), "noeff")
+        out[path.name] = {
             "exeff": exeff.eval_comp(art.exeff_term).steps,
-            "skeleff": skeleff.eval_sk(art.skeleff_term)[1],
             "noeff": noeff.eval_noeff(art.noeff_term)[1],
+            "skeleff": skeleff.eval_sk(art.skeleff_term)[1],
         }
-        assert got == want, name
+    return out
 
 
-def test_corpus_traces_match_golden(corpus_paths, capsys):
-    # One digest of `run --backend B --trace` per corpus file and backend,
-    # recorded before evaluation was refocused: every term of every
-    # reduction sequence, not only its length.
-    want = {}
-    for line in (GOLDEN / "traces.sha256").read_text().splitlines():
-        digest, name, backend = line.split()
-        want[name, backend] = digest
-    got = {}
+def test_corpus_step_counts_match_golden(corpus_paths):
+    # Recorded before the three step relations moved onto the engine.
+    assert corpus_step_counts(corpus_paths) == json.loads(STEPS.read_text())
+
+
+def write_corpus_step_counts() -> None:
+    """Rewrite the golden step counts in the file's own order and layout."""
+    counts = corpus_step_counts(sorted(CORPUS.glob("*.eff")))
+    order = [name for name in json.loads(STEPS.read_text()) if name in counts]
+    order += sorted(set(counts) - set(order))
+    STEPS.write_text(json.dumps({name: counts[name] for name in order}, indent=1) + "\n")
+
+
+def corpus_trace_digests(corpus_paths) -> dict:
+    """sha256 of `run --backend B --trace` per corpus program and backend."""
+    out = {}
     for path in corpus_paths:
         for backend in pipeline.BACKENDS:
-            assert cli.main(["run", str(path), "--backend", backend, "--trace"]) == 0
-            got[path.name, backend] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert got == want
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                assert cli.main(["run", str(path), "--backend", backend, "--trace"]) == 0
+            out[path.name, backend] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+    return out
+
+
+def test_corpus_traces_match_golden(corpus_paths):
+    # Recorded before evaluation was refocused: every term of every
+    # reduction sequence, not only its length.
+    assert corpus_trace_digests(corpus_paths) == read_digests(TRACES)
+
+
+def write_corpus_trace_digests() -> None:
+    write_digests(TRACES, corpus_trace_digests(sorted(CORPUS.glob("*.eff"))))
 
 
 @pytest.fixture(scope="module")

@@ -74,11 +74,17 @@ def _pinned_dumps() -> str:
     return "".join(out)
 
 
+SOLVER_GOLDEN = TESTS / "solver_golden.txt"
+
+
 def test_long_queues_dump_as_pinned():
     # The corpus programs bind too few variables to exercise long queues;
     # these dumps were recorded before the solver kept its work incremental.
-    want = (TESTS / "solver_golden.txt").read_text(encoding="utf-8")
-    assert _pinned_dumps() == want
+    assert _pinned_dumps() == SOLVER_GOLDEN.read_text(encoding="utf-8")
+
+
+def write_pinned_dumps() -> None:
+    SOLVER_GOLDEN.write_text(_pinned_dumps(), encoding="utf-8")
 
 
 # -- checks that must still fire -----------------------------------------------
