@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import sys
-import time
 import typing
 
 import pytest
@@ -194,16 +193,21 @@ def _do_chain(name, depth):
     return c
 
 
-def _thread_time(name, depth):
-    """The least thread time of three evaluations of a `depth`-deep chain."""
-    evaluate = DEEP[name][4]
-    times = []
-    for _ in range(3):
-        c = _do_chain(name, depth)
-        start = time.thread_time()
+def _calls(evaluate, c) -> int:
+    """The Python and built-in function calls `evaluate(c)` makes: a count of
+    its work that, unlike a time, does not depend on the machine's load."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call" or event == "c_call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
         evaluate(c)
-        times.append(time.thread_time() - start)
-    return min(times)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
 
 
 @pytest.mark.parametrize(
@@ -217,9 +221,18 @@ def test_contexts_deeper_than_the_recursion_limit(name, depth):
     assert evaluate(_do_chain(name, depth)) == (ret(unit), depth)
     if depth == 20_000:
         # Each step resumes where the last one fired, so evaluation is
-        # linear in the depth: about 4x the time for 4x the depth, where a
-        # step that re-descends from the root would make it about 16x.
-        assert _thread_time(name, depth) < 8 * _thread_time(name, depth // 4)
+        # linear in the depth: about 4x the calls for 4x the depth, where a
+        # step that re-descends from the root would make about 16x.
+        assert _calls(evaluate, _do_chain(name, depth)) < 8 * _calls(evaluate, _do_chain(name, depth // 4))
+
+
+def test_the_call_count_sees_a_step_that_re_descends_from_the_root():
+    # The bound above fails for an evaluator that is not refocused.
+    def from_the_root(c):
+        while (nxt := exeff.step_comp(c)) is not None:
+            c = nxt
+
+    assert _calls(from_the_root, _do_chain("exeff", 400)) > 8 * _calls(from_the_root, _do_chain("exeff", 100))
 
 
 @pytest.mark.parametrize("name", list(CALCULI))
