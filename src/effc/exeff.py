@@ -3,14 +3,16 @@
 Terms carry their whole typing derivation: System-F-style binders for
 skeletons, types and dirts, plus binders and casts for subtyping coercions.
 This module provides the ASTs, well-formedness and type checking, coercion
-checking, reflexivity-coercion construction, substitution, the result
-grammar, and the small-step operational semantics with its push rules.
+checking, reflexivity-coercion construction, substitution, the pass that
+drops reflexive casts, the result grammar, and the small-step operational
+semantics with its push rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import is_
 from typing import Optional, Union
 
 from .core import (
@@ -454,7 +456,9 @@ class Derivation(dict):
     """id(node) -> what the checker derived for the node, for every value,
     computation and coercion node of one term, valid while the term is alive
     (`derive` keeps it alive in `root`); `sig` is the signature the term was
-    checked under.
+    checked under.  `drop_reflexive_casts` carries each entry over to the
+    node it rebuilds and keeps both terms in `root`, so the record is also
+    the derivation of the term it returns.
 
     A node object shared between positions has one entry, and `again` keeps
     what the other positions derived for it.  Evaluation shares nodes whose
@@ -484,6 +488,40 @@ def derive(env: Context, c: Comp) -> Derivation:
     derived = Derivation(env.sig, c)
     typecheck_comp(env, c, derived)
     return derived
+
+
+def drop_reflexive_casts(derived: Derivation, c: Comp) -> Comp:
+    """`c` without each cast `v ▷ γ` whose coercion `derived` records as
+    witnessing A ≤ A for alpha-equal sides.  Such a cast has the type of its
+    subject, and coercions have no computational content (the erasure
+    theorem), so the type, the erasure and the behaviour stay the same.
+
+    Each rebuilt node takes over the entry of the node it replaces, and is
+    not checked again: its children have the types the old ones had, so its
+    typing rule derives what it derived before."""
+
+    def go(t):
+        cls = type(t)
+        if cls is ECast or cls is CCast:
+            ct = derived.of(t.co)
+            if alpha_eq(ct.lhs, ct.rhs):
+                return go(t.val if cls is ECast else t.comp)
+        if cls is tuple:
+            items = tuple(map(go, t))
+            return t if all(map(is_, items, t)) else items
+        kids = {f.name: go(getattr(t, f.name)) for f in shape(cls).terms}
+        if all(new is getattr(t, name) for name, new in kids.items()):
+            return t
+        out = replace(t, **kids)
+        if id(t) in derived:
+            derived[id(out)] = derived[id(t)]
+            if id(t) in derived.again:
+                derived.again[id(out)] = derived.again[id(t)]
+        return out
+
+    out = go(c)
+    derived.root = (derived.root, out)  # the dropped nodes' ids stay taken
+    return out
 
 
 def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None) -> ValueType:

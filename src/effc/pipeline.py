@@ -70,10 +70,10 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     cty, term, outcome = infer.infer_and_default(sig, comp)
     art.inferred = outcome
     art.cty = cty
-    art.exeff_term = term
     derived = exeff.derive(Context(sig), term)
     if not alpha_eq(derived.of(term), cty):
         raise TypecheckError("elaborated term does not re-typecheck at the inferred type")
+    term = art.exeff_term = exeff.drop_reflexive_casts(derived, term)
     if stage in ("infer", "exeff"):
         return art
 
