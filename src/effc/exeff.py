@@ -10,7 +10,7 @@ semantics with its push rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import is_
 from typing import Optional, Union
@@ -51,6 +51,7 @@ from .traverse import (
     alpha_eq,
     free_vars,
     handle_op,
+    replace_field,
     shape,
     subst_hook,
     subst_term,
@@ -506,14 +507,16 @@ def drop_reflexive_casts(derived: Derivation, c: Comp) -> Comp:
             ct = derived.of(t.co)
             if alpha_eq(ct.lhs, ct.rhs):
                 return go(t.val if cls is ECast else t.comp)
-        if cls is tuple:
+        elif cls is tuple:
             items = tuple(map(go, t))
             return t if all(map(is_, items, t)) else items
-        kids = {f.name: go(getattr(t, f.name)) for f in shape(cls).terms}
-        if all(new is getattr(t, name) for name, new in kids.items()):
-            return t
-        out = replace(t, **kids)
-        if id(t) in derived:
+        out = t
+        for f in shape(cls).terms:
+            old = getattr(t, f.name)
+            new = go(old)
+            if new is not old:
+                out = replace_field(out, f.name, new)
+        if out is not t and id(t) in derived:
             derived[id(out)] = derived[id(t)]
             if id(t) in derived.again:
                 derived.again[id(out)] = derived.again[id(t)]

@@ -507,7 +507,7 @@ class Reduction:
                     return node
                 path, parent, name, i = path
                 if getattr(parent, name) is not node:
-                    parent = _replace(parent, name, node)
+                    parent = replace_field(parent, name, node)
                 node, rules = parent, entries[type(parent)]
                 n = len(rules)
                 continue
@@ -602,11 +602,11 @@ def _plug(path, t):
         if type(node) is tuple:
             t = node[:slot] + (t,) + node[slot + 1 :]
         else:
-            t = _replace(node, slot, t)
+            t = replace_field(node, slot, t)
     return t
 
 
-def _replace(node, name, t):
+def replace_field(node, name, t):
     """`node` with `t` in its field `name`.  No node class has a
     `__post_init__`, so copying the field dict rebuilds a frozen node
     exactly, and faster than its constructor."""
