@@ -112,10 +112,9 @@ def test_the_carried_types_are_what_a_fresh_check_derives(simplified):
 
 def test_the_observations_are_unchanged(simplified):
     for name, _, term, _, out in simplified:
-        want = pipeline.observe_exeff(exeff.eval_comp(term).result)
-        got = exeff.eval_comp(out)
-        assert pipeline.observe_exeff(got.result) == want, name
-        assert got.steps <= exeff.eval_comp(term).steps, name
+        want, got = exeff.eval_comp(term), exeff.eval_comp(out)
+        assert pipeline.observe_exeff(got.result) == pipeline.observe_exeff(want.result), name
+        assert got.steps <= want.steps, name
 
 
 def test_compile_reads_the_simplified_term():
@@ -166,5 +165,5 @@ def test_a_pass_that_drops_a_widening_cast_is_rejected(monkeypatch, corpus_paths
         sig, _, derived, out = elaborate(text, careless)
         with pytest.raises((TypecheckError, AssertionError)):
             assert_derivation_carried(sig, derived, out)
-    print(widening, in_compile)
-    assert widening >= 10 and in_compile >= 1
+    # 29 corpus programs keep a cast; compilation rejects 27 of them.
+    assert widening >= 25 and in_compile >= 20
