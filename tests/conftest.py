@@ -46,7 +46,7 @@ def write_digests(path, digests: dict) -> None:
     """Rewrite a digest file with `digests` in the file's own line order, new
     keys last, so that a regeneration diff shows only the digests that
     changed."""
-    order = list(read_digests(path)) if path.exists() else []
-    kept = [k for k in order if k in digests]
-    keys = kept + [k for k in digests if k not in set(kept)]
+    kept = [k for k in read_digests(path) if k in digests] if path.exists() else []
+    known = set(kept)
+    keys = kept + [k for k in digests if k not in known]
     path.write_text("".join(f"{digests[k]}  {k[0]} {k[1]}\n" for k in keys))

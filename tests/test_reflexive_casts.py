@@ -5,7 +5,7 @@ and its derivation is carried over without another check."""
 import pytest
 
 from effc import exeff, infer, pipeline, skeleff, source
-from effc.core import Base, CompSub, CompType, Context, EMPTY_DIRT, TypecheckError, dirt
+from effc.core import Base, CompSub, CompType, Context, EMPTY_DIRT, TBase, TypecheckError, dirt
 from effc.traverse import alpha_eq, shape
 from conftest import CORPUS
 from gen_helpers import make_signature, program_texts
@@ -129,10 +129,10 @@ def test_a_widening_cast_survives():
     sig = make_signature()
     unit = exeff.CoBaseRefl(Base.UNIT)
     widen = exeff.CoComp(unit, exeff.CoEmpty(dirt(["Tick"])))
-    ticks = CompType(exeff.TBase(Base.UNIT), dirt(["Tick"]))
+    ticks = CompType(TBase(Base.UNIT), dirt(["Tick"]))
     term = exeff.CCast(exeff.CCast(exeff.CReturn(exeff.ECast(exeff.EUnit(), unit)), widen), exeff.refl_of(ticks))
     derived = exeff.derive(Context(sig), term)
-    assert derived.of(widen) == CompSub(CompType(exeff.TBase(Base.UNIT), EMPTY_DIRT), ticks)
+    assert derived.of(widen) == CompSub(CompType(TBase(Base.UNIT), EMPTY_DIRT), ticks)
     out = exeff.drop_reflexive_casts(derived, term)
     assert out == exeff.CCast(exeff.CReturn(exeff.EUnit()), widen)
     assert derived.of(out) == derived.of(term)
