@@ -17,6 +17,7 @@ from .core import (
     CoVar,
     DirtVar,
     EffError,
+    FuelExhausted,
     Signature,
     SkelVar,
     StuckTerm,
@@ -176,7 +177,8 @@ def differential_check_text(
 
     Along the core trace every step must preserve the exact type, and the
     erasures of consecutive terms must be congruent.  Any violation or
-    cross-backend disagreement produces a failing report.
+    cross-backend disagreement produces a failing report.  A backend that
+    takes more than `fuel` steps raises FuelExhausted.
     """
     report = DiffReport(program_id)
     art = compile_text(text, stage="noeff")
@@ -209,9 +211,7 @@ def differential_check_text(
         term = nxt
         steps += 1
         if steps > fuel:
-            report.agreement = False
-            report.failure = "fuel exhausted on the core backend"
-            return report
+            raise FuelExhausted(f"evaluation exceeded {fuel} steps")
     report.observations["exeff"] = observe_exeff(term)
     report.steps["exeff"] = steps
 

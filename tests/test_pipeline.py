@@ -327,6 +327,9 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert run_cli("run", str(CORPUS / "p28_apply_twice.eff"), "--fuel", "1") == 2
     capsys.readouterr()
+    # `diff` runs out of fuel on the core backend with the same code and message.
+    assert run_cli("diff", str(CORPUS / "p19_handler_via_fun.eff"), "--fuel", "10") == 2
+    assert capsys.readouterr().err == "error: evaluation exceeded 10 steps\n"
     assert run_cli("diff", str(CORPUS / "p15_get_constant.eff")) == 0
     capsys.readouterr()
 
