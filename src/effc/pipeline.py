@@ -25,7 +25,7 @@ from .core import (
     TypecheckError,
     skeleton,
 )
-from .traverse import alpha_eq
+from .traverse import alpha_eq, summarize
 
 STAGES = ("infer", "exeff", "skeleff", "noeff")
 BACKENDS = ("exeff", "skeleff", "noeff")
@@ -75,6 +75,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     if not alpha_eq(derived.of(term), cty):
         raise TypecheckError("elaborated term does not re-typecheck at the inferred type")
     term = art.exeff_term = exeff.drop_reflexive_casts(derived, term)
+    summarize(term)
     if stage in ("infer", "exeff"):
         return art
 
@@ -83,6 +84,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         sk_ty = skeleff.typecheck_sk(Context(sig.map(partial(skeleton, {}))), sk)
         if not alpha_eq(sk_ty, skeleton({}, cty)):
             raise TypecheckError("erased term does not re-typecheck at the erased type")
+        summarize(sk)
         art.skeleff_term = sk
     if stage == "noeff":
         nterm = noeff.elab_comp(derived, term)
@@ -90,6 +92,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         want = noeff.elab_cty(cty)
         if not alpha_eq(nty, want):
             raise TypecheckError("elaborated pure term does not re-typecheck at the elaborated type")
+        summarize(nterm)
         art.noeff_term = nterm
     return art
 

@@ -23,6 +23,13 @@ function, so every level of a tree (and every tuple of children) costs one
 stack frame, and a rebuild returns the input node itself when no child
 changed.
 
+`summarize` records on every node of a compiled term its free term
+variables, and term substitution returns a node whose summary lacks the
+variable without walking it.  A summary depends on the node alone, so it
+stays exact wherever the node is shared or moved; `replace_field` drops it
+from the node it copies, and nodes built any other way never have one, so
+nothing evaluation builds carries a summary.
+
 The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
 ordered rule list per node class, interpreted by one decomposition loop that
 keeps its evaluation context on an explicit stack.  Evaluation is refocused:
@@ -221,11 +228,85 @@ _SUBST[tuple] = _tuple_map(_SUBST)
 
 
 # ---------------------------------------------------------------------------
+# Summaries of free term variables
+
+FREE = "free_terms"  # the attribute that holds a node's summary
+_set = object.__setattr__  # nodes are frozen; the summary is not a field
+
+
+def summarize(t) -> int:
+    """Record on `t` and on every term node under it the node's free term
+    variables, as an int bit set of their ids (bit i for the variable of id
+    i; ids are dense per program), in the attribute `FREE`; returns `t`'s.
+    A node that has a summary keeps it, so a shared node is summarized once.
+    An int is not tracked by the cyclic collector, and every empty summary
+    is the one cached 0."""
+    return _SUMMARY[type(t)](t)
+
+
+def _build_summary(cls):
+    sh = shape(cls)
+    if sh.uses:
+        use = sh.uses[0]
+        if use.sort is TermVar:
+
+            def occurrence(t):
+                free = 1 << getattr(t, use.name).id
+                _set(t, FREE, free)
+                return free
+
+            return occurrence
+    table = _SUMMARY
+    kids = [
+        (f.name, tuple(b for b, sort in f.binders if sort is TermVar))
+        for f in sh.kids
+        if f.role in (TERM, MANY)
+    ]
+
+    def go(t):
+        free = getattr(t, FREE, None)
+        if free is not None:
+            return free
+        free = 0
+        for name, binders in kids:
+            x = getattr(t, name)
+            inner = table[type(x)](x)
+            for b in binders:
+                bid = getattr(t, b).id
+                if inner >> bid & 1:
+                    inner ^= 1 << bid
+            if inner:
+                free = free | inner if free else inner
+        _set(t, FREE, free)
+        return free
+
+    return go
+
+
+def _summarize_many(t):
+    free = 0
+    for e in t:
+        inner = _SUMMARY[type(e)](e)
+        if inner:
+            free = free | inner if free else inner
+    return free
+
+
+_SUMMARY = _Table(_build_summary)
+_SUMMARY[tuple] = _summarize_many
+
+
+# ---------------------------------------------------------------------------
 # Substitution of a value for a term variable
 
 
 def subst_term(value, var: TermVar, subject):
-    """Substitute `value` for the free occurrences of the term variable `var`."""
+    """Substitute `value` for the free occurrences of the term variable `var`.
+    A node whose summary (see `summarize`) lacks `var` is returned as it is,
+    without a walk."""
+    free = getattr(subject, FREE, None)
+    if free is not None and not free >> var.id & 1:
+        return subject
     return _TSUBST[type(subject)](value, var.id, subject)
 
 
@@ -254,6 +335,9 @@ def _build_subst_term(cls):
             if binders and any(getattr(t, b).id == vid for b in binders):
                 continue
             old = getattr(t, name)
+            free = getattr(old, FREE, None)
+            if free is not None and not free >> vid & 1:
+                continue
             new = table[type(old)](v, vid, old)
             if new is not old:
                 vals = _rebuild(t, names, i, new, vals)
@@ -609,9 +693,11 @@ def _plug(path, t):
 def replace_field(node, name, t):
     """`node` with `t` in its field `name`.  No node class has a
     `__post_init__`, so copying the field dict rebuilds a frozen node
-    exactly, and faster than its constructor."""
+    exactly, and faster than its constructor.  The copy drops `node`'s
+    summary of free term variables, which its new field may not match."""
     out = object.__new__(type(node))
     fields = out.__dict__
     fields.update(node.__dict__)
     fields[name] = t
+    fields.pop(FREE, None)
     return out

@@ -14,6 +14,7 @@ from effc import cli, exeff, noeff, pipeline, skeleff, traverse
 from effc.core import Base, FuelExhausted, StuckTerm, Supply, TBase
 from conftest import CORPUS, GOLDEN, read_digests, write_digests
 from gen_helpers import program_texts
+from test_solver import handler_chain, nested_handlers
 
 # Per calculus: its reduction, and every class of its term syntax.
 CALCULI = {
@@ -224,6 +225,18 @@ def test_contexts_deeper_than_the_recursion_limit(name, depth):
         # linear in the depth: about 4x the calls for 4x the depth, where a
         # step that re-descends from the root would make about 16x.
         assert _calls(evaluate, _do_chain(name, depth)) < 8 * _calls(evaluate, _do_chain(name, depth // 4))
+
+
+@pytest.mark.parametrize("backend", list(CALCULI))
+@pytest.mark.parametrize("family, n", [(handler_chain, 12), (nested_handlers, 6)], ids=["handler_chain", "nested_handlers"])
+def test_compiled_ladders_evaluate_in_about_linear_calls(family, n, backend):
+    # Each `do` or resume step substitutes into the rest of the program, but
+    # its variable occurs only near the redex: term substitution skips every
+    # node whose free-variable summary lacks it.  A walk of the whole rest
+    # makes about 10x the calls for 4x n; the skips, under 4x.
+    reduction = CALCULI[backend][0]
+    small, large = (getattr(pipeline.compile_text(family(k), "noeff"), TERMS[backend]) for k in (n, 4 * n))
+    assert _calls(reduction.run, large) < 6 * _calls(reduction.run, small)
 
 
 def test_the_call_count_sees_a_step_that_re_descends_from_the_root():
