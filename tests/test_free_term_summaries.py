@@ -13,8 +13,8 @@ from conftest import CORPUS
 from gen_helpers import program_texts
 from test_solver import handler_chain
 
-# Per backend: the artefact field holding its term, its reduction, and the
-# binding node, binder and scope field of its `do`.
+# Per backend: the artefact field holding its term, its reduction, and its
+# `do` class, which binds `var` over `second`.
 BACKENDS = {
     "exeff": ("exeff_term", exeff.REDUCTION, exeff.CDo),
     "skeleff": ("skeleff_term", skeleff.REDUCTION, skeleff.SDo),
@@ -143,10 +143,11 @@ def test_a_summary_that_misses_a_variable_changes_evaluation(backend):
     for u in list(nodes(term)):
         if type(u) is not do or not summary(u.second) >> u.var.id & 1:
             continue
-        occurrence = next(w for w in nodes(u.second) if summary(w) == 1 << u.var.id and not traverse.shape(type(w)).kids)
+        bit = 1 << u.var.id
+        occurrence = next(w for w in nodes(u.second) if summary(w) == bit and not traverse.shape(type(w)).kids)
         for w in (u.second, occurrence):
             kept = summary(w)
-            object.__setattr__(w, traverse.FREE, kept ^ 1 << u.var.id)
+            object.__setattr__(w, traverse.FREE, kept ^ bit)
             try:
                 assert outcome(reduction, term) != want, (backend, u, w)
             finally:

@@ -228,7 +228,9 @@ def test_contexts_deeper_than_the_recursion_limit(name, depth):
 
 
 @pytest.mark.parametrize("backend", list(CALCULI))
-@pytest.mark.parametrize("family, n", [(handler_chain, 12), (nested_handlers, 6)], ids=["handler_chain", "nested_handlers"])
+@pytest.mark.parametrize(
+    "family, n", [(handler_chain, 12), (nested_handlers, 6)], ids=["handler_chain", "nested_handlers"]
+)
 def test_compiled_ladders_evaluate_in_about_linear_calls(family, n, backend):
     # Each `do` or resume step substitutes into the rest of the program, but
     # its variable occurs only near the redex: term substitution skips every
