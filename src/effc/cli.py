@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    stage = args.stage if args.stage != "constraints" else "infer"
+    stage = args.stage if args.stage != "constraints" else "exeff"
     art = pipeline.compile_text(_read(args.file), stage)
     sys.stdout.write(pipeline.dump_stage(art, args.stage))
     return 0

@@ -6,14 +6,15 @@ deterministic and stable under alpha-equivalence.
 
 `NOTATION` states the concrete syntax of the dumps once.  Every node class
 of the skeletons, core types and constraints, ExEff coercions, values and
-computations, SkelEff terms, and NoEff types, coercions and terms has one
-entry: the precedence level of its form and a template of literal text and
-fields.  A field `{name:p}` prints its child at precedence `p` (0 when
-omitted), and a form prints in parentheses when it is asked for a
-precedence above its level.  `show` prints any node from the table, and
-`read_exeff_comp`, `read_skeleff_comp` and `read_noeff_term` read the same
-table back.  Dirts keep a hand-written form: a sorted set of operations with
-an optional variable tail.
+computations, and NoEff types, coercions and terms has one entry: the
+precedence level of its form and a template of literal text and fields.  A
+field `{name:p}` prints its child at precedence `p` (0 when omitted), and a
+form prints in parentheses when it is asked for a precedence above its
+level.  `show` prints any node from the table, and `read_exeff_comp`,
+`read_skeleff_comp` and `read_noeff_term` read the same table back.
+SkelEff terms are ExEff terms with skeleton annotations, so they print and
+read with ExEff's entries.  Dirts keep a hand-written form: a sorted set of
+operations with an optional variable tail.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from string import Formatter
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from . import exeff, noeff, skeleff
+from . import exeff, noeff
 from .core import (
     Base,
     CompSub,
@@ -39,6 +40,7 @@ from .core import (
     SkelForall,
     SkelHandler,
     SkelVar,
+    Skeleton,
     Supply,
     TArrow,
     TBase,
@@ -50,6 +52,7 @@ from .core import (
     TermVar,
     TyVar,
     TySub,
+    ValueType,
 )
 from .lex import TokenStream, tokenize
 from .traverse import BIND, VAR_CLASSES, _annotation, _Table, rename, shape
@@ -135,21 +138,6 @@ NOTATION = {
     exeff.CHandle: (0, _WITH),
     exeff.CApp: (2, _APP),
     exeff.CCast: (1, "{comp:1} |> {co}"),
-    # SkelEff terms
-    skeleff.SVar: (ATOM, "{var}"),
-    skeleff.SUnit: (ATOM, "unit"),
-    skeleff.SInt: (ATOM, "{value}"),
-    skeleff.SAbs: (0, _FUN),
-    skeleff.SHandler: (ATOM, _HANDLER),
-    skeleff.SOpClause: (ATOM, _CLAUSE),
-    skeleff.SSkelAbs: (0, "skfun {var}. {body}"),
-    skeleff.SSkelApp: (2, "{val:2} @sk[{skel}]"),
-    skeleff.SReturn: (2, "return {val:2}"),
-    skeleff.SOp: (2, _OP),
-    skeleff.SDo: (0, _DO),
-    skeleff.SLet: (0, _LET),
-    skeleff.SHandle: (0, _WITH),
-    skeleff.SApp: (2, _APP),
     # NoEff types
     noeff.NBase: (ATOM, "{base}"),
     noeff.NArrow: (1, "{dom:2} -> {cod:1}"),
@@ -323,9 +311,10 @@ _PRINT.update(
 # Reading
 #
 # The reader reads each field in the syntactic category of its dataclass
-# annotation: a variable, an atom (operation name, integer or base type), a
-# tuple of handler clauses, or a category of nodes (a class, such as `Dirt`,
-# or a Union, such as `Comp`).  A category's forms are keyed by the token
+# annotation, or in the one a reader's `read_as` map puts in its place: a
+# variable, an atom (operation name, integer or base type), a tuple of
+# handler clauses, or a category of nodes (a class, such as `Dirt`, or a
+# Union, such as `Comp`).  A category's forms are keyed by the token
 # they start with: a literal, or the lexical class of a variable or atom.
 # A class key is written in angle brackets, so that no token's text is one
 # and a variable named `int` or `op` is not read as a literal or an atom.
@@ -388,7 +377,7 @@ class _Form:
     """A node class's template as the reader reads it: literal tokens and
     fields, in order."""
 
-    def __init__(self, cls):
+    def __init__(self, cls, read_as: dict):
         self.cls = cls
         self.level, template = NOTATION[cls]
         hints = get_type_hints(cls)
@@ -398,7 +387,8 @@ class _Form:
         for lit, name, prec in _template(template):
             self.items += [t.text for t in tokenize(lit)[:-1]]
             if name is not None:
-                self.items.append(_Field(fields[name], hints[name], anns[name], prec))
+                hint = read_as.get(hints[name], hints[name])
+                self.items.append(_Field(fields[name], hint, anns[name], prec))
         lead = self.items[0]
         self.lead = lead if type(lead) is _Field and lead.kind == "node" else None
         self.rest = self.items[1:]
@@ -488,10 +478,12 @@ class _Category:
 
 
 @functools.lru_cache(maxsize=None)
-def _grammar() -> dict:
-    """Every category's reading tables, built on first use so that importing
-    this module stays cheap."""
-    forms = {cls: _Form(cls) for cls in NOTATION if cls not in VAR_CLASSES}
+def _grammar(read_as: tuple) -> dict:
+    """Every category's reading tables, with each field whose category is
+    the first of a `read_as` pair read in the second; built on first use so
+    that importing this module stays cheap."""
+    read_as = dict(read_as)
+    forms = {cls: _Form(cls, read_as) for cls in NOTATION if cls not in VAR_CLASSES}
     fields = [i for f in forms.values() for i in f.items if type(i) is _Field]
     cats = {}
     for i in fields:
@@ -536,10 +528,10 @@ _FRESH = {SkelVar: Supply.skel, TyVar: Supply.ty, DirtVar: Supply.dirt, CoVar: S
 
 
 class _Reader:
-    def __init__(self, text: str):
+    def __init__(self, text: str, read_as: tuple):
         self.ts = TokenStream(tokenize(text))
         self.supply = Supply()
-        self.grammar = _grammar()
+        self.grammar = _grammar(read_as)
         self.env: dict = {}  # name -> the innermost binder of that name in scope
 
     def read(self, cat, prec: int = 0):
@@ -670,8 +662,8 @@ class _Reader:
         return Dirt(frozenset(ops), tail)
 
 
-def _read(text: str, cat):
-    r = _Reader(text)
+def _read(text: str, cat, read_as: tuple = ()):
+    r = _Reader(text, read_as)
     out = r.read(cat)
     r.ts.expect_eof()
     return out
@@ -682,7 +674,8 @@ def read_exeff_comp(text: str):
 
 
 def read_skeleff_comp(text: str):
-    return _read(text, skeleff.SkComp)
+    """A SkelEff computation: ExEff's forms, with skeletons where types were."""
+    return _read(text, exeff.Comp, ((ValueType, Skeleton),))
 
 
 def read_noeff_term(text: str):

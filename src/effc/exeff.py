@@ -447,10 +447,11 @@ def _subst_co_ty_refl(s: Subst, co: CoTyRefl) -> Coercion:
 # ---------------------------------------------------------------------------
 # Type checking
 
-# The checker records what it derives for every node of the term it checks:
-# the type of each value and computation and the constraint of each
-# coercion.  A call from outside starts a fresh record; `derive` returns it,
-# so that later passes read the derivation instead of re-deriving it.
+# Given a `Derivation`, the checker records in it what it derives for every
+# node of the term it checks: the type of each value and computation and the
+# constraint of each coercion.  `derive` returns such a record, so that later
+# passes read the derivation instead of re-deriving it; a check without one
+# records nothing.
 
 
 class Derivation(dict):
@@ -528,8 +529,6 @@ def drop_reflexive_casts(derived: Derivation, c: Comp) -> Comp:
 
 
 def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None) -> ValueType:
-    if derived is None:
-        derived = Derivation(env.sig)
     if isinstance(v, EVar):
         try:
             t = env.term[v.var.id]
@@ -606,14 +605,12 @@ def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None
         t = ct.rhs
     else:
         raise TypeError(v)
-    if derived.setdefault(id(v), t) is not t:
+    if derived is not None and derived.setdefault(id(v), t) is not t:
         derived.again.setdefault(id(v), []).append(t)
     return t
 
 
 def typecheck_comp(env: Context, c: Comp, derived: Optional[Derivation] = None) -> CompType:
-    if derived is None:
-        derived = Derivation(env.sig)
     if isinstance(c, CApp):
         fn_ty = typecheck_value(env, c.fn, derived)
         if not isinstance(fn_ty, TArrow):
@@ -661,15 +658,13 @@ def typecheck_comp(env: Context, c: Comp, derived: Optional[Derivation] = None) 
         t = ct.rhs
     else:
         raise TypeError(c)
-    if derived.setdefault(id(c), t) is not t:
+    if derived is not None and derived.setdefault(id(c), t) is not t:
         derived.again.setdefault(id(c), []).append(t)
     return t
 
 
 def typecheck_coercion(env: Context, co: Coercion, derived: Optional[Derivation] = None):
     """Return the coercion's constraint type: TySub, DirtSub or CompSub."""
-    if derived is None:
-        derived = Derivation(env.sig)
     if isinstance(co, CoVarRef):
         try:
             ct = env.co[co.var.id]
@@ -735,7 +730,7 @@ def typecheck_coercion(env: Context, co: Coercion, derived: Optional[Derivation]
         ct = CompSub(CompType(val.lhs, d.lhs), CompType(val.rhs, d.rhs))
     else:
         raise TypeError(co)
-    if derived.setdefault(id(co), ct) is not ct:
+    if derived is not None and derived.setdefault(id(co), ct) is not ct:
         derived.again.setdefault(id(co), []).append(ct)
     return ct
 

@@ -1,14 +1,13 @@
 """Effect-erased backend: System F plus term-level operations and handlers.
 
-Types here are the skeletons of the core language.  Erasure drops coercions,
-casts, and all type/dirt/coercion binders and applications, keeping only
-skeleton binders and applications.
+A SkelEff term is an ExEff term of the fragment `FORMS`, with skeletons
+where the annotations held types.  Erasure drops coercions, casts, and all
+type/dirt/coercion binders and applications, keeping only skeleton binders
+and applications.  The fragment has its own typing rules and its own step
+relation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Union
 
 from . import exeff
 from .core import (
@@ -19,15 +18,30 @@ from .core import (
     SkelBase,
     SkelForall,
     SkelHandler,
-    SkelVar,
     Skeleton,
-    TermVar,
     TypecheckError,
     UnboundVariable,
     clause_ops,
     skeleton,
 )
-from .exeff import Subst, wf_bound
+from .exeff import (
+    CApp,
+    CDo,
+    CHandle,
+    CLet,
+    COp,
+    CReturn,
+    EAbs,
+    EHandler,
+    EInt,
+    ESkelAbs,
+    ESkelApp,
+    EUnit,
+    EVar,
+    OpClause,
+    Subst,
+    wf_bound,
+)
 from .traverse import (
     Reduction,
     alpha_eq,
@@ -37,136 +51,33 @@ from .traverse import (
     substitute,
 )
 
-# ---------------------------------------------------------------------------
-# Syntax
-
-
-@dataclass(frozen=True)
-class SVar:
-    var: TermVar
-
-
-@dataclass(frozen=True)
-class SUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class SInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class SAbs:
-    var: TermVar
-    ty: Skeleton
-    body: "SkComp"
-
-
-@dataclass(frozen=True)
-class SOpClause:
-    op: str
-    param: TermVar
-    kont: TermVar
-    body: "SkComp"
-
-
-@dataclass(frozen=True)
-class SHandler:
-    ret_var: TermVar
-    ret_ty: Skeleton
-    ret_body: "SkComp"
-    clauses: tuple[SOpClause, ...] = ()
-
-    scope = "ret_body"  # the return binder does not reach the operation clauses
-
-
-@dataclass(frozen=True)
-class SSkelAbs:
-    var: SkelVar
-    body: "SkValue"
-
-
-@dataclass(frozen=True)
-class SSkelApp:
-    val: "SkValue"
-    skel: Skeleton
-
-
-SkValue = Union[SVar, SUnit, SInt, SAbs, SHandler, SSkelAbs, SSkelApp]
-
-
-@dataclass(frozen=True)
-class SApp:
-    fn: SkValue
-    arg: SkValue
-
-
-@dataclass(frozen=True)
-class SLet:
-    var: TermVar
-    val: SkValue
-    body: "SkComp"
-
-
-@dataclass(frozen=True)
-class SReturn:
-    val: SkValue
-
-
-@dataclass(frozen=True)
-class SOp:
-    op: str
-    arg: SkValue
-    var: TermVar
-    var_ty: Skeleton
-    body: "SkComp"
-
-
-@dataclass(frozen=True)
-class SDo:
-    var: TermVar
-    first: "SkComp"
-    second: "SkComp"
-
-
-@dataclass(frozen=True)
-class SHandle:
-    handler: SkValue
-    body: "SkComp"
-
-
-SkComp = Union[SApp, SLet, SReturn, SOp, SDo, SHandle]
-
-_VALUE_NODES = (SVar, SUnit, SInt, SAbs, SHandler, SSkelAbs, SSkelApp)
+# The node classes of SkelEff terms.  The annotations of `EAbs`, `EHandler`
+# and `COp` hold skeletons.
+FORMS = (EVar, EUnit, EInt, EAbs, EHandler, OpClause, ESkelAbs, ESkelApp, CApp, CLet, CReturn, COp, CDo, CHandle)
 
 
 # ---------------------------------------------------------------------------
 # Erasure
 
 
-def erase_value(sub: dict, v: exeff.Value) -> SkValue:
-    if isinstance(v, exeff.EVar):
-        return SVar(v.var)
-    if isinstance(v, exeff.EUnit):
-        return SUnit()
-    if isinstance(v, exeff.EInt):
-        return SInt(v.value)
+def erase_value(sub: dict, v: exeff.Value) -> exeff.Value:
+    if isinstance(v, (EVar, EUnit, EInt)):
+        return v  # nothing to erase
     if isinstance(v, exeff.ECast):
         return erase_value(sub, v.val)
-    if isinstance(v, exeff.EAbs):
-        return SAbs(v.var, skeleton(sub, v.ty), erase_comp(sub, v.body))
-    if isinstance(v, exeff.EHandler):
-        return SHandler(
+    if isinstance(v, EAbs):
+        return EAbs(v.var, skeleton(sub, v.ty), erase_comp(sub, v.body))
+    if isinstance(v, EHandler):
+        return EHandler(
             v.ret_var,
             skeleton(sub, v.ret_ty),
             erase_comp(sub, v.ret_body),
-            tuple(SOpClause(c.op, c.param, c.kont, erase_comp(sub, c.body)) for c in v.clauses),
+            tuple(OpClause(c.op, c.param, c.kont, erase_comp(sub, c.body)) for c in v.clauses),
         )
-    if isinstance(v, exeff.ESkelAbs):
-        return SSkelAbs(v.var, erase_value(sub, v.body))
-    if isinstance(v, exeff.ESkelApp):
-        return SSkelApp(erase_value(sub, v.val), v.skel)
+    if isinstance(v, ESkelAbs):
+        return ESkelAbs(v.var, erase_value(sub, v.body))
+    if isinstance(v, ESkelApp):
+        return ESkelApp(erase_value(sub, v.val), v.skel)
     if isinstance(v, exeff.ETyAbs):
         return erase_value({**sub, v.var.id: v.skel}, v.body)
     if isinstance(v, exeff.ETyApp):
@@ -182,19 +93,19 @@ def erase_value(sub: dict, v: exeff.Value) -> SkValue:
     raise TypeError(v)
 
 
-def erase_comp(sub: dict, c: exeff.Comp) -> SkComp:
-    if isinstance(c, exeff.CApp):
-        return SApp(erase_value(sub, c.fn), erase_value(sub, c.arg))
-    if isinstance(c, exeff.CLet):
-        return SLet(c.var, erase_value(sub, c.val), erase_comp(sub, c.body))
-    if isinstance(c, exeff.CReturn):
-        return SReturn(erase_value(sub, c.val))
-    if isinstance(c, exeff.COp):
-        return SOp(c.op, erase_value(sub, c.arg), c.var, skeleton(sub, c.var_ty), erase_comp(sub, c.body))
-    if isinstance(c, exeff.CDo):
-        return SDo(c.var, erase_comp(sub, c.first), erase_comp(sub, c.second))
-    if isinstance(c, exeff.CHandle):
-        return SHandle(erase_value(sub, c.handler), erase_comp(sub, c.body))
+def erase_comp(sub: dict, c: exeff.Comp) -> exeff.Comp:
+    if isinstance(c, CApp):
+        return CApp(erase_value(sub, c.fn), erase_value(sub, c.arg))
+    if isinstance(c, CLet):
+        return CLet(c.var, erase_value(sub, c.val), erase_comp(sub, c.body))
+    if isinstance(c, CReturn):
+        return CReturn(erase_value(sub, c.val))
+    if isinstance(c, COp):
+        return COp(c.op, erase_value(sub, c.arg), c.var, skeleton(sub, c.var_ty), erase_comp(sub, c.body))
+    if isinstance(c, CDo):
+        return CDo(c.var, erase_comp(sub, c.first), erase_comp(sub, c.second))
+    if isinstance(c, CHandle):
+        return CHandle(erase_value(sub, c.handler), erase_comp(sub, c.body))
     if isinstance(c, exeff.CCast):
         return erase_comp(sub, c.comp)
     raise TypeError(c)
@@ -204,81 +115,73 @@ def erase_comp(sub: dict, c: exeff.Comp) -> SkComp:
 # Typing
 
 
-def typecheck_sk(env: Context, term) -> Skeleton:
-    if isinstance(term, _VALUE_NODES):
-        return _typecheck_sk_value(env, term)
-    return _typecheck_sk_comp(env, term)
-
-
-def _typecheck_sk_value(env: Context, v: SkValue) -> Skeleton:
-    if isinstance(v, SVar):
+def typecheck_sk(env: Context, t) -> Skeleton:
+    """The skeleton of a SkelEff value or computation.  A node outside
+    `FORMS`, such as a cast, raises TypeError."""
+    if isinstance(t, EVar):
         try:
-            return env.term[v.var.id]
+            return env.term[t.var.id]
         except KeyError:
-            raise UnboundVariable(f"unbound variable {v.var.name}") from None
-    if isinstance(v, SUnit):
+            raise UnboundVariable(f"unbound variable {t.var.name}") from None
+    if isinstance(t, EUnit):
         return SkelBase(Base.UNIT)
-    if isinstance(v, SInt):
+    if isinstance(t, EInt):
         return SkelBase(Base.INT)
-    if isinstance(v, SAbs):
-        wf_bound(env, v.ty)
-        return SkelArrow(v.ty, _typecheck_sk_comp(env.bind(v.var, v.ty), v.body))
-    if isinstance(v, SHandler):
-        wf_bound(env, v.ret_ty)
-        out = _typecheck_sk_comp(env.bind(v.ret_var, v.ret_ty), v.ret_body)
-        clause_ops(v.clauses)
-        for cl in v.clauses:
+    if isinstance(t, EAbs):
+        wf_bound(env, t.ty)
+        return SkelArrow(t.ty, typecheck_sk(env.bind(t.var, t.ty), t.body))
+    if isinstance(t, EHandler):
+        wf_bound(env, t.ret_ty)
+        out = typecheck_sk(env.bind(t.ret_var, t.ret_ty), t.ret_body)
+        clause_ops(t.clauses)
+        for cl in t.clauses:
             op = env.sig.lookup(cl.op)
             cl_env = env.bind(cl.param, op.param).bind(cl.kont, SkelArrow(op.result, out))
-            got = _typecheck_sk_comp(cl_env, cl.body)
+            got = typecheck_sk(cl_env, cl.body)
             if not alpha_eq(got, out):
                 raise TypecheckError(f"handler clause for {cl.op} disagrees with the return clause")
-        return SkelHandler(v.ret_ty, out)
-    if isinstance(v, SSkelAbs):
-        return SkelForall(v.var, _typecheck_sk_value(env.bind(v.var), v.body))
-    if isinstance(v, SSkelApp):
-        fn = _typecheck_sk_value(env, v.val)
+        return SkelHandler(t.ret_ty, out)
+    if isinstance(t, ESkelAbs):
+        return SkelForall(t.var, typecheck_sk(env.bind(t.var), t.body))
+    if isinstance(t, ESkelApp):
+        fn = typecheck_sk(env, t.val)
         if not isinstance(fn, SkelForall):
             raise TypecheckError("type application of a non-polymorphic value")
-        wf_bound(env, v.skel)
-        return substitute(Subst.one_skel(fn.var, v.skel), fn.body)
-    raise TypeError(v)
-
-
-def _typecheck_sk_comp(env: Context, c: SkComp) -> Skeleton:
-    if isinstance(c, SApp):
-        fn = _typecheck_sk_value(env, c.fn)
+        wf_bound(env, t.skel)
+        return substitute(Subst.one_skel(fn.var, t.skel), fn.body)
+    if isinstance(t, CApp):
+        fn = typecheck_sk(env, t.fn)
         if not isinstance(fn, SkelArrow):
             raise TypecheckError("application of a non-function")
-        arg = _typecheck_sk_value(env, c.arg)
+        arg = typecheck_sk(env, t.arg)
         if not alpha_eq(arg, fn.dom):
             raise TypecheckError("argument type mismatch")
         return fn.cod
-    if isinstance(c, SLet):
-        t = _typecheck_sk_value(env, c.val)
-        return _typecheck_sk_comp(env.bind(c.var, t), c.body)
-    if isinstance(c, SReturn):
-        return _typecheck_sk_value(env, c.val)
-    if isinstance(c, SOp):
-        op = env.sig.lookup(c.op)
-        arg = _typecheck_sk_value(env, c.arg)
+    if isinstance(t, CLet):
+        ty = typecheck_sk(env, t.val)
+        return typecheck_sk(env.bind(t.var, ty), t.body)
+    if isinstance(t, CReturn):
+        return typecheck_sk(env, t.val)
+    if isinstance(t, COp):
+        op = env.sig.lookup(t.op)
+        arg = typecheck_sk(env, t.arg)
         if not alpha_eq(arg, op.param):
-            raise TypecheckError(f"operation {c.op} argument type mismatch")
-        if not alpha_eq(c.var_ty, op.result):
-            raise TypecheckError(f"operation {c.op} continuation annotation mismatch")
-        return _typecheck_sk_comp(env.bind(c.var, op.result), c.body)
-    if isinstance(c, SDo):
-        t1 = _typecheck_sk_comp(env, c.first)
-        return _typecheck_sk_comp(env.bind(c.var, t1), c.second)
-    if isinstance(c, SHandle):
-        h = _typecheck_sk_value(env, c.handler)
+            raise TypecheckError(f"operation {t.op} argument type mismatch")
+        if not alpha_eq(t.var_ty, op.result):
+            raise TypecheckError(f"operation {t.op} continuation annotation mismatch")
+        return typecheck_sk(env.bind(t.var, op.result), t.body)
+    if isinstance(t, CDo):
+        t1 = typecheck_sk(env, t.first)
+        return typecheck_sk(env.bind(t.var, t1), t.second)
+    if isinstance(t, CHandle):
+        h = typecheck_sk(env, t.handler)
         if not isinstance(h, SkelHandler):
             raise TypecheckError("with-handle applied to a non-handler")
-        body = _typecheck_sk_comp(env, c.body)
+        body = typecheck_sk(env, t.body)
         if not alpha_eq(body, h.dom):
             raise TypecheckError("handled computation type mismatch")
         return h.cod
-    raise TypeError(c)
+    raise TypeError(f"{type(t).__name__} is not a SkelEff form")
 
 
 # ---------------------------------------------------------------------------
@@ -286,67 +189,67 @@ def _typecheck_sk_comp(env: Context, c: SkComp) -> Skeleton:
 
 
 def is_value_result_sk(v) -> bool:
-    return isinstance(v, (SUnit, SInt, SAbs, SHandler, SSkelAbs))
+    return isinstance(v, (EUnit, EInt, EAbs, EHandler, ESkelAbs))
 
 
 def is_comp_result_sk(c) -> bool:
-    if isinstance(c, SReturn):
+    if isinstance(c, CReturn):
         return is_value_result_sk(c.val)
-    return isinstance(c, SOp) and is_value_result_sk(c.arg)
+    return isinstance(c, COp) and is_value_result_sk(c.arg)
 
 
 def _heads(value) -> dict:
     """The head rule of each class, for a notion of value: results when
     stepping, results or variables when normalizing open terms."""
 
-    def skel_beta(v: SSkelApp):
-        if type(v.val) is SSkelAbs:
+    def skel_beta(v: ESkelApp):
+        if type(v.val) is ESkelAbs:
             return substitute(Subst.one_skel(v.val.var, v.skel), v.val.body)
 
-    def app_beta(c: SApp):
-        if type(c.fn) is SAbs and value(c.arg):
+    def app_beta(c: CApp):
+        if type(c.fn) is EAbs and value(c.arg):
             return subst_term(c.arg, c.fn.var, c.fn.body)
 
-    def let_beta(c: SLet):
+    def let_beta(c: CLet):
         if value(c.val):
             return subst_term(c.val, c.var, c.body)
 
-    def do(c: SDo):
+    def do(c: CDo):
         first = c.first
-        if type(first) is SReturn and value(first.val):
+        if type(first) is CReturn and value(first.val):
             return subst_term(first.val, c.var, c.second)
-        if type(first) is SOp and value(first.arg):
-            return SOp(first.op, first.arg, first.var, first.var_ty, SDo(c.var, first.body, c.second))
+        if type(first) is COp and value(first.arg):
+            return COp(first.op, first.arg, first.var, first.var_ty, CDo(c.var, first.body, c.second))
 
-    def handle(c: SHandle):
+    def handle(c: CHandle):
         h, body = c.handler, c.body
-        if type(h) is not SHandler:
+        if type(h) is not EHandler:
             return None
-        if type(body) is SReturn and value(body.val):
+        if type(body) is CReturn and value(body.val):
             return subst_term(body.val, h.ret_var, h.ret_body)
-        if type(body) is SOp and value(body.arg):
-            return handle_op(h, body, SHandle, SAbs)
+        if type(body) is COp and value(body.arg):
+            return handle_op(h, body, CHandle, EAbs)
 
     return {
-        SSkelApp: skel_beta,
-        SApp: app_beta,
-        SLet: let_beta,
-        SDo: do,
-        SHandle: handle,
+        ESkelApp: skel_beta,
+        CApp: app_beta,
+        CLet: let_beta,
+        CDo: do,
+        CHandle: handle,
     }
 
 
 _STEP_HEADS = _heads(is_value_result_sk)
 
 RULES = {
-    **{cls: () for cls in (SVar, SUnit, SInt, SAbs, SHandler, SOpClause, SSkelAbs)},
-    SSkelApp: ("val", _STEP_HEADS[SSkelApp]),
-    SApp: ("fn", ("arg", "fn", is_value_result_sk), _STEP_HEADS[SApp]),
-    SLet: ("val", _STEP_HEADS[SLet]),
-    SReturn: ("val",),
-    SOp: ("arg",),
-    SDo: ("first", _STEP_HEADS[SDo]),
-    SHandle: ("handler", ("body", "handler", is_value_result_sk), _STEP_HEADS[SHandle]),
+    **dict.fromkeys(FORMS, ()),
+    ESkelApp: ("val", _STEP_HEADS[ESkelApp]),
+    CApp: ("fn", ("arg", "fn", is_value_result_sk), _STEP_HEADS[CApp]),
+    CLet: ("val", _STEP_HEADS[CLet]),
+    CReturn: ("val",),
+    COp: ("arg",),
+    CDo: ("first", _STEP_HEADS[CDo]),
+    CHandle: ("handler", ("body", "handler", is_value_result_sk), _STEP_HEADS[CHandle]),
 }
 
 REDUCTION = Reduction(
@@ -357,7 +260,7 @@ REDUCTION = Reduction(
 step_sk = REDUCTION.step
 
 
-def eval_sk(c: SkComp, fuel: int = 100_000):
+def eval_sk(c: exeff.Comp, fuel: int = 100_000):
     result, steps, _ = REDUCTION.run(c, fuel)
     return result, steps
 
@@ -371,7 +274,7 @@ def eval_sk(c: SkComp, fuel: int = 100_000):
 # binder or with an unreduced value argument preserves meaning.
 
 # Open normalization: variables stand for values.
-_OPEN_HEADS = _heads(lambda v: is_value_result_sk(v) or type(v) is SVar)
+_OPEN_HEADS = _heads(lambda v: is_value_result_sk(v) or type(v) is EVar)
 
 
 def _contract(t):

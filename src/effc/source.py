@@ -294,7 +294,11 @@ class _Parser:
         t = self.ts.peek()
         if t.kind == "int":
             self.ts.next()
-            return SrcInt(int(t.text), span=t.span)
+            try:
+                value = int(t.text)
+            except ValueError:  # a digit Python does not read, or too many digits
+                raise ParseError("not a valid integer literal", t.span) from None
+            return SrcInt(value, span=t.span)
         if self.ts.at_word("unit"):
             self.ts.next()
             return SrcUnit(span=t.span)

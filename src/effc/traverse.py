@@ -61,7 +61,7 @@ BIND, USE, TERM, TYPE, MANY, ATOM = "bind", "use", "term", "type", "many", "atom
 VAR_CLASSES = (SkelVar, TyVar, DirtVar, CoVar, TermVar)
 _VARS = {cls.__name__: cls for cls in VAR_CLASSES}
 _VARS["Optional[DirtVar]"] = DirtVar
-_TERMS = {"Value", "Comp", "SkValue", "SkComp", "NTerm", "SrcValue", "SrcComp"}
+_TERMS = {"Value", "Comp", "NTerm", "SrcValue", "SrcComp"}
 _TYPES = {
     "Skeleton", "ValueType", "CompType", "Dirt", "SimpleConstraint", "Union[TySub, DirtSub]",
     "Coercion", "NType", "NSub", "NCoercion", "object",

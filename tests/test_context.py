@@ -52,7 +52,7 @@ MESSAGES = {
 }
 
 # (calculus, what is out of scope, term)
-E, S, M = exeff, skeleff, noeff
+E, M = exeff, noeff
 UNBOUND = [
     ("exeff", "skeleton", E.CReturn(E.ETyAbs(TyVar(1), s99, E.EUnit()))),
     ("exeff", "type", E.CReturn(E.EAbs(x, a99, E.CReturn(E.EVar(x))))),
@@ -60,10 +60,10 @@ UNBOUND = [
     ("exeff", "coercion", E.CReturn(E.ECast(E.EUnit(), E.CoVarRef(w99)))),
     ("exeff", "term", E.CReturn(E.EVar(z))),
     ("exeff", "operation", E.COp("Bogus", E.EUnit(), x, T_UNIT, E.CReturn(E.EUnit()))),
-    ("skeleff", "skeleton", S.SReturn(S.SAbs(x, s99, S.SReturn(S.SVar(x))))),
-    ("skeleff", "skeleton", S.SReturn(S.SSkelApp(S.SSkelAbs(SkelVar(5), S.SUnit()), s99))),
-    ("skeleff", "term", S.SReturn(S.SVar(z))),
-    ("skeleff", "operation", S.SOp("Bogus", S.SUnit(), x, SK_UNIT, S.SReturn(S.SUnit()))),
+    ("skeleff", "skeleton", E.CReturn(E.EAbs(x, s99, E.CReturn(E.EVar(x))))),
+    ("skeleff", "skeleton", E.CReturn(E.ESkelApp(E.ESkelAbs(SkelVar(5), E.EUnit()), s99))),
+    ("skeleff", "term", E.CReturn(E.EVar(z))),
+    ("skeleff", "operation", E.COp("Bogus", E.EUnit(), x, SK_UNIT, E.CReturn(E.EUnit()))),
     ("noeff", "type", M.MAbs(x, a99, M.MVar(x))),
     ("noeff", "coercion", M.MCast(M.MUnit(), M.NCoVar(w99))),
     ("noeff", "term", M.MVar(z)),
@@ -94,12 +94,12 @@ def test_checkers_reject_a_handler_listing_an_operation_twice():
     k = TermVar(2, "k")
     ticks = {
         "exeff": E.OpClause("Tick", z, k, E.CReturn(E.EUnit())),
-        "skeleff": S.SOpClause("Tick", z, k, S.SReturn(S.SUnit())),
+        "skeleff": E.OpClause("Tick", z, k, E.CReturn(E.EUnit())),
         "noeff": M.MOpClause("Tick", z, k, M.MReturn(M.MUnit())),
     }
     handlers = {
         "exeff": E.CReturn(E.EHandler(x, T_UNIT, E.CReturn(E.EVar(x)), (ticks["exeff"],) * 2)),
-        "skeleff": S.SReturn(S.SHandler(x, SK_UNIT, S.SReturn(S.SVar(x)), (ticks["skeleff"],) * 2)),
+        "skeleff": E.CReturn(E.EHandler(x, SK_UNIT, E.CReturn(E.EVar(x)), (ticks["skeleff"],) * 2)),
         "noeff": M.MHandler(x, N_UNIT, M.MReturn(M.MVar(x)), (ticks["noeff"],) * 2),
     }
     for calculus, term in handlers.items():

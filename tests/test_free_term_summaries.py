@@ -17,7 +17,7 @@ from test_solver import handler_chain
 # `do` class, which binds `var` over `second`.
 BACKENDS = {
     "exeff": ("exeff_term", exeff.REDUCTION, exeff.CDo),
-    "skeleff": ("skeleff_term", skeleff.REDUCTION, skeleff.SDo),
+    "skeleff": ("skeleff_term", skeleff.REDUCTION, exeff.CDo),
     "noeff": ("noeff_term", noeff.REDUCTION, noeff.MDo),
 }
 

@@ -122,3 +122,19 @@ def test_harness_typechecks_each_core_term_once(monkeypatch):
     report = pipeline.differential_check(str(CORPUS / "p09_do_tick_tock.eff"))
     assert report.agreement and report.steps["exeff"] == 2
     assert outer[0] == report.steps["exeff"] + 1
+
+
+def test_harness_records_no_derivation_of_its_own(monkeypatch):
+    # Compilation builds the one derivation NoEff elaboration reads; the
+    # harness's per-step checks record nothing.
+    made = []
+    init = exeff.Derivation.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(exeff.Derivation, "__init__", counted)
+    report = pipeline.differential_check(str(CORPUS / "p09_do_tick_tock.eff"))
+    assert report.agreement and report.steps["exeff"] == 2
+    assert len(made) == 1

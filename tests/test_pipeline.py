@@ -36,7 +36,7 @@ def test_compile_stages_re_typecheck(tmp_path):
 
 
 def test_compile_reports_polymorphic_scheme():
-    art = pipeline.compile_path(str(CORPUS / "p06_running_f_id.eff"), "infer")
+    art = pipeline.compile_path(str(CORPUS / "p06_running_f_id.eff"), "exeff")
     schemes = art.inferred.session.let_schemes
     assert len(schemes) == 1
     from paper_examples import RunningExample
@@ -107,7 +107,7 @@ def test_corpus_expectations(corpus_paths):
     expected = json.loads((CORPUS / "expected.json").read_text())
     for path in corpus_paths:
         rep = pipeline.differential_check(str(path), check_each_step=False)
-        art = pipeline.compile_path(str(path), "infer")
+        art = pipeline.compile_path(str(path), "exeff")
         want = expected[path.name]
         assert display.show(display.canonicalize(art.cty)) == want["type"], path.name
         assert str(rep.observations["exeff"]) == want["observation"], path.name
@@ -357,6 +357,17 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "compile_text", broken)
     assert run_cli("check", str(CORPUS / "p02_return_int.eff")) == 4
     assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+def test_cli_rejects_integer_literals_python_cannot_read(capsys, tmp_path):
+    # The lexer takes any Unicode digit; Python reads neither a superscript
+    # digit nor a literal of more than 4,300 digits.
+    for i, literal in enumerate(("\u00b2", "9" * 5000)):
+        path = tmp_path / f"int{i}.eff"
+        path.write_text(f"return {literal}\n", encoding="utf-8")
+        assert run_cli("check", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 1:8: not a valid integer literal\n"
 
 
 def test_cli_dump_stages(capsys):

@@ -22,10 +22,7 @@ CALCULI = {
         exeff.REDUCTION,
         typing.get_args(exeff.Value) + typing.get_args(exeff.Comp) + (exeff.OpClause,),
     ),
-    "skeleff": (
-        skeleff.REDUCTION,
-        typing.get_args(skeleff.SkValue) + typing.get_args(skeleff.SkComp) + (skeleff.SOpClause,),
-    ),
+    "skeleff": (skeleff.REDUCTION, skeleff.FORMS),
     "noeff": (noeff.REDUCTION, typing.get_args(noeff.NTerm) + (noeff.MOpClause,)),
 }
 
@@ -178,7 +175,7 @@ def _eval_comp(c):
 # Per calculus: do, return, variable, unit, and its evaluator.
 DEEP = {
     "exeff": (exeff.CDo, exeff.CReturn, exeff.EVar, exeff.EUnit(), _eval_comp),
-    "skeleff": (skeleff.SDo, skeleff.SReturn, skeleff.SVar, skeleff.SUnit(), skeleff.eval_sk),
+    "skeleff": (exeff.CDo, exeff.CReturn, exeff.EVar, exeff.EUnit(), skeleff.eval_sk),
     "noeff": (noeff.MDo, noeff.MReturn, noeff.MVar, noeff.MUnit(), noeff.eval_noeff),
 }
 

@@ -1,11 +1,13 @@
 """Effect erasure: type preservation, semantics, congruence checking."""
 
+import dataclasses
 import random
+import typing
 from functools import partial
 
 import pytest
 
-from effc import exeff, infer, skeleff, source
+from effc import exeff, infer, pipeline, skeleff, source
 from effc.core import (
     Base,
     Context,
@@ -13,14 +15,16 @@ from effc.core import (
     SkelBase,
     SkelForall,
     SkelHandler,
+    Skeleton,
     Supply,
     TBase,
+    TermVar,
     WfError,
     dirt,
     skeleton,
 )
 from effc.traverse import alpha_eq
-from gen_helpers import random_program
+from gen_helpers import program_texts, random_program
 from paper_examples import RunningExample, erasure_discussion_pair, tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
@@ -36,11 +40,11 @@ def test_erase_running_example_value():
     ex = RunningExample()
     erased = skeleff.erase_value({}, ex.poly_value)
     # skfun s. fun (g : Unit -> s) -> g unit
-    assert isinstance(erased, skeleff.SSkelAbs)
+    assert isinstance(erased, exeff.ESkelAbs)
     fn = erased.body
-    assert isinstance(fn, skeleff.SAbs)
+    assert isinstance(fn, exeff.EAbs)
     assert fn.ty == SkelArrow(SK_UNIT, erased.var)
-    assert isinstance(fn.body, skeleff.SApp)
+    assert isinstance(fn.body, exeff.CApp)
     erased_ty = skeleton({}, ex.poly_type)
     assert alpha_eq(erased_ty, SkelForall(erased.var, SkelArrow(SkelArrow(SK_UNIT, erased.var), erased.var)))
 
@@ -50,16 +54,55 @@ def test_erase_applications_keep_only_skeletons():
     env = ex.env()
     for app in (ex.app_id(), ex.app_tick()):
         erased = skeleff.erase_comp(dict(env.ty), app)
-        assert isinstance(erased, skeleff.SApp)
+        assert isinstance(erased, exeff.CApp)
         fn = erased.fn
-        assert isinstance(fn, skeleff.SSkelApp)
+        assert isinstance(fn, exeff.ESkelApp)
         assert fn.skel == SK_UNIT
-        assert isinstance(fn.val, skeleff.SVar)
+        assert isinstance(fn.val, exeff.EVar)
 
 
 def test_erase_drops_casts():
     v = exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
-    assert skeleff.erase_value({}, v) == skeleff.SUnit()
+    assert skeleff.erase_value({}, v) == exeff.EUnit()
+
+
+# What a SkelEff term may hold: its forms, skeletons and term variables.
+FRAGMENT = skeleff.FORMS + typing.get_args(Skeleton) + (TermVar,)
+
+
+def _outside_fragment(t) -> list:
+    """The classes of the nodes in or under `t` that are not in FRAGMENT."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:
+            todo.extend(u)
+        elif dataclasses.is_dataclass(u):
+            if not isinstance(u, FRAGMENT):
+                out.append(type(u).__name__)
+            todo.extend(getattr(u, f.name) for f in dataclasses.fields(u))
+    return out
+
+
+def test_erased_terms_and_their_traces_stay_in_the_fragment(corpus_paths):
+    # SkelEff terms are built from ExEff's classes, so only erasure and the
+    # step rules keep casts and type, dirt and coercion binders out of them.
+    checked = 0
+    for name, text in program_texts(corpus_paths, 300):
+        art = pipeline.compile_text(text, "skeleff")
+        for t in skeleff.REDUCTION.run(art.skeleff_term, keep_trace=True)[2]:
+            assert _outside_fragment(t) == [], name
+            checked += 1
+    assert checked > 900
+
+
+def test_the_fragment_excludes_casts():
+    cast = exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
+    assert _outside_fragment(exeff.CReturn(cast)) == ["ECast", "CoBaseRefl"]
+    with pytest.raises(TypeError, match="ECast is not a SkelEff form"):
+        skeleff.typecheck_sk(_context(tick_tock_signature()), exeff.CReturn(cast))
+    with pytest.raises(TypeError, match="no reduction rules for ECast"):
+        skeleff.step_sk(exeff.CReturn(cast))
 
 
 def test_typecheck_erased_running_example():
@@ -70,25 +113,25 @@ def test_typecheck_erased_running_example():
 
 
 def test_typecheck_sk_unit():
-    assert skeleff.typecheck_sk(_context(tick_tock_signature()), skeleff.SUnit()) == SK_UNIT
+    assert skeleff.typecheck_sk(_context(tick_tock_signature()), exeff.EUnit()) == SK_UNIT
 
 
 def test_unbound_skeleton_variables_are_rejected():
     sup = Supply()
     x, s, free = sup.term("x"), sup.skel(), sup.skel()
-    ret_x = skeleff.SReturn(skeleff.SVar(x))
+    ret_x = exeff.CReturn(exeff.EVar(x))
     env = _context(tick_tock_signature())
     # Each position that names a skeleton: an abstraction's binder, a
     # handler's return binder, a skeleton application's argument.
     for bad in (
-        skeleff.SAbs(x, free, ret_x),
-        skeleff.SHandler(x, free, ret_x),
-        skeleff.SSkelApp(skeleff.SSkelAbs(s, skeleff.SUnit()), free),
+        exeff.EAbs(x, free, ret_x),
+        exeff.EHandler(x, free, ret_x),
+        exeff.ESkelApp(exeff.ESkelAbs(s, exeff.EUnit()), free),
     ):
         with pytest.raises(WfError, match=f"unbound skeleton variable s{free.id}"):
-            skeleff.typecheck_sk(env, skeleff.SReturn(bad))
+            skeleff.typecheck_sk(env, exeff.CReturn(bad))
     # The same positions with the variable in scope are accepted.
-    assert skeleff.typecheck_sk(env, skeleff.SSkelAbs(s, skeleff.SAbs(x, s, ret_x))) == SkelForall(
+    assert skeleff.typecheck_sk(env, exeff.ESkelAbs(s, exeff.EAbs(x, s, ret_x))) == SkelForall(
         s, SkelArrow(s, s)
     )
 
@@ -108,30 +151,30 @@ def test_typecheck_sk_handler_matches_erased_core_handler():
 def test_step_skeleton_beta():
     sup = Supply()
     sk = sup.skel()
-    v = skeleff.SSkelApp(skeleff.SSkelAbs(sk, skeleff.SUnit()), SK_UNIT)
-    assert skeleff.step_sk(v) == skeleff.SUnit()
+    v = exeff.ESkelApp(exeff.ESkelAbs(sk, exeff.EUnit()), SK_UNIT)
+    assert skeleff.step_sk(v) == exeff.EUnit()
 
 
 def test_step_do_return():
     sup = Supply()
     x = sup.term("x")
-    c = skeleff.SDo(x, skeleff.SReturn(skeleff.SUnit()), skeleff.SReturn(skeleff.SVar(x)))
-    assert skeleff.step_sk(c) == skeleff.SReturn(skeleff.SUnit())
+    c = exeff.CDo(x, exeff.CReturn(exeff.EUnit()), exeff.CReturn(exeff.EVar(x)))
+    assert skeleff.step_sk(c) == exeff.CReturn(exeff.EUnit())
 
 
 def test_step_handle_op():
     sig = tick_tock_signature()
     sup = Supply()
     x, p, k, y = sup.term("x"), sup.term("p"), sup.term("k"), sup.term("y")
-    h = skeleff.SHandler(
-        x, SK_UNIT, skeleff.SReturn(skeleff.SVar(x)),
-        (skeleff.SOpClause("Tick", p, k, skeleff.SApp(skeleff.SVar(k), skeleff.SVar(p))),),
+    h = exeff.EHandler(
+        x, SK_UNIT, exeff.CReturn(exeff.EVar(x)),
+        (exeff.OpClause("Tick", p, k, exeff.CApp(exeff.EVar(k), exeff.EVar(p))),),
     )
-    body = skeleff.SOp("Tick", skeleff.SUnit(), y, SK_UNIT, skeleff.SReturn(skeleff.SVar(y)))
-    stepped = skeleff.step_sk(skeleff.SHandle(h, body))
-    assert isinstance(stepped, skeleff.SApp)
-    out, _ = skeleff.eval_sk(skeleff.SHandle(h, body))
-    assert out == skeleff.SReturn(skeleff.SUnit())
+    body = exeff.COp("Tick", exeff.EUnit(), y, SK_UNIT, exeff.CReturn(exeff.EVar(y)))
+    stepped = skeleff.step_sk(exeff.CHandle(h, body))
+    assert isinstance(stepped, exeff.CApp)
+    out, _ = skeleff.eval_sk(exeff.CHandle(h, body))
+    assert out == exeff.CReturn(exeff.EUnit())
 
 
 # -- normalization and congruence ------------------------------------------------
@@ -145,14 +188,14 @@ def test_normalize_section_6_2_pair():
     n2 = skeleff.normalize_full(e2)
     assert skeleff.alpha_eq_sk(n1, n2)
     # return (fun (y : Unit) -> return unit)
-    assert isinstance(n1, skeleff.SReturn)
+    assert isinstance(n1, exeff.CReturn)
     lam = n1.val
-    assert isinstance(lam, skeleff.SAbs)
-    assert lam.body == skeleff.SReturn(skeleff.SUnit())
+    assert isinstance(lam, exeff.EAbs)
+    assert lam.body == exeff.CReturn(exeff.EUnit())
 
 
 def test_normalize_trivial():
-    c = skeleff.SReturn(skeleff.SUnit())
+    c = exeff.CReturn(exeff.EUnit())
     assert skeleff.normalize_full(c) == c
 
 

@@ -53,16 +53,16 @@ CALCULI = {
         ],
     ),
     "skeleff": dict(
-        var=skeleff.SVar,
-        unit=skeleff.SUnit(),
-        lam=lambda v, body: skeleff.SAbs(v, SK_UNIT, body),
-        ret=skeleff.SReturn,
-        let=skeleff.SLet,
-        do=skeleff.SDo,
-        op=lambda arg, v, body: skeleff.SOp("Tick", arg, v, SK_UNIT, body),
-        handler=lambda r, rb, cls: skeleff.SHandler(r, SK_UNIT, rb, cls),
-        clause=lambda p, k, body: skeleff.SOpClause("Tick", p, k, body),
-        other_binders=[lambda i, b: skeleff.SSkelAbs(SkelVar(i), b)],
+        var=exeff.EVar,
+        unit=exeff.EUnit(),
+        lam=lambda v, body: exeff.EAbs(v, SK_UNIT, body),
+        ret=exeff.CReturn,
+        let=exeff.CLet,
+        do=exeff.CDo,
+        op=lambda arg, v, body: exeff.COp("Tick", arg, v, SK_UNIT, body),
+        handler=lambda r, rb, cls: exeff.EHandler(r, SK_UNIT, rb, cls),
+        clause=lambda p, k, body: exeff.OpClause("Tick", p, k, body),
+        other_binders=[lambda i, b: exeff.ESkelAbs(SkelVar(i), b)],
     ),
     "noeff": dict(
         var=noeff.MVar,
@@ -152,15 +152,15 @@ def test_free_variables_respect_binder_sort_and_scope():
 
 def test_alpha_equality_pairs_binders_one_to_one_and_by_sort():
     def lam(v, w):
-        return skeleff.SAbs(v, SK_UNIT, skeleff.SReturn(skeleff.SVar(w)))
+        return exeff.EAbs(v, SK_UNIT, exeff.CReturn(exeff.EVar(w)))
 
     assert alpha_eq(lam(X, X), lam(P, P))
     assert not alpha_eq(lam(X, K), lam(P, P))
     # The free `p` on the left must not match the bound `p` on the right.
     assert not alpha_eq(lam(X, P), lam(P, P))
     # A skeleton binder does not pair term variables with its id.
-    sk_x = skeleff.SSkelAbs(SkelVar(X.id), lam(P, X))
-    assert not alpha_eq(sk_x, skeleff.SSkelAbs(SkelVar(K.id), lam(P, K)))
+    sk_x = exeff.ESkelAbs(SkelVar(X.id), lam(P, X))
+    assert not alpha_eq(sk_x, exeff.ESkelAbs(SkelVar(K.id), lam(P, K)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,9 @@ def test_binder_scopes_of_the_irregular_classes():
     def scope(cls, binder):
         return [f.name for f in shape(cls).fields if binder in (b for b, _ in f.binders)]
 
-    for cls in (exeff.EHandler, skeleff.SHandler, noeff.MHandler, source.SrcHandler):
+    for cls in (exeff.EHandler, noeff.MHandler, source.SrcHandler):
         assert scope(cls, "ret_var") == ["ret_body"]
-    for cls in (exeff.CDo, skeleff.SDo, noeff.MDo, source.SrcDo):
+    for cls in (exeff.CDo, noeff.MDo, source.SrcDo):
         assert scope(cls, "var") == ["second"]
     for cls in (exeff.CLet, exeff.COp, noeff.MLet, source.SrcOpCall):
         assert scope(cls, "var") == ["body"]
