@@ -54,7 +54,7 @@ from .core import (
     TySub,
     ValueType,
 )
-from .lex import TokenStream, tokenize
+from .lex import TokenStream, int_literal, tokenize
 from .traverse import BIND, VAR_CLASSES, _annotation, _Table, rename, shape
 
 # ---------------------------------------------------------------------------
@@ -604,7 +604,8 @@ class _Reader:
         if item.kind == "atom":
             if not _starts(item, ts.peek()):
                 raise ts.error(f"expected {item.ann}")
-            return item.cat(ts.next().text)
+            tok = ts.next()
+            return int_literal(tok) if item.cat is int else item.cat(tok.text)
         if not item.bind:
             return self.use(item.cat)
         tok = self.var_token(item.cat)

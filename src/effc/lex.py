@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LexError, Span
+from .core import LexError, ParseError, Span
 
 # Multi-character symbols must precede their prefixes.
 _SYMBOLS = [
@@ -72,6 +72,16 @@ def tokenize(text: str) -> list:
     return toks
 
 
+def int_literal(tok: Token) -> int:
+    """The value of an `int` token.  The tokenizer takes any Unicode digit,
+    and Python reads neither every digit nor a literal of more than 4,300
+    digits, so either raises ParseError."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError("not a valid integer literal", tok.span) from None
+
+
 class TokenStream:
     def __init__(self, toks: list):
         self.toks = toks
@@ -117,8 +127,6 @@ class TokenStream:
             raise self.error("trailing input")
 
     def error(self, msg: str, span: Optional[Span] = None):
-        from .core import ParseError
-
         t = self.peek()
         got = t.text or "end of input"
         return ParseError(f"{msg}, found {got!r}", span or t.span)

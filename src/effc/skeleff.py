@@ -309,7 +309,15 @@ alpha_eq_sk = alpha_eq
 def congruent(a, b, fuel: int = 100_000) -> bool:
     """Whether `a` and `b` are related by the congruence closure of stepping.
 
-    Decided by full normalization; sound because the calculus terminates.
-    Fuel exhaustion propagates as an error (indeterminate), never as False.
+    True at once when `b` is alpha-equal to `a` (reflexivity) or to
+    `step_sk(a)` (one step of the relation the closure closes): both pairs
+    are in the closure by definition.  Every other pair is decided by full
+    normalization; sound because the calculus terminates.  Fuel exhaustion
+    propagates as an error (indeterminate), never as False.
     """
+    if alpha_eq(a, b):
+        return True
+    nxt = step_sk(a)
+    if nxt is not None and alpha_eq(nxt, b):
+        return True
     return alpha_eq(normalize_full(a, fuel), normalize_full(b, fuel))

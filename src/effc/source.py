@@ -29,7 +29,7 @@ from .core import (
     ValueType,
     dirt,
 )
-from .lex import TokenStream, tokenize
+from .lex import TokenStream, int_literal, tokenize
 from .traverse import rename
 
 
@@ -294,11 +294,7 @@ class _Parser:
         t = self.ts.peek()
         if t.kind == "int":
             self.ts.next()
-            try:
-                value = int(t.text)
-            except ValueError:  # a digit Python does not read, or too many digits
-                raise ParseError("not a valid integer literal", t.span) from None
-            return SrcInt(value, span=t.span)
+            return SrcInt(int_literal(t), span=t.span)
         if self.ts.at_word("unit"):
             self.ts.next()
             return SrcUnit(span=t.span)

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 
@@ -11,6 +12,14 @@ TESTS = pathlib.Path(__file__).parent
 CORPUS = TESTS / "corpus"
 CORPUS_BAD = TESTS / "corpus_bad"
 GOLDEN = TESTS / "golden"
+SRC = TESTS.parent / "src"
+
+
+def subprocess_env(**extra) -> dict:
+    """The environment for running effc in a subprocess: `src` first on
+    PYTHONPATH, as pytest puts it first on the tests' `sys.path`."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def qualifiers(scheme) -> list:

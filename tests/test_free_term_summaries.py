@@ -9,7 +9,7 @@ import pytest
 
 from effc import exeff, noeff, pipeline, skeleff, traverse
 from effc.core import StuckTerm, TermVar
-from conftest import CORPUS
+from conftest import CORPUS, subprocess_env
 from gen_helpers import program_texts
 from test_solver import handler_chain
 
@@ -163,5 +163,6 @@ def test_the_summary_pass_is_no_recursion_cliff(tmp_path):
     # runs out of stack.  The summary pass takes one frame per level.
     path = tmp_path / "chain.eff"
     path.write_text(handler_chain(490))
-    proc = subprocess.run([sys.executable, "-m", "effc.cli", "check", str(path)], capture_output=True, text=True)
+    cmd = [sys.executable, "-m", "effc.cli", "check", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0 and proc.stdout.strip().endswith("ok"), proc.stderr

@@ -3,17 +3,16 @@
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff
+from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff, source
 from effc.core import DirtClash, EffError, SkeletonClash
 from effc.traverse import VAR_CLASSES, alpha_eq
-from conftest import CORPUS, CORPUS_BAD, GOLDEN, read_digests, write_digests
+from conftest import CORPUS, CORPUS_BAD, GOLDEN, read_digests, subprocess_env, write_digests
 from gen_helpers import program_texts
 
 READERS = {
@@ -247,11 +246,12 @@ def test_solver_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):
             [sys.executable, "-m", "effc.cli", "check", str(path)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONHASHSEED": seed},
+            env=subprocess_env(PYTHONHASHSEED=seed),
         )
         for seed in ("1", "3")
     ]
     assert [p.returncode for p in runs] == [1, 1]
+    assert runs[0].stderr.startswith("error: 4:1: value types have incompatible shapes")
     assert runs[0].stderr == runs[1].stderr
     assert "frozenset" not in runs[0].stderr
 
@@ -370,6 +370,14 @@ def test_cli_rejects_integer_literals_python_cannot_read(capsys, tmp_path):
         assert err == "error: 1:8: not a valid integer literal\n"
 
 
+@pytest.mark.parametrize("literal", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
+def test_source_and_dump_readers_reject_integer_literals_python_cannot_read(literal):
+    readers = (source.parse_program, display.read_exeff_comp, display.read_skeleff_comp, display.read_noeff_term)
+    for read in readers:
+        with pytest.raises(core.ParseError, match="^1:8: not a valid integer literal$"):
+            read(f"return {literal}")
+
+
 def test_cli_dump_stages(capsys):
     for stage in ("constraints", "exeff", "skeleff", "noeff"):
         assert run_cli("dump", str(CORPUS / "p10_handle_ret_only.eff"), "--stage", stage) == 0
@@ -387,6 +395,7 @@ def test_cli_entry_point_subprocess():
         [sys.executable, "-m", "effc.cli", "check", str(CORPUS / "p02_return_int.eff")],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
