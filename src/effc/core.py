@@ -369,9 +369,6 @@ class Signature:
         except KeyError:
             raise UnknownOperation(f"unknown operation: {name}", span) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.ops
-
     def names(self) -> list:
         return sorted(self.ops)
 

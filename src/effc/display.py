@@ -110,10 +110,6 @@ NOTATION = {
     exeff.CoArrow: (1, "{dom:2} -> {cod:1}"),
     exeff.CoHandler: (1, "{dom:2} => {cod:1}"),
     exeff.CoComp: (2, "{val:3} ! {dirt:3}"),
-    exeff.CoForallSkel: (ALL, "{var}"),
-    exeff.CoForallTy: (ALL, "({var} : {skel})"),
-    exeff.CoForallDirt: (ALL, "{var}"),
-    exeff.CoQual: (ALL, "[{constraint}]"),
     # ExEff values
     exeff.EVar: (ATOM, "{var}"),
     exeff.EUnit: (ATOM, "unit"),
@@ -157,7 +153,6 @@ NOTATION = {
     noeff.NCoComp: (ATOM, "comp({body})"),
     noeff.NCoReturn: (ATOM, "return({body})"),
     noeff.NCoUnsafe: (ATOM, "unsafe({body})"),
-    noeff.NCoForall: (ALL, "{var}"),
     noeff.NCoQual: (ALL, "[{constraint}]"),
     # NoEff terms.  Terms are one syntactic sort, so `return` parenthesizes
     # as an application operand to keep the grammar unambiguous.

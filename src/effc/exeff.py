@@ -106,31 +106,6 @@ class CoOpUnion:
 
 
 @dataclass(frozen=True)
-class CoForallSkel:
-    var: SkelVar
-    body: "Coercion"
-
-
-@dataclass(frozen=True)
-class CoForallTy:
-    var: TyVar
-    skel: Skeleton
-    body: "Coercion"
-
-
-@dataclass(frozen=True)
-class CoForallDirt:
-    var: DirtVar
-    body: "Coercion"
-
-
-@dataclass(frozen=True)
-class CoQual:
-    constraint: Union[TySub, DirtSub]
-    body: "Coercion"
-
-
-@dataclass(frozen=True)
 class CoComp:
     val: "Coercion"
     dirt: "Coercion"
@@ -138,7 +113,7 @@ class CoComp:
 
 Coercion = Union[
     CoVarRef, CoBaseRefl, CoTyRefl, CoDirtRefl, CoArrow, CoHandler,
-    CoEmpty, CoOpUnion, CoForallSkel, CoForallTy, CoForallDirt, CoQual, CoComp,
+    CoEmpty, CoOpUnion, CoComp,
 ]
 
 
@@ -369,14 +344,6 @@ def refl_of(t) -> Coercion:
         return CoArrow(refl_of(t.dom), refl_of(t.cod))
     if isinstance(t, THandler):
         return CoHandler(refl_of(t.dom), refl_of(t.cod))
-    if isinstance(t, TForallSkel):
-        return CoForallSkel(t.var, refl_of(t.body))
-    if isinstance(t, TForallTy):
-        return CoForallTy(t.var, t.skel, refl_of(t.body))
-    if isinstance(t, TForallDirt):
-        return CoForallDirt(t.var, refl_of(t.body))
-    if isinstance(t, TQual):
-        return CoQual(t.constraint, refl_of(t.body))
     raise TypeError(t)
 
 
@@ -700,28 +667,6 @@ def typecheck_coercion(env: Context, co: Coercion, derived: Optional[Derivation]
         if not isinstance(rest, DirtSub):
             raise TypecheckError("ill-kinded dirt-extension coercion")
         ct = DirtSub(dirt_add([co.op], rest.lhs), dirt_add([co.op], rest.rhs))
-    elif isinstance(co, CoForallSkel):
-        body = typecheck_coercion(env.bind(co.var), co.body, derived)
-        if not isinstance(body, TySub):
-            raise TypecheckError("ill-kinded skeleton-forall coercion")
-        ct = TySub(TForallSkel(co.var, body.lhs), TForallSkel(co.var, body.rhs))
-    elif isinstance(co, CoForallTy):
-        wf_bound(env, co.skel)
-        body = typecheck_coercion(env.bind(co.var, co.skel), co.body, derived)
-        if not isinstance(body, TySub):
-            raise TypecheckError("ill-kinded type-forall coercion")
-        ct = TySub(TForallTy(co.var, co.skel, body.lhs), TForallTy(co.var, co.skel, body.rhs))
-    elif isinstance(co, CoForallDirt):
-        body = typecheck_coercion(env.bind(co.var), co.body, derived)
-        if not isinstance(body, TySub):
-            raise TypecheckError("ill-kinded dirt-forall coercion")
-        ct = TySub(TForallDirt(co.var, body.lhs), TForallDirt(co.var, body.rhs))
-    elif isinstance(co, CoQual):
-        wf(env, co.constraint)
-        body = typecheck_coercion(env, co.body, derived)
-        if not isinstance(body, TySub):
-            raise TypecheckError("ill-kinded qualified coercion")
-        ct = TySub(TQual(co.constraint, body.lhs), TQual(co.constraint, body.rhs))
     elif isinstance(co, CoComp):
         val = typecheck_coercion(env, co.val, derived)
         d = typecheck_coercion(env, co.dirt, derived)
@@ -760,10 +705,6 @@ _TERMINAL_HEADS = (EUnit, EInt, EAbs, EHandler, ESkelAbs, ETyAbs, EDirtAbs, ECoA
 _COMPATIBLE_CAST = {
     EAbs: CoArrow,
     EHandler: CoHandler,
-    ESkelAbs: CoForallSkel,
-    ETyAbs: CoForallTy,
-    EDirtAbs: CoForallDirt,
-    ECoAbs: CoQual,
 }
 
 
@@ -837,17 +778,13 @@ def _cast_refl(v: ECast):
         return v.val
 
 
-def _type_app(app, abs_, forall, one) -> tuple:
-    """The rules of an application to a skeleton, type, dirt or coercion:
-    push it through a cast, or beta-reduce."""
+def _type_app(app, abs_, one) -> tuple:
+    """The rule of an application to a skeleton, type, dirt or coercion:
+    beta-reduce."""
     arg = shape(app).names[1]
 
     def head(t):
         f = t.val
-        if type(f) is ECast and type(f.co) is forall and is_value_result(f):
-            a = getattr(t, arg)
-            co = f.co.body if forall is CoQual else substitute(one(f.co.var, a), f.co.body)
-            return ECast(app(f.val, a), co)
         if type(f) is abs_:
             return substitute(one(f.var, getattr(t, arg)), f.body)
         return None
@@ -899,10 +836,10 @@ def _handle(c: CHandle):
 RULES = {
     **{cls: () for cls in (EVar, OpClause, *_TERMINAL_HEADS)},
     ECast: ("val", _cast_refl),
-    ESkelApp: _type_app(ESkelApp, ESkelAbs, CoForallSkel, Subst.one_skel),
-    ETyApp: _type_app(ETyApp, ETyAbs, CoForallTy, Subst.one_ty),
-    EDirtApp: _type_app(EDirtApp, EDirtAbs, CoForallDirt, Subst.one_dirt),
-    ECoApp: _type_app(ECoApp, ECoAbs, CoQual, Subst.one_co),
+    ESkelApp: _type_app(ESkelApp, ESkelAbs, Subst.one_skel),
+    ETyApp: _type_app(ETyApp, ETyAbs, Subst.one_ty),
+    EDirtApp: _type_app(EDirtApp, EDirtAbs, Subst.one_dirt),
+    ECoApp: _type_app(ECoApp, ECoAbs, Subst.one_co),
     CReturn: ("val",),
     COp: ("arg",),
     CCast: ("comp", _cast_op),

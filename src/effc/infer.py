@@ -824,17 +824,12 @@ def infer_top(sig: Signature, comp) -> InferOutcome:
 
 
 def _fill_skeleton(sk: Skeleton) -> ValueType:
-    """The base-type filling of a ground skeleton: shape with empty dirts."""
+    """The base type of a residual annotation's defaulted skeleton.  The
+    solver instantiates an annotation at an arrow or handler skeleton at
+    once, so a residual one names a variable, which defaulting sets to a base."""
     if isinstance(sk, SkelBase):
         return TBase(sk.base)
-    if isinstance(sk, SkelArrow):
-        return TArrow(_fill_skeleton(sk.dom), CompType(_fill_skeleton(sk.cod), EMPTY_DIRT))
-    if isinstance(sk, SkelHandler):
-        return THandler(
-            CompType(_fill_skeleton(sk.dom), EMPTY_DIRT),
-            CompType(_fill_skeleton(sk.cod), EMPTY_DIRT),
-        )
-    raise TypeError(f"cannot fill non-ground skeleton {display.show(sk)}")
+    raise TypeError(f"cannot fill non-base skeleton {display.show(sk)}")
 
 
 def default_residual(outcome: InferOutcome) -> Subst:

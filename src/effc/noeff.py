@@ -41,11 +41,7 @@ from .exeff import (
     CoArrow,
     CoBaseRefl,
     CoComp,
-    CoForallDirt,
-    CoForallSkel,
-    CoForallTy,
     CoHandler,
-    CoQual,
     CoTyRefl,
     CoVarRef,
     Subst,
@@ -156,12 +152,6 @@ class NCoFunToHand:
 
 
 @dataclass(frozen=True)
-class NCoForall:
-    var: TyVar
-    body: "NCoercion"
-
-
-@dataclass(frozen=True)
 class NCoQual:
     constraint: NSub
     body: "NCoercion"
@@ -184,7 +174,7 @@ class NCoUnsafe:
 
 NCoercion = Union[
     NCoVar, NCoBaseRefl, NCoTyRefl, NCoArrow, NCoHandler, NCoHandToFun,
-    NCoFunToHand, NCoForall, NCoQual, NCoComp, NCoReturn, NCoUnsafe,
+    NCoFunToHand, NCoQual, NCoComp, NCoReturn, NCoUnsafe,
 ]
 
 
@@ -326,8 +316,6 @@ def refl_nty(a: NType) -> NCoercion:
         return NCoQual(a.constraint, refl_nty(a.body))
     if isinstance(a, NComp):
         return NCoComp(refl_nty(a.body))
-    if isinstance(a, NForall):
-        return NCoForall(a.var, refl_nty(a.body))
     raise TypeError(a)
 
 
@@ -473,9 +461,6 @@ def typecheck_noeff_coercion(env: Context, co: NCoercion) -> NSub:
         if not isinstance(cod.rhs, NComp):
             raise TypecheckError("function-to-handler coercion codomain must produce a computation")
         return NSub(NArrow(dom.rhs, cod.lhs), NHandler(dom.lhs, cod.rhs.body))
-    if isinstance(co, NCoForall):
-        body = typecheck_noeff_coercion(env.bind(co.var), co.body)
-        return NSub(NForall(co.var, body.lhs), NForall(co.var, body.rhs))
     if isinstance(co, NCoQual):
         wf_bound(env, co.constraint)
         body = typecheck_noeff_coercion(env, co.body)
@@ -574,8 +559,6 @@ def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impur
         return NCoHandToFun(arg, res) if from_impure else NCoFunToHand(arg, res)
     if isinstance(t, (TForallSkel, TForallDirt)):
         return bridge(t.body, delta, inst, from_impure)
-    if isinstance(t, TForallTy):
-        return NCoForall(t.var, bridge(t.body, delta, inst, from_impure))
     if isinstance(t, TQual):
         ct = t.constraint
         if isinstance(ct, DirtSub):
@@ -610,15 +593,6 @@ def elab_co(derived: exeff.Derivation, co: exeff.Coercion) -> NCoercion:
         return NCoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
     if isinstance(co, CoHandler):
         return _elab_handler_co(derived, co)
-    if isinstance(co, (CoForallSkel, CoForallDirt)):
-        return elab_co(derived, co.body)
-    if isinstance(co, CoForallTy):
-        return NCoForall(co.var, elab_co(derived, co.body))
-    if isinstance(co, CoQual):
-        body = elab_co(derived, co.body)
-        if isinstance(co.constraint, DirtSub):
-            return body
-        return NCoQual(elab_constraint(co.constraint), body)
     if isinstance(co, CoComp):
         ct = derived.of(co)
         d1, d2 = ct.lhs.dirt, ct.rhs.dirt
@@ -754,7 +728,7 @@ def elab_comp(derived: exeff.Derivation, c: exeff.Comp) -> NTerm:
 # ---------------------------------------------------------------------------
 # Operational semantics
 
-_VALUE_CAST_HEADS = (NCoArrow, NCoHandler, NCoHandToFun, NCoFunToHand, NCoForall, NCoQual)
+_VALUE_CAST_HEADS = (NCoArrow, NCoHandler, NCoHandToFun, NCoFunToHand, NCoQual)
 
 
 _VALUES = (MUnit, MInt, MAbs, MTyAbs, MCoAbs, MHandler)
@@ -798,8 +772,6 @@ def _ty_app(t: MTyApp):
     f = t.fn
     if type(f) is MTyAbs:
         return substitute(Subst.one_ty(f.var, t.ty), f.body)
-    if type(f) is MCast and type(f.co) is NCoForall and is_value_noeff(f):
-        return MCast(MTyApp(f.term, t.ty), substitute(Subst.one_ty(f.co.var, t.ty), f.co.body))
     return None
 
 

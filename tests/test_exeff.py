@@ -367,52 +367,6 @@ def test_evaluation_traces_reproducible():
     assert t1 == t2
 
 
-def _arrow_co():
-    return exeff.CoArrow(
-        exeff.CoBaseRefl(Base.UNIT),
-        exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT)),
-    )
-
-
-def test_value_push_rules():
-    sup = Supply()
-    sk = sup.skel()
-    x = sup.term("x")
-    # Push a skeleton-forall cast through a skeleton application.
-    lam = exeff.ESkelAbs(sk, exeff.EAbs(x, T_UNIT, exeff.CReturn(exeff.EVar(x))))
-    co = exeff.CoForallSkel(sk, _arrow_co())
-    v = exeff.ESkelApp(exeff.ECast(lam, co), SK_UNIT)
-    stepped = exeff.step_comp(v)
-    assert stepped == exeff.ECast(exeff.ESkelApp(lam, SK_UNIT), _arrow_co())
-
-    # Push a type-forall cast; the coercion is instantiated alongside.
-    a = sup.ty()
-    lam2 = exeff.ETyAbs(a, SK_UNIT, exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT)))
-    co2 = exeff.CoForallTy(a, SK_UNIT, exeff.CoTyRefl(a))
-    v2 = exeff.ETyApp(exeff.ECast(lam2, co2), T_UNIT)
-    stepped2 = exeff.step_comp(v2)
-    assert stepped2 == exeff.ECast(exeff.ETyApp(lam2, T_UNIT), exeff.CoBaseRefl(Base.UNIT))
-
-    # Push a dirt-forall cast.
-    d = sup.dirt()
-    lam3 = exeff.EDirtAbs(d, exeff.EUnit())
-    co3 = exeff.CoForallDirt(d, exeff.CoBaseRefl(Base.UNIT))
-    v3 = exeff.EDirtApp(exeff.ECast(lam3, co3), EMPTY_DIRT)
-    assert exeff.step_comp(v3) == exeff.ECast(
-        exeff.EDirtApp(lam3, EMPTY_DIRT), exeff.CoBaseRefl(Base.UNIT)
-    )
-
-    # Push a qualified cast through a coercion application.
-    w = sup.co()
-    pi = TySub(T_UNIT, T_UNIT)
-    lam4 = exeff.ECoAbs(w, pi, exeff.EUnit())
-    co4 = exeff.CoQual(pi, exeff.CoBaseRefl(Base.UNIT))
-    v4 = exeff.ECoApp(exeff.ECast(lam4, co4), exeff.CoBaseRefl(Base.UNIT))
-    assert exeff.step_comp(v4) == exeff.ECast(
-        exeff.ECoApp(lam4, exeff.CoBaseRefl(Base.UNIT)), exeff.CoBaseRefl(Base.UNIT)
-    )
-
-
 def test_cast_pushes_into_operation_continuation():
     sup = Supply()
     y = sup.term("y")

@@ -196,7 +196,7 @@ def test_every_node_class_has_a_notation_entry():
         and cls.__dataclass_params__.frozen
         and cls not in (core.Span, core.OpSig)  # not part of any dump
     ]
-    assert len(classes) > 90
+    assert len(classes) == 87
     for cls in classes:
         assert cls in display.NOTATION or cls in hand_written, cls.__name__
         if cls in display.NOTATION and cls not in VAR_CLASSES:  # variables print their names

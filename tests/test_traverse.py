@@ -130,7 +130,6 @@ def test_type_substitution_leaves_binder_fields_untouched():
         TForallTy(TyVar(3), SkelVar(1), TyVar(4)),
         TForallDirt(DirtVar(3), TArrow(TyVar(4), core.CompType(T_UNIT, dirt_var(DirtVar(8))))),
         noeff.NForall(TyVar(3), TyVar(4)),
-        exeff.CoForallTy(TyVar(3), SkelVar(1), exeff.CoTyRefl(TyVar(4))),
     ]
     for t in cases:
         got = substitute(s, t)
