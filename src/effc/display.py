@@ -6,15 +6,17 @@ deterministic and stable under alpha-equivalence.
 
 `NOTATION` states the concrete syntax of the dumps once.  Every node class
 of the skeletons, core types and constraints, ExEff coercions, values and
-computations, and NoEff types, coercions and terms has one entry: the
+computations, and NoEff's own types, coercions and terms has one entry: the
 precedence level of its form and a template of literal text and fields.  A
 field `{name:p}` prints its child at precedence `p` (0 when omitted), and a
 form prints in parentheses when it is asked for a precedence above its
 level.  `show` prints any node from the table, and `read_exeff_comp`,
 `read_skeleff_comp` and `read_noeff_term` read the same table back.
-SkelEff terms are ExEff terms with skeleton annotations, so they print and
-read with ExEff's entries.  Dirts keep a hand-written form: a sorted set of
-operations with an optional variable tail.
+SkelEff terms are ExEff terms with skeleton annotations, and NoEff builds
+the core's classes for the forms it shares with it, so both print and read
+with the core's entries; their readers read those forms' fields in their
+own categories.  Dirts keep a hand-written form: a sorted set of operations
+with an optional variable tail.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import (
     DirtSub,
     DirtVar,
     ParseError,
+    SimpleConstraint,
     SkelArrow,
     SkelBase,
     SkelForall,
@@ -134,45 +137,21 @@ NOTATION = {
     exeff.CHandle: (0, _WITH),
     exeff.CApp: (2, _APP),
     exeff.CCast: (1, "{comp:1} |> {co}"),
-    # NoEff types
-    noeff.NBase: (ATOM, "{base}"),
-    noeff.NArrow: (1, "{dom:2} -> {cod:1}"),
+    # NoEff's own forms; the rest of its types, coercions and terms are the
+    # core's above.  Terms are one syntactic sort, so `return` parenthesizes
+    # as an application operand to keep the grammar unambiguous.
     noeff.NHandler: (1, "{dom:2} => {cod:1}"),
     noeff.NComp: (2, "Comp {body:3}"),
     noeff.NForall: (ALL, "{var}"),
-    noeff.NQual: (ALL, "[{constraint}]"),
-    noeff.NSub: (0, "{lhs:1} <= {rhs:1}"),
-    # NoEff coercions
-    noeff.NCoVar: (ATOM, "{var}"),
-    noeff.NCoBaseRefl: (ATOM, "<{base}>"),
     noeff.NCoTyRefl: (ATOM, "<{var}>"),
-    noeff.NCoArrow: (1, "{dom:2} -> {cod:1}"),
-    noeff.NCoHandler: (1, "{dom:2} => {cod:1}"),
     noeff.NCoHandToFun: (ATOM, "hand2fun({dom}, {cod})"),
     noeff.NCoFunToHand: (ATOM, "fun2hand({dom}, {cod})"),
     noeff.NCoComp: (ATOM, "comp({body})"),
     noeff.NCoReturn: (ATOM, "return({body})"),
     noeff.NCoUnsafe: (ATOM, "unsafe({body})"),
     noeff.NCoQual: (ALL, "[{constraint}]"),
-    # NoEff terms.  Terms are one syntactic sort, so `return` parenthesizes
-    # as an application operand to keep the grammar unambiguous.
-    noeff.MVar: (ATOM, "{var}"),
-    noeff.MUnit: (ATOM, "unit"),
-    noeff.MInt: (ATOM, "{value}"),
-    noeff.MAbs: (0, _FUN),
     noeff.MTyAbs: (0, "tyfun {var}. {body}"),
-    noeff.MCoAbs: (0, "cofun ({var} : {constraint}). {body}"),
-    noeff.MHandler: (ATOM, _HANDLER),
-    noeff.MOpClause: (ATOM, _CLAUSE),
-    noeff.MApp: (2, _APP),
-    noeff.MTyApp: (2, "{fn:2} @ty[{ty}]"),
-    noeff.MCoApp: (2, "{fn:2} @co[{co}]"),
-    noeff.MCast: (1, "{term:1} |> {co}"),
     noeff.MReturn: (1, "return {term:3}"),
-    noeff.MLet: (0, _LET),
-    noeff.MOp: (2, _OP),
-    noeff.MDo: (0, _DO),
-    noeff.MHandle: (0, _WITH),
 }
 
 _BINDERS = {cls for cls, (level, _) in NOTATION.items() if level is ALL}
@@ -352,8 +331,8 @@ _ATOM_FIRST = {str: {"<op>"}, int: {"<int>"}, Base: {b.value for b in Base}}
 class _Field:
     """One field of a template: its category and the tokens it starts with."""
 
-    def __init__(self, f, hint, ann: str, prec: int):
-        self.name, self.prec, self.ann = f.name, prec, ann
+    def __init__(self, f, hint, ann: str, prec: int, read_as: bool):
+        self.name, self.prec, self.ann, self.read_as = f.name, prec, ann, read_as
         self.bind = f.role == BIND
         self.binders = [b for b, _ in f.binders]  # the binder fields it is the scope of
         self.cat = hint
@@ -383,7 +362,7 @@ class _Form:
             self.items += [t.text for t in tokenize(lit)[:-1]]
             if name is not None:
                 hint = read_as.get(hints[name], hints[name])
-                self.items.append(_Field(fields[name], hint, anns[name], prec))
+                self.items.append(_Field(fields[name], hint, anns[name], prec, hint is not hints[name]))
         lead = self.items[0]
         self.lead = lead if type(lead) is _Field and lead.kind == "node" else None
         self.rest = self.items[1:]
@@ -481,7 +460,8 @@ def _grammar(read_as: tuple) -> dict:
     forms = {cls: _Form(cls, read_as) for cls in NOTATION if cls not in VAR_CLASSES}
     fields = [i for f in forms.values() for i in f.items if type(i) is _Field]
     cats = {}
-    for i in fields:
+    # A category is named by a field declared in it before one read in it.
+    for i in sorted(fields, key=lambda i: i.read_as):
         if i.kind in ("node", "many") and i.cat not in cats:
             name = i.ann if i.kind == "node" else i.cat.__name__
             cats[i.cat] = _Category(i.cat, name, forms)
@@ -675,4 +655,17 @@ def read_skeleff_comp(text: str):
 
 
 def read_noeff_term(text: str):
-    return _read(text, noeff.NTerm)
+    """A NoEff term: NoEff's own forms and the core's forms it shares, whose
+    fields read as NoEff terms, types, coercions and constraints."""
+    return _read(
+        text,
+        noeff.NTerm,
+        (
+            (exeff.Value, noeff.NTerm),
+            (exeff.Comp, noeff.NTerm),
+            (ValueType, noeff.NType),
+            (CompType, noeff.NType),
+            (exeff.Coercion, noeff.NCoercion),
+            (SimpleConstraint, TySub),
+        ),
+    )

@@ -4,7 +4,8 @@ Terms form a single syntactic sort.  Handlers always take computations to
 computations; four coercion forms (handler/function bridges, return and
 unsafe) let the elaboration from the explicitly-typed core bridge between
 pure and conservatively-impure views of polymorphic code.  The unsafe
-coercion is the single source of stuckness.
+coercion is the single source of stuckness.  The forms NoEff shares with
+the core are the core's own node classes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .core import (
     Base,
     CompType,
     Context,
-    CoVar,
     Dirt,
     DirtSub,
     DirtVar,
@@ -29,7 +29,6 @@ from .core import (
     TForallSkel,
     TForallTy,
     TQual,
-    TermVar,
     TyVar,
     TySub,
     TypecheckError,
@@ -38,12 +37,27 @@ from .core import (
     clause_ops,
 )
 from .exeff import (
+    CApp,
+    CDo,
+    CHandle,
+    CLet,
+    COp,
     CoArrow,
     CoBaseRefl,
     CoComp,
     CoHandler,
     CoTyRefl,
     CoVarRef,
+    EAbs,
+    ECast,
+    ECoAbs,
+    ECoApp,
+    EHandler,
+    EInt,
+    ETyApp,
+    EUnit,
+    EVar,
+    OpClause,
     Subst,
     wf_bound,
 )
@@ -59,30 +73,23 @@ from .traverse import (
 
 
 # ---------------------------------------------------------------------------
-# Types and coercion types
+# Types, coercions and terms
 
-
-@dataclass(frozen=True)
-class NBase:
-    base: Base
-
-
-@dataclass(frozen=True)
-class NArrow:
-    dom: "NType"
-    cod: "NType"
+# NoEff builds the core's node classes for the forms the two calculi share,
+# with NoEff types, coercions and terms in their fields: the types `TyVar`,
+# `TBase`, `TArrow` and `TQual`, the constraint `TySub`, the coercions
+# `CoVarRef`, `CoBaseRefl`, `CoArrow` and `CoHandler`, and every term form
+# but `MTyAbs` and `MReturn`.  A form is NoEff's own where sharing would
+# change its dump or its rule: `NHandler` prints its domain at precedence 2
+# (`THandler` at 1), `NForall` and `MTyAbs` carry no skeleton, `MReturn` is
+# of level 1 with its operand at 3, and `NCoTyRefl` substitutes through
+# `refl_nty`; the other forms have no core counterpart.
 
 
 @dataclass(frozen=True)
 class NHandler:
     dom: "NType"
     cod: "NType"
-
-
-@dataclass(frozen=True)
-class NQual:
-    constraint: "NSub"
-    body: "NType"
 
 
 @dataclass(frozen=True)
@@ -96,47 +103,12 @@ class NForall:
     body: "NType"
 
 
-NType = Union[TyVar, NBase, NArrow, NHandler, NQual, NComp, NForall]
-
-
-@dataclass(frozen=True)
-class NSub:
-    lhs: NType
-    rhs: NType
-
-
-N_UNIT = NBase(Base.UNIT)
-
-
-# ---------------------------------------------------------------------------
-# Coercions
-
-
-@dataclass(frozen=True)
-class NCoVar:
-    var: CoVar
-
-
-@dataclass(frozen=True)
-class NCoBaseRefl:
-    base: Base
+NType = Union[TyVar, TBase, TArrow, NHandler, TQual, NComp, NForall]
 
 
 @dataclass(frozen=True)
 class NCoTyRefl:
     var: TyVar
-
-
-@dataclass(frozen=True)
-class NCoArrow:
-    dom: "NCoercion"
-    cod: "NCoercion"
-
-
-@dataclass(frozen=True)
-class NCoHandler:
-    dom: "NCoercion"
-    cod: "NCoercion"
 
 
 @dataclass(frozen=True)
@@ -153,7 +125,7 @@ class NCoFunToHand:
 
 @dataclass(frozen=True)
 class NCoQual:
-    constraint: NSub
+    constraint: TySub
     body: "NCoercion"
 
 
@@ -173,41 +145,9 @@ class NCoUnsafe:
 
 
 NCoercion = Union[
-    NCoVar, NCoBaseRefl, NCoTyRefl, NCoArrow, NCoHandler, NCoHandToFun,
+    CoVarRef, CoBaseRefl, NCoTyRefl, CoArrow, CoHandler, NCoHandToFun,
     NCoFunToHand, NCoQual, NCoComp, NCoReturn, NCoUnsafe,
 ]
-
-
-# ---------------------------------------------------------------------------
-# Terms
-
-
-@dataclass(frozen=True)
-class MVar:
-    var: TermVar
-
-
-@dataclass(frozen=True)
-class MUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class MInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class MAbs:
-    var: TermVar
-    ty: NType
-    body: "NTerm"
-
-
-@dataclass(frozen=True)
-class MApp:
-    fn: "NTerm"
-    arg: "NTerm"
 
 
 @dataclass(frozen=True)
@@ -217,85 +157,13 @@ class MTyAbs:
 
 
 @dataclass(frozen=True)
-class MTyApp:
-    fn: "NTerm"
-    ty: NType
-
-
-@dataclass(frozen=True)
-class MCoAbs:
-    var: CoVar
-    constraint: NSub
-    body: "NTerm"
-
-
-@dataclass(frozen=True)
-class MCoApp:
-    fn: "NTerm"
-    co: NCoercion
-
-
-@dataclass(frozen=True)
-class MCast:
-    term: "NTerm"
-    co: NCoercion
-
-
-@dataclass(frozen=True)
 class MReturn:
     term: "NTerm"
 
 
-@dataclass(frozen=True)
-class MOpClause:
-    op: str
-    param: TermVar
-    kont: TermVar
-    body: "NTerm"
-
-
-@dataclass(frozen=True)
-class MHandler:
-    ret_var: TermVar
-    ret_ty: NType
-    ret_body: "NTerm"
-    clauses: tuple[MOpClause, ...] = ()
-
-    scope = "ret_body"  # the return binder does not reach the operation clauses
-
-
-@dataclass(frozen=True)
-class MLet:
-    var: TermVar
-    val: "NTerm"
-    body: "NTerm"
-
-
-@dataclass(frozen=True)
-class MOp:
-    op: str
-    arg: "NTerm"
-    var: TermVar
-    var_ty: NType
-    body: "NTerm"
-
-
-@dataclass(frozen=True)
-class MDo:
-    var: TermVar
-    first: "NTerm"
-    second: "NTerm"
-
-
-@dataclass(frozen=True)
-class MHandle:
-    handler: "NTerm"
-    body: "NTerm"
-
-
 NTerm = Union[
-    MVar, MUnit, MInt, MAbs, MApp, MTyAbs, MTyApp, MCoAbs, MCoApp, MCast,
-    MReturn, MHandler, MLet, MOp, MDo, MHandle,
+    EVar, EUnit, EInt, EAbs, CApp, MTyAbs, ETyApp, ECoAbs, ECoApp, ECast,
+    MReturn, EHandler, CLet, COp, CDo, CHandle,
 ]
 
 
@@ -306,13 +174,13 @@ NTerm = Union[
 def refl_nty(a: NType) -> NCoercion:
     if isinstance(a, TyVar):
         return NCoTyRefl(a)
-    if isinstance(a, NBase):
-        return NCoBaseRefl(a.base)
-    if isinstance(a, NArrow):
-        return NCoArrow(refl_nty(a.dom), refl_nty(a.cod))
+    if isinstance(a, TBase):
+        return CoBaseRefl(a.base)
+    if isinstance(a, TArrow):
+        return CoArrow(refl_nty(a.dom), refl_nty(a.cod))
     if isinstance(a, NHandler):
-        return NCoHandler(NCoComp(refl_nty(a.dom)), NCoComp(refl_nty(a.cod)))
-    if isinstance(a, NQual):
+        return CoHandler(NCoComp(refl_nty(a.dom)), NCoComp(refl_nty(a.cod)))
+    if isinstance(a, TQual):
         return NCoQual(a.constraint, refl_nty(a.body))
     if isinstance(a, NComp):
         return NCoComp(refl_nty(a.body))
@@ -329,21 +197,21 @@ def _subst_nco_ty_refl(s: Subst, co: NCoTyRefl) -> NCoercion:
 
 
 def typecheck_noeff(env: Context, t: NTerm) -> NType:
-    if isinstance(t, MVar):
+    if isinstance(t, EVar):
         try:
             return env.term[t.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {t.var.name}") from None
-    if isinstance(t, MUnit):
-        return NBase(Base.UNIT)
-    if isinstance(t, MInt):
-        return NBase(Base.INT)
-    if isinstance(t, MAbs):
+    if isinstance(t, EUnit):
+        return TBase(Base.UNIT)
+    if isinstance(t, EInt):
+        return TBase(Base.INT)
+    if isinstance(t, EAbs):
         wf_bound(env, t.ty)
-        return NArrow(t.ty, typecheck_noeff(env.bind(t.var, t.ty), t.body))
-    if isinstance(t, MApp):
+        return TArrow(t.ty, typecheck_noeff(env.bind(t.var, t.ty), t.body))
+    if isinstance(t, CApp):
         fn = typecheck_noeff(env, t.fn)
-        if not isinstance(fn, NArrow):
+        if not isinstance(fn, TArrow):
             raise TypecheckError("application of a non-function term")
         arg = typecheck_noeff(env, t.arg)
         if not alpha_eq(arg, fn.dom):
@@ -351,33 +219,33 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
         return fn.cod
     if isinstance(t, MTyAbs):
         return NForall(t.var, typecheck_noeff(env.bind(t.var), t.body))
-    if isinstance(t, MTyApp):
-        fn = typecheck_noeff(env, t.fn)
+    if isinstance(t, ETyApp):
+        fn = typecheck_noeff(env, t.val)
         if not isinstance(fn, NForall):
             raise TypecheckError("type application of a non-polymorphic term")
         wf_bound(env, t.ty)
         return substitute(Subst.one_ty(fn.var, t.ty), fn.body)
-    if isinstance(t, MCoAbs):
+    if isinstance(t, ECoAbs):
         wf_bound(env, t.constraint)
         body = typecheck_noeff(env.bind(t.var, t.constraint), t.body)
-        return NQual(t.constraint, body)
-    if isinstance(t, MCoApp):
-        fn = typecheck_noeff(env, t.fn)
-        if not isinstance(fn, NQual):
+        return TQual(t.constraint, body)
+    if isinstance(t, ECoApp):
+        fn = typecheck_noeff(env, t.val)
+        if not isinstance(fn, TQual):
             raise TypecheckError("coercion application of a non-qualified term")
         got = typecheck_noeff_coercion(env, t.co)
         if not alpha_eq(got, fn.constraint):
             raise TypecheckError("coercion application witnesses the wrong constraint")
         return fn.body
-    if isinstance(t, MCast):
-        subj = typecheck_noeff(env, t.term)
+    if isinstance(t, ECast):
+        subj = typecheck_noeff(env, t.val)
         ct = typecheck_noeff_coercion(env, t.co)
         if not alpha_eq(ct.lhs, subj):
             raise TypecheckError("cast coercion's source type differs from the subject's type")
         return ct.rhs
     if isinstance(t, MReturn):
         return NComp(typecheck_noeff(env, t.term))
-    if isinstance(t, MHandler):
+    if isinstance(t, EHandler):
         wf_bound(env, t.ret_ty)
         out = typecheck_noeff(env.bind(t.ret_var, t.ret_ty), t.ret_body)
         if not isinstance(out, NComp):
@@ -385,15 +253,15 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
         clause_ops(t.clauses)
         for cl in t.clauses:
             op = env.sig.lookup(cl.op)
-            cl_env = env.bind(cl.param, op.param).bind(cl.kont, NArrow(op.result, out))
+            cl_env = env.bind(cl.param, op.param).bind(cl.kont, TArrow(op.result, out))
             got = typecheck_noeff(cl_env, cl.body)
             if not alpha_eq(got, out):
                 raise TypecheckError(f"handler clause for {cl.op} disagrees with the return clause")
         return NHandler(t.ret_ty, out.body)
-    if isinstance(t, MLet):
+    if isinstance(t, CLet):
         a = typecheck_noeff(env, t.val)
         return typecheck_noeff(env.bind(t.var, a), t.body)
-    if isinstance(t, MOp):
+    if isinstance(t, COp):
         op = env.sig.lookup(t.op)
         arg = typecheck_noeff(env, t.arg)
         if not alpha_eq(arg, op.param):
@@ -404,7 +272,7 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
         if not isinstance(body, NComp):
             raise TypecheckError("operation continuation must produce a computation")
         return body
-    if isinstance(t, MDo):
+    if isinstance(t, CDo):
         first = typecheck_noeff(env, t.first)
         if not isinstance(first, NComp):
             raise TypecheckError("do-sequence head must be a computation")
@@ -412,7 +280,7 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
         if not isinstance(second, NComp):
             raise TypecheckError("do-sequence body must be a computation")
         return second
-    if isinstance(t, MHandle):
+    if isinstance(t, CHandle):
         h = typecheck_noeff(env, t.handler)
         if not isinstance(h, NHandler):
             raise TypecheckError("with-handle applied to a non-handler term")
@@ -423,30 +291,30 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
     raise TypeError(t)
 
 
-def typecheck_noeff_coercion(env: Context, co: NCoercion) -> NSub:
-    if isinstance(co, NCoVar):
+def typecheck_noeff_coercion(env: Context, co: NCoercion) -> TySub:
+    if isinstance(co, CoVarRef):
         try:
             return env.co[co.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound coercion variable w{co.var.id}") from None
-    if isinstance(co, NCoBaseRefl):
-        t = NBase(co.base)
-        return NSub(t, t)
+    if isinstance(co, CoBaseRefl):
+        t = TBase(co.base)
+        return TySub(t, t)
     if isinstance(co, NCoTyRefl):
         wf_bound(env, co.var)
-        return NSub(co.var, co.var)
-    if isinstance(co, NCoArrow):
+        return TySub(co.var, co.var)
+    if isinstance(co, CoArrow):
         dom = typecheck_noeff_coercion(env, co.dom)
         cod = typecheck_noeff_coercion(env, co.cod)
-        return NSub(NArrow(dom.rhs, cod.lhs), NArrow(dom.lhs, cod.rhs))
-    if isinstance(co, NCoHandler):
+        return TySub(TArrow(dom.rhs, cod.lhs), TArrow(dom.lhs, cod.rhs))
+    if isinstance(co, CoHandler):
         dom = typecheck_noeff_coercion(env, co.dom)
         cod = typecheck_noeff_coercion(env, co.cod)
         if not (isinstance(dom.lhs, NComp) and isinstance(dom.rhs, NComp)):
             raise TypecheckError("handler coercion domain must relate computation types")
         if not (isinstance(cod.lhs, NComp) and isinstance(cod.rhs, NComp)):
             raise TypecheckError("handler coercion codomain must relate computation types")
-        return NSub(
+        return TySub(
             NHandler(dom.rhs.body, cod.lhs.body), NHandler(dom.lhs.body, cod.rhs.body)
         )
     if isinstance(co, NCoHandToFun):
@@ -454,26 +322,26 @@ def typecheck_noeff_coercion(env: Context, co: NCoercion) -> NSub:
         cod = typecheck_noeff_coercion(env, co.cod)
         if not isinstance(cod.lhs, NComp):
             raise TypecheckError("handler-to-function coercion codomain must consume a computation")
-        return NSub(NHandler(dom.rhs, cod.lhs.body), NArrow(dom.lhs, cod.rhs))
+        return TySub(NHandler(dom.rhs, cod.lhs.body), TArrow(dom.lhs, cod.rhs))
     if isinstance(co, NCoFunToHand):
         dom = typecheck_noeff_coercion(env, co.dom)
         cod = typecheck_noeff_coercion(env, co.cod)
         if not isinstance(cod.rhs, NComp):
             raise TypecheckError("function-to-handler coercion codomain must produce a computation")
-        return NSub(NArrow(dom.rhs, cod.lhs), NHandler(dom.lhs, cod.rhs.body))
+        return TySub(TArrow(dom.rhs, cod.lhs), NHandler(dom.lhs, cod.rhs.body))
     if isinstance(co, NCoQual):
         wf_bound(env, co.constraint)
         body = typecheck_noeff_coercion(env, co.body)
-        return NSub(NQual(co.constraint, body.lhs), NQual(co.constraint, body.rhs))
+        return TySub(TQual(co.constraint, body.lhs), TQual(co.constraint, body.rhs))
     if isinstance(co, NCoComp):
         body = typecheck_noeff_coercion(env, co.body)
-        return NSub(NComp(body.lhs), NComp(body.rhs))
+        return TySub(NComp(body.lhs), NComp(body.rhs))
     if isinstance(co, NCoReturn):
         body = typecheck_noeff_coercion(env, co.body)
-        return NSub(body.lhs, NComp(body.rhs))
+        return TySub(body.lhs, NComp(body.rhs))
     if isinstance(co, NCoUnsafe):
         body = typecheck_noeff_coercion(env, co.body)
-        return NSub(NComp(body.lhs), body.rhs)
+        return TySub(NComp(body.lhs), body.rhs)
     raise TypeError(co)
 
 
@@ -485,16 +353,14 @@ def elab_vty(t: ValueType) -> NType:
     """The NoEff type of a core value type: skeleton and dirt binders and
     dirt qualifiers vanish, and a dirt only says whether a computation type
     is impure."""
-    if isinstance(t, TyVar):
+    if isinstance(t, (TyVar, TBase)):
         return t
-    if isinstance(t, TBase):
-        return NBase(t.base)
     if isinstance(t, TArrow):
-        return NArrow(elab_vty(t.dom), elab_cty(t.cod))
+        return TArrow(elab_vty(t.dom), elab_cty(t.cod))
     if isinstance(t, THandler):
         if t.dom.dirt.is_empty():
             # Handlers whose input is pure elaborate to functions.
-            return NArrow(elab_vty(t.dom.val), elab_cty(t.cod))
+            return TArrow(elab_vty(t.dom.val), elab_cty(t.cod))
         return NHandler(elab_vty(t.dom.val), elab_vty(t.cod.val))
     if isinstance(t, (TForallSkel, TForallDirt)):
         return elab_vty(t.body)
@@ -503,7 +369,7 @@ def elab_vty(t: ValueType) -> NType:
     if isinstance(t, TQual):
         if isinstance(t.constraint, DirtSub):
             return elab_vty(t.body)
-        return NQual(elab_constraint(t.constraint), elab_vty(t.body))
+        return TQual(elab_constraint(t.constraint), elab_vty(t.body))
     raise TypeError(t)
 
 
@@ -512,8 +378,8 @@ def elab_cty(c: CompType) -> NType:
     return a if c.dirt.is_empty() else NComp(a)
 
 
-def elab_constraint(ct: TySub) -> NSub:
-    return NSub(elab_vty(ct.lhs), elab_vty(ct.rhs))
+def elab_constraint(ct: TySub) -> TySub:
+    return TySub(elab_vty(ct.lhs), elab_vty(ct.rhs))
 
 
 def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impure: bool) -> NCoercion:
@@ -533,22 +399,22 @@ def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impur
         val = bridge(t.val, delta, inst, from_impure)
         return val if t.dirt.is_empty() else comp(t.dirt, val)
     if isinstance(t, TBase):
-        return NCoBaseRefl(t.base)
+        return CoBaseRefl(t.base)
     if isinstance(t, TyVar):
         return NCoTyRefl(t)
     if isinstance(t, TArrow):
-        return NCoArrow(
+        return CoArrow(
             bridge(t.dom, delta, inst, not from_impure),
             bridge(t.cod, delta, inst, from_impure),
         )
     if isinstance(t, THandler):
         if t.dom.dirt.is_empty():
-            return NCoArrow(
+            return CoArrow(
                 bridge(t.dom.val, delta, inst, not from_impure),
                 bridge(t.cod, delta, inst, from_impure),
             )
         if not exeff.subst_dirt(Subst.one_dirt(delta, inst), t.dom.dirt).is_empty():
-            return NCoHandler(
+            return CoHandler(
                 bridge(t.dom, delta, inst, not from_impure),
                 NCoComp(bridge(t.cod.val, delta, inst, from_impure)),
             )
@@ -584,13 +450,13 @@ def elab_co(derived: exeff.Derivation, co: exeff.Coercion) -> NCoercion:
     if isinstance(co, CoVarRef):
         if not isinstance(derived.of(co), TySub):
             raise ElaborationError("dirt coercion variable has no pure-language counterpart")
-        return NCoVar(co.var)
+        return co
     if isinstance(co, CoBaseRefl):
-        return NCoBaseRefl(co.base)
+        return co
     if isinstance(co, CoTyRefl):
         return NCoTyRefl(co.var)
     if isinstance(co, CoArrow):
-        return NCoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
+        return CoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
     if isinstance(co, CoHandler):
         return _elab_handler_co(derived, co)
     if isinstance(co, CoComp):
@@ -611,11 +477,11 @@ def _elab_handler_co(derived: exeff.Derivation, co: CoHandler) -> NCoercion:
     ct = derived.of(co)
     d_src_in, d_tgt_in = ct.lhs.dom.dirt, ct.rhs.dom.dirt
     if d_src_in.is_empty() and d_tgt_in.is_empty():
-        return NCoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
+        return CoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
     if not d_src_in.is_empty() and not d_tgt_in.is_empty():
         if not isinstance(co.cod, CoComp):
             raise ElaborationError("handler coercion codomain must be a computation coercion")
-        return NCoHandler(elab_co(derived, co.dom), NCoComp(elab_co(derived, co.cod.val)))
+        return CoHandler(elab_co(derived, co.dom), NCoComp(elab_co(derived, co.cod.val)))
     if not d_src_in.is_empty() and d_tgt_in.is_empty():
         # Handler-typed source, function-typed target.
         if not (isinstance(co.dom, CoComp) and isinstance(co.cod, CoComp)):
@@ -631,15 +497,11 @@ def _elab_handler_co(derived: exeff.Derivation, co: CoHandler) -> NCoercion:
 
 
 def elab_value(derived: exeff.Derivation, v: exeff.Value) -> NTerm:
-    if isinstance(v, exeff.EVar):
-        return MVar(v.var)
-    if isinstance(v, exeff.EUnit):
-        return MUnit()
-    if isinstance(v, exeff.EInt):
-        return MInt(v.value)
-    if isinstance(v, exeff.EAbs):
-        return MAbs(v.var, elab_vty(v.ty), elab_comp(derived, v.body))
-    if isinstance(v, exeff.EHandler):
+    if isinstance(v, (EVar, EUnit, EInt)):
+        return v
+    if isinstance(v, EAbs):
+        return EAbs(v.var, elab_vty(v.ty), elab_comp(derived, v.body))
+    if isinstance(v, EHandler):
         return _elab_handler(derived, v)
     if isinstance(v, (exeff.ESkelAbs, exeff.EDirtAbs)):
         return elab_value(derived, v.body)
@@ -647,33 +509,33 @@ def elab_value(derived: exeff.Derivation, v: exeff.Value) -> NTerm:
         return elab_value(derived, v.val)
     if isinstance(v, exeff.ETyAbs):
         return MTyAbs(v.var, elab_value(derived, v.body))
-    if isinstance(v, exeff.ETyApp):
-        return MTyApp(elab_value(derived, v.val), elab_vty(v.ty))
+    if isinstance(v, ETyApp):
+        return ETyApp(elab_value(derived, v.val), elab_vty(v.ty))
     if isinstance(v, exeff.EDirtApp):
         t = derived.of(v.val)
-        return MCast(elab_value(derived, v.val), bridge(t.body, t.var, v.dirt, True))
-    if isinstance(v, exeff.ECoAbs):
+        return ECast(elab_value(derived, v.val), bridge(t.body, t.var, v.dirt, True))
+    if isinstance(v, ECoAbs):
         body = elab_value(derived, v.body)
         if isinstance(v.constraint, DirtSub):
             return body
-        return MCoAbs(v.var, elab_constraint(v.constraint), body)
-    if isinstance(v, exeff.ECoApp):
+        return ECoAbs(v.var, elab_constraint(v.constraint), body)
+    if isinstance(v, ECoApp):
         body = elab_value(derived, v.val)
         if isinstance(derived.of(v.co), DirtSub):
             return body
-        return MCoApp(body, elab_co(derived, v.co))
-    if isinstance(v, exeff.ECast):
-        return MCast(elab_value(derived, v.val), elab_co(derived, v.co))
+        return ECoApp(body, elab_co(derived, v.co))
+    if isinstance(v, ECast):
+        return ECast(elab_value(derived, v.val), elab_co(derived, v.co))
     raise TypeError(v)
 
 
-def _elab_handler(derived: exeff.Derivation, v: exeff.EHandler) -> NTerm:
+def _elab_handler(derived: exeff.Derivation, v: EHandler) -> NTerm:
     h_ty = derived.of(v)
     a_in = elab_vty(v.ret_ty)
     t_r = elab_comp(derived, v.ret_body)
     if h_ty.dom.dirt.is_empty():
         # Pure input: the handler becomes a plain function on the return value.
-        return MAbs(v.ret_var, a_in, t_r)
+        return EAbs(v.ret_var, a_in, t_r)
 
     if h_ty.cod.dirt.is_empty():
         # Impure input but pure output: clause bodies elaborate pure, so wrap
@@ -683,55 +545,55 @@ def _elab_handler(derived: exeff.Derivation, v: exeff.EHandler) -> NTerm:
         for cl in v.clauses:
             a2 = elab_vty(derived.sig.lookup(cl.op).result)
             t_op = elab_comp(derived, cl.body)
-            bridge_k = MCast(MVar(cl.kont), NCoArrow(refl_nty(a2), NCoUnsafe(refl_nty(b_out))))
+            bridge_k = ECast(EVar(cl.kont), CoArrow(refl_nty(a2), NCoUnsafe(refl_nty(b_out))))
             t_op = subst_term(bridge_k, cl.kont, t_op)
-            clauses.append(MOpClause(cl.op, cl.param, cl.kont, MReturn(t_op)))
-        return MHandler(v.ret_var, a_in, MReturn(t_r), tuple(clauses))
+            clauses.append(OpClause(cl.op, cl.param, cl.kont, MReturn(t_op)))
+        return EHandler(v.ret_var, a_in, MReturn(t_r), tuple(clauses))
 
     # Impure input and output: structural elaboration.
     clauses = []
     for cl in v.clauses:
-        clauses.append(MOpClause(cl.op, cl.param, cl.kont, elab_comp(derived, cl.body)))
-    return MHandler(v.ret_var, a_in, t_r, tuple(clauses))
+        clauses.append(OpClause(cl.op, cl.param, cl.kont, elab_comp(derived, cl.body)))
+    return EHandler(v.ret_var, a_in, t_r, tuple(clauses))
 
 
 def elab_comp(derived: exeff.Derivation, c: exeff.Comp) -> NTerm:
-    if isinstance(c, exeff.CApp):
-        return MApp(elab_value(derived, c.fn), elab_value(derived, c.arg))
-    if isinstance(c, exeff.CLet):
-        return MLet(c.var, elab_value(derived, c.val), elab_comp(derived, c.body))
+    if isinstance(c, CApp):
+        return CApp(elab_value(derived, c.fn), elab_value(derived, c.arg))
+    if isinstance(c, CLet):
+        return CLet(c.var, elab_value(derived, c.val), elab_comp(derived, c.body))
     if isinstance(c, exeff.CReturn):
         return elab_value(derived, c.val)
-    if isinstance(c, exeff.COp):
+    if isinstance(c, COp):
         t_v = elab_value(derived, c.arg)
-        return MOp(c.op, t_v, c.var, elab_vty(c.var_ty), elab_comp(derived, c.body))
-    if isinstance(c, exeff.CDo):
+        return COp(c.op, t_v, c.var, elab_vty(c.var_ty), elab_comp(derived, c.body))
+    if isinstance(c, CDo):
         t1 = elab_comp(derived, c.first)
         t2 = elab_comp(derived, c.second)
         if not derived.of(c.first).dirt.is_empty():
-            return MDo(c.var, t1, t2)
-        return MLet(c.var, t1, t2)
-    if isinstance(c, exeff.CHandle):
+            return CDo(c.var, t1, t2)
+        return CLet(c.var, t1, t2)
+    if isinstance(c, CHandle):
         h_ty = derived.of(c.handler)
         t_v = elab_value(derived, c.handler)
         t_c = elab_comp(derived, c.body)
         if h_ty.dom.dirt.is_empty():
-            return MApp(t_v, t_c)
+            return CApp(t_v, t_c)
         if not h_ty.cod.dirt.is_empty():
-            return MHandle(t_v, t_c)
-        return MCast(MHandle(t_v, t_c), NCoUnsafe(refl_nty(elab_vty(h_ty.cod.val))))
+            return CHandle(t_v, t_c)
+        return ECast(CHandle(t_v, t_c), NCoUnsafe(refl_nty(elab_vty(h_ty.cod.val))))
     if isinstance(c, exeff.CCast):
-        return MCast(elab_comp(derived, c.comp), elab_co(derived, c.co))
+        return ECast(elab_comp(derived, c.comp), elab_co(derived, c.co))
     raise TypeError(c)
 
 
 # ---------------------------------------------------------------------------
 # Operational semantics
 
-_VALUE_CAST_HEADS = (NCoArrow, NCoHandler, NCoHandToFun, NCoFunToHand, NCoQual)
+_VALUE_CAST_HEADS = (CoArrow, CoHandler, NCoHandToFun, NCoFunToHand, NCoQual)
 
 
-_VALUES = (MUnit, MInt, MAbs, MTyAbs, MCoAbs, MHandler)
+_VALUES = (EUnit, EInt, EAbs, MTyAbs, ECoAbs, EHandler)
 
 
 def is_value_noeff(t: NTerm) -> bool:
@@ -739,13 +601,13 @@ def is_value_noeff(t: NTerm) -> bool:
         cls = type(t)
         if cls in _VALUES:
             return True
-        if cls is MCast:
+        if cls is ECast:
             if not isinstance(t.co, _VALUE_CAST_HEADS):
                 return False
-            t = t.term
+            t = t.val
         elif cls is MReturn:
             t = t.term
-        elif cls is MOp:
+        elif cls is COp:
             t = t.arg
         else:
             return False
@@ -755,99 +617,99 @@ def is_value_noeff(t: NTerm) -> bool:
 # `traverse.Reduction` tries them.
 
 
-def _app(t: MApp):
+def _app(t: CApp):
     fn, arg = t.fn, t.arg
     if not (is_value_noeff(fn) and is_value_noeff(arg)):
         return None
-    if type(fn) is MAbs:
+    if type(fn) is EAbs:
         return subst_term(arg, fn.var, fn.body)
-    if type(fn) is MCast and type(fn.co) is NCoArrow:
-        return MCast(MApp(fn.term, MCast(arg, fn.co.dom)), fn.co.cod)
-    if type(fn) is MCast and type(fn.co) is NCoHandToFun:
-        return MCast(MHandle(fn.term, MReturn(MCast(arg, fn.co.dom))), fn.co.cod)
+    if type(fn) is ECast and type(fn.co) is CoArrow:
+        return ECast(CApp(fn.val, ECast(arg, fn.co.dom)), fn.co.cod)
+    if type(fn) is ECast and type(fn.co) is NCoHandToFun:
+        return ECast(CHandle(fn.val, MReturn(ECast(arg, fn.co.dom))), fn.co.cod)
     return None
 
 
-def _ty_app(t: MTyApp):
-    f = t.fn
+def _ty_app(t: ETyApp):
+    f = t.val
     if type(f) is MTyAbs:
         return substitute(Subst.one_ty(f.var, t.ty), f.body)
     return None
 
 
-def _co_app(t: MCoApp):
-    f = t.fn
-    if type(f) is MCoAbs:
+def _co_app(t: ECoApp):
+    f = t.val
+    if type(f) is ECoAbs:
         return substitute(Subst.one_co(f.var, t.co), f.body)
-    if type(f) is MCast and type(f.co) is NCoQual and is_value_noeff(f):
-        return MCast(MCoApp(f.term, t.co), f.co.body)
+    if type(f) is ECast and type(f.co) is NCoQual and is_value_noeff(f):
+        return ECast(ECoApp(f.val, t.co), f.co.body)
     return None
 
 
-def _let(t: MLet):
+def _let(t: CLet):
     if is_value_noeff(t.val):
         return subst_term(t.val, t.var, t.body)
 
 
-def _do(t: MDo):
+def _do(t: CDo):
     first = t.first
     if type(first) is MReturn and is_value_noeff(first):
         return subst_term(first.term, t.var, t.second)
-    if type(first) is MOp and is_value_noeff(first):
-        return MOp(first.op, first.arg, first.var, first.var_ty, MDo(t.var, first.body, t.second))
+    if type(first) is COp and is_value_noeff(first):
+        return COp(first.op, first.arg, first.var, first.var_ty, CDo(t.var, first.body, t.second))
     return None
 
 
-def _handle(t: MHandle):
+def _handle(t: CHandle):
     h, body = t.handler, t.body
     if not (is_value_noeff(h) and is_value_noeff(body)):
         return None
-    if type(h) is MHandler:
+    if type(h) is EHandler:
         if type(body) is MReturn:
             return subst_term(body.term, h.ret_var, h.ret_body)
-        if type(body) is MOp:
-            return handle_op(h, body, MHandle, MAbs)
+        if type(body) is COp:
+            return handle_op(h, body, CHandle, EAbs)
         return None
-    if type(h) is MCast and type(h.co) is NCoHandler:
-        return MCast(MHandle(h.term, MCast(body, h.co.dom)), h.co.cod)
-    if type(h) is MCast and type(h.co) is NCoFunToHand:
+    if type(h) is ECast and type(h.co) is CoHandler:
+        return ECast(CHandle(h.val, ECast(body, h.co.dom)), h.co.cod)
+    if type(h) is ECast and type(h.co) is NCoFunToHand:
         if type(body) is MReturn:
-            return MCast(MApp(h.term, MCast(body.term, h.co.dom)), h.co.cod)
-        if type(body) is MOp:
-            return MOp(body.op, body.arg, body.var, body.var_ty, MHandle(h, body.body))
+            return ECast(CApp(h.val, ECast(body.term, h.co.dom)), h.co.cod)
+        if type(body) is COp:
+            return COp(body.op, body.arg, body.var, body.var_ty, CHandle(h, body.body))
     return None
 
 
-def _cast(t: MCast):
-    term, co = t.term, t.co
+def _cast(t: ECast):
+    term, co = t.val, t.co
     if not is_value_noeff(term):
         return None
-    if type(co) is NCoBaseRefl:
+    if type(co) is CoBaseRefl:
         return term
     if type(co) is NCoComp:
         if type(term) is MReturn:
-            return MReturn(MCast(term.term, co.body))
-        if type(term) is MOp:
-            return MOp(term.op, term.arg, term.var, term.var_ty, MCast(term.body, co))
+            return MReturn(ECast(term.term, co.body))
+        if type(term) is COp:
+            return COp(term.op, term.arg, term.var, term.var_ty, ECast(term.body, co))
         return None
     if type(co) is NCoReturn:
-        return MReturn(MCast(term, co.body))
+        return MReturn(ECast(term, co.body))
     if type(co) is NCoUnsafe and type(term) is MReturn:
-        return MCast(term.term, co.body)
+        return ECast(term.term, co.body)
     return None  # unsafe over an operation call: stuck
 
 
 RULES = {
-    **{cls: () for cls in (MVar, MOpClause, *_VALUES)},
-    MApp: ("fn", ("arg", "fn", is_value_noeff), _app),
-    MTyApp: ("fn", _ty_app),
-    MCoApp: ("fn", _co_app),
-    MLet: ("val", _let),
+    **{cls: () for cls in (EVar, OpClause, *_VALUES)},
+    CApp: ("fn", ("arg", "fn", is_value_noeff), _app),
+    ETyApp: ("val", _ty_app),
+    ECoApp: ("val", _co_app),
+    CLet: ("val", _let),
     MReturn: ("term",),
-    MOp: ("arg",),
-    MDo: ("first", _do),
-    MHandle: ("handler", ("body", "handler", is_value_noeff), _handle),
-    MCast: ("term", _cast),
+    COp: ("arg",),
+    CDo: ("first", _do),
+    CHandle: ("handler", ("body", "handler", is_value_noeff), _handle),
+    ECast: ("val", _cast),
 }
 
 # ---------------------------------------------------------------------------
@@ -866,7 +728,7 @@ def classify_stuck(t: NTerm) -> str:
     todo = [(t, StuckClass.HEAD)]
     while todo:
         u, found = todo.pop()
-        if type(u) is MCast and type(u.co) is NCoUnsafe and type(u.term) is MOp and is_value_noeff(u.term):
+        if type(u) is ECast and type(u.co) is NCoUnsafe and type(u.val) is COp and is_value_noeff(u.val):
             return found
         todo.extend((kid, StuckClass.CONTEXT) for kid in REDUCTION.positions(u))
     return StuckClass.NOT_STUCK

@@ -105,12 +105,12 @@ def compile_path(path: str, stage: str = "noeff") -> PipelineArtifacts:
 # Observations
 
 
-def _observe(result, op_cls, unit_cls, int_cls) -> Observation:
-    if isinstance(result, op_cls):
+def _observe(result) -> Observation:
+    if isinstance(result, exeff.COp):
         return Observation("operation", result.op)
-    if isinstance(result, unit_cls):
+    if isinstance(result, exeff.EUnit):
         return Observation("returned", "unit")
-    if isinstance(result, int_cls):
+    if isinstance(result, exeff.EInt):
         return Observation("returned", str(result.value))
     raise EffError("observation requires a ground result type")
 
@@ -120,7 +120,7 @@ def observe_exeff(result) -> Observation:
         result = result.comp
     if isinstance(result, exeff.CReturn):
         result = result.val
-    return _observe(result, exeff.COp, exeff.EUnit, exeff.EInt)
+    return _observe(result)
 
 
 # A SkelEff result is an ExEff one; the benchmark's runner reads this name.
@@ -130,7 +130,7 @@ observe_skeleff = observe_exeff
 def observe_noeff(result) -> Observation:
     while isinstance(result, noeff.MReturn):
         result = result.term
-    return _observe(result, noeff.MOp, noeff.MUnit, noeff.MInt)
+    return _observe(result)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ _VARS["Optional[DirtVar]"] = DirtVar
 _TERMS = {"Value", "Comp", "NTerm", "SrcValue", "SrcComp"}
 _TYPES = {
     "Skeleton", "ValueType", "CompType", "Dirt", "SimpleConstraint", "Union[TySub, DirtSub]",
-    "Coercion", "NType", "NSub", "NCoercion", "object",
+    "Coercion", "NType", "TySub", "NCoercion", "object",
 }
 _ATOMS = {"str", "int", "Base", "frozenset", "Optional[Span]"}
 

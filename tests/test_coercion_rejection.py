@@ -10,7 +10,7 @@ from effc.core import Base, Context, EMPTY_DIRT, TypecheckError
 from paper_examples import tick_tock_signature
 
 UNIT = exeff.CoBaseRefl(Base.UNIT)
-N_UNIT = noeff.NCoBaseRefl(Base.UNIT)
+N_UNIT = exeff.CoBaseRefl(Base.UNIT)
 EMPTY = exeff.CoDirtRefl(EMPTY_DIRT)
 
 CASES = {
@@ -37,12 +37,12 @@ CASES = {
     ),
     "handler-domain": (
         noeff.typecheck_noeff_coercion,
-        noeff.NCoHandler(N_UNIT, noeff.NCoComp(N_UNIT)),
+        exeff.CoHandler(N_UNIT, noeff.NCoComp(N_UNIT)),
         "handler coercion domain must relate computation types",
     ),
     "handler-codomain": (
         noeff.typecheck_noeff_coercion,
-        noeff.NCoHandler(noeff.NCoComp(N_UNIT), N_UNIT),
+        exeff.CoHandler(noeff.NCoComp(N_UNIT), N_UNIT),
         "handler coercion codomain must relate computation types",
     ),
     "handler-to-function": (

@@ -28,7 +28,7 @@ from paper_examples import tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
 SK_UNIT = SkelBase(Base.UNIT)
-N_UNIT = noeff.NBase(Base.UNIT)
+N_UNIT = TBase(Base.UNIT)
 
 # calculus -> (its checker, its context over the declared operations)
 CHECKERS = {
@@ -64,10 +64,10 @@ UNBOUND = [
     ("skeleff", "skeleton", E.CReturn(E.ESkelApp(E.ESkelAbs(SkelVar(5), E.EUnit()), s99))),
     ("skeleff", "term", E.CReturn(E.EVar(z))),
     ("skeleff", "operation", E.COp("Bogus", E.EUnit(), x, SK_UNIT, E.CReturn(E.EUnit()))),
-    ("noeff", "type", M.MAbs(x, a99, M.MVar(x))),
-    ("noeff", "coercion", M.MCast(M.MUnit(), M.NCoVar(w99))),
-    ("noeff", "term", M.MVar(z)),
-    ("noeff", "operation", M.MOp("Bogus", M.MUnit(), x, N_UNIT, M.MReturn(M.MUnit()))),
+    ("noeff", "type", E.EAbs(x, a99, E.EVar(x))),
+    ("noeff", "coercion", E.ECast(E.EUnit(), E.CoVarRef(w99))),
+    ("noeff", "term", E.EVar(z)),
+    ("noeff", "operation", E.COp("Bogus", E.EUnit(), x, N_UNIT, M.MReturn(E.EUnit()))),
 ]
 
 
@@ -95,12 +95,12 @@ def test_checkers_reject_a_handler_listing_an_operation_twice():
     ticks = {
         "exeff": E.OpClause("Tick", z, k, E.CReturn(E.EUnit())),
         "skeleff": E.OpClause("Tick", z, k, E.CReturn(E.EUnit())),
-        "noeff": M.MOpClause("Tick", z, k, M.MReturn(M.MUnit())),
+        "noeff": E.OpClause("Tick", z, k, M.MReturn(E.EUnit())),
     }
     handlers = {
         "exeff": E.CReturn(E.EHandler(x, T_UNIT, E.CReturn(E.EVar(x)), (ticks["exeff"],) * 2)),
         "skeleff": E.CReturn(E.EHandler(x, SK_UNIT, E.CReturn(E.EVar(x)), (ticks["skeleff"],) * 2)),
-        "noeff": M.MHandler(x, N_UNIT, M.MReturn(M.MVar(x)), (ticks["noeff"],) * 2),
+        "noeff": E.EHandler(x, N_UNIT, M.MReturn(E.EVar(x)), (ticks["noeff"],) * 2),
     }
     for calculus, term in handlers.items():
         check, context = CHECKERS[calculus]

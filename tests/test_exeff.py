@@ -7,6 +7,7 @@ import pytest
 from effc import display, exeff
 from effc.core import (
     Base,
+    CompSub,
     CompType,
     Context,
     Dirt,
@@ -17,9 +18,13 @@ from effc.core import (
     Supply,
     TArrow,
     TBase,
+    TForallDirt,
     TForallTy,
+    THandler,
+    TQual,
     TypecheckError,
     TySub,
+    WfError,
     dirt,
     dirt_var,
 )
@@ -142,6 +147,40 @@ def test_refl_typechecks_at_identity():
         for t in (s, b):
             ct = exeff.typecheck_coercion(env, exeff.refl_of(t))
             assert ct == TySub(t, t)
+
+
+def test_refl_derives_each_form_at_itself():
+    sup = Supply()
+    a, d = sup.ty(), sup.dirt()
+    env = _env(tick_tock_signature()).bind(a, SK_UNIT).bind(d)
+    ticks = CompType(T_UNIT, dirt(["Tick"], d))
+    pure = CompType(a, EMPTY_DIRT)
+    for t in (a, T_UNIT, TArrow(a, ticks), THandler(ticks, pure)):
+        assert exeff.typecheck_coercion(env, exeff.refl_of(t)) == TySub(t, t), t
+    for c in (ticks, pure):
+        assert exeff.typecheck_coercion(env, exeff.refl_of(c)) == CompSub(c, c), c
+    for delta in (EMPTY_DIRT, dirt_var(d), ticks.dirt):
+        assert exeff.typecheck_coercion(env, exeff.refl_of(delta)) == DirtSub(delta, delta), delta
+
+
+# -- well-formedness ----------------------------------------------------------------
+
+
+def test_wf_binders_scope_over_their_bodies():
+    sup = Supply()
+    a, d = sup.ty(), sup.dirt()
+    env = _env(tick_tock_signature())
+    # Each binder's variable is in scope in its body: the type variable where
+    # a constraint takes its skeleton, the dirt variable as a dirt's tail.
+    ty_bound = TForallTy(a, SK_UNIT, TQual(TySub(a, T_UNIT), a))
+    dirt_bound = TForallDirt(d, TArrow(T_UNIT, CompType(T_UNIT, dirt(["Tick"], d))))
+    exeff.wf(env, ty_bound)
+    exeff.wf(env, dirt_bound)
+    # Under both binders, a constraint between types of different skeletons.
+    arrow = TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d)))
+    bad = TForallTy(a, SK_UNIT, TForallDirt(d, TQual(TySub(a, arrow), a)))
+    with pytest.raises(WfError, match="^subtyping constraint relates types with different skeletons$"):
+        exeff.wf(env, bad)
 
 
 # -- substitution -----------------------------------------------------------------

@@ -18,7 +18,7 @@ from test_solver import handler_chain
 BACKENDS = {
     "exeff": ("exeff_term", exeff.REDUCTION, exeff.CDo),
     "skeleff": ("skeleff_term", skeleff.REDUCTION, exeff.CDo),
-    "noeff": ("noeff_term", noeff.REDUCTION, noeff.MDo),
+    "noeff": ("noeff_term", noeff.REDUCTION, exeff.CDo),
 }
 
 

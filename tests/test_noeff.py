@@ -22,7 +22,7 @@ from effc.traverse import alpha_eq
 from paper_examples import RunningExample, tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
-N_UNIT = noeff.NBase(Base.UNIT)
+N_UNIT = TBase(Base.UNIT)
 
 
 def _env(sig=None):
@@ -71,7 +71,7 @@ def test_elab_cty_pure_and_impure():
 def test_elab_handler_type_with_pure_input_is_function():
     h = THandler(CompType(T_UNIT, EMPTY_DIRT), CompType(T_UNIT, dirt(["Tick"])))
     a = noeff.elab_vty(h)
-    assert a == noeff.NArrow(N_UNIT, noeff.NComp(N_UNIT))
+    assert a == TArrow(N_UNIT, noeff.NComp(N_UNIT))
     h2 = THandler(CompType(T_UNIT, dirt(["Tick"])), CompType(T_UNIT, dirt(["Tick"])))
     a2 = noeff.elab_vty(h2)
     assert a2 == noeff.NHandler(N_UNIT, N_UNIT)
@@ -84,14 +84,14 @@ def test_elab_comp_coercion_both_pure():
     env = _env()
     co = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT))
     ct, out = _elab_co(env, co)
-    assert out == noeff.NCoBaseRefl(Base.UNIT)
+    assert out == exeff.CoBaseRefl(Base.UNIT)
 
 
 def test_elab_comp_coercion_pure_to_impure_is_return():
     env = _env()
     co = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"])))
     _, out = _elab_co(env, co)
-    assert out == noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
+    assert out == noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT))
 
 
 def test_elab_comp_coercion_impure_to_impure_is_comp():
@@ -103,7 +103,7 @@ def test_elab_comp_coercion_impure_to_impure_is_comp():
     ct, out = _elab_co(env, co)
     assert ct.lhs == CompType(T_UNIT, dirt(["Tick"]))
     assert ct.rhs == CompType(T_UNIT, dirt(["Tick", "Tock"]))
-    assert out == noeff.NCoComp(noeff.NCoBaseRefl(Base.UNIT))
+    assert out == noeff.NCoComp(exeff.CoBaseRefl(Base.UNIT))
 
 
 # -- from/to-impure coercions ----------------------------------------------------------
@@ -113,14 +113,14 @@ def test_from_impure_base():
     sup = Supply()
     d = sup.dirt()
     got = noeff.bridge(T_UNIT, d, dirt(["Tick"]), from_impure=True)
-    assert got == noeff.NCoBaseRefl(Base.UNIT)
+    assert got == exeff.CoBaseRefl(Base.UNIT)
 
 
 def test_from_impure_computation_at_empty_is_unsafe():
     sup = Supply()
     d = sup.dirt()
     got = noeff.bridge(CompType(T_UNIT, dirt_var(d)), d, EMPTY_DIRT, from_impure=True)
-    assert got == noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
+    assert got == noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT))
 
 
 def test_from_impure_arrow_example():
@@ -128,8 +128,8 @@ def test_from_impure_arrow_example():
     d = sup.dirt()
     ty = TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d)))
     got = noeff.bridge(ty, d, EMPTY_DIRT, from_impure=True)
-    assert got == noeff.NCoArrow(
-        noeff.NCoBaseRefl(Base.UNIT), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
+    assert got == exeff.CoArrow(
+        exeff.CoBaseRefl(Base.UNIT), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT))
     )
 
 
@@ -152,15 +152,15 @@ def test_to_impure_is_the_dual():
     sup = Supply()
     d = sup.dirt()
     got = noeff.bridge(CompType(T_UNIT, dirt_var(d)), d, EMPTY_DIRT, from_impure=False)
-    assert got == noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
+    assert got == noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT))
     h = THandler(CompType(T_UNIT, dirt_var(d)), CompType(T_UNIT, EMPTY_DIRT))
     got2 = noeff.bridge(h, d, EMPTY_DIRT, from_impure=False)
     assert got2 == noeff.NCoFunToHand(
-        noeff.NCoBaseRefl(Base.UNIT), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
+        exeff.CoBaseRefl(Base.UNIT), noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT))
     )
     got3 = noeff.bridge(h, d, EMPTY_DIRT, from_impure=True)
     assert got3 == noeff.NCoHandToFun(
-        noeff.NCoBaseRefl(Base.UNIT), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
+        exeff.CoBaseRefl(Base.UNIT), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT))
     )
 
 
@@ -186,7 +186,7 @@ def test_restriction_on_qualifiers_mentioning_delta():
 def test_elab_return_drops_to_value():
     c = exeff.CReturn(exeff.EUnit())
     derived = exeff.derive(_env(), c)
-    assert noeff.elab_comp(derived, c) == noeff.MUnit()
+    assert noeff.elab_comp(derived, c) == exeff.EUnit()
     assert derived.of(c) == CompType(T_UNIT, EMPTY_DIRT)
 
 
@@ -197,8 +197,8 @@ def test_elab_running_monomorphic_function():
         g, TArrow(T_UNIT, CompType(T_UNIT, EMPTY_DIRT)), exeff.CApp(exeff.EVar(g), exeff.EUnit())
     )
     t = _elab_value(_env(), fn)
-    assert t == noeff.MAbs(
-        g, noeff.NArrow(N_UNIT, N_UNIT), noeff.MApp(noeff.MVar(g), noeff.MUnit())
+    assert t == exeff.EAbs(
+        g, TArrow(N_UNIT, N_UNIT), exeff.CApp(exeff.EVar(g), exeff.EUnit())
     )
 
 
@@ -232,16 +232,16 @@ def test_elab_handler_with_pure_output_wraps_returns():
         (exeff.OpClause("Tick", p, k, exeff.CApp(exeff.EVar(k), exeff.EVar(p))),),
     )
     t = _elab_value(Context(sig), h)
-    assert isinstance(t, noeff.MHandler)
+    assert isinstance(t, exeff.EHandler)
     assert isinstance(t.ret_body, noeff.MReturn)
     clause = t.clauses[0]
     assert isinstance(clause.body, noeff.MReturn)
     # The continuation is re-coerced with an arrow of refl and unsafe(refl).
     body = clause.body.term
-    assert isinstance(body, noeff.MApp)
+    assert isinstance(body, exeff.CApp)
     cast = body.fn
-    assert isinstance(cast, noeff.MCast)
-    assert isinstance(cast.co, noeff.NCoArrow)
+    assert isinstance(cast, exeff.ECast)
+    assert isinstance(cast.co, exeff.CoArrow)
     assert isinstance(cast.co.cod, noeff.NCoUnsafe)
     got = noeff.typecheck_noeff(_nenv(sig), t)
     assert got == noeff.NHandler(N_UNIT, N_UNIT)
@@ -302,69 +302,86 @@ def test_shared_node_at_two_types_is_reported_not_mis_elaborated():
 def test_typing_hand_to_fun():
     env = _nenv()
     co = noeff.NCoHandToFun(
-        noeff.NCoBaseRefl(Base.UNIT), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
+        exeff.CoBaseRefl(Base.UNIT), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT))
     )
     got = noeff.typecheck_noeff_coercion(env, co)
-    assert got == noeff.NSub(noeff.NHandler(N_UNIT, N_UNIT), noeff.NArrow(N_UNIT, N_UNIT))
+    assert got == TySub(noeff.NHandler(N_UNIT, N_UNIT), TArrow(N_UNIT, N_UNIT))
 
 
 def test_typing_return_coercion():
-    got = noeff.typecheck_noeff_coercion(_nenv(), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT)))
-    assert got == noeff.NSub(N_UNIT, noeff.NComp(N_UNIT))
+    got = noeff.typecheck_noeff_coercion(_nenv(), noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT)))
+    assert got == TySub(N_UNIT, noeff.NComp(N_UNIT))
 
 
 def test_typing_unsafe_coercion():
-    got = noeff.typecheck_noeff_coercion(_nenv(), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT)))
-    assert got == noeff.NSub(noeff.NComp(N_UNIT), N_UNIT)
+    got = noeff.typecheck_noeff_coercion(_nenv(), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT)))
+    assert got == TySub(noeff.NComp(N_UNIT), N_UNIT)
+
+
+def test_refl_nty_derives_each_form_at_itself():
+    sup = Supply()
+    a = sup.ty()
+    env = _nenv().bind(a)
+    comp = noeff.NComp(a)
+    forms = (
+        a,
+        N_UNIT,
+        TArrow(a, comp),
+        noeff.NHandler(a, N_UNIT),
+        TQual(TySub(a, N_UNIT), TArrow(N_UNIT, a)),
+        comp,
+    )
+    for t in forms:
+        assert noeff.typecheck_noeff_coercion(env, noeff.refl_nty(t)) == TySub(t, t), t
 
 
 # -- operational semantics ------------------------------------------------------------------
 
 
 def test_step_unsafe_over_return():
-    t = noeff.MCast(noeff.MReturn(noeff.MUnit()), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT)))
+    t = exeff.ECast(noeff.MReturn(exeff.EUnit()), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT)))
     s1 = noeff.step_noeff(t)
-    assert s1 == noeff.MCast(noeff.MUnit(), noeff.NCoBaseRefl(Base.UNIT))
-    assert noeff.step_noeff(s1) == noeff.MUnit()
+    assert s1 == exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
+    assert noeff.step_noeff(s1) == exeff.EUnit()
 
 
 def test_step_return_coercion_wraps():
-    t = noeff.MCast(noeff.MUnit(), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT)))
+    t = exeff.ECast(exeff.EUnit(), noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT)))
     assert noeff.step_noeff(t) == noeff.MReturn(
-        noeff.MCast(noeff.MUnit(), noeff.NCoBaseRefl(Base.UNIT))
+        exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
     )
 
 
 def test_step_hand_to_fun_application():
     sup = Supply()
     x = sup.term("x")
-    h = noeff.MHandler(x, N_UNIT, noeff.MReturn(noeff.MVar(x)))
+    h = exeff.EHandler(x, N_UNIT, noeff.MReturn(exeff.EVar(x)))
     co = noeff.NCoHandToFun(
-        noeff.NCoBaseRefl(Base.UNIT), noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT))
+        exeff.CoBaseRefl(Base.UNIT), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT))
     )
-    t = noeff.MApp(noeff.MCast(h, co), noeff.MUnit())
+    t = exeff.CApp(exeff.ECast(h, co), exeff.EUnit())
     stepped = noeff.step_noeff(t)
-    assert isinstance(stepped, noeff.MCast)
-    assert isinstance(stepped.term, noeff.MHandle)
+    assert isinstance(stepped, exeff.ECast)
+    assert isinstance(stepped.val, exeff.CHandle)
     out, _ = noeff.eval_noeff(t)
-    assert out == noeff.MUnit()
+    assert out == exeff.EUnit()
 
 
 def test_stuck_head_and_contexts():
     sup = Supply()
     y = sup.term("y")
-    op = noeff.MOp("Tick", noeff.MUnit(), y, N_UNIT, noeff.MReturn(noeff.MVar(y)))
-    stuck = noeff.MCast(op, noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT)))
+    op = exeff.COp("Tick", exeff.EUnit(), y, N_UNIT, noeff.MReturn(exeff.EVar(y)))
+    stuck = exeff.ECast(op, noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT)))
     assert noeff.classify_stuck(stuck) == noeff.StuckClass.HEAD
-    assert noeff.classify_stuck(noeff.MReturn(noeff.MUnit())) == noeff.StuckClass.NOT_STUCK
-    ctx = noeff.MLet(sup.term("x"), stuck, noeff.MUnit())
+    assert noeff.classify_stuck(noeff.MReturn(exeff.EUnit())) == noeff.StuckClass.NOT_STUCK
+    ctx = exeff.CLet(sup.term("x"), stuck, exeff.EUnit())
     assert noeff.classify_stuck(ctx) == noeff.StuckClass.CONTEXT
     assert noeff.step_noeff(stuck) is None
     # Under thousands of casts the context is found without recursion.
-    refl = noeff.NCoBaseRefl(Base.UNIT)
+    refl = exeff.CoBaseRefl(Base.UNIT)
     deep = stuck
     for _ in range(3000):
-        deep = noeff.MCast(deep, refl)
+        deep = exeff.ECast(deep, refl)
     assert noeff.classify_stuck(deep) == noeff.StuckClass.CONTEXT
     assert noeff.step_noeff(deep) is None
 
@@ -372,24 +389,24 @@ def test_stuck_head_and_contexts():
 def test_value_under_a_long_cast_chain():
     sup = Supply()
     x = sup.term("x")
-    v = noeff.MAbs(x, N_UNIT, noeff.MReturn(noeff.MVar(x)))
-    arrow = noeff.NCoArrow(noeff.NCoBaseRefl(Base.UNIT), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT)))
+    v = exeff.EAbs(x, N_UNIT, noeff.MReturn(exeff.EVar(x)))
+    arrow = exeff.CoArrow(exeff.CoBaseRefl(Base.UNIT), noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT)))
     for _ in range(3000):
-        v = noeff.MCast(v, arrow)
+        v = exeff.ECast(v, arrow)
     assert noeff.is_value_noeff(noeff.MReturn(v))
-    assert not noeff.is_value_noeff(noeff.MCast(v, noeff.NCoBaseRefl(Base.UNIT)))
+    assert not noeff.is_value_noeff(exeff.ECast(v, exeff.CoBaseRefl(Base.UNIT)))
 
 
 def test_partial_progress_trichotomy():
     sup = Supply()
     y = sup.term("y")
     terms = [
-        noeff.MUnit(),
-        noeff.MReturn(noeff.MUnit()),
-        noeff.MApp(noeff.MAbs(sup.term("x"), N_UNIT, noeff.MUnit()), noeff.MUnit()),
-        noeff.MCast(
-            noeff.MOp("Tick", noeff.MUnit(), y, N_UNIT, noeff.MReturn(noeff.MVar(y))),
-            noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT)),
+        exeff.EUnit(),
+        noeff.MReturn(exeff.EUnit()),
+        exeff.CApp(exeff.EAbs(sup.term("x"), N_UNIT, exeff.EUnit()), exeff.EUnit()),
+        exeff.ECast(
+            exeff.COp("Tick", exeff.EUnit(), y, N_UNIT, noeff.MReturn(exeff.EVar(y))),
+            noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT)),
         ),
     ]
     for t in terms:
@@ -456,7 +473,7 @@ def test_elab_handler_coercion_all_dirt_combinations():
     both_pure = exeff.CoHandler(
         _comp_co(_unit_refl(), exeff.CoEmpty(pure)), _comp_co(_unit_refl(), exeff.CoEmpty(pure))
     )
-    assert isinstance(check(both_pure), noeff.NCoArrow)
+    assert isinstance(check(both_pure), exeff.CoArrow)
 
     # Both inputs impure: a handler coercion with a Comp codomain.
     both_impure = exeff.CoHandler(
@@ -464,7 +481,7 @@ def test_elab_handler_coercion_all_dirt_combinations():
         _comp_co(_unit_refl(), exeff.refl_of(tick)),
     )
     out = check(both_impure)
-    assert isinstance(out, noeff.NCoHandler)
+    assert isinstance(out, exeff.CoHandler)
     assert isinstance(out.cod, noeff.NCoComp)
 
     # Impure source input, pure target input, pure target output: unsafe bridge.
@@ -491,7 +508,7 @@ def test_from_impure_handler_input_stays_impure():
     d = sup.dirt()
     h = THandler(CompType(T_UNIT, dirt(["Tick"], d)), CompType(T_UNIT, dirt_var(d)))
     co = noeff.bridge(h, d, EMPTY_DIRT, from_impure=True)
-    assert isinstance(co, noeff.NCoHandler)
+    assert isinstance(co, exeff.CoHandler)
     got = noeff.typecheck_noeff_coercion(_nenv(), co)
     before = noeff.elab_vty(h)
     inst = exeff.substitute(exeff.Subst.one_dirt(d, EMPTY_DIRT), h)
@@ -503,30 +520,30 @@ def test_from_impure_handler_input_stays_impure():
 def test_fun_to_hand_semantics():
     sup = Supply()
     x = sup.term("x")
-    fn = noeff.MAbs(x, N_UNIT, noeff.MVar(x))
+    fn = exeff.EAbs(x, N_UNIT, exeff.EVar(x))
     co = noeff.NCoFunToHand(
-        noeff.NCoBaseRefl(Base.UNIT), noeff.NCoReturn(noeff.NCoBaseRefl(Base.UNIT))
+        exeff.CoBaseRefl(Base.UNIT), noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT))
     )
-    cast = noeff.MCast(fn, co)
+    cast = exeff.ECast(fn, co)
     # Handling a returned value applies the function.
-    t = noeff.MHandle(cast, noeff.MReturn(noeff.MUnit()))
+    t = exeff.CHandle(cast, noeff.MReturn(exeff.EUnit()))
     out, _ = noeff.eval_noeff(t)
-    assert out == noeff.MReturn(noeff.MUnit())
+    assert out == noeff.MReturn(exeff.EUnit())
     # Handling an operation forwards it, keeping the cast handler inside.
     y = sup.term("y")
-    op = noeff.MOp("Tick", noeff.MUnit(), y, N_UNIT, noeff.MReturn(noeff.MVar(y)))
-    stepped = noeff.step_noeff(noeff.MHandle(cast, op))
-    assert isinstance(stepped, noeff.MOp)
-    assert isinstance(stepped.body, noeff.MHandle)
+    op = exeff.COp("Tick", exeff.EUnit(), y, N_UNIT, noeff.MReturn(exeff.EVar(y)))
+    stepped = noeff.step_noeff(exeff.CHandle(cast, op))
+    assert isinstance(stepped, exeff.COp)
+    assert isinstance(stepped.body, exeff.CHandle)
 
 
 def test_handler_coercion_push_semantics():
     sup = Supply()
     x = sup.term("x")
-    h = noeff.MHandler(x, N_UNIT, noeff.MReturn(noeff.MVar(x)))
-    co = noeff.NCoHandler(
-        noeff.NCoComp(noeff.NCoBaseRefl(Base.UNIT)), noeff.NCoComp(noeff.NCoBaseRefl(Base.UNIT))
+    h = exeff.EHandler(x, N_UNIT, noeff.MReturn(exeff.EVar(x)))
+    co = exeff.CoHandler(
+        noeff.NCoComp(exeff.CoBaseRefl(Base.UNIT)), noeff.NCoComp(exeff.CoBaseRefl(Base.UNIT))
     )
-    t = noeff.MHandle(noeff.MCast(h, co), noeff.MReturn(noeff.MUnit()))
+    t = exeff.CHandle(exeff.ECast(h, co), noeff.MReturn(exeff.EUnit()))
     out, _ = noeff.eval_noeff(t)
-    assert out == noeff.MReturn(noeff.MUnit())
+    assert out == noeff.MReturn(exeff.EUnit())

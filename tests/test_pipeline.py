@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff, source
-from effc.core import DirtClash, EffError, SkeletonClash
+from effc.core import DirtClash, EffError, SkeletonClash, StuckTerm
 from effc.traverse import VAR_CLASSES, alpha_eq
 from conftest import CORPUS, CORPUS_BAD, GOLDEN, read_digests, subprocess_env, write_digests
 from gen_helpers import program_texts
@@ -196,7 +196,7 @@ def test_every_node_class_has_a_notation_entry():
         and cls.__dataclass_params__.frozen
         and cls not in (core.Span, core.OpSig)  # not part of any dump
     ]
-    assert len(classes) == 87
+    assert len(classes) == 64
     for cls in classes:
         assert cls in display.NOTATION or cls in hand_written, cls.__name__
         if cls in display.NOTATION and cls not in VAR_CLASSES:  # variables print their names
@@ -336,7 +336,19 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     assert run_cli("check", str(tmp_path / "missing.eff")) == 1
     assert capsys.readouterr().err.startswith("error: cannot read ")
 
+    # Any other exception that is not a diagnostic is an internal error too.
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(pipeline, "compile_text", broken)
+    assert run_cli("check", str(CORPUS / "p02_return_int.eff")) == 4
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+def test_cli_input_too_deep(capsys, tmp_path):
     # Input nested past the recursion limit: exit 4, one line, no traceback.
+    # A test of its own, because the RecursionError switches a `sys.settrace`
+    # tracer off for the rest of the test.
     deep = tmp_path / "deep.eff"
     deep.write_text("return " + "(" * 3000 + "unit" + ")" * 3000 + "\n")
     assert run_cli("check", str(deep)) == 4
@@ -350,13 +362,49 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     assert out[0].startswith("deep.eff: internal error: input too deep")
     assert out[1].startswith("ok.eff: ok")
 
-    # Any other exception that is not a diagnostic is an internal error too.
+
+def test_cli_corpus_exit_codes(capsys, tmp_path, monkeypatch):
+    # A directory without programs is rejected input.
+    assert run_cli("corpus", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"no .eff programs under {tmp_path}\n"
+
+    # A program with a diagnostic is a failure, and the others still run.
+    (tmp_path / "bad.eff").write_text((CORPUS_BAD / "b01_dirtclash.eff").read_text())
+    (tmp_path / "ok.eff").write_text((CORPUS / "p02_return_int.eff").read_text())
+    assert run_cli("corpus", str(tmp_path)) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("bad.eff: error: ")
+    assert out[1] == "ok.eff: ok (return 5)"
+
+    # A harness failure is a metatheory violation.
+    def failing(text, program_id="<text>", fuel=100_000, check_each_step=True):
+        return pipeline.DiffReport(program_id, agreement=False, failure="backends disagree")
+
+    monkeypatch.setattr(pipeline, "differential_check_text", failing)
+    assert run_cli("corpus", str(tmp_path)) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["bad.eff: FAIL: backends disagree", "ok.eff: FAIL: backends disagree"]
+
+    # Any other exception is an internal error of that program.
     def broken(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(pipeline, "compile_text", broken)
-    assert run_cli("check", str(CORPUS / "p02_return_int.eff")) == 4
-    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+    monkeypatch.setattr(pipeline, "differential_check_text", broken)
+    assert run_cli("corpus", str(tmp_path)) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["bad.eff: internal error: ValueError: boom", "ok.eff: internal error: ValueError: boom"]
+
+
+def test_cli_run_reports_a_stuck_term_as_a_metatheory_violation(capsys, monkeypatch):
+    # Elaborated programs never get stuck, so the evaluator is made to.
+    def stuck(*args, **kwargs):
+        raise StuckTerm("stuck term: unsafe coercion applied to an operation")
+
+    monkeypatch.setattr(pipeline, "run_text", stuck)
+    assert run_cli("run", str(CORPUS / "p02_return_int.eff"), "--backend", "noeff") == 3
+    err = capsys.readouterr().err
+    assert err == "metatheory violation: stuck term: unsafe coercion applied to an operation\n"
 
 
 def test_cli_rejects_integer_literals_python_cannot_read(capsys, tmp_path):

@@ -23,7 +23,7 @@ CALCULI = {
         typing.get_args(exeff.Value) + typing.get_args(exeff.Comp) + (exeff.OpClause,),
     ),
     "skeleff": (skeleff.REDUCTION, skeleff.FORMS),
-    "noeff": (noeff.REDUCTION, typing.get_args(noeff.NTerm) + (noeff.MOpClause,)),
+    "noeff": (noeff.REDUCTION, typing.get_args(noeff.NTerm) + (exeff.OpClause,)),
 }
 
 # Per backend: the artefact field holding the term it evaluates.
@@ -152,15 +152,15 @@ def test_a_stuck_term_is_reported_whole():
     # stuck-term class.
     sup = Supply()
     x, y, z, w = (sup.term(v) for v in "xyzw")
-    unit = noeff.NBase(Base.UNIT)
-    op = noeff.MOp("Tick", noeff.MUnit(), y, unit, noeff.MReturn(noeff.MVar(y)))
-    stuck = noeff.MCast(op, noeff.NCoUnsafe(noeff.NCoBaseRefl(Base.UNIT)))
+    unit = TBase(Base.UNIT)
+    op = exeff.COp("Tick", exeff.EUnit(), y, unit, noeff.MReturn(exeff.EVar(y)))
+    stuck = exeff.ECast(op, noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT)))
 
     def program(inner):
-        let = noeff.MLet(w, inner, noeff.MReturn(noeff.MVar(w)))
-        return noeff.MDo(z, let, noeff.MReturn(noeff.MVar(z)))
+        let = exeff.CLet(w, inner, noeff.MReturn(exeff.EVar(w)))
+        return exeff.CDo(z, let, noeff.MReturn(exeff.EVar(z)))
 
-    t = program(noeff.MApp(noeff.MAbs(x, unit, stuck), noeff.MUnit()))
+    t = program(exeff.CApp(exeff.EAbs(x, unit, stuck), exeff.EUnit()))
     with pytest.raises(StuckTerm) as err:
         noeff.eval_noeff(t)
     assert err.value.term == program(stuck)
@@ -176,7 +176,7 @@ def _eval_comp(c):
 DEEP = {
     "exeff": (exeff.CDo, exeff.CReturn, exeff.EVar, exeff.EUnit(), _eval_comp),
     "skeleff": (exeff.CDo, exeff.CReturn, exeff.EVar, exeff.EUnit(), skeleff.eval_sk),
-    "noeff": (noeff.MDo, noeff.MReturn, noeff.MVar, noeff.MUnit(), noeff.eval_noeff),
+    "noeff": (exeff.CDo, noeff.MReturn, exeff.EVar, exeff.EUnit(), noeff.eval_noeff),
 }
 
 
@@ -284,13 +284,13 @@ def test_a_child_that_cannot_step_resumes_its_parent():
     # let's head rule needs a value: the term is stuck.
     sup = Supply()
     x, y = sup.term("x"), sup.term("y")
-    stuck = noeff.MLet(y, noeff.MApp(noeff.MVar(x), noeff.MUnit()), noeff.MUnit())
+    stuck = exeff.CLet(y, exeff.CApp(exeff.EVar(x), exeff.EUnit()), exeff.EUnit())
     assert noeff.step_noeff(stuck) is None
     assert noeff.REDUCTION.positions(stuck) == [stuck.val]
     # With a value in the function position the argument is next.
-    lam = noeff.MAbs(x, noeff.NBase(Base.UNIT), noeff.MReturn(noeff.MVar(x)))
-    inner = noeff.MApp(lam, noeff.MApp(lam, noeff.MUnit()))
+    lam = exeff.EAbs(x, TBase(Base.UNIT), noeff.MReturn(exeff.EVar(x)))
+    inner = exeff.CApp(lam, exeff.CApp(lam, exeff.EUnit()))
     assert noeff.REDUCTION.positions(inner) == [lam, inner.arg]
-    assert noeff.step_noeff(noeff.MLet(y, inner, noeff.MUnit())) == noeff.MLet(
-        y, noeff.MApp(lam, noeff.MReturn(noeff.MUnit())), noeff.MUnit()
+    assert noeff.step_noeff(exeff.CLet(y, inner, exeff.EUnit())) == exeff.CLet(
+        y, exeff.CApp(lam, noeff.MReturn(exeff.EUnit())), exeff.EUnit()
     )

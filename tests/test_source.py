@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from effc import exeff, source
+from effc import exeff, pipeline, source
 from effc.core import (
     Base,
     CompType,
@@ -18,6 +18,7 @@ from effc.core import (
     Supply,
     TArrow,
     TBase,
+    THandler,
     UnboundVariable,
     UnknownOperation,
     WfError,
@@ -208,3 +209,26 @@ def test_wf_comp_type_companion():
     sig.declare("Tick", T_UNIT, T_UNIT)
     cty = CompType(T_UNIT, dirt(["Tick"]))
     assert exeff.wf_vty(Context(sig), cty) == SK_UNIT
+
+
+# A comment line, and an operation whose result is a handler: the clause
+# resumes with a handler, which the body then uses to handle a computation.
+HANDLER_RESULT_PROGRAM = """\
+# GetH hands its caller a handler.
+effect GetH : Unit -> (Unit => Unit)  # a handler type in a declaration
+with handler { return x -> return x, GetH p k -> k (handler { return y -> return y }) }
+handle (do h <- GetH unit in with h handle return unit)
+"""
+
+
+def test_comments_and_handler_types_in_effect_declarations():
+    sig, _ = source.parse_program(HANDLER_RESULT_PROGRAM)
+    pure_unit = CompType(T_UNIT, EMPTY_DIRT)
+    assert sig.lookup("GetH").param == T_UNIT
+    assert sig.lookup("GetH").result == THandler(pure_unit, pure_unit)
+    assert source.show_src_type(sig.lookup("GetH").result) == "(Unit => Unit)"
+    report = pipeline.differential_check_text(HANDLER_RESULT_PROGRAM)
+    assert report.agreement, report.failure
+    assert {b: str(o) for b, o in report.observations.items()} == dict.fromkeys(
+        ("exeff", "skeleff", "noeff"), "return unit"
+    )

@@ -14,11 +14,13 @@ from effc.core import (
     SkelForall,
     SkelVar,
     TArrow,
+    TBase,
     TForallDirt,
     TForallSkel,
     TForallTy,
     TermVar,
     TyVar,
+    TySub,
     dirt_var,
 )
 from effc.exeff import Subst
@@ -29,7 +31,7 @@ P = TermVar(6, "p")
 K = TermVar(7, "k")
 T_UNIT = core.T_UNIT
 SK_UNIT = core.SKEL_UNIT
-N_UNIT = noeff.NBase(Base.UNIT)
+N_UNIT = TBase(Base.UNIT)
 
 # Per calculus: the variable, unit, lambda, return, let, do, operation call,
 # handler and clause constructors, plus abstractions over each non-term sort
@@ -65,18 +67,18 @@ CALCULI = {
         other_binders=[lambda i, b: exeff.ESkelAbs(SkelVar(i), b)],
     ),
     "noeff": dict(
-        var=noeff.MVar,
-        unit=noeff.MUnit(),
-        lam=lambda v, body: noeff.MAbs(v, N_UNIT, body),
+        var=exeff.EVar,
+        unit=exeff.EUnit(),
+        lam=lambda v, body: exeff.EAbs(v, N_UNIT, body),
         ret=noeff.MReturn,
-        let=noeff.MLet,
-        do=noeff.MDo,
-        op=lambda arg, v, body: noeff.MOp("Tick", arg, v, N_UNIT, body),
-        handler=lambda r, rb, cls: noeff.MHandler(r, N_UNIT, rb, cls),
-        clause=lambda p, k, body: noeff.MOpClause("Tick", p, k, body),
+        let=exeff.CLet,
+        do=exeff.CDo,
+        op=lambda arg, v, body: exeff.COp("Tick", arg, v, N_UNIT, body),
+        handler=lambda r, rb, cls: exeff.EHandler(r, N_UNIT, rb, cls),
+        clause=lambda p, k, body: exeff.OpClause("Tick", p, k, body),
         other_binders=[
             lambda i, b: noeff.MTyAbs(TyVar(i), b),
-            lambda i, b: noeff.MCoAbs(CoVar(i), noeff.NSub(N_UNIT, N_UNIT), b),
+            lambda i, b: exeff.ECoAbs(CoVar(i), TySub(N_UNIT, N_UNIT), b),
         ],
     ),
 }
@@ -180,7 +182,7 @@ def _node_classes():
 
 def test_every_field_of_every_node_class_has_a_role():
     classes = list(_node_classes())
-    assert len(classes) > 90
+    assert len(classes) == 78
     t = traverse
     roles = {t.BIND, t.USE, t.TERM, t.TYPE, t.MANY, t.ATOM}
     for cls in classes:
@@ -199,11 +201,11 @@ def test_binder_scopes_of_the_irregular_classes():
     def scope(cls, binder):
         return [f.name for f in shape(cls).fields if binder in (b for b, _ in f.binders)]
 
-    for cls in (exeff.EHandler, noeff.MHandler, source.SrcHandler):
+    for cls in (exeff.EHandler, source.SrcHandler):
         assert scope(cls, "ret_var") == ["ret_body"]
-    for cls in (exeff.CDo, noeff.MDo, source.SrcDo):
+    for cls in (exeff.CDo, source.SrcDo):
         assert scope(cls, "var") == ["second"]
-    for cls in (exeff.CLet, exeff.COp, noeff.MLet, source.SrcOpCall):
+    for cls in (exeff.CLet, exeff.COp, source.SrcOpCall):
         assert scope(cls, "var") == ["body"]
     assert [f.role for f in shape(core.Dirt).fields] == [traverse.ATOM, traverse.USE]
 

@@ -41,8 +41,6 @@ AFTER_RECURSION = "runs only after a RecursionError in its test, which switches 
 ALLOWED = [
     ("*", "*", r"raise TypeError\(", "fall-through for a class the function does not handle"),
     ("cli.py", "_internal", r"", AFTER_RECURSION),
-    ("cli.py", "cmd_corpus", r"except Exception as e:", AFTER_RECURSION),
-    ("cli.py", "main", r"except Exception as e:", AFTER_RECURSION),
     ("cli.py", "<module>", r"sys\.exit\(main\(\)\)", "runs only in `python -m effc.cli` subprocesses"),
 ]
 
