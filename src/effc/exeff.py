@@ -3,7 +3,8 @@
 Terms carry their whole typing derivation: System-F-style binders for
 skeletons, types and dirts, plus binders and casts for subtyping coercions.
 This module provides the ASTs, well-formedness and type checking, coercion
-checking, reflexivity-coercion construction, substitution, the pass that
+checking, reflexivity-coercion construction and its syntactic test, the
+cast constructors that build no reflexive cast, substitution, the pass that
 drops reflexive casts, the result grammar, and the small-step operational
 semantics with its push rules.
 """
@@ -49,6 +50,7 @@ from .core import (
 from .traverse import (
     Reduction,
     alpha_eq,
+    cast_hook,
     free_vars,
     handle_op,
     replace_field,
@@ -61,6 +63,11 @@ from .traverse import (
 # ---------------------------------------------------------------------------
 # Coercions
 
+# A coercion class's `refl_kids` names the coercion fields that make a node
+# of it reflexive (`is_refl`) when each of them is: none for a reflexivity
+# leaf, every coercion field for a congruence.  A class without the
+# attribute is never reflexive.  A congruence names first the field likelier
+# to widen (most casts widen a dirt), so that `is_refl` rejects early.
 
 @dataclass(frozen=True)
 class CoVarRef:
@@ -71,15 +78,21 @@ class CoVarRef:
 class CoBaseRefl:
     base: Base
 
+    refl_kids = ()
+
 
 @dataclass(frozen=True)
 class CoTyRefl:
     var: TyVar
 
+    refl_kids = ()
+
 
 @dataclass(frozen=True)
 class CoDirtRefl:
     dirt: Dirt
+
+    refl_kids = ()
 
 
 @dataclass(frozen=True)
@@ -87,11 +100,15 @@ class CoArrow:
     dom: "Coercion"
     cod: "Coercion"
 
+    refl_kids = ("cod", "dom")
+
 
 @dataclass(frozen=True)
 class CoHandler:
     dom: "Coercion"
     cod: "Coercion"
+
+    refl_kids = ("cod", "dom")
 
 
 @dataclass(frozen=True)
@@ -110,11 +127,29 @@ class CoComp:
     val: "Coercion"
     dirt: "Coercion"
 
+    refl_kids = ("dirt", "val")
+
 
 Coercion = Union[
     CoVarRef, CoBaseRefl, CoTyRefl, CoDirtRefl, CoArrow, CoHandler,
     CoEmpty, CoOpUnion, CoComp,
 ]
+
+
+def is_refl(co) -> bool:
+    """Whether `co` is syntactically reflexive: built only from reflexivity
+    leaves (`CoBaseRefl`, `CoTyRefl`, `CoDirtRefl`, NoEff's `NCoTyRefl`)
+    under congruences (`CoArrow`, `CoHandler`, `CoComp`, NoEff's `NCoComp`
+    and `NCoQual`).  Such a coercion witnesses A ≤ A, like those `refl_of`
+    and `noeff.refl_nty` build.  One test serves both calculi, since their
+    casts are one class."""
+    kids = getattr(type(co), "refl_kids", None)
+    if kids is None:
+        return False
+    for name in kids:
+        if not is_refl(getattr(co, name)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +305,26 @@ class CCast:
 
 
 Comp = Union[CReturn, COp, CDo, CHandle, CApp, CLet, CCast]
+
+
+# A cast whose coercion is reflexive has the type and the erasure of its
+# subject, so no code path builds one: these constructors return the subject
+# instead, and a substitution that makes a cast's coercion reflexive returns
+# the substituted subject.
+
+
+def cast(v: Value, co: Coercion) -> Value:
+    """`v ▷ co`, or `v` itself when `co` is reflexive; NoEff's casts too."""
+    return v if is_refl(co) else ECast(v, co)
+
+
+def cast_comp(c: Comp, co: Coercion) -> Comp:
+    """`c ▷ co`, or `c` itself when `co` is reflexive."""
+    return c if is_refl(co) else CCast(c, co)
+
+
+cast_hook(ECast, is_refl)
+cast_hook(CCast, is_refl)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +824,7 @@ def _returned(c: Comp) -> Value:
         c = c.comp
     v = c.val
     for co in reversed(cos):
-        v = ECast(v, co)
+        v = cast(v, co)
     return v
 
 
@@ -795,13 +850,13 @@ def _type_app(app, abs_, one) -> tuple:
 def _cast_op(c: CCast):
     op = c.comp
     if type(op) is COp and is_value_result(op.arg):
-        return COp(op.op, op.arg, op.var, op.var_ty, CCast(op.body, c.co))
+        return COp(op.op, op.arg, op.var, op.var_ty, cast_comp(op.body, c.co))
 
 
 def _app(c: CApp):
     f = c.fn
     if type(f) is ECast and type(f.co) is CoArrow and is_value_result(f):
-        return CCast(CApp(f.val, ECast(c.arg, f.co.dom)), f.co.cod)
+        return cast_comp(CApp(f.val, cast(c.arg, f.co.dom)), f.co.cod)
     if type(f) is EAbs and is_value_result(c.arg):
         return subst_term(c.arg, f.var, f.body)
     return None
@@ -823,7 +878,7 @@ def _do(c: CDo):
 def _handle(c: CHandle):
     h = c.handler
     if type(h) is ECast and type(h.co) is CoHandler and is_value_result(h):
-        return CCast(CHandle(h.val, CCast(c.body, h.co.dom)), h.co.cod)
+        return cast_comp(CHandle(h.val, cast_comp(c.body, h.co.dom)), h.co.cod)
     if type(h) is not EHandler:
         return None
     if is_terminal_comp(c.body):

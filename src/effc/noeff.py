@@ -59,6 +59,7 @@ from .exeff import (
     EVar,
     OpClause,
     Subst,
+    cast,
     wf_bound,
 )
 from .traverse import (
@@ -110,6 +111,8 @@ NType = Union[TyVar, TBase, TArrow, NHandler, TQual, NComp, NForall]
 class NCoTyRefl:
     var: TyVar
 
+    refl_kids = ()  # see `exeff.is_refl`
+
 
 @dataclass(frozen=True)
 class NCoHandToFun:
@@ -128,10 +131,14 @@ class NCoQual:
     constraint: TySub
     body: "NCoercion"
 
+    refl_kids = ("body",)
+
 
 @dataclass(frozen=True)
 class NCoComp:
     body: "NCoercion"
+
+    refl_kids = ("body",)
 
 
 @dataclass(frozen=True)
@@ -513,7 +520,7 @@ def elab_value(derived: exeff.Derivation, v: exeff.Value) -> NTerm:
         return ETyApp(elab_value(derived, v.val), elab_vty(v.ty))
     if isinstance(v, exeff.EDirtApp):
         t = derived.of(v.val)
-        return ECast(elab_value(derived, v.val), bridge(t.body, t.var, v.dirt, True))
+        return cast(elab_value(derived, v.val), bridge(t.body, t.var, v.dirt, True))
     if isinstance(v, ECoAbs):
         body = elab_value(derived, v.body)
         if isinstance(v.constraint, DirtSub):
@@ -525,7 +532,7 @@ def elab_value(derived: exeff.Derivation, v: exeff.Value) -> NTerm:
             return body
         return ECoApp(body, elab_co(derived, v.co))
     if isinstance(v, ECast):
-        return ECast(elab_value(derived, v.val), elab_co(derived, v.co))
+        return cast(elab_value(derived, v.val), elab_co(derived, v.co))
     raise TypeError(v)
 
 
@@ -583,7 +590,7 @@ def elab_comp(derived: exeff.Derivation, c: exeff.Comp) -> NTerm:
             return CHandle(t_v, t_c)
         return ECast(CHandle(t_v, t_c), NCoUnsafe(refl_nty(elab_vty(h_ty.cod.val))))
     if isinstance(c, exeff.CCast):
-        return ECast(elab_comp(derived, c.comp), elab_co(derived, c.co))
+        return cast(elab_comp(derived, c.comp), elab_co(derived, c.co))
     raise TypeError(c)
 
 
@@ -624,9 +631,9 @@ def _app(t: CApp):
     if type(fn) is EAbs:
         return subst_term(arg, fn.var, fn.body)
     if type(fn) is ECast and type(fn.co) is CoArrow:
-        return ECast(CApp(fn.val, ECast(arg, fn.co.dom)), fn.co.cod)
+        return cast(CApp(fn.val, cast(arg, fn.co.dom)), fn.co.cod)
     if type(fn) is ECast and type(fn.co) is NCoHandToFun:
-        return ECast(CHandle(fn.val, MReturn(ECast(arg, fn.co.dom))), fn.co.cod)
+        return cast(CHandle(fn.val, MReturn(cast(arg, fn.co.dom))), fn.co.cod)
     return None
 
 
@@ -642,7 +649,7 @@ def _co_app(t: ECoApp):
     if type(f) is ECoAbs:
         return substitute(Subst.one_co(f.var, t.co), f.body)
     if type(f) is ECast and type(f.co) is NCoQual and is_value_noeff(f):
-        return ECast(ECoApp(f.val, t.co), f.co.body)
+        return cast(ECoApp(f.val, t.co), f.co.body)
     return None
 
 
@@ -671,10 +678,10 @@ def _handle(t: CHandle):
             return handle_op(h, body, CHandle, EAbs)
         return None
     if type(h) is ECast and type(h.co) is CoHandler:
-        return ECast(CHandle(h.val, ECast(body, h.co.dom)), h.co.cod)
+        return cast(CHandle(h.val, cast(body, h.co.dom)), h.co.cod)
     if type(h) is ECast and type(h.co) is NCoFunToHand:
         if type(body) is MReturn:
-            return ECast(CApp(h.val, ECast(body.term, h.co.dom)), h.co.cod)
+            return cast(CApp(h.val, cast(body.term, h.co.dom)), h.co.cod)
         if type(body) is COp:
             return COp(body.op, body.arg, body.var, body.var_ty, CHandle(h, body.body))
     return None
@@ -688,14 +695,14 @@ def _cast(t: ECast):
         return term
     if type(co) is NCoComp:
         if type(term) is MReturn:
-            return MReturn(ECast(term.term, co.body))
+            return MReturn(cast(term.term, co.body))
         if type(term) is COp:
-            return COp(term.op, term.arg, term.var, term.var_ty, ECast(term.body, co))
+            return COp(term.op, term.arg, term.var, term.var_ty, cast(term.body, co))
         return None
     if type(co) is NCoReturn:
-        return MReturn(ECast(term, co.body))
+        return MReturn(cast(term, co.body))
     if type(co) is NCoUnsafe and type(term) is MReturn:
-        return ECast(term.term, co.body)
+        return cast(term.term, co.body)
     return None  # unsafe over an operation call: stuck
 
 

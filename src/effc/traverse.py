@@ -21,7 +21,8 @@ Each operation keeps a table of per-class functions, built on first use and
 dispatched on `type(t)`.  Children are visited from inside the parent's
 function, so every level of a tree (and every tuple of children) costs one
 stack frame, and a rebuild returns the input node itself when no child
-changed.
+changed.  Substitution returns a cast's subject in place of the cast when it
+turns the cast's coercion into an identity (`cast_hook`).
 
 `summarize` records on every node of a compiled term its free term
 variables, and term substitution returns a node whose summary lacks the
@@ -194,6 +195,16 @@ def subst_hook(cls: type):
     return register
 
 
+def cast_hook(cls: type, is_identity):
+    """Declare `cls` a cast class, whose first field is its subject and whose
+    second is its coercion: a substitution that rewrites a cast's coercion
+    into one that `is_identity` accepts returns the substituted subject in
+    place of the cast.  The walker tests this in its own frame, and only
+    when the coercion changed."""
+    _CASTS[cls] = is_identity
+    _SUBST.pop(cls, None)
+
+
 def _build_subst(cls):
     if cls is SkelVar:
         return lambda s, t: s.skel.get(t.id, t)
@@ -210,6 +221,7 @@ def _build_subst(cls):
     table = _SUBST
     kids = [(sh.names.index(f.name), f.name) for f in sh.kids]
     names = sh.names
+    is_identity = _CASTS.get(cls)
 
     def go(s, t):
         vals = None
@@ -218,13 +230,18 @@ def _build_subst(cls):
             new = table[type(old)](s, old)
             if new is not old:
                 vals = _rebuild(t, names, i, new, vals)
-        return t if vals is None else cls(*vals)
+        if vals is None:
+            return t
+        if is_identity is not None and vals[1] is not getattr(t, names[1]) and is_identity(vals[1]):
+            return vals[0]
+        return cls(*vals)
 
     return go
 
 
 _SUBST = _Table(_build_subst)
 _SUBST[tuple] = _tuple_map(_SUBST)
+_CASTS: dict = {}  # cast class -> the test of `cast_hook`
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,9 @@ def test_criterion_8_solver_correctness():
     report(8, f"solver agrees with the ground oracle on {sets_checked} constraint sets")
 
 
-def test_criterion_9_golden_displays():
+def golden_displays() -> dict:
+    """{golden file name: its text} for the running example and the erasure
+    discussion of the paper."""
     ex = RunningExample()
     env = ex.env()
     sub = dict(env.ty)
@@ -345,7 +347,17 @@ def test_criterion_9_golden_displays():
         )
         + "\n"
     )
+    return got
+
+
+def test_criterion_9_golden_displays():
+    got = golden_displays()
     for name, text in got.items():
         want = (GOLDEN / name).read_text()
         assert text == want, f"golden mismatch in {name}"
     report(9, f"{len(got)} golden example displays reproduce byte-for-byte")
+
+
+def write_golden_displays() -> None:
+    for name, text in golden_displays().items():
+        (GOLDEN / name).write_text(text)

@@ -28,7 +28,7 @@ def test_every_harness_pair_is_equal_or_one_step_apart_and_normalizes_equal(corp
     # where the normalizer stays covered: both sides of each pair must
     # also have alpha-equal normal forms.
     programs = pairs = stepped = 0
-    for name, text in program_texts(corpus_paths, 300):
+    for name, text in program_texts(corpus_paths, 360):
         trace = erasures(text)
         normal = skeleff.normalize_full(trace[0])
         for a, b in zip(trace, trace[1:]):
@@ -40,7 +40,7 @@ def test_every_harness_pair_is_equal_or_one_step_apart_and_normalizes_equal(corp
             pairs += 1
             stepped += not equal
         programs += 1
-    assert programs == len(corpus_paths) + 300
+    assert programs == len(corpus_paths) + 360
     assert pairs > 800 and 0 < stepped < pairs
 
 

@@ -161,6 +161,9 @@ def test_refl_derives_each_form_at_itself():
         assert exeff.typecheck_coercion(env, exeff.refl_of(c)) == CompSub(c, c), c
     for delta in (EMPTY_DIRT, dirt_var(d), ticks.dirt):
         assert exeff.typecheck_coercion(env, exeff.refl_of(delta)) == DirtSub(delta, delta), delta
+    # `is_refl` recognizes every reflexivity coercion (completeness).
+    for t in (a, T_UNIT, TArrow(a, ticks), THandler(ticks, pure), ticks, pure, dirt_var(d)):
+        assert exeff.is_refl(exeff.refl_of(t)), t
 
 
 # -- well-formedness ----------------------------------------------------------------
@@ -321,8 +324,31 @@ def test_do_return_beta_peels_cast_chain():
     )
     c = exeff.CDo(x, chain, exeff.CReturn(exeff.EVar(x)))
     stepped = exeff.step_comp(c)
-    # x is replaced by unit under the two pure parts of the chain.
-    assert stepped == exeff.CReturn(exeff.ECast(exeff.ECast(exeff.EUnit(), unitco), unitco))
+    # x is replaced by unit; the two pure parts of the chain are reflexive,
+    # so they become no casts.
+    assert stepped == exeff.CReturn(exeff.EUnit())
+
+
+def widen_fn():
+    """`fun y -> return y`, a coercion widening its type Unit -> Unit ! ∅,
+    and the wider type Unit -> Unit ! {Tick}."""
+    y = Supply().term("y")
+    lam = exeff.EAbs(y, T_UNIT, exeff.CReturn(exeff.EVar(y)))
+    unit = exeff.CoBaseRefl(Base.UNIT)
+    widen = exeff.CoArrow(unit, exeff.CoComp(unit, exeff.CoEmpty(dirt(["Tick"]))))
+    return lam, widen, TArrow(T_UNIT, CompType(T_UNIT, dirt(["Tick"])))
+
+
+def test_do_return_beta_keeps_a_widening_value_part():
+    lam, widen, wide_ty = widen_fn()
+    x = Supply().term("x")
+    chain = exeff.CCast(
+        exeff.CCast(exeff.CReturn(lam), exeff.CoComp(widen, exeff.CoEmpty(dirt(["Tock"])))),
+        exeff.CoComp(exeff.refl_of(wide_ty), exeff.CoOpUnion("Tock", exeff.CoEmpty(dirt(["Tick"])))),
+    )
+    stepped = exeff.step_comp(exeff.CDo(x, chain, exeff.CReturn(exeff.EVar(x))))
+    # Of the two value parts, only the reflexive one goes.
+    assert stepped == exeff.CReturn(exeff.ECast(lam, widen))
 
 
 def test_push_application_rule():
@@ -335,10 +361,26 @@ def test_push_application_rule():
     )
     c = exeff.CApp(exeff.ECast(lam, co), exeff.EUnit())
     stepped = exeff.step_comp(c)
+    # The argument's part of the coercion is reflexive: no cast for it.
     assert stepped == exeff.CCast(
-        exeff.CApp(lam, exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))),
+        exeff.CApp(lam, exeff.EUnit()),
         exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT)),
     )
+
+
+def test_push_application_rule_casts_a_widened_argument():
+    # h = fun (g : Unit -> Unit ! {Tick}) -> g unit, cast to accept a pure g
+    # and to widen its result to {Tick, Tock}: both parts of the coercion
+    # widen, so the push rule builds both casts.
+    env = _env(tick_tock_signature())
+    arg, widen, wide_ty = widen_fn()
+    g = Supply().term("g")
+    h = exeff.EAbs(g, wide_ty, exeff.CApp(exeff.EVar(g), exeff.EUnit()))
+    out = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoOpUnion("Tick", exeff.CoEmpty(dirt(["Tock"]))))
+    c = exeff.CApp(exeff.ECast(h, exeff.CoArrow(widen, out)), arg)
+    stepped = exeff.step_comp(c)
+    assert stepped == exeff.CCast(exeff.CApp(h, exeff.ECast(arg, widen)), out)
+    assert exeff.typecheck_comp(env, stepped) == exeff.typecheck_comp(env, c)
 
 
 def test_section_6_2_beta_step():
@@ -447,4 +489,20 @@ def test_handle_return_peels_cast_chain():
         exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"]))),
     )
     stepped = exeff.step_comp(exeff.CHandle(h, chain))
-    assert stepped == exeff.CReturn(exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT)))
+    # The chain's value part is reflexive: unit is returned without a cast.
+    assert stepped == exeff.CReturn(exeff.EUnit())
+
+
+def test_handle_return_keeps_a_widening_value_part():
+    lam, widen, wide_ty = widen_fn()
+    x = Supply().term("x")
+    h = exeff.EHandler(x, wide_ty, exeff.CReturn(exeff.EVar(x)))
+    chain = exeff.CCast(exeff.CReturn(lam), exeff.CoComp(widen, exeff.CoEmpty(dirt(["Tick"]))))
+    stepped = exeff.step_comp(exeff.CHandle(h, chain))
+    assert stepped == exeff.CReturn(exeff.ECast(lam, widen))
+
+
+def test_a_base_reflexive_cast_steps_away():
+    # No code path builds this cast, but the paper's rule for it stays.
+    v = exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
+    assert exeff.step_comp(exeff.CReturn(v)) == exeff.CReturn(exeff.EUnit())

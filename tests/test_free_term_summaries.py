@@ -61,8 +61,8 @@ def outcome(reduction, t):
 
 @pytest.fixture(scope="module")
 def compiled(corpus_paths):
-    """(name, artefacts) of the corpus and 300 generated programs."""
-    return [(name, pipeline.compile_text(text, "noeff")) for name, text in program_texts(corpus_paths, 300)]
+    """(name, artefacts) of the corpus and 360 generated programs."""
+    return [(name, pipeline.compile_text(text, "noeff")) for name, text in program_texts(corpus_paths, 360)]
 
 
 def test_every_term_node_records_its_free_term_variables(compiled):

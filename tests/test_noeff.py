@@ -2,7 +2,7 @@
 
 import pytest
 
-from effc import display, exeff, noeff
+from effc import display, exeff, noeff, pipeline
 from effc.core import (
     Base,
     CompType,
@@ -19,6 +19,7 @@ from effc.core import (
     dirt_var,
 )
 from effc.traverse import alpha_eq
+from gen_helpers import program_texts
 from paper_examples import RunningExample, tick_tock_signature
 
 T_UNIT = TBase(Base.UNIT)
@@ -333,6 +334,7 @@ def test_refl_nty_derives_each_form_at_itself():
     )
     for t in forms:
         assert noeff.typecheck_noeff_coercion(env, noeff.refl_nty(t)) == TySub(t, t), t
+        assert exeff.is_refl(noeff.refl_nty(t)), t
 
 
 # -- operational semantics ------------------------------------------------------------------
@@ -340,16 +342,60 @@ def test_refl_nty_derives_each_form_at_itself():
 
 def test_step_unsafe_over_return():
     t = exeff.ECast(noeff.MReturn(exeff.EUnit()), noeff.NCoUnsafe(exeff.CoBaseRefl(Base.UNIT)))
-    s1 = noeff.step_noeff(t)
-    assert s1 == exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
-    assert noeff.step_noeff(s1) == exeff.EUnit()
+    # The unsafe coercion's body is reflexive: unit comes out without a cast.
+    assert noeff.step_noeff(t) == exeff.EUnit()
+    # No step builds a base-reflexive cast, but its rule stays.
+    assert noeff.step_noeff(exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))) == exeff.EUnit()
 
 
 def test_step_return_coercion_wraps():
     t = exeff.ECast(exeff.EUnit(), noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT)))
-    assert noeff.step_noeff(t) == noeff.MReturn(
-        exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT))
-    )
+    assert noeff.step_noeff(t) == noeff.MReturn(exeff.EUnit())
+
+
+def pure_fn_to_comp():
+    """`fun x -> x` at Unit -> Unit, and a coercion to Unit -> Comp Unit."""
+    x = Supply().term("x")
+    lam = exeff.EAbs(x, N_UNIT, exeff.EVar(x))
+    unit = exeff.CoBaseRefl(Base.UNIT)
+    return lam, exeff.CoArrow(unit, noeff.NCoReturn(unit))
+
+
+def test_step_unsafe_over_return_keeps_a_widening_body():
+    lam, co = pure_fn_to_comp()
+    t = exeff.ECast(noeff.MReturn(lam), noeff.NCoUnsafe(co))
+    stepped = noeff.step_noeff(t)
+    assert stepped == exeff.ECast(lam, co)
+    env = _nenv()
+    assert noeff.typecheck_noeff(env, stepped) == noeff.typecheck_noeff(env, t)
+
+
+def test_step_return_coercion_wraps_a_widening_body():
+    lam, co = pure_fn_to_comp()
+    t = exeff.ECast(lam, noeff.NCoReturn(co))
+    stepped = noeff.step_noeff(t)
+    assert stepped == noeff.MReturn(exeff.ECast(lam, co))
+    env = _nenv()
+    assert noeff.typecheck_noeff(env, stepped) == noeff.typecheck_noeff(env, t)
+
+
+def test_step_comp_coercion_pushes_into_return_and_continuation():
+    lam, co = pure_fn_to_comp()
+    env = _nenv()
+    y = Supply().term("y")
+    returned = exeff.ECast(noeff.MReturn(lam), noeff.NCoComp(co))
+    op = exeff.COp("Tick", exeff.EUnit(), y, N_UNIT, noeff.MReturn(lam))
+    called = exeff.ECast(op, noeff.NCoComp(co))
+    want = {
+        returned: noeff.MReturn(exeff.ECast(lam, co)),
+        called: exeff.COp("Tick", exeff.EUnit(), y, N_UNIT, exeff.ECast(op.body, noeff.NCoComp(co))),
+    }
+    for t, stepped in want.items():
+        assert noeff.step_noeff(t) == stepped
+        assert noeff.typecheck_noeff(env, stepped) == noeff.typecheck_noeff(env, t)
+    # A reflexive body becomes no cast.
+    refl = exeff.ECast(noeff.MReturn(exeff.EUnit()), noeff.NCoComp(exeff.CoBaseRefl(Base.UNIT)))
+    assert noeff.step_noeff(refl) == noeff.MReturn(exeff.EUnit())
 
 
 def test_step_hand_to_fun_application():
@@ -416,34 +462,32 @@ def test_partial_progress_trichotomy():
         assert is_value or steps or stuck
 
 
-def test_preservation_along_noeff_traces():
-    # Every pure-backend step preserves the checked type, and every
-    # intermediate state is a value, steps, or is classified stuck.
-    from conftest import CORPUS
-    from effc import infer, source
+def noeff_trace_preserves(text: str, name: str = "<text>") -> int:
+    """Step the compiled NoEff term of `text` to a value, checking that every
+    step keeps the term's type and that no term is stuck, which elaborated
+    programs never are; returns the number of steps.  The harness checks
+    types along the ExEff trace only."""
+    art = pipeline.compile_text(text, "noeff")
+    nenv = Context(art.source_sig.map(noeff.elab_vty))
+    t = art.noeff_term
+    ty = noeff.typecheck_noeff(nenv, t)
+    steps = 0
+    while not noeff.is_value_noeff(t):
+        nxt = noeff.step_noeff(t)
+        assert nxt is not None, (name, noeff.classify_stuck(t))
+        assert alpha_eq(noeff.typecheck_noeff(nenv, nxt), ty), (name, steps)
+        t = nxt
+        steps += 1
+        assert steps < 10000, name
+    return steps
 
-    for name in ("p11_handle_tick_resume.eff", "p17_tick_tock_stop.eff", "p29_handler_result_fun.eff"):
-        sig, comp = source.parse_program((CORPUS / name).read_text())
-        _, term, _ = infer.infer_and_default(sig, comp)
-        nterm = noeff.elab_comp(exeff.derive(Context(sig), term), term)
-        nenv = Context(sig.map(noeff.elab_vty))
-        ty = noeff.typecheck_noeff(nenv, nterm)
-        t = nterm
-        steps = 0
-        while not noeff.is_value_noeff(t):
-            nxt = noeff.step_noeff(t)
-            trichotomy = (
-                noeff.is_value_noeff(t)
-                or nxt is not None
-                or noeff.classify_stuck(t) != noeff.StuckClass.NOT_STUCK
-            )
-            assert trichotomy
-            assert nxt is not None, name  # elaborated programs never stick
-            got = noeff.typecheck_noeff(nenv, nxt)
-            assert alpha_eq(got, ty), name
-            t = nxt
-            steps += 1
-            assert steps < 10000
+
+def test_preservation_along_noeff_traces(corpus_paths):
+    programs = steps = 0
+    for name, text in program_texts(corpus_paths, 300):
+        steps += noeff_trace_preserves(text, name)
+        programs += 1
+    assert programs == len(corpus_paths) + 300 and steps > 800
 
 
 def _comp_co(vco, dco):

@@ -1,14 +1,32 @@
-"""Dropping the casts that witness A ≤ A after elaboration: the simplified
-term keeps the type, the erasure and the behaviour of the elaborated one,
-and its derivation is carried over without another check."""
+"""Casts that witness A ≤ A.  Dropping them after elaboration keeps the
+type, the erasure and the behaviour of the elaborated term, and its
+derivation is carried over without another check.  No later elaboration
+and no step builds one that `exeff.is_refl` accepts, and what `is_refl`
+accepts witnesses A ≤ A."""
+
+from collections import Counter
 
 import pytest
 
-from effc import exeff, infer, pipeline, skeleff, source
-from effc.core import Base, CompSub, CompType, Context, EMPTY_DIRT, TBase, TypecheckError, dirt
-from effc.traverse import alpha_eq, shape
+from effc import exeff, infer, noeff, pipeline, skeleff, source, traverse
+from effc.core import (
+    Base,
+    CompSub,
+    CompType,
+    Context,
+    CoVar,
+    DirtVar,
+    EMPTY_DIRT,
+    TBase,
+    TyVar,
+    TySub,
+    TypecheckError,
+    dirt,
+)
+from effc.traverse import alpha_eq, free_vars, shape
 from conftest import CORPUS
 from gen_helpers import make_signature, program_texts
+from test_noeff import noeff_trace_preserves
 
 CASTS = (exeff.ECast, exeff.CCast)
 
@@ -167,3 +185,158 @@ def test_a_pass_that_drops_a_widening_cast_is_rejected(monkeypatch, corpus_paths
             assert_derivation_carried(sig, derived, out)
     # 29 corpus programs keep a cast; compilation rejects 27 of them.
     assert widening >= 25 and in_compile >= 20
+
+
+# -- no elaboration and no step builds a reflexive cast ---------------------------
+
+
+def every_node(*roots):
+    """Every node in or under `roots`, terms, types and coercions alike, each
+    distinct one once."""
+    seen, todo = set(), list(roots)
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if type(u) is tuple:
+            todo.extend(u)
+        else:
+            yield u
+            todo.extend(getattr(u, f.name) for f in shape(type(u)).kids)
+
+
+@pytest.fixture(scope="module")
+def traced(corpus_paths):
+    """(program, signature, coercion checker, every term of the trace) of the
+    ExEff and the NoEff backend, for the corpus and 200 generated programs."""
+    out = []
+    for name, text in program_texts(corpus_paths):
+        art = pipeline.compile_text(text, "noeff")
+        for term, reduction, check in (
+            (art.exeff_term, exeff.REDUCTION, exeff.typecheck_coercion),
+            (art.noeff_term, noeff.REDUCTION, noeff.typecheck_noeff_coercion),
+        ):
+            out.append((name, art.source_sig, check, reduction.run(term, keep_trace=True)[2]))
+    return out
+
+
+def test_no_compiled_or_stepped_term_holds_a_reflexive_cast(traced):
+    seen = 0
+    for name, _, check, trace in traced:
+        for u in every_node(*trace):
+            if type(u) in CASTS:
+                assert not exeff.is_refl(u.co), (name, check.__name__)
+                seen += 1
+    assert seen > 1_000
+
+
+def test_what_is_refl_accepts_witnesses_alpha_equal_sides(traced):
+    # Soundness: every coercion of a compiled or stepped term that `is_refl`
+    # accepts derives A ≤ A, in a context that binds its free variables.
+    accepted = 0
+    for name, sig, check, trace in traced:
+        for u in every_node(*trace):
+            if exeff.is_refl(u):
+                env = Context(sig)
+                for sort in (TyVar, DirtVar):
+                    for v in free_vars(u, sort):
+                        env = env.bind(v)
+                ct = check(env, u)
+                assert alpha_eq(ct.lhs, ct.rhs), (name, check.__name__, u)
+                accepted += 1
+    assert accepted > 1_000
+
+
+WIDENINGS = {
+    # Unit ! ∅ ≤ Unit ! {Tick}, and its NoEff image Unit ≤ Comp Unit.
+    "exeff": exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"]))),
+    "noeff": noeff.NCoReturn(exeff.CoBaseRefl(Base.UNIT)),
+}
+
+
+def first_rejection(text: str):
+    """The first check that rejects `text`: compilation, the harness or type
+    preservation along the NoEff trace; None when every check passes."""
+    try:
+        pipeline.compile_text(text)
+    except TypecheckError:
+        return "compile"
+    if not pipeline.differential_check_text(text).agreement:
+        return "harness"
+    try:
+        noeff_trace_preserves(text)
+    except (TypecheckError, AssertionError):
+        return "noeff preservation"
+    return None
+
+
+def built(text: str) -> list:
+    """Every term of the ExEff and the NoEff trace of `text`."""
+    art = pipeline.compile_text(text)
+    return [
+        exeff.REDUCTION.run(art.exeff_term, keep_trace=True)[2],
+        noeff.REDUCTION.run(art.noeff_term, keep_trace=True)[2],
+    ]
+
+
+@pytest.mark.parametrize("calculus", WIDENINGS)
+def test_an_is_refl_that_accepts_a_widening_is_rejected(monkeypatch, corpus_paths, calculus):
+    # The test made careless: one widening coercion, and every congruence
+    # over it, looks reflexive to it.  Each program whose compiled term or
+    # traces that changes must be rejected.
+    widening = WIDENINGS[calculus]
+    is_refl = exeff.is_refl
+    want = {path.name: built(path.read_text()) for path in corpus_paths}
+
+    def careless(co):
+        return co == widening or is_refl(co)
+
+    monkeypatch.setattr(exeff, "is_refl", careless)
+    rejected = Counter()
+    try:
+        for cls in CASTS:
+            traverse.cast_hook(cls, careless)
+        for path in corpus_paths:
+            verdict = first_rejection(path.read_text())
+            if verdict is None:
+                assert built(path.read_text()) == want[path.name], path.name
+            else:
+                rejected[verdict] += 1
+    finally:
+        for cls in CASTS:
+            traverse.cast_hook(cls, is_refl)
+    # Compilation rejects 17 corpus programs for the ExEff widening; for the
+    # NoEff one, compilation rejects 22 and the harness 3.
+    assert sum(rejected.values()) >= 15, rejected
+
+
+def test_is_refl_rejects_every_other_form_and_every_congruence_over_one():
+    unit = exeff.CoBaseRefl(Base.UNIT)
+    pure = exeff.CoDirtRefl(EMPTY_DIRT)
+    comp = exeff.CoComp(unit, pure)
+    w = exeff.CoVarRef(CoVar(0))
+    others = (
+        w,
+        exeff.CoEmpty(EMPTY_DIRT),
+        exeff.CoOpUnion("Tick", exeff.CoDirtRefl(dirt(["Tick"]))),
+        noeff.NCoReturn(unit),
+        noeff.NCoUnsafe(unit),
+        noeff.NCoHandToFun(unit, noeff.NCoComp(unit)),
+        noeff.NCoFunToHand(unit, noeff.NCoComp(unit)),
+    )
+    for co in others:
+        assert not exeff.is_refl(co), co
+    # Each congruence with a reflexive coercion in every slot but one.
+    congruences = (
+        (lambda c: exeff.CoArrow(c, comp), unit),
+        (lambda c: exeff.CoArrow(unit, c), comp),
+        (lambda c: exeff.CoHandler(c, comp), comp),
+        (lambda c: exeff.CoHandler(comp, c), comp),
+        (lambda c: exeff.CoComp(c, pure), unit),
+        (lambda c: exeff.CoComp(unit, c), pure),
+        (noeff.NCoComp, unit),
+        (lambda c: noeff.NCoQual(TySub(TBase(Base.UNIT), TBase(Base.UNIT)), c), unit),
+    )
+    for wrap, refl in congruences:
+        assert exeff.is_refl(wrap(refl)) and not exeff.is_refl(wrap(w)), wrap(w)
