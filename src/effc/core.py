@@ -92,10 +92,6 @@ class ElaborationError(EffError):
     """ExEff-to-pure-backend elaboration hit a term outside its domain."""
 
 
-class DomainTooLarge(EffError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Variables and fresh-name supply
 

@@ -53,11 +53,14 @@ from .traverse import (
     cast_hook,
     free_vars,
     handle_op,
+    instantiate,
     replace_field,
     shape,
     subst_hook,
     subst_term,
     substitute,
+    type_bits,
+    var_bit,
 )
 
 # ---------------------------------------------------------------------------
@@ -453,6 +456,24 @@ class Subst:
         return Subst(co={v.id: c})
 
 
+class Single(Subst):
+    """The substitution of `repl` for the one variable `v`, as a type
+    application's beta step builds it for `traverse.instantiate`.  The
+    solver writes into its substitutions, so only these, built afresh for
+    each application and never changed, cache their domain."""
+
+    def __init__(self, v, repl):
+        super().__init__()
+        getattr(self, _SORT_MAPS[type(v)])[v.id] = repl
+        self.mask = var_bit(v)
+        self.keep = ~self.mask
+        self.rvars = type_bits(repl)
+        self.drops = 0
+
+
+_SORT_MAPS = {SkelVar: "skel", TyVar: "ty", DirtVar: "dirt", CoVar: "co"}
+
+
 @subst_hook(Dirt)
 def subst_dirt(s: Subst, d: Dirt) -> Dirt:
     if d.tail is not None and d.tail.id in s.dirt:
@@ -833,7 +854,7 @@ def _cast_refl(v: ECast):
         return v.val
 
 
-def _type_app(app, abs_, one) -> tuple:
+def _type_app(app, abs_) -> tuple:
     """The rule of an application to a skeleton, type, dirt or coercion:
     beta-reduce."""
     arg = shape(app).names[1]
@@ -841,7 +862,7 @@ def _type_app(app, abs_, one) -> tuple:
     def head(t):
         f = t.val
         if type(f) is abs_:
-            return substitute(one(f.var, getattr(t, arg)), f.body)
+            return instantiate(Single(f.var, getattr(t, arg)), f.body)
         return None
 
     return "val", head
@@ -891,10 +912,10 @@ def _handle(c: CHandle):
 RULES = {
     **{cls: () for cls in (EVar, OpClause, *_TERMINAL_HEADS)},
     ECast: ("val", _cast_refl),
-    ESkelApp: _type_app(ESkelApp, ESkelAbs, Subst.one_skel),
-    ETyApp: _type_app(ETyApp, ETyAbs, Subst.one_ty),
-    EDirtApp: _type_app(EDirtApp, EDirtAbs, Subst.one_dirt),
-    ECoApp: _type_app(ECoApp, ECoAbs, Subst.one_co),
+    ESkelApp: _type_app(ESkelApp, ESkelAbs),
+    ETyApp: _type_app(ETyApp, ETyAbs),
+    EDirtApp: _type_app(EDirtApp, EDirtAbs),
+    ECoApp: _type_app(ECoApp, ECoAbs),
     CReturn: ("val",),
     COp: ("arg",),
     CCast: ("comp", _cast_op),

@@ -58,6 +58,7 @@ from .exeff import (
     EUnit,
     EVar,
     OpClause,
+    Single,
     Subst,
     cast,
     wf_bound,
@@ -67,6 +68,7 @@ from .traverse import (
     alpha_eq,
     free_vars,
     handle_op,
+    instantiate,
     subst_hook,
     subst_term,
     substitute,
@@ -640,14 +642,14 @@ def _app(t: CApp):
 def _ty_app(t: ETyApp):
     f = t.val
     if type(f) is MTyAbs:
-        return substitute(Subst.one_ty(f.var, t.ty), f.body)
+        return instantiate(Single(f.var, t.ty), f.body)
     return None
 
 
 def _co_app(t: ECoApp):
     f = t.val
     if type(f) is ECoAbs:
-        return substitute(Subst.one_co(f.var, t.co), f.body)
+        return instantiate(Single(f.var, t.co), f.body)
     if type(f) is ECast and type(f.co) is NCoQual and is_value_noeff(f):
         return cast(ECoApp(f.val, t.co), f.co.body)
     return None

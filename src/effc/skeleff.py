@@ -39,6 +39,7 @@ from .exeff import (
     EUnit,
     EVar,
     OpClause,
+    Single,
     Subst,
     wf_bound,
 )
@@ -47,6 +48,7 @@ from .traverse import (
     alpha_eq,
     contractions,
     handle_op,
+    instantiate,
     subst_term,
     substitute,
 )
@@ -204,7 +206,7 @@ def _heads(value) -> dict:
 
     def skel_beta(v: ESkelApp):
         if type(v.val) is ESkelAbs:
-            return substitute(Subst.one_skel(v.val.var, v.skel), v.val.body)
+            return instantiate(Single(v.val.var, v.skel), v.val.body)
 
     def app_beta(c: CApp):
         if type(c.fn) is EAbs and value(c.arg):

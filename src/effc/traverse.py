@@ -24,12 +24,20 @@ stack frame, and a rebuild returns the input node itself when no child
 changed.  Substitution returns a cast's subject in place of the cast when it
 turns the cast's coercion into an identity (`cast_hook`).
 
-`summarize` records on every node of a compiled term its free term
-variables, and term substitution returns a node whose summary lacks the
-variable without walking it.  A summary depends on the node alone, so it
-stays exact wherever the node is shared or moved; `replace_field` drops it
-from the node it copies, and nodes built any other way never have one, so
-nothing evaluation builds carries a summary.
+`summarize` records on every term node of a compiled term its free
+variables of every sort, type-level children folded in, as one int; type
+nodes carry none.  Term substitution, and the single-variable substitution
+of a type application, return a node whose summary lacks their variable
+without walking it.  A summary depends on the node alone, so it stays exact
+wherever the node is shared or moved.  Evaluation's substitutions rebuild
+the nodes above each occurrence, and each such node built from a
+summarized one gets its summary in O(1): the old one minus the variable,
+plus the replacement's.  That is exact because the variable occurs in a
+node that is rebuilt, and binder ids are unique, so nothing captures the
+replacement; a dropped cast can take variables out of the term, so a
+substitution that drops one gives no summary to the nodes it rebuilds
+around it.  `replace_field` drops the summary from the node it copies, and
+nodes built any other way (head rules, plugging) have none.
 
 The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
 ordered rule list per node class, interpreted by one decomposition loop that
@@ -45,7 +53,7 @@ the redexes of a term anywhere in it.
 from __future__ import annotations
 
 import dataclasses
-from operator import is_
+from operator import attrgetter, is_
 
 from .core import (
     CoVar,
@@ -91,6 +99,8 @@ class Shape:
         sorts = {f.name: _VARS.get(_annotation(f)) for f in fields}
         binders = tuple((f.name, sorts[f.name]) for f, r in zip(fields, roles) if r == BIND)
         self.names = tuple(f.name for f in fields)
+        # All field values as a tuple, in one C call.
+        self.values = attrgetter(*self.names) if len(fields) > 1 else lambda t: (getattr(t, self.names[0]),)
         self.fields = tuple(
             Field(
                 f.name,
@@ -149,9 +159,11 @@ def _unchanged(*args):
     return args[-1]
 
 
-def _rebuild(t, names, i, new, vals):
+def _rebuild(t, values, i, new, vals):
+    """`vals`, or the field values of `t` (read by `values`, a shape's
+    getter) when None, with `new` in field `i`."""
     if vals is None:
-        vals = [getattr(t, n) for n in names]
+        vals = list(values(t))
     vals[i] = new
     return vals
 
@@ -185,6 +197,21 @@ def substitute(s, t):
     return _SUBST[type(t)](s, t)
 
 
+def instantiate(s, t):
+    """`substitute(s, t)` for a substitution `s` of one variable, as a type
+    application's beta step builds it, which skips every term child whose
+    summary (see `summarize`) lacks the variable and gives each term node
+    it rebuilds from a summarized one the summary `(S(t) - variable) |
+    S(replacement)`.  Besides its one map entry, `s` carries the variable's
+    bit (`mask`), that bit's complement (`keep`), the summary bits of the
+    replacement (`rvars`) and a count of the casts it has dropped (`drops`).
+    """
+    free = getattr(t, FREE, None)
+    if free is not None and not free & s.mask:
+        return t
+    return _SUBST_ONE[type(t)](s, free, t)
+
+
 def subst_hook(cls: type):
     """Register `fn(s, t)` as the substitution of `cls` nodes."""
 
@@ -203,6 +230,7 @@ def cast_hook(cls: type, is_identity):
     when the coercion changed."""
     _CASTS[cls] = is_identity
     _SUBST.pop(cls, None)
+    _SUBST_ONE.pop(cls, None)
 
 
 def _build_subst(cls):
@@ -220,7 +248,7 @@ def _build_subst(cls):
         return lambda s, t: s.co.get(getattr(t, use.name).id, t)
     table = _SUBST
     kids = [(sh.names.index(f.name), f.name) for f in sh.kids]
-    names = sh.names
+    names, values = sh.names, sh.values
     is_identity = _CASTS.get(cls)
 
     def go(s, t):
@@ -229,7 +257,7 @@ def _build_subst(cls):
             old = getattr(t, name)
             new = table[type(old)](s, old)
             if new is not old:
-                vals = _rebuild(t, names, i, new, vals)
+                vals = _rebuild(t, values, i, new, vals)
         if vals is None:
             return t
         if is_identity is not None and vals[1] is not getattr(t, names[1]) and is_identity(vals[1]):
@@ -239,59 +267,136 @@ def _build_subst(cls):
     return go
 
 
+def _build_subst_one(cls):
+    """The walker of `instantiate`, given the summary the caller read from
+    the node: a term class's skips and carries summaries; any other class's
+    is `_SUBST`'s, so type-level walks pay for no summary check."""
+    sh = shape(cls)
+    if not sh.terms:
+        fn = _SUBST[cls]
+        return lambda s, free, t: fn(s, t)
+    table, types = _SUBST_ONE, _SUBST
+    kids = [(sh.names.index(f.name), f.name, f.role != TYPE) for f in sh.kids]
+    names, values = sh.names, sh.values
+    is_identity = _CASTS.get(cls)
+
+    def go(s, free, t):
+        mask = s.mask
+        drops = s.drops
+        vals = None
+        for i, name, term in kids:
+            old = getattr(t, name)
+            if term:
+                inner = getattr(old, FREE, None)
+                if inner is not None and not inner & mask:
+                    continue
+                new = table[type(old)](s, inner, old)
+            else:
+                new = types[type(old)](s, old)
+            if new is not old:
+                vals = _rebuild(t, values, i, new, vals)
+        if vals is None:
+            return t
+        if is_identity is not None and vals[1] is not getattr(t, names[1]) and is_identity(vals[1]):
+            # The dropped coercion's variables may leave the term, so no
+            # node rebuilt around it can tell its summary in O(1).
+            s.drops = drops + 1
+            return vals[0]
+        out = cls(*vals)
+        if free is not None and s.drops == drops:
+            _set(out, FREE, free & s.keep | s.rvars)
+        return out
+
+    return go
+
+
+def _subst_one_many(s, free, t):
+    items = []
+    for e in t:
+        inner = getattr(e, FREE, None)
+        if inner is None or inner & s.mask:
+            e = _SUBST_ONE[type(e)](s, inner, e)
+        items.append(e)
+    return t if all(map(is_, items, t)) else tuple(items)
+
+
 _SUBST = _Table(_build_subst)
 _SUBST[tuple] = _tuple_map(_SUBST)
+_SUBST_ONE = _Table(_build_subst_one)
+_SUBST_ONE[tuple] = _subst_one_many
 _CASTS: dict = {}  # cast class -> the test of `cast_hook`
 
 
 # ---------------------------------------------------------------------------
-# Summaries of free term variables
+# Summaries of free variables
 
-FREE = "free_terms"  # the attribute that holds a node's summary
+FREE = "free"  # the attribute that holds a term node's summary
 _set = object.__setattr__  # nodes are frozen; the summary is not a field
+
+# A variable's bit in a summary is bit `id << 3 | sort`: ids are dense per
+# sort, so the sorts interleave in one int.
+SORTS = {TermVar: 0, SkelVar: 1, TyVar: 2, DirtVar: 3, CoVar: 4}
+
+
+def var_bit(v) -> int:
+    """The bit of the variable `v` in a summary."""
+    return 1 << (v.id << 3 | SORTS[type(v)])
 
 
 def summarize(t) -> int:
-    """Record on `t` and on every term node under it the node's free term
-    variables, as an int bit set of their ids (bit i for the variable of id
-    i; ids are dense per program), in the attribute `FREE`; returns `t`'s.
-    A node that has a summary keeps it, so a shared node is summarized once.
-    An int is not tracked by the cyclic collector, and every empty summary
-    is the one cached 0."""
+    """Record on `t` and on every term node under it the node's free
+    variables of every sort, as an int bit set (see `var_bit`), in the
+    attribute `FREE`; returns `t`'s.  Type-level children (skeletons, types,
+    dirts, constraints, coercions) are folded into their term node's summary
+    and carry none themselves.  A node that has a summary keeps it, so a
+    shared node is summarized once.  An int is not tracked by the cyclic
+    collector, and every empty summary is the one cached 0."""
     return _SUMMARY[type(t)](t)
+
+
+def type_bits(t) -> int:
+    """The free variables of the type-level entity `t`, as a summary's bits,
+    found by a walk (type-level nodes carry no summary)."""
+    return _BITS[type(t)](t)
+
+
+def _kids(sh: Shape) -> list:
+    """(name, table, binders) of each child of a term class: the summary
+    table for a term child, the bits table for a type-level one, and the
+    (field, sort) of each binder whose scope the child is."""
+    return [
+        (f.name, _BITS if f.role == TYPE else _SUMMARY, tuple((b, SORTS[sort]) for b, sort in f.binders))
+        for f in sh.kids
+    ]
 
 
 def _build_summary(cls):
     sh = shape(cls)
     if sh.uses:
-        use = sh.uses[0]
-        if use.sort is TermVar:
+        name, sort = sh.uses[0].name, SORTS[sh.uses[0].sort]
 
-            def occurrence(t):
-                free = 1 << getattr(t, use.name).id
+        def occurrence(t):
+            free = getattr(t, FREE, None)
+            if free is None:
+                free = 1 << (getattr(t, name).id << 3 | sort)
                 _set(t, FREE, free)
-                return free
+            return free
 
-            return occurrence
-    table = _SUMMARY
-    kids = [
-        (f.name, tuple(b for b, sort in f.binders if sort is TermVar))
-        for f in sh.kids
-        if f.role in (TERM, MANY)
-    ]
+        return occurrence
+    kids = _kids(sh)
 
     def go(t):
         free = getattr(t, FREE, None)
         if free is not None:
             return free
         free = 0
-        for name, binders in kids:
+        for name, table, binders in kids:
             x = getattr(t, name)
             inner = table[type(x)](x)
-            for b in binders:
-                bid = getattr(t, b).id
-                if inner >> bid & 1:
-                    inner ^= 1 << bid
+            for b, sort in binders:
+                bit = 1 << (getattr(t, b).id << 3 | sort)
+                if inner & bit:
+                    inner ^= bit
             if inner:
                 free = free | inner if free else inner
         _set(t, FREE, free)
@@ -309,8 +414,40 @@ def _summarize_many(t):
     return free
 
 
+def _build_bits(cls):
+    if cls in (SkelVar, TyVar):
+        sort = SORTS[cls]
+        return lambda t: 1 << (t.id << 3 | sort)
+    sh = shape(cls)
+    if sh.uses:
+        name, sort = sh.uses[0].name, SORTS[sh.uses[0].sort]
+
+        def occurrence(t):
+            v = getattr(t, name)
+            return 0 if v is None else 1 << (v.id << 3 | sort)
+
+        return occurrence
+    kids = _kids(sh)
+
+    def go(t):
+        free = 0
+        for name, table, binders in kids:
+            x = getattr(t, name)
+            inner = table[type(x)](x)
+            for b, sort in binders:
+                bit = 1 << (getattr(t, b).id << 3 | sort)
+                if inner & bit:
+                    inner ^= bit
+            if inner:
+                free = free | inner if free else inner
+        return free
+
+    return go
+
+
 _SUMMARY = _Table(_build_summary)
 _SUMMARY[tuple] = _summarize_many
+_BITS = _Table(_build_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +457,22 @@ _SUMMARY[tuple] = _summarize_many
 def subst_term(value, var: TermVar, subject):
     """Substitute `value` for the free occurrences of the term variable `var`.
     A node whose summary (see `summarize`) lacks `var` is returned as it is,
-    without a walk."""
+    without a walk.  When `value` has a summary, each node rebuilt from a
+    summarized one gets the summary `(S(node) - var) | S(value)`."""
+    bit = 1 << (var.id << 3)  # `var_bit(var)`: term variables are sort 0
     free = getattr(subject, FREE, None)
-    if free is not None and not free >> var.id & 1:
+    if free is not None and not free & bit:
         return subject
-    return _TSUBST[type(subject)](value, var.id, subject)
+    return _TSUBST[type(subject)](value, var.id, bit, getattr(value, FREE, None), free, subject)
 
 
 def _build_subst_term(cls):
+    # Each function takes the summary its caller read from the node.
     sh = shape(cls)
     if sh.uses:
         use = sh.uses[0]
         if use.sort is TermVar:
-            return lambda v, vid, t: v if getattr(t, use.name).id == vid else t
+            return lambda v, vid, bit, sv, free, t: v if getattr(t, use.name).id == vid else t
         return _unchanged
     table = _TSUBST
     # Only term binders shadow: skeleton, type, dirt and coercion ids come
@@ -344,27 +484,43 @@ def _build_subst_term(cls):
     ]
     if not kids:
         return _unchanged
-    names = sh.names
+    values = sh.values
 
-    def go(v, vid, t):
+    def go(v, vid, bit, sv, free, t):
         vals = None
         for i, name, binders in kids:
             if binders and any(getattr(t, b).id == vid for b in binders):
                 continue
             old = getattr(t, name)
-            free = getattr(old, FREE, None)
-            if free is not None and not free >> vid & 1:
+            inner = getattr(old, FREE, None)
+            if inner is not None and not inner & bit:
                 continue
-            new = table[type(old)](v, vid, old)
+            new = table[type(old)](v, vid, bit, sv, inner, old)
             if new is not old:
-                vals = _rebuild(t, names, i, new, vals)
-        return t if vals is None else cls(*vals)
+                vals = _rebuild(t, values, i, new, vals)
+        if vals is None:
+            return t
+        out = cls(*vals)
+        if sv is not None and free is not None:
+            # `t` was rebuilt, so `var` is free in it.
+            _set(out, FREE, free ^ bit | sv if sv else free ^ bit)
+        return out
 
     return go
 
 
+def _subst_term_many(v, vid, bit, sv, free, t):
+    items = []
+    for e in t:
+        inner = getattr(e, FREE, None)
+        if inner is None or inner & bit:
+            e = _TSUBST[type(e)](v, vid, bit, sv, inner, e)
+        items.append(e)
+    return t if all(map(is_, items, t)) else tuple(items)
+
+
 _TSUBST = _Table(_build_subst_term)
-_TSUBST[tuple] = _tuple_map(_TSUBST)
+_TSUBST[tuple] = _subst_term_many
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +672,7 @@ def _build_rename(cls):
     sh = shape(cls)
     table = _RENAME
     steps = [(i, f.name, f.role in (BIND, USE)) for i, f in enumerate(sh.fields) if f.role != ATOM]
-    names = sh.names
+    names, values = sh.names, sh.values
 
     def go(f, t):
         vals = None
@@ -527,7 +683,7 @@ def _build_rename(cls):
             else:
                 new = table[type(old)](f, old)
             if new is not old:
-                vals = _rebuild(t, names, i, new, vals)
+                vals = _rebuild(t, values, i, new, vals)
         return t if vals is None else cls(*vals)
 
     return go
@@ -711,7 +867,7 @@ def replace_field(node, name, t):
     """`node` with `t` in its field `name`.  No node class has a
     `__post_init__`, so copying the field dict rebuilds a frozen node
     exactly, and faster than its constructor.  The copy drops `node`'s
-    summary of free term variables, which its new field may not match."""
+    summary of free variables, which its new field may not match."""
     out = object.__new__(type(node))
     fields = out.__dict__
     fields.update(node.__dict__)

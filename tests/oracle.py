@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (
+from effc.core import (
     Base,
     CompType,
     Dirt,
     DirtSub,
-    DomainTooLarge,
+    EffError,
     SkelArrow,
     SkelBase,
     SkelHandler,
@@ -28,10 +28,14 @@ from .core import (
     TySub,
     dirt,
 )
-from .infer import SkelAnn, SkelEq, SubCt
+from effc.infer import SkelAnn, SkelEq, SubCt
 
 DEFAULT_OPS = ("Op1", "Op2")
 _MAX_ASSIGNMENTS = 4_000_000
+
+
+class DomainTooLarge(EffError):
+    """The ground domain of a constraint set exceeds the oracle's budget."""
 
 
 def ground_dirts(ops=DEFAULT_OPS) -> list:

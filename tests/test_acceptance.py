@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from effc import display, exeff, infer, noeff, oracle, pipeline, skeleff, source
+from effc import display, exeff, infer, noeff, pipeline, skeleff, source
 from effc.core import (
     Base,
     CompType,
@@ -31,6 +31,7 @@ from gen_helpers import (
     random_value_of,
 )
 from paper_examples import RunningExample, erasure_discussion_pair
+import oracle
 import test_solver_oracle as tso
 
 

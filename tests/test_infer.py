@@ -13,6 +13,7 @@ from effc.core import (
     EMPTY_DIRT,
     OccursCheck,
     SkelBase,
+    SkelHandler,
     SkeletonClash,
     Supply,
     TArrow,
@@ -314,6 +315,32 @@ def test_solve_skeleton_clash_handler_as_function():
         infer.infer_top(sig, comp)
 
 
+def test_solve_equates_two_handler_skeletons(monkeypatch):
+    # `c` returns its first handler, so the type of the second argument's
+    # handler and that of `h` meet in a skeleton equation between two
+    # handler skeletons, which the solver decomposes into its domains and
+    # codomains.  The program is kept out of the corpus, so no golden moves.
+    text = (
+        "effect Tick : Unit -> Unit\n"
+        "do c <- (fun a -> return (fun b -> return a)) (handler { return x -> return x }) in "
+        "do h <- c (handler { return y -> return y }) in with h handle return unit\n"
+    )
+    solve_skel_eq = infer._solve_skel_eq
+    handler_pairs = []
+
+    def watched(st, item):
+        if type(item.lhs) is SkelHandler and type(item.rhs) is SkelHandler:
+            handler_pairs.append(item)
+        return solve_skel_eq(st, item)
+
+    monkeypatch.setattr(infer, "_solve_skel_eq", watched)
+    report = pipeline.differential_check_text(text)
+    assert handler_pairs
+    assert report.agreement, report.failure
+    assert {str(obs) for obs in report.observations.values()} == {"return unit"}
+    assert set(report.observations) == {"exeff", "skeleff", "noeff"}
+
+
 # -- skeletons of annotated types ---------------------------------------------------
 
 
@@ -323,7 +350,7 @@ def test_skeleton_of_clauses():
     a = session.fresh_ty(sk)
     assert skeleton(session.ann, a) == sk
     assert skeleton(session.ann, T_UNIT) == SkelBase(Base.UNIT)
-    from effc.core import SkelHandler, THandler
+    from effc.core import THandler
 
     h = THandler(CompType(a, EMPTY_DIRT), CompType(T_UNIT, dirt(["Tick"])))
     assert skeleton(session.ann, h) == SkelHandler(sk, SkelBase(Base.UNIT))

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from effc import exeff, infer, oracle
+from effc import exeff, infer
 from effc.core import (
     Base,
     CompType,
@@ -17,6 +17,7 @@ from effc.core import (
     TySub,
     dirt,
 )
+import oracle
 
 T_UNIT = TBase(Base.UNIT)
 OPS = oracle.DEFAULT_OPS
@@ -210,13 +211,11 @@ def test_unsatisfiable_mixed_set():
 
 
 def test_domain_guard():
-    from effc.core import DomainTooLarge
-
     sess = fresh_session()
     items = []
     for _ in range(8):
         sk = sess.supply.skel()
         a = sess.fresh_ty(sk)
         items.append(infer.SkelAnn(a, sk))
-    with pytest.raises(DomainTooLarge):
+    with pytest.raises(oracle.DomainTooLarge):
         oracle.ground_solver_oracle(items, OPS)
