@@ -145,7 +145,8 @@ def _var_keys(obj) -> set:
 def split(env: dict, Q: list, a: ValueType) -> tuple:
     """Partition residual constraints for let-generalization.
 
-    env maps term-variable ids to (TermVar, value type).  Returns
+    env maps term-variable ids to (TermVar, value type); Q holds the
+    solver's residual, skeleton annotations and subtyping constraints.  Returns
     (skel_vars, [(ty_var, skeleton)], dirt_vars, generalized [(co, ct)],
     floated queue items, merged).  A generalized constraint equal to an
     earlier one is not a second qualifier: `merged` maps its coercion
@@ -200,10 +201,7 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
                     generalized.append((it.co, it.constraint))
             else:
                 floated.append(it)
-        elif isinstance(it, SkelAnn):
-            if it.var.id not in gen_ty_ids:
-                floated.append(it)
-        else:
+        elif it.var.id not in gen_ty_ids:
             floated.append(it)
     return gen_skel, ty_binders, gen_dirt, generalized, floated, merged
 

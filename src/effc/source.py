@@ -134,7 +134,6 @@ SrcComp = Union[SrcReturn, SrcOpCall, SrcDo, SrcHandle, SrcApp, SrcLet]
 # Parsing
 
 _COMP_KEYWORDS = ("return", "do", "let", "with")
-_VALUE_START_WORDS = ("unit", "fun", "handler")
 
 
 class _Parser:
@@ -227,8 +226,6 @@ class _Parser:
     def _at_value_start(self) -> bool:
         t = self.ts.peek()
         if t.kind == "ident" and t.text not in _COMP_KEYWORDS + ("in", "handle", "effect"):
-            return True
-        if t.kind == "ident" and t.text in _VALUE_START_WORDS:
             return True
         if t.kind == "int":
             return True

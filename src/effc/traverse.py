@@ -469,11 +469,9 @@ def subst_term(value, var: TermVar, subject):
 def _build_subst_term(cls):
     # Each function takes the summary its caller read from the node.
     sh = shape(cls)
-    if sh.uses:
-        use = sh.uses[0]
-        if use.sort is TermVar:
-            return lambda v, vid, bit, sv, free, t: v if getattr(t, use.name).id == vid else t
-        return _unchanged
+    if sh.uses and sh.uses[0].sort is TermVar:
+        name = sh.uses[0].name
+        return lambda v, vid, bit, sv, free, t: v if getattr(t, name).id == vid else t
     table = _TSUBST
     # Only term binders shadow: skeleton, type, dirt and coercion ids come
     # from counters of their own and may equal a term variable's id.

@@ -2,7 +2,10 @@
 `step_sk` apart, and normalizes both sides only otherwise.  These tests pin
 the shortcut against the normalization it skips, and drive the fallback."""
 
+import pytest
+
 from effc import exeff, pipeline, skeleff
+from effc.core import SKEL_UNIT, FuelExhausted, TermVar
 from effc.traverse import alpha_eq, contractions
 from conftest import CORPUS
 from gen_helpers import program_texts
@@ -90,3 +93,11 @@ def test_a_bumped_literal_is_not_congruent(monkeypatch):
     calls = count_normalizations(monkeypatch)
     assert not skeleff.congruent(a, wrong)
     assert len(calls) == 2
+
+
+def test_normalization_is_bounded_by_its_fuel():
+    x = TermVar(0, "x")
+    redex = exeff.CApp(exeff.EAbs(x, SKEL_UNIT, exeff.CReturn(exeff.EVar(x))), exeff.EUnit())
+    with pytest.raises(FuelExhausted):
+        skeleff.normalize_full(redex, fuel=0)
+    assert skeleff.normalize_full(redex, fuel=1) == exeff.CReturn(exeff.EUnit())

@@ -4,22 +4,32 @@ import pytest
 
 from effc import exeff, infer, pipeline, source
 from effc.core import (
+    SKEL_INT,
+    SKEL_UNIT,
     Base,
     CompType,
     Context,
+    CoVar,
     DirtClash,
     DirtSub,
     DirtVar,
     EMPTY_DIRT,
     OccursCheck,
+    SkelArrow,
     SkelBase,
+    SkelForall,
     SkelHandler,
+    SkelVar,
     SkeletonClash,
+    SolveError,
     Supply,
     TArrow,
     TBase,
+    TermVar,
     TyVar,
     TySub,
+    UnboundVariable,
+    WfError,
     dirt,
     dirt_var,
     skeleton,
@@ -339,6 +349,68 @@ def test_solve_equates_two_handler_skeletons(monkeypatch):
     assert report.agreement, report.failure
     assert {str(obs) for obs in report.observations.values()} == {"return unit"}
     assert set(report.observations) == {"exeff", "skeleff", "noeff"}
+
+
+SK0, SK1 = SkelVar(0), SkelVar(1)
+SOLVER_ERRORS = {
+    "occurs-on-the-right": (
+        infer.SkelEq(SkelArrow(SK0, SK0), SK0),
+        OccursCheck,
+        "occurs check: s0 in its own instantiation",
+    ),
+    "skeleton-clash": (infer.SkelEq(SKEL_UNIT, SKEL_INT), SkeletonClash, "skeletons do not unify: Unit vs Int"),
+    "quantified-skeleton": (
+        infer.SkelAnn(TyVar(0), SkelForall(SK1, SK1)),
+        SolveError,
+        "cannot instantiate a type variable at skeleton all s1. s1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVER_ERRORS))
+def test_solver_errors_name_the_clash(name):
+    item, error, message = SOLVER_ERRORS[name]
+    with pytest.raises(error) as e:
+        _solve_items([item])
+    assert e.value.msg == message
+
+
+def test_a_pending_coercion_variable_is_never_substituted():
+    w = CoVar(0)
+    item = infer.SubCt(w, TySub(T_UNIT, T_UNIT))
+    with pytest.raises(AssertionError, match="^pending coercion variable must never be substituted$"):
+        infer.subst_item(exeff.Subst(co={w.id: exeff.CoBaseRefl(Base.UNIT)}), item)
+
+
+def test_split_needs_an_annotation_for_each_generalized_type_variable():
+    with pytest.raises(SolveError, match="^generalized type variable a0 lacks a skeleton annotation$"):
+        infer.split({}, [], TyVar(0))
+
+
+def test_collapse_rejects_a_re_solve_that_binds_another_variable(monkeypatch):
+    # Collapsing instantiates one variable at its bound and re-solves; a
+    # solver that bound a second variable there would break the invariant.
+    solve = infer.solve
+
+    def wrong(session, s, items):
+        out, residual = solve(session, s, items)
+        out.skel[10_000] = SKEL_UNIT
+        return out, residual
+
+    monkeypatch.setattr(infer, "solve", wrong)
+    with pytest.raises(AssertionError, match="^re-solving a collapsed residual bound a variable$"):
+        pipeline.compile_path(str(CORPUS / "p28_apply_twice.eff"))
+
+
+def test_inference_rejects_an_unbound_variable():
+    session = infer.Session(tick_tock_signature())
+    with pytest.raises(UnboundVariable, match="^unbound variable z$"):
+        infer.gen_value(session, [], {}, source.SrcVar(TermVar(9, "z")))
+
+
+def test_skeleton_of_an_unbound_type_variable():
+    with pytest.raises(WfError, match="^unbound type variable a5$"):
+        skeleton({}, TyVar(5))
 
 
 # -- skeletons of annotated types ---------------------------------------------------

@@ -34,6 +34,64 @@ def test_compile_stages_re_typecheck(tmp_path):
             assert art.noeff_term is not None
 
 
+# Per stage that re-typechecks its term: the module and name of a function
+# the stage calls, a deliberately wrong version of it made from the right
+# one, and the stage's message when the two disagree.
+WRONG_RECHECKS = {
+    "exeff": (
+        infer,
+        "infer_and_default",
+        lambda right: lambda sig, comp: (core.CompType(core.T_INT, core.EMPTY_DIRT), *right(sig, comp)[1:]),
+        "elaborated term does not re-typecheck at the inferred type",
+    ),
+    "skeleff": (
+        skeleff,
+        "typecheck_sk",
+        lambda right: lambda env, t: core.SKEL_INT,
+        "erased term does not re-typecheck at the erased type",
+    ),
+    "noeff": (
+        noeff,
+        "typecheck_noeff",
+        lambda right: lambda env, t: core.T_INT,
+        "elaborated pure term does not re-typecheck at the elaborated type",
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", list(WRONG_RECHECKS))
+def test_compile_rejects_a_stage_that_does_not_re_typecheck(stage, monkeypatch):
+    module, name, wrong, message = WRONG_RECHECKS[stage]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    with pytest.raises(core.TypecheckError, match=f"^{message}$"):
+        pipeline.compile_text("return unit", "noeff")
+
+
+def test_unknown_stage_and_backend_names_are_rejected():
+    with pytest.raises(ValueError, match="^unknown stage 'core'$"):
+        pipeline.compile_text("return unit", "core")
+    with pytest.raises(ValueError, match="^unknown backend 'core'$"):
+        pipeline.run_text("return unit", "core")
+    with pytest.raises(ValueError, match="^unknown dump stage 'core'$"):
+        pipeline.dump_stage(pipeline.compile_text("return unit"), "core")
+
+
+def test_observations_unwrap_returns_and_need_a_ground_result():
+    returned = pipeline.Observation("returned", "unit")
+    assert pipeline.observe_noeff(noeff.MReturn(noeff.MReturn(exeff.EUnit()))) == returned
+    x = core.TermVar(0, "x")
+    fn = exeff.EAbs(x, core.T_UNIT, exeff.CReturn(exeff.EVar(x)))
+    with pytest.raises(EffError, match="^observation requires a ground result type$"):
+        pipeline.observe_exeff(exeff.CReturn(fn))
+
+
+def test_the_harness_reports_a_non_result_that_cannot_step(monkeypatch):
+    monkeypatch.setattr(exeff, "step_comp", lambda term: None)
+    report = pipeline.differential_check_text("do x <- return unit in return x")
+    assert not report.agreement
+    assert report.failure == "metatheory: well-typed non-result failed to step"
+
+
 def test_compile_reports_polymorphic_scheme():
     art = pipeline.compile_path(str(CORPUS / "p06_running_f_id.eff"), "exeff")
     schemes = art.inferred.session.let_schemes
@@ -424,6 +482,24 @@ def test_source_and_dump_readers_reject_integer_literals_python_cannot_read(lite
     for read in readers:
         with pytest.raises(core.ParseError, match="^1:8: not a valid integer literal$"):
             read(f"return {literal}")
+
+
+DUMP_ERRORS = {
+    "unbound-variable": ("return x", "1:8: unbound 'x' in dump"),
+    "binder-name": ("let f = fun (5 : Unit) -> return x in return unit", "1:14: expected a TermVar name, found '5'"),
+    "literal": ("let f = fun (x Unit) -> return x in return unit", "1:16: expected ':', found 'Unit'"),
+    "quantifier-binder": ("(fun (x : all -> return x) unit", "1:15: expected a binder, found '->'"),
+    "category": ("( unit", "1:7: expected Comp, found 'end of input'"),
+    "atom": ("return unit |> {}", "1:17: expected str, found '}'"),
+}
+
+
+@pytest.mark.parametrize("name", list(DUMP_ERRORS))
+def test_dump_reader_errors_name_the_position_and_what_was_expected(name):
+    text, message = DUMP_ERRORS[name]
+    with pytest.raises(core.ParseError) as e:
+        display.read_exeff_comp(text)
+    assert str(e.value) == message
 
 
 def test_cli_dump_stages(capsys):

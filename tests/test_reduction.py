@@ -11,7 +11,7 @@ import typing
 import pytest
 
 from effc import cli, exeff, noeff, pipeline, skeleff, traverse
-from effc.core import Base, FuelExhausted, StuckTerm, Supply, TBase
+from effc.core import Base, FuelExhausted, StuckTerm, Supply, TBase, TermVar
 from conftest import CORPUS, GOLDEN, read_digests, write_digests
 from gen_helpers import program_texts
 from test_solver import handler_chain, nested_handlers
@@ -294,3 +294,36 @@ def test_a_child_that_cannot_step_resumes_its_parent():
     assert noeff.step_noeff(exeff.CLet(y, inner, exeff.EUnit())) == exeff.CLet(
         y, exeff.CApp(lam, noeff.MReturn(exeff.EUnit())), exeff.EUnit()
     )
+
+
+_X = TermVar(0, "x")
+_UNIT = exeff.EUnit()
+_T_UNIT = TBase(Base.UNIT)
+_UNIT_REFL = exeff.CoBaseRefl(Base.UNIT)
+
+# Per stuck redex: the relation that steps it and the term.  Each reaches
+# the fall-through of its head rule: the rule's class fits, but its
+# subterms are of no shape the rule has a contractum for.
+STUCK_REDEXES = {
+    "exeff-type-application": (exeff.VALUE_REDUCTION, exeff.ETyApp(_UNIT, _T_UNIT)),
+    "exeff-application": (exeff.REDUCTION, exeff.CApp(_UNIT, _UNIT)),
+    "exeff-handle-by-a-non-handler": (exeff.REDUCTION, exeff.CHandle(_UNIT, exeff.CReturn(_UNIT))),
+    "noeff-application": (noeff.REDUCTION, exeff.CApp(_UNIT, _UNIT)),
+    "noeff-type-application": (noeff.REDUCTION, exeff.ETyApp(_UNIT, _T_UNIT)),
+    "noeff-coercion-application": (noeff.REDUCTION, exeff.ECoApp(_UNIT, _UNIT_REFL)),
+    "noeff-handle-a-value": (
+        noeff.REDUCTION,
+        exeff.CHandle(exeff.EHandler(_X, _T_UNIT, noeff.MReturn(exeff.EVar(_X))), _UNIT),
+    ),
+    "noeff-handle-by-a-non-handler": (noeff.REDUCTION, exeff.CHandle(_UNIT, noeff.MReturn(_UNIT))),
+    "noeff-computation-cast-of-a-value": (noeff.REDUCTION, exeff.ECast(_UNIT, noeff.NCoComp(_UNIT_REFL))),
+    "noeff-unsafe-cast-of-a-value": (noeff.REDUCTION, exeff.ECast(_UNIT, noeff.NCoUnsafe(_UNIT_REFL))),
+}
+
+
+@pytest.mark.parametrize("name", list(STUCK_REDEXES))
+def test_a_redex_of_no_rule_shape_takes_no_step(name):
+    reduction, term = STUCK_REDEXES[name]
+    assert reduction.step(term) is None
+    with pytest.raises(StuckTerm):
+        reduction.run(term)

@@ -18,6 +18,7 @@ from effc.core import (
     DirtVar,
     EMPTY_DIRT,
     TBase,
+    TermVar,
     TyVar,
     TySub,
     TypecheckError,
@@ -155,6 +156,22 @@ def test_a_widening_cast_survives():
     assert out == exeff.CCast(exeff.CReturn(exeff.EUnit()), widen)
     assert derived.of(out) == derived.of(term)
     assert_derivation_carried(sig, derived, out)
+
+
+def test_a_shared_node_keeps_all_its_entries_when_rebuilt():
+    # One `return (unit |> <Unit>)` node in both positions of a `do`: the
+    # checker records it twice, and the node that replaces it takes over
+    # both records.
+    shared = exeff.CReturn(exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT)))
+    x = TermVar(0, "x")
+    term = exeff.CDo(x, shared, shared)
+    derived = exeff.derive(Context(make_signature()), term)
+    assert derived.again[id(shared)]
+    out = exeff.drop_reflexive_casts(derived, term)
+    assert out == exeff.CDo(x, exeff.CReturn(exeff.EUnit()), exeff.CReturn(exeff.EUnit()))
+    for rebuilt in (out.first, out.second):
+        assert derived.again[id(rebuilt)] == derived.again[id(shared)]
+        assert derived.of(rebuilt) == derived.of(shared)
 
 
 def test_a_pass_that_drops_a_widening_cast_is_rejected(monkeypatch, corpus_paths):

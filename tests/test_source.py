@@ -92,6 +92,31 @@ def test_lex_error_position():
     assert "1:8" in str(e.value)
 
 
+PARSE_ERRORS = {
+    "computation-type-operand": (
+        "effect E : Unit -> (Unit ! {E})\nreturn unit",
+        "1:20: expected a value type",
+    ),
+    "no-type": ("effect E : -> Unit\nreturn unit", "1:12: expected a type, found '->'"),
+    "computation-domain": (
+        "effect E : (Unit ! {E} -> Unit) -> Unit\nreturn unit",
+        "1:13: function domain must be a value type",
+    ),
+    "bare-value": ("unit", "1:5: expected a computation, not a bare value, found 'end of input'"),
+    "missing-word": ("let x = unit return x", "1:14: expected 'in', found 'return'"),
+    "wrong-token-kind": ("let 5 = unit in return unit", "1:5: expected ident, found '5'"),
+    "trailing-input": ("return unit unit", "1:13: trailing input, found 'unit'"),
+}
+
+
+@pytest.mark.parametrize("name", list(PARSE_ERRORS))
+def test_parse_errors_name_the_position_and_what_was_expected(name):
+    text, message = PARSE_ERRORS[name]
+    with pytest.raises(ParseError) as e:
+        source.parse_program(text)
+    assert str(e.value) == message
+
+
 # -- well-formedness ----------------------------------------------------------
 
 

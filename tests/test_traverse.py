@@ -164,6 +164,12 @@ def test_alpha_equality_pairs_binders_one_to_one_and_by_sort():
     assert not alpha_eq(sk_x, exeff.ESkelAbs(SkelVar(K.id), lam(P, K)))
 
 
+def test_alpha_equality_compares_the_number_of_handler_clauses():
+    ret = exeff.CReturn(exeff.EVar(X))
+    clause = exeff.OpClause("Tick", P, K, ret)
+    assert not alpha_eq(exeff.EHandler(X, T_UNIT, ret, (clause,)), exeff.EHandler(X, T_UNIT, ret, ()))
+
+
 # ---------------------------------------------------------------------------
 # Shape coverage
 
