@@ -487,11 +487,11 @@ def _build_subst_term(cls):
     def go(v, vid, bit, sv, free, t):
         vals = None
         for i, name, binders in kids:
-            if binders and any(getattr(t, b).id == vid for b in binders):
-                continue
             old = getattr(t, name)
             inner = getattr(old, FREE, None)
             if inner is not None and not inner & bit:
+                continue
+            if binders and any(getattr(t, b).id == vid for b in binders):
                 continue
             new = table[type(old)](v, vid, bit, sv, inner, old)
             if new is not old:

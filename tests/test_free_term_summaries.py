@@ -250,7 +250,7 @@ def _wrong_single(monkeypatch, wrong):
     monkeypatch.setattr(exeff.Single, "__init__", init)
 
 
-def _set_summary_free(s, v):
+def _skip_by_the_term_sort_bit(s, v):
     s.mask = 1 << (v.id << 3)  # the term-sort bit of the variable's id
 
 
@@ -280,7 +280,7 @@ def test_a_skip_that_ignores_the_sort_changes_evaluation(monkeypatch):
             field, reduction, _ = BACKENDS[backend]
             term = getattr(art, field)
             runs.append((reduction, term, outcome(reduction, term)))
-    _wrong_single(monkeypatch, _set_summary_free)
+    _wrong_single(monkeypatch, _skip_by_the_term_sort_bit)
     assert all(outcome(reduction, term) != want for reduction, term, want in runs)
 
 
