@@ -188,6 +188,7 @@ Skeleton = Union[SkelVar, SkelBase, SkelArrow, SkelHandler, SkelForall]
 
 SKEL_UNIT = SkelBase(Base.UNIT)
 SKEL_INT = SkelBase(Base.INT)
+SKEL_BASE = {Base.UNIT: SKEL_UNIT, Base.INT: SKEL_INT}  # each base's one skeleton node
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,7 @@ ValueType = Union[TyVar, TBase, TArrow, THandler, TForallSkel, TForallTy, TForal
 
 T_UNIT = TBase(Base.UNIT)
 T_INT = TBase(Base.INT)
+T_BASE = {Base.UNIT: T_UNIT, Base.INT: T_INT}  # each base's one type node
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ def skeleton(tys: dict, t: Union[ValueType, CompType]) -> Skeleton:
         except KeyError:
             raise WfError(f"unbound type variable a{t.id}") from None
     if isinstance(t, TBase):
-        return SkelBase(t.base)
+        return SKEL_BASE[t.base]
     if isinstance(t, TArrow):
         return SkelArrow(skeleton(tys, t.dom), skeleton(tys, t.cod))
     if isinstance(t, THandler):

@@ -29,6 +29,9 @@ from .core import (
     Signature,
     SkelVar,
     Skeleton,
+    T_BASE,
+    T_INT,
+    T_UNIT,
     TArrow,
     TBase,
     TForallDirt,
@@ -48,6 +51,9 @@ from .core import (
     skeleton,
 )
 from .traverse import (
+    CLOSED,
+    FREE,
+    Closed,
     Reduction,
     alpha_eq,
     cast_hook,
@@ -493,8 +499,15 @@ def _subst_co_ty_refl(s: Subst, co: CoTyRefl) -> Coercion:
 # Given a `Derivation`, the checker records in it what it derives for every
 # node of the term it checks: the type of each value and computation and the
 # constraint of each coercion.  `derive` returns such a record, so that later
-# passes read the derivation instead of re-deriving it; a check without one
-# records nothing.
+# passes read the derivation instead of re-deriving it.
+#
+# A check without one keeps instead the type of each closed value and
+# computation (summary 0, see `traverse.Closed`) on the node, tagged with the
+# signature, and returns it when the node is checked again under that
+# signature: no variable is free in the node, so no context binding can
+# change its type, and a signature only grows (`Signature.declare` refuses a
+# second declaration).  Nodes that a step rebuilds are new objects, so a
+# harness step re-checks only what it rebuilt and the open nodes.
 
 
 class Derivation(dict):
@@ -572,15 +585,19 @@ def drop_reflexive_casts(derived: Derivation, c: Comp) -> Comp:
 
 
 def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None) -> ValueType:
+    if derived is None:
+        memo = getattr(v, CLOSED, None)
+        if memo is not None and memo.sig is env.sig:
+            return memo.ty
     if isinstance(v, EVar):
         try:
             t = env.term[v.var.id]
         except KeyError:
             raise UnboundVariable(f"unbound variable {v.var.name}") from None
     elif isinstance(v, EUnit):
-        t = TBase(Base.UNIT)
+        t = T_UNIT
     elif isinstance(v, EInt):
-        t = TBase(Base.INT)
+        t = T_INT
     elif isinstance(v, EAbs):
         wf(env, v.ty)
         body_ty = typecheck_comp(env.bind(v.var, v.ty), v.body, derived)
@@ -648,12 +665,21 @@ def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None
         t = ct.rhs
     else:
         raise TypeError(v)
-    if derived is not None and derived.setdefault(id(v), t) is not t:
-        derived.again.setdefault(id(v), []).append(t)
+    if derived is not None:
+        if derived.setdefault(id(v), t) is not t:
+            derived.again.setdefault(id(v), []).append(t)
+    elif memo is not None:
+        memo.sig, memo.ty = env.sig, t
+    elif getattr(v, FREE, None) == 0:
+        object.__setattr__(v, CLOSED, Closed(env.sig, t, None))
     return t
 
 
 def typecheck_comp(env: Context, c: Comp, derived: Optional[Derivation] = None) -> CompType:
+    if derived is None:
+        memo = getattr(c, CLOSED, None)
+        if memo is not None and memo.sig is env.sig:
+            return memo.ty
     if isinstance(c, CApp):
         fn_ty = typecheck_value(env, c.fn, derived)
         if not isinstance(fn_ty, TArrow):
@@ -701,8 +727,13 @@ def typecheck_comp(env: Context, c: Comp, derived: Optional[Derivation] = None) 
         t = ct.rhs
     else:
         raise TypeError(c)
-    if derived is not None and derived.setdefault(id(c), t) is not t:
-        derived.again.setdefault(id(c), []).append(t)
+    if derived is not None:
+        if derived.setdefault(id(c), t) is not t:
+            derived.again.setdefault(id(c), []).append(t)
+    elif memo is not None:
+        memo.sig, memo.ty = env.sig, t
+    elif getattr(c, FREE, None) == 0:
+        object.__setattr__(c, CLOSED, Closed(env.sig, t, None))
     return t
 
 
@@ -714,7 +745,7 @@ def typecheck_coercion(env: Context, co: Coercion, derived: Optional[Derivation]
         except KeyError:
             raise UnboundVariable(f"unbound coercion variable w{co.var.id}") from None
     elif isinstance(co, CoBaseRefl):
-        t = TBase(co.base)
+        t = T_BASE[co.base]
         ct = TySub(t, t)
     elif isinstance(co, CoTyRefl):
         wf_bound(env, co.var)

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import display, exeff, source
 from .core import (
-    Base,
     CompType,
     CoVar,
     Dirt,
@@ -28,6 +27,7 @@ from .core import (
     DirtClash,
     OccursCheck,
     Signature,
+    SKEL_UNIT,
     SkeletonClash,
     SkelArrow,
     SkelBase,
@@ -37,8 +37,10 @@ from .core import (
     SolveError,
     Span,
     Supply,
+    T_BASE,
+    T_INT,
+    T_UNIT,
     TArrow,
-    TBase,
     TForallDirt,
     TForallSkel,
     TForallTy,
@@ -415,7 +417,7 @@ def _solve_skel_ann(st: _SolveState, item: SkelAnn) -> None:
         st.P.append(item)
         return
     if isinstance(sk, SkelBase):
-        st.apply_all(Subst.one_ty(a, TBase(sk.base)))
+        st.apply_all(Subst.one_ty(a, T_BASE[sk.base]))
         return
     if isinstance(sk, SkelArrow):
         a1 = session.fresh_ty(sk.dom)
@@ -608,9 +610,9 @@ def gen_value(session: Session, Q: list, env: dict, v) -> tuple:
             t = t.body
         return substitute(inst, t), subs + anns + Q, term
     if isinstance(v, source.SrcUnit):
-        return TBase(Base.UNIT), Q, exeff.EUnit()
+        return T_UNIT, Q, exeff.EUnit()
     if isinstance(v, source.SrcInt):
-        return TBase(Base.INT), Q, exeff.EInt(v.value)
+        return T_INT, Q, exeff.EInt(v.value)
     if isinstance(v, source.SrcFun):
         sv = session.supply.skel()
         a = session.fresh_ty(sv)
@@ -826,7 +828,7 @@ def _fill_skeleton(sk: Skeleton) -> ValueType:
     solver instantiates an annotation at an arrow or handler skeleton at
     once, so a residual one names a variable, which defaulting sets to a base."""
     if isinstance(sk, SkelBase):
-        return TBase(sk.base)
+        return T_BASE[sk.base]
     raise TypeError(f"cannot fill non-base skeleton {display.show(sk)}")
 
 
@@ -841,7 +843,7 @@ def default_residual(outcome: InferOutcome) -> Subst:
         if isinstance(it, SkelAnn) and isinstance(it.skel, SkelVar) and it.skel.id not in seen:
             seen.add(it.skel.id)
             free_skels.append(it.skel)
-    s = Subst(skel={sv.id: SkelBase(Base.UNIT) for sv in free_skels})
+    s = Subst(skel={sv.id: SKEL_UNIT for sv in free_skels})
 
     ty_map = {}
     for it in outcome.residual:

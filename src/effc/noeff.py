@@ -15,13 +15,15 @@ from typing import Union
 
 from . import exeff
 from .core import (
-    Base,
     CompType,
     Context,
     Dirt,
     DirtSub,
     DirtVar,
     ElaborationError,
+    T_BASE,
+    T_INT,
+    T_UNIT,
     TArrow,
     TBase,
     THandler,
@@ -212,9 +214,9 @@ def typecheck_noeff(env: Context, t: NTerm) -> NType:
         except KeyError:
             raise UnboundVariable(f"unbound variable {t.var.name}") from None
     if isinstance(t, EUnit):
-        return TBase(Base.UNIT)
+        return T_UNIT
     if isinstance(t, EInt):
-        return TBase(Base.INT)
+        return T_INT
     if isinstance(t, EAbs):
         wf_bound(env, t.ty)
         return TArrow(t.ty, typecheck_noeff(env.bind(t.var, t.ty), t.body))
@@ -307,7 +309,7 @@ def typecheck_noeff_coercion(env: Context, co: NCoercion) -> TySub:
         except KeyError:
             raise UnboundVariable(f"unbound coercion variable w{co.var.id}") from None
     if isinstance(co, CoBaseRefl):
-        t = TBase(co.base)
+        t = T_BASE[co.base]
         return TySub(t, t)
     if isinstance(co, NCoTyRefl):
         wf_bound(env, co.var)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from . import exeff
 from .core import (
-    Base,
     Context,
     FuelExhausted,
+    SKEL_INT,
+    SKEL_UNIT,
     SkelArrow,
-    SkelBase,
     SkelForall,
     SkelHandler,
     Skeleton,
@@ -44,6 +44,9 @@ from .exeff import (
     wf_bound,
 )
 from .traverse import (
+    CLOSED,
+    FREE,
+    Closed,
     Reduction,
     alpha_eq,
     contractions,
@@ -62,55 +65,71 @@ FORMS = (EVar, EUnit, EInt, EAbs, EHandler, OpClause, ESkelAbs, ESkelApp, CApp, 
 # Erasure
 
 
+# A closed node (summary 0, see `traverse.Closed`) has one erasure under
+# every `sub`, since no type variable is free in it; the node keeps it.
+
+
 def erase_value(sub: dict, v: exeff.Value) -> exeff.Value:
     if isinstance(v, (EVar, EUnit, EInt)):
         return v  # nothing to erase
+    memo = getattr(v, CLOSED, None)
+    if memo is not None and memo.erased is not None:
+        return memo.erased
     if isinstance(v, exeff.ECast):
-        return erase_value(sub, v.val)
-    if isinstance(v, EAbs):
-        return EAbs(v.var, skeleton(sub, v.ty), erase_comp(sub, v.body))
-    if isinstance(v, EHandler):
-        return EHandler(
+        out = erase_value(sub, v.val)
+    elif isinstance(v, EAbs):
+        out = EAbs(v.var, skeleton(sub, v.ty), erase_comp(sub, v.body))
+    elif isinstance(v, EHandler):
+        out = EHandler(
             v.ret_var,
             skeleton(sub, v.ret_ty),
             erase_comp(sub, v.ret_body),
             tuple(OpClause(c.op, c.param, c.kont, erase_comp(sub, c.body)) for c in v.clauses),
         )
-    if isinstance(v, ESkelAbs):
-        return ESkelAbs(v.var, erase_value(sub, v.body))
-    if isinstance(v, ESkelApp):
-        return ESkelApp(erase_value(sub, v.val), v.skel)
-    if isinstance(v, exeff.ETyAbs):
-        return erase_value({**sub, v.var.id: v.skel}, v.body)
-    if isinstance(v, exeff.ETyApp):
-        return erase_value(sub, v.val)
-    if isinstance(v, exeff.EDirtAbs):
-        return erase_value(sub, v.body)
-    if isinstance(v, exeff.EDirtApp):
-        return erase_value(sub, v.val)
-    if isinstance(v, exeff.ECoAbs):
-        return erase_value(sub, v.body)
-    if isinstance(v, exeff.ECoApp):
-        return erase_value(sub, v.val)
-    raise TypeError(v)
+    elif isinstance(v, ESkelAbs):
+        out = ESkelAbs(v.var, erase_value(sub, v.body))
+    elif isinstance(v, ESkelApp):
+        out = ESkelApp(erase_value(sub, v.val), v.skel)
+    elif isinstance(v, exeff.ETyAbs):
+        out = erase_value({**sub, v.var.id: v.skel}, v.body)
+    elif isinstance(v, (exeff.ETyApp, exeff.EDirtApp, exeff.ECoApp)):
+        out = erase_value(sub, v.val)
+    elif isinstance(v, (exeff.EDirtAbs, exeff.ECoAbs)):
+        out = erase_value(sub, v.body)
+    else:
+        raise TypeError(v)
+    if memo is not None:
+        memo.erased = out
+    elif getattr(v, FREE, None) == 0:
+        object.__setattr__(v, CLOSED, Closed(None, None, out))
+    return out
 
 
 def erase_comp(sub: dict, c: exeff.Comp) -> exeff.Comp:
+    memo = getattr(c, CLOSED, None)
+    if memo is not None and memo.erased is not None:
+        return memo.erased
     if isinstance(c, CApp):
-        return CApp(erase_value(sub, c.fn), erase_value(sub, c.arg))
-    if isinstance(c, CLet):
-        return CLet(c.var, erase_value(sub, c.val), erase_comp(sub, c.body))
-    if isinstance(c, CReturn):
-        return CReturn(erase_value(sub, c.val))
-    if isinstance(c, COp):
-        return COp(c.op, erase_value(sub, c.arg), c.var, skeleton(sub, c.var_ty), erase_comp(sub, c.body))
-    if isinstance(c, CDo):
-        return CDo(c.var, erase_comp(sub, c.first), erase_comp(sub, c.second))
-    if isinstance(c, CHandle):
-        return CHandle(erase_value(sub, c.handler), erase_comp(sub, c.body))
-    if isinstance(c, exeff.CCast):
-        return erase_comp(sub, c.comp)
-    raise TypeError(c)
+        out = CApp(erase_value(sub, c.fn), erase_value(sub, c.arg))
+    elif isinstance(c, CLet):
+        out = CLet(c.var, erase_value(sub, c.val), erase_comp(sub, c.body))
+    elif isinstance(c, CReturn):
+        out = CReturn(erase_value(sub, c.val))
+    elif isinstance(c, COp):
+        out = COp(c.op, erase_value(sub, c.arg), c.var, skeleton(sub, c.var_ty), erase_comp(sub, c.body))
+    elif isinstance(c, CDo):
+        out = CDo(c.var, erase_comp(sub, c.first), erase_comp(sub, c.second))
+    elif isinstance(c, CHandle):
+        out = CHandle(erase_value(sub, c.handler), erase_comp(sub, c.body))
+    elif isinstance(c, exeff.CCast):
+        out = erase_comp(sub, c.comp)
+    else:
+        raise TypeError(c)
+    if memo is not None:
+        memo.erased = out
+    elif getattr(c, FREE, None) == 0:
+        object.__setattr__(c, CLOSED, Closed(None, None, out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +145,9 @@ def typecheck_sk(env: Context, t) -> Skeleton:
         except KeyError:
             raise UnboundVariable(f"unbound variable {t.var.name}") from None
     if isinstance(t, EUnit):
-        return SkelBase(Base.UNIT)
+        return SKEL_UNIT
     if isinstance(t, EInt):
-        return SkelBase(Base.INT)
+        return SKEL_INT
     if isinstance(t, EAbs):
         wf_bound(env, t.ty)
         return SkelArrow(t.ty, typecheck_sk(env.bind(t.var, t.ty), t.body))

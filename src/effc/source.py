@@ -12,7 +12,6 @@ from typing import Optional, Union
 
 from . import exeff
 from .core import (
-    Base,
     CompType,
     Context,
     Dirt,
@@ -21,6 +20,8 @@ from .core import (
     Signature,
     Span,
     Supply,
+    T_INT,
+    T_UNIT,
     TArrow,
     TBase,
     THandler,
@@ -166,10 +167,10 @@ class _Parser:
         t = self.ts.peek()
         if t.kind == "uident" and t.text == "Unit":
             self.ts.next()
-            return TBase(Base.UNIT)
+            return T_UNIT
         if t.kind == "uident" and t.text == "Int":
             self.ts.next()
-            return TBase(Base.INT)
+            return T_INT
         if self.ts.at_sym("("):
             self.ts.next()
             ty = self.parse_type_full()

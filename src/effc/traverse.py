@@ -39,6 +39,15 @@ substitution that drops one gives no summary to the nodes it rebuilds
 around it.  `replace_field` drops the summary from the node it copies, and
 nodes built any other way (head rules, plugging) have none.
 
+A term node whose summary is 0 is closed: no variable of any sort is free
+in it, so its type depends only on the operation signature and its erasure
+on nothing outside it.  The ExEff checkers and the SkelEff erasure keep both
+on such a node (`Closed`, attribute `CLOSED`), and `replace_field` drops
+them with the summary.  Nodes are immutable and every rebuilt node is a new
+object, so what a node keeps never goes stale.  An open node keeps nothing,
+since one node object can sit under binders that give its free variables
+different types.
+
 The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
 ordered rule list per node class, interpreted by one decomposition loop that
 keeps its evaluation context on an explicit stack.  Evaluation is refocused:
@@ -332,6 +341,22 @@ _CASTS: dict = {}  # cast class -> the test of `cast_hook`
 
 FREE = "free"  # the attribute that holds a term node's summary
 _set = object.__setattr__  # nodes are frozen; the summary is not a field
+CLOSED = "closed"  # the attribute that holds a closed term node's `Closed`
+
+
+class Closed:
+    """What the checker and the erasure found for a closed term node, one
+    whose summary is 0: no variable of any sort is free in it, so every
+    context gives it one type per signature and every type substitution one
+    erasure.  `ty` is its type under the signature `sig`, `erased` its
+    erasure; each is None until first found.  Only a node that has its
+    summary gets one, after it, so the attributes of a node class are set
+    in one order."""
+
+    __slots__ = ("sig", "ty", "erased")
+
+    def __init__(self, sig, ty, erased):
+        self.sig, self.ty, self.erased = sig, ty, erased
 
 # A variable's bit in a summary is bit `id << 3 | sort`: ids are dense per
 # sort, so the sorts interleave in one int.
@@ -865,10 +890,12 @@ def replace_field(node, name, t):
     """`node` with `t` in its field `name`.  No node class has a
     `__post_init__`, so copying the field dict rebuilds a frozen node
     exactly, and faster than its constructor.  The copy drops `node`'s
-    summary of free variables, which its new field may not match."""
+    summary of free variables and its `Closed`, which its new field may not
+    match."""
     out = object.__new__(type(node))
     fields = out.__dict__
     fields.update(node.__dict__)
     fields[name] = t
-    fields.pop(FREE, None)
+    if fields.pop(FREE, None) is not None:
+        fields.pop(CLOSED, None)
     return out

@@ -5,8 +5,8 @@ metatheory failure fires."""
 import pytest
 
 from effc import cli, exeff, pipeline
-from effc.core import EMPTY_DIRT, Base, TBase
-from effc.traverse import contractions, subst_term
+from effc.core import EMPTY_DIRT, T_INT, T_UNIT, Base, Context, TBase
+from effc.traverse import CLOSED, alpha_eq, contractions, replace_field, subst_term, summarize
 from conftest import CORPUS
 
 STEP = exeff.step_comp
@@ -35,6 +35,44 @@ WRONG_CAST = exeff.CoComp(UNIT_TO_UNIT, exeff.CoEmpty(EMPTY_DIRT))
 
 def miscast(node):
     return exeff.CCast(node, WRONG_CAST)
+
+
+def kept_type(node):
+    """The type a closed node keeps from an earlier check (see
+    `traverse.Closed`), or None."""
+    kept = getattr(node, CLOSED, None)
+    return None if kept is None else kept.ty
+
+
+def other_base(ty):
+    return T_UNIT if alpha_eq(ty, T_INT) else T_INT
+
+
+def swap_kept_argument(node):
+    """An operation call or application whose argument keeps its type,
+    rebuilt around a closed value of another base type that an earlier
+    check has typed and that keeps its type too."""
+    if type(node) not in (exeff.COp, exeff.CApp) or kept_type(node.arg) is None:
+        return None
+    other = exeff.EUnit() if other_base(kept_type(node.arg)) is T_UNIT else exeff.EInt(0)
+    summarize(other)
+    exeff.typecheck_value(Context(getattr(node.arg, CLOSED).sig), other)
+    assert not alpha_eq(kept_type(other), kept_type(node.arg))
+    return replace_field(node, "arg", other)
+
+
+ANNOTATIONS = {exeff.COp: "var_ty", exeff.EAbs: "ty", exeff.EHandler: "ret_ty"}
+
+
+def misannotate_kept_node(node):
+    """A node that keeps its type, copied by `replace_field` with another
+    base type in its annotation; the copy keeps nothing."""
+    field = ANNOTATIONS.get(type(node))
+    if field is None or kept_type(node) is None:
+        return None
+    wrong = replace_field(node, field, other_base(getattr(node, field)))
+    assert getattr(wrong, CLOSED, None) is None
+    return wrong
 
 
 def mutate_first(monkeypatch, mutation):
@@ -96,6 +134,22 @@ def test_wrongly_typed_step_is_a_metatheory_failure(monkeypatch, corpus_paths):
             assert failure == "metatheory: a step changed the subject's type", path.name
             stepping += 1
     assert stepping >= 34
+
+
+@pytest.mark.parametrize(
+    "mutation, floor", [(swap_kept_argument, 21), (misannotate_kept_node, 20)], ids=["swap", "misannotate"]
+)
+def test_a_wrong_step_around_kept_types_is_caught(monkeypatch, corpus_paths, mutation, floor):
+    # Nodes that keep their type from the check of an earlier step: a
+    # rebuilt parent is checked again and reads its children's kept types,
+    # and a copied node keeps nothing, so the type check still fires.
+    mutated_steps = 0
+    for path in corpus_paths:
+        mutated, failure = check_mutated(monkeypatch, path, mutation)
+        if mutated:
+            assert failure == "metatheory: a step changed the subject's type", path.name
+            mutated_steps += 1
+    assert mutated_steps >= floor
 
 
 def test_cli_diff_exits_3_on_a_wrongly_typed_step(monkeypatch, capsys):
