@@ -13,10 +13,31 @@ from typing import Iterable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
+# Node classes
+
+NODES: list = []  # every class declared with `node`, in declaration order
+
+
+def node(cls: type) -> type:
+    """Declare a node class: a dataclass whose instances are compared and
+    hashed by their fields, and never changed once built.  The class is not
+    `frozen`, since a frozen dataclass's `__init__` stores each field through
+    `object.__setattr__` and takes more than twice as long; the test suite
+    enforces immutability instead, with a guard on every class in `NODES`
+    that raises `dataclasses.FrozenInstanceError` on a field store or delete
+    after construction (`tests/conftest.py`).  Attributes that are not
+    fields, like the summaries of `traverse`, are set with
+    `object.__setattr__`."""
+    cls = dataclass(eq=True, unsafe_hash=True)(cls)
+    NODES.append(cls)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Errors
 
 
-@dataclass(frozen=True)
+@node
 class Span:
     line: int
     col: int
@@ -96,27 +117,27 @@ class ElaborationError(EffError):
 # Variables and fresh-name supply
 
 
-@dataclass(frozen=True)
+@node
 class SkelVar:
     id: int
 
 
-@dataclass(frozen=True)
+@node
 class TyVar:
     id: int
 
 
-@dataclass(frozen=True)
+@node
 class DirtVar:
     id: int
 
 
-@dataclass(frozen=True)
+@node
 class CoVar:
     id: int
 
 
-@dataclass(frozen=True)
+@node
 class TermVar:
     id: int
     name: str = field(compare=False, default="x")
@@ -161,24 +182,24 @@ class Base(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@node
 class SkelBase:
     base: Base
 
 
-@dataclass(frozen=True)
+@node
 class SkelArrow:
     dom: "Skeleton"
     cod: "Skeleton"
 
 
-@dataclass(frozen=True)
+@node
 class SkelHandler:
     dom: "Skeleton"
     cod: "Skeleton"
 
 
-@dataclass(frozen=True)
+@node
 class SkelForall:
     var: SkelVar
     body: "Skeleton"
@@ -199,7 +220,7 @@ SKEL_BASE = {Base.UNIT: SKEL_UNIT, Base.INT: SKEL_INT}  # each base's one skelet
 # set semantics hold by construction.
 
 
-@dataclass(frozen=True)
+@node
 class Dirt:
     ops: frozenset = frozenset()
     tail: Optional[DirtVar] = None
@@ -230,49 +251,49 @@ def dirt_add(ops: Iterable[str], d: Dirt) -> Dirt:
 # Value and computation types (shared by ImpEff and ExEff)
 
 
-@dataclass(frozen=True)
+@node
 class TBase:
     base: Base
 
 
-@dataclass(frozen=True)
+@node
 class TArrow:
     dom: "ValueType"
     cod: "CompType"
 
 
-@dataclass(frozen=True)
+@node
 class THandler:
     dom: "CompType"
     cod: "CompType"
 
 
-@dataclass(frozen=True)
+@node
 class TForallSkel:
     var: SkelVar
     body: "ValueType"
 
 
-@dataclass(frozen=True)
+@node
 class TForallTy:
     var: TyVar
     skel: Skeleton
     body: "ValueType"
 
 
-@dataclass(frozen=True)
+@node
 class TForallDirt:
     var: DirtVar
     body: "ValueType"
 
 
-@dataclass(frozen=True)
+@node
 class TQual:
     constraint: "SimpleConstraint"
     body: "ValueType"
 
 
-@dataclass(frozen=True)
+@node
 class CompType:
     val: "ValueType"
     dirt: Dirt
@@ -289,19 +310,19 @@ T_BASE = {Base.UNIT: T_UNIT, Base.INT: T_INT}  # each base's one type node
 # Subtyping constraints
 
 
-@dataclass(frozen=True)
+@node
 class TySub:
     lhs: ValueType
     rhs: ValueType
 
 
-@dataclass(frozen=True)
+@node
 class DirtSub:
     lhs: Dirt
     rhs: Dirt
 
 
-@dataclass(frozen=True)
+@node
 class CompSub:
     lhs: CompType
     rhs: CompType
@@ -344,7 +365,7 @@ def skeleton(tys: dict, t: Union[ValueType, CompType]) -> Skeleton:
 # Operation signature
 
 
-@dataclass(frozen=True)
+@node
 class OpSig:
     param: ValueType
     result: ValueType

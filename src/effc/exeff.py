@@ -48,6 +48,7 @@ from .core import (
     WfError,
     clause_ops,
     dirt_add,
+    node,
     skeleton,
 )
 from .traverse import (
@@ -78,33 +79,33 @@ from .traverse import (
 # attribute is never reflexive.  A congruence names first the field likelier
 # to widen (most casts widen a dirt), so that `is_refl` rejects early.
 
-@dataclass(frozen=True)
+@node
 class CoVarRef:
     var: CoVar
 
 
-@dataclass(frozen=True)
+@node
 class CoBaseRefl:
     base: Base
 
     refl_kids = ()
 
 
-@dataclass(frozen=True)
+@node
 class CoTyRefl:
     var: TyVar
 
     refl_kids = ()
 
 
-@dataclass(frozen=True)
+@node
 class CoDirtRefl:
     dirt: Dirt
 
     refl_kids = ()
 
 
-@dataclass(frozen=True)
+@node
 class CoArrow:
     dom: "Coercion"
     cod: "Coercion"
@@ -112,7 +113,7 @@ class CoArrow:
     refl_kids = ("cod", "dom")
 
 
-@dataclass(frozen=True)
+@node
 class CoHandler:
     dom: "Coercion"
     cod: "Coercion"
@@ -120,18 +121,18 @@ class CoHandler:
     refl_kids = ("cod", "dom")
 
 
-@dataclass(frozen=True)
+@node
 class CoEmpty:
     dirt: Dirt
 
 
-@dataclass(frozen=True)
+@node
 class CoOpUnion:
     op: str
     rest: "Coercion"
 
 
-@dataclass(frozen=True)
+@node
 class CoComp:
     val: "Coercion"
     dirt: "Coercion"
@@ -165,29 +166,29 @@ def is_refl(co) -> bool:
 # Terms
 
 
-@dataclass(frozen=True)
+@node
 class EVar:
     var: TermVar
 
 
-@dataclass(frozen=True)
+@node
 class EUnit:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class EInt:
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class EAbs:
     var: TermVar
     ty: ValueType
     body: "Comp"
 
 
-@dataclass(frozen=True)
+@node
 class OpClause:
     op: str
     param: TermVar
@@ -195,7 +196,7 @@ class OpClause:
     body: "Comp"
 
 
-@dataclass(frozen=True)
+@node
 class EHandler:
     ret_var: TermVar
     ret_ty: ValueType
@@ -205,57 +206,57 @@ class EHandler:
     scope = "ret_body"  # the return binder does not reach the operation clauses
 
 
-@dataclass(frozen=True)
+@node
 class ESkelAbs:
     var: SkelVar
     body: "Value"
 
 
-@dataclass(frozen=True)
+@node
 class ESkelApp:
     val: "Value"
     skel: Skeleton
 
 
-@dataclass(frozen=True)
+@node
 class ETyAbs:
     var: TyVar
     skel: Skeleton
     body: "Value"
 
 
-@dataclass(frozen=True)
+@node
 class ETyApp:
     val: "Value"
     ty: ValueType
 
 
-@dataclass(frozen=True)
+@node
 class EDirtAbs:
     var: DirtVar
     body: "Value"
 
 
-@dataclass(frozen=True)
+@node
 class EDirtApp:
     val: "Value"
     dirt: Dirt
 
 
-@dataclass(frozen=True)
+@node
 class ECoAbs:
     var: CoVar
     constraint: Union[TySub, DirtSub]
     body: "Value"
 
 
-@dataclass(frozen=True)
+@node
 class ECoApp:
     val: "Value"
     co: Coercion
 
 
-@dataclass(frozen=True)
+@node
 class ECast:
     val: "Value"
     co: Coercion
@@ -267,12 +268,12 @@ Value = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class CReturn:
     val: Value
 
 
-@dataclass(frozen=True)
+@node
 class COp:
     op: str
     arg: Value
@@ -281,33 +282,33 @@ class COp:
     body: "Comp"
 
 
-@dataclass(frozen=True)
+@node
 class CDo:
     var: TermVar
     first: "Comp"
     second: "Comp"
 
 
-@dataclass(frozen=True)
+@node
 class CHandle:
     handler: Value
     body: "Comp"
 
 
-@dataclass(frozen=True)
+@node
 class CApp:
     fn: Value
     arg: Value
 
 
-@dataclass(frozen=True)
+@node
 class CLet:
     var: TermVar
     val: Value
     body: "Comp"
 
 
-@dataclass(frozen=True)
+@node
 class CCast:
     comp: "Comp"
     co: Coercion
@@ -456,10 +457,6 @@ class Subst:
     @staticmethod
     def one_dirt(v: DirtVar, d: Dirt) -> "Subst":
         return Subst(dirt={v.id: d})
-
-    @staticmethod
-    def one_co(v: CoVar, c: Coercion) -> "Subst":
-        return Subst(co={v.id: c})
 
 
 class Single(Subst):

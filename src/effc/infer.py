@@ -53,6 +53,7 @@ from .core import (
     ValueType,
     dirt_add,
     dirt_var,
+    node,
     skeleton,
 )
 from .exeff import (
@@ -69,19 +70,19 @@ from .traverse import free_vars, subst_term, substitute
 # Constraint items
 
 
-@dataclass(frozen=True)
+@node
 class SkelEq:
     lhs: Skeleton
     rhs: Skeleton
 
 
-@dataclass(frozen=True)
+@node
 class SkelAnn:
     var: TyVar
     skel: Skeleton
 
 
-@dataclass(frozen=True)
+@node
 class SubCt:
     co: CoVar
     constraint: object  # TySub | DirtSub
@@ -318,12 +319,12 @@ class _SolveState:
     def pop(self):
         return subst_item(self.sigma, self.Q.popleft())
 
-    def record(self, s: Subst) -> None:
-        """Keep a coercion solution as given; `resolved` substitutes it."""
-        for wid, co in s.co.items():
-            if wid in self.co:
-                raise AssertionError(f"coercion variable w{wid} solved twice")
-            self.co[wid] = co
+    def record(self, w: CoVar, co) -> None:
+        """Keep `co` as the solution of the coercion variable `w`, as given;
+        `resolved` substitutes it."""
+        if w.id in self.co:
+            raise AssertionError(f"coercion variable w{w.id} solved twice")
+        self.co[w.id] = co
 
     def apply_all(self, s: Subst) -> None:
         """Compose a binding into sigma and re-enqueue the processed items."""
@@ -444,7 +445,7 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
     ct: TySub = item.constraint
     a1, a2 = ct.lhs, ct.rhs
     if a1 == a2:
-        st.record(Subst.one_co(item.co, refl_of(a1)))
+        st.record(item.co, refl_of(a1))
         return
     if isinstance(a1, TyVar):
         st.P.append(item)
@@ -458,9 +459,7 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
         w1 = session.supply.co()
         w2 = session.supply.co()
         w3 = session.supply.co()
-        st.record(
-            Subst.one_co(item.co, exeff.CoArrow(CoVarRef(w1), CoComp(CoVarRef(w2), CoVarRef(w3))))
-        )
+        st.record(item.co, exeff.CoArrow(CoVarRef(w1), CoComp(CoVarRef(w2), CoVarRef(w3))))
         st.prepend(
             [
                 SubCt(w1, TySub(a2.dom, a1.dom), item.span),
@@ -474,14 +473,8 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
         w2 = session.supply.co()
         w3 = session.supply.co()
         w4 = session.supply.co()
-        st.record(
-            Subst.one_co(
-                item.co,
-                exeff.CoHandler(
-                    CoComp(CoVarRef(w1), CoVarRef(w2)), CoComp(CoVarRef(w3), CoVarRef(w4))
-                ),
-            )
-        )
+        cod = CoComp(CoVarRef(w3), CoVarRef(w4))
+        st.record(item.co, exeff.CoHandler(CoComp(CoVarRef(w1), CoVarRef(w2)), cod))
         st.prepend(
             [
                 SubCt(w1, TySub(a2.dom.val, a1.dom.val), item.span),
@@ -511,14 +504,14 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
 
     if not ops1 and t1 is None:
         # The empty dirt is below everything.
-        st.record(Subst.one_co(item.co, CoEmpty(d2)))
+        st.record(item.co, CoEmpty(d2))
         return
     if t1 is not None and t2 is not None:
         if ops1:
             fresh = session.supply.dirt()
             w2 = session.supply.co()
             s = Subst.one_dirt(t2, Dirt(ops1 - ops2, fresh))
-            st.record(Subst.one_co(item.co, _fold_ops(ops1, CoVarRef(w2))))
+            st.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
             new = SubCt(
                 w2,
                 DirtSub(exeff.subst_dirt(s, dirt_var(t1)), exeff.subst_dirt(s, d2)),
@@ -532,7 +525,7 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
     if t1 is not None and t2 is None:
         if not ops1 and not ops2:
             # A dirt variable below the empty dirt has exactly one solution.
-            st.record(Subst.one_co(item.co, CoEmpty(EMPTY_DIRT)))
+            st.record(item.co, CoEmpty(EMPTY_DIRT))
             st.apply_all(Subst.one_dirt(t1, EMPTY_DIRT))
             return
         if not ops1 <= ops2:
@@ -544,14 +537,14 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
             )
         if ops1:
             w2 = session.supply.co()
-            st.record(Subst.one_co(item.co, _fold_ops(ops1, CoVarRef(w2))))
+            st.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
             st.P.append(SubCt(w2, DirtSub(dirt_var(t1), d2), item.span))
         else:
             st.P.append(item)
         return
     if t1 is None and t2 is None:
         if ops1 <= ops2:
-            st.record(Subst.one_co(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1)))))
+            st.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1))))
             return
         raise DirtClash(
             f"operations {sorted(ops1 - ops2)} cannot flow into {{{', '.join(sorted(ops2))}}}",
@@ -561,7 +554,7 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
     # Closed, non-empty dirt below an open dirt: partially instantiate the tail.
     fresh = session.supply.dirt()
     s = Subst.one_dirt(t2, Dirt(ops1 - ops2, fresh))
-    st.record(Subst.one_co(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1, fresh)))))
+    st.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1, fresh))))
     st.apply_all(s)
 
 

@@ -1,12 +1,20 @@
 """Tokenizer shared by the source parser and the dump notation in `display`,
-which tokenizes both its templates and the dumps it reads back."""
+which tokenizes both its templates and the dumps it reads back.
+
+ASCII text, which is every program and dump in practice, is tokenized by
+one compiled master regex.  Other text goes through a character loop, which
+defines the token classes by Python's `str.isdigit` and `str.isalpha`, so
+that it takes digits and letters outside ASCII (`²` is an `int` token that
+`int_literal` rejects; `x²` is one identifier).  On ASCII text the two give
+the same tokens, spans and errors.  Tokens are nodes (`core.node`), never
+changed once built."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Optional
 
-from .core import LexError, ParseError, Span
+from .core import LexError, ParseError, Span, node
 
 # Multi-character symbols must precede their prefixes.
 _SYMBOLS = [
@@ -15,14 +23,48 @@ _SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
+@node
 class Token:
     kind: str  # "ident" | "uident" | "int" | "sym" | "eof"
     text: str
     span: Span
 
 
+# One alternative per token class, after any blanks: a newline, a comment,
+# an int, an upper- or lower-case word, a symbol, or any other character;
+# trailing blanks match nothing.
+_MASTER = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(-?[0-9]+)|([A-Z][A-Za-z0-9_]*)|([a-z_][A-Za-z0-9_]*)|("
+    + "|".join(map(re.escape, _SYMBOLS))
+    + r")|([^ \t\r\n]))"
+)
+_KINDS = (None, None, None, "int", "uident", "ident", "sym")
+
+
 def tokenize(text: str) -> list:
+    """The tokens of `text`, ending with one `eof` token."""
+    return _tokenize_ascii(text) if text.isascii() else _tokenize_chars(text)
+
+
+def _tokenize_ascii(text: str) -> list:
+    toks = []
+    line, start = 1, 0  # `start`: the offset of the line's first character
+    end = len(text)  # where the end of input is, for its column
+    for m in _MASTER.finditer(text):
+        k = m.lastindex
+        if k == 1:
+            line, start, end = line + 1, m.end(), len(text)
+        elif k == 2:
+            end = m.start(2)  # a comment runs to the line's end and takes no column
+        elif k == 7:
+            raise LexError(f"unexpected character {m[7]!r}", Span(line, m.start(7) - start + 1))
+        else:
+            toks.append(Token(_KINDS[k], m[k], Span(line, m.start(k) - start + 1)))
+    toks.append(Token("eof", "", Span(line, end - start + 1)))
+    return toks
+
+
+def _tokenize_chars(text: str) -> list:
     toks = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -88,7 +130,10 @@ class TokenStream:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        try:
+            return self.toks[self.pos + ahead]
+        except IndexError:  # past the end: the `eof` token
+            return self.toks[-1]
 
     def next(self) -> Token:
         t = self.peek()

@@ -10,7 +10,6 @@ the core are the core's own node classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import exeff
@@ -37,6 +36,7 @@ from .core import (
     UnboundVariable,
     ValueType,
     clause_ops,
+    node,
 )
 from .exeff import (
     CApp,
@@ -91,18 +91,18 @@ from .traverse import (
 # `refl_nty`; the other forms have no core counterpart.
 
 
-@dataclass(frozen=True)
+@node
 class NHandler:
     dom: "NType"
     cod: "NType"
 
 
-@dataclass(frozen=True)
+@node
 class NComp:
     body: "NType"
 
 
-@dataclass(frozen=True)
+@node
 class NForall:
     var: TyVar
     body: "NType"
@@ -111,26 +111,26 @@ class NForall:
 NType = Union[TyVar, TBase, TArrow, NHandler, TQual, NComp, NForall]
 
 
-@dataclass(frozen=True)
+@node
 class NCoTyRefl:
     var: TyVar
 
     refl_kids = ()  # see `exeff.is_refl`
 
 
-@dataclass(frozen=True)
+@node
 class NCoHandToFun:
     dom: "NCoercion"
     cod: "NCoercion"
 
 
-@dataclass(frozen=True)
+@node
 class NCoFunToHand:
     dom: "NCoercion"
     cod: "NCoercion"
 
 
-@dataclass(frozen=True)
+@node
 class NCoQual:
     constraint: TySub
     body: "NCoercion"
@@ -138,19 +138,19 @@ class NCoQual:
     refl_kids = ("body",)
 
 
-@dataclass(frozen=True)
+@node
 class NCoComp:
     body: "NCoercion"
 
     refl_kids = ("body",)
 
 
-@dataclass(frozen=True)
+@node
 class NCoReturn:
     body: "NCoercion"
 
 
-@dataclass(frozen=True)
+@node
 class NCoUnsafe:
     body: "NCoercion"
 
@@ -161,13 +161,13 @@ NCoercion = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class MTyAbs:
     var: TyVar
     body: "NTerm"
 
 
-@dataclass(frozen=True)
+@node
 class MReturn:
     term: "NTerm"
 

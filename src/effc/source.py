@@ -7,7 +7,7 @@ time, so substitution and alpha-equality never have to rename.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Union
 
 from . import exeff
@@ -29,6 +29,7 @@ from .core import (
     UnboundVariable,
     ValueType,
     dirt,
+    node,
 )
 from .lex import TokenStream, int_literal, tokenize
 from .traverse import rename
@@ -38,31 +39,31 @@ from .traverse import rename
 # Abstract syntax
 
 
-@dataclass(frozen=True)
+@node
 class SrcVar:
     var: TermVar
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcUnit:
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcInt:
     value: int
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcFun:
     var: TermVar
     body: "SrcComp"
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcOpClause:
     op: str
     param: TermVar
@@ -70,7 +71,7 @@ class SrcOpClause:
     body: "SrcComp"
 
 
-@dataclass(frozen=True)
+@node
 class SrcHandler:
     ret_var: TermVar
     ret_body: "SrcComp"
@@ -83,13 +84,13 @@ class SrcHandler:
 SrcValue = Union[SrcVar, SrcUnit, SrcInt, SrcFun, SrcHandler]
 
 
-@dataclass(frozen=True)
+@node
 class SrcReturn:
     val: SrcValue
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcOpCall:
     op: str
     arg: SrcValue
@@ -98,7 +99,7 @@ class SrcOpCall:
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcDo:
     var: TermVar
     first: "SrcComp"
@@ -106,21 +107,21 @@ class SrcDo:
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcHandle:
     handler: SrcValue
     body: "SrcComp"
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcApp:
     fn: SrcValue
     arg: SrcValue
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@node
 class SrcLet:
     var: TermVar
     val: SrcValue
@@ -135,6 +136,7 @@ SrcComp = Union[SrcReturn, SrcOpCall, SrcDo, SrcHandle, SrcApp, SrcLet]
 # Parsing
 
 _COMP_KEYWORDS = ("return", "do", "let", "with")
+_BARE_VALUE = "expected a computation, not a bare value"
 
 
 class _Parser:
@@ -268,25 +270,57 @@ class _Parser:
             y = self.supply.term("y")
             return SrcOpCall(t.text, arg, y, SrcReturn(SrcVar(y)), span=t.span)
         if self.ts.at_sym("("):
-            # Either `(v1) v2 ...` application or a parenthesized computation.
-            mark = self.ts.pos
-            try:
-                return self._parse_app(scope)
-            except ParseError:
-                self.ts.pos = mark
-            self.ts.eat_sym("(")
-            c = self.parse_comp(scope)
-            self.ts.eat_sym(")")
-            return c
+            # Either `(v1) v2` application or a parenthesized computation.
+            item, close = self._parse_group(scope)
+            return item if close is None else self._apply(item, close, scope, t.span)
         return self._parse_app(scope)
 
     def _parse_app(self, scope: dict) -> SrcComp:
         span = self.ts.peek().span
         fn = self.parse_value(scope)
         if not self._at_value_start():
-            raise self.ts.error("expected a computation, not a bare value")
+            raise self.ts.error(_BARE_VALUE)
         arg = self.parse_value(scope)
         return SrcApp(fn, arg, span=span)
+
+    def _parse_group(self, scope: dict) -> tuple:
+        """A parenthesized item in computation position, read once: (the
+        value, the `)` right after its innermost parenthesized form) when
+        the item is a value, else (the computation, None).  The item is a
+        value when `parse_value` reads it up to its `)`; a group of a value
+        followed by another value is an application."""
+        self.ts.eat_sym("(")
+        t = self.ts.peek()
+        if self.ts.at_sym("("):
+            c, close = self._parse_group(scope)
+            if close is not None:
+                if self.ts.at_sym(")"):
+                    self.ts.next()
+                    return c, close
+                c = self._apply(c, close, scope, t.span)
+        elif t.kind == "int" or (t.kind == "ident" and t.text not in _COMP_KEYWORDS + ("in", "handle")):
+            fn = self.parse_value(scope)
+            if self.ts.at_sym(")"):
+                return fn, self.ts.next()
+            if not self._at_value_start():
+                raise self.ts.error(_BARE_VALUE)
+            c = SrcApp(fn, self.parse_value(scope), span=t.span)
+        else:
+            c = self.parse_comp(scope)
+        self.ts.eat_sym(")")
+        return c, None
+
+    def _apply(self, fn: SrcValue, close, scope: dict, span: Span) -> SrcComp:
+        """The application of the parenthesized value `fn`, whose innermost
+        group ends at the token `close`, to the value that follows.  A
+        parenthesized value is not a computation, so that error is reported
+        at `close` when no value follows or the value is ill-formed."""
+        if self._at_value_start():
+            try:
+                return SrcApp(fn, self.parse_value(scope), span=span)
+            except ParseError:
+                pass
+        raise ParseError(f"{_BARE_VALUE}, found {close.text!r}", close.span)
 
     def parse_value(self, scope: dict) -> SrcValue:
         t = self.ts.peek()

@@ -21,8 +21,11 @@ Each operation keeps a table of per-class functions, built on first use and
 dispatched on `type(t)`.  Children are visited from inside the parent's
 function, so every level of a tree (and every tuple of children) costs one
 stack frame, and a rebuild returns the input node itself when no child
-changed.  Substitution returns a cast's subject in place of the cast when it
-turns the cast's coercion into an identity (`cast_hook`).
+changed.  The walkers of substitution, term substitution and renaming are
+straight-line code generated from the class's shape (`_walker`): they read
+each child by attribute, and call the constructor with every field.
+Substitution returns a cast's subject in place of the cast when it turns
+the cast's coercion into an identity (`cast_hook`).
 
 `summarize` records on every term node of a compiled term its free
 variables of every sort, type-level children folded in, as one int; type
@@ -43,10 +46,11 @@ A term node whose summary is 0 is closed: no variable of any sort is free
 in it, so its type depends only on the operation signature and its erasure
 on nothing outside it.  The ExEff checkers and the SkelEff erasure keep both
 on such a node (`Closed`, attribute `CLOSED`), and `replace_field` drops
-them with the summary.  Nodes are immutable and every rebuilt node is a new
-object, so what a node keeps never goes stale.  An open node keeps nothing,
-since one node object can sit under binders that give its free variables
-different types.
+them with the summary.  Nodes are never changed once built (`core.node`;
+the test suite guards every node class against field stores) and every
+rebuilt node is a new object, so what a node keeps never goes stale.  An
+open node keeps nothing, since one node object can sit under binders that
+give its free variables different types.
 
 The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
 ordered rule list per node class, interpreted by one decomposition loop that
@@ -62,7 +66,7 @@ the redexes of a term anywhere in it.
 from __future__ import annotations
 
 import dataclasses
-from operator import attrgetter, is_
+from operator import is_
 
 from .core import (
     CoVar,
@@ -108,8 +112,6 @@ class Shape:
         sorts = {f.name: _VARS.get(_annotation(f)) for f in fields}
         binders = tuple((f.name, sorts[f.name]) for f, r in zip(fields, roles) if r == BIND)
         self.names = tuple(f.name for f in fields)
-        # All field values as a tuple, in one C call.
-        self.values = attrgetter(*self.names) if len(fields) > 1 else lambda t: (getattr(t, self.names[0]),)
         self.fields = tuple(
             Field(
                 f.name,
@@ -168,13 +170,25 @@ def _unchanged(*args):
     return args[-1]
 
 
-def _rebuild(t, values, i, new, vals):
-    """`vals`, or the field values of `t` (read by `values`, a shape's
-    getter) when None, with `new` in field `i`."""
-    if vals is None:
-        vals = list(values(t))
-    vals[i] = new
-    return vals
+def _walker(cls, op: str, params: str, body: list, **env):
+    """The walker of the operation `op` for `cls` nodes: a function of
+    `params` whose body is the straight-line code `body`, generated once per
+    class, with `cls` and `env` in its global scope.  Walkers bind each
+    field's old value to `o<i>` and its new one to `n<i>`, where `i` is the
+    field's index in the class."""
+    src = f"def {op}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    scope = {"cls": cls, **env}
+    exec(compile(src, f"<{op} of {cls.__name__}>", "exec"), scope)
+    return scope[op]
+
+
+def _unless_changed(sh: Shape, walked: list) -> list:
+    """The lines that return the walked node `t` when none of the fields
+    `walked` (indices) changed, and otherwise build the rebuilt node `out`
+    from every field: the new value of a walked one, `t`'s own of the rest."""
+    args = ", ".join(f"n{i}" if i in walked else f"t.{name}" for i, name in enumerate(sh.names))
+    same = " and ".join(f"n{i} is o{i}" for i in walked)
+    return [f"if {same}: return t", f"out = cls({args})"]
 
 
 def _tuple_map(table):
@@ -255,25 +269,19 @@ def _build_subst(cls):
         if use.sort is not CoVar:
             raise TypeError(f"{cls.__name__}: {use.sort.__name__} uses need a substitution hook")
         return lambda s, t: s.co.get(getattr(t, use.name).id, t)
-    table = _SUBST
-    kids = [(sh.names.index(f.name), f.name) for f in sh.kids]
-    names, values = sh.names, sh.values
+    if not sh.kids:
+        return _unchanged
+    body, walked = [], []
+    for f in sh.kids:
+        i = sh.names.index(f.name)
+        walked.append(i)
+        body += [f"o{i} = t.{f.name}", f"n{i} = table[type(o{i})](s, o{i})"]
+    body += _unless_changed(sh, walked)
     is_identity = _CASTS.get(cls)
-
-    def go(s, t):
-        vals = None
-        for i, name in kids:
-            old = getattr(t, name)
-            new = table[type(old)](s, old)
-            if new is not old:
-                vals = _rebuild(t, values, i, new, vals)
-        if vals is None:
-            return t
-        if is_identity is not None and vals[1] is not getattr(t, names[1]) and is_identity(vals[1]):
-            return vals[0]
-        return cls(*vals)
-
-    return go
+    if is_identity is not None:
+        body.insert(-1, "if n1 is not o1 and is_identity(n1): return n0")
+    body.append("return out")
+    return _walker(cls, "subst", "s, t", body, table=_SUBST, is_identity=is_identity)
 
 
 def _build_subst_one(cls):
@@ -284,39 +292,31 @@ def _build_subst_one(cls):
     if not sh.terms:
         fn = _SUBST[cls]
         return lambda s, free, t: fn(s, t)
-    table, types = _SUBST_ONE, _SUBST
-    kids = [(sh.names.index(f.name), f.name, f.role != TYPE) for f in sh.kids]
-    names, values = sh.names, sh.values
+    body, walked = ["mask = s.mask", "drops = s.drops"], []
+    for f in sh.kids:
+        i = sh.names.index(f.name)
+        walked.append(i)
+        body.append(f"o{i} = t.{f.name}")
+        if f.role == TYPE:
+            body.append(f"n{i} = types[type(o{i})](s, o{i})")
+        elif f.role == MANY:  # a tuple has no summary
+            body.append(f"n{i} = table[type(o{i})](s, None, o{i})")
+        else:
+            body += [
+                f"inner = getattr(o{i}, FREE, None)",
+                f"n{i} = o{i} if inner is not None and not inner & mask else table[type(o{i})](s, inner, o{i})",
+            ]
+    body += _unless_changed(sh, walked)
     is_identity = _CASTS.get(cls)
-
-    def go(s, free, t):
-        mask = s.mask
-        drops = s.drops
-        vals = None
-        for i, name, term in kids:
-            old = getattr(t, name)
-            if term:
-                inner = getattr(old, FREE, None)
-                if inner is not None and not inner & mask:
-                    continue
-                new = table[type(old)](s, inner, old)
-            else:
-                new = types[type(old)](s, old)
-            if new is not old:
-                vals = _rebuild(t, values, i, new, vals)
-        if vals is None:
-            return t
-        if is_identity is not None and vals[1] is not getattr(t, names[1]) and is_identity(vals[1]):
-            # The dropped coercion's variables may leave the term, so no
-            # node rebuilt around it can tell its summary in O(1).
-            s.drops = drops + 1
-            return vals[0]
-        out = cls(*vals)
-        if free is not None and s.drops == drops:
-            _set(out, FREE, free & s.keep | s.rvars)
-        return out
-
-    return go
+    if is_identity is not None:
+        # The dropped coercion's variables may leave the term, so no node
+        # rebuilt around it can tell its summary in O(1).
+        body.insert(-1, "if n1 is not o1 and is_identity(n1): s.drops = drops + 1; return n0")
+    body += ["if free is not None and s.drops == drops: _set(out, FREE, free & s.keep | s.rvars)", "return out"]
+    return _walker(
+        cls, "subst_one", "s, free, t", body,
+        table=_SUBST_ONE, types=_SUBST, is_identity=is_identity, FREE=FREE, _set=_set,
+    )
 
 
 def _subst_one_many(s, free, t):
@@ -340,7 +340,7 @@ _CASTS: dict = {}  # cast class -> the test of `cast_hook`
 # Summaries of free variables
 
 FREE = "free"  # the attribute that holds a term node's summary
-_set = object.__setattr__  # nodes are frozen; the summary is not a field
+_set = object.__setattr__  # the summary is not a field; this passes the tests' guard
 CLOSED = "closed"  # the attribute that holds a closed term node's `Closed`
 
 
@@ -497,39 +497,31 @@ def _build_subst_term(cls):
     if sh.uses and sh.uses[0].sort is TermVar:
         name = sh.uses[0].name
         return lambda v, vid, bit, sv, free, t: v if getattr(t, name).id == vid else t
-    table = _TSUBST
-    # Only term binders shadow: skeleton, type, dirt and coercion ids come
-    # from counters of their own and may equal a term variable's id.
-    kids = [
-        (sh.names.index(f.name), f.name, tuple(b for b, sort in f.binders if sort is TermVar))
-        for f in sh.kids
-        if f.role in (TERM, MANY)
-    ]
+    kids = [f for f in sh.kids if f.role in (TERM, MANY)]
     if not kids:
         return _unchanged
-    values = sh.values
-
-    def go(v, vid, bit, sv, free, t):
-        vals = None
-        for i, name, binders in kids:
-            old = getattr(t, name)
-            inner = getattr(old, FREE, None)
-            if inner is not None and not inner & bit:
-                continue
-            if binders and any(getattr(t, b).id == vid for b in binders):
-                continue
-            new = table[type(old)](v, vid, bit, sv, inner, old)
-            if new is not old:
-                vals = _rebuild(t, values, i, new, vals)
-        if vals is None:
-            return t
-        out = cls(*vals)
-        if sv is not None and free is not None:
-            # `t` was rebuilt, so `var` is free in it.
-            _set(out, FREE, free ^ bit | sv if sv else free ^ bit)
-        return out
-
-    return go
+    body, walked = [], []
+    for f in kids:
+        i = sh.names.index(f.name)
+        walked.append(i)
+        body.append(f"o{i} = t.{f.name}")
+        # A child is walked when its summary has the variable, or it has
+        # none (a tuple never has one), and no term binder over it shadows
+        # the variable: skeleton, type, dirt and coercion ids come from
+        # counters of their own and may equal a term variable's id.
+        if f.role == MANY:
+            inner, tests = "None", []
+        else:
+            body.append(f"inner = getattr(o{i}, FREE, None)")
+            inner, tests = "inner", ["(inner is None or inner & bit)"]
+        tests += [f"t.{b}.id != vid" for b, sort in f.binders if sort is TermVar]
+        call = f"table[type(o{i})](v, vid, bit, sv, {inner}, o{i})"
+        body.append(f"n{i} = {call} if {' and '.join(tests)} else o{i}" if tests else f"n{i} = {call}")
+    body += _unless_changed(sh, walked)
+    # `t` was rebuilt, so `var` is free in it.
+    body += ["if sv is not None and free is not None: _set(out, FREE, free ^ bit | sv if sv else free ^ bit)"]
+    body.append("return out")
+    return _walker(cls, "subst_term", "v, vid, bit, sv, free, t", body, table=_TSUBST, FREE=FREE, _set=_set)
 
 
 def _subst_term_many(v, vid, bit, sv, free, t):
@@ -693,23 +685,19 @@ def _build_rename(cls):
     if cls in VAR_CLASSES:
         return lambda f, t: f(t)
     sh = shape(cls)
-    table = _RENAME
-    steps = [(i, f.name, f.role in (BIND, USE)) for i, f in enumerate(sh.fields) if f.role != ATOM]
-    names, values = sh.names, sh.values
-
-    def go(f, t):
-        vals = None
-        for i, name, is_var in steps:
-            old = getattr(t, name)
-            if is_var:
-                new = old if old is None else f(old)
-            else:
-                new = table[type(old)](f, old)
-            if new is not old:
-                vals = _rebuild(t, values, i, new, vals)
-        return t if vals is None else cls(*vals)
-
-    return go
+    body, walked = [], []
+    for i, fd in enumerate(sh.fields):
+        if fd.role == ATOM:
+            continue
+        walked.append(i)
+        body.append(f"o{i} = t.{fd.name}")
+        if fd.role in (BIND, USE):
+            body.append(f"n{i} = o{i} if o{i} is None else f(o{i})")
+        else:
+            body.append(f"n{i} = table[type(o{i})](f, o{i})")
+    if not walked:
+        return _unchanged
+    return _walker(cls, "rename", "f, t", body + _unless_changed(sh, walked) + ["return out"], table=_RENAME)
 
 
 _RENAME = _Table(_build_rename)
@@ -887,11 +875,10 @@ def _plug(path, t):
 
 
 def replace_field(node, name, t):
-    """`node` with `t` in its field `name`.  No node class has a
-    `__post_init__`, so copying the field dict rebuilds a frozen node
-    exactly, and faster than its constructor.  The copy drops `node`'s
-    summary of free variables and its `Closed`, which its new field may not
-    match."""
+    """`node` with `t` in its field `name`, a new node: `node` itself is
+    never changed.  No node class has a `__post_init__`, so copying the
+    field dict rebuilds a node exactly.  The copy drops `node`'s summary of
+    free variables and its `Closed`, which its new field may not match."""
     out = object.__new__(type(node))
     fields = out.__dict__
     fields.update(node.__dict__)

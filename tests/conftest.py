@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import sys
@@ -6,13 +7,40 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 import pytest
 
-from effc.core import TForallDirt, TForallSkel, TForallTy, TQual
+from effc import exeff, infer, lex, noeff, skeleff, source  # noqa: F401  (every module with node classes)
+from effc.core import NODES, TForallDirt, TForallSkel, TForallTy, TQual
 
 TESTS = pathlib.Path(__file__).parent
 CORPUS = TESTS / "corpus"
 CORPUS_BAD = TESTS / "corpus_bad"
 GOLDEN = TESTS / "golden"
 SRC = TESTS.parent / "src"
+
+
+def guard(cls: type) -> None:
+    """Make the node class `cls` raise `dataclasses.FrozenInstanceError` on
+    any attribute store through the class once its field is set (so after
+    construction, since `__init__` sets each field once), on any store of a
+    name that is not a field, and on any delete, as a frozen dataclass does.
+    `object.__setattr__`, which sets the summaries of `traverse`, passes."""
+    fields = frozenset(f.name for f in dataclasses.fields(cls))
+
+    def __setattr__(self, name, value):
+        if name not in fields or name in self.__dict__:
+            raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r} of {cls.__name__}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r} of {cls.__name__}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+
+
+# Node classes are plain dataclasses, immutable by convention (`core.node`);
+# the whole test session runs with every one of them guarded.
+for _cls in NODES:
+    guard(_cls)
 
 
 def subprocess_env(**extra) -> dict:

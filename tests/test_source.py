@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from effc import exeff, pipeline, source
+from effc import exeff, lex, pipeline, source
 from effc.core import (
     Base,
     CompType,
@@ -223,6 +223,77 @@ def test_parenthesized_computations():
     assert isinstance(c, source.SrcDo)
     _, c = source.parse_program("(do x <- return unit in return x)")
     assert isinstance(c, source.SrcDo)
+
+
+def nested_application(d: int) -> str:
+    """`W(d)` with `W(0) = return x` and `W(k) = ((fun x -> W(k-1)) x)`."""
+    return "return x" if d == 0 else f"((fun x -> {nested_application(d - 1)}) x)"
+
+
+def nested_bare_function(d: int) -> str:
+    """A parenthesized function, `d` groups deep, that is never applied."""
+    return "return (fun x -> " + "((fun x -> " * d + "return x" + "))" * d + ")"
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [(nested_application, None), (nested_bare_function, "expected a computation, not a bare value")],
+    ids=["W", "bare"],
+)
+def test_parenthesized_items_are_read_once(monkeypatch, body, error):
+    # Each parenthesized item is parsed once, as a value or a computation,
+    # so the parser reads each token once; reading a nested group again as
+    # a computation after it failed as an application took time exponential
+    # in the depth.
+    reads = []
+    real_next = lex.TokenStream.next
+
+    def counted(ts):
+        reads.append(None)
+        return real_next(ts)
+
+    monkeypatch.setattr(lex.TokenStream, "next", counted)
+    for d in (10, 20, 40):
+        text = f"let x = 1 in {body(d)}"
+        reads.clear()
+        if error is None:
+            _, c = source.parse_program(text)
+            assert isinstance(c, source.SrcLet)
+        else:
+            with pytest.raises(ParseError, match=error):
+                source.parse_program(text)
+        assert len(reads) < len(lex.tokenize(text)), d
+
+
+# `f` applied in and around parentheses, with the application's span or the
+# diagnostic.  A parenthesized value that is not applied to a well-formed
+# value is reported at the `)` right after the value.
+PARENTHESIZED = {
+    "(f unit)": "1:31",
+    "(f) unit": "1:30",
+    "((f)) unit": "1:30",
+    "((f) unit)": "1:31",
+    "(((f) unit))": "1:32",
+    "(f) (1": "1:32: expected a computation, not a bare value, found ')'",
+    "(f) ": "1:32: expected a computation, not a bare value, found ')'",
+    "((f))": "1:33: expected a computation, not a bare value, found ')'",
+    "(((f)) (fun y -> return))": "1:34: expected a computation, not a bare value, found ')'",
+    "(f return x)": "1:33: expected a computation, not a bare value, found 'return'",
+    "((f) unit unit)": "1:40: expected ')', found 'unit'",
+}
+
+
+@pytest.mark.parametrize("body", list(PARENTHESIZED))
+def test_parenthesized_applications_and_their_diagnostics(body):
+    text = f"let f = fun x -> return x in {body}"
+    expected = PARENTHESIZED[body]
+    if ": " in expected:
+        with pytest.raises(ParseError) as e:
+            source.parse_program(text)
+        assert str(e.value) == expected
+    else:
+        _, c = source.parse_program(text)
+        assert isinstance(c.body, source.SrcApp) and str(c.body.span) == expected
 
 
 def test_int_literal_switch():

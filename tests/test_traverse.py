@@ -177,12 +177,7 @@ def test_alpha_equality_compares_the_number_of_handler_clauses():
 def _node_classes():
     for mod in (core, source, exeff, skeleff, noeff):
         for cls in vars(mod).values():
-            if (
-                isinstance(cls, type)
-                and cls.__module__ == mod.__name__
-                and dataclasses.is_dataclass(cls)
-                and cls.__dataclass_params__.frozen
-            ):
+            if isinstance(cls, type) and cls.__module__ == mod.__name__ and cls in core.NODES:
                 yield cls
 
 
