@@ -5,9 +5,11 @@ queue of skeleton equalities, skeleton annotations and subtyping constraints,
 and producing the explicitly-typed core term as it goes.  Each let solves its
 bound value's constraints, composes the solution into the session's, and
 splits the residual constraints into a generalized and a floated part; its
-scheme is the value's quantified ExEff type.  Generation threads no
-substitution: what it built before a let may mention variables the let
-solved, and the session's solution is applied where that is read.
+scheme is the value's quantified ExEff type.  The variables that generalize
+are those deeper than the let (see `Session`), so no let scans its
+environment.  Generation threads no substitution: what it built before a let,
+environment entries included, may mention variables the let solved, and the
+session's solution is applied where that is read.
 """
 
 from __future__ import annotations
@@ -108,15 +110,35 @@ class Session:
     coercion variables (term variables are the parser's: elaboration reuses
     the source binders), the skeleton annotations and `solved`, the
     solutions of the lets solved so far, composed in the order they were
-    solved."""
+    solved.
+
+    `levels` gives each type and dirt variable, keyed ("ty" | "dirt", id),
+    its let level: `level` when it was made, which is the number of lets
+    whose bound value was then being generated.  Binding a variable lowers
+    each variable of its solution to the bound variable's level.  So the
+    environment of a let at level L mentions only variables at level L or
+    less, and a variable of the let's residual or type is free in that
+    environment exactly when its level is at most L: Kuan and MacQueen,
+    *Efficient Type Inference Using Ranked Type Variables* (ML 2007).
+    """
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.supply = Supply()
+        self.supply = _LevelSupply()
+        self.levels = self.supply.levels
         self.ann: dict = {}  # type-variable id -> current skeleton annotation
         self._ann_uses: dict = {}  # skeleton-variable id -> {type-variable id: None}
         self.solved = Subst()
+        self._solved_uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
         self.let_schemes: list = []  # (name, quantified value type) in elaboration order
+
+    @property
+    def level(self) -> int:
+        return self.supply.level
+
+    @level.setter
+    def level(self, level: int) -> None:
+        self.supply.level = level
 
     def fresh_ty(self, skel: Skeleton) -> TyVar:
         v = self.supply.ty()
@@ -135,34 +157,97 @@ class Session:
                 self.ann[vid] = substitute(s, self.ann[vid])
                 self._index_ann(skel, vid)
 
+    def compose(self, s: Subst) -> None:
+        """Compose a let's solution `s` into `solved`, which keeps the
+        solver's invariants 1 and 3 (see `_SolveState`): only the skeleton,
+        type and dirt solutions that mention a variable `s` binds are
+        rewritten, and coercion solutions are kept as recorded, for
+        `solution` to settle.  `s` binds no variable that `solved` binds."""
+        solved, uses = self.solved, self._solved_uses
+        owners: dict = {}
+        for sort in _MENTIONS:
+            for vid in getattr(s, sort):
+                owners.update(uses.pop((sort, vid), {}))
+        for sort, vid in owners:
+            solutions = getattr(solved, sort)
+            solutions[vid] = substitute(s, solutions[vid])
+            self._index_solved(sort, vid, solutions[vid])
+        for sort in ("skel", "ty", "dirt", "co"):
+            solutions = getattr(solved, sort)
+            for vid, val in getattr(s, sort).items():
+                if vid in solutions:
+                    raise AssertionError(f"{sort} variable {vid} solved by two lets")
+                solutions[vid] = val
+                if sort != "co":
+                    self._index_solved(sort, vid, val)
+
+    def _index_solved(self, sort: str, vid: int, val) -> None:
+        for m in _MENTIONS[sort]:
+            for v in free_vars(val, _SORT[m]):
+                self._solved_uses.setdefault((m, v.id), {})[sort, vid] = None
+
+    def solution(self, s: Subst) -> Subst:
+        """`solved` then `s`, with every coercion solution fully substituted.
+        A let's coercion solution names no coercion variable that an earlier
+        let solved, only ones pending then, so one backward walk settles
+        them, as `_SolveState.resolved` does."""
+        lets = self.solved.co
+        out = Subst(self.solved.skel, self.solved.ty, self.solved.dirt).then(s)
+        out.co = {**dict.fromkeys(lets), **s.co}  # in recording order
+        for wid in reversed(lets):
+            out.co[wid] = substitute(out, lets[wid])
+        return out
+
+
+class _LevelSupply(Supply):
+    """The session's supply, which records in `levels` the let level of each
+    type and dirt variable it makes: `level` at the time.  It holds the
+    session's level, so that the two make no reference cycle and a session
+    is freed as soon as it is dropped."""
+
+    def __init__(self):
+        super().__init__()
+        self.level = 0
+        self.levels: dict = {}
+
+    def ty(self) -> TyVar:
+        v = TyVar(self._take("ty"))
+        self.levels["ty", v.id] = self.level
+        return v
+
+    def dirt(self) -> DirtVar:
+        v = DirtVar(self._take("dirt"))
+        self.levels["dirt", v.id] = self.level
+        return v
+
 
 # ---------------------------------------------------------------------------
 # Generalization: split
 
 
-def _var_keys(obj) -> set:
-    """The type and dirt variables free in `obj`, as ("t" | "d", id) keys."""
-    return {("t", v.id) for v in free_vars(obj, TyVar)} | {("d", v.id) for v in free_vars(obj, DirtVar)}
+def _keys(obj) -> list:
+    """The type and dirt variables free in `obj`, as `Session.levels` keys."""
+    return [("ty", v.id) for v in free_vars(obj, TyVar)] + [("dirt", v.id) for v in free_vars(obj, DirtVar)]
 
 
-def split(env: dict, Q: list, a: ValueType) -> tuple:
+def split(session: Session, Q: list, a: ValueType) -> tuple:
     """Partition residual constraints for let-generalization.
 
-    env maps term-variable ids to (TermVar, value type); Q holds the
-    solver's residual, skeleton annotations and subtyping constraints.  Returns
+    Q holds the solver's residual, skeleton annotations and subtyping
+    constraints, and `a` the bound value's type, of a let at level
+    `session.level`: the variables deeper than that are those not free in
+    the let's environment, and they generalize.  Returns
     (skel_vars, [(ty_var, skeleton)], dirt_vars, generalized [(co, ct)],
     floated queue items, merged).  A generalized constraint equal to an
     earlier one is not a second qualifier: `merged` maps its coercion
     variable to the earlier one's, for the bound value.
     """
-    env_fv = _var_keys([t for _, t in env.values()])
+    level, levels = session.level, session.levels
 
     # An annotation's subject counts as an occurrence of its type variable.
     q_objs = [it.var if isinstance(it, SkelAnn) else it.constraint for it in Q]
-    free_ty_ordered = free_vars(q_objs + [a], TyVar)
-    free_dirt_ordered = free_vars(q_objs + [a], DirtVar)
-    gen_ty = [v for v in free_ty_ordered if ("t", v.id) not in env_fv]
-    gen_dirt = [v for v in free_dirt_ordered if ("d", v.id) not in env_fv]
+    gen_ty = [v for v in free_vars(q_objs + [a], TyVar) if levels["ty", v.id] > level]
+    gen_dirt = [v for v in free_vars(q_objs + [a], DirtVar) if levels["dirt", v.id] > level]
     gen_ty_ids = {v.id for v in gen_ty}
 
     ann: dict = {}
@@ -196,7 +281,7 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
     merged = Subst()
     for it in Q:
         if isinstance(it, SubCt):
-            if not _var_keys(it.constraint) <= env_fv:
+            if any(levels[key] > level for key in _keys(it.constraint)):
                 same = [w for w, ct in generalized if ct == it.constraint]
                 if same:
                     merged.co[it.co.id] = CoVarRef(same[0])
@@ -216,17 +301,18 @@ def split(env: dict, Q: list, a: ValueType) -> tuple:
 def _whole_var(side) -> Optional[tuple]:
     """The key of a constraint side that is a bare type or dirt variable."""
     if isinstance(side, TyVar):
-        return ("t", side.id)
+        return ("ty", side.id)
     if isinstance(side, Dirt) and not side.ops and side.tail is not None:
-        return ("d", side.tail.id)
+        return ("dirt", side.tail.id)
     return None
 
 
-def _collapsible(pinned: set, Q: list) -> Optional[tuple]:
-    """The first variable outside `pinned` that occurs in `Q` only as a whole
-    side of subtyping constraints and has exactly one lower bound, or else
-    exactly one upper bound; returns (its key, that bound) or None."""
-    pinned = set(pinned)
+def _collapsible(pinned, Q: list) -> Optional[tuple]:
+    """The first variable that the predicate `pinned` rejects, that occurs in
+    `Q` only as a whole side of subtyping constraints and has exactly one
+    lower bound, or else exactly one upper bound; returns (its key, that
+    bound) or None."""
+    inside: set = set()
     bounds: dict = {}  # key -> ([lower bounds], [upper bounds])
     for it in Q:
         if isinstance(it, SubCt):
@@ -234,49 +320,57 @@ def _collapsible(pinned: set, Q: list) -> Optional[tuple]:
             for side, other, pos in ((ct.rhs, ct.lhs, 0), (ct.lhs, ct.rhs, 1)):
                 key = _whole_var(side)
                 if key is None:
-                    pinned |= _var_keys(side)
+                    inside.update(_keys(side))
                 else:
                     bounds.setdefault(key, ([], []))[pos].append(other)
     for key, sides in bounds.items():
-        if key not in pinned:
+        if key not in inside and not pinned(key):
             for found in sides:
                 if len(found) == 1 and _whole_var(found[0]) != key:
                     return key, found[0]
     return None
 
 
-def collapse(session: Session, sigma: Subst, env: dict, a: ValueType, Q: list) -> tuple:
+def collapse(session: Session, sigma: Subst, a: ValueType, Q: list) -> tuple:
     """Instantiate each variable that occurs only in constraints at its one bound.
 
-    A variable that occurs in neither `env` nor `a`, and in `Q` only as a
+    A variable deeper than the let at `session.level`, so not free in its
+    environment, that does not occur in `a` and occurs in `Q` only as a
     whole side of subtyping constraints, with exactly one lower bound (or
     else exactly one upper bound) is set to that bound.  The constraint the
     bound came from closes by reflexivity, the variable's annotation goes,
-    and the other constraints are re-solved.  The scheme generalized from
-    the result is equivalent to the one generalized from `Q`, by reflexivity
+    and each constraint that mentions the variable is re-solved in its
+    place; the others are solved already.  The scheme generalized from the
+    result is equivalent to the one generalized from `Q`, by reflexivity
     and transitivity of subtyping: the chain collapsing of Pottier,
     *Simplifying subtyping constraints: a theory* (I&C 2001).  Re-solving
-    residual constraints binds no further variable, so `env` and `a` stay
-    as they are.  Returns (`sigma` then the instantiations, residual items).
+    residual constraints binds no further variable, so the environment and
+    `a` stay as they are.  Returns (`sigma` then the instantiations,
+    residual items).
     """
-    pinned = _var_keys([t for _, t in env.values()] + [a])
+    level, levels, in_a = session.level, session.levels, set(_keys(a))
     s = Subst()
-    while (pick := _collapsible(pinned, Q)) is not None:
-        (sort, vid), bound = pick
-        step = Subst(ty={vid: bound}) if sort == "t" else Subst(dirt={vid: bound})
+    while (pick := _collapsible(lambda key: key in in_a or levels[key] <= level, Q)) is not None:
+        key, bound = pick
+        sort, vid = key
+        step = Subst(**{sort: {vid: bound}})
         rest = []
         for it in Q:
-            if sort == "t" and isinstance(it, SkelAnn) and it.var.id == vid:
+            if sort == "ty" and isinstance(it, SkelAnn) and it.var.id == vid:
                 continue
-            it = subst_item(step, it)
-            if isinstance(it, SubCt) and it.constraint.lhs == it.constraint.rhs:
-                step.co[it.co.id] = refl_of(it.constraint.lhs)
+            new = subst_item(step, it)
+            if new is it:
+                rest.append(it)  # solved already
+            elif isinstance(new, SubCt) and new.constraint.lhs == new.constraint.rhs:
+                step.co[new.co.id] = refl_of(new.constraint.lhs)
             else:
-                rest.append(it)
-        s_round, Q = solve(session, step, rest)
-        if len(s_round.skel) + len(s_round.ty) + len(s_round.dirt) != 1:
-            raise AssertionError("re-solving a collapsed residual bound a variable")
-        s = s.then(s_round)
+                s_item, residual = solve(session, Subst(), [new])
+                if s_item.skel or s_item.ty or s_item.dirt:
+                    raise AssertionError("re-solving a collapsed residual bound a variable")
+                step.co.update(s_item.co)  # no solution of `step` names a coercion variable
+                rest += residual
+        s = s.then(step)
+        Q = rest
     return (sigma if s.is_empty() else sigma.then(s)), Q
 
 
@@ -327,7 +421,13 @@ class _SolveState:
         self.co[w.id] = co
 
     def apply_all(self, s: Subst) -> None:
-        """Compose a binding into sigma and re-enqueue the processed items."""
+        """Compose a binding into sigma, lower the levels of the variables
+        it mentions, and re-enqueue the processed items.  No variable the
+        solver sees is deeper than the current level: it makes fresh ones
+        there, and a let's value keeps none deeper that its own lets did
+        not generalize.  So only a variable bound at a shallower level
+        lowers any."""
+        levels, supply = self.session.levels, self.session.supply
         for sort, mentionable in _MENTIONS.items():
             for vid, val in getattr(s, sort).items():
                 mentioned = [(m, v.id) for m in mentionable for v in free_vars(val, _SORT[m])]
@@ -337,6 +437,10 @@ class _SolveState:
                     self._index(mentioned, owner, key)
                 getattr(self.sigma, sort)[vid] = val
                 self._index(mentioned, sort, vid)
+                if sort != "skel" and (level := levels[sort, vid]) < supply.level:
+                    for m in mentioned:
+                        if levels[m] > level:
+                            levels[m] = level
         self.session.apply_subst_to_ann(s)
         self.Q.extend(self.P)
         self.P = []
@@ -379,7 +483,8 @@ def solve(session: Session, sigma: Subst, queue: list) -> tuple:
         else:
             raise TypeError(item)
     residual = [subst_item(st.sigma, it) for it in st.P]
-    return sigma.then(st.resolved()), residual
+    s = st.resolved()
+    return (s if sigma.is_empty() else sigma.then(s)), residual
 
 
 def _occurs(v: SkelVar, s: Skeleton) -> bool:
@@ -709,15 +814,16 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         # Solve and generalize over the bound value's own constraints only;
         # constraints inherited from the enclosing context are held aside so
         # that in-flight variables of enclosing terms can never be captured
-        # by this scheme.
+        # by this scheme.  The value is generated and solved one level deeper.
+        session.level += 1
         a, Qv, v1 = gen_value(session, [], env, c.val)
         solved = session.solved
         local, Qv = solve(session, Subst(), [subst_item(solved, it) for it in Qv])
-        env1 = {vid: (var, substitute(local, substitute(solved, t))) for vid, (var, t) in env.items()}
+        session.level -= 1
         a1 = substitute(local, substitute(solved, a))
-        local, Qv = collapse(session, local, env1, a1, Qv)
-        session.solved = solved.then(local)
-        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = split(env1, Qv, a1)
+        local, Qv = collapse(session, local, a1, Qv)
+        session.compose(local)
+        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = split(session, Qv, a1)
         # The scheme is the value's quantified type, and the bound value
         # abstracts over the same variables and qualifiers.
         scheme, bound = a1, substitute(merged, substitute(local, v1))
@@ -730,7 +836,7 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         for sv in reversed(gen_skel):
             scheme, bound = TForallSkel(sv, scheme), exeff.ESkelAbs(sv, bound)
         session.let_schemes.append((c.var.name, scheme))
-        cty, Q2, body = gen_comp(session, floated + Q, _env_bind(env1, c.var, scheme), c.body)
+        cty, Q2, body = gen_comp(session, floated + Q, _env_bind(env, c.var, scheme), c.body)
         return cty, Q2, exeff.CLet(c.var, bound, body)
     if isinstance(c, source.SrcOpCall):
         sig_op = session.sig.lookup(c.op, c.span)
@@ -805,7 +911,7 @@ def infer_top(sig: Signature, comp) -> InferOutcome:
     cty, Q, term = gen_comp(session, [], {}, comp)
     generated = [subst_item(session.solved, it) for it in Q]
     s2, residual = solve(session, Subst(), generated)
-    s = session.solved.then(s2)
+    s = session.solution(s2)
     return InferOutcome(
         cty=substitute(s, cty),
         residual=residual,

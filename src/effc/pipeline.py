@@ -177,7 +177,8 @@ def differential_check_text(
 
     Along the core trace every step must preserve the exact type, and the
     erasures of consecutive terms must be congruent.  Any violation or
-    cross-backend disagreement produces a failing report.  A backend that
+    cross-backend disagreement produces a failing report; a violation names
+    its step, counted from 1.  A backend that
     takes more than `fuel` steps raises FuelExhausted.
     """
     report = DiffReport(program_id)
@@ -191,7 +192,7 @@ def differential_check_text(
         nxt = exeff.step_comp(term)
         if nxt is None:
             report.agreement = False
-            report.failure = "metatheory: well-typed non-result failed to step"
+            report.failure = f"metatheory: step {steps + 1}: well-typed non-result failed to step"
             return report
         if check_each_step:
             try:
@@ -200,12 +201,12 @@ def differential_check_text(
                 preserved = False
             if not preserved:
                 report.agreement = False
-                report.failure = "metatheory: a step changed the subject's type"
+                report.failure = f"metatheory: step {steps + 1} changed the subject's type"
                 return report
             erased_nxt = skeleff.erase_comp({}, nxt)
             if not skeleff.congruent(erased, erased_nxt, fuel):
                 report.agreement = False
-                report.failure = "metatheory: erasure of a step is not congruent"
+                report.failure = f"metatheory: erasure of step {steps + 1} is not congruent"
                 return report
             erased = erased_nxt
         term = nxt

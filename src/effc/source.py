@@ -23,7 +23,6 @@ from .core import (
     T_INT,
     T_UNIT,
     TArrow,
-    TBase,
     THandler,
     TermVar,
     UnboundVariable,
@@ -32,7 +31,6 @@ from .core import (
     node,
 )
 from .lex import TokenStream, int_literal, tokenize
-from .traverse import rename
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +134,8 @@ SrcComp = Union[SrcReturn, SrcOpCall, SrcDo, SrcHandle, SrcApp, SrcLet]
 # Parsing
 
 _COMP_KEYWORDS = ("return", "do", "let", "with")
+# The words of the grammar, none of which can name a variable.
+_RESERVED = frozenset(_COMP_KEYWORDS + ("in", "handle", "effect", "fun", "handler", "unit"))
 _BARE_VALUE = "expected a computation, not a bare value"
 
 
@@ -222,6 +222,13 @@ class _Parser:
 
     # -- terms ---------------------------------------------------------------
 
+    def _binder(self):
+        """The name token of a binder, which must not be a reserved word."""
+        t = self.ts.eat_kind("ident")
+        if t.text in _RESERVED:
+            raise ParseError(f"expected a variable name, found reserved word {t.text!r}", t.span)
+        return t
+
     def _bind(self, scope: dict, name_tok) -> tuple:
         v = self.supply.term(name_tok.text)
         return v, {**scope, name_tok.text: v}
@@ -241,7 +248,7 @@ class _Parser:
             return SrcReturn(self.parse_value(scope), span=t.span)
         if self.ts.at_word("do"):
             self.ts.next()
-            name = self.ts.eat_kind("ident")
+            name = self._binder()
             self.ts.eat_sym("<-")
             first = self.parse_comp(scope)
             self.ts.eat_word("in")
@@ -250,7 +257,7 @@ class _Parser:
             return SrcDo(var, first, second, span=t.span)
         if self.ts.at_word("let"):
             self.ts.next()
-            name = self.ts.eat_kind("ident")
+            name = self._binder()
             self.ts.eat_sym("=")
             val = self.parse_value(scope)
             self.ts.eat_word("in")
@@ -332,7 +339,7 @@ class _Parser:
             return SrcUnit(span=t.span)
         if self.ts.at_word("fun"):
             self.ts.next()
-            name = self.ts.eat_kind("ident")
+            name = self._binder()
             self.ts.eat_sym("->")
             var, scope2 = self._bind(scope, name)
             return SrcFun(var, self.parse_comp(scope2), span=t.span)
@@ -354,7 +361,7 @@ class _Parser:
     def parse_handler(self, scope: dict, span: Span) -> SrcHandler:
         self.ts.eat_sym("{")
         self.ts.eat_word("return")
-        name = self.ts.eat_kind("ident")
+        name = self._binder()
         self.ts.eat_sym("->")
         ret_var, scope2 = self._bind(scope, name)
         ret_body = self.parse_comp(scope2)
@@ -366,8 +373,8 @@ class _Parser:
             if op_tok.text in seen:
                 raise ParseError(f"handler lists operation {op_tok.text} twice", op_tok.span)
             seen.add(op_tok.text)
-            p_name = self.ts.eat_kind("ident")
-            k_name = self.ts.eat_kind("ident")
+            p_name = self._binder()
+            k_name = self._binder()
             self.ts.eat_sym("->")
             param, scope_p = self._bind(scope, p_name)
             kont, scope_pk = self._bind(scope_p, k_name)
@@ -380,91 +387,6 @@ class _Parser:
 def parse_program(text: str) -> tuple:
     """Parse a whole program: effect declarations, then one computation."""
     return _Parser(text).parse_program()
-
-
-# ---------------------------------------------------------------------------
-# Pretty-printing (emits the surface grammar)
-
-
-def _show_dirt(d: Dirt) -> str:
-    return "{" + ", ".join(d.sorted_ops()) + "}"
-
-
-def show_src_type(t) -> str:
-    if isinstance(t, TBase):
-        return str(t.base)
-    if isinstance(t, TArrow):
-        return f"({show_src_type(t.dom)} -> {show_src_type(t.cod)})"
-    if isinstance(t, THandler):
-        return f"({show_src_type(t.dom)} => {show_src_type(t.cod)})"
-    if isinstance(t, CompType):
-        if t.dirt.is_empty():
-            return show_src_type(t.val)
-        return f"{show_src_type(t.val)}!{_show_dirt(t.dirt)}"
-    raise TypeError(t)
-
-
-def show_value(v: SrcValue) -> str:
-    if isinstance(v, SrcVar):
-        return v.var.name
-    if isinstance(v, SrcUnit):
-        return "unit"
-    if isinstance(v, SrcInt):
-        return str(v.value)
-    if isinstance(v, SrcFun):
-        return f"(fun {v.var.name} -> {show_comp(v.body)})"
-    if isinstance(v, SrcHandler):
-        parts = [f"return {v.ret_var.name} -> {show_comp(v.ret_body)}"]
-        for cl in v.clauses:
-            parts.append(f"{cl.op} {cl.param.name} {cl.kont.name} -> {show_comp(cl.body)}")
-        return "handler { " + ", ".join(parts) + " }"
-    raise TypeError(v)
-
-
-def show_comp(c: SrcComp) -> str:
-    if isinstance(c, SrcReturn):
-        return f"return {show_value(c.val)}"
-    if isinstance(c, SrcOpCall):
-        # Only trivial continuations exist in the surface syntax.
-        return f"{c.op} {show_value(c.arg)}"
-    if isinstance(c, SrcDo):
-        return f"do {c.var.name} <- {show_comp(c.first)} in {show_comp(c.second)}"
-    if isinstance(c, SrcLet):
-        return f"let {c.var.name} = {show_value(c.val)} in {show_comp(c.body)}"
-    if isinstance(c, SrcHandle):
-        return f"with {show_value(c.handler)} handle ({show_comp(c.body)})"
-    if isinstance(c, SrcApp):
-        return f"{show_value(c.fn)} {show_value(c.arg)}"
-    raise TypeError(c)
-
-
-def uniquify_names(c: SrcComp) -> SrcComp:
-    """Rename binders so distinct variables print with distinct names."""
-    used: set = set()
-    renamed: dict = {}
-
-    def var(v: TermVar) -> TermVar:
-        if v.id not in renamed:
-            base = v.name or "x"
-            name = base
-            n = 1
-            while name in used:
-                n += 1
-                name = f"{base}{n}"
-            used.add(name)
-            renamed[v.id] = TermVar(v.id, name)
-        return renamed[v.id]
-
-    return rename(c, var)
-
-
-def show_program(sig: Signature, c: SrcComp) -> str:
-    lines = []
-    for name in sig.names():
-        op = sig.ops[name]
-        lines.append(f"effect {name} : {show_src_type(op.param)} -> {show_src_type(op.result)}")
-    lines.append(show_comp(uniquify_names(c)))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from effc.core import (
     THandler,
     dirt,
 )
+from source_printer import show_program, show_src_type
 
 OPS = {
     "Tick": (TBase(Base.UNIT), TBase(Base.UNIT)),
@@ -41,7 +42,7 @@ def make_signature() -> Signature:
 def signature_header() -> str:
     lines = []
     for name, (p, r) in OPS.items():
-        lines.append(f"effect {name} : {source.show_src_type(p)} -> {source.show_src_type(r)}")
+        lines.append(f"effect {name} : {show_src_type(p)} -> {show_src_type(r)}")
     return "\n".join(lines) + "\n"
 
 
@@ -184,7 +185,7 @@ def program_texts(corpus_paths, count: int = 200):
     rng = random.Random(20261018)
     for i in range(count):
         sig, comp = random_program(rng, rng.randint(2, 5))
-        yield f"random-{i}", source.show_program(sig, comp)
+        yield f"random-{i}", show_program(sig, comp)
 
 
 # ---------------------------------------------------------------------------

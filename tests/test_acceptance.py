@@ -32,6 +32,7 @@ from gen_helpers import (
 )
 from paper_examples import RunningExample, erasure_discussion_pair
 import oracle
+from source_printer import show_program
 import test_solver_oracle as tso
 
 
@@ -226,7 +227,7 @@ def _random_delta_type(rng, sup, d, depth):
 def test_criterion_7_noeff_no_stuck_and_differential(corpus_programs):
     checked = 0
     for name, sig, comp in corpus_programs:
-        text = source.show_program(sig, comp)
+        text = show_program(sig, comp)
         rep = pipeline.differential_check_text(text, name, check_each_step=False)
         assert rep.agreement, (name, rep.failure)
         checked += 1

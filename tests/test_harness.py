@@ -2,6 +2,8 @@
 step relation take one deliberately wrong step and checks that the named
 metatheory failure fires."""
 
+import itertools
+
 import pytest
 
 from effc import cli, exeff, pipeline
@@ -75,20 +77,21 @@ def misannotate_kept_node(node):
     return wrong
 
 
-def mutate_first(monkeypatch, mutation):
-    """Make the first step whose result `mutation` can rewrite (in one node,
-    the first in pre-order) take that rewritten result instead; returns a
-    flag that records whether a step was mutated."""
-    mutated = []
+def mutate_first(monkeypatch, mutation, start=1):
+    """Make the first step from step `start` on whose result `mutation` can
+    rewrite (in one node, the first in pre-order) take that rewritten
+    result instead; returns a list that records the index of the mutated
+    step, counted from 1."""
+    index, mutated = itertools.count(1), []
 
     def step(term):
-        nxt = STEP(term)
-        if nxt is None or mutated:
+        nxt, k = STEP(term), next(index)
+        if nxt is None or mutated or k < start:
             return nxt
         wrong = next(contractions(nxt, mutation), None)
         if wrong is None:
             return nxt
-        mutated.append(True)
+        mutated.append(k)
         return wrong
 
     monkeypatch.setattr(exeff, "step_comp", step)
@@ -96,12 +99,12 @@ def mutate_first(monkeypatch, mutation):
 
 
 def check_mutated(monkeypatch, path, mutation, check_each_step=True):
-    """(whether a step was mutated, the harness's failure or None)."""
+    """(the index of the mutated step or None, the harness's failure or None)."""
     with monkeypatch.context() as m:
         mutated = mutate_first(m, mutation)
         text = path.read_text()
         report = pipeline.differential_check_text(text, path.name, check_each_step=check_each_step)
-    return bool(mutated), report.failure
+    return (mutated or [None])[0], report.failure
 
 
 @pytest.mark.parametrize(
@@ -114,15 +117,16 @@ def test_every_visible_wrong_step_is_caught_at_the_step(monkeypatch, corpus_path
     caught = 0
     for path in corpus_paths:
         mutated, unchecked = check_mutated(monkeypatch, path, mutation, check_each_step=False)
-        if not mutated:
+        if mutated is None:
             continue
         _, failure = check_mutated(monkeypatch, path, mutation)
+        at_the_step = f"metatheory: erasure of step {mutated} is not congruent"
         if unchecked is not None:
             assert unchecked.startswith("backends disagree"), (path.name, unchecked)
-            assert failure == "metatheory: erasure of a step is not congruent", (path.name, failure)
+            assert failure == at_the_step, (path.name, failure)
             caught += 1
         else:
-            assert failure in (None, "metatheory: erasure of a step is not congruent"), (path.name, failure)
+            assert failure in (None, at_the_step), (path.name, failure)
     assert caught >= visible
 
 
@@ -130,8 +134,8 @@ def test_wrongly_typed_step_is_a_metatheory_failure(monkeypatch, corpus_paths):
     stepping = 0
     for path in corpus_paths:
         mutated, failure = check_mutated(monkeypatch, path, miscast)
-        if mutated:
-            assert failure == "metatheory: a step changed the subject's type", path.name
+        if mutated is not None:
+            assert failure == f"metatheory: step {mutated} changed the subject's type", path.name
             stepping += 1
     assert stepping >= 34
 
@@ -146,17 +150,31 @@ def test_a_wrong_step_around_kept_types_is_caught(monkeypatch, corpus_paths, mut
     mutated_steps = 0
     for path in corpus_paths:
         mutated, failure = check_mutated(monkeypatch, path, mutation)
-        if mutated:
-            assert failure == "metatheory: a step changed the subject's type", path.name
+        if mutated is not None:
+            assert failure == f"metatheory: step {mutated} changed the subject's type", path.name
             mutated_steps += 1
     assert mutated_steps >= floor
+
+
+@pytest.mark.parametrize(
+    "mutation, failure",
+    [(bump_literal, "metatheory: erasure of step {} is not congruent"), (miscast, "metatheory: step {} changed the subject's type")],
+    ids=["bump_literal", "miscast"],
+)
+@pytest.mark.parametrize("start", [1, 3, 5])
+def test_a_wrong_step_reports_its_own_index(monkeypatch, mutation, failure, start):
+    with monkeypatch.context() as m:
+        mutated = mutate_first(m, mutation, start)
+        report = pipeline.differential_check(str(CORPUS / "p15_get_constant.eff"))
+    assert mutated == [start]
+    assert report.failure == failure.format(start)
 
 
 def test_cli_diff_exits_3_on_a_wrongly_typed_step(monkeypatch, capsys):
     mutate_first(monkeypatch, miscast)
     assert cli.main(["diff", str(CORPUS / "p03_id_app.eff")]) == 3
     captured = capsys.readouterr()
-    assert "FAIL: metatheory: a step changed the subject's type" in captured.out
+    assert "FAIL: metatheory: step 1 changed the subject's type" in captured.out
     assert captured.err == ""
 
 

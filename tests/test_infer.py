@@ -105,20 +105,28 @@ def test_gen_variable_instantiates_scheme():
 # -- split -----------------------------------------------------------------------
 
 
+def _let_value_session(sig):
+    """A session whose next variables are made in the value of a let at
+    level 0; `split` runs at that level once `session.level` is back to 0."""
+    session = infer.Session(sig)
+    session.level = 1
+    return session
+
+
 def test_split_empty():
-    *out, merged = infer.split({}, [], T_UNIT)
+    *out, merged = infer.split(infer.Session(tick_tock_signature()), [], T_UNIT)
     assert out == [[], [], [], [], []]
     assert merged.is_empty()
 
 
 def test_split_running_example_instance():
-    sig = tick_tock_signature()
-    session = infer.Session(sig)
+    session = _let_value_session(tick_tock_signature())
     sup = session.supply
     sk = sup.skel()
     a = session.fresh_ty(sk)
     a2 = session.fresh_ty(sk)
     d, d2 = sup.dirt(), sup.dirt()
+    session.level = 0
     w, w2 = sup.co(), sup.co()
     q = [
         infer.SkelAnn(a, sk),
@@ -127,7 +135,7 @@ def test_split_running_example_instance():
         infer.SubCt(w2, DirtSub(dirt_var(d), dirt_var(d2))),
     ]
     ty = TArrow(TArrow(T_UNIT, CompType(a, dirt_var(d))), CompType(a2, dirt_var(d2)))
-    gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split({}, q, ty)
+    gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split(session, q, ty)
     assert gen_skel == [sk]
     assert [v for v, _ in ty_binders] == [a, a2]
     assert gen_dirt == [d, d2]
@@ -136,18 +144,18 @@ def test_split_running_example_instance():
 
 
 def test_split_merges_a_repeated_qualifier():
-    sig = tick_tock_signature()
-    session = infer.Session(sig)
+    session = _let_value_session(tick_tock_signature())
     sup = session.supply
     d, d2 = sup.dirt(), sup.dirt()
     w, w2, w3 = sup.co(), sup.co(), sup.co()
+    session.level = 0
     q = [
         infer.SubCt(w, DirtSub(dirt_var(d), dirt_var(d2))),
         infer.SubCt(w2, DirtSub(dirt_var(d2), dirt_var(d))),
         infer.SubCt(w3, DirtSub(dirt_var(d), dirt_var(d2))),
     ]
     ty = TArrow(TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d))), CompType(T_UNIT, dirt_var(d2)))
-    _, _, _, generalized, _, merged = infer.split({}, q, ty)
+    _, _, _, generalized, _, merged = infer.split(session, q, ty)
     assert [wv for wv, _ in generalized] == [w, w2]
     assert merged.co == {w3.id: exeff.CoVarRef(w)}
 
@@ -163,17 +171,16 @@ def test_let_schemes_repeat_no_qualifier(corpus_paths):
 
 
 def test_split_env_keeps_variable_free():
-    sig = tick_tock_signature()
-    session = infer.Session(sig)
+    session = infer.Session(tick_tock_signature())
     sup = session.supply
     sk = sup.skel()
-    a = session.fresh_ty(sk)
+    a = session.fresh_ty(sk)  # made outside the let, as its environment's variables are
+    session.level = 1
     a2 = session.fresh_ty(sk)
     w = sup.co()
     q = [infer.SkelAnn(a, sk), infer.SkelAnn(a2, sk), infer.SubCt(w, TySub(a, a2))]
-    xv = sup.term("x")
-    env = {xv.id: (xv, a)}  # the environment mentions a
-    gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split(env, q, a2)
+    session.level = 0
+    gen_skel, ty_binders, gen_dirt, generalized, floated, _ = infer.split(session, q, a2)
     assert [v for v, _ in ty_binders] == [a2]
     # The constraint still generalizes: its free variables are not all in the env.
     assert [wv for wv, _ in generalized] == [w]
@@ -384,7 +391,10 @@ def test_a_pending_coercion_variable_is_never_substituted():
 
 def test_split_needs_an_annotation_for_each_generalized_type_variable():
     with pytest.raises(SolveError, match="^generalized type variable a0 lacks a skeleton annotation$"):
-        infer.split({}, [], TyVar(0))
+        session = _let_value_session(tick_tock_signature())
+        a = session.supply.ty()
+        session.level = 0
+        infer.split(session, [], a)
 
 
 def test_collapse_rejects_a_re_solve_that_binds_another_variable(monkeypatch):
@@ -501,7 +511,7 @@ def test_split_postconditions_extensionally_random():
     rng = _random.Random(31)
     sig = make_signature()
     for _ in range(60):
-        session = infer.Session(sig)
+        session = _let_value_session(sig)
         sup = session.supply
         sks = [sup.skel() for _ in range(3)]
         tys = [session.fresh_ty(rng.choice(sks)) for _ in range(4)]
@@ -517,16 +527,15 @@ def test_split_postconditions_extensionally_random():
                 d1, d2 = rng.sample(dirts, 2)
                 q.append(infer.SubCt(w, DirtSub(dirt_var(d1), dirt_var(d2))))
         a_res = rng.choice(tys)
-        env = {}
-        if rng.random() < 0.5:
-            xv = sup.term("x")
-            env = {xv.id: (xv, rng.choice(tys))}
-        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = infer.split(env, q, a_res)
         env_ty = set()
         env_dirt = set()
-        for _, (_, sch) in env.items():
-            env_ty |= {v.id for v in free_vars(sch, TyVar)}
-            env_dirt |= {v.id for v in free_vars(sch, DirtVar)}
+        if rng.random() < 0.5:
+            # The let's environment mentions one of the variables.
+            in_env = rng.choice(tys)
+            env_ty = {in_env.id}
+            session.levels["ty", in_env.id] = 0
+        session.level = 0
+        gen_skel, ty_binders, gen_dirt, generalized, floated, merged = infer.split(session, q, a_res)
         # Direct evaluation of the set formulas.
         q_ty = {it.var.id for it in q if isinstance(it, infer.SkelAnn)}
         for it in q:

@@ -86,10 +86,11 @@ def test_observations_unwrap_returns_and_need_a_ground_result():
 
 
 def test_the_harness_reports_a_non_result_that_cannot_step(monkeypatch):
-    monkeypatch.setattr(exeff, "step_comp", lambda term: None)
-    report = pipeline.differential_check_text("do x <- return unit in return x")
+    steps = [exeff.step_comp]  # the first step is taken, the second is not
+    monkeypatch.setattr(exeff, "step_comp", lambda term: steps.pop()(term) if steps else None)
+    report = pipeline.differential_check_text("do x <- return unit in do y <- return x in return y")
     assert not report.agreement
-    assert report.failure == "metatheory: well-typed non-result failed to step"
+    assert report.failure == "metatheory: step 2: well-typed non-result failed to step"
 
 
 def test_compile_reports_polymorphic_scheme():

@@ -186,7 +186,9 @@ def test_a_variable_in_the_environment_keeps_its_qualifier():
 
 
 def _session_vars(n: int):
+    """A session and n variables made in the value of a let at level 0."""
     session = infer.Session(make_signature())
+    session.level = 1
     sk = session.supply.skel()
     tys = [session.fresh_ty(sk) for _ in range(n)]
     return session, [infer.SkelAnn(a, sk) for a in tys], tys
@@ -195,6 +197,15 @@ def _session_vars(n: int):
 def _sub(session, lhs, rhs):
     ct = TySub(lhs, rhs) if isinstance(lhs, TyVar) else DirtSub(lhs, rhs)
     return infer.SubCt(session.supply.co(), ct)
+
+
+def _collapse(session, a, Q):
+    """`infer.collapse` at the let whose value made the session's variables."""
+    session.level -= 1
+    try:
+        return infer.collapse(session, exeff.Subst(), a, Q)
+    finally:
+        session.level += 1
 
 
 def _arrow(*tys):
@@ -207,11 +218,11 @@ def _arrow(*tys):
 def test_a_variable_with_two_lower_bounds_keeps_its_qualifiers():
     session, anns, (lo1, lo2, v, hi) = _session_vars(4)
     lower = [_sub(session, lo1, v), _sub(session, lo2, v)]
-    s, rest = infer.collapse(session, exeff.Subst(), {}, _arrow(lo1, lo2, hi), anns + lower)
+    s, rest = _collapse(session, _arrow(lo1, lo2, hi), anns + lower)
     assert s.is_empty() and rest == anns + lower
     # One upper bound as well: v becomes it, and the two lower bounds move.
     upper = _sub(session, v, hi)
-    s, rest = infer.collapse(session, exeff.Subst(), {}, _arrow(lo1, lo2, hi), anns + lower + [upper])
+    s, rest = _collapse(session, _arrow(lo1, lo2, hi), anns + lower + [upper])
     assert s.ty == {v.id: hi} and s.co == {upper.co.id: exeff.CoTyRefl(hi)}
     assert [it.constraint for it in rest if isinstance(it, infer.SubCt)] == [TySub(lo1, hi), TySub(lo2, hi)]
     assert v not in [it.var for it in rest if isinstance(it, infer.SkelAnn)]
@@ -220,11 +231,11 @@ def test_a_variable_with_two_lower_bounds_keeps_its_qualifiers():
 def test_a_variable_nested_in_a_constraint_keeps_its_qualifiers():
     session, anns, (lo, v, f) = _session_vars(3)
     nested = [_sub(session, lo, v), _sub(session, f, _arrow(v, lo))]
-    s, rest = infer.collapse(session, exeff.Subst(), {}, _arrow(lo, f, lo), anns + nested)
+    s, rest = _collapse(session, _arrow(lo, f, lo), anns + nested)
     assert s.is_empty() and rest == anns + nested
     # A dirt variable as the tail of a dirt with operations.
     d_lo, d, d_hi = (session.supply.dirt() for _ in range(3))
     nested = [_sub(session, dirt_var(d_lo), dirt_var(d)), _sub(session, dirt_var(d_hi), dirt(["Tick"], d))]
     ty = TArrow(lo, CompType(lo, dirt_var(d_lo)))
-    s, rest = infer.collapse(session, exeff.Subst(), {}, TArrow(ty, CompType(lo, dirt_var(d_hi))), nested)
+    s, rest = _collapse(session, TArrow(ty, CompType(lo, dirt_var(d_hi))), nested)
     assert s.is_empty() and rest == nested

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from effc import exeff, lex, pipeline, source
+from effc import cli, exeff, lex, pipeline, source
 from effc.core import (
     Base,
     CompType,
@@ -28,6 +28,7 @@ from effc.core import (
 )
 from effc.traverse import alpha_eq
 from gen_helpers import random_program
+from source_printer import show_program, show_src_type
 
 T_UNIT = TBase(Base.UNIT)
 SK_UNIT = SkelBase(Base.UNIT)
@@ -115,6 +116,38 @@ def test_parse_errors_name_the_position_and_what_was_expected(name):
     with pytest.raises(ParseError) as e:
         source.parse_program(text)
     assert str(e.value) == message
+
+
+# Each position where a program binds a variable, with `{w}` for its name.
+BINDERS = {
+    "let": "let {w} = unit in return unit",
+    "fun": "return (fun {w} -> return unit)",
+    "do": "do {w} <- return unit in return unit",
+    "return-clause": "with handler {{ return {w} -> return unit }} handle (return unit)",
+    "op-parameter": "effect E : Unit -> Unit\nwith handler {{ return x -> return x, E {w} k -> k unit }} handle (E unit)",
+    "op-continuation": "effect E : Unit -> Unit\nwith handler {{ return x -> return x, E p {w} -> return p }} handle (E unit)",
+}
+
+
+@pytest.mark.parametrize("word", ["effect", "in"])
+@pytest.mark.parametrize("position", list(BINDERS))
+def test_a_reserved_word_names_no_variable(position, word):
+    template = BINDERS[position]
+    at = template.format(w="\0").index("\0")
+    line = template.count("\n", 0, at) + 1
+    col = at - template.rfind("\n", 0, at)
+    with pytest.raises(ParseError) as e:
+        source.parse_program(template.format(w=word))
+    assert str(e.value) == f"{line}:{col}: expected a variable name, found reserved word {word!r}"
+    source.parse_program(template.format(w="v"))
+
+
+def test_a_keyword_binder_is_rejected_input(tmp_path, capsys):
+    # `effect` used to bind, but then could not be passed as an argument.
+    path = tmp_path / "effect.eff"
+    path.write_text("let f = fun x -> return x in let effect = unit in f effect\n")
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == "error: 1:34: expected a variable name, found reserved word 'effect'\n"
 
 
 # -- well-formedness ----------------------------------------------------------
@@ -210,10 +243,10 @@ def test_parse_print_parse_roundtrip_random():
     rng = random.Random(7)
     for _ in range(60):
         sig, comp = random_program(rng, depth=3)
-        text = source.show_program(sig, comp)
+        text = show_program(sig, comp)
         sig2, comp2 = source.parse_program(text)
         assert alpha_eq(comp, comp2)
-        text2 = source.show_program(sig2, comp2)
+        text2 = show_program(sig2, comp2)
         sig3, comp3 = source.parse_program(text2)
         assert alpha_eq(comp2, comp3)
 
@@ -322,7 +355,7 @@ def test_comments_and_handler_types_in_effect_declarations():
     pure_unit = CompType(T_UNIT, EMPTY_DIRT)
     assert sig.lookup("GetH").param == T_UNIT
     assert sig.lookup("GetH").result == THandler(pure_unit, pure_unit)
-    assert source.show_src_type(sig.lookup("GetH").result) == "(Unit => Unit)"
+    assert show_src_type(sig.lookup("GetH").result) == "(Unit => Unit)"
     report = pipeline.differential_check_text(HANDLER_RESULT_PROGRAM)
     assert report.agreement, report.failure
     assert {b: str(o) for b, o in report.observations.items()} == dict.fromkeys(
