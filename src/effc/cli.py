@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 rejected input (unreadable file, lexical, parse or
-type error), 2 runtime or fuel failure, 3 metatheory violation, 4 internal
-error or input too deep.
+type error, or a usage error such as an unknown stage or a --fuel that is
+not a whole number), 2 runtime or fuel failure, 3 metatheory violation, 4
+internal error or input too deep.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import display, infer, pipeline, source
+from . import display, infer, pipeline
 from .core import EffError, FuelExhausted, StuckTerm
+from .traverse import substitute
 
 
 def _read(path: str) -> str:
@@ -29,12 +31,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    sig, comp = source.parse_program(_read(args.file))
-    source.check_signature(sig)
+    outcome = pipeline.infer_text(_read(args.file))
     if args.defaulted:
-        cty, _, outcome = infer.infer_and_default(sig, comp)
-    else:
-        outcome = infer.infer_top(sig, comp)
+        cty = substitute(infer.default_residual(outcome), outcome.cty)
     print(f"type: {display.show(display.canonicalize(outcome.cty))}")
     for name, scheme in outcome.session.let_schemes:
         print(f"let {name} : {display.show(display.canonicalize(scheme))}")
@@ -53,9 +52,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    stage = args.stage if args.stage != "constraints" else "exeff"
-    art = pipeline.compile_text(_read(args.file), stage)
-    sys.stdout.write(pipeline.dump_stage(art, args.stage))
+    text = _read(args.file)
+    if args.stage == "constraints":
+        sys.stdout.write(pipeline.dump_constraints(pipeline.infer_text(text)))
+    else:
+        sys.stdout.write(pipeline.dump_stage(pipeline.compile_text(text, args.stage), args.stage))
     return 0
 
 
@@ -102,8 +103,28 @@ def _internal(e: Exception) -> str:
     return f"internal error: {type(e).__name__}: {e}"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, rejected input, since 2
+    is runtime or fuel failure; its subcommands' parsers are of this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _fuel(text: str) -> int:
+    """A --fuel value: a whole number of steps."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = -1
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number of steps, found {text!r}")
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="effc", description=__doc__)
+    p = _ArgumentParser(prog="effc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="parse, infer and typecheck through every backend")
@@ -118,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("run", help="evaluate on a chosen backend")
     c.add_argument("file")
     c.add_argument("--backend", choices=pipeline.BACKENDS, default="exeff")
-    c.add_argument("--fuel", type=int, default=100_000)
+    c.add_argument("--fuel", type=_fuel, default=100_000)
     c.add_argument("--trace", action="store_true")
     c.set_defaults(fn=cmd_run)
 
@@ -129,12 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("diff", help="differential check across all backends")
     c.add_argument("file")
-    c.add_argument("--fuel", type=int, default=100_000)
+    c.add_argument("--fuel", type=_fuel, default=100_000)
     c.set_defaults(fn=cmd_diff)
 
     c = sub.add_parser("corpus", help="differential-check every .eff program in a directory")
     c.add_argument("dir")
-    c.add_argument("--fuel", type=int, default=100_000)
+    c.add_argument("--fuel", type=_fuel, default=100_000)
     c.set_defaults(fn=cmd_corpus)
     return p
 

@@ -205,7 +205,11 @@ class SkelForall:
     body: "Skeleton"
 
 
-Skeleton = Union[SkelVar, SkelBase, SkelArrow, SkelHandler, SkelForall]
+# A syntactic category is the plain tuple of its node classes, as `isinstance`
+# takes it and the dump reader reads it.  It is no `typing.Union`: typing's
+# process-wide caches would keep every class of one import of effc alive
+# after the next import.
+Skeleton = (SkelVar, SkelBase, SkelArrow, SkelHandler, SkelForall)
 
 SKEL_UNIT = SkelBase(Base.UNIT)
 SKEL_INT = SkelBase(Base.INT)
@@ -299,7 +303,7 @@ class CompType:
     dirt: Dirt
 
 
-ValueType = Union[TyVar, TBase, TArrow, THandler, TForallSkel, TForallTy, TForallDirt, TQual]
+ValueType = (TyVar, TBase, TArrow, THandler, TForallSkel, TForallTy, TForallDirt, TQual)
 
 T_UNIT = TBase(Base.UNIT)
 T_INT = TBase(Base.INT)
@@ -328,7 +332,7 @@ class CompSub:
     rhs: CompType
 
 
-SimpleConstraint = Union[TySub, DirtSub]
+SimpleConstraint = (TySub, DirtSub)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ with an optional variable tail.
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import functools
 import re
+import sys
 from string import Formatter
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 from . import exeff, noeff
 from .core import (
@@ -58,7 +60,7 @@ from .core import (
     ValueType,
 )
 from .lex import TokenStream, int_literal, tokenize
-from .traverse import BIND, VAR_CLASSES, _annotation, _Table, rename, shape
+from .traverse import BIND, MANY, VAR_CLASSES, _annotation, _Table, rename, shape
 
 # ---------------------------------------------------------------------------
 # The notation
@@ -288,10 +290,11 @@ _PRINT.update(
 # annotation, or in the one a reader's `read_as` map puts in its place: a
 # variable, an atom (operation name, integer or base type), a tuple of
 # handler clauses, or a category of nodes (a class, such as `Dirt`, or a
-# Union, such as `Comp`).  A category's forms are keyed by the token
-# they start with: a literal, or the lexical class of a variable or atom.
-# A class key is written in angle brackets, so that no token's text is one
-# and a variable named `int` or `op` is not read as a literal or an atom.
+# tuple of classes, such as `Comp`).  A category's forms are keyed by the
+# token they start with: a literal, or the lexical class of a variable or
+# atom.  A class key is written in angle brackets, so that no token's text
+# is one and a variable named `int` or `op` is not read as a literal or an
+# atom.
 # Forms that start with a child are read by precedence climbing, over the
 # category and every category that leads one of its forms (a computation
 # can start with the value that heads an application).  A binder scopes over
@@ -328,6 +331,12 @@ def _starts(item, tok) -> bool:
 _ATOM_FIRST = {str: {"<op>"}, int: {"<int>"}, Base: {b.value for b in Base}}
 
 
+def _named(cls, name: str):
+    """What `name`, written in a field annotation of `cls`, names: a global
+    of the module of `cls` (a class or a category) or a builtin type."""
+    return vars(sys.modules[cls.__module__]).get(name) or getattr(builtins, name)
+
+
 class _Field:
     """One field of a template: its category and the tokens it starts with."""
 
@@ -340,9 +349,8 @@ class _Field:
             self.kind, self.first = "var", {_VAR_KEY[hint]}
         elif hint in _ATOM_FIRST:
             self.kind, self.first = "atom", _ATOM_FIRST[hint]
-        elif get_origin(hint) is tuple:
+        elif f.role == MANY:
             self.kind, self.first = "many", {","}
-            self.cat = get_args(hint)[0]
         else:
             self.kind, self.first = "node", None  # set by `_grammar`
 
@@ -354,15 +362,17 @@ class _Form:
     def __init__(self, cls, read_as: dict):
         self.cls = cls
         self.level, template = NOTATION[cls]
-        hints = get_type_hints(cls)
         anns = {f.name: _annotation(f) for f in dataclasses.fields(cls)}
         fields = {f.name: f for f in shape(cls).fields}
         self.items = []
         for lit, name, prec in _template(template):
             self.items += [t.text for t in tokenize(lit)[:-1]]
             if name is not None:
-                hint = read_as.get(hints[name], hints[name])
-                self.items.append(_Field(fields[name], hint, anns[name], prec, hint is not hints[name]))
+                ann = anns[name]
+                # A tuple field's category is that of its elements.
+                named = _named(cls, ann[len("tuple[") : -len(", ...]")] if fields[name].role == MANY else ann)
+                hint = read_as.get(named, named)
+                self.items.append(_Field(fields[name], hint, ann, prec, hint is not named))
         lead = self.items[0]
         self.lead = lead if type(lead) is _Field and lead.kind == "node" else None
         self.rest = self.items[1:]
@@ -421,7 +431,7 @@ class _Category:
 
     def __init__(self, cat, name: str, forms: dict):
         self.cat, self.name = cat, name
-        self.members = get_args(cat) if get_origin(cat) is Union else (cat,)
+        self.members = cat if type(cat) is tuple else (cat,)
         self.own_prefix: dict = {}
         self.own_led: list = []
         binders = {}

@@ -27,6 +27,7 @@ from .core import (
     DirtVar,
     EMPTY_DIRT,
     Signature,
+    SimpleConstraint,
     SkelVar,
     Skeleton,
     T_BASE,
@@ -140,10 +141,10 @@ class CoComp:
     refl_kids = ("dirt", "val")
 
 
-Coercion = Union[
+Coercion = (
     CoVarRef, CoBaseRefl, CoTyRefl, CoDirtRefl, CoArrow, CoHandler,
     CoEmpty, CoOpUnion, CoComp,
-]
+)
 
 
 def is_refl(co) -> bool:
@@ -246,7 +247,7 @@ class EDirtApp:
 @node
 class ECoAbs:
     var: CoVar
-    constraint: Union[TySub, DirtSub]
+    constraint: SimpleConstraint
     body: "Value"
 
 
@@ -262,10 +263,10 @@ class ECast:
     co: Coercion
 
 
-Value = Union[
+Value = (
     EVar, EUnit, EInt, EAbs, EHandler, ESkelAbs, ESkelApp, ETyAbs, ETyApp,
     EDirtAbs, EDirtApp, ECoAbs, ECoApp, ECast,
-]
+)
 
 
 @node
@@ -314,7 +315,7 @@ class CCast:
     co: Coercion
 
 
-Comp = Union[CReturn, COp, CDo, CHandle, CApp, CLet, CCast]
+Comp = (CReturn, COp, CDo, CHandle, CApp, CLet, CCast)
 
 
 # A cast whose coercion is reflexive has the type and the erasure of its

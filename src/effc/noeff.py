@@ -108,7 +108,7 @@ class NForall:
     body: "NType"
 
 
-NType = Union[TyVar, TBase, TArrow, NHandler, TQual, NComp, NForall]
+NType = (TyVar, TBase, TArrow, NHandler, TQual, NComp, NForall)
 
 
 @node
@@ -155,10 +155,10 @@ class NCoUnsafe:
     body: "NCoercion"
 
 
-NCoercion = Union[
+NCoercion = (
     CoVarRef, CoBaseRefl, NCoTyRefl, CoArrow, CoHandler, NCoHandToFun,
     NCoFunToHand, NCoQual, NCoComp, NCoReturn, NCoUnsafe,
-]
+)
 
 
 @node
@@ -172,10 +172,10 @@ class MReturn:
     term: "NTerm"
 
 
-NTerm = Union[
+NTerm = (
     EVar, EUnit, EInt, EAbs, CApp, MTyAbs, ETyApp, ECoAbs, ECoApp, ECast,
     MReturn, EHandler, CLet, COp, CDo, CHandle,
-]
+)
 
 
 # ---------------------------------------------------------------------------

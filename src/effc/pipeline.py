@@ -33,8 +33,11 @@ BACKENDS = ("exeff", "skeleff", "noeff")
 
 @dataclass
 class PipelineArtifacts:
+    """What `compile_text` keeps: the signature, the computation type and the
+    checked term of each stage.  The inference record that produced them is
+    freed on return; `infer_text` gives it."""
+
     source_sig: Signature
-    inferred: Optional[infer.InferOutcome] = None
     cty: Optional[CompType] = None
     exeff_term: Optional[object] = None
     skeleff_term: Optional[object] = None
@@ -68,8 +71,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     source.check_signature(sig)
     art = PipelineArtifacts(sig)
 
-    cty, term, outcome = infer.infer_and_default(sig, comp)
-    art.inferred = outcome
+    cty, term, _ = infer.infer_and_default(sig, comp)
     art.cty = cty
     derived = exeff.derive(Context(sig), term)
     if not alpha_eq(derived.of(term), cty):
@@ -94,6 +96,15 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
         summarize(nterm)
         art.noeff_term = nterm
     return art
+
+
+def infer_text(text: str) -> infer.InferOutcome:
+    """Parse `text`, check its signature and infer its main computation: the
+    record of inference (constraints, solution, let schemes) that `effc infer`
+    and `dump --stage constraints` read."""
+    sig, comp = source.parse_program(text)
+    source.check_signature(sig)
+    return infer.infer_top(sig, comp)
 
 
 def compile_path(path: str, stage: str = "noeff") -> PipelineArtifacts:
@@ -269,8 +280,6 @@ def dump_constraints(outcome: infer.InferOutcome) -> str:
 
 
 def dump_stage(art: PipelineArtifacts, stage: str) -> str:
-    if stage == "constraints":
-        return dump_constraints(art.inferred)
     if stage not in _RUNNERS:
         raise ValueError(f"unknown dump stage {stage!r}")
     return display.show(display.canonicalize(getattr(art, _RUNNERS[stage][0]))) + "\n"

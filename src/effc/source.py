@@ -8,7 +8,7 @@ time, so substitution and alpha-equality never have to rename.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Optional, Union
+from typing import Optional
 
 from . import exeff
 from .core import (
@@ -79,7 +79,7 @@ class SrcHandler:
     scope = "ret_body"  # the return binder does not reach the operation clauses
 
 
-SrcValue = Union[SrcVar, SrcUnit, SrcInt, SrcFun, SrcHandler]
+SrcValue = (SrcVar, SrcUnit, SrcInt, SrcFun, SrcHandler)
 
 
 @node
@@ -127,7 +127,7 @@ class SrcLet:
     span: Optional[Span] = field(default=None, compare=False)
 
 
-SrcComp = Union[SrcReturn, SrcOpCall, SrcDo, SrcHandle, SrcApp, SrcLet]
+SrcComp = (SrcReturn, SrcOpCall, SrcDo, SrcHandle, SrcApp, SrcLet)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ class _Parser:
                     self.ts.next()
                     return c, close
                 c = self._apply(c, close, scope, t.span)
-        elif t.kind == "int" or (t.kind == "ident" and t.text not in _COMP_KEYWORDS + ("in", "handle")):
+        elif self._at_value_start():
             fn = self.parse_value(scope)
             if self.ts.at_sym(")"):
                 return fn, self.ts.next()
@@ -346,7 +346,7 @@ class _Parser:
         if self.ts.at_word("handler"):
             self.ts.next()
             return self.parse_handler(scope, t.span)
-        if t.kind == "ident" and t.text not in _COMP_KEYWORDS + ("in", "handle"):
+        if t.kind == "ident" and t.text not in _RESERVED:
             self.ts.next()
             if t.text not in scope:
                 raise UnboundVariable(f"unbound variable {t.text}", t.span)

@@ -85,7 +85,7 @@ _VARS = {cls.__name__: cls for cls in VAR_CLASSES}
 _VARS["Optional[DirtVar]"] = DirtVar
 _TERMS = {"Value", "Comp", "NTerm", "SrcValue", "SrcComp"}
 _TYPES = {
-    "Skeleton", "ValueType", "CompType", "Dirt", "SimpleConstraint", "Union[TySub, DirtSub]",
+    "Skeleton", "ValueType", "CompType", "Dirt", "SimpleConstraint",
     "Coercion", "NType", "TySub", "NCoercion", "object",
 }
 _ATOMS = {"str", "int", "Base", "frozenset", "Optional[Span]"}

@@ -164,8 +164,7 @@ def test_let_schemes_repeat_no_qualifier(corpus_paths):
     # `twice` in p28 used to carry [d0 <= d1] twice.  Every program still
     # re-typechecks with the repeats merged.
     for name, text in program_texts(corpus_paths):
-        art = pipeline.compile_text(text, "noeff")
-        for _, scheme in art.inferred.session.let_schemes:
+        for _, scheme in pipeline.infer_text(text).session.let_schemes:
             cts = qualifiers(scheme)
             assert len(cts) == len(set(cts)), name
 

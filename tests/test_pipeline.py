@@ -94,8 +94,7 @@ def test_the_harness_reports_a_non_result_that_cannot_step(monkeypatch):
 
 
 def test_compile_reports_polymorphic_scheme():
-    art = pipeline.compile_path(str(CORPUS / "p06_running_f_id.eff"), "exeff")
-    schemes = art.inferred.session.let_schemes
+    schemes = pipeline.infer_text((CORPUS / "p06_running_f_id.eff").read_text()).session.let_schemes
     assert len(schemes) == 1
     from paper_examples import RunningExample
     from effc.traverse import alpha_eq
@@ -189,11 +188,12 @@ def generated_dump_digests(corpus_paths, count: int = 300) -> dict:
     out = {}
     for name, text in program_texts(corpus_paths, count):
         art = pipeline.compile_text(text, "noeff")
-        stages = ("exeff", "noeff", "skeleff", "constraints")
-        dumps = {stage: pipeline.dump_stage(art, stage) for stage in stages}
+        dumps = {stage: pipeline.dump_stage(art, stage) for stage in ("exeff", "noeff", "skeleff")}
+        outcome = pipeline.infer_text(text)
+        dumps["constraints"] = pipeline.dump_constraints(outcome)
         dumps["schemes"] = "".join(
             f"let {var} : {display.show(display.canonicalize(scheme))}\n"
-            for var, scheme in art.inferred.session.let_schemes
+            for var, scheme in outcome.session.let_schemes
         )
         for stage, dump in dumps.items():
             out[name, stage] = hashlib.sha256(dump.encode()).hexdigest()
@@ -403,6 +403,42 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err == "internal error: ValueError: boom\n"
 
 
+def test_cli_usage_errors_are_rejected_input(capsys, tmp_path):
+    # argparse's own exit code, 2, is that of runtime and fuel failure.
+    unit = str(CORPUS / "p01_return_unit.eff")
+    one_step = tmp_path / "one_step.eff"
+    one_step.write_text("do x <- return unit in return x\n")
+    cases = [
+        (("dump", unit, "--stage", "bogus"), "effc dump: error: argument --stage: invalid choice: 'bogus'"),
+        (("run", unit, "--fuel", "abc"), "effc run: error: argument --fuel: expected a whole number of steps, found 'abc'"),
+        (("run", str(one_step), "--fuel", "-1"), "effc run: error: argument --fuel: expected a whole number of steps, found '-1'"),
+        (("run", unit, "--fuel", "-5"), "effc run: error: argument --fuel: expected a whole number of steps, found '-5'"),
+        (("diff", unit, "--fuel=-1"), "effc diff: error: argument --fuel: expected a whole number of steps, found '-1'"),
+        (("corpus", str(CORPUS), "--fuel", "1.5"), "effc corpus: error: argument --fuel: expected a whole number of steps, found '1.5'"),
+        (("bogus",), "effc: error: argument command: invalid choice: 'bogus'"),
+        ((), "effc: error: the following arguments are required: command"),
+    ]
+    for args, message in cases:
+        with pytest.raises(SystemExit) as e:
+            run_cli(*args)
+        assert e.value.code == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and message in err, args
+    # Zero fuel is fuel: a result in no steps, and fuel exhaustion after them.
+    assert run_cli("run", unit, "--fuel", "0") == 0
+    assert capsys.readouterr().out == "return unit (0 steps)\n"
+    assert run_cli("run", str(one_step), "--fuel", "0") == 2
+    assert capsys.readouterr().err == "error: evaluation exceeded 0 steps\n"
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "effc.cli", "dump", unit, "--stage", "bogus"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 1 and "invalid choice: 'bogus'" in proc.stderr
+
+
 def test_cli_input_too_deep(capsys, tmp_path):
     # Input nested past the recursion limit: exit 4, one line, no traceback.
     # A test of its own, because the RecursionError switches a `sys.settrace`
@@ -506,6 +542,22 @@ def test_cli_dump_stages(capsys):
     for stage in ("constraints", "exeff", "skeleff", "noeff"):
         assert run_cli("dump", str(CORPUS / "p10_handle_ret_only.eff"), "--stage", stage) == 0
         assert capsys.readouterr().out.strip()
+
+
+def test_constraint_dumps_come_from_infer_text(corpus_paths, capsys):
+    # A compiled artefact keeps no inference record: `dump --stage
+    # constraints` reads `infer_text`, as `effc infer` does, and rejects the
+    # ill-typed programs with the same code.
+    for path in corpus_paths:
+        assert run_cli("dump", str(path), "--stage", "constraints") == 0
+        want = pipeline.dump_constraints(pipeline.infer_text(path.read_text()))
+        assert capsys.readouterr().out == want, path.name
+    for path in sorted(CORPUS_BAD.glob("*.eff")):
+        for args in (("dump", str(path), "--stage", "constraints"), ("infer", str(path))):
+            assert run_cli(*args) == 1, args
+            assert capsys.readouterr().err.startswith("error: "), args
+    with pytest.raises(ValueError, match="unknown dump stage 'constraints'"):
+        pipeline.dump_stage(pipeline.compile_text("return unit"), "constraints")
 
 
 def test_cli_corpus(capsys):

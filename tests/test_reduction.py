@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import sys
-import typing
 
 import pytest
 
@@ -20,10 +19,10 @@ from test_solver import handler_chain, nested_handlers
 CALCULI = {
     "exeff": (
         exeff.REDUCTION,
-        typing.get_args(exeff.Value) + typing.get_args(exeff.Comp) + (exeff.OpClause,),
+        exeff.Value + exeff.Comp + (exeff.OpClause,),
     ),
     "skeleff": (skeleff.REDUCTION, skeleff.FORMS),
-    "noeff": (noeff.REDUCTION, typing.get_args(noeff.NTerm) + (exeff.OpClause,)),
+    "noeff": (noeff.REDUCTION, noeff.NTerm + (exeff.OpClause,)),
 }
 
 # Per backend: the artefact field holding the term it evaluates.

@@ -2,7 +2,6 @@
 
 import dataclasses
 import random
-import typing
 from functools import partial
 
 import pytest
@@ -67,7 +66,7 @@ def test_erase_drops_casts():
 
 
 # What a SkelEff term may hold: its forms, skeletons and term variables.
-FRAGMENT = skeleff.FORMS + typing.get_args(Skeleton) + (TermVar,)
+FRAGMENT = skeleff.FORMS + Skeleton + (TermVar,)
 
 
 def _outside_fragment(t) -> list:

@@ -67,10 +67,14 @@ PINNED = [("nested-handlers", nested_handlers, 6), ("handler-chain", handler_cha
 def _pinned_dumps() -> str:
     out = []
     for name, family, n in PINNED:
-        art = pipeline.compile_text(family(n), "exeff")
-        for stage in ("constraints", "exeff"):
+        text = family(n)
+        dumps = {
+            "constraints": pipeline.dump_constraints(pipeline.infer_text(text)),
+            "exeff": pipeline.dump_stage(pipeline.compile_text(text, "exeff"), "exeff"),
+        }
+        for stage, dump in dumps.items():
             out.append(f"=== {name} n={n} --stage {stage} ===\n")
-            out.append(pipeline.dump_stage(art, stage))
+            out.append(dump)
     return "".join(out)
 
 

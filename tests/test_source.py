@@ -142,6 +142,26 @@ def test_a_reserved_word_names_no_variable(position, word):
     source.parse_program(template.format(w="v"))
 
 
+# Each position where a program reads a value, with `{w}` for it.
+VALUES = {
+    "return": "return {w}",
+    "parenthesized": "return ({w})",
+    "handler": "with {w} handle return unit",
+}
+
+
+@pytest.mark.parametrize("word", ["effect", "in", "handle"])
+@pytest.mark.parametrize("position", list(VALUES))
+def test_a_reserved_word_is_no_value(position, word):
+    # `effect` used to read as an unbound variable here.
+    template = VALUES[position]
+    col = template.index("{w}") + 1
+    with pytest.raises(ParseError) as e:
+        source.parse_program(template.format(w=word))
+    assert str(e.value) == f"1:{col}: expected a value, found {word!r}"
+    source.parse_program(template.format(w="unit"))
+
+
 def test_a_keyword_binder_is_rejected_input(tmp_path, capsys):
     # `effect` used to bind, but then could not be passed as an argument.
     path = tmp_path / "effect.eff"
