@@ -34,6 +34,7 @@ from .core import (
     Base,
     CompSub,
     CompType,
+    Context,
     CoVar,
     Dirt,
     DirtSub,
@@ -509,9 +510,6 @@ def _grammar(read_as: tuple) -> dict:
     return cats
 
 
-_FRESH = {SkelVar: Supply.skel, TyVar: Supply.ty, DirtVar: Supply.dirt, CoVar: Supply.co}
-
-
 class _Reader:
     def __init__(self, text: str, read_as: tuple):
         self.ts = TokenStream(tokenize(text))
@@ -597,7 +595,7 @@ class _Reader:
         names[item.name] = tok.text
         if item.cat is TermVar:
             return self.supply.term(tok.text)
-        return _FRESH[item.cat](self.supply)
+        return getattr(self.supply, Context.SORTS[item.cat])()
 
     def var_token(self, sort):
         if _kind(self.ts.peek()) != _VAR_KEY[sort]:

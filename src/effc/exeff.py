@@ -468,14 +468,11 @@ class Single(Subst):
 
     def __init__(self, v, repl):
         super().__init__()
-        getattr(self, _SORT_MAPS[type(v)])[v.id] = repl
+        getattr(self, Context.SORTS[type(v)])[v.id] = repl
         self.mask = var_bit(v)
         self.keep = ~self.mask
         self.rvars = type_bits(repl)
         self.drops = 0
-
-
-_SORT_MAPS = {SkelVar: "skel", TyVar: "ty", DirtVar: "dirt", CoVar: "co"}
 
 
 @subst_hook(Dirt)

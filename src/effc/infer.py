@@ -2,14 +2,16 @@
 
 Constraint generation walks the implicitly-typed source term, threading a
 queue of skeleton equalities, skeleton annotations and subtyping constraints,
-and producing the explicitly-typed core term as it goes.  Each let solves its
-bound value's constraints, composes the solution into the session's, and
+and producing the explicitly-typed core term as it goes.  An inference run
+keeps one solution, in its `Session`, into which every solve binds and
+records.  Each let solves its bound value's constraints, collapses them, and
 splits the residual constraints into a generalized and a floated part; its
-scheme is the value's quantified ExEff type.  The variables that generalize
-are those deeper than the let (see `Session`), so no let scans its
-environment.  Generation threads no substitution: what it built before a let,
-environment entries included, may mention variables the let solved, and the
-session's solution is applied where that is read.
+scheme is the value's quantified ExEff type, and its bound value takes what
+the let bound and recorded.  The variables that generalize are those deeper
+than the let (see `Session`), so no let scans its environment.  Generation
+threads no substitution: what it built before a let, environment entries
+included, may mention variables the let solved, and the session's solution is
+applied where that is read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional
 from . import display, exeff, source
 from .core import (
     CompType,
+    Context,
     CoVar,
     Dirt,
     DirtSub,
@@ -105,12 +108,27 @@ def subst_item(s: Subst, item):
 # Inference session
 
 
+# The classes of the variables that a solution of each sort can mention.
+_MENTIONS = {"skel": (SkelVar,), "ty": (TyVar, DirtVar), "dirt": (DirtVar,)}
+
+
 class Session:
     """One inference run: owns the supply of fresh skeleton, type, dirt and
     coercion variables (term variables are the parser's: elaboration reuses
-    the source binders), the skeleton annotations and `solved`, the
-    solutions of the lets solved so far, composed in the order they were
-    solved.
+    the source binders), the skeleton annotations, and `solved`, the one
+    solution of the run, into which every solve binds and records.  Two
+    invariants keep the cost of a binding independent of the work already
+    done:
+
+    1. The skeleton, type and dirt solutions are each already applied to the
+       others, so no solution mentions a solved variable.  `_uses` indexes,
+       per variable, the solutions that mention it: binding the variable
+       rewrites those and no other.
+    2. Each coercion solution is kept as recorded.  It names only coercion
+       variables made in the same step, which are solved later or stay
+       pending, so `settle` substitutes those recorded since a mark in one
+       backward walk.  `order` lists the variables bound and recorded, in
+       order; a mark is a position in it.
 
     `levels` gives each type and dirt variable, keyed ("ty" | "dirt", id),
     its let level: `level` when it was made, which is the number of lets
@@ -129,7 +147,8 @@ class Session:
         self.ann: dict = {}  # type-variable id -> current skeleton annotation
         self._ann_uses: dict = {}  # skeleton-variable id -> {type-variable id: None}
         self.solved = Subst()
-        self._solved_uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
+        self._uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
+        self.order: list = []  # (sort, id) of each variable bound or recorded in `solved`
         self.let_schemes: list = []  # (name, quantified value type) in elaboration order
 
     @property
@@ -150,52 +169,59 @@ class Session:
         for sv in free_vars(skel, SkelVar):
             self._ann_uses.setdefault(sv.id, {})[vid] = None
 
-    def apply_subst_to_ann(self, s: Subst) -> None:
-        """Apply `s` to the annotations that mention its skeleton variables."""
+    def bind(self, s: Subst) -> None:
+        """Bind the skeleton, type and dirt variables of `s` in `solved`,
+        rewrite the solutions and annotations that mention them, and lower
+        the levels of the variables their solutions mention.  No variable
+        the solver sees is deeper than the current level: it makes fresh
+        ones there, and a let's value keeps none deeper that its own lets
+        did not generalize.  So only a variable bound at a shallower level
+        lowers any."""
+        solved, levels = self.solved, self.levels
+        for sort, mentionable in _MENTIONS.items():
+            solutions = getattr(solved, sort)
+            for vid, val in getattr(s, sort).items():
+                if vid in solutions:
+                    raise AssertionError(f"{sort} variable {vid} bound twice")
+                mentioned = [(Context.SORTS[m], v.id) for m in mentionable for v in free_vars(val, m)]
+                for owner, key in self._uses.pop((sort, vid), ()):
+                    owned = getattr(solved, owner)
+                    owned[key] = substitute(s, owned[key])
+                    self._index(mentioned, owner, key)
+                solutions[vid] = val
+                self.order.append((sort, vid))
+                self._index(mentioned, sort, vid)
+                if sort != "skel" and (level := levels[sort, vid]) < self.level:
+                    for m in mentioned:
+                        if levels[m] > level:
+                            levels[m] = level
         for sid, skel in s.skel.items():
             for vid in self._ann_uses.pop(sid, ()):
                 self.ann[vid] = substitute(s, self.ann[vid])
                 self._index_ann(skel, vid)
 
-    def compose(self, s: Subst) -> None:
-        """Compose a let's solution `s` into `solved`, which keeps the
-        solver's invariants 1 and 3 (see `_SolveState`): only the skeleton,
-        type and dirt solutions that mention a variable `s` binds are
-        rewritten, and coercion solutions are kept as recorded, for
-        `solution` to settle.  `s` binds no variable that `solved` binds."""
-        solved, uses = self.solved, self._solved_uses
-        owners: dict = {}
-        for sort in _MENTIONS:
-            for vid in getattr(s, sort):
-                owners.update(uses.pop((sort, vid), {}))
-        for sort, vid in owners:
-            solutions = getattr(solved, sort)
-            solutions[vid] = substitute(s, solutions[vid])
-            self._index_solved(sort, vid, solutions[vid])
-        for sort in ("skel", "ty", "dirt", "co"):
-            solutions = getattr(solved, sort)
-            for vid, val in getattr(s, sort).items():
-                if vid in solutions:
-                    raise AssertionError(f"{sort} variable {vid} solved by two lets")
-                solutions[vid] = val
-                if sort != "co":
-                    self._index_solved(sort, vid, val)
+    def _index(self, mentioned, owner, key) -> None:
+        for var in mentioned:
+            self._uses.setdefault(var, {})[owner, key] = None
 
-    def _index_solved(self, sort: str, vid: int, val) -> None:
-        for m in _MENTIONS[sort]:
-            for v in free_vars(val, _SORT[m]):
-                self._solved_uses.setdefault((m, v.id), {})[sort, vid] = None
+    def record(self, w: CoVar, co) -> None:
+        """Keep `co` as the solution of the coercion variable `w`, as given;
+        `settle` substitutes it."""
+        if w.id in self.solved.co:
+            raise AssertionError(f"coercion variable w{w.id} solved twice")
+        self.solved.co[w.id] = co
+        self.order.append(("co", w.id))
 
-    def solution(self, s: Subst) -> Subst:
-        """`solved` then `s`, with every coercion solution fully substituted.
-        A let's coercion solution names no coercion variable that an earlier
-        let solved, only ones pending then, so one backward walk settles
-        them, as `_SolveState.resolved` does."""
-        lets = self.solved.co
-        out = Subst(self.solved.skel, self.solved.ty, self.solved.dirt).then(s)
-        out.co = {**dict.fromkeys(lets), **s.co}  # in recording order
-        for wid in reversed(lets):
-            out.co[wid] = substitute(out, lets[wid])
+    def settle(self, mark: int) -> Subst:
+        """Substitute `solved` into each coercion solution recorded since
+        `mark`, latest first; returns what was bound and recorded since."""
+        since, solved = self.order[mark:], self.solved
+        for sort, wid in reversed(since):
+            if sort == "co":
+                solved.co[wid] = substitute(solved, solved.co[wid])
+        out = Subst()
+        for sort, vid in since:
+            getattr(out, sort)[vid] = getattr(solved, sort)[vid]
         return out
 
 
@@ -331,29 +357,28 @@ def _collapsible(pinned, Q: list) -> Optional[tuple]:
     return None
 
 
-def collapse(session: Session, sigma: Subst, a: ValueType, Q: list) -> tuple:
+def collapse(session: Session, a: ValueType, Q: list) -> list:
     """Instantiate each variable that occurs only in constraints at its one bound.
 
     A variable deeper than the let at `session.level`, so not free in its
     environment, that does not occur in `a` and occurs in `Q` only as a
     whole side of subtyping constraints, with exactly one lower bound (or
-    else exactly one upper bound) is set to that bound.  The constraint the
-    bound came from closes by reflexivity, the variable's annotation goes,
-    and each constraint that mentions the variable is re-solved in its
-    place; the others are solved already.  The scheme generalized from the
-    result is equivalent to the one generalized from `Q`, by reflexivity
-    and transitivity of subtyping: the chain collapsing of Pottier,
+    else exactly one upper bound) is bound to that bound in the session.
+    The constraint the bound came from closes by reflexivity, recorded in
+    the session, the variable's annotation goes, and each constraint that
+    mentions the variable is re-solved in its place; the others are solved
+    already.  The scheme generalized from the result is equivalent to the
+    one generalized from `Q`, by reflexivity and transitivity of subtyping:
+    the chain collapsing of Pottier,
     *Simplifying subtyping constraints: a theory* (I&C 2001).  Re-solving
     residual constraints binds no further variable, so the environment and
-    `a` stay as they are.  Returns (`sigma` then the instantiations,
-    residual items).
+    `a` stay as they are.  Returns the residual items.
     """
     level, levels, in_a = session.level, session.levels, set(_keys(a))
-    s = Subst()
     while (pick := _collapsible(lambda key: key in in_a or levels[key] <= level, Q)) is not None:
-        key, bound = pick
-        sort, vid = key
+        (sort, vid), bound = pick
         step = Subst(**{sort: {vid: bound}})
+        session.bind(step)
         rest = []
         for it in Q:
             if sort == "ty" and isinstance(it, SkelAnn) and it.var.id == vid:
@@ -362,112 +387,53 @@ def collapse(session: Session, sigma: Subst, a: ValueType, Q: list) -> tuple:
             if new is it:
                 rest.append(it)  # solved already
             elif isinstance(new, SubCt) and new.constraint.lhs == new.constraint.rhs:
-                step.co[new.co.id] = refl_of(new.constraint.lhs)
+                session.record(new.co, refl_of(new.constraint.lhs))
             else:
-                s_item, residual = solve(session, Subst(), [new])
-                if s_item.skel or s_item.ty or s_item.dirt:
+                mark = len(session.order)
+                rest += solve(session, [new])[1]
+                if any(k != "co" for k, _ in session.order[mark:]):
                     raise AssertionError("re-solving a collapsed residual bound a variable")
-                step.co.update(s_item.co)  # no solution of `step` names a coercion variable
-                rest += residual
-        s = s.then(step)
         Q = rest
-    return (sigma if s.is_empty() else sigma.then(s)), Q
+    return Q
 
 
 # ---------------------------------------------------------------------------
 # The solver
 
 
-_SORT = {"skel": SkelVar, "ty": TyVar, "dirt": DirtVar}
-# The sorts of the variables that a solution of each sort can mention.
-_MENTIONS = {"skel": ("skel",), "ty": ("ty", "dirt"), "dirt": ("dirt",)}
-
-
 class _SolveState:
-    """Mutable solver state: the solutions so far, the processed items `P`
-    and the queue `Q`.  Three invariants keep the cost of a step independent
-    of the work already done:
-
-    1. `sigma` holds the skeleton, type and dirt solutions, each already
-       applied to the others, so no solution mentions a solved variable.
-       `uses` indexes, per variable, the solutions that mention it: binding
-       the variable rewrites those and no other.
-    2. Items are brought up to date when popped, not when a variable is
-       bound: a queued or processed item may mention variables solved since
-       it was queued, and `pop` applies `sigma` to it.  `P` holds the items
-       processed since the last binding, so they are up to date.
-    3. `co` is triangular: each coercion solution is kept as recorded.  It
-       names only coercion variables made in the same step, which are solved
-       later or stay pending, so `resolved` settles the map in one backward
-       walk.
-    """
+    """Mutable solver state: the processed items `P` and the queue `Q`.
+    Items are brought up to date when popped, not when a variable is bound:
+    a queued or processed item may mention variables solved since it was
+    queued, and `pop` applies the session's solution to it.  `P` holds the
+    items processed since the last binding, so they are up to date."""
 
     def __init__(self, session: Session, queue: list):
         self.session = session
-        self.sigma = Subst()
-        self.uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
-        self.co: dict = {}
         self.P: list = []
         self.Q = deque(queue)
 
     def pop(self):
-        return subst_item(self.sigma, self.Q.popleft())
+        return subst_item(self.session.solved, self.Q.popleft())
 
-    def record(self, w: CoVar, co) -> None:
-        """Keep `co` as the solution of the coercion variable `w`, as given;
-        `resolved` substitutes it."""
-        if w.id in self.co:
-            raise AssertionError(f"coercion variable w{w.id} solved twice")
-        self.co[w.id] = co
-
-    def apply_all(self, s: Subst) -> None:
-        """Compose a binding into sigma, lower the levels of the variables
-        it mentions, and re-enqueue the processed items.  No variable the
-        solver sees is deeper than the current level: it makes fresh ones
-        there, and a let's value keeps none deeper that its own lets did
-        not generalize.  So only a variable bound at a shallower level
-        lowers any."""
-        levels, supply = self.session.levels, self.session.supply
-        for sort, mentionable in _MENTIONS.items():
-            for vid, val in getattr(s, sort).items():
-                mentioned = [(m, v.id) for m in mentionable for v in free_vars(val, _SORT[m])]
-                for owner, key in self.uses.pop((sort, vid), ()):
-                    solved = getattr(self.sigma, owner)
-                    solved[key] = substitute(s, solved[key])
-                    self._index(mentioned, owner, key)
-                getattr(self.sigma, sort)[vid] = val
-                self._index(mentioned, sort, vid)
-                if sort != "skel" and (level := levels[sort, vid]) < supply.level:
-                    for m in mentioned:
-                        if levels[m] > level:
-                            levels[m] = level
-        self.session.apply_subst_to_ann(s)
+    def bind(self, s: Subst) -> None:
+        """Bind `s` in the session and re-enqueue the processed items."""
+        self.session.bind(s)
         self.Q.extend(self.P)
         self.P = []
-
-    def _index(self, mentioned, owner, key) -> None:
-        for var in mentioned:
-            self.uses.setdefault(var, {})[owner, key] = None
 
     def prepend(self, items) -> None:
         self.Q.extendleft(reversed(items))
 
-    def resolved(self) -> Subst:
-        """The solutions, with every coercion solution fully substituted."""
-        out = Subst(self.sigma.skel, self.sigma.ty, self.sigma.dirt)
-        for wid in reversed(self.co):
-            out.co[wid] = substitute(out, self.co[wid])
-        out.co = dict(reversed(out.co.items()))  # back in recording order
-        return out
 
+def solve(session: Session, queue: list) -> tuple:
+    """Process the constraint queue, binding and recording in the session's
+    solution; returns (that solution, residual items).
 
-def solve(session: Session, sigma: Subst, queue: list) -> tuple:
-    """Process the constraint queue; returns (substitution, residual items).
-
-    Queue discipline is FIFO; whenever a substitution can affect already
-    processed constraints, they are re-enqueued.  The state keeps the
-    invariants stated on `_SolveState`: solutions composed incrementally,
-    items substituted when popped, coercion solutions resolved once here.
+    Queue discipline is FIFO; whenever a binding can affect already
+    processed constraints, they are re-enqueued.  Items are substituted when
+    popped (see `_SolveState`), and coercion solutions are kept as recorded,
+    for `Session.settle`.
     """
     st = _SolveState(session, queue)
     while st.Q:
@@ -482,9 +448,7 @@ def solve(session: Session, sigma: Subst, queue: list) -> tuple:
             _solve_dirt_sub(st, item)
         else:
             raise TypeError(item)
-    residual = [subst_item(st.sigma, it) for it in st.P]
-    s = st.resolved()
-    return (s if sigma.is_empty() else sigma.then(s)), residual
+    return session.solved, [subst_item(session.solved, it) for it in st.P]
 
 
 def _occurs(v: SkelVar, s: Skeleton) -> bool:
@@ -498,12 +462,12 @@ def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
     if isinstance(t1, SkelVar):
         if _occurs(t1, t2):
             raise OccursCheck(f"occurs check: s{t1.id} in its own instantiation", item)
-        st.apply_all(Subst.one_skel(t1, t2))
+        st.bind(Subst.one_skel(t1, t2))
         return
     if isinstance(t2, SkelVar):
         if _occurs(t2, t1):
             raise OccursCheck(f"occurs check: s{t2.id} in its own instantiation", item)
-        st.apply_all(Subst.one_skel(t2, t1))
+        st.bind(Subst.one_skel(t2, t1))
         return
     if isinstance(t1, SkelBase) and isinstance(t2, SkelBase) and t1.base == t2.base:
         return
@@ -523,14 +487,14 @@ def _solve_skel_ann(st: _SolveState, item: SkelAnn) -> None:
         st.P.append(item)
         return
     if isinstance(sk, SkelBase):
-        st.apply_all(Subst.one_ty(a, T_BASE[sk.base]))
+        st.bind(Subst.one_ty(a, T_BASE[sk.base]))
         return
     if isinstance(sk, SkelArrow):
         a1 = session.fresh_ty(sk.dom)
         a2 = session.fresh_ty(sk.cod)
         d = session.supply.dirt()
         repl = TArrow(a1, CompType(a2, dirt_var(d)))
-        st.apply_all(Subst.one_ty(a, repl))
+        st.bind(Subst.one_ty(a, repl))
         st.prepend([SkelAnn(a1, sk.dom), SkelAnn(a2, sk.cod)])
         return
     if isinstance(sk, SkelHandler):
@@ -539,7 +503,7 @@ def _solve_skel_ann(st: _SolveState, item: SkelAnn) -> None:
         d1 = session.supply.dirt()
         d2 = session.supply.dirt()
         repl = THandler(CompType(a1, dirt_var(d1)), CompType(a2, dirt_var(d2)))
-        st.apply_all(Subst.one_ty(a, repl))
+        st.bind(Subst.one_ty(a, repl))
         st.prepend([SkelAnn(a1, sk.dom), SkelAnn(a2, sk.cod)])
         return
     raise SolveError(f"cannot instantiate a type variable at skeleton {display.show(sk)}", item)
@@ -550,7 +514,7 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
     ct: TySub = item.constraint
     a1, a2 = ct.lhs, ct.rhs
     if a1 == a2:
-        st.record(item.co, refl_of(a1))
+        session.record(item.co, refl_of(a1))
         return
     if isinstance(a1, TyVar):
         st.P.append(item)
@@ -564,7 +528,7 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
         w1 = session.supply.co()
         w2 = session.supply.co()
         w3 = session.supply.co()
-        st.record(item.co, exeff.CoArrow(CoVarRef(w1), CoComp(CoVarRef(w2), CoVarRef(w3))))
+        session.record(item.co, exeff.CoArrow(CoVarRef(w1), CoComp(CoVarRef(w2), CoVarRef(w3))))
         st.prepend(
             [
                 SubCt(w1, TySub(a2.dom, a1.dom), item.span),
@@ -579,7 +543,7 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
         w3 = session.supply.co()
         w4 = session.supply.co()
         cod = CoComp(CoVarRef(w3), CoVarRef(w4))
-        st.record(item.co, exeff.CoHandler(CoComp(CoVarRef(w1), CoVarRef(w2)), cod))
+        session.record(item.co, exeff.CoHandler(CoComp(CoVarRef(w1), CoVarRef(w2)), cod))
         st.prepend(
             [
                 SubCt(w1, TySub(a2.dom.val, a1.dom.val), item.span),
@@ -609,20 +573,20 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
 
     if not ops1 and t1 is None:
         # The empty dirt is below everything.
-        st.record(item.co, CoEmpty(d2))
+        session.record(item.co, CoEmpty(d2))
         return
     if t1 is not None and t2 is not None:
         if ops1:
             fresh = session.supply.dirt()
             w2 = session.supply.co()
             s = Subst.one_dirt(t2, Dirt(ops1 - ops2, fresh))
-            st.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
+            session.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
             new = SubCt(
                 w2,
                 DirtSub(exeff.subst_dirt(s, dirt_var(t1)), exeff.subst_dirt(s, d2)),
                 item.span,
             )
-            st.apply_all(s)
+            st.bind(s)
             st.prepend([new])
             return
         st.P.append(item)
@@ -630,8 +594,8 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
     if t1 is not None and t2 is None:
         if not ops1 and not ops2:
             # A dirt variable below the empty dirt has exactly one solution.
-            st.record(item.co, CoEmpty(EMPTY_DIRT))
-            st.apply_all(Subst.one_dirt(t1, EMPTY_DIRT))
+            session.record(item.co, CoEmpty(EMPTY_DIRT))
+            st.bind(Subst.one_dirt(t1, EMPTY_DIRT))
             return
         if not ops1 <= ops2:
             raise DirtClash(
@@ -642,14 +606,14 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
             )
         if ops1:
             w2 = session.supply.co()
-            st.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
+            session.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
             st.P.append(SubCt(w2, DirtSub(dirt_var(t1), d2), item.span))
         else:
             st.P.append(item)
         return
     if t1 is None and t2 is None:
         if ops1 <= ops2:
-            st.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1))))
+            session.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1))))
             return
         raise DirtClash(
             f"operations {sorted(ops1 - ops2)} cannot flow into {{{', '.join(sorted(ops2))}}}",
@@ -659,8 +623,8 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
     # Closed, non-empty dirt below an open dirt: partially instantiate the tail.
     fresh = session.supply.dirt()
     s = Subst.one_dirt(t2, Dirt(ops1 - ops2, fresh))
-    st.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1, fresh))))
-    st.apply_all(s)
+    session.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1, fresh))))
+    st.bind(s)
 
 
 # ---------------------------------------------------------------------------
@@ -817,16 +781,17 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
         # by this scheme.  The value is generated and solved one level deeper.
         session.level += 1
         a, Qv, v1 = gen_value(session, [], env, c.val)
-        solved = session.solved
-        local, Qv = solve(session, Subst(), [subst_item(solved, it) for it in Qv])
+        mark = len(session.order)
+        Qv = solve(session, Qv)[1]
         session.level -= 1
-        a1 = substitute(local, substitute(solved, a))
-        local, Qv = collapse(session, local, a1, Qv)
-        session.compose(local)
+        a1 = substitute(session.solved, a)
+        Qv = collapse(session, a1, Qv)
         gen_skel, ty_binders, gen_dirt, generalized, floated, merged = split(session, Qv, a1)
         # The scheme is the value's quantified type, and the bound value
-        # abstracts over the same variables and qualifiers.
-        scheme, bound = a1, substitute(merged, substitute(local, v1))
+        # abstracts over the same variables and qualifiers.  What the let
+        # bound and recorded goes into the value before `merged`, whose
+        # qualifier a coercion solution may name.
+        scheme, bound = a1, substitute(merged, substitute(session.settle(mark), v1))
         for w, ct in reversed(generalized):
             scheme, bound = TQual(ct, scheme), exeff.ECoAbs(w, ct, bound)
         for dv in reversed(gen_dirt):
@@ -910,8 +875,8 @@ def infer_top(sig: Signature, comp) -> InferOutcome:
     session = Session(sig)
     cty, Q, term = gen_comp(session, [], {}, comp)
     generated = [subst_item(session.solved, it) for it in Q]
-    s2, residual = solve(session, Subst(), generated)
-    s = session.solution(s2)
+    residual = solve(session, generated)[1]
+    s = session.settle(0)
     return InferOutcome(
         cty=substitute(s, cty),
         residual=residual,
@@ -934,7 +899,8 @@ def _fill_skeleton(sk: Skeleton) -> ValueType:
 def default_residual(outcome: InferOutcome) -> Subst:
     """Ground the residual constraints: free dirt variables become the empty
     dirt, free type variables the base filling of their skeletons, and
-    residual coercion variables the coercion obtained by re-solving."""
+    residual coercion variables the coercion obtained by re-solving, which
+    the session records: call it once per outcome."""
     session = outcome.session
     free_skels: list = []
     seen = set()
@@ -960,9 +926,10 @@ def default_residual(outcome: InferOutcome) -> Subst:
         for it in outcome.residual
         if isinstance(it, SubCt)
     ]
-    s_rest, leftover = solve(session, Subst(), ground_items)
+    mark = len(session.order)
+    leftover = solve(session, ground_items)[1]
     assert not leftover, "defaulted residual constraints must solve completely"
-    return s.then(s_rest)
+    return s.then(session.settle(mark))
 
 
 def infer_and_default(sig: Signature, comp) -> tuple:

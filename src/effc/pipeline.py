@@ -107,11 +107,6 @@ def infer_text(text: str) -> infer.InferOutcome:
     return infer.infer_top(sig, comp)
 
 
-def compile_path(path: str, stage: str = "noeff") -> PipelineArtifacts:
-    with open(path, encoding="utf-8") as f:
-        return compile_text(f.read(), stage)
-
-
 # ---------------------------------------------------------------------------
 # Observations
 
@@ -170,11 +165,6 @@ def run_text(text: str, backend: str = "exeff", fuel: int = 100_000, keep_trace:
     term, reduction, observe = _RUNNERS[backend]
     result, steps, trace = reduction.run(getattr(art, term), fuel, keep_trace)
     return RunOutcome(observe(result), steps, trace)
-
-
-def run_path(path: str, backend: str = "exeff", fuel: int = 100_000, keep_trace: bool = False) -> RunOutcome:
-    with open(path, encoding="utf-8") as f:
-        return run_text(f.read(), backend, fuel, keep_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +237,6 @@ def differential_check_text(
             f"{k}={v}" for k, v in sorted(report.observations.items())
         )
     return report
-
-
-def differential_check(path: str, fuel: int = 100_000, check_each_step: bool = True) -> DiffReport:
-    with open(path, encoding="utf-8") as f:
-        return differential_check_text(f.read(), path, fuel, check_each_step)
 
 
 # ---------------------------------------------------------------------------

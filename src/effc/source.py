@@ -321,13 +321,10 @@ class _Parser:
         """The application of the parenthesized value `fn`, whose innermost
         group ends at the token `close`, to the value that follows.  A
         parenthesized value is not a computation, so that error is reported
-        at `close` when no value follows or the value is ill-formed."""
-        if self._at_value_start():
-            try:
-                return SrcApp(fn, self.parse_value(scope), span=span)
-            except ParseError:
-                pass
-        raise ParseError(f"{_BARE_VALUE}, found {close.text!r}", close.span)
+        at `close` when no value follows."""
+        if not self._at_value_start():
+            raise ParseError(f"{_BARE_VALUE}, found {close.text!r}", close.span)
+        return SrcApp(fn, self.parse_value(scope), span=span)
 
     def parse_value(self, scope: dict) -> SrcValue:
         t = self.ts.peek()

@@ -140,7 +140,7 @@ def test_the_retyped_shared_node_keeps_nothing(monkeypatch):
         return step(term)
 
     monkeypatch.setattr(exeff, "step_comp", recorded)
-    report = pipeline.differential_check(str(CORPUS / "p05_let_poly_two_insts.eff"))
+    report = pipeline.differential_check_text((CORPUS / "p05_let_poly_two_insts.eff").read_text())
     assert report.agreement
     annotations: dict = {}
     for u in nodes(*seen):

@@ -144,7 +144,7 @@ def test_type_level_children_fold_in_without_their_bound_variables():
 
 def test_the_exeff_stage_records_summaries():
     # `run --backend exeff` compiles only up to ExEff.
-    art = pipeline.compile_path(str(CORPUS / "p11_handle_tick_resume.eff"), "exeff")
+    art = pipeline.compile_text((CORPUS / "p11_handle_tick_resume.eff").read_text(), "exeff")
     assert art.skeleff_term is None
     assert all(summary(u) == free_bits(u) for u in nodes(art.exeff_term))
 

@@ -165,7 +165,7 @@ def test_a_wrong_step_around_kept_types_is_caught(monkeypatch, corpus_paths, mut
 def test_a_wrong_step_reports_its_own_index(monkeypatch, mutation, failure, start):
     with monkeypatch.context() as m:
         mutated = mutate_first(m, mutation, start)
-        report = pipeline.differential_check(str(CORPUS / "p15_get_constant.eff"))
+        report = pipeline.differential_check_text((CORPUS / "p15_get_constant.eff").read_text())
     assert mutated == [start]
     assert report.failure == failure.format(start)
 
@@ -191,7 +191,7 @@ def test_harness_typechecks_each_core_term_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(exeff, "typecheck_comp", counted)
-    report = pipeline.differential_check(str(CORPUS / "p09_do_tick_tock.eff"))
+    report = pipeline.differential_check_text((CORPUS / "p09_do_tick_tock.eff").read_text())
     assert report.agreement and report.steps["exeff"] == 2
     assert outer[0] == report.steps["exeff"] + 1
 
@@ -207,6 +207,6 @@ def test_harness_records_no_derivation_of_its_own(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(exeff.Derivation, "__init__", counted)
-    report = pipeline.differential_check(str(CORPUS / "p09_do_tick_tock.eff"))
+    report = pipeline.differential_check_text((CORPUS / "p09_do_tick_tock.eff").read_text())
     assert report.agreement and report.steps["exeff"] == 2
     assert len(made) == 1

@@ -193,7 +193,7 @@ def test_split_env_keeps_variable_free():
 
 def _solve_items(items, sig=None):
     session = infer.Session(sig or make_signature())
-    return session, *infer.solve(session, exeff.Subst(), items)
+    return session, *infer.solve(session, items)
 
 
 def test_solve_open_open_dirt_instantiates_tail():
@@ -202,7 +202,7 @@ def test_solve_open_open_dirt_instantiates_tail():
     d1, d2 = sup.dirt(), sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(dirt(["Tick"], d1), dirt(["Tock"], d2)))]
-    s, residual = infer.solve(session, exeff.Subst(), items)
+    s, residual = infer.solve(session, items)
     repl = s.dirt[d2.id]
     assert repl.ops == frozenset(["Tick"]) and repl.tail is not None
     co = s.co[w.id]
@@ -219,7 +219,7 @@ def test_solve_empty_below_anything():
     d = sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(EMPTY_DIRT, dirt(["Tick"], d)))]
-    s, residual = infer.solve(session, exeff.Subst(), items)
+    s, residual = infer.solve(session, items)
     assert residual == []
     assert s.co[w.id] == exeff.CoEmpty(dirt(["Tick"], d))
 
@@ -230,7 +230,7 @@ def test_solve_var_below_empty():
     d = sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(dirt_var(d), EMPTY_DIRT))]
-    s, residual = infer.solve(session, exeff.Subst(), items)
+    s, residual = infer.solve(session, items)
     assert residual == []
     assert s.dirt[d.id] == EMPTY_DIRT
     assert s.co[w.id] == exeff.CoEmpty(EMPTY_DIRT)
@@ -241,7 +241,7 @@ def test_solve_closed_dirt_clash():
     w = session.supply.co()
     items = [infer.SubCt(w, DirtSub(dirt(["Tick"]), dirt(["Tock"])))]
     with pytest.raises(DirtClash):
-        infer.solve(session, exeff.Subst(), items)
+        infer.solve(session, items)
 
 
 def residual_env(sig, outcome_or_residual, extra_dirts=()):
@@ -401,14 +401,14 @@ def test_collapse_rejects_a_re_solve_that_binds_another_variable(monkeypatch):
     # solver that bound a second variable there would break the invariant.
     solve = infer.solve
 
-    def wrong(session, s, items):
-        out, residual = solve(session, s, items)
-        out.skel[10_000] = SKEL_UNIT
+    def wrong(session, items):
+        out, residual = solve(session, items)
+        session.bind(exeff.Subst(skel={session.supply.skel().id: SKEL_UNIT}))
         return out, residual
 
     monkeypatch.setattr(infer, "solve", wrong)
     with pytest.raises(AssertionError, match="^re-solving a collapsed residual bound a variable$"):
-        pipeline.compile_path(str(CORPUS / "p28_apply_twice.eff"))
+        pipeline.compile_text((CORPUS / "p28_apply_twice.eff").read_text())
 
 
 def test_inference_rejects_an_unbound_variable():
@@ -575,7 +575,7 @@ def test_solver_skeleton_discipline():
     a = session.fresh_ty(sk)
     w = session.supply.co()
     items = [infer.SkelAnn(a, sk), infer.SubCt(w, TySub(a, T_UNIT))]
-    s, residual = infer.solve(session, exeff.Subst(), items)
+    s, residual = infer.solve(session, items)
     assert s.skel[sk.id] == SkelBase(Base.UNIT)
     assert s.ty[a.id] == T_UNIT
     assert residual == []

@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from effc import display, exeff, infer, source
-from effc.core import EMPTY_DIRT, CoVar, DirtVar, SkelVar, TyVar
+from effc.core import EMPTY_DIRT, CoVar, DirtVar, EffError, SkelVar, TyVar
 from effc.traverse import free_vars, substitute
-from gen_helpers import make_signature, random_program
+from gen_helpers import make_signature, program_texts, random_program
 from test_solver import let_poly
 
 import env_scan
@@ -42,13 +42,12 @@ class ScanSpy:
             self.envs.pop()
 
     def _env(self, s):
-        """The let's environment with `session.solved` then `s` applied."""
+        """The let's environment with `s` applied."""
         return {vid: (var, substitute(s, t)) for vid, (var, t) in self.envs[-1].items()}
 
-    def collapse(self, session, sigma, a, Q):
-        env1 = self._env(session.solved.then(sigma))
-        self._pinned, self._a = env_scan.pinned(env1, a), a
-        return self._collapse(session, sigma, a, Q)
+    def collapse(self, session, a, Q):
+        self._pinned, self._a = env_scan.pinned(self._env(session.solved), a), a
+        return self._collapse(session, a, Q)
 
     def _collapsible(self, pinned, Q):
         objs = [it.var if isinstance(it, infer.SkelAnn) else it.constraint for it in Q]
@@ -122,21 +121,70 @@ def _mentions_of_bound(s: exeff.Subst, sorts) -> list:
     ]
 
 
+def _stale_solutions(outcome) -> list:
+    """The solutions of an inference run that mention a variable it solved:
+    none of its skeleton, type and dirt solutions may, and once settled none
+    of its coercion solutions may either."""
+    return _mentions_of_bound(outcome.session.solved, ("skel", "ty", "dirt")) + _mentions_of_bound(
+        outcome.subst, ("skel", "ty", "dirt", "co")
+    )
+
+
 def test_a_let_rewrites_the_earlier_solutions_that_mention_what_it_binds():
     outcome = infer.infer_top(*source.parse_program(OUTER_DIRT))
-    solved = outcome.session.solved
-    assert display.show(solved.dirt[4]) == "{Tick | d10}"
-    # Coercion solutions stay as recorded until the final solve settles them.
-    assert _mentions_of_bound(solved, ("skel", "ty", "dirt")) == []
-    assert _mentions_of_bound(outcome.subst, ("skel", "ty", "dirt", "co")) == []
+    # d4 is bound at k's let, and its tail at g's, then at the top level.
+    assert display.show(outcome.session.solved.dirt[4]) == "{Tick | d25}"
+    assert _stale_solutions(outcome) == []
+
+
+def test_no_solution_mentions_a_solved_variable(corpus_paths):
+    for name, text in program_texts(corpus_paths):
+        assert _stale_solutions(infer.infer_top(*source.parse_program(text))) == [], name
+
+
+def test_a_bind_that_skips_an_owner_leaves_a_stale_solution(corpus_paths, monkeypatch):
+    # Deliberately wrong binding: once per run, the first solution that
+    # mentions the bound variable is left as it was.  A run that still
+    # finishes must show it.
+    bind = infer.Session.bind
+
+    def skipping(session, s):
+        for sort in ("skel", "ty", "dirt"):
+            for vid in getattr(s, sort):
+                owners = session._uses.get((sort, vid))
+                if owners and not hasattr(session, "skipped"):
+                    del owners[next(iter(owners))]
+                    session.skipped = True
+        bind(session, s)
+
+    monkeypatch.setattr(infer.Session, "bind", skipping)
+    caught = 0
+    for name, text in program_texts(corpus_paths):
+        try:
+            outcome = infer.infer_top(*source.parse_program(text))
+        except (EffError, AssertionError):
+            continue  # another check fired first
+        if hasattr(outcome.session, "skipped"):
+            assert _stale_solutions(outcome), name
+            caught += 1
+    assert caught >= 10, caught
 
 
 def test_a_variable_is_solved_by_one_let_only():
+    # Binding a variable twice would silently replace its first solution.
     session = infer.Session(make_signature())
     d = session.supply.dirt()
-    session.compose(exeff.Subst(dirt={d.id: EMPTY_DIRT}))
-    with pytest.raises(AssertionError, match=f"^dirt variable {d.id} solved by two lets$"):
-        session.compose(exeff.Subst(dirt={d.id: EMPTY_DIRT}))
+    session.bind(exeff.Subst(dirt={d.id: EMPTY_DIRT}))
+    with pytest.raises(AssertionError, match=f"^dirt variable {d.id} bound twice$"):
+        session.bind(exeff.Subst(dirt={d.id: EMPTY_DIRT}))
+
+
+def test_a_coercion_variable_is_recorded_once_only():
+    session = infer.Session(make_signature())
+    w = session.supply.co()
+    session.record(w, exeff.refl_of(EMPTY_DIRT))
+    with pytest.raises(AssertionError, match=f"^coercion variable w{w.id} solved twice$"):
+        session.record(w, exeff.refl_of(EMPTY_DIRT))
 
 
 def test_the_final_solution_settles_chains_of_coercion_solutions():
@@ -144,10 +192,14 @@ def test_the_final_solution_settles_chains_of_coercion_solutions():
     # terms of one solved later still.
     session = infer.Session(make_signature())
     w0, w1, w2 = (session.supply.co() for _ in range(3))
-    session.compose(exeff.Subst(co={w0.id: exeff.CoVarRef(w1)}))
-    session.compose(exeff.Subst(co={w1.id: exeff.CoVarRef(w2)}))
+    session.record(w0, exeff.CoVarRef(w1))
+    assert session.settle(0).co == {w0.id: exeff.CoVarRef(w1)}
+    mark = len(session.order)
+    session.record(w1, exeff.CoVarRef(w2))
+    assert session.settle(mark).co == {w1.id: exeff.CoVarRef(w2)}
     refl = exeff.refl_of(EMPTY_DIRT)
-    assert session.solution(exeff.Subst(co={w2.id: refl})).co == {w0.id: refl, w1.id: refl, w2.id: refl}
+    session.record(w2, refl)
+    assert session.settle(0).co == {w0.id: refl, w1.id: refl, w2.id: refl}
 
 
 # -- growth ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ GENERATED_DUMPS = GOLDEN / "generated_dumps.sha256"
 def test_compile_stages_re_typecheck(tmp_path):
     path = CORPUS / "p09_do_tick_tock.eff"
     for stage in pipeline.STAGES:
-        art = pipeline.compile_path(str(path), stage)
+        art = pipeline.compile_text(path.read_text(), stage)
         assert art.exeff_term is not None
         if stage in ("skeleff", "noeff"):
             assert art.skeleff_term is not None
@@ -113,7 +113,7 @@ def test_ill_typed_programs_fail_with_expected_classes():
     }
     for name, exc in expect.items():
         with pytest.raises(exc):
-            pipeline.compile_path(str(CORPUS_BAD / name), "noeff")
+            pipeline.compile_text((CORPUS_BAD / name).read_text(), "noeff")
 
 
 def test_compile_runs_the_exeff_checker_once(corpus_paths, monkeypatch):
@@ -139,32 +139,32 @@ def test_compile_runs_the_exeff_checker_once(corpus_paths, monkeypatch):
 
 
 def test_run_return_unit_zero_steps():
-    out = pipeline.run_path(str(CORPUS / "p01_return_unit.eff"), "exeff")
+    out = pipeline.run_text((CORPUS / "p01_return_unit.eff").read_text(), "exeff")
     assert str(out.observation) == "return unit"
     assert out.steps == 0
 
 
 def test_run_unhandled_tick_observations_match():
-    e = pipeline.run_path(str(CORPUS / "p08_tick_unhandled.eff"), "exeff")
-    n = pipeline.run_path(str(CORPUS / "p08_tick_unhandled.eff"), "noeff")
-    s = pipeline.run_path(str(CORPUS / "p08_tick_unhandled.eff"), "skeleff")
+    e = pipeline.run_text((CORPUS / "p08_tick_unhandled.eff").read_text(), "exeff")
+    n = pipeline.run_text((CORPUS / "p08_tick_unhandled.eff").read_text(), "noeff")
+    s = pipeline.run_text((CORPUS / "p08_tick_unhandled.eff").read_text(), "skeleff")
     assert str(e.observation) == str(n.observation) == str(s.observation) == "operation Tick"
 
 
 def test_differential_corpus_agreement(corpus_paths):
     for path in corpus_paths:
-        report = pipeline.differential_check(str(path))
+        report = pipeline.differential_check_text(path.read_text())
         assert report.agreement, (path.name, report.failure)
         # The harness steps from the root; the evaluator refocuses.
-        art = pipeline.compile_path(str(path), "exeff")
+        art = pipeline.compile_text(path.read_text(), "exeff")
         assert report.steps["exeff"] == exeff.eval_comp(art.exeff_term).steps, path.name
 
 
 def test_corpus_expectations(corpus_paths):
     expected = json.loads((CORPUS / "expected.json").read_text())
     for path in corpus_paths:
-        rep = pipeline.differential_check(str(path), check_each_step=False)
-        art = pipeline.compile_path(str(path), "exeff")
+        rep = pipeline.differential_check_text(path.read_text(), check_each_step=False)
+        art = pipeline.compile_text(path.read_text(), "exeff")
         want = expected[path.name]
         assert display.show(display.canonicalize(art.cty)) == want["type"], path.name
         assert str(rep.observations["exeff"]) == want["observation"], path.name
@@ -221,7 +221,7 @@ def test_trace_steps_read_back_alpha_equal(corpus_paths):
     assert c.second.val.var is c.var
     for path in corpus_paths:
         for backend, read in READERS.items():
-            trace = pipeline.run_path(str(path), backend, keep_trace=True).trace
+            trace = pipeline.run_text(path.read_text(), backend, keep_trace=True).trace
             for i, step in enumerate(trace[:60]):
                 back = read(display.show(display.canonicalize(step)))
                 assert alpha_eq(back, step), (path.name, backend, i)
@@ -279,11 +279,11 @@ def test_show_rejects_unregistered_classes():
 
 
 def test_deterministic_diagnostics():
-    path = str(CORPUS_BAD / "b01_dirtclash.eff")
+    text = (CORPUS_BAD / "b01_dirtclash.eff").read_text()
     msgs = set()
     for _ in range(3):
         try:
-            pipeline.compile_path(path, "noeff")
+            pipeline.compile_text(text, "noeff")
         except EffError as e:
             msgs.add(str(e))
     assert len(msgs) == 1

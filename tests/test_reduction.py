@@ -136,7 +136,7 @@ def test_results_never_step(traces):
 @pytest.mark.parametrize("name", list(CALCULI))
 def test_fuel_bounds_the_number_of_steps(name):
     reduction, _ = CALCULI[name]
-    art = pipeline.compile_path(str(CORPUS / "p14_handle_nested.eff"), "noeff")
+    art = pipeline.compile_text((CORPUS / "p14_handle_nested.eff").read_text(), "noeff")
     term = getattr(art, TERMS[name])
     k = reduction.run(term)[1]
     assert k > 1

@@ -138,7 +138,7 @@ def test_the_observations_are_unchanged(simplified):
 
 def test_compile_reads_the_simplified_term():
     # `dump --stage exeff`, the backends and the harness read `exeff_term`.
-    art = pipeline.compile_path(str(CORPUS / "p11_handle_tick_resume.eff"), "exeff")
+    art = pipeline.compile_text((CORPUS / "p11_handle_tick_resume.eff").read_text(), "exeff")
     derived = exeff.derive(Context(art.source_sig), art.exeff_term)
     assert not any(is_reflexive(derived, c) for c in casts(art.exeff_term))
 

@@ -20,7 +20,7 @@ from effc.core import (
     dirt,
     dirt_var,
 )
-from gen_helpers import make_signature
+from gen_helpers import make_signature, program_texts
 
 from conftest import CORPUS, TESTS, qualifiers
 
@@ -96,14 +96,15 @@ def write_pinned_dumps() -> None:
 
 def test_double_solve_trips_the_guard():
     # Deliberately wrong step: two constraints share one coercion variable,
-    # so the second solution would silently replace the first.
+    # so the second solution would silently replace the first.  The second
+    # is caught as it is popped, its variable already solved.
     session = infer.Session(make_signature())
     sup = session.supply
     d1, d2 = sup.dirt(), sup.dirt()
     w = sup.co()
     items = [infer.SubCt(w, DirtSub(EMPTY_DIRT, dirt_var(d1))), infer.SubCt(w, DirtSub(EMPTY_DIRT, dirt_var(d2)))]
-    with pytest.raises(AssertionError, match="solved twice"):
-        infer.solve(session, exeff.Subst(), items)
+    with pytest.raises(AssertionError, match="^pending coercion variable must never be substituted$"):
+        infer.solve(session, items)
 
 
 def test_substituted_annotation_subject_still_fires():
@@ -114,19 +115,28 @@ def test_substituted_annotation_subject_still_fires():
     a = session.fresh_ty(sk)
     items = [infer.SkelAnn(a, SkelBase(Base.INT)), infer.SkelAnn(a, sk)]
     with pytest.raises(AssertionError, match="annotation subject"):
-        infer.solve(session, exeff.Subst(), items)
+        infer.solve(session, items)
 
 
 # -- the coercion map comes back resolved --------------------------------------
 
 
+def _unresolved(text: str) -> list:
+    """(coercion variable, the solved ones it names) for each coercion
+    solution of the program's inference that names a solved one."""
+    solved = infer.infer_top(*source.parse_program(text)).subst.co
+    named = {wid: {v.id for v in traverse.free_vars(co, CoVar)} & solved.keys() for wid, co in solved.items()}
+    return [(wid, sorted(ws)) for wid, ws in named.items() if ws]
+
+
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.eff")), ids=lambda p: p.stem)
 def test_coercion_solutions_are_resolved(path):
-    sig, comp = source.parse_program(path.read_text(encoding="utf-8"))
-    solved = infer.infer_top(sig, comp).subst.co
-    for wid, co in solved.items():
-        named = {v.id for v in traverse.free_vars(co, CoVar)}
-        assert not named & solved.keys(), (wid, sorted(named & solved.keys()))
+    assert _unresolved(path.read_text(encoding="utf-8")) == []
+
+
+def test_coercion_solutions_of_generated_programs_are_resolved():
+    for name, text in program_texts([]):
+        assert _unresolved(text) == [], name
 
 
 # -- deterministic scaling guard -----------------------------------------------
@@ -204,10 +214,13 @@ def _sub(session, lhs, rhs):
 
 
 def _collapse(session, a, Q):
-    """`infer.collapse` at the let whose value made the session's variables."""
+    """`infer.collapse` at the let whose value made the session's variables:
+    (what it bound and recorded, settled, residual items)."""
+    mark = len(session.order)
     session.level -= 1
     try:
-        return infer.collapse(session, exeff.Subst(), a, Q)
+        rest = infer.collapse(session, a, Q)
+        return session.settle(mark), rest
     finally:
         session.level += 1
 

@@ -51,7 +51,7 @@ def check_against_oracle(session, items):
     """Solve and compare with enumeration; returns (solved?, solutions)."""
     sols = oracle.ground_solver_oracle(items, OPS)
     try:
-        s, residual = infer.solve(session, exeff.Subst(), items)
+        s, residual = infer.solve(session, items)
     except SolveError:
         assert sols == [], "solver failed although ground solutions exist"
         return False, sols

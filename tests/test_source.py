@@ -11,6 +11,7 @@ from effc.core import (
     CompType,
     Context,
     EMPTY_DIRT,
+    EffError,
     ParseError,
     Signature,
     SkelArrow,
@@ -327,10 +328,10 @@ PARENTHESIZED = {
     "((f)) unit": "1:30",
     "((f) unit)": "1:31",
     "(((f) unit))": "1:32",
-    "(f) (1": "1:32: expected a computation, not a bare value, found ')'",
+    "(f) (1": "1:36: expected ')', found 'end of input'",
     "(f) ": "1:32: expected a computation, not a bare value, found ')'",
     "((f))": "1:33: expected a computation, not a bare value, found ')'",
-    "(((f)) (fun y -> return))": "1:34: expected a computation, not a bare value, found ')'",
+    "(((f)) (fun y -> return))": "1:53: expected a value, found ')'",
     "(f return x)": "1:33: expected a computation, not a bare value, found 'return'",
     "((f) unit unit)": "1:40: expected ')', found 'unit'",
 }
@@ -347,6 +348,23 @@ def test_parenthesized_applications_and_their_diagnostics(body):
     else:
         _, c = source.parse_program(text)
         assert isinstance(c.body, source.SrcApp) and str(c.body.span) == expected
+
+
+ILL_FORMED_ARGUMENTS = ["(1", "(fun y -> return)", "(fun -> return y)", "(handler {)", "(z)", "((unit)"]
+
+
+@pytest.mark.parametrize("arg", ILL_FORMED_ARGUMENTS)
+def test_a_parenthesized_function_reports_its_arguments_error(arg):
+    # The argument's own error, at the same token: each pair of parentheses
+    # around `f` moves it two columns on.
+    def error(fn):
+        with pytest.raises(EffError) as e:
+            source.parse_program(f"let f = fun x -> return x in {fn} {arg}")
+        return type(e.value), e.value.msg, e.value.span.col
+
+    kind, msg, col = error("f")
+    assert error("(f)") == (kind, msg, col + 2)
+    assert error("((f))") == (kind, msg, col + 4)
 
 
 def test_int_literal_switch():
