@@ -4,16 +4,14 @@ Terms carry their whole typing derivation: System-F-style binders for
 skeletons, types and dirts, plus binders and casts for subtyping coercions.
 This module provides the ASTs, well-formedness and type checking, coercion
 checking, reflexivity-coercion construction and its syntactic test, the
-cast constructors that build no reflexive cast, substitution, the pass that
-drops reflexive casts, the result grammar, and the small-step operational
-semantics with its push rules.
+cast constructors that build no reflexive cast, substitution (which drops
+each cast whose coercion it makes reflexive), the result grammar, and the
+small-step operational semantics with its push rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from operator import is_
 from typing import Optional, Union
 
 from .core import (
@@ -62,7 +60,6 @@ from .traverse import (
     free_vars,
     handle_op,
     instantiate,
-    replace_field,
     shape,
     subst_hook,
     subst_term,
@@ -77,8 +74,9 @@ from .traverse import (
 # A coercion class's `refl_kids` names the coercion fields that make a node
 # of it reflexive (`is_refl`) when each of them is: none for a reflexivity
 # leaf, every coercion field for a congruence.  A class without the
-# attribute is never reflexive.  A congruence names first the field likelier
-# to widen (most casts widen a dirt), so that `is_refl` rejects early.
+# attribute is reflexive only as a dirt coercion that relates equal dirts.
+# A congruence names first the field likelier to widen (most casts widen a
+# dirt), so that `is_refl` rejects early.
 
 @node
 class CoVarRef:
@@ -148,19 +146,39 @@ Coercion = (
 
 
 def is_refl(co) -> bool:
-    """Whether `co` is syntactically reflexive: built only from reflexivity
-    leaves (`CoBaseRefl`, `CoTyRefl`, `CoDirtRefl`, NoEff's `NCoTyRefl`)
-    under congruences (`CoArrow`, `CoHandler`, `CoComp`, NoEff's `NCoComp`
-    and `NCoQual`).  Such a coercion witnesses A ≤ A, like those `refl_of`
-    and `noeff.refl_nty` build.  One test serves both calculi, since their
-    casts are one class."""
+    """Whether `co` witnesses A ≤ A by its form alone: built from
+    reflexivity leaves (`CoBaseRefl`, `CoTyRefl`, `CoDirtRefl`, NoEff's
+    `NCoTyRefl`) and dirt coercions that relate equal dirts, under
+    congruences (`CoArrow`, `CoHandler`, `CoComp`, NoEff's `NCoComp` and
+    `NCoQual`).  `refl_of` and `noeff.refl_nty` build such coercions, and
+    the solver's dirt coercions (`CoEmpty` under op-unions) are such once
+    solving makes their two dirts equal.  One test serves both calculi,
+    since their casts are one class."""
     kids = getattr(type(co), "refl_kids", None)
     if kids is None:
-        return False
+        return _relates_equal_dirts(co)
     for name in kids:
         if not is_refl(getattr(co, name)):
             return False
     return True
+
+
+def _relates_equal_dirts(co) -> bool:
+    """Whether the two dirts of a dirt coercion, computed from the coercion
+    alone, are equal.  `CoOpUnion(op, γ)` witnesses op·Δ1 ≤ op·Δ2 when γ
+    witnesses Δ1 ≤ Δ2, and `CoEmpty(Δ)` witnesses ∅ ≤ Δ, so a chain of
+    op-unions over `CoEmpty(Δ)` relates the chain's operations to those
+    plus Δ: equal when Δ is closed and adds no operation.  Over `CoDirtRefl`
+    a chain relates one dirt to itself; a coercion variable's dirts are
+    unknown here, so a chain over one is never reflexive."""
+    ops = ()
+    while type(co) is CoOpUnion:
+        ops += (co.op,)
+        co = co.rest
+    cls = type(co)
+    if cls is CoEmpty:
+        return co.dirt.tail is None and co.dirt.ops.issubset(ops)
+    return cls is CoDirtRefl
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +527,7 @@ class Derivation(dict):
     """id(node) -> what the checker derived for the node, for every value,
     computation and coercion node of one term, valid while the term is alive
     (`derive` keeps it alive in `root`); `sig` is the signature the term was
-    checked under.  `drop_reflexive_casts` carries each entry over to the
-    node it rebuilds and keeps both terms in `root`, so the record is also
-    the derivation of the term it returns.
+    checked under.
 
     A node object shared between positions has one entry, and `again` keeps
     what the other positions derived for it.  Evaluation shares nodes whose
@@ -541,42 +557,6 @@ def derive(env: Context, c: Comp) -> Derivation:
     derived = Derivation(env.sig, c)
     typecheck_comp(env, c, derived)
     return derived
-
-
-def drop_reflexive_casts(derived: Derivation, c: Comp) -> Comp:
-    """`c` without each cast `v ▷ γ` whose coercion `derived` records as
-    witnessing A ≤ A for alpha-equal sides.  Such a cast has the type of its
-    subject, and coercions have no computational content (the erasure
-    theorem), so the type, the erasure and the behaviour stay the same.
-
-    Each rebuilt node takes over the entry of the node it replaces, and is
-    not checked again: its children have the types the old ones had, so its
-    typing rule derives what it derived before."""
-
-    def go(t):
-        cls = type(t)
-        if cls is ECast or cls is CCast:
-            ct = derived.of(t.co)
-            if alpha_eq(ct.lhs, ct.rhs):
-                return go(t.val if cls is ECast else t.comp)
-        elif cls is tuple:
-            items = tuple(map(go, t))
-            return t if all(map(is_, items, t)) else items
-        out = t
-        for f in shape(cls).terms:
-            old = getattr(t, f.name)
-            new = go(old)
-            if new is not old:
-                out = replace_field(out, f.name, new)
-        if out is not t and id(t) in derived:
-            derived[id(out)] = derived[id(t)]
-            if id(t) in derived.again:
-                derived.again[id(out)] = derived.again[id(t)]
-        return out
-
-    out = go(c)
-    derived.root = (derived.root, out)  # the dropped nodes' ids stay taken
-    return out
 
 
 def typecheck_value(env: Context, v: Value, derived: Optional[Derivation] = None) -> ValueType:
@@ -790,14 +770,6 @@ def typecheck_coercion(env: Context, co: Coercion, derived: Optional[Derivation]
 # results (terminal computations or operation calls).
 
 
-class ResultClass(Enum):
-    TERMINAL_VALUE = "terminal value"
-    VALUE_RESULT = "value result"
-    TERMINAL_COMP = "terminal computation"
-    COMP_RESULT = "computation result"
-    NON_RESULT = "non-result"
-
-
 _TERMINAL_HEADS = (EUnit, EInt, EAbs, EHandler, ESkelAbs, ETyAbs, EDirtAbs, ECoAbs)
 
 # Cast heads a value result of each terminal shape may carry.  Base-type
@@ -838,23 +810,6 @@ def is_comp_result(c: Comp) -> bool:
     if is_terminal_comp(c):
         return True
     return isinstance(c, COp) and is_value_result(c.arg)
-
-
-_COMP_NODES = (CReturn, COp, CDo, CHandle, CApp, CLet, CCast)
-
-
-def classify_result(term) -> ResultClass:
-    if isinstance(term, _COMP_NODES):
-        if is_terminal_comp(term):
-            return ResultClass.TERMINAL_COMP
-        if is_comp_result(term):
-            return ResultClass.COMP_RESULT
-        return ResultClass.NON_RESULT
-    if is_terminal_value(term):
-        return ResultClass.TERMINAL_VALUE
-    if is_value_result(term):
-        return ResultClass.VALUE_RESULT
-    return ResultClass.NON_RESULT
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +923,3 @@ class EvalOutcome:
 def eval_comp(c: Comp, fuel: int = 100_000, keep_trace: bool = False) -> EvalOutcome:
     """Step until a computation result is reached."""
     return EvalOutcome(*REDUCTION.run(c, fuel, keep_trace))
-
-
-def eval_value(v: Value, fuel: int = 100_000) -> EvalOutcome:
-    return EvalOutcome(*VALUE_REDUCTION.run(v, fuel))

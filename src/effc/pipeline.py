@@ -76,7 +76,7 @@ def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
     derived = exeff.derive(Context(sig), term)
     if not alpha_eq(derived.of(term), cty):
         raise TypecheckError("elaborated term does not re-typecheck at the inferred type")
-    term = art.exeff_term = exeff.drop_reflexive_casts(derived, term)
+    art.exeff_term = term
     summarize(term)
     if stage == "exeff":
         return art

@@ -157,8 +157,8 @@ def test_criterion_5_coercion_irrelevance():
         assert exeff.typecheck_value(env, v) == small
         ct = exeff.typecheck_coercion(env, co)
         assert ct == TySub(small, big)
-        r1 = exeff.eval_value(v).result
-        r2 = exeff.eval_value(exeff.ECast(v, co)).result
+        r1 = exeff.VALUE_REDUCTION.run(v)[0]
+        r2 = exeff.VALUE_REDUCTION.run(exeff.ECast(v, co))[0]
         assert skeleff.congruent(
             skeleff.erase_value({}, r1), skeleff.erase_value({}, r2)
         )

@@ -242,7 +242,7 @@ def test_subst_skeleton_under_type_binder():
 
 
 def test_classify_terminal_value():
-    assert exeff.classify_result(exeff.EUnit()) is exeff.ResultClass.TERMINAL_VALUE
+    assert exeff.is_terminal_value(exeff.EUnit()) and exeff.is_value_result(exeff.EUnit())
 
 
 def test_classify_ill_sorted_cast_is_non_result():
@@ -251,17 +251,18 @@ def test_classify_ill_sorted_cast_is_non_result():
         exeff.CoBaseRefl(Base.UNIT),
         exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT)),
     )
-    assert exeff.classify_result(exeff.ECast(exeff.EUnit(), co)) is exeff.ResultClass.NON_RESULT
+    assert not exeff.is_value_result(exeff.ECast(exeff.EUnit(), co))
     x = sup.term("x")
     lam = exeff.EAbs(x, T_UNIT, exeff.CReturn(exeff.EVar(x)))
-    assert exeff.classify_result(exeff.ECast(lam, co)) is exeff.ResultClass.VALUE_RESULT
+    cast = exeff.ECast(lam, co)
+    assert exeff.is_value_result(cast) and not exeff.is_terminal_value(cast)
 
 
 def test_classify_operation_call_is_result():
     sup = Supply()
     y = sup.term("y")
     c = exeff.COp("Tick", exeff.EUnit(), y, T_UNIT, exeff.CReturn(exeff.EVar(y)))
-    assert exeff.classify_result(c) is exeff.ResultClass.COMP_RESULT
+    assert exeff.is_comp_result(c) and not exeff.is_terminal_comp(c)
 
 
 def test_classify_terminal_computation():
@@ -269,7 +270,7 @@ def test_classify_terminal_computation():
         exeff.CReturn(exeff.EUnit()),
         exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"]))),
     )
-    assert exeff.classify_result(c) is exeff.ResultClass.TERMINAL_COMP
+    assert exeff.is_terminal_comp(c) and exeff.is_comp_result(c)
 
 
 def test_classify_long_cast_chains():
@@ -287,17 +288,17 @@ def test_classify_long_cast_chains():
         return v
 
     depth = 3000
-    assert exeff.classify_result(chain(lam, [arrow] * depth)) is exeff.ResultClass.VALUE_RESULT
+    assert exeff.is_value_result(chain(lam, [arrow] * depth))
     # One cast of another sort anywhere in the chain breaks it.
     handler_co = exeff.CoHandler(pure_co, pure_co)
     mixed = chain(lam, [arrow] * 5 + [handler_co] + [arrow] * depth)
-    assert exeff.classify_result(mixed) is exeff.ResultClass.NON_RESULT
-    assert exeff.classify_result(chain(exeff.EUnit(), [arrow] * depth)) is exeff.ResultClass.NON_RESULT
+    assert not exeff.is_value_result(mixed)
+    assert not exeff.is_value_result(chain(exeff.EUnit(), [arrow] * depth))
     c = exeff.CReturn(chain(lam, [arrow] * depth))
     for _ in range(depth):
         c = exeff.CCast(c, exeff.CoComp(arrow, exeff.CoEmpty(EMPTY_DIRT)))
-    assert exeff.classify_result(c) is exeff.ResultClass.TERMINAL_COMP
-    assert exeff.classify_result(exeff.CCast(c, arrow)) is exeff.ResultClass.NON_RESULT
+    assert exeff.is_terminal_comp(c)
+    assert not exeff.is_comp_result(exeff.CCast(c, arrow))
 
 
 # -- stepping ----------------------------------------------------------------------
@@ -355,17 +356,11 @@ def test_push_application_rule():
     sup = Supply()
     x = sup.term("x")
     lam = exeff.EAbs(x, T_UNIT, exeff.CReturn(exeff.EVar(x)))
-    co = exeff.CoArrow(
-        exeff.CoBaseRefl(Base.UNIT),
-        exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT)),
-    )
-    c = exeff.CApp(exeff.ECast(lam, co), exeff.EUnit())
+    widen = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"])))
+    c = exeff.CApp(exeff.ECast(lam, exeff.CoArrow(exeff.CoBaseRefl(Base.UNIT), widen)), exeff.EUnit())
     stepped = exeff.step_comp(c)
     # The argument's part of the coercion is reflexive: no cast for it.
-    assert stepped == exeff.CCast(
-        exeff.CApp(lam, exeff.EUnit()),
-        exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT)),
-    )
+    assert stepped == exeff.CCast(exeff.CApp(lam, exeff.EUnit()), widen)
 
 
 def test_push_application_rule_casts_a_widened_argument():
@@ -466,15 +461,20 @@ def test_cast_pushes_into_operation_continuation():
 
 
 def test_cast_handler_pushes_outward():
+    # A handler of Unit ! {Tick} into Unit ! ∅, cast to one of Unit ! ∅
+    # into Unit ! {Tock}: both parts of the coercion widen.
     sup = Supply()
-    x = sup.term("x")
-    h = exeff.EHandler(x, T_UNIT, exeff.CReturn(exeff.EVar(x)))
-    refl_comp = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(EMPTY_DIRT))
-    co = exeff.CoHandler(refl_comp, refl_comp)
-    c = exeff.CHandle(exeff.ECast(h, co), exeff.CReturn(exeff.EUnit()))
+    x, p, k = sup.term("x"), sup.term("p"), sup.term("k")
+    tick = exeff.OpClause("Tick", p, k, exeff.CApp(exeff.EVar(k), exeff.EUnit()))
+    h = exeff.EHandler(x, T_UNIT, exeff.CReturn(exeff.EVar(x)), (tick,))
+    unit = exeff.CoBaseRefl(Base.UNIT)
+    narrow_in = exeff.CoComp(unit, exeff.CoEmpty(dirt(["Tick"])))
+    widen_out = exeff.CoComp(unit, exeff.CoEmpty(dirt(["Tock"])))
+    c = exeff.CHandle(exeff.ECast(h, exeff.CoHandler(narrow_in, widen_out)), exeff.CReturn(exeff.EUnit()))
+    assert exeff.typecheck_comp(_env(tick_tock_signature()), c) == CompType(T_UNIT, dirt(["Tock"]))
     stepped = exeff.step_comp(c)
     assert stepped == exeff.CCast(
-        exeff.CHandle(h, exeff.CCast(exeff.CReturn(exeff.EUnit()), refl_comp)), refl_comp
+        exeff.CHandle(h, exeff.CCast(exeff.CReturn(exeff.EUnit()), narrow_in)), widen_out
     )
     out = exeff.eval_comp(c)
     assert exeff.is_terminal_comp(out.result)

@@ -6,10 +6,11 @@ import itertools
 
 import pytest
 
-from effc import cli, exeff, pipeline
-from effc.core import EMPTY_DIRT, T_INT, T_UNIT, Base, Context, TBase
+from effc import cli, exeff, pipeline, source
+from effc.core import EMPTY_DIRT, T_INT, T_UNIT, Base, Context, TBase, TypecheckError
 from effc.traverse import CLOSED, alpha_eq, contractions, replace_field, subst_term, summarize
 from conftest import CORPUS
+from gen_helpers import program_texts
 
 STEP = exeff.step_comp
 
@@ -77,11 +78,12 @@ def misannotate_kept_node(node):
     return wrong
 
 
-def mutate_first(monkeypatch, mutation, start=1):
+def mutate_first(monkeypatch, mutation, start=1, results=None):
     """Make the first step from step `start` on whose result `mutation` can
     rewrite (in one node, the first in pre-order) take that rewritten
     result instead; returns a list that records the index of the mutated
-    step, counted from 1."""
+    step, counted from 1, and adds the step's right and wrong result to the
+    list `results` when one is given."""
     index, mutated = itertools.count(1), []
 
     def step(term):
@@ -92,18 +94,19 @@ def mutate_first(monkeypatch, mutation, start=1):
         if wrong is None:
             return nxt
         mutated.append(k)
+        if results is not None:
+            results.extend((nxt, wrong))
         return wrong
 
     monkeypatch.setattr(exeff, "step_comp", step)
     return mutated
 
 
-def check_mutated(monkeypatch, path, mutation, check_each_step=True):
+def check_mutated(monkeypatch, name, text, mutation, check_each_step=True, results=None):
     """(the index of the mutated step or None, the harness's failure or None)."""
     with monkeypatch.context() as m:
-        mutated = mutate_first(m, mutation)
-        text = path.read_text()
-        report = pipeline.differential_check_text(text, path.name, check_each_step=check_each_step)
+        mutated = mutate_first(m, mutation, results=results)
+        report = pipeline.differential_check_text(text, name, check_each_step=check_each_step)
     return (mutated or [None])[0], report.failure
 
 
@@ -116,10 +119,11 @@ def test_every_visible_wrong_step_is_caught_at_the_step(monkeypatch, corpus_path
     # A mutated literal or operation in dead code may pass unnoticed.
     caught = 0
     for path in corpus_paths:
-        mutated, unchecked = check_mutated(monkeypatch, path, mutation, check_each_step=False)
+        text = path.read_text()
+        mutated, unchecked = check_mutated(monkeypatch, path.name, text, mutation, check_each_step=False)
         if mutated is None:
             continue
-        _, failure = check_mutated(monkeypatch, path, mutation)
+        _, failure = check_mutated(monkeypatch, path.name, text, mutation)
         at_the_step = f"metatheory: erasure of step {mutated} is not congruent"
         if unchecked is not None:
             assert unchecked.startswith("backends disagree"), (path.name, unchecked)
@@ -133,11 +137,20 @@ def test_every_visible_wrong_step_is_caught_at_the_step(monkeypatch, corpus_path
 def test_wrongly_typed_step_is_a_metatheory_failure(monkeypatch, corpus_paths):
     stepping = 0
     for path in corpus_paths:
-        mutated, failure = check_mutated(monkeypatch, path, miscast)
+        mutated, failure = check_mutated(monkeypatch, path.name, path.read_text(), miscast)
         if mutated is not None:
             assert failure == f"metatheory: step {mutated} changed the subject's type", path.name
             stepping += 1
     assert stepping >= 34
+
+
+def fresh_type(sig, term):
+    """The type of `term` checked afresh, with no kept type read, or None
+    when it does not check."""
+    try:
+        return exeff.derive(Context(sig), term).of(term)
+    except TypecheckError:
+        return None
 
 
 @pytest.mark.parametrize(
@@ -146,12 +159,22 @@ def test_wrongly_typed_step_is_a_metatheory_failure(monkeypatch, corpus_paths):
 def test_a_wrong_step_around_kept_types_is_caught(monkeypatch, corpus_paths, mutation, floor):
     # Nodes that keep their type from the check of an earlier step: a
     # rebuilt parent is checked again and reads its children's kept types,
-    # and a copied node keeps nothing, so the type check still fires.
+    # and a copied node keeps nothing, so the type check still fires on
+    # every wrong step that a fresh check finds changes the subject's type.
+    # A rewritten node in dead code can leave that type as it was.
     mutated_steps = 0
-    for path in corpus_paths:
-        mutated, failure = check_mutated(monkeypatch, path, mutation)
-        if mutated is not None:
-            assert failure == f"metatheory: step {mutated} changed the subject's type", path.name
+    for name, text in program_texts(corpus_paths, 40):
+        results = []
+        mutated, failure = check_mutated(monkeypatch, name, text, mutation, results=results)
+        if mutated is None:
+            continue
+        sig = source.parse_program(text)[0]
+        right, wrong = (fresh_type(sig, t) for t in results)
+        changed = f"metatheory: step {mutated} changed the subject's type"
+        if wrong is not None and alpha_eq(wrong, right):
+            assert failure != changed, name
+        else:
+            assert failure == changed, name
             mutated_steps += 1
     assert mutated_steps >= floor
 

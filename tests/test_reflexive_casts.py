@@ -1,28 +1,29 @@
-"""Casts that witness A ≤ A.  Dropping them after elaboration keeps the
-type, the erasure and the behaviour of the elaborated term, and its
-derivation is carried over without another check.  No later elaboration
-and no step builds one that `exeff.is_refl` accepts, and what `is_refl`
-accepts witnesses A ≤ A."""
+"""Casts that witness A ≤ A.  Inference's substitution drops each cast
+whose coercion becomes one that `exeff.is_refl` accepts, which keeps the
+type, the erasure and the behaviour of the elaborated term, and leaves no
+cast whose derived constraint has alpha-equal sides.  No later elaboration
+and no step builds one that `is_refl` accepts, and what `is_refl` accepts
+witnesses A ≤ A."""
 
 from collections import Counter
 
 import pytest
 
-from effc import exeff, infer, noeff, pipeline, skeleff, source, traverse
+from effc import display, exeff, infer, noeff, pipeline, skeleff, source, traverse
 from effc.core import (
     Base,
-    CompSub,
     CompType,
     Context,
     CoVar,
+    DirtSub,
     DirtVar,
     EMPTY_DIRT,
     TBase,
-    TermVar,
     TyVar,
     TySub,
     TypecheckError,
     dirt,
+    dirt_add,
 )
 from effc.traverse import alpha_eq, free_vars, shape
 from conftest import CORPUS
@@ -32,15 +33,20 @@ from test_noeff import noeff_trace_preserves
 CASTS = (exeff.ECast, exeff.CCast)
 
 
-def elaborate(text: str, drop=None):
-    """(signature, elaborated term, its derivation, the term the pass
-    returns), compiled the way `pipeline.compile_text` does."""
+def elaborate_every_cast(text: str):
+    """(signature, elaborated term) of `text` with every cast that
+    elaboration puts in, reflexive ones included: inferred with the
+    substitution's cast test switched off."""
     sig, comp = source.parse_program(text)
     source.check_signature(sig)
-    cty, term, _ = infer.infer_and_default(sig, comp)
-    derived = exeff.derive(Context(sig), term)
-    assert alpha_eq(derived.of(term), cty)
-    return sig, term, derived, (drop or exeff.drop_reflexive_casts)(derived, term)
+    try:
+        for cls in CASTS:
+            traverse.cast_hook(cls, lambda co: False)
+        _, term, _ = infer.infer_and_default(sig, comp)
+    finally:
+        for cls in CASTS:
+            traverse.cast_hook(cls, exeff.is_refl)
+    return sig, term
 
 
 def casts(t):
@@ -61,77 +67,42 @@ def is_reflexive(derived, cast) -> bool:
     return alpha_eq(ct.lhs, ct.rhs)
 
 
-def structurally_reflexive(co) -> bool:
-    """Whether `co` is built from reflexivity alone: reflexivity leaves, the
-    empty dirt's `CoEmpty`, and op-union chains that end in a reflexive
-    coercion or in the `CoEmpty` of a closed dirt holding only the chain's
-    operations.  A cross-check of the pass, which reads the constraint from
-    the derivation instead."""
-    cls = type(co)
-    if cls in (exeff.CoBaseRefl, exeff.CoTyRefl, exeff.CoDirtRefl):
-        return True
-    if cls is exeff.CoOpUnion:
-        ops = set()
-        while type(co) is exeff.CoOpUnion:
-            ops.add(co.op)
-            co = co.rest
-        if type(co) is exeff.CoEmpty:
-            return co.dirt.tail is None and co.dirt.ops <= ops
-        return structurally_reflexive(co)
-    if cls is exeff.CoEmpty:
-        return co.dirt.is_empty()
-    if cls is exeff.CoVarRef:
-        return False
-    kids = [f.name for f in shape(cls).kids if f.name not in ("constraint", "skel")]
-    return all(structurally_reflexive(getattr(co, name)) for name in kids)
-
-
-def assert_derivation_carried(sig, derived, out) -> int:
-    """Check `out` afresh and compare with what the pass carried over, at
-    every node; returns the number of nodes compared."""
-    fresh = exeff.derive(Context(sig), out)
-    for key, t in fresh.items():
-        assert alpha_eq(derived[key], t)
-    return len(fresh)
-
-
 @pytest.fixture(scope="module")
-def simplified(corpus_paths):
-    """(name, signature, elaborated term, derivation, simplified term) of the
-    corpus and 960 generated programs."""
-    return [(name, *elaborate(text)) for name, text in program_texts(corpus_paths, 960)]
+def compiled(corpus_paths):
+    """(name, the term with every cast and its derivation, the compiled
+    ExEff term and its derivation) of the corpus and 960 generated
+    programs."""
+    out = []
+    for name, text in program_texts(corpus_paths, 960):
+        sig, every = elaborate_every_cast(text)
+        term = pipeline.compile_text(text, "exeff").exeff_term
+        out.append((name, every, exeff.derive(Context(sig), every), term, exeff.derive(Context(sig), term)))
+    return out
 
 
-def test_the_pass_drops_exactly_the_reflexive_casts(simplified):
+def test_no_compiled_cast_witnesses_alpha_equal_sides(compiled):
     before = after = 0
-    for name, sig, term, derived, out in simplified:
-        old, new = list(casts(term)), list(casts(out))
+    for name, every, every_derived, term, derived in compiled:
+        assert not any(is_reflexive(derived, c) for c in casts(term)), name
+        # Substitution drops exactly the casts that witness alpha-equal
+        # sides, and keeps every other cast with its coercion.
+        old = list(casts(every))
+        kept = [c.co for c in old if not is_reflexive(every_derived, c)]
+        assert [c.co for c in casts(term)] == kept, name
         before += len(old)
-        after += len(new)
-        # A surviving cast is one of the elaborated term's, with its coercion.
-        kept = [c.co for c in old if not is_reflexive(derived, c)]
-        assert [c.co for c in new] == kept, name
-        for c in old:
-            assert structurally_reflexive(c.co) == is_reflexive(derived, c), name
+        after += len(kept)
     assert after < before / 2
 
 
-def test_the_erasure_is_unchanged(simplified):
+def test_the_erasure_is_unchanged(compiled):
     # Coercions have no computational content: erasure forgets casts.
-    for name, _, term, _, out in simplified:
-        assert skeleff.erase_comp({}, out) == skeleff.erase_comp({}, term), name
+    for name, every, _, term, _ in compiled:
+        assert skeleff.erase_comp({}, term) == skeleff.erase_comp({}, every), name
 
 
-def test_the_carried_types_are_what_a_fresh_check_derives(simplified):
-    compared = 0
-    for name, sig, _, derived, out in simplified:
-        compared += assert_derivation_carried(sig, derived, out)
-    assert compared > 20_000
-
-
-def test_the_observations_are_unchanged(simplified):
-    for name, _, term, _, out in simplified:
-        want, got = exeff.eval_comp(term), exeff.eval_comp(out)
+def test_the_observations_are_unchanged(compiled):
+    for name, every, _, term, _ in compiled:
+        want, got = exeff.eval_comp(every), exeff.eval_comp(term)
         assert pipeline.observe_exeff(got.result) == pipeline.observe_exeff(want.result), name
         assert got.steps <= want.steps, name
 
@@ -144,64 +115,115 @@ def test_compile_reads_the_simplified_term():
 
 
 def test_a_widening_cast_survives():
-    # return unit ▷ (Unit ! ∅ ≤ Unit ! {Tick}), under reflexive casts.
+    # return unit ▷ w0 ▷ w1 ▷ w2 ▷ w3, solved with w2 the widening
+    # Unit ! ∅ ≤ Unit ! {Tick} and the others reflexive: Unit ≤ Unit,
+    # Unit ! ∅ ≤ Unit ! ∅ and Unit ! {Tick} ≤ Unit ! {Tick}.
     sig = make_signature()
     unit = exeff.CoBaseRefl(Base.UNIT)
     widen = exeff.CoComp(unit, exeff.CoEmpty(dirt(["Tick"])))
-    ticks = CompType(TBase(Base.UNIT), dirt(["Tick"]))
-    term = exeff.CCast(exeff.CCast(exeff.CReturn(exeff.ECast(exeff.EUnit(), unit)), widen), exeff.refl_of(ticks))
-    derived = exeff.derive(Context(sig), term)
-    assert derived.of(widen) == CompSub(CompType(TBase(Base.UNIT), EMPTY_DIRT), ticks)
-    out = exeff.drop_reflexive_casts(derived, term)
+    w0, w1, w2, w3 = (exeff.CoVarRef(CoVar(i)) for i in range(4))
+    term = exeff.CCast(exeff.CCast(exeff.CCast(exeff.CReturn(exeff.ECast(exeff.EUnit(), w0)), w1), w2), w3)
+    solution = exeff.Subst(co={
+        0: unit,
+        1: exeff.CoComp(unit, exeff.CoEmpty(EMPTY_DIRT)),
+        2: widen,
+        3: exeff.CoComp(unit, exeff.CoOpUnion("Tick", exeff.CoEmpty(dirt(["Tick"])))),
+    })
+    out = exeff.substitute(solution, term)
     assert out == exeff.CCast(exeff.CReturn(exeff.EUnit()), widen)
-    assert derived.of(out) == derived.of(term)
-    assert_derivation_carried(sig, derived, out)
+    assert exeff.derive(Context(sig), out).of(out) == CompType(TBase(Base.UNIT), dirt(["Tick"]))
 
 
-def test_a_shared_node_keeps_all_its_entries_when_rebuilt():
-    # One `return (unit |> <Unit>)` node in both positions of a `do`: the
-    # checker records it twice, and the node that replaces it takes over
-    # both records.
-    shared = exeff.CReturn(exeff.ECast(exeff.EUnit(), exeff.CoBaseRefl(Base.UNIT)))
-    x = TermVar(0, "x")
-    term = exeff.CDo(x, shared, shared)
-    derived = exeff.derive(Context(make_signature()), term)
-    assert derived.again[id(shared)]
-    out = exeff.drop_reflexive_casts(derived, term)
-    assert out == exeff.CDo(x, exeff.CReturn(exeff.EUnit()), exeff.CReturn(exeff.EUnit()))
-    for rebuilt in (out.first, out.second):
-        assert derived.again[id(rebuilt)] == derived.again[id(shared)]
-        assert derived.of(rebuilt) == derived.of(shared)
+DELTA = DirtVar(0)
+W = CoVar(0)
+
+# Dirt coercions, and whether the two dirts each relates are equal.
+DIRT_COERCIONS = {
+    "empty-of-empty": (exeff.CoEmpty(EMPTY_DIRT), True),
+    "op-over-empty-of-op": (exeff.CoOpUnion("Tick", exeff.CoEmpty(dirt(["Tick"]))), True),
+    "chain-over-refl": (
+        exeff.CoOpUnion("Tock", exeff.CoOpUnion("Tick", exeff.CoDirtRefl(dirt(["Tick"], DELTA)))),
+        True,
+    ),
+    "empty-of-variable": (exeff.CoEmpty(dirt((), DELTA)), False),
+    "empty-of-op": (exeff.CoEmpty(dirt(["Tick"])), False),
+    "op-over-empty-of-other-op": (exeff.CoOpUnion("Tick", exeff.CoEmpty(dirt(["Tock"]))), False),
+    "chain-over-variable": (exeff.CoOpUnion("Tick", exeff.CoOpUnion("Tock", exeff.CoVarRef(W))), False),
+}
 
 
-def test_a_pass_that_drops_a_widening_cast_is_rejected(monkeypatch, corpus_paths):
-    # The pass made careless: every cast looks reflexive to it.
-    drop = exeff.drop_reflexive_casts
+@pytest.mark.parametrize("name", DIRT_COERCIONS)
+def test_a_dirt_coercion_is_reflexive_when_its_dirts_are_equal(name):
+    co, reflexive = DIRT_COERCIONS[name]
+    assert exeff.is_refl(co) is reflexive
+    # The checker derives the two dirts; the variable widens ∅ to {Get}.
+    env = Context(make_signature()).bind(DELTA).bind(W, DirtSub(EMPTY_DIRT, dirt(["Get"])))
+    ct = exeff.typecheck_coercion(env, co)
+    assert alpha_eq(ct.lhs, ct.rhs) is reflexive
+    # So is a congruence over it, and a cast by one is dropped.
+    comp = exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), co)
+    assert exeff.is_refl(comp) is reflexive
+    subject = exeff.CReturn(exeff.EUnit())
+    assert (exeff.cast_comp(subject, comp) is subject) is reflexive
 
-    def careless(derived, c):
-        with monkeypatch.context() as m:
-            m.setattr(exeff, "alpha_eq", lambda a, b: True)
-            return drop(derived, c)
 
-    widening = in_compile = 0
+OTHER_BASE = {Base.UNIT: Base.INT, Base.INT: Base.UNIT}
+
+
+def widening(sig, co):
+    """A widening of the right side in place of the solution of Δ ≤ Δ."""
+    cls = type(co)
+    if cls is exeff.CoDirtRefl or cls is exeff.CoEmpty and co.dirt.is_empty():
+        return exeff.CoEmpty(dirt_add(sig.names()[:1], co.dirt))
+    return None
+
+
+def other_base(sig, co):
+    """The reflexivity of the other base type in place of a base type's."""
+    if type(co) is exeff.CoBaseRefl:
+        return exeff.CoBaseRefl(OTHER_BASE[co.base])
+    return None
+
+
+def dumps(art) -> list:
+    return [display.show(t) for t in (art.exeff_term, art.skeleff_term, art.noeff_term)]
+
+
+@pytest.mark.parametrize(
+    "wrong, floor", [(widening, 23), (other_base, 5)], ids=["widening", "other-base"]
+)
+def test_a_wrong_coercion_solution_is_rejected(monkeypatch, corpus_paths, wrong, floor):
+    # Inference made wrong: the first coercion solution of each corpus
+    # program that `wrong` rewrites is recorded rewritten.  Compilation must
+    # reject the program, unless the cast carrying the wrong coercion is
+    # dropped as reflexive and the program compiles to what the right
+    # solution gives.  Every widening is rejected (23 of 23 programs).  A
+    # reflexivity at another base type goes unchecked with its cast when
+    # the rest of the coercion is reflexive too, so 5 of 35 are rejected.
+    record, mutated = infer.Session.record, []
+
+    def wrong_once(session, w, co):
+        bad = None if mutated else wrong(session.sig, co)
+        if bad is not None:
+            mutated.append(w)
+        record(session, w, bad or co)
+
+    rejected = unchanged = 0
     for path in corpus_paths:
         text = path.read_text()
-        sig, _, derived, out = elaborate(text)
-        if not list(casts(out)):
-            continue
-        widening += 1
+        mutated.clear()
         with monkeypatch.context() as m:
-            m.setattr(exeff, "drop_reflexive_casts", careless)
+            m.setattr(infer.Session, "record", wrong_once)
             try:
-                pipeline.compile_text(text)
+                art = pipeline.compile_text(text)
             except TypecheckError:
-                in_compile += 1
+                rejected += 1
                 continue
-        sig, _, derived, out = elaborate(text, careless)
-        with pytest.raises((TypecheckError, AssertionError)):
-            assert_derivation_carried(sig, derived, out)
-    # 29 corpus programs keep a cast; compilation rejects 27 of them.
-    assert widening >= 25 and in_compile >= 20
+        if mutated:
+            assert dumps(art) == dumps(pipeline.compile_text(text)), path.name
+            unchanged += 1
+    assert rejected >= floor
+    assert rejected + unchanged == (23 if wrong is widening else 35)
 
 
 # -- no elaboration and no step builds a reflexive cast ---------------------------
@@ -335,8 +357,8 @@ def test_is_refl_rejects_every_other_form_and_every_congruence_over_one():
     w = exeff.CoVarRef(CoVar(0))
     others = (
         w,
-        exeff.CoEmpty(EMPTY_DIRT),
-        exeff.CoOpUnion("Tick", exeff.CoDirtRefl(dirt(["Tick"]))),
+        exeff.CoEmpty(dirt(["Tick"])),
+        exeff.CoOpUnion("Tick", w),
         noeff.NCoReturn(unit),
         noeff.NCoUnsafe(unit),
         noeff.NCoHandToFun(unit, noeff.NCoComp(unit)),

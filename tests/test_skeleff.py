@@ -229,8 +229,8 @@ def test_coercion_irrelevance_single_pair():
         exeff.CoBaseRefl(Base.UNIT),
         exeff.CoComp(exeff.CoBaseRefl(Base.UNIT), exeff.CoEmpty(dirt(["Tick"]))),
     )
-    r1 = exeff.eval_value(v).result
-    r2 = exeff.eval_value(exeff.ECast(v, co)).result
+    r1 = exeff.VALUE_REDUCTION.run(v)[0]
+    r2 = exeff.VALUE_REDUCTION.run(exeff.ECast(v, co))[0]
     assert skeleff.congruent(skeleff.erase_value({}, r1), skeleff.erase_value({}, r2))
 
 

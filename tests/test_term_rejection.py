@@ -245,6 +245,11 @@ CASES = {
         exeff.CHandle(UNIT, noeff.MReturn(UNIT)),
         "with-handle applied to a non-handler term",
     ),
+    "noeff-handle-body": (
+        noeff_check,
+        exeff.CHandle(exeff.EHandler(X, T_UNIT, noeff.MReturn(exeff.EVar(X))), noeff.MReturn(ONE)),
+        "handled term does not match the handler input type",
+    ),
 }
 
 
