@@ -438,6 +438,7 @@ def refl_of(t) -> Coercion:
 # variables, applied by `traverse.substitute`.  Replacing a type variable
 # under a `CoTyRefl` rewrites the coercion via refl_of, so coercions stay
 # well-formed; a `CoDirtRefl` holds a whole dirt and substitutes it in place.
+# A dirt with no operations of its own becomes its replacement itself.
 
 
 class Subst:
@@ -497,7 +498,7 @@ class Single(Subst):
 def subst_dirt(s: Subst, d: Dirt) -> Dirt:
     if d.tail is not None and d.tail.id in s.dirt:
         repl = s.dirt[d.tail.id]
-        return Dirt(d.ops | repl.ops, repl.tail)
+        return Dirt(d.ops | repl.ops, repl.tail) if d.ops else repl
     return d
 
 
@@ -840,13 +841,13 @@ def _type_app(app, abs_) -> tuple:
     beta-reduce."""
     arg = shape(app).names[1]
 
-    def head(t):
+    def _type_beta(t):
         f = t.val
         if type(f) is abs_:
             return instantiate(Single(f.var, getattr(t, arg)), f.body)
         return None
 
-    return "val", head
+    return "val", _type_beta
 
 
 def _cast_op(c: CCast):

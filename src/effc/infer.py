@@ -11,7 +11,8 @@ the let bound and recorded.  The variables that generalize are those deeper
 than the let (see `Session`), so no let scans its environment.  Generation
 threads no substitution: what it built before a let, environment entries
 included, may mention variables the let solved, and the session's solution is
-applied where that is read.
+applied where that is read: the elaborated term reads it once, after the
+final solve and the defaulting, which binds into the session too.
 """
 
 from __future__ import annotations
@@ -138,6 +139,8 @@ class Session:
     less, and a variable of the let's residual or type is free in that
     environment exactly when its level is at most L: Kuan and MacQueen,
     *Efficient Type Inference Using Ranked Type Variables* (ML 2007).
+    `generalized` holds the ids of the dirt variables a let generalized
+    (`split`); its `EDirtAbs` binds each, so defaulting must not.
     """
 
     def __init__(self, sig: Signature):
@@ -150,6 +153,7 @@ class Session:
         self._uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
         self.order: list = []  # (sort, id) of each variable bound or recorded in `solved`
         self.let_schemes: list = []  # (name, quantified value type) in elaboration order
+        self.generalized: set = set()  # ids of the dirt variables a let generalized
 
     @property
     def level(self) -> int:
@@ -214,15 +218,23 @@ class Session:
 
     def settle(self, mark: int) -> Subst:
         """Substitute `solved` into each coercion solution recorded since
-        `mark`, latest first; returns what was bound and recorded since."""
+        `mark`, latest first; returns what was bound and recorded since,
+        which from mark 0 is `solved` itself."""
         since, solved = self.order[mark:], self.solved
         for sort, wid in reversed(since):
             if sort == "co":
                 solved.co[wid] = substitute(solved, solved.co[wid])
+        if not mark:
+            return solved
         out = Subst()
         for sort, vid in since:
             getattr(out, sort)[vid] = getattr(solved, sort)[vid]
         return out
+
+    def defaultable_dirts(self) -> list:
+        """The ids of the dirt variables made and neither solved nor generalized."""
+        solved, gen = self.solved.dirt, self.generalized
+        return [vid for sort, vid in self.levels if sort == "dirt" and vid not in solved and vid not in gen]
 
 
 class _LevelSupply(Supply):
@@ -274,6 +286,7 @@ def split(session: Session, Q: list, a: ValueType) -> tuple:
     q_objs = [it.var if isinstance(it, SkelAnn) else it.constraint for it in Q]
     gen_ty = [v for v in free_vars(q_objs + [a], TyVar) if levels["ty", v.id] > level]
     gen_dirt = [v for v in free_vars(q_objs + [a], DirtVar) if levels["dirt", v.id] > level]
+    session.generalized.update(v.id for v in gen_dirt)
     gen_ty_ids = {v.id for v in gen_ty}
 
     ann: dict = {}
@@ -862,12 +875,19 @@ def gen_comp(session: Session, Q: list, env: dict, c) -> tuple:
 
 @dataclass
 class InferOutcome:
+    """One inference as the final solve leaves it: `cty` has the session's
+    solution applied, `term` is as generated."""
+
     cty: CompType
     residual: list
-    subst: Subst
     term: exeff.Comp
     session: Session
     generated: list  # constraint queue as handed to the final solve
+
+    @property
+    def subst(self) -> Subst:
+        """The session's solution, settled: before defaulting, the final solve's."""
+        return self.session.settle(0)
 
 
 def infer_top(sig: Signature, comp) -> InferOutcome:
@@ -876,66 +896,32 @@ def infer_top(sig: Signature, comp) -> InferOutcome:
     cty, Q, term = gen_comp(session, [], {}, comp)
     generated = [subst_item(session.solved, it) for it in Q]
     residual = solve(session, generated)[1]
-    s = session.settle(0)
-    return InferOutcome(
-        cty=substitute(s, cty),
-        residual=residual,
-        subst=s,
-        term=substitute(s, term),
-        session=session,
-        generated=generated,
-    )
-
-
-def _fill_skeleton(sk: Skeleton) -> ValueType:
-    """The base type of a residual annotation's defaulted skeleton.  The
-    solver instantiates an annotation at an arrow or handler skeleton at
-    once, so a residual one names a variable, which defaulting sets to a base."""
-    if isinstance(sk, SkelBase):
-        return T_BASE[sk.base]
-    raise TypeError(f"cannot fill non-base skeleton {display.show(sk)}")
+    return InferOutcome(substitute(session.solved, cty), residual, term, session, generated)
 
 
 def default_residual(outcome: InferOutcome) -> Subst:
-    """Ground the residual constraints: free dirt variables become the empty
-    dirt, free type variables the base filling of their skeletons, and
-    residual coercion variables the coercion obtained by re-solving, which
-    the session records: call it once per outcome."""
+    """Bind, in the outcome's session, free skeleton variables to Unit, free
+    type variables to the base type of their skeletons and the session's
+    defaultable dirt variables to the empty dirt; then solve the residual
+    subtyping constraints, ground now: call it once per outcome.  Returns the
+    defaults.  The solver instantiates an annotation at an arrow or handler
+    skeleton at once, so a residual one names a variable, set to Unit here."""
     session = outcome.session
-    free_skels: list = []
-    seen = set()
-    for it in outcome.residual:
-        if isinstance(it, SkelAnn) and isinstance(it.skel, SkelVar) and it.skel.id not in seen:
-            seen.add(it.skel.id)
-            free_skels.append(it.skel)
-    s = Subst(skel={sv.id: SKEL_UNIT for sv in free_skels})
-
-    ty_map = {}
-    for it in outcome.residual:
-        if isinstance(it, SkelAnn):
-            ty_map[it.var.id] = _fill_skeleton(substitute(s, it.skel))
-    s = Subst(skel=s.skel, ty=ty_map)
-
-    objs = [it.constraint for it in outcome.residual if isinstance(it, SubCt)]
-    dirt_ids = {v.id for v in free_vars(objs + [outcome.cty], DirtVar)}
-    dirt_ids |= {v.id for v in free_vars(outcome.term, DirtVar)}
-    s = Subst(skel=s.skel, ty=s.ty, dirt={vid: EMPTY_DIRT for vid in dirt_ids})
-
-    ground_items = [
-        SubCt(it.co, substitute(s, it.constraint), it.span)
-        for it in outcome.residual
-        if isinstance(it, SubCt)
-    ]
-    mark = len(session.order)
-    leftover = solve(session, ground_items)[1]
+    residual = outcome.residual
+    skels = Subst(skel={it.skel.id: SKEL_UNIT for it in residual if isinstance(it, SkelAnn) and isinstance(it.skel, SkelVar)})
+    ty = {it.var.id: T_BASE[substitute(skels, it.skel).base] for it in residual if isinstance(it, SkelAnn)}
+    d = Subst(skels.skel, ty, dict.fromkeys(session.defaultable_dirts(), EMPTY_DIRT))
+    session.bind(d)
+    leftover = solve(session, [it for it in residual if isinstance(it, SubCt)])[1]
     assert not leftover, "defaulted residual constraints must solve completely"
-    return s.then(session.settle(mark))
+    return d
 
 
 def infer_and_default(sig: Signature, comp) -> tuple:
-    """Infer, then ground all residual variables; returns (CompType, core term, outcome)."""
+    """Infer, ground all residual variables, settle the coercion solutions
+    and substitute the solution into the type and the term; returns
+    (CompType, core term, outcome)."""
     outcome = infer_top(sig, comp)
-    d = default_residual(outcome)
-    cty = substitute(d, outcome.cty)
-    term = substitute(d, outcome.term)
-    return cty, term, outcome
+    default_residual(outcome)
+    s = outcome.session.settle(0)
+    return substitute(s, outcome.cty), substitute(s, outcome.term), outcome

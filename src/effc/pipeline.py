@@ -179,7 +179,8 @@ def differential_check_text(
     Along the core trace every step must preserve the exact type, and the
     erasures of consecutive terms must be congruent.  Any violation or
     cross-backend disagreement produces a failing report; a violation names
-    its step, counted from 1.  A backend that
+    its step, counted from 1, and the redex class and head rule of a step
+    that broke a property.  A backend that
     takes more than `fuel` steps raises FuelExhausted.
     """
     report = DiffReport(program_id)
@@ -202,12 +203,12 @@ def differential_check_text(
                 preserved = False
             if not preserved:
                 report.agreement = False
-                report.failure = f"metatheory: step {steps + 1} changed the subject's type"
+                report.failure = f"metatheory: step {steps + 1} changed the subject's type ({exeff.REDUCTION.rule(term)})"
                 return report
             erased_nxt = skeleff.erase_comp({}, nxt)
             if not skeleff.congruent(erased, erased_nxt, fuel):
                 report.agreement = False
-                report.failure = f"metatheory: erasure of step {steps + 1} is not congruent"
+                report.failure = f"metatheory: erasure of step {steps + 1} is not congruent ({exeff.REDUCTION.rule(term)})"
                 return report
             erased = erased_nxt
         term = nxt

@@ -800,6 +800,18 @@ class Reduction:
         found = next(self._walk(t), None)
         return None if found is None else _plug(*found)
 
+    def rule(self, t):
+        """"Class: rule" of the redex that `step(t)` contracts and the head
+        rule that fires on it (the first that does), or None: for reports,
+        so that `step` and `run` pay nothing for it."""
+        found = next(self._walk(t), None)
+        if found is None:
+            return None
+        path = found[0]
+        redex = t if path is None else getattr(path[1], path[2])
+        head = next(e[0] for e in self._entries[type(redex)] if e[0] is not None and e[0](redex) is not None)
+        return f"{type(redex).__name__}: {head.__name__}"
+
     def positions(self, t) -> list:
         """The children of `t` in evaluation positions whose guards hold."""
         return [

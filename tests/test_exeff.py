@@ -203,6 +203,19 @@ def test_subst_dirt_refl_normalizes():
     assert got == exeff.CoDirtRefl(EMPTY_DIRT)
 
 
+def test_a_dirt_variable_becomes_its_replacement_itself():
+    # No copy of the replacement, of the empty dirt least of all; a dirt
+    # with operations of its own is a new dirt.
+    sup = Supply()
+    d, e = sup.dirt(), sup.dirt()
+    for repl in (EMPTY_DIRT, dirt(["Tick"]), dirt_var(e), dirt(["Get"], e)):
+        s = exeff.Subst.one_dirt(d, repl)
+        assert exeff.subst_dirt(s, dirt_var(d)) is s.dirt[d.id]
+        assert exeff.subst_dirt(s, dirt(["Tock"], d)) == Dirt(repl.ops | {"Tock"}, repl.tail)
+    s = exeff.Subst.one_dirt(d, EMPTY_DIRT)
+    assert exeff.substitute(s, CompType(T_UNIT, dirt_var(d))).dirt is EMPTY_DIRT
+
+
 def _open_dirts(rng, t, tails):
     """`t` with a tail drawn from `tails` put on each of its dirts."""
     if isinstance(t, TArrow):

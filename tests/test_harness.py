@@ -82,8 +82,8 @@ def mutate_first(monkeypatch, mutation, start=1, results=None):
     """Make the first step from step `start` on whose result `mutation` can
     rewrite (in one node, the first in pre-order) take that rewritten
     result instead; returns a list that records the index of the mutated
-    step, counted from 1, and adds the step's right and wrong result to the
-    list `results` when one is given."""
+    step, counted from 1, and adds the term the step took and its right and
+    wrong result to the list `results` when one is given."""
     index, mutated = itertools.count(1), []
 
     def step(term):
@@ -95,19 +95,37 @@ def mutate_first(monkeypatch, mutation, start=1, results=None):
             return nxt
         mutated.append(k)
         if results is not None:
-            results.extend((nxt, wrong))
+            results.extend((term, nxt, wrong))
         return wrong
 
     monkeypatch.setattr(exeff, "step_comp", step)
     return mutated
 
 
+def fired(term, right) -> str:
+    """"Class: rule" of the one head rule whose contraction of some node of
+    `term` gives `right`, found by trying every head rule at every node."""
+    found = {
+        f"{cls.__name__}: {head.__name__}"
+        for cls, entries in exeff.RULES.items()
+        for head in entries
+        if callable(head)
+        for out in contractions(term, lambda node: head(node) if type(node) is cls else None)
+        if out == right
+    }
+    assert len(found) == 1, found
+    return found.pop()
+
+
 def check_mutated(monkeypatch, name, text, mutation, check_each_step=True, results=None):
-    """(the index of the mutated step or None, the harness's failure or None)."""
+    """(the index of the mutated step or None, the harness's failure or
+    None, the rule the mutated step's right result came from or None)."""
+    results = [] if results is None else results
     with monkeypatch.context() as m:
         mutated = mutate_first(m, mutation, results=results)
         report = pipeline.differential_check_text(text, name, check_each_step=check_each_step)
-    return (mutated or [None])[0], report.failure
+    rule = fired(*results[:2]) if mutated else None
+    return (mutated or [None])[0], report.failure, rule
 
 
 @pytest.mark.parametrize(
@@ -120,11 +138,11 @@ def test_every_visible_wrong_step_is_caught_at_the_step(monkeypatch, corpus_path
     caught = 0
     for path in corpus_paths:
         text = path.read_text()
-        mutated, unchecked = check_mutated(monkeypatch, path.name, text, mutation, check_each_step=False)
+        mutated, unchecked, _ = check_mutated(monkeypatch, path.name, text, mutation, check_each_step=False)
         if mutated is None:
             continue
-        _, failure = check_mutated(monkeypatch, path.name, text, mutation)
-        at_the_step = f"metatheory: erasure of step {mutated} is not congruent"
+        _, failure, rule = check_mutated(monkeypatch, path.name, text, mutation)
+        at_the_step = f"metatheory: erasure of step {mutated} is not congruent ({rule})"
         if unchecked is not None:
             assert unchecked.startswith("backends disagree"), (path.name, unchecked)
             assert failure == at_the_step, (path.name, failure)
@@ -137,9 +155,9 @@ def test_every_visible_wrong_step_is_caught_at_the_step(monkeypatch, corpus_path
 def test_wrongly_typed_step_is_a_metatheory_failure(monkeypatch, corpus_paths):
     stepping = 0
     for path in corpus_paths:
-        mutated, failure = check_mutated(monkeypatch, path.name, path.read_text(), miscast)
+        mutated, failure, rule = check_mutated(monkeypatch, path.name, path.read_text(), miscast)
         if mutated is not None:
-            assert failure == f"metatheory: step {mutated} changed the subject's type", path.name
+            assert failure == f"metatheory: step {mutated} changed the subject's type ({rule})", path.name
             stepping += 1
     assert stepping >= 34
 
@@ -165,12 +183,12 @@ def test_a_wrong_step_around_kept_types_is_caught(monkeypatch, corpus_paths, mut
     mutated_steps = 0
     for name, text in program_texts(corpus_paths, 40):
         results = []
-        mutated, failure = check_mutated(monkeypatch, name, text, mutation, results=results)
+        mutated, failure, rule = check_mutated(monkeypatch, name, text, mutation, results=results)
         if mutated is None:
             continue
         sig = source.parse_program(text)[0]
-        right, wrong = (fresh_type(sig, t) for t in results)
-        changed = f"metatheory: step {mutated} changed the subject's type"
+        right, wrong = (fresh_type(sig, t) for t in results[1:])
+        changed = f"metatheory: step {mutated} changed the subject's type ({rule})"
         if wrong is not None and alpha_eq(wrong, right):
             assert failure != changed, name
         else:
@@ -181,23 +199,24 @@ def test_a_wrong_step_around_kept_types_is_caught(monkeypatch, corpus_paths, mut
 
 @pytest.mark.parametrize(
     "mutation, failure",
-    [(bump_literal, "metatheory: erasure of step {} is not congruent"), (miscast, "metatheory: step {} changed the subject's type")],
+    [(bump_literal, "metatheory: erasure of step {} is not congruent ({})"), (miscast, "metatheory: step {} changed the subject's type ({})")],
     ids=["bump_literal", "miscast"],
 )
 @pytest.mark.parametrize("start", [1, 3, 5])
 def test_a_wrong_step_reports_its_own_index(monkeypatch, mutation, failure, start):
+    results = []
     with monkeypatch.context() as m:
-        mutated = mutate_first(m, mutation, start)
+        mutated = mutate_first(m, mutation, start, results)
         report = pipeline.differential_check_text((CORPUS / "p15_get_constant.eff").read_text())
     assert mutated == [start]
-    assert report.failure == failure.format(start)
+    assert report.failure == failure.format(start, fired(*results[:2]))
 
 
 def test_cli_diff_exits_3_on_a_wrongly_typed_step(monkeypatch, capsys):
     mutate_first(monkeypatch, miscast)
     assert cli.main(["diff", str(CORPUS / "p03_id_app.eff")]) == 3
     captured = capsys.readouterr()
-    assert "FAIL: metatheory: step 1 changed the subject's type" in captured.out
+    assert "FAIL: metatheory: step 1 changed the subject's type (CApp: _app)\n" in captured.out
     assert captured.err == ""
 
 
@@ -233,3 +252,10 @@ def test_harness_records_no_derivation_of_its_own(monkeypatch):
     report = pipeline.differential_check_text((CORPUS / "p09_do_tick_tock.eff").read_text())
     assert report.agreement and report.steps["exeff"] == 2
     assert len(made) == 1
+
+
+def test_the_rule_of_a_step_is_found_again():
+    # p03 applies a function first; a result takes no step and has no rule.
+    art = pipeline.compile_text((CORPUS / "p03_id_app.eff").read_text(), "exeff")
+    assert exeff.REDUCTION.rule(art.exeff_term) == fired(art.exeff_term, STEP(art.exeff_term)) == "CApp: _app"
+    assert exeff.REDUCTION.rule(exeff.CReturn(exeff.EUnit())) is None
