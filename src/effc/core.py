@@ -7,8 +7,9 @@ with skeletons, and the backends consume it wholesale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 
@@ -18,17 +19,75 @@ from typing import Iterable, Optional, Union
 NODES: list = []  # every class declared with `node`, in declaration order
 
 
+def _node_eq(self, other):
+    if other is self:
+        return True
+    cls = type(self)
+    if type(other) is cls:
+        key = cls._compared
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _node_hash(self):
+    cls = type(self)
+    key = cls._compared(self)
+    return hash((key,) if cls._one_compared else key)
+
+
+def _node_repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _no_fields(self) -> tuple:
+    return ()
+
+
+def _signature_doc(cls: type) -> str:
+    """`Name(field: 'annotation' = default, ...)`, the docstring `dataclass`
+    would give the class, built from its annotations alone."""
+    params = []
+    for name, ann in cls.__dict__.get("__annotations__", {}).items():
+        default = cls.__dict__.get(name, MISSING)
+        if isinstance(default, Field):
+            default = default.default
+        params.append(f"{name}: {ann!r}" + ("" if default is MISSING else f" = {default!r}"))
+    return f"{cls.__name__}({', '.join(params)})"
+
+
 def node(cls: type) -> type:
     """Declare a node class: a dataclass whose instances are compared and
-    hashed by their fields, and never changed once built.  The class is not
-    `frozen`, since a frozen dataclass's `__init__` stores each field through
-    `object.__setattr__` and takes more than twice as long; the test suite
-    enforces immutability instead, with a guard on every class in `NODES`
-    that raises `dataclasses.FrozenInstanceError` on a field store or delete
-    after construction (`tests/conftest.py`).  Attributes that are not
-    fields, like the summaries of `traverse`, are set with
-    `object.__setattr__`."""
-    cls = dataclass(eq=True, unsafe_hash=True)(cls)
+    hashed by their fields, and never changed once built.
+
+    `dataclass` generates the class's `__init__` and its field metadata
+    (`dataclasses.fields`, read by `traverse.Shape`, the dump reader and the
+    test suite).  Equality, hash and repr are the three functions above,
+    shared by every node class and driven by the class's `_compared`, a
+    getter of its `compare=True` fields (a tuple of their values, or the one
+    value of a class with one).  They behave as the ones `dataclass(eq=True,
+    unsafe_hash=True)` generates: `==` is `NotImplemented` across classes,
+    the hash is that of the tuple of compared fields, and the repr is
+    `Qualname(field=value, ...)`.  Generating them per class, and a
+    docstring through `inspect.signature`, took most of effc's import time,
+    which every `effc` command pays once.  A node is equal to itself at
+    once: the checkers often compare a node with itself, and the shared
+    `__eq__` reads fields more slowly than a generated one did.
+
+    The class is not `frozen`, since a frozen dataclass's `__init__` stores
+    each field through `object.__setattr__` and takes more than twice as
+    long; the test suite enforces immutability instead, with a guard on
+    every class in `NODES` that raises `dataclasses.FrozenInstanceError` on a
+    field store or delete after construction (`tests/conftest.py`).
+    Attributes that are not fields, like the summaries of `traverse`, are
+    set with `object.__setattr__`."""
+    if cls.__doc__ is None:
+        cls.__doc__ = _signature_doc(cls)
+    cls = dataclass(eq=False, repr=False)(cls)
+    compared = tuple(f.name for f in fields(cls) if f.compare)
+    cls._compared = attrgetter(*compared) if compared else _no_fields
+    cls._one_compared = len(compared) == 1
+    cls.__eq__, cls.__hash__, cls.__repr__ = _node_eq, _node_hash, _node_repr
     NODES.append(cls)
     return cls
 

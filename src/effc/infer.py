@@ -913,7 +913,8 @@ def default_residual(outcome: InferOutcome) -> Subst:
     d = Subst(skels.skel, ty, dict.fromkeys(session.defaultable_dirts(), EMPTY_DIRT))
     session.bind(d)
     leftover = solve(session, [it for it in residual if isinstance(it, SubCt)])[1]
-    assert not leftover, "defaulted residual constraints must solve completely"
+    if leftover:
+        raise AssertionError("defaulted residual constraints must solve completely")
     return d
 
 

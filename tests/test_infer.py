@@ -411,6 +411,22 @@ def test_collapse_rejects_a_re_solve_that_binds_another_variable(monkeypatch):
         pipeline.compile_text((CORPUS / "p28_apply_twice.eff").read_text())
 
 
+def test_defaulting_rejects_a_residual_left_unsolved(monkeypatch):
+    # The defaulted residual is ground, so solving it must leave nothing; the
+    # check raises explicitly, which `python -O` does not strip.
+    _, _, outcome = _infer_text((CORPUS / "p28_apply_twice.eff").read_text())
+    solve = infer.solve
+    left = infer.SubCt(CoVar(10**6), TySub(T_UNIT, T_UNIT))
+
+    def leaves_one(session, items):
+        out, residual = solve(session, items)
+        return out, residual + [left]
+
+    monkeypatch.setattr(infer, "solve", leaves_one)
+    with pytest.raises(AssertionError, match="^defaulted residual constraints must solve completely$"):
+        infer.default_residual(outcome)
+
+
 def test_inference_rejects_an_unbound_variable():
     session = infer.Session(tick_tock_signature())
     with pytest.raises(UnboundVariable, match="^unbound variable z$"):
