@@ -54,7 +54,8 @@ give its free variables different types.
 
 The small-step semantics of ExEff, SkelEff and NoEff are `Reduction`s: one
 ordered rule list per node class, interpreted by one decomposition loop that
-keeps its evaluation context on an explicit stack.  Evaluation is refocused:
+keeps its evaluation context on an explicit stack and contracts up to a step
+limit: `run`'s fuel, or 0 for `step` and `rule`.  Evaluation is refocused:
 after each step the loop resumes at the contractum inside the context it
 kept, and rebuilds a parent only when it pops back up to it, so a step costs
 the work near its redex, not the depth of its context.  This is exact
@@ -707,6 +708,8 @@ _RENAME[tuple] = _tuple_map(_RENAME)
 # ---------------------------------------------------------------------------
 # Small-step reduction: decompose, contract, plug
 
+_NO_REDEX = object()  # `Reduction._reduce`'s context once no redex is left; None is a redex at the root
+
 
 class Reduction:
     """A small-step relation, given as an ordered rule list per node class.
@@ -719,7 +722,8 @@ class Reduction:
     child, and a child that cannot step resumes its parent at the next entry.
     A class that never steps lists no entries; an unlisted class raises
     TypeError.  `result(t)` tells results from the rest, and `stuck(t)` words
-    the error for a non-result that cannot step.
+    the error for a non-result that cannot step.  One loop, `_reduce`,
+    serves `run`, `step` and `rule`, and returns the redex it stops at.
 
     Evaluation is refocused (Danvy & Nielsen, *Refocusing in Reduction
     Semantics*, BRICS RS-04-26, 2004): after a step, decomposition resumes at
@@ -761,18 +765,20 @@ class Reduction:
                 raise TypeError(f"{cls.__name__}: the guard of {name!r} reads the evaluation position {other!r}")
         return entries
 
-    def _walk(self, t):
-        """The decomposition loop: yields (evaluation context, contractum) at
-        each step and resumes at the contractum; returns the whole term once
-        no redex is left."""
+    def _reduce(self, t, limit: int, trace):
+        """The decomposition loop: contracts at most `limit` redexes, resumes
+        at each contractum, and appends each whole term to `trace` if given.
+        Returns (steps, evaluation context, contractum) of the next redex, or
+        (steps, `_NO_REDEX`, the whole term) once no redex is left."""
         entries = self._entries
         path = None  # the evaluation context: (outer path, parent, field, next entry)
         node, rules, i = t, entries[type(t)], 0
         n = len(rules)
+        steps = 0
         while True:
             if i == n:
                 if path is None:
-                    return node
+                    return steps, _NO_REDEX, node
                 path, parent, name, i = path
                 if getattr(parent, name) is not node:
                     parent = replace_field(parent, name, node)
@@ -784,7 +790,11 @@ class Reduction:
             if head is not None:
                 out = head(node)
                 if out is not None:
-                    yield path, out
+                    if steps >= limit:
+                        return steps, path, out
+                    steps += 1
+                    if trace is not None:
+                        trace.append(_plug(path, out))
                     node, rules, i = out, entries[type(out)], 0
                     n = len(rules)
             elif guard is None or guard(getattr(node, other)):
@@ -797,17 +807,16 @@ class Reduction:
     def step(self, t):
         """One step of `t`, or None when no entry fires along its evaluation
         positions."""
-        found = next(self._walk(t), None)
-        return None if found is None else _plug(*found)
+        _, path, out = self._reduce(t, 0, None)
+        return None if path is _NO_REDEX else _plug(path, out)
 
     def rule(self, t):
         """"Class: rule" of the redex that `step(t)` contracts and the head
         rule that fires on it (the first that does), or None: for reports,
         so that `step` and `run` pay nothing for it."""
-        found = next(self._walk(t), None)
-        if found is None:
+        _, path, _ = self._reduce(t, 0, None)
+        if path is _NO_REDEX:
             return None
-        path = found[0]
         redex = t if path is None else getattr(path[1], path[2])
         head = next(e[0] for e in self._entries[type(redex)] if e[0] is not None and e[0](redex) is not None)
         return f"{type(redex).__name__}: {head.__name__}"
@@ -824,20 +833,11 @@ class Reduction:
         """Step `t` until no redex is left: (the result, the number of steps,
         every term from `t` on if `keep_trace`, else None).  Raises
         StuckTerm, carrying the whole term, when that term is not a result,
-        and FuelExhausted on the step after the `fuel`-th."""
+        and FuelExhausted when a redex is left after `fuel` steps."""
         trace = [t] if keep_trace else None
-        steps = 0
-        walk = self._walk(t)
-        try:
-            while True:
-                path, out = next(walk)
-                steps += 1
-                if keep_trace:
-                    trace.append(_plug(path, out))
-                if steps > fuel:
-                    raise FuelExhausted(f"evaluation exceeded {fuel} steps")
-        except StopIteration as done:
-            t = done.value
+        steps, path, t = self._reduce(t, fuel, trace)
+        if path is not _NO_REDEX:
+            raise FuelExhausted(f"evaluation exceeded {fuel} steps")
         if not self.result(t):
             raise StuckTerm(self.stuck(t), t)
         return t, steps, trace

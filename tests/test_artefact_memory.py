@@ -60,15 +60,15 @@ REIMPORT = """
     def fresh():
         for name in [m for m in sys.modules if m == "effc" or m.startswith("effc.")]:
             del sys.modules[name]
-        return [importlib.import_module(f"effc.{m}") for m in ("core", "source", "exeff", "display", "pipeline")]
+        return [importlib.import_module(f"effc.{m}") for m in ("core", "source", "exeff", "display", "readers", "pipeline")]
 
-    core, source, exeff, display, pipeline = fresh()
+    core, source, exeff, display, readers, pipeline = fresh()
     text = open(sys.argv[1], encoding="utf-8").read()
     art = pipeline.compile_text(text)
     assert pipeline.differential_check_text(text).agreement
-    display.read_noeff_term(pipeline.dump_stage(art, "noeff"))
+    readers.read_noeff_term(pipeline.dump_stage(art, "noeff"))
     refs = [weakref.ref(c) for c in (exeff.CoVarRef, source.SrcLet, core.TArrow)]
-    del core, source, exeff, display, pipeline, art
+    del core, source, exeff, display, readers, pipeline, art
     fresh()
     gc.collect()
     print(sum(ref() is not None for ref in refs))

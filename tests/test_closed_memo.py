@@ -6,7 +6,7 @@ later check or erasure of the node returns what it keeps."""
 
 import pytest
 
-from effc import display, exeff, pipeline, skeleff, traverse
+from effc import display, exeff, pipeline, readers, skeleff, traverse
 from effc.core import T_INT, T_UNIT, Base, Context, Signature, TermVar, TypecheckError, dirt
 from effc.traverse import CLOSED, alpha_eq
 from conftest import CORPUS
@@ -61,7 +61,7 @@ def test_kept_types_and_erasures_match_a_full_check(corpus_paths):
             type_hits += kept(term, lambda m: m.sig is sig)
             erasure_hits += kept(term, lambda m: m.erased is not None)
             ty, erased = exeff.typecheck_comp(env, term), skeleff.erase_comp({}, term)
-            fresh = display.read_exeff_comp(display.show(display.canonicalize(term)))
+            fresh = readers.read_exeff_comp(display.show(display.canonicalize(term)))
             assert alpha_eq(ty, exeff.typecheck_comp(env, fresh)), name
             assert alpha_eq(erased, skeleff.erase_comp({}, fresh)), name
             assert not any(memo(u) for u in nodes(fresh)), name
@@ -106,7 +106,7 @@ def test_only_closed_summarized_nodes_keep_results():
     exeff.typecheck_comp(Context(sig).bind(c.var, T_UNIT), open_)
     skeleff.erase_comp({}, open_)
     assert memo(open_) is None
-    bare = display.read_exeff_comp(display.show(c))
+    bare = readers.read_exeff_comp(display.show(c))
     exeff.typecheck_comp(Context(sig), bare)
     skeleff.erase_comp({}, bare)
     assert memo(bare) is None

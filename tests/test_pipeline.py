@@ -9,16 +9,16 @@ import sys
 
 import pytest
 
-from effc import cli, core, display, exeff, infer, noeff, pipeline, skeleff, source
+from effc import cli, core, display, exeff, infer, noeff, pipeline, readers, skeleff, source
 from effc.core import DirtClash, EffError, SkeletonClash, StuckTerm
 from effc.traverse import VAR_CLASSES, alpha_eq
 from conftest import CORPUS, CORPUS_BAD, GOLDEN, read_digests, subprocess_env, write_digests
 from gen_helpers import program_texts
 
 READERS = {
-    "exeff": display.read_exeff_comp,
-    "skeleff": display.read_skeleff_comp,
-    "noeff": display.read_noeff_term,
+    "exeff": readers.read_exeff_comp,
+    "skeleff": readers.read_skeleff_comp,
+    "noeff": readers.read_noeff_term,
 }
 GENERATED_DUMPS = GOLDEN / "generated_dumps.sha256"
 
@@ -217,7 +217,7 @@ def write_generated_dump_digests() -> None:
 def test_trace_steps_read_back_alpha_equal(corpus_paths):
     # Substitution duplicates binders, so a step can bind one name twice: each
     # binder must reach over its own scope only.
-    c = display.read_skeleff_comp("do a <- (do a <- return 1 in return a) in return a")
+    c = readers.read_skeleff_comp("do a <- (do a <- return 1 in return a) in return a")
     assert c.second.val.var is c.var
     for path in corpus_paths:
         for backend, read in READERS.items():
@@ -514,8 +514,7 @@ def test_cli_rejects_integer_literals_python_cannot_read(capsys, tmp_path):
 
 @pytest.mark.parametrize("literal", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
 def test_source_and_dump_readers_reject_integer_literals_python_cannot_read(literal):
-    readers = (source.parse_program, display.read_exeff_comp, display.read_skeleff_comp, display.read_noeff_term)
-    for read in readers:
+    for read in (source.parse_program, readers.read_exeff_comp, readers.read_skeleff_comp, readers.read_noeff_term):
         with pytest.raises(core.ParseError, match="^1:8: not a valid integer literal$"):
             read(f"return {literal}")
 
@@ -534,7 +533,7 @@ DUMP_ERRORS = {
 def test_dump_reader_errors_name_the_position_and_what_was_expected(name):
     text, message = DUMP_ERRORS[name]
     with pytest.raises(core.ParseError) as e:
-        display.read_exeff_comp(text)
+        readers.read_exeff_comp(text)
     assert str(e.value) == message
 
 

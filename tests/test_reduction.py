@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from effc import cli, exeff, noeff, pipeline, skeleff, traverse
-from effc.core import Base, FuelExhausted, StuckTerm, Supply, TBase, TermVar
+from effc.core import Base, FuelExhausted, SkelBase, StuckTerm, Supply, TBase, TermVar
 from conftest import CORPUS, GOLDEN, read_digests, write_digests
 from gen_helpers import program_texts
 from test_solver import handler_chain, nested_handlers
@@ -101,6 +101,28 @@ def test_stepping_from_the_root_takes_the_refocused_sequence(traces):
         while (nxt := reduction.step(seq[-1])) is not None:
             seq.append(nxt)
         assert seq == trace, (name, backend)
+
+
+def test_rule_names_a_redex_exactly_when_step_takes_one(traces):
+    # `rule` and `step` stop at the same redex, on every term of every trace.
+    for name, backend, reduction, _, trace in traces:
+        for u in trace:
+            assert (reduction.rule(u) is None) == (reduction.step(u) is None), (name, backend, u)
+
+
+@pytest.mark.parametrize("backend", list(CALCULI))
+def test_a_redex_at_the_root_is_told_from_no_redex(backend):
+    # `(fun x -> return x) unit`: its redex sits in the empty evaluation
+    # context, which must not read as "no redex left".
+    reduction = CALCULI[backend][0]
+    ret = noeff.MReturn if backend == "noeff" else exeff.CReturn
+    ty = SkelBase(Base.UNIT) if backend == "skeleff" else TBase(Base.UNIT)
+    term = exeff.CApp(exeff.EAbs(_X, ty, ret(exeff.EVar(_X))), exeff.EUnit())
+    assert reduction.step(term) == ret(exeff.EUnit())
+    assert reduction.rule(term) in ("CApp: _app", "CApp: app_beta")
+    assert reduction.run(term, keep_trace=True) == (ret(exeff.EUnit()), 1, [term, ret(exeff.EUnit())])
+    with pytest.raises(FuelExhausted):
+        reduction.run(term, fuel=0)
 
 
 def _subterms(roots):

@@ -69,3 +69,26 @@ def test_declaring_a_node_class_generates_only_its_init():
     assert counts["control.exec"] == 4 and counts["control.signature"] == 1
     assert 0 < counts["node.exec"] <= counts["nodes"]
     assert "node.signature" not in counts
+
+
+# The effc modules that importing the pipeline and the CLI loads, and those
+# of them that define a dump reader.
+LOADED = r"""
+import json, sys
+
+import effc.cli, effc.pipeline
+
+loaded = sorted(m for m in sys.modules if m.startswith("effc."))
+print(json.dumps([loaded, [m for m in loaded if hasattr(sys.modules[m], "read_exeff_comp")]]))
+"""
+
+
+def test_importing_the_pipeline_compiles_no_dump_reader():
+    # Only the tests read dumps back, so no command pays for compiling the reader.
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED], env=subprocess_env(), capture_output=True, text=True, check=True
+    ).stdout
+    loaded, with_reader = json.loads(out)
+    assert "effc.display" in loaded and "effc.pipeline" in loaded
+    assert "effc.readers" not in loaded
+    assert with_reader == []
