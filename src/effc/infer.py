@@ -290,24 +290,16 @@ def split(session: Session, Q: list, a: ValueType) -> tuple:
     gen_ty_ids = {v.id for v in gen_ty}
 
     ann: dict = {}
-    skel_of_ann: dict = {}
+    skel_of_ann: dict = {}  # skeleton variable id -> (the variable, ids of the type variables it annotates)
     for it in Q:
         if isinstance(it, SkelAnn):
             ann[it.var.id] = it.skel
             if isinstance(it.skel, SkelVar):
-                skel_of_ann.setdefault(it.skel.id, []).append(it.var.id)
+                skel_of_ann.setdefault(it.skel.id, (it.skel, []))[1].append(it.var.id)
 
-    # Skeleton variables all of whose annotated type variables generalize.
-    gen_skel = []
-    seen_skel: set = set()
-    for it in Q:
-        if isinstance(it, SkelAnn) and isinstance(it.skel, SkelVar):
-            sv = it.skel
-            if sv.id in seen_skel:
-                continue
-            seen_skel.add(sv.id)
-            if all(aid in gen_ty_ids for aid in skel_of_ann[sv.id]):
-                gen_skel.append(sv)
+    # Skeleton variables all of whose annotated type variables generalize,
+    # in order of first annotation.
+    gen_skel = [sv for sv, aids in skel_of_ann.values() if gen_ty_ids.issuperset(aids)]
 
     ty_binders = []
     for v in gen_ty:
@@ -472,22 +464,15 @@ def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
     t1, t2 = item.lhs, item.rhs
     if isinstance(t1, SkelVar) and isinstance(t2, SkelVar) and t1.id == t2.id:
         return
-    if isinstance(t1, SkelVar):
-        if _occurs(t1, t2):
-            raise OccursCheck(f"occurs check: s{t1.id} in its own instantiation", item)
-        st.bind(Subst.one_skel(t1, t2))
-        return
-    if isinstance(t2, SkelVar):
-        if _occurs(t2, t1):
-            raise OccursCheck(f"occurs check: s{t2.id} in its own instantiation", item)
-        st.bind(Subst.one_skel(t2, t1))
+    v, other = (t1, t2) if isinstance(t1, SkelVar) else (t2, t1)
+    if isinstance(v, SkelVar):
+        if _occurs(v, other):
+            raise OccursCheck(f"occurs check: s{v.id} in its own instantiation", item)
+        st.bind(Subst.one_skel(v, other))
         return
     if isinstance(t1, SkelBase) and isinstance(t2, SkelBase) and t1.base == t2.base:
         return
-    if isinstance(t1, SkelArrow) and isinstance(t2, SkelArrow):
-        st.prepend([SkelEq(t1.dom, t2.dom), SkelEq(t1.cod, t2.cod)])
-        return
-    if isinstance(t1, SkelHandler) and isinstance(t2, SkelHandler):
+    if type(t1) is type(t2) and isinstance(t1, (SkelArrow, SkelHandler)):
         st.prepend([SkelEq(t1.dom, t2.dom), SkelEq(t1.cod, t2.cod)])
         return
     raise SkeletonClash(f"skeletons do not unify: {display.show(t1)} vs {display.show(t2)}", item)
@@ -584,6 +569,12 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
     ops1, t1 = d1.ops, d1.tail
     ops2, t2 = d2.ops, d2.tail
 
+    if t2 is None and not ops1 <= ops2:  # a closed dirt holds only its own operations
+        raise DirtClash(
+            f"operations {sorted(ops1 - ops2)} cannot flow into {{{', '.join(sorted(ops2))}}}",
+            item,
+            item.span,
+        )
     if not ops1 and t1 is None:
         # The empty dirt is below everything.
         session.record(item.co, CoEmpty(d2))
@@ -610,13 +601,6 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
             session.record(item.co, CoEmpty(EMPTY_DIRT))
             st.bind(Subst.one_dirt(t1, EMPTY_DIRT))
             return
-        if not ops1 <= ops2:
-            raise DirtClash(
-                f"operations {sorted(ops1 - ops2)} cannot flow into "
-                f"{{{', '.join(sorted(ops2))}}}",
-                item,
-                item.span,
-            )
         if ops1:
             w2 = session.supply.co()
             session.record(item.co, _fold_ops(ops1, CoVarRef(w2)))
@@ -625,14 +609,8 @@ def _solve_dirt_sub(st: _SolveState, item: SubCt) -> None:
             st.P.append(item)
         return
     if t1 is None and t2 is None:
-        if ops1 <= ops2:
-            session.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1))))
-            return
-        raise DirtClash(
-            f"operations {sorted(ops1 - ops2)} cannot flow into {{{', '.join(sorted(ops2))}}}",
-            item,
-            item.span,
-        )
+        session.record(item.co, _fold_ops(ops1, CoEmpty(Dirt(ops2 - ops1))))
+        return
     # Closed, non-empty dirt below an open dirt: partially instantiate the tail.
     fresh = session.supply.dirt()
     s = Subst.one_dirt(t2, Dirt(ops1 - ops2, fresh))

@@ -1,5 +1,5 @@
-"""Tokenizer shared by the source parser and the dump notation in `display`,
-which tokenizes both its templates and the dumps it reads back.
+"""Tokenizer shared by the source parser, the dump notation in `display`,
+which tokenizes its templates, and the dump reader in `readers`.
 
 ASCII text, which is every program and dump in practice, is tokenized by
 one compiled master regex.  Other text goes through a character loop, which

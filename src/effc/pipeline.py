@@ -44,24 +44,19 @@ class PipelineArtifacts:
     noeff_term: Optional[object] = None
 
 
-@dataclass(frozen=True)
-class Observation:
-    kind: str  # "returned" | "operation"
-    payload: str
-
-    def __str__(self) -> str:
-        if self.kind == "returned":
-            return f"return {self.payload}"
-        return f"operation {self.payload}"
-
-
 @dataclass
 class DiffReport:
+    """What `differential_check_text` found: each backend's observation and
+    step count, and the first failure, if any."""
+
     program: str
-    observations: dict = field(default_factory=dict)
+    observations: dict = field(default_factory=dict)  # backend -> its observation
     steps: dict = field(default_factory=dict)
-    agreement: bool = True
     failure: Optional[str] = None
+
+    @property
+    def agreement(self) -> bool:
+        return self.failure is None
 
 
 def compile_text(text: str, stage: str = "noeff") -> PipelineArtifacts:
@@ -111,17 +106,19 @@ def infer_text(text: str) -> infer.InferOutcome:
 # Observations
 
 
-def _observe(result) -> Observation:
+def _observe(result) -> str:
+    """The observation of a result, the text the CLI prints for it:
+    `return <ground value>` or `operation <Op>`."""
     if isinstance(result, exeff.COp):
-        return Observation("operation", result.op)
+        return f"operation {result.op}"
     if isinstance(result, exeff.EUnit):
-        return Observation("returned", "unit")
+        return "return unit"
     if isinstance(result, exeff.EInt):
-        return Observation("returned", str(result.value))
+        return f"return {result.value}"
     raise EffError("observation requires a ground result type")
 
 
-def observe_exeff(result) -> Observation:
+def observe_exeff(result) -> str:
     while isinstance(result, exeff.CCast):
         result = result.comp
     if isinstance(result, exeff.CReturn):
@@ -133,7 +130,7 @@ def observe_exeff(result) -> Observation:
 observe_skeleff = observe_exeff
 
 
-def observe_noeff(result) -> Observation:
+def observe_noeff(result) -> str:
     while isinstance(result, noeff.MReturn):
         result = result.term
     return _observe(result)
@@ -145,7 +142,7 @@ def observe_noeff(result) -> Observation:
 
 @dataclass
 class RunOutcome:
-    observation: Observation
+    observation: str
     steps: int
     trace: Optional[list] = None
 
@@ -193,7 +190,6 @@ def differential_check_text(
     while not exeff.is_comp_result(term):
         nxt = exeff.step_comp(term)
         if nxt is None:
-            report.agreement = False
             report.failure = f"metatheory: step {steps + 1}: well-typed non-result failed to step"
             return report
         if check_each_step:
@@ -202,12 +198,10 @@ def differential_check_text(
             except EffError:  # an ill-typed step has no type to preserve
                 preserved = False
             if not preserved:
-                report.agreement = False
                 report.failure = f"metatheory: step {steps + 1} changed the subject's type ({exeff.REDUCTION.rule(term)})"
                 return report
             erased_nxt = skeleff.erase_comp({}, nxt)
             if not skeleff.congruent(erased, erased_nxt, fuel):
-                report.agreement = False
                 report.failure = f"metatheory: erasure of step {steps + 1} is not congruent ({exeff.REDUCTION.rule(term)})"
                 return report
             erased = erased_nxt
@@ -225,15 +219,12 @@ def differential_check_text(
     try:
         n_res, n_steps = noeff.eval_noeff(art.noeff_term, fuel)
     except StuckTerm:
-        report.agreement = False
         report.failure = "no-stuck violation: elaborated pure program got stuck"
         return report
     report.observations["noeff"] = observe_noeff(n_res)
     report.steps["noeff"] = n_steps
 
-    obs = set(str(o) for o in report.observations.values())
-    if len(obs) != 1:
-        report.agreement = False
+    if len(set(report.observations.values())) != 1:
         report.failure = "backends disagree: " + ", ".join(
             f"{k}={v}" for k, v in sorted(report.observations.items())
         )

@@ -303,18 +303,12 @@ def _contract(t):
     return None if head is None else head(t)
 
 
-def normalize_full(term, fuel: int = 100_000, rng=None):
-    """Reduce until no redex remains anywhere, including under binders.
-
-    Contracts the first redex in pre-order, or one that `rng` picks among all
-    of them."""
+def normalize_full(term, fuel: int = 100_000):
+    """Reduce until no redex remains anywhere, including under binders,
+    contracting the first redex in pre-order."""
     steps = 0
     while True:
-        if rng is None:
-            nxt = next(contractions(term, _contract), None)
-        else:
-            succ = list(contractions(term, _contract))
-            nxt = rng.choice(succ) if succ else None
+        nxt = next(contractions(term, _contract), None)
         if nxt is None:
             return term
         term = nxt

@@ -29,9 +29,13 @@ the cast's coercion into an identity (`cast_hook`).
 
 `summarize` records on every term node of a compiled term its free
 variables of every sort, type-level children folded in, as one int; type
-nodes carry none.  Term substitution, and the single-variable substitution
-of a type application, return a node whose summary lacks their variable
-without walking it.  A summary depends on the node alone, so it stays exact
+nodes carry none.  One walk per class finds a node's summary from its
+children's: a term child's is read back, or found and recorded on the child;
+a type-level child's is found and kept nowhere; a tuple's elements are term
+children.  `summarize` records the root's, and `type_bits` is the same walk
+on a type-level entity.  Term substitution, and the single-variable
+substitution of a type application, return a node whose summary lacks their
+variable without walking it.  A summary depends on the node alone, so it stays exact
 wherever the node is shared or moved.  Evaluation's substitutions rebuild
 the nodes above each occurrence, and each such node built from a
 summarized one gets its summary in O(1): the old one minus the variable,
@@ -377,70 +381,24 @@ def summarize(t) -> int:
     and carry none themselves.  A node that has a summary keeps it, so a
     shared node is summarized once.  An int is not tracked by the cyclic
     collector, and every empty summary is the one cached 0."""
-    return _SUMMARY[type(t)](t)
+    free = getattr(t, FREE, None)
+    if free is None:
+        free = _FREE_OF[type(t)](t)
+        _set(t, FREE, free)
+    return free
 
 
 def type_bits(t) -> int:
     """The free variables of the type-level entity `t`, as a summary's bits,
-    found by a walk (type-level nodes carry no summary)."""
-    return _BITS[type(t)](t)
+    found by `summarize`'s walk (type-level nodes carry no summary)."""
+    return _FREE_OF[type(t)](t)
 
 
-def _kids(sh: Shape) -> list:
-    """(name, table, binders) of each child of a term class: the summary
-    table for a term child, the bits table for a type-level one, and the
-    (field, sort) of each binder whose scope the child is."""
-    return [
-        (f.name, _BITS if f.role == TYPE else _SUMMARY, tuple((b, SORTS[sort]) for b, sort in f.binders))
-        for f in sh.kids
-    ]
-
-
-def _build_summary(cls):
-    sh = shape(cls)
-    if sh.uses:
-        name, sort = sh.uses[0].name, SORTS[sh.uses[0].sort]
-
-        def occurrence(t):
-            free = getattr(t, FREE, None)
-            if free is None:
-                free = 1 << (getattr(t, name).id << 3 | sort)
-                _set(t, FREE, free)
-            return free
-
-        return occurrence
-    kids = _kids(sh)
-
-    def go(t):
-        free = getattr(t, FREE, None)
-        if free is not None:
-            return free
-        free = 0
-        for name, table, binders in kids:
-            x = getattr(t, name)
-            inner = table[type(x)](x)
-            for b, sort in binders:
-                bit = 1 << (getattr(t, b).id << 3 | sort)
-                if inner & bit:
-                    inner ^= bit
-            if inner:
-                free = free | inner if free else inner
-        _set(t, FREE, free)
-        return free
-
-    return go
-
-
-def _summarize_many(t):
-    free = 0
-    for e in t:
-        inner = _SUMMARY[type(e)](e)
-        if inner:
-            free = free | inner if free else inner
-    return free
-
-
-def _build_bits(cls):
+def _build_free_of(cls):
+    """The walk that finds a `cls` node's summary from its children and
+    records none on the node itself: a term child's summary is read back, or
+    found and recorded on it; a type-level child's is found and kept nowhere;
+    a tuple's elements are term children."""
     if cls in (SkelVar, TyVar):
         sort = SORTS[cls]
         return lambda t: 1 << (t.id << 3 | sort)
@@ -453,13 +411,17 @@ def _build_bits(cls):
             return 0 if v is None else 1 << (v.id << 3 | sort)
 
         return occurrence
-    kids = _kids(sh)
+    kids = [(f.name, f.role == TERM, tuple((b, SORTS[sort]) for b, sort in f.binders)) for f in sh.kids]
 
     def go(t):
         free = 0
-        for name, table, binders in kids:
+        for name, term, binders in kids:
             x = getattr(t, name)
-            inner = table[type(x)](x)
+            if not term:
+                inner = _FREE_OF[type(x)](x)
+            elif (inner := getattr(x, FREE, None)) is None:
+                inner = _FREE_OF[type(x)](x)
+                _set(x, FREE, inner)
             for b, sort in binders:
                 bit = 1 << (getattr(t, b).id << 3 | sort)
                 if inner & bit:
@@ -471,9 +433,20 @@ def _build_bits(cls):
     return go
 
 
-_SUMMARY = _Table(_build_summary)
-_SUMMARY[tuple] = _summarize_many
-_BITS = _Table(_build_bits)
+def _free_of_many(t):
+    free = 0
+    for e in t:
+        inner = getattr(e, FREE, None)
+        if inner is None:
+            inner = _FREE_OF[type(e)](e)
+            _set(e, FREE, inner)
+        if inner:
+            free = free | inner if free else inner
+    return free
+
+
+_FREE_OF = _Table(_build_free_of)
+_FREE_OF[tuple] = _free_of_many
 
 
 # ---------------------------------------------------------------------------

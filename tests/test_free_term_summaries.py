@@ -134,6 +134,57 @@ def test_every_term_node_records_its_free_term_variables(compiled):
     assert checked > 12_000 and free > checked // 3 and typed > checked // 10
 
 
+TYPE_LEVEL = (traverse.TYPE, traverse.BIND, traverse.USE)  # the fields of a term node that are not terms
+
+
+def type_level_nodes(art):
+    """Every skeleton, type, dirt, constraint, coercion and variable
+    reachable from the artefacts `art`, each distinct one once."""
+    seen, todo = set(), [art.cty]
+    for field, _, _ in BACKENDS.values():
+        for u in nodes(getattr(art, field)):
+            todo += [getattr(u, f.name) for f in traverse.shape(type(u)).fields if f.role in TYPE_LEVEL]
+    while todo:
+        u = todo.pop()
+        if u is None or id(u) in seen:
+            continue
+        seen.add(id(u))
+        yield u
+        todo += [getattr(u, f.name) for f in traverse.shape(type(u)).fields if f.role != traverse.ATOM]
+
+
+def test_the_summary_walk_records_nothing_on_type_level_nodes(compiled):
+    # The walk finds a type-level child's summary and keeps it nowhere:
+    # the parent term node keeps the fold.
+    checked = 0
+    for name, art in compiled:
+        for u in type_level_nodes(art):
+            assert summary(u) is None, (name, u)
+            checked += 1
+    assert checked > 10_000
+
+
+def test_each_single_substitution_has_the_free_variables_of_its_replacement(compiled, monkeypatch):
+    built = []
+    right = exeff.Single.__init__
+
+    def init(self, v, repl):
+        right(self, v, repl)
+        built.append((self, repl))
+
+    monkeypatch.setattr(exeff.Single, "__init__", init)
+    for name, art in compiled:
+        if name.endswith(".eff") or name.startswith("let-poly"):
+            for field, reduction, _ in BACKENDS.values():
+                outcome(reduction, getattr(art, field))
+    # A closed program's replacements are closed: instantiate at a variable too.
+    for backend in ("exeff", "noeff"):
+        list(_open_type_instances(backend))
+    for s, repl in built:
+        assert s.rvars == free_bits(repl), repl
+    assert len(built) > 900 and sum(s.rvars != 0 for s, _ in built) >= 6
+
+
 def test_type_level_children_fold_in_without_their_bound_variables():
     a, b, d = TyVar(0), TyVar(1), DirtVar(0)
     scheme = TForallTy(a, SKEL_UNIT, TArrow(a, CompType(b, dirt_var(d))))

@@ -236,14 +236,6 @@ def test_solve_var_below_empty():
     assert s.co[w.id] == exeff.CoEmpty(EMPTY_DIRT)
 
 
-def test_solve_closed_dirt_clash():
-    session = infer.Session(make_signature())
-    w = session.supply.co()
-    items = [infer.SubCt(w, DirtSub(dirt(["Tick"]), dirt(["Tock"])))]
-    with pytest.raises(DirtClash):
-        infer.solve(session, items)
-
-
 def residual_env(sig, outcome_or_residual, extra_dirts=()):
     """A core environment binding all variables left free by solving."""
     residual = getattr(outcome_or_residual, "residual", outcome_or_residual)
@@ -359,10 +351,25 @@ def test_solve_equates_two_handler_skeletons(monkeypatch):
 
 SK0, SK1 = SkelVar(0), SkelVar(1)
 SOLVER_ERRORS = {
+    "occurs-on-the-left": (
+        infer.SkelEq(SK0, SkelArrow(SK0, SK0)),
+        OccursCheck,
+        "occurs check: s0 in its own instantiation",
+    ),
     "occurs-on-the-right": (
         infer.SkelEq(SkelArrow(SK0, SK0), SK0),
         OccursCheck,
         "occurs check: s0 in its own instantiation",
+    ),
+    "closed-dirt-below-closed-dirt": (
+        infer.SubCt(CoVar(0), DirtSub(dirt(["Tick"]), dirt(["Tock"]))),
+        DirtClash,
+        "operations ['Tick'] cannot flow into {Tock}",
+    ),
+    "open-dirt-below-closed-dirt": (
+        infer.SubCt(CoVar(0), DirtSub(dirt(["Tick"], DirtVar(0)), dirt(["Tock"]))),
+        DirtClash,
+        "operations ['Tick'] cannot flow into {Tock}",
     ),
     "skeleton-clash": (infer.SkelEq(SKEL_UNIT, SKEL_INT), SkeletonClash, "skeletons do not unify: Unit vs Int"),
     "quantified-skeleton": (

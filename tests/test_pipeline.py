@@ -77,8 +77,7 @@ def test_unknown_stage_and_backend_names_are_rejected():
 
 
 def test_observations_unwrap_returns_and_need_a_ground_result():
-    returned = pipeline.Observation("returned", "unit")
-    assert pipeline.observe_noeff(noeff.MReturn(noeff.MReturn(exeff.EUnit()))) == returned
+    assert pipeline.observe_noeff(noeff.MReturn(noeff.MReturn(exeff.EUnit()))) == "return unit"
     x = core.TermVar(0, "x")
     fn = exeff.EAbs(x, core.T_UNIT, exeff.CReturn(exeff.EVar(x)))
     with pytest.raises(EffError, match="^observation requires a ground result type$"):
@@ -473,7 +472,7 @@ def test_cli_corpus_exit_codes(capsys, tmp_path, monkeypatch):
 
     # A harness failure is a metatheory violation.
     def failing(text, program_id="<text>", fuel=100_000, check_each_step=True):
-        return pipeline.DiffReport(program_id, agreement=False, failure="backends disagree")
+        return pipeline.DiffReport(program_id, failure="backends disagree")
 
     monkeypatch.setattr(pipeline, "differential_check_text", failing)
     assert run_cli("corpus", str(tmp_path)) == 3
