@@ -359,18 +359,20 @@ cast_hook(CCast, is_refl)
 # ---------------------------------------------------------------------------
 # Well-formedness
 
-_UNBOUND = {SkelVar: "skeleton variable s", TyVar: "type variable a"}
-
-
 def wf_bound(env: Context, t) -> None:
     """Raise WfError unless `env` binds every skeleton and type variable free
-    in `t`, a type-level object of any calculus.  `wf_dirt` checks dirt
-    variables, together with the operations of their dirt."""
-    for sort, what in _UNBOUND.items():
-        scope = getattr(env, Context.SORTS[sort])
-        for v in free_vars(t, sort):
-            if v.id not in scope:
-                raise WfError(f"unbound {what}{v.id}")
+    in `t`, a type-level object of any calculus, found in one walk; the first
+    unbound skeleton variable is reported before any type variable.
+    `wf_dirt` checks dirt variables, together with the operations of their dirt."""
+    first = None  # the first unbound type variable
+    for v in free_vars(t, (SkelVar, TyVar)):
+        if type(v) is SkelVar:
+            if v.id not in env.skel:
+                raise WfError(f"unbound skeleton variable s{v.id}")
+        elif first is None and v.id not in env.ty:
+            first = v
+    if first is not None:
+        raise WfError(f"unbound type variable a{first.id}")
 
 
 def wf_dirt(env: Context, d: Dirt) -> None:

@@ -96,12 +96,23 @@ class SubCt:
 
 
 def subst_item(s: Subst, item):
+    """`substitute(s, item)` through the fields that can change: a `SubCt`'s
+    constraint sides, a `SkelAnn`'s skeleton.  An unchanged item is returned
+    itself, which `collapse` tests."""
     # Raised, not asserted: the solver runs this on every item it pops, and
     # the checks must hold under `python -O` too.
-    if isinstance(item, SkelAnn) and item.var.id in s.ty:
-        raise AssertionError("annotation subject must never be substituted")
-    if isinstance(item, SubCt) and item.co.id in s.co:
-        raise AssertionError("pending coercion variable must never be substituted")
+    if type(item) is SubCt:
+        if item.co.id in s.co:
+            raise AssertionError("pending coercion variable must never be substituted")
+        ct = item.constraint
+        side = exeff.subst_dirt if type(ct) is DirtSub else substitute
+        lhs, rhs = side(s, ct.lhs), side(s, ct.rhs)
+        return item if lhs is ct.lhs and rhs is ct.rhs else SubCt(item.co, type(ct)(lhs, rhs), item.span)
+    if type(item) is SkelAnn:
+        if item.var.id in s.ty:
+            raise AssertionError("annotation subject must never be substituted")
+        skel = substitute(s, item.skel)
+        return item if skel is item.skel else SkelAnn(item.var, skel)
     return substitute(s, item)
 
 
@@ -110,7 +121,7 @@ def subst_item(s: Subst, item):
 
 
 # The classes of the variables that a solution of each sort can mention.
-_MENTIONS = {"skel": (SkelVar,), "ty": (TyVar, DirtVar), "dirt": (DirtVar,)}
+_MENTIONS = {"skel": SkelVar, "ty": (TyVar, DirtVar), "dirt": DirtVar}
 
 
 class Session:
@@ -181,21 +192,25 @@ class Session:
         ones there, and a let's value keeps none deeper that its own lets
         did not generalize.  So only a variable bound at a shallower level
         lowers any."""
-        solved, levels = self.solved, self.levels
+        solved, levels, uses = self.solved, self.levels, self._uses
         for sort, mentionable in _MENTIONS.items():
+            if not (binds := getattr(s, sort)):
+                continue
             solutions = getattr(solved, sort)
-            for vid, val in getattr(s, sort).items():
+            for vid, val in binds.items():
                 if vid in solutions:
                     raise AssertionError(f"{sort} variable {vid} bound twice")
-                mentioned = [(Context.SORTS[m], v.id) for m in mentionable for v in free_vars(val, m)]
-                for owner, key in self._uses.pop((sort, vid), ()):
+                mentioned = [(Context.SORTS[type(v)], v.id) for v in free_vars(val, mentionable)]
+                for owner, key in uses.pop((sort, vid), ()):
                     owned = getattr(solved, owner)
                     owned[key] = substitute(s, owned[key])
-                    self._index(mentioned, owner, key)
+                    for var in mentioned:
+                        uses.setdefault(var, {})[owner, key] = None
                 solutions[vid] = val
                 self.order.append((sort, vid))
-                self._index(mentioned, sort, vid)
-                if sort != "skel" and (level := levels[sort, vid]) < self.level:
+                for var in mentioned:
+                    uses.setdefault(var, {})[sort, vid] = None
+                if sort != "skel" and (level := levels[sort, vid]) < self.supply.level:
                     for m in mentioned:
                         if levels[m] > level:
                             levels[m] = level
@@ -203,10 +218,6 @@ class Session:
             for vid in self._ann_uses.pop(sid, ()):
                 self.ann[vid] = substitute(s, self.ann[vid])
                 self._index_ann(skel, vid)
-
-    def _index(self, mentioned, owner, key) -> None:
-        for var in mentioned:
-            self._uses.setdefault(var, {})[owner, key] = None
 
     def record(self, w: CoVar, co) -> None:
         """Keep `co` as the solution of the coercion variable `w`, as given;
@@ -265,7 +276,7 @@ class _LevelSupply(Supply):
 
 def _keys(obj) -> list:
     """The type and dirt variables free in `obj`, as `Session.levels` keys."""
-    return [("ty", v.id) for v in free_vars(obj, TyVar)] + [("dirt", v.id) for v in free_vars(obj, DirtVar)]
+    return [(Context.SORTS[type(v)], v.id) for v in free_vars(obj, (TyVar, DirtVar))]
 
 
 def split(session: Session, Q: list, a: ValueType) -> tuple:
@@ -284,8 +295,9 @@ def split(session: Session, Q: list, a: ValueType) -> tuple:
 
     # An annotation's subject counts as an occurrence of its type variable.
     q_objs = [it.var if isinstance(it, SkelAnn) else it.constraint for it in Q]
-    gen_ty = [v for v in free_vars(q_objs + [a], TyVar) if levels["ty", v.id] > level]
-    gen_dirt = [v for v in free_vars(q_objs + [a], DirtVar) if levels["dirt", v.id] > level]
+    gen = [v for v in free_vars(q_objs + [a], (TyVar, DirtVar)) if levels[Context.SORTS[type(v)], v.id] > level]
+    gen_ty = [v for v in gen if type(v) is TyVar]
+    gen_dirt = [v for v in gen if type(v) is DirtVar]
     session.generalized.update(v.id for v in gen_dirt)
     gen_ty_ids = {v.id for v in gen_ty}
 
@@ -307,22 +319,21 @@ def split(session: Session, Q: list, a: ValueType) -> tuple:
             raise SolveError(f"generalized type variable a{v.id} lacks a skeleton annotation")
         ty_binders.append((v, ann[v.id]))
 
-    generalized = []
+    first: dict = {}  # each generalized constraint -> the coercion variable of its first occurrence
     floated = []
     merged = Subst()
     for it in Q:
         if isinstance(it, SubCt):
             if any(levels[key] > level for key in _keys(it.constraint)):
-                same = [w for w, ct in generalized if ct == it.constraint]
-                if same:
-                    merged.co[it.co.id] = CoVarRef(same[0])
+                if it.constraint in first:
+                    merged.co[it.co.id] = CoVarRef(first[it.constraint])
                 else:
-                    generalized.append((it.co, it.constraint))
+                    first[it.constraint] = it.co
             else:
                 floated.append(it)
         elif it.var.id not in gen_ty_ids:
             floated.append(it)
-    return gen_skel, ty_binders, gen_dirt, generalized, floated, merged
+    return gen_skel, ty_binders, gen_dirt, [(w, ct) for ct, w in first.items()], floated, merged
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +421,14 @@ class _SolveState:
     """Mutable solver state: the processed items `P` and the queue `Q`.
     Items are brought up to date when popped, not when a variable is bound:
     a queued or processed item may mention variables solved since it was
-    queued, and `pop` applies the session's solution to it.  `P` holds the
-    items processed since the last binding, so they are up to date."""
+    queued, and `solve` applies the session's solution to each item it pops
+    by `subst_item`, which reads only the fields that can change.  `P` holds
+    the items processed since the last binding, so they are up to date."""
 
     def __init__(self, session: Session, queue: list):
         self.session = session
         self.P: list = []
         self.Q = deque(queue)
-
-    def pop(self):
-        return subst_item(self.session.solved, self.Q.popleft())
 
     def bind(self, s: Subst) -> None:
         """Bind `s` in the session and re-enqueue the processed items."""
@@ -441,23 +450,17 @@ def solve(session: Session, queue: list) -> tuple:
     for `Session.settle`.
     """
     st = _SolveState(session, queue)
-    while st.Q:
-        item = st.pop()
-        if isinstance(item, SkelEq):
-            _solve_skel_eq(st, item)
-        elif isinstance(item, SkelAnn):
-            _solve_skel_ann(st, item)
-        elif isinstance(item, SubCt) and isinstance(item.constraint, TySub):
-            _solve_ty_sub(st, item)
-        elif isinstance(item, SubCt) and isinstance(item.constraint, DirtSub):
-            _solve_dirt_sub(st, item)
-        else:
+    # The rule of each item class, and of each constraint class of a `SubCt`,
+    # looked up in the module at each call, so that a rule can be replaced.
+    rules = {SkelEq: _solve_skel_eq, SkelAnn: _solve_skel_ann, TySub: _solve_ty_sub, DirtSub: _solve_dirt_sub}
+    Q, solved = st.Q, session.solved
+    while Q:
+        item = subst_item(solved, Q.popleft())
+        cls = type(item.constraint) if type(item) is SubCt else type(item)
+        if cls not in rules:
             raise TypeError(item)
+        rules[cls](st, item)
     return session.solved, [subst_item(session.solved, it) for it in st.P]
-
-
-def _occurs(v: SkelVar, s: Skeleton) -> bool:
-    return v in free_vars(s, SkelVar)
 
 
 def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
@@ -466,7 +469,7 @@ def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
         return
     v, other = (t1, t2) if isinstance(t1, SkelVar) else (t2, t1)
     if isinstance(v, SkelVar):
-        if _occurs(v, other):
+        if v in free_vars(other, SkelVar):
             raise OccursCheck(f"occurs check: s{v.id} in its own instantiation", item)
         st.bind(Subst.one_skel(v, other))
         return

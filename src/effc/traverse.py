@@ -516,16 +516,40 @@ _TSUBST[tuple] = _subst_term_many
 # Free variables
 
 
-def free_vars(t, sort: type) -> list:
+def free_vars(t, sort) -> list:
     """Free variables of class `sort` in `t` (or in a list of entities),
-    without repeats, in order of first occurrence."""
+    without repeats, in order of first occurrence.  Given a tuple of classes,
+    one walk finds the variables of all of them, in order of first occurrence
+    across the sorts; it keys them by (class, id), as ids are per-sort counters."""
     out: list = []
-    _FV[type(t)](t, sort, frozenset(), set(), out)
+    if type(sort) is tuple:
+        _FVS[type(t)](t, sort, frozenset(), set(), out)
+    else:
+        _FV[type(t)](t, sort, frozenset(), set(), out)
     return out
 
 
-def _build_fv(cls):
-    if cls in (SkelVar, TyVar):
+def _build_fv(cls, keyed=False):
+    table = _FVS if keyed else _FV
+    if cls in (tuple, list):
+
+        def many(t, sort, bound, seen, out):
+            for e in t:
+                table[type(e)](e, sort, bound, seen, out)
+
+        return many
+    sh = None if cls in (SkelVar, TyVar) else shape(cls)
+    if keyed and (sh is None or sh.uses):
+        name, vcls = ("", cls) if sh is None else (sh.uses[0].name, sh.uses[0].sort)
+
+        def keyed_occurrence(t, sorts, bound, seen, out):
+            v = getattr(t, name) if name else t
+            if vcls in sorts and v is not None and (key := (vcls, v.id)) not in bound and key not in seen:
+                seen.add(key)
+                out.append(v)
+
+        return keyed_occurrence
+    if sh is None:
 
         def var(t, sort, bound, seen, out):
             if cls is sort and t.id not in bound and t.id not in seen:
@@ -533,14 +557,6 @@ def _build_fv(cls):
                 out.append(t)
 
         return var
-    if cls in (tuple, list):
-
-        def many(t, sort, bound, seen, out):
-            for e in t:
-                _FV[type(e)](e, sort, bound, seen, out)
-
-        return many
-    sh = shape(cls)
     if sh.uses:
         use = sh.uses[0]
 
@@ -551,7 +567,6 @@ def _build_fv(cls):
                 out.append(v)
 
         return occurrence
-    table = _FV
     kids = [(f.name, f.binders) for f in sh.kids]
 
     def go(t, sort, bound, seen, out):
@@ -560,6 +575,8 @@ def _build_fv(cls):
             for b, b_sort in binders:
                 if b_sort is sort:
                     inner = inner | {getattr(t, b).id}
+                elif keyed and b_sort in sort:
+                    inner = inner | {(b_sort, getattr(t, b).id)}
             x = getattr(t, name)
             table[type(x)](x, sort, inner, seen, out)
 
@@ -567,6 +584,7 @@ def _build_fv(cls):
 
 
 _FV = _Table(_build_fv)
+_FVS = _Table(lambda cls: _build_fv(cls, keyed=True))
 
 
 # ---------------------------------------------------------------------------

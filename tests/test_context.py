@@ -11,16 +11,21 @@ import pytest
 from effc import exeff, noeff, skeleff
 from effc.core import (
     Base,
+    CompType,
     Context,
     CoVar,
     DirtVar,
     EffError,
+    EMPTY_DIRT,
     SkelBase,
     SkelVar,
+    TArrow,
     TBase,
+    TForallTy,
     TermVar,
     TyVar,
     UnknownOperation,
+    WfError,
     dirt_var,
     skeleton,
 )
@@ -106,3 +111,13 @@ def test_checkers_reject_a_handler_listing_an_operation_twice():
         check, context = CHECKERS[calculus]
         with pytest.raises(EffError, match="handler lists operation Tick twice"):
             check(context(tick_tock_signature()), term)
+
+
+def test_an_unbound_skeleton_variable_is_reported_before_an_unbound_type_variable():
+    # a99 occurs first, but the skeleton variable is the one reported.
+    t = TArrow(a99, CompType(TForallTy(TyVar(1), s99, TyVar(1)), EMPTY_DIRT))
+    env = Context(tick_tock_signature())
+    with pytest.raises(WfError, match="^unbound skeleton variable s99$"):
+        exeff.wf_bound(env, t)
+    with pytest.raises(WfError, match="^unbound type variable a99$"):
+        exeff.wf_bound(env.bind(s99), t)

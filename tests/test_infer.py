@@ -34,7 +34,7 @@ from effc.core import (
     dirt_var,
     skeleton,
 )
-from effc.traverse import alpha_eq, free_vars
+from effc.traverse import alpha_eq, free_vars, substitute
 from conftest import CORPUS, qualifiers
 from gen_helpers import make_signature, program_texts, signature_header
 from paper_examples import RunningExample, tick_tock_signature
@@ -158,6 +158,25 @@ def test_split_merges_a_repeated_qualifier():
     _, _, _, generalized, _, merged = infer.split(session, q, ty)
     assert [wv for wv, _ in generalized] == [w, w2]
     assert merged.co == {w3.id: exeff.CoVarRef(w)}
+
+
+def test_split_keeps_the_first_of_equal_qualifiers():
+    # Equal, not identical: each constraint is built afresh.
+    session = _let_value_session(tick_tock_signature())
+    sup = session.supply
+    d, d2 = sup.dirt(), sup.dirt()
+    w, w2, w3, w4 = (sup.co() for _ in range(4))
+    session.level = 0
+    q = [
+        infer.SubCt(w, DirtSub(dirt_var(d), dirt_var(d2))),
+        infer.SubCt(w2, DirtSub(dirt_var(d), dirt_var(d2))),
+        infer.SubCt(w3, DirtSub(dirt_var(d2), dirt_var(d))),
+        infer.SubCt(w4, DirtSub(dirt_var(d), dirt_var(d2))),
+    ]
+    ty = TArrow(TArrow(T_UNIT, CompType(T_UNIT, dirt_var(d))), CompType(T_UNIT, dirt_var(d2)))
+    _, _, _, generalized, _, merged = infer.split(session, q, ty)
+    assert generalized == [(w, q[0].constraint), (w3, q[2].constraint)]
+    assert merged.co == {w2.id: exeff.CoVarRef(w), w4.id: exeff.CoVarRef(w)}
 
 
 def test_let_schemes_repeat_no_qualifier(corpus_paths):
@@ -393,6 +412,53 @@ def test_a_pending_coercion_variable_is_never_substituted():
     item = infer.SubCt(w, TySub(T_UNIT, T_UNIT))
     with pytest.raises(AssertionError, match="^pending coercion variable must never be substituted$"):
         infer.subst_item(exeff.Subst(co={w.id: exeff.CoBaseRefl(Base.UNIT)}), item)
+
+
+def _stale_rhs(s, item, subst_item=infer.subst_item):
+    """A deliberately wrong `subst_item`: a dirt constraint's right side is
+    left as it was."""
+    if type(item) is infer.SubCt and type(item.constraint) is DirtSub:
+        ct = item.constraint
+        return infer.SubCt(item.co, DirtSub(exeff.subst_dirt(s, ct.lhs), ct.rhs), item.span)
+    return subst_item(s, item)
+
+
+def _shortcut_disagreements(monkeypatch, corpus_paths, shortcut) -> tuple:
+    """Compile the corpus and the generated programs with `shortcut` in place
+    of `subst_item`, and compare each of its results with the generic
+    `substitute`: equal, and the item itself exactly when the generic walk
+    returns the item itself.  Returns (the disagreements, the item classes
+    that changed).  A compile that fails counts only for what it compared."""
+    bad, changed = [], set()
+
+    def checked(s, item):
+        got, want = shortcut(s, item), substitute(s, item)
+        if got != want or (got is item) != (want is item):
+            bad.append((item, got, want))
+        if want is not item:
+            changed.add(type(item.constraint) if type(item) is infer.SubCt else type(item))
+        return got
+
+    monkeypatch.setattr(infer, "subst_item", checked)
+    for _, text in program_texts(corpus_paths):
+        try:
+            pipeline.compile_text(text)
+        except Exception:
+            if not bad:
+                raise
+    return bad, changed
+
+
+def test_subst_item_agrees_with_the_generic_substitution(monkeypatch, corpus_paths):
+    bad, changed = _shortcut_disagreements(monkeypatch, corpus_paths, infer.subst_item)
+    assert bad == []
+    assert changed == {TySub, DirtSub, infer.SkelAnn, infer.SkelEq}
+
+
+def test_a_stale_constraint_side_disagrees_with_the_generic_substitution(monkeypatch, corpus_paths):
+    bad, _ = _shortcut_disagreements(monkeypatch, corpus_paths, _stale_rhs)
+    assert any(got != want for _, got, want in bad)
+    assert {type(item.constraint) for item, _, _ in bad} == {DirtSub}
 
 
 def test_split_needs_an_annotation_for_each_generalized_type_variable():

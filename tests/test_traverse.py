@@ -151,6 +151,21 @@ def test_free_variables_respect_binder_sort_and_scope():
     assert free_vars(exeff.EDirtAbs(DirtVar(3), body), DirtVar) == [d]
 
 
+def test_free_variables_of_several_sorts_in_one_walk():
+    # Each binder binds its own sort only: ids are per-sort counters, so the
+    # type binder a3 leaves d3 free and the dirt binder d2 leaves a2 free.
+    s, a, d = SkelVar(2), TyVar(2), DirtVar(3)
+    inner = TForallDirt(DirtVar(2), TArrow(a, core.CompType(TyVar(3), dirt_var(DirtVar(2)))))
+    t = TForallTy(TyVar(3), s, TArrow(inner, core.CompType(a, dirt_var(d))))
+    sorts = (SkelVar, TyVar, DirtVar)
+    assert free_vars(t, sorts) == [s, a, d]
+    assert free_vars([dirt_var(d), t, SkelVar(3)], sorts) == [d, s, a, SkelVar(3)]
+    assert free_vars(t, (DirtVar, TyVar)) == [a, d]
+    # Each sort keeps the order of its own walk.
+    for sort in sorts:
+        assert [v for v in free_vars([dirt_var(d), t], sorts) if type(v) is sort] == free_vars([dirt_var(d), t], sort)
+
+
 def test_alpha_equality_pairs_binders_one_to_one_and_by_sort():
     def lam(v, w):
         return exeff.EAbs(v, SK_UNIT, exeff.CReturn(exeff.EVar(w)))

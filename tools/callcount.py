@@ -12,6 +12,10 @@ generator's every resumption is one):
   compiled term, as the benchmark's `run_*` operations call it;
 - `diff`: `pipeline.differential_check_text(text)`, with per-step checks.
 
+It then prints the calls of `compile` on each benchmark workload's seed-1
+programs (probes left out), built by `perfbench/run.py`'s `build_inputs`, so
+that a change to inference can be sized per workload without timing noise.
+
 Every operation runs once on every program before counting starts, so the
 per-class tables and caches that effc fills on first use are full, as they
 are in a benchmark pass.  The counts are then a property of the code, not of
@@ -27,10 +31,11 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from effc import exeff, noeff, pipeline, skeleff  # noqa: E402
 from gen_helpers import program_texts  # noqa: E402
+import run as bench  # noqa: E402  (perfbench/run.py, for its inputs only)
 
 FUEL = 100_000  # the CLI's default
 
@@ -73,6 +78,14 @@ def main() -> int:
     print(f"{len(programs)} programs")
     for name, n in counts.items():
         print(f"{name:12} {n:>12,} calls  {n / len(programs):>10,.1f} per program")
+    compile_op = OPERATIONS["compile"]
+    print("compile per benchmark workload, seed 1:")
+    for workload in bench.WORKLOADS:
+        texts = [p.text for p in bench.build_inputs(workload, 1)[0]]
+        for text in texts:
+            compile_op(text, None)
+        n = counts[f"compile/{workload}"] = sum(calls(compile_op, text, None) for text in texts)
+        print(f"  {workload:16} {n:>10,} calls  {len(texts):>4} programs")
     print(json.dumps(counts))
     return 0
 
