@@ -439,11 +439,13 @@ class Signature:
 
     def __init__(self, ops: Optional[dict] = None):
         self.ops: dict = dict(ops or {})
+        self.spans: dict = {}  # operation name -> span of its declaration
 
     def declare(self, name: str, param: ValueType, result: ValueType, span: Optional[Span] = None) -> None:
         if name in self.ops:
             raise ParseError(f"duplicate operation declaration: {name}", span)
         self.ops[name] = OpSig(param, result)
+        self.spans[name] = span
 
     def lookup(self, name: str, span: Optional[Span] = None) -> OpSig:
         try:

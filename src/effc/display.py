@@ -135,7 +135,6 @@ NOTATION = {
     noeff.NHandler: (1, "{dom:2} => {cod:1}"),
     noeff.NComp: (2, "Comp {body:3}"),
     noeff.NForall: (ALL, "{var}"),
-    noeff.NCoTyRefl: (ATOM, "<{var}>"),
     noeff.NCoHandToFun: (ATOM, "hand2fun({dom}, {cod})"),
     noeff.NCoFunToHand: (ATOM, "fun2hand({dom}, {cod})"),
     noeff.NCoComp: (ATOM, "comp({body})"),

@@ -147,10 +147,10 @@ Coercion = (
 
 def is_refl(co) -> bool:
     """Whether `co` witnesses A ≤ A by its form alone: built from
-    reflexivity leaves (`CoBaseRefl`, `CoTyRefl`, `CoDirtRefl`, NoEff's
-    `NCoTyRefl`) and dirt coercions that relate equal dirts, under
-    congruences (`CoArrow`, `CoHandler`, `CoComp`, NoEff's `NCoComp` and
-    `NCoQual`).  `refl_of` and `noeff.refl_nty` build such coercions, and
+    reflexivity leaves (`CoBaseRefl`, `CoTyRefl`, `CoDirtRefl`) and dirt
+    coercions that relate equal dirts, under congruences (`CoArrow`,
+    `CoHandler`, `CoComp`, NoEff's `NCoComp` and `NCoQual`).  `refl_of`
+    builds such coercions in both calculi, and
     the solver's dirt coercions (`CoEmpty` under op-unions) are such once
     solving makes their two dirts equal.  One test serves both calculi,
     since their casts are one class."""
@@ -416,8 +416,9 @@ def wf_vty(env: Context, t: Union[ValueType, CompType]) -> Skeleton:
 
 
 def refl_of(t) -> Coercion:
-    """A coercion witnessing t <= t, built by traversing the structure of t.
-    A dirt's is one `CoDirtRefl`, so substitution commutes with it."""
+    """A coercion witnessing t <= t, built by traversing the structure of t,
+    a core or NoEff type.  A dirt's is one `CoDirtRefl`, so substitution
+    commutes with it."""
     if isinstance(t, Dirt):
         return CoDirtRefl(t)
     if isinstance(t, CompType):
@@ -430,7 +431,13 @@ def refl_of(t) -> Coercion:
         return CoArrow(refl_of(t.dom), refl_of(t.cod))
     if isinstance(t, THandler):
         return CoHandler(refl_of(t.dom), refl_of(t.cod))
-    raise TypeError(t)
+    build = REFL_OF.get(type(t))
+    if build is None:
+        raise TypeError(t)
+    return build(t)
+
+
+REFL_OF: dict = {}  # type class -> its `refl_of`, for the classes NoEff registers
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ from .traverse import free_vars, subst_term, substitute
 class SkelEq:
     lhs: Skeleton
     rhs: Skeleton
+    span: Optional[Span] = field(default=None, compare=False)
 
 
 @node
@@ -133,8 +134,9 @@ class Session:
     done:
 
     1. The skeleton, type and dirt solutions are each already applied to the
-       others, so no solution mentions a solved variable.  `_uses` indexes,
-       per variable, the solutions that mention it: binding the variable
+       others, and to the skeleton annotations, so neither mentions a solved
+       variable.  `_uses` indexes, per variable, the solutions and the
+       annotations (owner "ann") that mention it: binding the variable
        rewrites those and no other.
     2. Each coercion solution is kept as recorded.  It names only coercion
        variables made in the same step, which are solved later or stay
@@ -159,9 +161,8 @@ class Session:
         self.supply = _LevelSupply()
         self.levels = self.supply.levels
         self.ann: dict = {}  # type-variable id -> current skeleton annotation
-        self._ann_uses: dict = {}  # skeleton-variable id -> {type-variable id: None}
         self.solved = Subst()
-        self._uses: dict = {}  # (sort, id) -> {(sort, id): None} of the solutions mentioning it
+        self._uses: dict = {}  # (sort, id) -> {(sort | "ann", id): None} of what mentions it
         self.order: list = []  # (sort, id) of each variable bound or recorded in `solved`
         self.let_schemes: list = []  # (name, quantified value type) in elaboration order
         self.generalized: set = set()  # ids of the dirt variables a let generalized
@@ -177,12 +178,9 @@ class Session:
     def fresh_ty(self, skel: Skeleton) -> TyVar:
         v = self.supply.ty()
         self.ann[v.id] = skel
-        self._index_ann(skel, v.id)
-        return v
-
-    def _index_ann(self, skel: Skeleton, vid: int) -> None:
         for sv in free_vars(skel, SkelVar):
-            self._ann_uses.setdefault(sv.id, {})[vid] = None
+            self._uses.setdefault(("skel", sv.id), {})["ann", v.id] = None
+        return v
 
     def bind(self, s: Subst) -> None:
         """Bind the skeleton, type and dirt variables of `s` in `solved`,
@@ -202,7 +200,7 @@ class Session:
                     raise AssertionError(f"{sort} variable {vid} bound twice")
                 mentioned = [(Context.SORTS[type(v)], v.id) for v in free_vars(val, mentionable)]
                 for owner, key in uses.pop((sort, vid), ()):
-                    owned = getattr(solved, owner)
+                    owned = self.ann if owner == "ann" else getattr(solved, owner)
                     owned[key] = substitute(s, owned[key])
                     for var in mentioned:
                         uses.setdefault(var, {})[owner, key] = None
@@ -214,10 +212,6 @@ class Session:
                     for m in mentioned:
                         if levels[m] > level:
                             levels[m] = level
-        for sid, skel in s.skel.items():
-            for vid in self._ann_uses.pop(sid, ()):
-                self.ann[vid] = substitute(s, self.ann[vid])
-                self._index_ann(skel, vid)
 
     def record(self, w: CoVar, co) -> None:
         """Keep `co` as the solution of the coercion variable `w`, as given;
@@ -470,15 +464,15 @@ def _solve_skel_eq(st: _SolveState, item: SkelEq) -> None:
     v, other = (t1, t2) if isinstance(t1, SkelVar) else (t2, t1)
     if isinstance(v, SkelVar):
         if v in free_vars(other, SkelVar):
-            raise OccursCheck(f"occurs check: s{v.id} in its own instantiation", item)
+            raise OccursCheck(f"occurs check: s{v.id} in its own instantiation", item, item.span)
         st.bind(Subst.one_skel(v, other))
         return
     if isinstance(t1, SkelBase) and isinstance(t2, SkelBase) and t1.base == t2.base:
         return
     if type(t1) is type(t2) and isinstance(t1, (SkelArrow, SkelHandler)):
-        st.prepend([SkelEq(t1.dom, t2.dom), SkelEq(t1.cod, t2.cod)])
+        st.prepend([SkelEq(t1.dom, t2.dom, item.span), SkelEq(t1.cod, t2.cod, item.span)])
         return
-    raise SkeletonClash(f"skeletons do not unify: {display.show(t1)} vs {display.show(t2)}", item)
+    raise SkeletonClash(f"skeletons do not unify: {display.show(t1)} vs {display.show(t2)}", item, item.span)
 
 
 def _solve_skel_ann(st: _SolveState, item: SkelAnn) -> None:
@@ -519,11 +513,11 @@ def _solve_ty_sub(st: _SolveState, item: SubCt) -> None:
         return
     if isinstance(a1, TyVar):
         st.P.append(item)
-        st.prepend([SkelEq(session.ann[a1.id], skeleton(session.ann, a2))])
+        st.prepend([SkelEq(session.ann[a1.id], skeleton(session.ann, a2), item.span)])
         return
     if isinstance(a2, TyVar):
         st.P.append(item)
-        st.prepend([SkelEq(skeleton(session.ann, a1), session.ann[a2.id])])
+        st.prepend([SkelEq(skeleton(session.ann, a1), session.ann[a2.id], item.span)])
         return
     if isinstance(a1, TArrow) and isinstance(a2, TArrow):
         w1 = session.supply.co()
@@ -689,7 +683,7 @@ def _gen_handler(session: Session, Q: list, env: dict, v: source.SrcHandler) -> 
 
     clause_infos = []
     for cl in v.clauses:
-        sig_op = session.sig.lookup(cl.op)
+        sig_op = session.sig.lookup(cl.op, v.span)
         sv_i = sup.skel()
         a_i = session.fresh_ty(sv_i)
         d_i = sup.dirt()

@@ -63,6 +63,7 @@ from .exeff import (
     Single,
     Subst,
     cast,
+    refl_of,
     wf_bound,
 )
 from .traverse import (
@@ -71,7 +72,6 @@ from .traverse import (
     free_vars,
     handle_op,
     instantiate,
-    subst_hook,
     subst_term,
     substitute,
 )
@@ -83,12 +83,12 @@ from .traverse import (
 # NoEff builds the core's node classes for the forms the two calculi share,
 # with NoEff types, coercions and terms in their fields: the types `TyVar`,
 # `TBase`, `TArrow` and `TQual`, the constraint `TySub`, the coercions
-# `CoVarRef`, `CoBaseRefl`, `CoArrow` and `CoHandler`, and every term form
-# but `MTyAbs` and `MReturn`.  A form is NoEff's own where sharing would
-# change its dump or its rule: `NHandler` prints its domain at precedence 2
-# (`THandler` at 1), `NForall` and `MTyAbs` carry no skeleton, `MReturn` is
-# of level 1 with its operand at 3, and `NCoTyRefl` substitutes through
-# `refl_nty`; the other forms have no core counterpart.
+# `CoVarRef`, `CoBaseRefl`, `CoTyRefl`, `CoArrow` and `CoHandler`, and
+# every term form but `MTyAbs` and `MReturn`.  A form is NoEff's own where
+# sharing would change its dump or its rule: `NHandler` prints its domain at
+# precedence 2 (`THandler` at 1), `NForall` and `MTyAbs` carry no skeleton,
+# and `MReturn` is of level 1 with its operand at 3; the other forms have no
+# core counterpart.
 
 
 @node
@@ -109,13 +109,6 @@ class NForall:
 
 
 NType = (TyVar, TBase, TArrow, NHandler, TQual, NComp, NForall)
-
-
-@node
-class NCoTyRefl:
-    var: TyVar
-
-    refl_kids = ()  # see `exeff.is_refl`
 
 
 @node
@@ -156,7 +149,7 @@ class NCoUnsafe:
 
 
 NCoercion = (
-    CoVarRef, CoBaseRefl, NCoTyRefl, CoArrow, CoHandler, NCoHandToFun,
+    CoVarRef, CoBaseRefl, CoTyRefl, CoArrow, CoHandler, NCoHandToFun,
     NCoFunToHand, NCoQual, NCoComp, NCoReturn, NCoUnsafe,
 )
 
@@ -179,28 +172,12 @@ NTerm = (
 
 
 # ---------------------------------------------------------------------------
-# Reflexivity
+# Reflexivity: `exeff.refl_of` of NoEff's own types, and of `TQual`, which
+# it meets only in NoEff.
 
-
-def refl_nty(a: NType) -> NCoercion:
-    if isinstance(a, TyVar):
-        return NCoTyRefl(a)
-    if isinstance(a, TBase):
-        return CoBaseRefl(a.base)
-    if isinstance(a, TArrow):
-        return CoArrow(refl_nty(a.dom), refl_nty(a.cod))
-    if isinstance(a, NHandler):
-        return CoHandler(NCoComp(refl_nty(a.dom)), NCoComp(refl_nty(a.cod)))
-    if isinstance(a, TQual):
-        return NCoQual(a.constraint, refl_nty(a.body))
-    if isinstance(a, NComp):
-        return NCoComp(refl_nty(a.body))
-    raise TypeError(a)
-
-
-@subst_hook(NCoTyRefl)
-def _subst_nco_ty_refl(s: Subst, co: NCoTyRefl) -> NCoercion:
-    return refl_nty(s.ty[co.var.id]) if co.var.id in s.ty else co
+exeff.REFL_OF[NHandler] = lambda a: CoHandler(NCoComp(refl_of(a.dom)), NCoComp(refl_of(a.cod)))
+exeff.REFL_OF[NComp] = lambda a: NCoComp(refl_of(a.body))
+exeff.REFL_OF[TQual] = lambda a: NCoQual(a.constraint, refl_of(a.body))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +288,7 @@ def typecheck_noeff_coercion(env: Context, co: NCoercion) -> TySub:
     if isinstance(co, CoBaseRefl):
         t = T_BASE[co.base]
         return TySub(t, t)
-    if isinstance(co, NCoTyRefl):
+    if isinstance(co, CoTyRefl):
         wf_bound(env, co.var)
         return TySub(co.var, co.var)
     if isinstance(co, CoArrow):
@@ -412,7 +389,7 @@ def bridge(t: Union[ValueType, CompType], delta: DirtVar, inst: Dirt, from_impur
     if isinstance(t, TBase):
         return CoBaseRefl(t.base)
     if isinstance(t, TyVar):
-        return NCoTyRefl(t)
+        return CoTyRefl(t)
     if isinstance(t, TArrow):
         return CoArrow(
             bridge(t.dom, delta, inst, not from_impure),
@@ -462,10 +439,8 @@ def elab_co(derived: exeff.Derivation, co: exeff.Coercion) -> NCoercion:
         if not isinstance(derived.of(co), TySub):
             raise ElaborationError("dirt coercion variable has no pure-language counterpart")
         return co
-    if isinstance(co, CoBaseRefl):
+    if isinstance(co, (CoBaseRefl, CoTyRefl)):
         return co
-    if isinstance(co, CoTyRefl):
-        return NCoTyRefl(co.var)
     if isinstance(co, CoArrow):
         return CoArrow(elab_co(derived, co.dom), elab_co(derived, co.cod))
     if isinstance(co, CoHandler):
@@ -556,7 +531,7 @@ def _elab_handler(derived: exeff.Derivation, v: EHandler) -> NTerm:
         for cl in v.clauses:
             a2 = elab_vty(derived.sig.lookup(cl.op).result)
             t_op = elab_comp(derived, cl.body)
-            bridge_k = ECast(EVar(cl.kont), CoArrow(refl_nty(a2), NCoUnsafe(refl_nty(b_out))))
+            bridge_k = ECast(EVar(cl.kont), CoArrow(refl_of(a2), NCoUnsafe(refl_of(b_out))))
             t_op = subst_term(bridge_k, cl.kont, t_op)
             clauses.append(OpClause(cl.op, cl.param, cl.kont, MReturn(t_op)))
         return EHandler(v.ret_var, a_in, MReturn(t_r), tuple(clauses))
@@ -592,7 +567,7 @@ def elab_comp(derived: exeff.Derivation, c: exeff.Comp) -> NTerm:
             return CApp(t_v, t_c)
         if not h_ty.cod.dirt.is_empty():
             return CHandle(t_v, t_c)
-        return ECast(CHandle(t_v, t_c), NCoUnsafe(refl_nty(elab_vty(h_ty.cod.val))))
+        return ECast(CHandle(t_v, t_c), NCoUnsafe(refl_of(elab_vty(h_ty.cod.val))))
     if isinstance(c, exeff.CCast):
         return cast(elab_comp(derived, c.comp), elab_co(derived, c.co))
     raise TypeError(c)

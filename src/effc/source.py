@@ -27,6 +27,7 @@ from .core import (
     TermVar,
     UnboundVariable,
     ValueType,
+    WfError,
     dirt,
     node,
 )
@@ -391,9 +392,13 @@ def parse_program(text: str) -> tuple:
 
 
 def check_signature(sig: Signature) -> None:
-    """Every operation's parameter and result type must be closed and well-formed."""
+    """Every operation's parameter and result type must be closed and
+    well-formed; an error is reported at the operation's declaration."""
     env = Context(sig)
     for name in sig.names():
         op = sig.ops[name]
-        exeff.wf_vty(env, op.param)
-        exeff.wf_vty(env, op.result)
+        try:
+            exeff.wf_vty(env, op.param)
+            exeff.wf_vty(env, op.result)
+        except WfError as e:
+            raise type(e)(e.msg, sig.spans.get(name)) from None

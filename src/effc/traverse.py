@@ -520,71 +520,48 @@ def free_vars(t, sort) -> list:
     """Free variables of class `sort` in `t` (or in a list of entities),
     without repeats, in order of first occurrence.  Given a tuple of classes,
     one walk finds the variables of all of them, in order of first occurrence
-    across the sorts; it keys them by (class, id), as ids are per-sort counters."""
+    across the sorts.  Bound and seen variables are keyed by their summary
+    bit index (see `var_bit`), as ids are per-sort counters."""
     out: list = []
-    if type(sort) is tuple:
-        _FVS[type(t)](t, sort, frozenset(), set(), out)
-    else:
-        _FV[type(t)](t, sort, frozenset(), set(), out)
+    _FV[type(t)](t, sort if type(sort) is tuple else (sort,), frozenset(), set(), out)
     return out
 
 
-def _build_fv(cls, keyed=False):
-    table = _FVS if keyed else _FV
+def _build_fv(cls):
     if cls in (tuple, list):
 
-        def many(t, sort, bound, seen, out):
+        def many(t, sorts, bound, seen, out):
             for e in t:
-                table[type(e)](e, sort, bound, seen, out)
+                _FV[type(e)](e, sorts, bound, seen, out)
 
         return many
     sh = None if cls in (SkelVar, TyVar) else shape(cls)
-    if keyed and (sh is None or sh.uses):
+    if sh is None or sh.uses:
         name, vcls = ("", cls) if sh is None else (sh.uses[0].name, sh.uses[0].sort)
+        sort = SORTS[vcls]
 
-        def keyed_occurrence(t, sorts, bound, seen, out):
+        def occurrence(t, sorts, bound, seen, out):
             v = getattr(t, name) if name else t
-            if vcls in sorts and v is not None and (key := (vcls, v.id)) not in bound and key not in seen:
+            if vcls in sorts and v is not None and (key := v.id << 3 | sort) not in bound and key not in seen:
                 seen.add(key)
                 out.append(v)
 
-        return keyed_occurrence
-    if sh is None:
-
-        def var(t, sort, bound, seen, out):
-            if cls is sort and t.id not in bound and t.id not in seen:
-                seen.add(t.id)
-                out.append(t)
-
-        return var
-    if sh.uses:
-        use = sh.uses[0]
-
-        def occurrence(t, sort, bound, seen, out):
-            v = getattr(t, use.name)
-            if use.sort is sort and v is not None and v.id not in bound and v.id not in seen:
-                seen.add(v.id)
-                out.append(v)
-
         return occurrence
-    kids = [(f.name, f.binders) for f in sh.kids]
+    kids = [(f.name, tuple((b, b_cls, SORTS[b_cls]) for b, b_cls in f.binders)) for f in sh.kids]
 
-    def go(t, sort, bound, seen, out):
+    def go(t, sorts, bound, seen, out):
         for name, binders in kids:
             inner = bound
-            for b, b_sort in binders:
-                if b_sort is sort:
-                    inner = inner | {getattr(t, b).id}
-                elif keyed and b_sort in sort:
-                    inner = inner | {(b_sort, getattr(t, b).id)}
+            for b, b_cls, sort in binders:
+                if b_cls in sorts:
+                    inner = inner | {getattr(t, b).id << 3 | sort}
             x = getattr(t, name)
-            table[type(x)](x, sort, inner, seen, out)
+            _FV[type(x)](x, sorts, inner, seen, out)
 
     return go
 
 
 _FV = _Table(_build_fv)
-_FVS = _Table(lambda cls: _build_fv(cls, keyed=True))
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,20 @@ def _mentions_of_bound(s: exeff.Subst, sorts) -> list:
 
 
 def _stale_solutions(outcome) -> list:
-    """The solutions of an inference run that mention a variable it solved:
-    none of its skeleton, type and dirt solutions may, and once settled none
-    of its coercion solutions may either."""
-    return _mentions_of_bound(outcome.session.solved, ("skel", "ty", "dirt")) + _mentions_of_bound(
-        outcome.subst, ("skel", "ty", "dirt", "co")
+    """The solutions and skeleton annotations of an inference run that
+    mention a variable it solved: none of its skeleton, type and dirt
+    solutions and none of its annotations may, and once settled none of its
+    coercion solutions may either."""
+    session = outcome.session
+    stale_anns = [
+        display.show(skel)
+        for skel in session.ann.values()
+        if {v.id for v in free_vars(skel, SkelVar)} & session.solved.skel.keys()
+    ]
+    return (
+        _mentions_of_bound(session.solved, ("skel", "ty", "dirt"))
+        + _mentions_of_bound(outcome.subst, ("skel", "ty", "dirt", "co"))
+        + stale_anns
     )
 
 

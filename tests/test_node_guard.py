@@ -13,7 +13,7 @@ STEP = exeff.step_comp
 
 
 def test_every_node_class_is_guarded():
-    assert len(NODES) == 82
+    assert len(NODES) == 81
     for cls in NODES:
         assert cls.__setattr__ is not object.__setattr__, cls.__name__
         assert cls.__delattr__ is not object.__delattr__, cls.__name__

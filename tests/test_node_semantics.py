@@ -82,7 +82,7 @@ def transient_nodes(seen: list) -> list:
         infer.SkelEq(some[SkelArrow], some[SkelBase]),
         SkelForall(some[SkelVar], some[SkelArrow]),
         noeff.NForall(some[TyVar], some[TArrow]),
-        noeff.NCoFunToHand(some[noeff.NCoTyRefl], some[noeff.NCoComp]),
+        noeff.NCoFunToHand(some[exeff.CoTyRefl], some[noeff.NCoComp]),
     ]
 
 
@@ -127,7 +127,7 @@ def test_the_docstring_is_the_generated_one():
 
 def test_a_span_is_not_compared():
     spanned = [x for x in NODES_SEEN if any(f.name == "span" and not f.compare for f in dataclasses.fields(x))]
-    assert len({type(x) for x in spanned}) == 12
+    assert len({type(x) for x in spanned}) == 13
     for x in spanned:
         moved = dataclasses.replace(x, span=Span(10**6, 1))
         assert moved == x and hash(moved) == hash(x)

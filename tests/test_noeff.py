@@ -333,8 +333,8 @@ def test_refl_nty_derives_each_form_at_itself():
         comp,
     )
     for t in forms:
-        assert noeff.typecheck_noeff_coercion(env, noeff.refl_nty(t)) == TySub(t, t), t
-        assert exeff.is_refl(noeff.refl_nty(t)), t
+        assert noeff.typecheck_noeff_coercion(env, exeff.refl_of(t)) == TySub(t, t), t
+        assert exeff.is_refl(exeff.refl_of(t)), t
 
 
 # -- operational semantics ------------------------------------------------------------------

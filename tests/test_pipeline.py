@@ -253,7 +253,7 @@ def test_every_node_class_has_a_notation_entry():
         and cls in core.NODES
         and cls not in (core.Span, core.OpSig)  # not part of any dump
     ]
-    assert len(classes) == 64
+    assert len(classes) == 63
     for cls in classes:
         assert cls in display.NOTATION or cls in hand_written, cls.__name__
         if cls in display.NOTATION and cls not in VAR_CLASSES:  # variables print their names
@@ -540,6 +540,27 @@ def test_cli_dump_stages(capsys):
     for stage in ("constraints", "exeff", "skeleff", "noeff"):
         assert run_cli("dump", str(CORPUS / "p10_handle_ret_only.eff"), "--stage", stage) == 0
         assert capsys.readouterr().out.strip()
+
+
+# Rejected programs whose errors once printed no position: a skeleton clash
+# found while solving a subtyping constraint, an unknown operation in a
+# declared operation's type, and one in a handler's clause.
+UNPLACED = {
+    "skeleton_clash.eff": "(fun g -> g 1) (fun h -> h unit)\n",
+    "signature.eff": "effect A : (Unit -> Unit ! {B}) -> Unit\nreturn unit\n",
+    "clause.eff": "with handler { return x -> return x, Tock p k -> k p } handle return unit\n",
+}
+
+
+def test_every_rejected_program_names_a_source_position(capsys, tmp_path):
+    for name, text in UNPLACED.items():
+        (tmp_path / name).write_text(text)
+    paths = sorted(CORPUS_BAD.glob("*.eff")) + sorted(tmp_path.glob("*.eff"))
+    for path in paths:
+        assert run_cli("check", str(path)) == 1, path.name
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \d+:\d+: [^\n]+\n", err), (path.name, err)
+    assert len(paths) == 9
 
 
 def test_constraint_dumps_come_from_infer_text(corpus_paths, capsys):

@@ -198,7 +198,7 @@ def _node_classes():
 
 def test_every_field_of_every_node_class_has_a_role():
     classes = list(_node_classes())
-    assert len(classes) == 78
+    assert len(classes) == 77
     t = traverse
     roles = {t.BIND, t.USE, t.TERM, t.TYPE, t.MANY, t.ATOM}
     for cls in classes:
